@@ -10,7 +10,7 @@
 #   ci-quick   fmt-check + vet + build + test — the fast inner loop
 #   race       the full suite under the race detector
 #   ci-bench   the benchmark smokes (core, SLAM, fault, batch, workloads,
-#              roofline)
+#              roofline, the end-to-end benchmark module's tests)
 #              plus the BENCH_core.json ns/op regression guard
 #   ci-smoke   the end-to-end command smokes, including the fleetd pipeline
 #              and the crash/recovery chaos harness (scripts/fleet_chaos.sh)
@@ -20,7 +20,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet vet-failpoint test test-failpoint race fmt-check vuln bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard smoke-cmds ci-quick ci-bench ci-smoke ci
+.PHONY: all build vet vet-failpoint test test-failpoint race fmt-check vuln bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard bench-e2e smoke-cmds ci-quick ci-bench ci-smoke ci
 
 all: build
 
@@ -75,11 +75,20 @@ bench-fault:
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 
 # Batch-engine smoke: the batch↔serial bit-identity property tests (batch
-# 1/8/64 × pools 1/2/8) under the race detector, plus the alloc-regression
-# guard that fails if a steady-state batched step allocates at all.
+# 1/8/64 × pools 1/2/8) and the released-buffer reuse property under the race
+# detector, plus the alloc-regression guards: a steady-state batched step
+# (telemetry included) must not allocate at all, and a one-second fleetd job
+# must stay within its per-job heap budget.
 bench-batch:
-	$(GO) test -race ./scenario/ -run 'TestBatchSerialBitIdentity|TestBatchTickGranularityInvariance|TestBatchLaneErrorIsolation'
+	$(GO) test -race ./scenario/ -run 'TestBatchSerialBitIdentity|TestBatchTickGranularityInvariance|TestBatchLaneErrorIsolation|TestReleasedBuffersBitIdentical'
 	$(GO) test ./scenario/ -run TestBatchZeroAllocSteadyState
+	$(GO) test ./fleet/ -run TestDropArtifactsJobAllocBudget
+
+# End-to-end benchmark smoke: the benchmark module's own tests (every
+# workload, plain and traced, at -scale 0.01). The benchmark is a nested
+# module, so the root `go test ./...` never reaches it.
+bench-e2e:
+	cd benchmark && $(GO) test ./...
 
 # Workload-layer smoke: the pluggable-workload acceptance tests — wire
 # round-trips, per-workload golden digests at several batch/pool shapes, the
@@ -139,7 +148,7 @@ test-failpoint:
 
 ci-quick: fmt-check vet vet-failpoint build test
 
-ci-bench: bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-roofline bench-guard
+ci-bench: bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-roofline bench-guard bench-e2e
 
 ci-smoke: test-failpoint smoke-cmds
 

@@ -63,6 +63,15 @@ func (l *FlightLog) Reserve(durationS float64) {
 	}
 }
 
+// Reset empties the log for reuse by another flight, keeping the entry and
+// event capacity: a reset log records exactly as a new FlightLog would.
+// Slices returned by Entries and Events before the Reset are overwritten by
+// later recording.
+func (l *FlightLog) Reset() {
+	clear(l.events) // drop the old annotation strings
+	*l = FlightLog{entries: l.entries[:0], events: l.events[:0]}
+}
+
 // AttachFlightLog registers the recorder on the autopilot's step bus; it
 // samples in registration order relative to any other observers.
 func (a *Autopilot) AttachFlightLog(l *FlightLog) {

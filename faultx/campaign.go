@@ -188,6 +188,11 @@ func Run(scenarios []Scenario, cfg Config) (*Campaign, error) {
 		r.res.MaxPathDivM = maxDivergence(r.traj, base.traj)
 		c.Results = append(c.Results, r.res)
 	}
+	// Every row and divergence is computed: the flights' recordings can go
+	// to the next campaign's lanes.
+	for _, res := range results {
+		res.Release()
+	}
 	return c, nil
 }
 

@@ -1,0 +1,72 @@
+package fleet_test
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"dronedse/fleet"
+)
+
+// TestLaneStepsCountsStepsTaken pins Stats.LaneSteps to the physics steps
+// lanes actually took: a job flown alone, whose flight ends mid-stride, adds
+// exactly its flight's step count (FlightTimeS at 1 kHz), not a whole last
+// stride.
+func TestLaneStepsCountsStepsTaken(t *testing.T) {
+	srv := fleet.New(fleet.Config{Shards: 1})
+	id, err := srv.Submit(fleet.JobSpec{Seed: 5, MaxSeconds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, srv) // Advance(1000) strides
+	res, err := srv.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(math.Round(res.FlightTimeS * 1000))
+	if want%1000 == 0 {
+		t.Fatalf("flight of %d steps ends on a stride boundary; the test needs one that does not", want)
+	}
+	if got := srv.Stats().LaneSteps; got != want {
+		t.Fatalf("LaneSteps = %d, flight took %d steps", got, want)
+	}
+}
+
+// TestDropArtifactsJobAllocBudget pins what one job costs a DropArtifacts
+// server in heap bytes. Finished jobs release their flight log, trace and
+// trajectory for the next Build to record into, so a one-second box job
+// allocates well under the ~250 KiB it cost when every Build reserved its own
+// worst-case buffers. GC is off during the measurement so the buffer pool is
+// never drained.
+func TestDropArtifactsJobAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random quarter of released buffers")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	srv := fleet.New(fleet.Config{DropArtifacts: true})
+	fly := func(seed int64) {
+		id, err := srv.Submit(fleet.JobSpec{Seed: seed, MaxSeconds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, srv)
+		if st, _ := srv.Job(id); st.Digests == nil {
+			t.Fatalf("job %d ended %s: %s", id, st.State, st.Error)
+		}
+	}
+	fly(1) // warm-up: its release stocks the pool
+
+	const jobs, budgetKiB = 20, 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		fly(int64(2 + i))
+	}
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs / 1024
+	t.Logf("%.1f KiB allocated per job", perJob)
+	if perJob > budgetKiB {
+		t.Fatalf("a one-second job allocates %.1f KiB, budget %d KiB", perJob, budgetKiB)
+	}
+}

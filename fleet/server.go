@@ -59,9 +59,10 @@ type Config struct {
 	// (0 = unlimited). A job that blows it is evicted mid-flight with
 	// ErrDeadline. JobSpec.DeadlineS overrides it per job.
 	JobDeadline time.Duration
-	// DropArtifacts frees each finished job's log, trace and trajectory
-	// after digesting, keeping only the summary and digests — the 10k+
-	// lane benchmark configuration. Result-returning APIs then serve a
+	// DropArtifacts releases each finished job's log, trace and trajectory
+	// after digesting (scenario.Result.Release), keeping only the summary
+	// and digests — the 10k+ lane benchmark configuration. Later jobs record
+	// into the released buffers. Result-returning APIs then serve a
 	// summary-only Result.
 	DropArtifacts bool
 }
@@ -392,7 +393,7 @@ func (s *Server) finalize(j *job, res *scenario.Result, err error) {
 			FinalMode:            res.FinalMode.String(),
 		}
 		if s.cfg.DropArtifacts {
-			res.Log, res.Trace, res.Trajectory = nil, nil, nil
+			res.Release() // digested; the next Build records into its buffers
 		}
 	}
 	if s.jl != nil {
@@ -438,8 +439,7 @@ func (s *Server) Advance(k int) bool {
 			continue
 		}
 		busy = true
-		s.laneSteps.Add(uint64(sh.batch.Live()) * uint64(k))
-		sh.batch.TickN(k)
+		s.laneSteps.Add(uint64(sh.batch.TickN(k)))
 		for lane, j := range sh.jobs {
 			if !sh.batch.LaneDone(lane) {
 				if j.deadline.IsZero() || now.Before(j.deadline) {

@@ -8,6 +8,7 @@
 package groundstation
 
 import (
+	"bytes"
 	"io"
 	"sync"
 )
@@ -33,7 +34,9 @@ func NewHub() *Hub { return &Hub{subs: make(map[*Sub]struct{})} }
 // Publish delivers one telemetry unit — one or more complete, contiguous
 // MAVLink frames — to every subscriber. Units are enqueued and shed whole,
 // so a subscriber's byte stream is always frame-aligned: losing a unit
-// never tears or interleaves frames. The hub takes ownership of the slice.
+// never tears or interleaves frames. Publish only borrows unit: the caller
+// may reuse it once Publish returns, because the hub queues one private copy
+// for its subscribers — and none at all while nobody is subscribed.
 func (h *Hub) Publish(unit []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -41,6 +44,10 @@ func (h *Hub) Publish(unit []byte) {
 		return
 	}
 	h.published++
+	if len(h.subs) == 0 {
+		return
+	}
+	unit = bytes.Clone(unit)
 	for s := range h.subs {
 		h.dropped += s.push(unit)
 	}

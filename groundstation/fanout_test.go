@@ -34,7 +34,7 @@ func telemetrySource(t *testing.T) func() []byte {
 	var seq uint8
 	return func() []byte {
 		ap.RunFor(0.05)
-		raw, err := ap.Telemetry(&seq)
+		raw, err := ap.AppendTelemetry(nil, &seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,6 +73,26 @@ func heartbeatTimes(frames []mavlink.Frame) []uint32 {
 		}
 	}
 	return ts
+}
+
+// TestHubPublishBorrows pins Publish's borrow contract: the publisher may
+// overwrite its buffer as soon as Publish returns and subscribers still read
+// what was published, while a hub nobody subscribes to copies nothing.
+func TestHubPublishBorrows(t *testing.T) {
+	hub := NewHub()
+	buf := []byte("unit-1")
+	if n := testing.AllocsPerRun(100, func() { hub.Publish(buf) }); n != 0 {
+		t.Fatalf("publishing with no subscribers allocates %.1f objects", n)
+	}
+	sub := hub.Subscribe(4)
+	hub.Publish(buf)
+	copy(buf, "unit-2")
+	hub.Publish(buf)
+	for _, want := range []string{"unit-1", "unit-2"} {
+		if got, ok := sub.TryNext(); !ok || string(got) != want {
+			t.Fatalf("subscriber read %q (ok %v), want %q", got, ok, want)
+		}
+	}
 }
 
 // TestHubStalledSubscriberIsolation is the fleetd backpressure contract: a

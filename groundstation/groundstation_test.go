@@ -24,7 +24,7 @@ func TestConsumeTelemetry(t *testing.T) {
 	ap.RunFor(2)
 
 	var seq uint8
-	raw, err := ap.Telemetry(&seq)
+	raw, err := ap.AppendTelemetry(nil, &seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConsumeFragmented(t *testing.T) {
 	var seq uint8
 	var stream []byte
 	for i := 0; i < 10; i++ {
-		raw, _ := ap.Telemetry(&seq)
+		raw, _ := ap.AppendTelemetry(nil, &seq)
 		stream = append(stream, raw...)
 	}
 	gs := New(nil)
@@ -130,7 +130,7 @@ func TestServeTCP(t *testing.T) {
 	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
 	for i := 0; i < 5; i++ {
-		raw, _ := ap.Telemetry(&seq)
+		raw, _ := ap.AppendTelemetry(nil, &seq)
 		if _, err := conn.Write(raw); err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestServeTCPReconnect(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			ap.RunFor(0.05)
-			raw, err := ap.Telemetry(&seq)
+			raw, err := ap.AppendTelemetry(nil, &seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestServeTCPReadDeadline(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
 	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
-	raw, _ := ap.Telemetry(&seq)
+	raw, _ := ap.AppendTelemetry(nil, &seq)
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestTrackHistory(t *testing.T) {
 	ap.RunUntil(func(a *autopilot.Autopilot) bool {
 		steps++
 		if steps%500 == 0 { // 2 Hz telemetry
-			raw, _ := a.Telemetry(&seq)
+			raw, _ := a.AppendTelemetry(nil, &seq)
 			gs.Consume(raw)
 		}
 		return a.Mode() == autopilot.Disarmed
@@ -319,7 +319,7 @@ func TestTrackBounded(t *testing.T) {
 	var seq uint8
 	for i := 0; i < 50; i++ {
 		ap.RunFor(0.05)
-		raw, _ := ap.Telemetry(&seq)
+		raw, _ := ap.AppendTelemetry(nil, &seq)
 		gs.Consume(raw)
 	}
 	if got := len(gs.Track()); got > 8 {

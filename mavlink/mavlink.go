@@ -60,26 +60,36 @@ type Frame struct {
 func X25(data []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range data {
-		tmp := uint16(b) ^ (crc & 0xFF)
-		tmp ^= (tmp << 4) & 0xFF
-		crc = (crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)
+		crc = x25Byte(crc, b)
 	}
 	return crc
 }
 
-// Marshal serializes the frame.
-func (f Frame) Marshal() ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return nil, errors.New("mavlink: payload too large")
-	}
-	buf := make([]byte, 0, 8+len(f.Payload))
-	buf = append(buf, Magic, byte(len(f.Payload)), f.Seq, f.SysID, f.CompID, byte(f.MsgID))
-	buf = append(buf, f.Payload...)
-	crc := X25(append(buf[1:], crcExtra[f.MsgID]))
-	var cb [2]byte
-	binary.LittleEndian.PutUint16(cb[:], crc)
-	return append(buf, cb[:]...), nil
+// x25Byte folds one byte into a running X.25 CRC.
+func x25Byte(crc uint16, b byte) uint16 {
+	tmp := uint16(b) ^ (crc & 0xFF)
+	tmp ^= (tmp << 4) & 0xFF
+	return (crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)
 }
+
+var errPayloadTooLarge = errors.New("mavlink: payload too large")
+
+// AppendTo appends the frame's wire encoding to dst and returns the extended
+// slice; with enough capacity in dst it does not allocate. On error dst is
+// returned unchanged.
+func (f Frame) AppendTo(dst []byte) ([]byte, error) {
+	if len(f.Payload) > MaxPayload {
+		return dst, errPayloadTooLarge
+	}
+	start := len(dst)
+	dst = append(dst, Magic, byte(len(f.Payload)), f.Seq, f.SysID, f.CompID, byte(f.MsgID))
+	dst = append(dst, f.Payload...)
+	crc := x25Byte(X25(dst[start+1:]), crcExtra[f.MsgID])
+	return binary.LittleEndian.AppendUint16(dst, crc), nil
+}
+
+// Marshal serializes the frame into a new slice.
+func (f Frame) Marshal() ([]byte, error) { return f.AppendTo(make([]byte, 0, 8+len(f.Payload))) }
 
 // maxFrameLen is the largest possible wire frame: header + max payload +
 // CRC.
@@ -177,7 +187,7 @@ func (p *Parser) parse(out []Frame) []Frame {
 			Payload: append([]byte(nil), rem[6:6+plen]...),
 		}
 		wire := binary.LittleEndian.Uint16(rem[6+plen : 8+plen])
-		calc := X25(append(append([]byte(nil), rem[1:6+plen]...), crcExtra[frame.MsgID]))
+		calc := x25Byte(X25(rem[1:6+plen]), crcExtra[frame.MsgID])
 		if wire == calc {
 			p.Complete++
 			out = append(out, frame)
@@ -257,16 +267,25 @@ type MissionItem struct {
 func putF32(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }
 func getF32(b []byte) float32    { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
 
-// EncodeHeartbeat packs a heartbeat frame payload.
-func EncodeHeartbeat(h Heartbeat) []byte {
-	b := make([]byte, 6)
-	b[0] = h.Mode
-	if h.Armed {
-		b[1] = 1
+func appendF32s(dst []byte, vs ...float32) []byte {
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 	}
-	binary.LittleEndian.PutUint32(b[2:], h.TimeMS)
-	return b
+	return dst
 }
+
+// AppendHeartbeat appends a heartbeat payload to dst.
+func AppendHeartbeat(dst []byte, h Heartbeat) []byte {
+	var armed byte
+	if h.Armed {
+		armed = 1
+	}
+	dst = append(dst, h.Mode, armed)
+	return binary.LittleEndian.AppendUint32(dst, h.TimeMS)
+}
+
+// EncodeHeartbeat packs a heartbeat frame payload.
+func EncodeHeartbeat(h Heartbeat) []byte { return AppendHeartbeat(make([]byte, 0, 6), h) }
 
 // DecodeHeartbeat unpacks a heartbeat payload.
 func DecodeHeartbeat(b []byte) (Heartbeat, error) {
@@ -276,15 +295,14 @@ func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 	return Heartbeat{Mode: b[0], Armed: b[1] == 1, TimeMS: binary.LittleEndian.Uint32(b[2:])}, nil
 }
 
-// EncodeAttitude packs an attitude payload.
-func EncodeAttitude(a Attitude) []byte {
-	b := make([]byte, 28)
-	binary.LittleEndian.PutUint32(b, a.TimeMS)
-	for i, v := range []float32{a.Roll, a.Pitch, a.Yaw, a.RollRate, a.PitchRate, a.YawRate} {
-		putF32(b[4+4*i:], v)
-	}
-	return b
+// AppendAttitude appends an attitude payload to dst.
+func AppendAttitude(dst []byte, a Attitude) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, a.TimeMS)
+	return appendF32s(dst, a.Roll, a.Pitch, a.Yaw, a.RollRate, a.PitchRate, a.YawRate)
 }
+
+// EncodeAttitude packs an attitude payload.
+func EncodeAttitude(a Attitude) []byte { return AppendAttitude(make([]byte, 0, 28), a) }
 
 // DecodeAttitude unpacks an attitude payload.
 func DecodeAttitude(b []byte) (Attitude, error) {
@@ -298,14 +316,15 @@ func DecodeAttitude(b []byte) (Attitude, error) {
 	}, nil
 }
 
+// AppendGlobalPosition appends a position payload to dst.
+func AppendGlobalPosition(dst []byte, g GlobalPosition) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, g.TimeMS)
+	return appendF32s(dst, g.X, g.Y, g.Z, g.VX, g.VY, g.VZ)
+}
+
 // EncodeGlobalPosition packs a position payload.
 func EncodeGlobalPosition(g GlobalPosition) []byte {
-	b := make([]byte, 28)
-	binary.LittleEndian.PutUint32(b, g.TimeMS)
-	for i, v := range []float32{g.X, g.Y, g.Z, g.VX, g.VY, g.VZ} {
-		putF32(b[4+4*i:], v)
-	}
-	return b
+	return AppendGlobalPosition(make([]byte, 0, 28), g)
 }
 
 // DecodeGlobalPosition unpacks a position payload.
@@ -320,13 +339,14 @@ func DecodeGlobalPosition(b []byte) (GlobalPosition, error) {
 	}, nil
 }
 
+// AppendBatteryStatus appends a battery payload to dst.
+func AppendBatteryStatus(dst []byte, s BatteryStatus) []byte {
+	return appendF32s(dst, s.VoltageV, s.SoC, s.PowerW)
+}
+
 // EncodeBatteryStatus packs a battery payload.
 func EncodeBatteryStatus(s BatteryStatus) []byte {
-	b := make([]byte, 12)
-	putF32(b, s.VoltageV)
-	putF32(b[4:], s.SoC)
-	putF32(b[8:], s.PowerW)
-	return b
+	return AppendBatteryStatus(make([]byte, 0, 12), s)
 }
 
 // DecodeBatteryStatus unpacks a battery payload.

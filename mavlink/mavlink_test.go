@@ -2,6 +2,7 @@ package mavlink
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,50 @@ func TestFrameTooLarge(t *testing.T) {
 	f := Frame{Payload: make([]byte, 300)}
 	if _, err := f.Marshal(); err == nil {
 		t.Error("oversized payload accepted")
+	}
+	prefix := []byte{1, 2, 3}
+	if got, err := f.AppendTo(prefix); err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("AppendTo with an oversized payload: %v, %x", err, got)
+	}
+}
+
+// TestAppendTelemetryBurstPinned pins the exact wire bytes of a four-frame
+// telemetry burst (heartbeat, attitude, position, battery), recorded from the
+// allocating encoders the append forms replaced, and checks that AppendTo
+// appends after existing bytes without allocating once dst has room.
+func TestAppendTelemetryBurstPinned(t *testing.T) {
+	const want = "fe06fa010100030140e20100b98a" +
+		"fe1cfb01010140e20100cdcccc3dcdcc4cbe666646400ad7233c0ad7a3bc0000003fc463" +
+		"fe1cfc01010240e2010000004841000050c00000a0400000c03f000000bf0000803ea87b" +
+		"fe0cfd0101039a9931410000603f00803443e1cd"
+	burst := func(dst []byte) []byte {
+		var p [4][28]byte
+		frames := [4]Frame{
+			{Seq: 250, MsgID: MsgHeartbeat, Payload: AppendHeartbeat(p[0][:0],
+				Heartbeat{Mode: 3, Armed: true, TimeMS: 123456})},
+			{Seq: 251, MsgID: MsgAttitude, Payload: AppendAttitude(p[1][:0],
+				Attitude{TimeMS: 123456, Roll: 0.1, Pitch: -0.2, Yaw: 3.1, RollRate: 0.01, PitchRate: -0.02, YawRate: 0.5})},
+			{Seq: 252, MsgID: MsgGlobalPosition, Payload: AppendGlobalPosition(p[2][:0],
+				GlobalPosition{TimeMS: 123456, X: 12.5, Y: -3.25, Z: 5, VX: 1.5, VY: -0.5, VZ: 0.25})},
+			{Seq: 253, MsgID: MsgBatteryStatus, Payload: AppendBatteryStatus(p[3][:0],
+				BatteryStatus{VoltageV: 11.1, SoC: 0.875, PowerW: 180.5})},
+		}
+		for _, f := range frames {
+			f.SysID, f.CompID = 1, 1
+			var err error
+			if dst, err = f.AppendTo(dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dst
+	}
+	got := burst([]byte{0xAA})
+	if hex.EncodeToString(got[1:]) != want || got[0] != 0xAA {
+		t.Fatalf("burst bytes changed:\n got %x\nwant aa%s", got, want)
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = burst(buf[:0]) }); n != 0 {
+		t.Fatalf("encoding a burst into a buffer with room allocates %.1f objects", n)
 	}
 }
 

@@ -203,48 +203,55 @@ func (b *Batch) Start() {
 // Tick advances every live lane exactly one physics step and reports whether
 // the whole batch has finished. Lane chunks fan through parallelx; within a
 // chunk lanes step in lane order.
-func (b *Batch) Tick() (allDone bool) { return b.TickN(1) }
+func (b *Batch) Tick() (allDone bool) {
+	b.TickN(1)
+	return b.live == 0
+}
 
 // TickN advances every live lane by up to k physics steps (fewer if the lane
-// finishes) in one parallel dispatch, and reports whether the whole batch
-// has finished. Because lanes never interact, the interleaving granularity
-// is unobservable in any lane's Result.
-func (b *Batch) TickN(k int) (allDone bool) {
+// finishes) in one parallel dispatch, and returns the physics steps taken,
+// summed over lanes; zero means no lane was left flying. Because lanes never
+// interact, the interleaving granularity is unobservable in any lane's
+// Result.
+func (b *Batch) TickN(k int) (steps int) {
 	if !b.started {
 		b.Start()
 	}
 	if b.live == 0 {
-		return true
+		return 0
 	}
 	n := len(b.lanes)
 	if parallelx.PoolSize() <= 1 || n <= BatchChunkLanes {
-		b.tickRange(0, n, k)
+		steps = b.tickRange(0, n, k)
 	} else {
-		parallelx.MapChunks(n, BatchChunkLanes, func(ci, lo, hi int) struct{} {
-			b.tickRange(lo, hi, k)
-			return struct{}{}
-		})
+		for _, s := range parallelx.MapChunks(n, BatchChunkLanes, func(ci, lo, hi int) int {
+			return b.tickRange(lo, hi, k)
+		}) {
+			steps += s
+		}
 	}
 	b.recount()
-	return b.live == 0
+	return steps
 }
 
-// tickRange steps lanes [lo, hi) by up to k ticks each. Chunks touch
-// disjoint lane index ranges, so concurrent calls are race-free.
-func (b *Batch) tickRange(lo, hi, k int) {
+// tickRange steps lanes [lo, hi) by up to k ticks each and returns the steps
+// taken. Chunks touch disjoint lane index ranges, so concurrent calls are
+// race-free.
+func (b *Batch) tickRange(lo, hi, k int) (steps int) {
 	for i := lo; i < hi; i++ {
 		if b.done[i] {
 			continue
 		}
 		st := b.lanes[i]
 		for j := 0; j < k; j++ {
-			done, err := st.Tick()
-			if done {
+			steps++ // every Tick of a live lane takes one physics step
+			if done, err := st.Tick(); done {
 				b.done[i], b.errs[i] = true, err
 				break
 			}
 		}
 	}
+	return steps
 }
 
 func (b *Batch) recount() {
@@ -260,7 +267,7 @@ func (b *Batch) recount() {
 // Run drives the batch to completion and returns the per-lane outcomes in
 // lane order. A lane's Result is nil exactly when its error is non-nil.
 func (b *Batch) Run() ([]*Result, []error) {
-	for !b.TickN(batchTickStride) {
+	for b.TickN(batchTickStride) > 0 {
 	}
 	return b.Outcomes()
 }

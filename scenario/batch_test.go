@@ -200,7 +200,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 		t.Fatalf("admission did not reuse evicted slot: got lane %d, want %d", lane2, lane0)
 	}
 
-	for !b.TickN(100) {
+	for b.TickN(100) > 0 {
 	}
 	res1, err1 := b.Evict(lane1)
 	if got := resultDigest(t, res1, err1); got != want[1] {
@@ -274,7 +274,7 @@ func TestBatchAbortLane(t *testing.T) {
 		t.Fatalf("aborted slot not reused: got lane %d", lane)
 	}
 
-	for !b.TickN(1000) {
+	for b.TickN(1000) > 0 {
 	}
 	res, err := b.Evict(0)
 	if err != nil {
@@ -310,14 +310,20 @@ func TestBatchLaneSimTime(t *testing.T) {
 // TestBatchZeroAllocSteadyState is the ISSUE 6 alloc-regression guard: once
 // a batch is warmed past takeoff, advancing it must do zero steady-state
 // heap allocations per step. It runs on the serial path (pool 1) — parallel
-// dispatch adds only per-dispatch goroutine fan-out, amortized by TickN.
+// dispatch adds only per-dispatch goroutine fan-out, amortized by TickN. One
+// lane streams telemetry every step into a sink that, per the Send contract,
+// does not keep the slice: encoding a burst must not allocate either.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
 	prev := parallelx.SetPoolSize(1)
 	defer parallelx.SetPoolSize(prev)
+	var telemBytes int
 	b := scenario.NewBatch([]scenario.Spec{
 		{Seed: 51, Hover: true},
 		{Seed: 52},
 		{Seed: 53, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
+		{Seed: 54, Telemetry: scenario.Telemetry{EverySteps: 1, Send: func(raw []byte) {
+			telemBytes += len(raw)
+		}}},
 	})
 	b.Start()
 	// Warm through takeoff and into cruise so every lazy path (mode
@@ -327,5 +333,8 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(500, func() { b.Tick() }); n != 0 {
 		t.Fatalf("batched step allocates %.2f objects in steady state, want 0", n)
+	}
+	if telemBytes == 0 {
+		t.Fatal("the telemetry lane sent nothing")
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"dronedse/autopilot"
 	"dronedse/control"
@@ -59,6 +60,58 @@ type Result struct {
 	// power recording.
 	Log   *autopilot.FlightLog
 	Trace *trace.Recorder
+
+	rec *recording // the buffers behind Log, Trace and Trajectory
+}
+
+// Release returns the flight's recording buffers — Log, Trace and
+// Trajectory — to the pool Build draws from, so a later flight records into
+// them instead of allocating its own, and sets those three fields to nil.
+// The summary fields stay valid. Only the Result's owner may call it, after
+// its last read of the buffers, including slices taken from them
+// (Log.Entries, Trace.Samples) and the flight's Stack.Log and Stack.Trace,
+// which are the same objects; never release a Result that has been handed
+// to a caller. Releasing twice is a no-op.
+func (r *Result) Release() {
+	rec := r.rec
+	if rec == nil {
+		return
+	}
+	r.rec, r.Log, r.Trace, r.Trajectory = nil, nil, nil, nil
+	rec.log.Reset()
+	rec.traj = rec.traj[:0]
+	recordings.Put(rec)
+}
+
+// recording is one flight's recording buffers: the flight log, the
+// oscilloscope power trace and the 10 Hz trajectory slab.
+type recording struct {
+	log   *autopilot.FlightLog
+	trace *trace.Recorder
+	traj  []mathx.Vec3
+}
+
+// recordings holds the buffers of released Results for reuse by Build.
+var recordings = sync.Pool{New: func() any { return &recording{log: new(autopilot.FlightLog)} }}
+
+// takeRecording readies a pooled (or new) recording for a flight of up to
+// durS seconds: the trace restarts from traceSeed, bit-identical to a new
+// oscilloscope, and a buffer whose capacity is too short for durS falls back
+// to a fresh worst-case reservation, so steady-state stepping never grows an
+// append.
+func takeRecording(traceSeed int64, durS float64) *recording {
+	rec := recordings.Get().(*recording)
+	if rec.trace == nil {
+		rec.trace = trace.NewOscilloscope(traceSeed)
+	} else {
+		rec.trace.Reset(traceSeed)
+	}
+	if n := int(durS*10) + 2; cap(rec.traj) < n {
+		rec.traj = make([]mathx.Vec3, 0, n)
+	}
+	rec.log.Reserve(durS)
+	rec.trace.Reserve(durS)
+	return rec
 }
 
 // AvgPowerW is the flight's mean whole-drone power.

@@ -34,7 +34,6 @@ import (
 
 	"dronedse/autopilot"
 	"dronedse/control"
-	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/offload"
 	"dronedse/planner"
@@ -113,7 +112,10 @@ type Telemetry struct {
 	// EverySteps is the physics-step cadence between frames (default 250,
 	// i.e. 4 Hz at the 1 kHz physics rate).
 	EverySteps int
-	// Send receives each encoded frame; nil disables telemetry.
+	// Send receives each telemetry burst (complete, contiguous frames); nil
+	// disables telemetry. Send borrows raw only for the duration of the call
+	// — the stack encodes the next burst into the same buffer — so a sink
+	// that keeps the bytes must copy them.
 	Send func(raw []byte)
 }
 
@@ -275,11 +277,12 @@ type Stack struct {
 	baseComputeW float64
 	designMassKg float64
 	steps        int
-	traj         []mathx.Vec3
+	rec          *recording // Log, Trace and the trajectory tap's slab
 	maxEstErr    float64
 	energyWh     float64
 	computeWh    float64
 	telemSeq     uint8
+	telem        []byte // the telemetry burst Send borrows, reused every burst
 	ran          bool
 	drv          driver
 	wl           mission.Driver
@@ -343,8 +346,7 @@ func Build(spec Spec) (*Stack, error) {
 
 	st := &Stack{
 		Spec: spec, Quad: q, Env: env, Battery: pack, Autopilot: ap,
-		Log: &autopilot.FlightLog{}, baseComputeW: baseW,
-		designMassKg: cfg.MassKg,
+		baseComputeW: baseW, designMassKg: cfg.MassKg,
 	}
 	st.wl, err = spec.Workload.New(mission.Context{
 		Seed: spec.Seed, TakeoffAltM: spec.TakeoffAltM, MaxSeconds: spec.MaxSeconds,
@@ -373,17 +375,14 @@ func Build(spec Spec) (*Stack, error) {
 		st.Session = sess
 	}
 
-	// Pre-size every per-step recording path for the worst-case flight
+	// Every per-step recording path is sized for the worst-case flight
 	// duration — takeoff budget plus the workload's own horizon (which
 	// includes its landing watch) — so steady-state stepping never grows an
-	// append.
-	durS := 30 + spec.Workload.HorizonS(spec.MaxSeconds)
-	st.traj = make([]mathx.Vec3, 0, int(durS*10)+2)
-	st.Log.Reserve(durS)
+	// append. The buffers come from flights whose Results were released.
+	st.rec = takeRecording(spec.TraceSeed, 30+spec.Workload.HorizonS(spec.MaxSeconds))
+	st.Log, st.Trace = st.rec.log, st.rec.trace
 
 	// Observer bus, in the package-documented order.
-	st.Trace = trace.NewOscilloscope(spec.TraceSeed)
-	st.Trace.Reserve(durS)
 	ap.Observe(func(a *autopilot.Autopilot, dt float64) {
 		st.Trace.Observe(a.Time(), a.TotalPowerW())
 	})
@@ -410,7 +409,7 @@ func (st *Stack) probe(a *autopilot.Autopilot, dt float64) {
 			st.Session.Step(t)
 			a.SetComputeW(st.baseComputeW + st.Session.AirborneW())
 		}
-		st.traj = append(st.traj, a.Quad().State().Pos)
+		st.rec.traj = append(st.rec.traj, a.Quad().State().Pos)
 		if a.Mode() != autopilot.Disarmed {
 			if e := a.EstimatedState().Pos.Sub(a.Quad().State().Pos).Norm(); e > st.maxEstErr {
 				st.maxEstErr = e
@@ -418,7 +417,8 @@ func (st *Stack) probe(a *autopilot.Autopilot, dt float64) {
 		}
 	}
 	if st.Spec.Telemetry.Send != nil && st.steps%st.Spec.Telemetry.EverySteps == 0 {
-		if raw, err := a.Telemetry(&st.telemSeq); err == nil {
+		if raw, err := a.AppendTelemetry(st.telem[:0], &st.telemSeq); err == nil {
+			st.telem = raw
 			st.Spec.Telemetry.Send(raw)
 		}
 	}
@@ -557,7 +557,7 @@ func (st *Stack) finish() {
 		Workload:    st.wl.Outcome(),
 		FinalMode:   ap.Mode(),
 		LastEvent:   ap.LastEvent(),
-		Trajectory:  st.traj,
+		Trajectory:  st.rec.traj,
 		MaxEstErrM:  st.maxEstErr,
 		EnergyWh:    st.energyWh,
 		ComputeWh:   st.computeWh,
@@ -565,6 +565,7 @@ func (st *Stack) finish() {
 		Trace:       st.Trace,
 		EKFStats:    ap.Estimator().Pos.Stats,
 		CtrlStats:   ap.Cascade().Stats,
+		rec:         st.rec,
 	}
 	if st.Session != nil {
 		res.Fallbacks = st.Session.Fallbacks

@@ -84,8 +84,15 @@ func (r *Recorder) Reserve(durationS float64) {
 // Samples returns the recorded series.
 func (r *Recorder) Samples() []Sample { return r.samples }
 
-// Reset clears the recording.
-func (r *Recorder) Reset() { r.samples = nil; r.started = false }
+// Reset clears the recording, keeping the sample buffer for reuse, and
+// restarts the instrument noise from seed: the recorder then reads exactly
+// as a new one from the same constructor and seed would. Slices returned by
+// Samples before the Reset are overwritten by later recording.
+func (r *Recorder) Reset(seed int64) {
+	r.rng.Seed(seed)
+	r.samples = r.samples[:0]
+	r.nextT, r.lastPower, r.started = 0, 0, false
+}
 
 // MeanPower returns the average recorded power over [fromS, toS).
 func (r *Recorder) MeanPower(fromS, toS float64) float64 {

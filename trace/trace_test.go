@@ -144,12 +144,37 @@ func TestDenseObserveUnchanged(t *testing.T) {
 func TestReset(t *testing.T) {
 	r := NewUSBMeter(8)
 	feedConstant(r, 0, 5, 1, 0.01)
-	r.Reset()
+	r.Reset(8)
 	if len(r.Samples()) != 0 {
 		t.Error("Reset left samples")
 	}
 	feedConstant(r, 100, 105, 1, 0.01)
 	if len(r.Samples()) == 0 {
 		t.Error("recorder dead after Reset")
+	}
+}
+
+// TestResetMatchesFresh pins the reuse contract: a recorder Reset to a seed
+// records bit-identically to a new recorder from that seed, whatever it
+// recorded before, and keeps its buffer.
+func TestResetMatchesFresh(t *testing.T) {
+	used := NewOscilloscope(1)
+	feedConstant(used, 0, 30, 7, 0.001)
+	capBefore := cap(used.Samples())
+	used.Reset(9)
+	fresh := NewOscilloscope(9)
+	feedConstant(used, 2, 4, 3, 0.001)
+	feedConstant(fresh, 2, 4, 3, 0.001)
+	got, want := used.Samples(), fresh.Samples()
+	if len(got) != len(want) {
+		t.Fatalf("reset recorder took %d samples, fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: reset %+v, fresh %+v", i, got[i], want[i])
+		}
+	}
+	if cap(used.Samples()) != capBefore {
+		t.Fatal("Reset dropped the sample buffer")
 	}
 }
