@@ -55,9 +55,12 @@ race:
 	$(GO) test -race ./...
 
 # Quick benchmark smoke: exercises the pool-variant benchmarks without the
-# slow full-suite runs (SLAM/figure regeneration benchmarks stay opt-in).
+# slow full-suite runs (SLAM/figure regeneration benchmarks stay opt-in), plus
+# the per-tick flight kernels (EKF covariance prediction, battery step) at a
+# fixed iteration count.
 bench-smoke:
 	$(GO) test ./core/ -run '^$$' -bench 'BenchmarkResolve|BenchmarkSweepCapacity|BenchmarkBestConfig' -benchtime 10x
+	$(GO) test ./estimation/ ./power/ -run '^$$' -bench 'BenchmarkEKFPredict|BenchmarkPackDrawPower' -benchtime 200000x
 	$(GO) test ./parallelx/ -run '^$$' -bench . -benchtime 10x 2>/dev/null || true
 
 # SLAM front-end kernel smoke: one quick pass over the tracking hot paths
@@ -113,7 +116,8 @@ bench-roofline:
 	$(GO) run ./cmd/roofline -procs 2 -nofig >/dev/null
 
 # Perf-regression gate: re-measure the quick kernel suite and compare ns/op
-# against the committed BENCH_core.json baseline (fail beyond +25%). The quick
+# against the committed BENCH_core.json baseline (fail beyond +25%, or on any
+# allocation by a kernel whose baseline allocs/op is 0). The quick
 # suite skips the slow full-sequence rows, which are skipped by name match.
 # Re-baseline deliberately with `make bench-json` and commit the diff.
 bench-guard:

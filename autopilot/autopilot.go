@@ -94,7 +94,6 @@ type Config struct {
 type Autopilot struct {
 	quad    *sim.Quad
 	cascade *control.Cascade
-	rates   control.Rates
 	suite   *sensors.Suite
 	est     *estimation.Estimator
 	battery *power.Pack
@@ -122,10 +121,13 @@ type Autopilot struct {
 	staged      []Waypoint
 	missionDone bool
 
-	steps     int
 	physicsHz float64
-	lastIMU   sensors.IMUSample
-	prevVel   mathx.Vec3
+	dt        float64 // 1/physicsHz, the physics step
+	// pos, att and rate gate the Table 2b loops to their rates; they are
+	// fixed with the rates in New.
+	pos, att, rate stride
+	lastIMU        sensors.IMUSample
+	prevVel        mathx.Vec3
 
 	// faults, when non-nil, reports declared fault conditions (GPS denial
 	// windows) the failsafe monitor escalates on.
@@ -171,7 +173,6 @@ func New(cfg Config) (*Autopilot, error) {
 	a := &Autopilot{
 		quad:       cfg.Quad,
 		cascade:    control.NewCascade(cfg.Quad),
-		rates:      r,
 		suite:      sensors.NewSuite(cfg.Seed),
 		est:        estimation.NewEstimator(),
 		battery:    cfg.Battery,
@@ -183,7 +184,34 @@ func New(cfg Config) (*Autopilot, error) {
 	if r.RateHz > a.physicsHz {
 		a.physicsHz = r.RateHz
 	}
+	a.dt = 1 / a.physicsHz
+	a.pos = newStride(a.physicsHz, r.PositionHz)
+	a.att = newStride(a.physicsHz, r.AttitudeHz)
+	a.rate = newStride(a.physicsHz, r.RateHz)
 	return a, nil
+}
+
+// stride gates a control loop to every every-th physics step, starting with
+// the first. phase counts the steps since the loop last ran, so due is the
+// step count modulo every without a per-step division.
+type stride struct{ every, phase int }
+
+// newStride returns the stride of a loop at loopHz on a physicsHz clock,
+// rounded to the nearest whole step and at least one.
+func newStride(physicsHz, loopHz float64) stride {
+	every := int(physicsHz/loopHz + 0.5)
+	if every < 1 {
+		every = 1
+	}
+	return stride{every: every}
+}
+
+func (s *stride) due() bool { return s.phase == 0 }
+
+func (s *stride) advance() {
+	if s.phase++; s.phase == s.every {
+		s.phase = 0
+	}
 }
 
 // FaultSignals is the autopilot's view of declared fault conditions
@@ -395,7 +423,7 @@ func (a *Autopilot) targets() control.Targets {
 
 // Step advances the whole stack by one physics step (1/physicsHz seconds).
 func (a *Autopilot) Step() {
-	dt := 1 / a.physicsHz
+	dt := a.dt
 	trueState := a.quad.State()
 
 	// Sensor acquisition at Table 2a rates. The gyro is read every
@@ -423,7 +451,7 @@ func (a *Autopilot) Step() {
 	a.prevVel = trueState.Vel
 	if imu, ok := a.suite.SampleIMU(now, trueState, accelWorld); ok {
 		a.lastIMU = imu
-		a.est.OnIMU(a.lastIMU, 1/a.suite.IMU.RateHz)
+		a.est.OnIMU(a.lastIMU, a.suite.IMU.Period())
 	} else {
 		// fast gyro path for the rate loop
 		a.lastIMU.Gyro = trueState.Omega.Add(mathx.V3(
@@ -436,7 +464,7 @@ func (a *Autopilot) Step() {
 		a.est.OnBaro(alt)
 	}
 	if yaw, ok := a.suite.SampleMagYaw(now, trueState); ok {
-		a.est.OnMag(yaw, 1/a.suite.Mag.RateHz)
+		a.est.OnMag(yaw, a.suite.Mag.Period())
 	}
 
 	// Battery failsafe (outer-loop decision, Table 1: flight time
@@ -449,36 +477,26 @@ func (a *Autopilot) Step() {
 
 	// Control cascade at Table 2b rates, flying on the estimate.
 	est := a.EstimatedState()
-	posEvery := int(a.physicsHz/a.rates.PositionHz + 0.5)
-	attEvery := int(a.physicsHz/a.rates.AttitudeHz + 0.5)
-	rateEvery := int(a.physicsHz/a.rates.RateHz + 0.5)
-	if posEvery < 1 {
-		posEvery = 1
-	}
-	if attEvery < 1 {
-		attEvery = 1
-	}
-	if rateEvery < 1 {
-		rateEvery = 1
-	}
 	armed := a.mode != Disarmed
-	if a.steps%posEvery == 0 && armed {
+	if a.pos.due() && armed {
 		a.checkSafety()
-		a.cascade.UpdatePosition(est, a.targets(), float64(posEvery)*dt)
+		a.cascade.UpdatePosition(est, a.targets(), float64(a.pos.every)*dt)
 	}
-	if a.steps%attEvery == 0 && armed {
-		a.cascade.UpdateAttitude(est, float64(attEvery)*dt)
+	if a.att.due() && armed {
+		a.cascade.UpdateAttitude(est, float64(a.att.every)*dt)
 	}
-	if a.steps%rateEvery == 0 {
+	if a.rate.due() {
 		if armed {
-			a.quad.CommandThrusts(a.cascade.UpdateRate(est, float64(rateEvery)*dt))
+			a.quad.CommandThrusts(a.cascade.UpdateRate(est, float64(a.rate.every)*dt))
 		} else {
 			a.quad.CommandThrusts([sim.NumMotors]float64{})
 		}
 	}
+	a.pos.advance()
+	a.att.advance()
+	a.rate.advance()
 
 	a.quad.Step(dt)
-	a.steps++
 
 	// Energy accounting, plus the rolling average power the Table 1
 	// flight-time-management policy consumes (~5 s EMA).

@@ -203,3 +203,65 @@ func TestEstimatedStateSanity(t *testing.T) {
 		t.Errorf("estimate %v far from truth %v", est.Pos, truth.Pos)
 	}
 }
+
+// TestLoopStridesMatchStepModulo pins the per-loop stride counters to the
+// step-count modulo they replaced: for loop rates that do and do not divide
+// the physics rate, the cascade's update counts (CtrlStats) equal the number
+// of steps s with s % every == 0 taken while armed, where every is the loop
+// period rounded to whole physics steps.
+func TestLoopStridesMatchStepModulo(t *testing.T) {
+	for _, r := range []control.Rates{
+		{PositionHz: 6, AttitudeHz: 6, RateHz: 6},
+		{PositionHz: 40, AttitudeHz: 200, RateHz: 500},
+		{PositionHz: 7, AttitudeHz: 333, RateHz: 997},
+		{PositionHz: 40, AttitudeHz: 200, RateHz: 1500},
+		control.DefaultRates(),
+	} {
+		q, _ := sim.NewQuad(sim.DefaultConfig())
+		pack, _ := power.NewPack(3, 3000, 30)
+		ap, err := New(Config{Quad: q, Battery: pack, TakeoffAltM: 5, Seed: 2, Rates: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		every := func(hz float64) int {
+			n := int(ap.PhysicsHz()/hz + 0.5)
+			if n < 1 {
+				n = 1
+			}
+			return n
+		}
+		posEvery, attEvery, rateEvery := every(r.PositionHz), every(r.AttitudeHz), every(r.RateHz)
+		// armed[s] is whether step s began armed: the mode a step ends in is
+		// the mode the next one starts in.
+		armed := []bool{false}
+		ap.Observe(func(a *Autopilot, _ float64) { armed = append(armed, a.Mode() != Disarmed) })
+		ap.RunFor(0.137)
+		if err := ap.Arm(); err != nil {
+			t.Fatal(err)
+		}
+		armed[len(armed)-1] = true
+		ap.RunFor(6)
+		var want control.CtrlStats
+		for s, on := range armed[:len(armed)-1] {
+			if !on {
+				continue
+			}
+			if s%posEvery == 0 {
+				want.PositionUpdates++
+			}
+			if s%attEvery == 0 {
+				want.AttitudeUpdates++
+			}
+			if s%rateEvery == 0 {
+				want.RateUpdates++
+			}
+		}
+		got := ap.Cascade().Stats
+		if got.PositionUpdates != want.PositionUpdates || got.AttitudeUpdates != want.AttitudeUpdates ||
+			got.RateUpdates != want.RateUpdates {
+			t.Errorf("rates %+v: updates pos/att/rate = %d/%d/%d, step modulo gives %d/%d/%d", r,
+				got.PositionUpdates, got.AttitudeUpdates, got.RateUpdates,
+				want.PositionUpdates, want.AttitudeUpdates, want.RateUpdates)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 // Command benchguard is the perf-regression gate: it compares a freshly
 // measured benchmark report against the committed BENCH_core.json baseline
 // and fails if any kernel's ns/op degraded beyond the tolerance (default
-// +25%). Rows are matched by (name, pool); rows present in only one file
-// (renamed kernels, machines with different pool sets) are skipped with a
-// notice, so the guard never fails on coverage drift — only on speed.
+// +25%), or if a kernel whose baseline allocs/op is 0 allocates at all: the
+// zero-alloc kernels are gated exactly. Rows are matched by (name, pool) and
+// printed in sorted key order; rows present in only one file (renamed
+// kernels, machines with different pool sets) are skipped with a notice, so
+// the guard never fails on coverage drift — only on speed and allocation.
 //
 // A failure means either a real regression (fix it) or a deliberate
 // tradeoff; re-baseline deliberately with
@@ -20,7 +22,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 )
 
 // Row mirrors the benchjson result schema (the fields the guard reads).
@@ -52,6 +56,41 @@ func load(path string) (map[string]Row, error) {
 	return out, nil
 }
 
+// gate prints one line per row of newRows that has a baseline counterpart,
+// in sorted key order, and counts the rows compared, the rows failed (ns/op
+// beyond tol times the baseline, or any allocation where the baseline has
+// none) and the rows skipped for want of a baseline.
+func gate(w io.Writer, baseRows, newRows map[string]Row, tol float64) (failed, compared, skipped int) {
+	keys := make([]string, 0, len(newRows))
+	for key := range newRows {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		nr := newRows[key]
+		br, ok := baseRows[key]
+		if !ok || br.NsPerOp <= 0 {
+			skipped++
+			continue
+		}
+		compared++
+		ratio := nr.NsPerOp / br.NsPerOp
+		status := "ok"
+		if ratio > tol {
+			status = "FAIL"
+		}
+		if br.AllocsPerOp == 0 && nr.AllocsPerOp != 0 {
+			status = fmt.Sprintf("FAIL (%d allocs/op, baseline 0)", nr.AllocsPerOp)
+		}
+		if status != "ok" {
+			failed++
+		}
+		fmt.Fprintf(w, "%-36s %12.0f -> %12.0f ns/op  %5.2fx  %s\n",
+			key, br.NsPerOp, nr.NsPerOp, ratio, status)
+	}
+	return failed, compared, skipped
+}
+
 func main() {
 	base := flag.String("base", "BENCH_core.json", "committed baseline report")
 	newf := flag.String("new", "", "freshly measured report to gate (required)")
@@ -72,23 +111,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var failed, compared, skipped int
-	for key, nr := range newRows {
-		br, ok := baseRows[key]
-		if !ok || br.NsPerOp <= 0 {
-			skipped++
-			continue
-		}
-		compared++
-		ratio := nr.NsPerOp / br.NsPerOp
-		status := "ok"
-		if ratio > *tol {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Printf("%-36s %12.0f -> %12.0f ns/op  %5.2fx  %s\n",
-			key, br.NsPerOp, nr.NsPerOp, ratio, status)
-	}
+	failed, compared, skipped := gate(os.Stdout, baseRows, newRows, *tol)
 	if skipped > 0 {
 		fmt.Printf("(%d rows without a baseline counterpart skipped)\n", skipped)
 	}
@@ -98,7 +121,7 @@ func main() {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr,
-			"benchguard: %d of %d kernels degraded beyond %.0f%% of the %s baseline.\n"+
+			"benchguard: %d of %d kernels degraded beyond %.0f%% of the %s baseline or lost zero allocs/op.\n"+
 				"If deliberate, re-baseline with `make bench-json` and commit the new BENCH_core.json.\n",
 			failed, compared, (*tol-1)*100, *base)
 		os.Exit(1)

@@ -92,14 +92,15 @@ func wrapAngle(a float64) float64 {
 // GPS velocity, and barometric altitude at their Table 2a rates.
 //
 // The filter is alloc-free in steady state: all matrix and vector scratch
-// lives in one contiguous arena carved out at construction, and the constant
-// prediction matrices F, F^T and Q are cached per (dt, AccelNoise). Every
-// operation is the bit-exact sibling of the original allocating algebra, so
-// results are unchanged while a scenario batch can step thousands of filters
-// without touching the heap.
+// lives in one contiguous arena carved out at construction. The covariance
+// prediction runs in closed form (see predictCovariance) and every update is
+// the bit-exact sibling of the original allocating algebra, so results are
+// unchanged while a scenario batch can step thousands of filters without
+// touching the heap.
 type PosVelEKF struct {
-	x []float64    // state
-	p *mathx.Dense // covariance
+	x  []float64    // state
+	p  *mathx.Dense // covariance
+	pd []float64    // p's row-major backing storage, for predictCovariance
 
 	// Stats is the filter's work ledger (see EKFStats); it only counts, so
 	// reading it never perturbs the filter state.
@@ -109,15 +110,10 @@ type PosVelEKF struct {
 	// (m/s^2, 1-sigma).
 	AccelNoise float64
 
-	// Cached prediction matrices, valid for (fqDt, fqNoise).
-	f, ft, q mathx.Dense
-	fqDt     float64
-	fqNoise  float64
-
-	// Scratch (arena-backed): two 6x6 temporaries for P propagation, and
-	// the update-path workspace sized for the largest (GPS, m=6)
-	// measurement, Reshaped down for smaller ones.
-	t1, t2       mathx.Dense
+	// Scratch (arena-backed): a 6x6 temporary for (I - K H) P, and the
+	// update-path workspace sized for the largest (GPS, m=6) measurement,
+	// Reshaped down for smaller ones.
+	t1           mathx.Dense
 	s, pht       mathx.Dense // innovation covariance, P H^T
 	kg, kh, imkh mathx.Dense // Kalman gain, K H, I - K H
 	l            mathx.Dense // Cholesky factor of s
@@ -126,10 +122,10 @@ type PosVelEKF struct {
 	zbuf, rbuf   []float64
 }
 
-// ekfArenaFloats is the arena footprint: state(6) + 12 6x6 matrices
-// (covariance, F/F^T/Q cache, and the scratch set) + 4 length-6 work
-// vectors + the z/r measurement buffers.
-const ekfArenaFloats = 6 + 12*36 + 4*6 + 2*6
+// ekfArenaFloats is the arena footprint: state(6) + 8 6x6 matrices
+// (covariance and the update scratch set) + 4 length-6 work vectors + the
+// z/r measurement buffers.
+const ekfArenaFloats = 6 + 8*36 + 4*6 + 2*6
 
 // NewPosVelEKF returns a filter at the origin with loose covariance.
 func NewPosVelEKF() *PosVelEKF {
@@ -142,10 +138,10 @@ func NewPosVelEKF() *PosVelEKF {
 	mat := func() mathx.Dense { return mathx.DenseOn(take(36), 6, 6) }
 	k := &PosVelEKF{AccelNoise: 0.8}
 	k.x = take(6)
-	pm := mat()
+	k.pd = take(36)
+	pm := mathx.DenseOn(k.pd, 6, 6)
 	k.p = &pm
-	k.f, k.ft, k.q = mat(), mat(), mat()
-	k.t1, k.t2 = mat(), mat()
+	k.t1 = mat()
 	k.s, k.pht = mat(), mat()
 	k.kg, k.kh, k.imkh = mat(), mat(), mat()
 	k.l = mat()
@@ -155,25 +151,6 @@ func NewPosVelEKF() *PosVelEKF {
 	k.p.SetIdentity()
 	k.p.ScaleInPlace(10)
 	return k
-}
-
-// refreshFQ rebuilds the cached F, F^T and Q for the given step, using the
-// exact element expressions the per-call construction used.
-func (k *PosVelEKF) refreshFQ(dt float64) {
-	s2 := k.AccelNoise * k.AccelNoise
-	k.f.SetIdentity()
-	for i := 0; i < 3; i++ {
-		k.f.Set(i, 3+i, dt)
-	}
-	k.ft.TransposeOf(&k.f)
-	k.q.Reshape(6, 6)
-	for i := 0; i < 3; i++ {
-		k.q.Set(i, i, 0.25*dt*dt*dt*dt*s2)
-		k.q.Set(i, 3+i, 0.5*dt*dt*dt*s2)
-		k.q.Set(3+i, i, 0.5*dt*dt*dt*s2)
-		k.q.Set(3+i, 3+i, dt*dt*s2)
-	}
-	k.fqDt, k.fqNoise = dt, k.AccelNoise
 }
 
 // Predict advances the state with a world-frame acceleration over dt.
@@ -188,14 +165,61 @@ func (k *PosVelEKF) Predict(accelWorld mathx.Vec3, dt float64) {
 		k.x[i] += k.x[3+i]*dt + 0.5*a[i]*dt*dt
 		k.x[3+i] += a[i] * dt
 	}
-	// F = [I, dt*I; 0, I]; P = F P F^T + Q
-	if dt != k.fqDt || k.AccelNoise != k.fqNoise {
-		k.refreshFQ(dt)
+	predictCovariance((*[36]float64)(k.pd), dt, k.AccelNoise)
+}
+
+// predictCovariance sets P = sym(F P F^T + Q) for F = [I, dt*I; 0, I] and
+// the white-acceleration Q, bit-identical to the dense sequence it replaces
+// (t1 = F P and t2 = t1 F^T by Dense.MulOf, P = t2 + Q by AddOf, then
+// Symmetrize) for every finite P.
+//
+// The rounding argument: MulOf zeroes its destination and accumulates, in k
+// order, v*b[k][j] for each nonzero left entry v. For F P that leaves
+// (0 + P[i][j]) + dt*P[i+3][j] in rows i < 3 and 0 + P[i][j] below. For
+// t1 F^T the left operand is data, so MulOf also adds the products of t1
+// with F^T's zeros; for finite t1 those are ±0, and adding ±0 to an
+// accumulator that started at +0 changes nothing, because such a sum is
+// never -0. t1's entries are such sums too, so 0 + t1[i][j] is t1[i][j],
+// which leaves t1[i][j] + t1[i][j+3]*dt in columns j < 3 and t1[i][j] in
+// the rest; the same argument drops Q's zero entries. Equivalence is
+// claimed for finite P only: the dense path turns an infinite entry into
+// NaN through 0*Inf where this form keeps Inf, and no flight reaches that.
+func predictCovariance(p *[36]float64, dt, accelNoise float64) {
+	s2 := accelNoise * accelNoise
+	q11 := 0.25 * dt * dt * dt * dt * s2
+	q12 := 0.5 * dt * dt * dt * s2
+	q22 := dt * dt * s2
+
+	var t [36]float64
+	// t = F P: rows i < 3 gain dt times row i+3.
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 6; j++ {
+			t[i*6+j] = (0 + p[i*6+j]) + dt*p[(i+3)*6+j]
+			t[(i+3)*6+j] = 0 + p[(i+3)*6+j]
+		}
 	}
-	k.t1.MulOf(&k.f, k.p)
-	k.t2.MulOf(&k.t1, &k.ft)
-	k.p.AddOf(&k.t2, &k.q)
-	k.p.Symmetrize()
+	// t = t F^T: columns j < 3 gain dt times column j+3.
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 3; j++ {
+			t[i*6+j] += t[i*6+j+3] * dt
+		}
+	}
+	// t += Q.
+	for i := 0; i < 3; i++ {
+		t[i*6+i] += q11
+		t[i*6+i+3] += q12
+		t[(i+3)*6+i] += q12
+		t[(i+3)*6+i+3] += q22
+	}
+	// P = (t + t^T)/2 off the diagonal, exactly as Dense.Symmetrize.
+	for i := 0; i < 6; i++ {
+		p[i*6+i] = t[i*6+i]
+		for j := i + 1; j < 6; j++ {
+			v := 0.5 * (t[i*6+j] + t[j*6+i])
+			p[i*6+j] = v
+			p[j*6+i] = v
+		}
+	}
 }
 
 // update applies a linear measurement z = H x + v with noise variances r.

@@ -33,10 +33,10 @@ type Pack struct {
 	usedMah float64
 
 	// Voltage memo: the sag curve is a pure function of (usedMah, SagVolts,
-	// FadeFrac), and the flight loop asks for it several times per physics
-	// step (power conversion, current clamp, telemetry) between charge
-	// updates. Caching on the exact inputs keeps results bit-identical while
-	// paying the Pow once per state change.
+	// FadeFrac). Every physics step drains charge, so the curve is evaluated
+	// once per step; the memo serves the further reads within that step
+	// (DrawPower's conversion, Draw's delivered power, telemetry) without
+	// changing a returned bit.
 	vUsed, vSag, vFade, vCached float64
 	vValid                      bool
 }
@@ -66,7 +66,7 @@ func (p *Pack) Voltage() float64 {
 		return p.vCached
 	}
 	soc := p.StateOfCharge()
-	perCell := 3.3 + 0.9*math.Pow(soc, 0.6) // 4.2 at soc=1, steep near empty
+	perCell := 3.3 + 0.9*socPow06(soc) // 4.2 at soc=1, steep near empty
 	v := perCell * float64(p.Cells)
 	if p.SagVolts != 0 {
 		v -= p.SagVolts
@@ -141,11 +141,37 @@ func (p *Pack) Draw(currentA, dt float64) float64 {
 	if p.PeukertK > 1 && currentA > 0 {
 		ref := p.effCapacityMah() / 1000 // the 1C current
 		if ratio := currentA / ref; ratio > 1 {
-			eff = currentA * math.Pow(ratio, p.PeukertK-1)
+			eff = currentA * peukertPow(ratio, p.PeukertK-1)
 		}
 	}
 	p.usedMah += eff * 1000 * dt / 3600
 	return currentA * v
+}
+
+// socPow06 returns math.Pow(soc, 0.6) bit for bit, without Pow's
+// bookkeeping. For y = 0.6 Go's pow splits y into yi = 1 and yf = 0.6-1,
+// returning Ldexp(Exp(yf*Log(x))*x1, xe) with x = x1*2^xe; when the result
+// is a normal number the power-of-two scaling is exact, so the product can be
+// taken with x itself. That holds for soc in (2^-1000, 1]; anything else,
+// including soc = 0, goes to math.Pow.
+func socPow06(soc float64) float64 {
+	if soc > 0x1p-1000 && soc <= 1 {
+		return math.Exp((0.6-1)*math.Log(soc)) * soc
+	}
+	return math.Pow(soc, 0.6)
+}
+
+// peukertPow returns math.Pow(ratio, y) bit for bit for the Peukert
+// exponent y = K-1. For 0 < y < 0.5 Go's pow has no integer part and
+// returns Ldexp(Exp(y*Log(ratio)), 0), which is Exp(y*Log(ratio)) itself
+// (at ratio = +Inf both are +Inf). y = 0.5 takes pow's Sqrt branch, so it
+// and every other exponent, as well as any ratio not above 1 (NaN
+// included), go to math.Pow.
+func peukertPow(ratio, y float64) float64 {
+	if y > 0 && y < 0.5 && ratio > 1 {
+		return math.Exp(y * math.Log(ratio))
+	}
+	return math.Pow(ratio, y)
 }
 
 // DrawPower consumes energy at the requested electrical power (W) for dt

@@ -141,3 +141,25 @@ func TestLoadFractions(t *testing.T) {
 		t.Error("maneuver load must be in the paper's 60-70% band")
 	}
 }
+
+// TestPowerModelMatchesElectricalPower pins the precomputed model to the
+// per-call expression it replaced, IdealInducedPower over the efficiency
+// chain, bit for bit, across thrusts on and off the induced-power guard,
+// propellers and efficiency chains (a zero chain included).
+func TestPowerModelMatchesElectricalPower(t *testing.T) {
+	thrusts := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 5e-324, 1e-9, 0.37, 2.6, 5.25, 13, 80, 1e12, math.Inf(1), math.NaN()}
+	for i := 0; i < 2000; i++ {
+		thrusts = append(thrusts, float64(i)*0.0137)
+	}
+	for _, d := range []float64{0, 0.127, units.InchToMeter(10), 0.3302} {
+		for _, eff := range []Efficiencies{DefaultEfficiencies(), {FigureOfMerit: 0.6, Motor: 0.8, ESC: 0.93}, {}} {
+			m := NewPowerModel(d, eff)
+			for _, tN := range thrusts {
+				got, want := m.ElectricalPower(tN), IdealInducedPower(tN, units.DiskArea(d), units.AirDensity)/eff.chain()
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("d=%v eff=%+v T=%v: model %v, per-call expression %v", d, eff, tN, got, want)
+				}
+			}
+		}
+	}
+}

@@ -18,6 +18,17 @@ type Clocked struct {
 	RateHz float64
 	last   float64
 	primed bool
+	// period caches 1/RateHz, computed when RateHz was periodHz; it is
+	// refreshed when RateHz changes, so the per-tick Due pays no division.
+	period, periodHz float64
+}
+
+// Period returns the sample period 1/RateHz.
+func (c *Clocked) Period() float64 {
+	if c.RateHz != c.periodHz || c.period == 0 {
+		c.period, c.periodHz = 1/c.RateHz, c.RateHz
+	}
+	return c.period
 }
 
 // Due reports whether a new sample is available at time t and consumes the
@@ -26,8 +37,7 @@ func (c *Clocked) Due(t float64) bool {
 	if c.RateHz <= 0 {
 		return false
 	}
-	period := 1 / c.RateHz
-	if !c.primed || t-c.last >= period-1e-12 {
+	if !c.primed || t-c.last >= c.Period()-1e-12 {
 		c.last = t
 		c.primed = true
 		return true

@@ -26,6 +26,33 @@ func TestClockedRate(t *testing.T) {
 	}
 }
 
+// TestClockedPeriodFollowsRate pins the cached period: it is exactly
+// 1/RateHz, including after RateHz changes, and Due gates on the new rate.
+func TestClockedPeriodFollowsRate(t *testing.T) {
+	c := Clocked{RateHz: 200}
+	for _, hz := range []float64{200, 40, 7, 200} {
+		c.RateHz = hz
+		if got, want := c.Period(), 1/hz; got != want {
+			t.Fatalf("Period at %v Hz = %v, want %v", hz, got, want)
+		}
+	}
+	c = Clocked{RateHz: 200}
+	c.Due(0)
+	c.RateHz = 5
+	ticks := 0
+	for i := 1; i <= 1000; i++ {
+		if c.Due(float64(i) * 1e-3) {
+			ticks++
+		}
+	}
+	if ticks != 5 {
+		t.Errorf("sensor re-rated to 5 Hz ticked %d times in 1 s", ticks)
+	}
+	if p := (&Clocked{}).Period(); !math.IsInf(p, 1) {
+		t.Errorf("zero-rate period = %v, want +Inf", p)
+	}
+}
+
 func TestTable2aRates(t *testing.T) {
 	rows := Table2a()
 	if len(rows) != 5 {

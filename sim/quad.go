@@ -69,7 +69,6 @@ type Quad struct {
 	rotor   propulsion.Rotor
 	armM    float64 // moment arm of each motor along body x/y
 	inertia mathx.Vec3
-	propD   float64
 
 	state State
 	// thrustN is each rotor's present thrust; rotor spin-up is a
@@ -77,10 +76,12 @@ type Quad struct {
 	thrustN [NumMotors]float64
 	cmdN    [NumMotors]float64
 
-	// powerW caches ElectricalPowerW between thrust changes. The power
-	// model costs four math.Pow calls, and the autopilot, trace recorder,
-	// and scenario probe all read it every step — caching collapses that
-	// to one evaluation per Step without changing a single returned bit.
+	// power is the rotor power model with its per-propeller constants
+	// computed once. powerW caches ElectricalPowerW between thrust changes:
+	// the autopilot, trace recorder and scenario probe all read it every
+	// step, and the cache collapses that to one evaluation per Step without
+	// changing a single returned bit.
+	power      propulsion.PowerModel
 	powerW     float64
 	powerDirty bool
 
@@ -116,7 +117,7 @@ func NewQuad(cfg Config) (*Quad, error) {
 			0.05*cfg.MassKg*wbM*wbM,
 			0.05*cfg.MassKg*wbM*wbM,
 			0.09*cfg.MassKg*wbM*wbM),
-		propD:    units.InchToMeter(cfg.PropInches),
+		power:    propulsion.NewPowerModel(units.InchToMeter(cfg.PropInches), cfg.Eff),
 		env:      NewEnvironment(0),
 		onGround: true,
 	}
@@ -238,12 +239,12 @@ func (q *Quad) MotorThrusts() [NumMotors]float64 { return q.thrustN }
 // ElectricalPowerW returns the present propulsion electrical power draw.
 // The value is computed once per thrust change and cached, so the several
 // per-step consumers (autopilot ledger, trace recorder, scenario probe) share
-// one evaluation of the math.Pow-heavy rotor power model.
+// one evaluation of the rotor power model.
 func (q *Quad) ElectricalPowerW() float64 {
 	if q.powerDirty {
 		p := 0.0
 		for _, tN := range q.thrustN {
-			p += propulsion.ElectricalPower(tN, q.propD, q.cfg.Eff)
+			p += q.power.ElectricalPower(tN)
 		}
 		q.powerW = p
 		q.powerDirty = false

@@ -6,6 +6,7 @@ import (
 
 	"dronedse/mathx"
 	"dronedse/propulsion"
+	"dronedse/units"
 )
 
 func TestNewQuadValidation(t *testing.T) {
@@ -228,37 +229,43 @@ func TestAttitudeStaysUnit(t *testing.T) {
 }
 
 // TestElectricalPowerCacheInvalidation pins the per-step power cache: the
-// cached value must match an uncached evaluation of the rotor power model
-// after every mutation that changes motor thrusts (Step, Teleport), and
-// repeated reads between steps must return the identical bits.
+// cached value, evaluated with the per-propeller constants fixed in NewQuad,
+// must match propulsion.ElectricalPower after every mutation that changes
+// motor thrusts (Step, Teleport), and repeated reads between steps must
+// return the identical bits.
 func TestElectricalPowerCacheInvalidation(t *testing.T) {
 	uncached := func(q *Quad) float64 {
 		p := 0.0
 		for _, tN := range q.MotorThrusts() {
-			p += propulsion.ElectricalPower(tN, q.propD, q.cfg.Eff)
+			p += propulsion.ElectricalPower(tN, units.InchToMeter(q.cfg.PropInches), q.cfg.Eff)
 		}
 		return p
 	}
-	q, err := NewQuad(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := q.ElectricalPowerW(), uncached(q); got != want {
-		t.Fatalf("fresh quad: cached %v != uncached %v", got, want)
-	}
-	q.Teleport(mathx.V3(0, 0, 10))
-	if got, want := q.ElectricalPowerW(), uncached(q); got != want {
-		t.Fatalf("after teleport: cached %v != uncached %v", got, want)
-	}
-	hover := q.HoverThrustPerMotorN()
-	q.CommandThrusts([NumMotors]float64{hover * 1.2, hover, hover, hover * 0.8})
-	for i := 0; i < 50; i++ {
-		q.Step(1e-3)
-		if got, want := q.ElectricalPowerW(), uncached(q); got != want {
-			t.Fatalf("step %d: cached %v != uncached %v", i, got, want)
+	small := DefaultConfig()
+	small.MassKg, small.WheelbaseMM, small.PropInches, small.TWR = 0.45, 250, 5, 3.5
+	small.Eff = propulsion.DefaultEfficiencies()
+	for _, cfg := range []Config{DefaultConfig(), small} {
+		q, err := NewQuad(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if a, b := q.ElectricalPowerW(), q.ElectricalPowerW(); a != b {
-		t.Fatalf("re-read between steps changed: %v != %v", a, b)
+		if got, want := q.ElectricalPowerW(), uncached(q); got != want {
+			t.Fatalf("fresh quad: cached %v != uncached %v", got, want)
+		}
+		q.Teleport(mathx.V3(0, 0, 10))
+		if got, want := q.ElectricalPowerW(), uncached(q); got != want {
+			t.Fatalf("after teleport: cached %v != uncached %v", got, want)
+		}
+		hover := q.HoverThrustPerMotorN()
+		q.CommandThrusts([NumMotors]float64{hover * 1.2, hover, hover, hover * 0.8})
+		for i := 0; i < 50; i++ {
+			q.Step(1e-3)
+			if got, want := q.ElectricalPowerW(), uncached(q); got != want {
+				t.Fatalf("step %d: cached %v != uncached %v", i, got, want)
+			}
+		}
+		if a, b := q.ElectricalPowerW(), q.ElectricalPowerW(); a != b {
+			t.Fatalf("re-read between steps changed: %v != %v", a, b)
+		}
 	}
 }
