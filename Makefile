@@ -134,7 +134,7 @@ smoke-cmds:
 	$(GO) run ./cmd/flysim -seed 1 >/dev/null
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 	$(GO) run ./cmd/figures -fig 10 -procs 2 >/dev/null
-	$(GO) run ./cmd/perfstat -iters 2000 >/dev/null
+	$(GO) run ./cmd/figures -fig 15 >/dev/null
 	$(GO) run ./cmd/slambench -seqs 1 -procs 2 >/dev/null
 	$(GO) run ./cmd/benchjson -quick -o - >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null

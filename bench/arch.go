@@ -42,12 +42,12 @@ func (fg Figure15) IPCDrop() float64 {
 func (fg Figure15) Table() Table {
 	t := Table{
 		Title:   "Figure 15: autopilot vs SLAM vs co-resident on RPi (trace-driven uarch sim)",
-		Columns: []string{"workload", "IPC", "LLC miss rate", "branch miss rate", "TLB misses"},
+		Columns: []string{"workload", "instructions", "IPC", "LLC miss rate", "branch miss rate", "TLB misses", "TLB miss rate"},
 	}
 	row := func(name string, m microarch.Metrics) {
 		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprintf("%.3f", m.IPC), fmt.Sprintf("%.3f", m.LLCMissRate),
-			fmt.Sprintf("%.4f", m.BranchMissRate), fmt.Sprint(m.TLBMisses),
+			name, fmt.Sprint(m.Instructions), fmt.Sprintf("%.3f", m.IPC), fmt.Sprintf("%.3f", m.LLCMissRate),
+			fmt.Sprintf("%.4f", m.BranchMissRate), fmt.Sprint(m.TLBMisses), fmt.Sprintf("%.4f", m.TLBMissRate),
 		})
 	}
 	row("autopilot", fg.Result.Autopilot)

@@ -201,9 +201,8 @@ func RunFigure16(seed int64) (Figure16, error) {
 	// of one on the scenario batch engine (bit-identical to scenario.Run by
 	// the lane-determinism contract).
 	results, errs := scenario.RunBatch([]scenario.Spec{{
-		Seed:      seed,
-		TraceSeed: seed + 1,
-		Compute:   scenario.Compute{SLAM: true}, // RPi w/ SLAM + Navio2
+		Seed:    seed,
+		Compute: scenario.Compute{SLAM: true}, // RPi w/ SLAM + Navio2
 	}})
 	if errs[0] != nil {
 		return out, errs[0]

@@ -215,8 +215,9 @@ func main() {
 	measureN("fleet_step256", pools, fleetLanes*fleetStride, func(b *testing.B) {
 		srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: fleetLanes, DropArtifacts: true})
 		specs := make([]fleet.JobSpec, fleetLanes)
+		hover := &mission.WireSpec{KindName: "hover"}
 		for j := range specs {
-			specs[j] = fleet.JobSpec{Seed: int64(j + 1), Hover: true, MaxSeconds: 3600}
+			specs[j] = fleet.JobSpec{Seed: int64(j + 1), Workload: hover, MaxSeconds: 3600}
 		}
 		if _, err := srv.SubmitAll(specs); err != nil {
 			b.Fatal(err)

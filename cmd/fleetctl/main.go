@@ -6,17 +6,22 @@
 //
 //	fleetctl [-addr URL] [-telem HOST:PORT] [-retries N] [-wait-ready D] <command> [flags]
 //
-//	submit    -n 64 -seconds 2 -hover -seed 1 -vary 8   # generate and submit jobs
-//	submit    -f jobs.json                              # or submit a JSON job list
-//	wait      -verify -min-peak 1000 -timeout 5m        # wait, assert digests agree
-//	run       -seconds 20 -hover -check                 # submit one job, stream it
-//	                                                    # live, cross-check digests
-//	                                                    # against a local replay
-//	stream    -id 3                                     # stream a job's telemetry
-//	stream    -id 3 -stall                              # subscribe and never read
-//	digests                                             # "id spec-digests" per line,
-//	                                                    # diffable across restarts
+//	submit    -n 64 -seconds 2 -workload hover -seed 1 -vary 8   # generate and submit jobs
+//	submit    -f jobs.json                                       # or submit a JSON job list
+//	wait      -verify -min-peak 1000 -timeout 5m                 # wait, assert digests agree
+//	run       -seconds 20 -workload hover -check                 # submit one job, stream it
+//	                                                             # live, cross-check digests
+//	                                                             # against a local replay
+//	stream    -id 3                                              # stream a job's telemetry
+//	stream    -id 3 -stall                                       # subscribe and never read
+//	digests                                                      # "id spec-digests" per line,
+//	                                                             # diffable across restarts
 //	stats | jobs | shutdown
+//
+// -workload takes the same kind names as flysim and faultcamp (box, hover,
+// coverage, delivery, follow), each in its default configuration; submit a
+// JSON job list with -f for a parameterized workload. The list is decoded
+// strictly: an unknown field is an error, not silently ignored.
 //
 // -retries spends a jittered-exponential-backoff budget on transient
 // failures (connection refused, 429 queue-full, 503 draining); -wait-ready
@@ -45,6 +50,7 @@ import (
 	"dronedse/fleet"
 	"dronedse/groundstation"
 	"dronedse/mavlink"
+	"dronedse/mission"
 	"dronedse/scenario"
 )
 
@@ -94,7 +100,13 @@ func main() {
 func jobFlags(fs *flag.FlagSet) *fleet.JobSpec {
 	spec := &fleet.JobSpec{}
 	fs.Int64Var(&spec.Seed, "seed", 1, "base sensor/environment seed")
-	fs.BoolVar(&spec.Hover, "hover", false, "hover instead of flying the mission")
+	fs.Func("workload", "workload kind: box, hover, coverage, delivery, follow (default box)", func(kind string) error {
+		if _, err := mission.Named(kind); err != nil {
+			return err
+		}
+		spec.Workload = &mission.WireSpec{KindName: kind}
+		return nil
+	})
 	fs.Float64Var(&spec.MaxSeconds, "seconds", 0, "maximum simulated seconds (0 = default)")
 	fs.Float64Var(&spec.TakeoffAltM, "alt", 0, "takeoff altitude (0 = default)")
 	fs.Float64Var(&spec.WindMeanMS, "wind", 0, "steady wind (m/s)")
@@ -121,7 +133,9 @@ func cmdSubmit(c *fleet.Client, args []string) {
 			defer f.Close()
 			rd = f
 		}
-		check(json.NewDecoder(rd).Decode(&specs))
+		dec := json.NewDecoder(rd)
+		dec.DisallowUnknownFields()
+		check(dec.Decode(&specs))
 	} else {
 		base := spec.Seed
 		for i := 0; i < *n; i++ {
@@ -163,15 +177,19 @@ func cmdWait(c *fleet.Client, args []string) {
 			}
 			fatal("%d jobs failed", st.Failed)
 		}
-		table := map[fleet.JobSpec]fleet.Digests{}
+		// Key by the spec's JSON: decoded workloads are distinct pointers
+		// even when their contents match.
+		table := map[string]fleet.Digests{}
 		for _, j := range jobs {
 			if j.Digests == nil {
 				fatal("job %d finished without digests", j.ID)
 			}
-			if prev, seen := table[j.Spec]; seen && prev != *j.Digests {
+			key, err := json.Marshal(j.Spec)
+			check(err)
+			if prev, seen := table[string(key)]; seen && prev != *j.Digests {
 				fatal("determinism violation: jobs sharing a spec (seed %d) diverged", j.Spec.Seed)
 			}
-			table[j.Spec] = *j.Digests
+			table[string(key)] = *j.Digests
 		}
 		fmt.Printf("fleetctl: digests verified across %d jobs (%d distinct specs)\n",
 			len(jobs), len(table))

@@ -8,9 +8,9 @@
 //
 // Usage:
 //
-//	flysim -alt 5 -slam            # fly the default box mission with SLAM power on
-//	flysim -seconds 120 -hover     # just hover and watch the battery drain
-//	flysim -workload delivery      # fly the two-leg package-delivery demo
+//	flysim -alt 5 -slam                  # fly the default box mission with SLAM power on
+//	flysim -seconds 120 -workload hover  # just hover and watch the battery drain
+//	flysim -workload delivery            # fly the two-leg package-delivery demo
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 func main() {
 	alt := flag.Float64("alt", 5, "takeoff altitude (m)")
 	slam := flag.Bool("slam", false, "run SLAM-class compute load (RPi at 4.56 W vs 3.39 W)")
-	hover := flag.Bool("hover", false, "hover instead of flying the mission")
 	workload := flag.String("workload", "", "workload kind: box, hover, coverage, delivery, follow (default box)")
 	seconds := flag.Float64("seconds", 240, "maximum simulated seconds")
 	seed := flag.Int64("seed", 1, "sensor/environment seed")
@@ -38,7 +37,6 @@ func main() {
 	spec := scenario.Spec{
 		Seed:        *seed,
 		TakeoffAltM: *alt,
-		Hover:       *hover,
 		MaxSeconds:  *seconds,
 		Compute:     scenario.Compute{SLAM: *slam},
 		Observers: []autopilot.StepObserver{func(a *autopilot.Autopilot, dt float64) {
@@ -75,7 +73,7 @@ func main() {
 	if !res.TakeoffOK {
 		fail("takeoff failed")
 	}
-	if !*hover && res.FinalMode != autopilot.Disarmed {
+	if res.FinalMode != autopilot.Disarmed {
 		fail("mission did not complete in time")
 	}
 

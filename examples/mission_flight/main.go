@@ -18,6 +18,7 @@ import (
 	"dronedse/groundstation"
 	"dronedse/mathx"
 	"dronedse/mavlink"
+	"dronedse/mission"
 	"dronedse/scenario"
 )
 
@@ -34,16 +35,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mission := autopilot.MissionPlan{
+	plan := autopilot.MissionPlan{
 		{Pos: mathx.V3(10, 0, 5), HoldS: 1},
 		{Pos: mathx.V3(10, 10, 8), HoldS: 2},
 	}
 	// The drone side: plant + battery + autopilot, with telemetry at 1 Hz
 	// of simulated time (1000 physics steps) into the TCP link.
 	st, err := scenario.Build(scenario.Spec{
-		Seed:    7,
-		Compute: scenario.Compute{BaseW: 4.14},
-		Mission: mission,
+		Seed:     7,
+		Compute:  scenario.Compute{BaseW: 4.14},
+		Workload: mission.Waypoints{Plan: plan},
 		Telemetry: scenario.Telemetry{
 			EverySteps: 1000,
 			Send:       func(raw []byte) { conn.Write(raw) },
@@ -54,7 +55,7 @@ func main() {
 	}
 	ap := st.Autopilot
 
-	if err := ap.LoadMission(mission); err != nil {
+	if err := ap.LoadMission(plan); err != nil {
 		log.Fatal(err)
 	}
 	if err := ap.Arm(); err != nil {
@@ -70,7 +71,7 @@ func main() {
 	// Fly until the second waypoint is reached, then send RTL from the
 	// ground-station side, the way an operator would.
 	ap.RunUntil(func(a *autopilot.Autopilot) bool {
-		return a.Quad().State().Pos.Sub(mission[1].Pos).Norm() < 1
+		return a.Quad().State().Pos.Sub(plan[1].Pos).Norm() < 1
 	}, 120)
 	fmt.Println("waypoint 2 reached; ground station commands RTL")
 	if err := ap.HandleCommand(mavlink.CommandLong{Command: mavlink.CmdRTL}); err != nil {

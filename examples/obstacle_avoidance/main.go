@@ -14,6 +14,7 @@ import (
 	"dronedse/dataset"
 	"dronedse/mapping"
 	"dronedse/mathx"
+	"dronedse/mission"
 	"dronedse/planner"
 	"dronedse/platform"
 	"dronedse/scenario"
@@ -69,9 +70,9 @@ func main() {
 	// collision-check observer watching the true position every step.
 	collided := false
 	st, err := scenario.Build(scenario.Spec{
-		Seed:       11,
-		Compute:    scenario.Compute{BaseW: platform.RPiPhasePowerW(platform.AutopilotSLAMFlying)},
-		Trajectory: traj,
+		Seed:     11,
+		Compute:  scenario.Compute{BaseW: platform.RPiPhasePowerW(platform.AutopilotSLAMFlying)},
+		Workload: mission.Trajectory{Traj: traj},
 		Observers: []autopilot.StepObserver{func(a *autopilot.Autopilot, dt float64) {
 			if world.Occupied(a.Quad().State().Pos) {
 				collided = true

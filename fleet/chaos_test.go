@@ -273,7 +273,7 @@ func TestReplayToleratesDupAndOrphanTerminals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := fleet.JobSpec{Seed: 5, Hover: true, MaxSeconds: 2}
+	spec := fleet.JobSpec{Seed: 5, Workload: hover, MaxSeconds: 2}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -328,8 +328,8 @@ func TestDeadlineEvictsRunawayJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids, err := srv.SubmitAll([]fleet.JobSpec{
-		{Seed: 1, Hover: true, MaxSeconds: 3600, DeadlineS: 0.05}, // runaway
-		{Seed: 2, Hover: true, MaxSeconds: 2},                     // finishes fine
+		{Seed: 1, Workload: hover, MaxSeconds: 3600, DeadlineS: 0.05}, // runaway
+		{Seed: 2, Workload: hover, MaxSeconds: 2},                     // finishes fine
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +487,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 	go srv.Run()
 	// A flight long enough (1200 simulated seconds) to outlive the tiny
 	// grace below on any machine.
-	if _, err := srv.Submit(fleet.JobSpec{Seed: 31, Hover: true, MaxSeconds: 1200}); err != nil {
+	if _, err := srv.Submit(fleet.JobSpec{Seed: 31, Workload: hover, MaxSeconds: 1200}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; srv.Stats().Live == 0; i++ {
@@ -505,7 +505,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := srv.Submit(fleet.JobSpec{Seed: 32, Hover: true, MaxSeconds: 2}); !errors.Is(err, fleet.ErrDraining) {
+	if _, err := srv.Submit(fleet.JobSpec{Seed: 32, Workload: hover, MaxSeconds: 2}); !errors.Is(err, fleet.ErrDraining) {
 		t.Fatalf("submit during drain: %v, want ErrDraining", err)
 	}
 	rep := <-repCh
@@ -560,5 +560,49 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	}
 	if _, err := c.WaitAll(60*time.Second, 10*time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverLegacyHoverJournal replays a journal written before
+// JobSpec.Workload was the only way to choose a flight: job 1 is a
+// "hover":true SUBMIT with its DONE, job 2 one without. The unfinished job
+// must re-fly the hover flight that writer's build flew (digests pinned
+// from it; the box flight under the same seed differs), and the finished
+// one must come back as a hover job.
+func TestRecoverLegacyHoverJournal(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_hover.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fleet.JournalFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, rec, err := fleet.NewJournaled(fleet.Config{Shards: 1, MaxLanes: 4}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	if rec.Completed != 1 || rec.Readmitted != 1 || rec.TruncatedBytes != 0 {
+		t.Fatalf("replay: %+v, want 1 completed and 1 re-admitted", rec)
+	}
+	drive(t, srv)
+
+	done, ok := srv.Job(1)
+	if !ok || done.State != "done" || done.Spec.Workload == nil || done.Spec.Workload.Kind() != "hover" {
+		t.Fatalf("restored job 1: ok=%v state=%s workload=%+v, want a done hover job",
+			ok, done.State, done.Spec.Workload)
+	}
+	refly, ok := srv.Job(2)
+	if !ok || refly.Digests == nil {
+		t.Fatalf("re-admitted job 2 unfinished: ok=%v state=%s err=%q", ok, refly.State, refly.Error)
+	}
+	want := fleet.Digests{
+		Trajectory: "c551f7c5aa304e1326cd02d6b1a5a187735cef99999523304d0ac47a2b74fcee",
+		FlightLog:  "968c70dd6d31447b4c6e7e593580ed99bbc42d3024fc7d3f88178edfb51e5ebc",
+		Ledger:     "66611a6796da25c44b1b8a6b9397a8be104771c0c2da9bc61607391989a8d4a6",
+	}
+	if *refly.Digests != want {
+		t.Fatalf("re-flown legacy hover job digests %+v, want %+v", *refly.Digests, want)
 	}
 }

@@ -4,20 +4,25 @@ import (
 	"testing"
 
 	"dronedse/fleet"
+	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
 )
+
+// hover is the shared hover workload: jobs holding the same pointer compare
+// equal as JobSpec map keys.
+var hover = &mission.WireSpec{KindName: "hover"}
 
 // coTenants builds n varied jobs — hover and mission flights, wind, SLAM
 // compute, odd packs — cycling a seed base so many lanes share specs.
 func coTenants(n int, seedBase int64) []fleet.JobSpec {
 	shapes := []fleet.JobSpec{
-		{Hover: true, MaxSeconds: 2},
-		{Hover: true, MaxSeconds: 2, WindMeanMS: 4, WindGustMS: 2},
-		{Hover: true, MaxSeconds: 2, SLAM: true},
-		{Hover: true, MaxSeconds: 3, TakeoffAltM: 8},
+		{Workload: hover, MaxSeconds: 2},
+		{Workload: hover, MaxSeconds: 2, WindMeanMS: 4, WindGustMS: 2},
+		{Workload: hover, MaxSeconds: 2, SLAM: true},
+		{Workload: hover, MaxSeconds: 3, TakeoffAltM: 8},
 		{MaxSeconds: 20},
-		{Hover: true, MaxSeconds: 2, BatteryCells: 4, BatteryCapacityMah: 5000},
+		{Workload: hover, MaxSeconds: 2, BatteryCells: 4, BatteryCapacityMah: 5000},
 	}
 	specs := make([]fleet.JobSpec, n)
 	for i := range specs {
@@ -46,7 +51,7 @@ func drive(t *testing.T, srv *fleet.Server) {
 // queueing, eviction and slot reuse — produces bit-identical trajectory,
 // flight-log and Equation-7 ledger digests, equal to a direct scenario.Run.
 func TestFleetMultiTenancyDeterminism(t *testing.T) {
-	ref := fleet.JobSpec{Seed: 7, Hover: true, MaxSeconds: 2, WindMeanMS: 4, WindGustMS: 2}
+	ref := fleet.JobSpec{Seed: 7, Workload: hover, MaxSeconds: 2, WindMeanMS: 4, WindGustMS: 2}
 	res, err := scenario.Run(ref.Scenario())
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"hash"
 	"math"
 
@@ -63,12 +62,11 @@ func (s JobState) Terminal() bool { return s == JobDone || s == JobFailed }
 // same defaults scenario.Spec documents.
 type JobSpec struct {
 	Seed        int64   `json:"seed"`
-	Hover       bool    `json:"hover,omitempty"`
 	MaxSeconds  float64 `json:"max_seconds,omitempty"`
 	TakeoffAltM float64 `json:"takeoff_alt_m,omitempty"`
 
-	// Workload selects what the vehicle does after takeoff (nil plus Hover
-	// false = the reference box mission; see mission.WireSpec for the kinds).
+	// Workload selects what the vehicle does after takeoff (nil = the
+	// reference box mission; see mission.WireSpec for the kinds).
 	Workload *mission.WireSpec `json:"workload,omitempty"`
 
 	WindMeanMS float64 `json:"wind_mean_ms,omitempty"`
@@ -101,9 +99,6 @@ func (j JobSpec) Validate() error {
 	if j.Workload == nil {
 		return nil
 	}
-	if j.Hover {
-		return errors.New("fleet: job sets both hover and a workload")
-	}
 	return j.Workload.Validate()
 }
 
@@ -112,7 +107,6 @@ func (j JobSpec) Validate() error {
 func (j JobSpec) Scenario() scenario.Spec {
 	spec := scenario.Spec{
 		Seed:        j.Seed,
-		Hover:       j.Hover,
 		MaxSeconds:  j.MaxSeconds,
 		TakeoffAltM: j.TakeoffAltM,
 		Wind:        scenario.Wind{MeanMS: j.WindMeanMS, GustMS: j.WindGustMS},

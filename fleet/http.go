@@ -10,7 +10,8 @@ import (
 
 // Handler returns the JSON-over-HTTP job API:
 //
-//	POST /jobs      body: [JobSpec, ...]        → {"ids":[...]}
+//	POST /jobs      body: [JobSpec, ...]        → {"ids":[...]}; an unknown
+//	     field is a 400
 //	GET  /jobs                                  → {"jobs":[JobStatus, ...]}
 //	GET  /jobs/{id}                             → JobStatus
 //	GET  /stats                                 → Stats
@@ -30,6 +31,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var specs []JobSpec
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+		// A field this server does not know is refused, not dropped: a
+		// dropped field would fly a different flight than the tenant asked
+		// for. (Journal replay stays lenient; see replayJournal.)
+		dec.DisallowUnknownFields()
 		if err := dec.Decode(&specs); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad job list: %v", err))
 			return

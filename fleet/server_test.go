@@ -137,7 +137,7 @@ func TestServeTelemetryStreamAndStall(t *testing.T) {
 func TestStreamReconnectResubscribe(t *testing.T) {
 	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4, SubQueue: 4096})
 	telemAddr := startTelemetry(t, srv)
-	id, err := srv.Submit(fleet.JobSpec{Seed: 9, Hover: true, MaxSeconds: 30, TelemetryEverySteps: 100})
+	id, err := srv.Submit(fleet.JobSpec{Seed: 9, Workload: hover, MaxSeconds: 30, TelemetryEverySteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,8 @@ func TestHTTPAPI(t *testing.T) {
 
 	c := fleet.NewClient(hs.URL)
 	ids, err := c.Submit([]fleet.JobSpec{
-		{Seed: 1, Hover: true, MaxSeconds: 2},
-		{Seed: 2, Hover: true, MaxSeconds: 2},
+		{Seed: 1, Workload: hover, MaxSeconds: 2},
+		{Seed: 2, Workload: hover, MaxSeconds: 2},
 	})
 	if err != nil || len(ids) != 2 {
 		t.Fatalf("submit: ids=%v err=%v", ids, err)
@@ -289,9 +289,9 @@ func TestSubmitAfterShutdown(t *testing.T) {
 func TestBuildFailureFailsJobOnly(t *testing.T) {
 	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
 	ids, err := srv.SubmitAll([]fleet.JobSpec{
-		{Seed: 1, Hover: true, MaxSeconds: 2},
-		{Seed: 2, Hover: true, MaxSeconds: 2, BatteryCells: -3},
-		{Seed: 3, Hover: true, MaxSeconds: 2},
+		{Seed: 1, Workload: hover, MaxSeconds: 2},
+		{Seed: 2, Workload: hover, MaxSeconds: 2, BatteryCells: -3},
+		{Seed: 3, Workload: hover, MaxSeconds: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestShutdownWithActiveSubscriberCleanEOF(t *testing.T) {
 
 	// A flight long enough to still be airborne at shutdown, publishing at
 	// a brisk cadence.
-	id, err := srv.Submit(fleet.JobSpec{Seed: 11, Hover: true, MaxSeconds: 1200, TelemetryEverySteps: 100})
+	id, err := srv.Submit(fleet.JobSpec{Seed: 11, Workload: hover, MaxSeconds: 1200, TelemetryEverySteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

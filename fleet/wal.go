@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"dronedse/fleet/journal"
+	"dronedse/mission"
 )
 
 // The fleet write-ahead log: every accepted JobSpec is journaled and fsync'd
@@ -113,15 +114,26 @@ func replayJournal(recs []journal.Record) (*Recovery, uint64, error) {
 	for i, r := range recs {
 		switch r.Kind {
 		case walSubmit:
-			var sr submitRec
+			// Older writers said "hover":true instead of naming the hover
+			// workload; translate it so those jobs re-fly the same flight.
+			var sr struct {
+				ID   uint64 `json:"id"`
+				Spec struct {
+					JobSpec
+					Hover bool `json:"hover"`
+				} `json:"spec"`
+			}
 			if err := json.Unmarshal(r.Payload, &sr); err != nil {
 				return nil, 0, fmt.Errorf("fleet: journal record %d: bad SUBMIT: %w", i, err)
+			}
+			if sr.Spec.Hover {
+				sr.Spec.Workload = &mission.WireSpec{KindName: "hover"}
 			}
 			if _, dup := byID[sr.ID]; dup {
 				continue // duplicate SUBMIT: first wins
 			}
 			byID[sr.ID] = len(rec.Jobs)
-			rec.Jobs = append(rec.Jobs, RecoveredJob{ID: sr.ID, Spec: sr.Spec})
+			rec.Jobs = append(rec.Jobs, RecoveredJob{ID: sr.ID, Spec: sr.Spec.JobSpec})
 			if sr.ID > maxID {
 				maxID = sr.ID
 			}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"dronedse/fleet"
@@ -98,7 +99,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Seed: 1, Workload: &mission.WireSpec{KindName: "delivery",
 			Delivery: &mission.Delivery{Legs: []mission.DeliveryLeg{
 				{Pickup: mathx.V3(1, 0, 0), Dropoff: mathx.V3(2, 0, 5)}}}}}, // pickup on the ground
-		{Seed: 1, Hover: true, Workload: &mission.WireSpec{KindName: "box"}}, // both unions set
 	}
 
 	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
@@ -106,7 +106,7 @@ func TestSubmitValidation(t *testing.T) {
 		// The bad job rides second: the whole batch must be refused with no
 		// partial admission.
 		ids, err := srv.SubmitAll([]fleet.JobSpec{
-			{Seed: 9, Hover: true, MaxSeconds: 2}, bad})
+			{Seed: 9, Workload: hover, MaxSeconds: 2}, bad})
 		if !errors.Is(err, fleet.ErrBadSpec) {
 			t.Fatalf("bad workload admitted: ids=%v err=%v", ids, err)
 		}
@@ -135,6 +135,20 @@ func TestSubmitValidation(t *testing.T) {
 			t.Fatalf("workload %q: got HTTP %d (%s), want 400",
 				bad.Workload.KindName, resp.StatusCode, bytes.TrimSpace(msg))
 		}
+	}
+
+	// An unknown field is refused by name, not silently dropped: a client
+	// still sending the removed "hover" flag must not fly the box instead.
+	resp, err := http.Post(hs.URL+"/jobs", "application/json",
+		strings.NewReader(`[{"seed":1,"hover":true,"max_seconds":2}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `"hover"`) {
+		t.Fatalf("unknown field: got HTTP %d (%q), want 400 naming \"hover\"", resp.StatusCode, body.Error)
 	}
 
 	// A healthy workload batch still clears the same front door.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"testing"
 
+	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
 	"dronedse/sim"
@@ -20,14 +21,14 @@ import (
 // and mission flights truncated by MaxSeconds mid-air.
 func identitySpecs() []scenario.Spec {
 	return []scenario.Spec{
-		{Seed: 11, Hover: true, MaxSeconds: 2},
-		{Seed: 12, Hover: true, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
+		{Seed: 11, Workload: mission.Hover{}, MaxSeconds: 2},
+		{Seed: 12, Workload: mission.Hover{}, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
 		{Seed: 13, MaxSeconds: 25},
 		{Seed: 14, MaxSeconds: 30, Wind: scenario.Wind{MeanMS: 6, GustMS: 3}},
-		{Seed: 15, Hover: true, MaxSeconds: 2, Compute: scenario.Compute{SLAM: true}},
-		{Seed: 16, Hover: true, MaxSeconds: 4, TakeoffAltM: 8},
-		{Seed: 17, MaxSeconds: 20, TraceSeed: 99},
-		{Seed: 18, Hover: true, MaxSeconds: 2, Battery: scenario.Battery{Cells: 4, CapacityMah: 5000}},
+		{Seed: 15, Workload: mission.Hover{}, MaxSeconds: 2, Compute: scenario.Compute{SLAM: true}},
+		{Seed: 16, Workload: mission.Hover{}, MaxSeconds: 4, TakeoffAltM: 8},
+		{Seed: 17, MaxSeconds: 20},
+		{Seed: 18, Workload: mission.Hover{}, MaxSeconds: 2, Battery: scenario.Battery{Cells: 4, CapacityMah: 5000}},
 	}
 }
 
@@ -112,11 +113,11 @@ func TestBatchSerialBitIdentity(t *testing.T) {
 // TestBatchTickGranularityInvariance pins that the interleaving granularity
 // (one tick at a time vs the Run stride) is unobservable in lane results.
 func TestBatchTickGranularityInvariance(t *testing.T) {
-	spec := scenario.Spec{Seed: 31, Hover: true, MaxSeconds: 2}
+	spec := scenario.Spec{Seed: 31, Workload: mission.Hover{}, MaxSeconds: 2}
 	res, err := scenario.Run(spec)
 	want := resultDigest(t, res, err)
 
-	b := scenario.NewBatch([]scenario.Spec{{Seed: 31, Hover: true, MaxSeconds: 2}})
+	b := scenario.NewBatch([]scenario.Spec{{Seed: 31, Workload: mission.Hover{}, MaxSeconds: 2}})
 	b.Start()
 	for !b.Tick() {
 	}
@@ -129,16 +130,16 @@ func TestBatchTickGranularityInvariance(t *testing.T) {
 // TestBatchLaneErrorIsolation: a lane whose Build fails finishes with its
 // error recorded and must not poison its co-tenants' results.
 func TestBatchLaneErrorIsolation(t *testing.T) {
-	good := scenario.Spec{Seed: 41, Hover: true, MaxSeconds: 2}
+	good := scenario.Spec{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2}
 	wantRes, wantErr := scenario.Run(good)
 	want := resultDigest(t, wantRes, wantErr)
 
 	badQuad := sim.DefaultConfig()
 	badQuad.TWR = 0.5 // below the flying minimum: Build must fail
 	results, errs := scenario.RunBatch([]scenario.Spec{
-		{Seed: 41, Hover: true, MaxSeconds: 2},
+		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
 		{Seed: 42, Quad: &badQuad},
-		{Seed: 41, Hover: true, MaxSeconds: 2},
+		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
 	})
 	if errs[1] == nil || results[1] != nil {
 		t.Fatal("bad lane did not report its build error")
@@ -156,8 +157,8 @@ func TestBatchLaneErrorIsolation(t *testing.T) {
 // batch starts empty, the way a fleet server builds it.
 func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 	specs := []scenario.Spec{
-		{Seed: 61, Hover: true, MaxSeconds: 2},
-		{Seed: 62, Hover: true, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
+		{Seed: 61, Workload: mission.Hover{}, MaxSeconds: 2},
+		{Seed: 62, Workload: mission.Hover{}, MaxSeconds: 3, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
 		{Seed: 63, MaxSeconds: 20},
 	}
 	want := make([]string, len(specs))
@@ -217,7 +218,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 // is recoverable exactly once.
 func TestBatchEvictGuards(t *testing.T) {
 	b := scenario.NewBatchOf()
-	st, err := scenario.Build(scenario.Spec{Seed: 71, Hover: true, MaxSeconds: 2})
+	st, err := scenario.Build(scenario.Spec{Seed: 71, Workload: mission.Hover{}, MaxSeconds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +251,14 @@ func TestBatchEvictGuards(t *testing.T) {
 // reuse, and leaves co-tenant lanes bit-unchanged (their flights never
 // observe the abort).
 func TestBatchAbortLane(t *testing.T) {
-	solo, err := scenario.Run(scenario.Spec{Seed: 81, Hover: true, MaxSeconds: 2})
+	solo, err := scenario.Run(scenario.Spec{Seed: 81, Workload: mission.Hover{}, MaxSeconds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	b := scenario.NewBatch([]scenario.Spec{
-		{Seed: 81, Hover: true, MaxSeconds: 2},
-		{Seed: 82, Hover: true, MaxSeconds: 30},
+		{Seed: 81, Workload: mission.Hover{}, MaxSeconds: 2},
+		{Seed: 82, Workload: mission.Hover{}, MaxSeconds: 30},
 	})
 	b.Start()
 	b.TickN(500)
@@ -291,7 +292,7 @@ func TestBatchAbortLane(t *testing.T) {
 // TestBatchLaneSimTime pins the progress bookkeeping: sim time is 0 before
 // Start, advances with ticks, and reads 0 on evicted lanes.
 func TestBatchLaneSimTime(t *testing.T) {
-	b := scenario.NewBatch([]scenario.Spec{{Seed: 91, Hover: true, MaxSeconds: 5}})
+	b := scenario.NewBatch([]scenario.Spec{{Seed: 91, Workload: mission.Hover{}, MaxSeconds: 5}})
 	if tS := b.LaneSimTimeS(0); tS != 0 {
 		t.Fatalf("sim time before start = %v", tS)
 	}
@@ -318,7 +319,7 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	defer parallelx.SetPoolSize(prev)
 	var telemBytes int
 	b := scenario.NewBatch([]scenario.Spec{
-		{Seed: 51, Hover: true},
+		{Seed: 51, Workload: mission.Hover{}},
 		{Seed: 52},
 		{Seed: 53, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
 		{Seed: 54, Telemetry: scenario.Telemetry{EverySteps: 1, Send: func(raw []byte) {

@@ -15,9 +15,8 @@
 //
 // What flies after takeoff is a mission.Workload: the driver arms, takes
 // off, then hands the flight to the workload's per-flight Driver until it
-// reports done (see package mission). The legacy Mission/Hover/Trajectory
-// Spec fields remain as inputs and are mapped onto the equivalent adapter
-// workloads by withDefaults — the driver itself no longer branches on them.
+// reports done (see package mission). Spec.Workload is the only way to say
+// what to fly; a nil Workload flies mission.Box{}.
 //
 // Observer ordering: Build registers step observers on the autopilot's bus
 // in a fixed order — (1) the power-trace recorder, (2) the flight log,
@@ -36,7 +35,6 @@ import (
 	"dronedse/control"
 	"dronedse/mission"
 	"dronedse/offload"
-	"dronedse/planner"
 	"dronedse/platform"
 	"dronedse/power"
 	"dronedse/sensors"
@@ -183,20 +181,9 @@ type Spec struct {
 
 	// TakeoffAltM is the takeoff altitude (default 5).
 	TakeoffAltM float64
-	// Workload is what the vehicle does after takeoff. Nil falls back to
-	// the legacy Mission/Hover/Trajectory fields below, and when those are
-	// zero too, to mission.Box{} (the 12 m reference box).
+	// Workload is what the vehicle does after takeoff (nil = mission.Box{},
+	// the 12 m reference box).
 	Workload mission.Workload
-	// Mission is the legacy waypoint-plan field, mapped onto
-	// mission.Waypoints when Workload is nil. Ignored when Hover or
-	// Trajectory is set.
-	Mission autopilot.MissionPlan
-	// Trajectory is the legacy planner-trajectory field, mapped onto
-	// mission.Trajectory when Workload is nil.
-	Trajectory *planner.Trajectory
-	// Hover is the legacy loiter flag (flysim's -hover), mapped onto
-	// mission.Hover when Workload is nil.
-	Hover bool
 	// MaxSeconds bounds the whole flight (default 240).
 	MaxSeconds float64
 
@@ -211,10 +198,6 @@ type Spec struct {
 	Offload *Offload
 	// Telemetry, when Send is non-nil, streams MAVLink frames.
 	Telemetry Telemetry
-
-	// TraceSeed seeds the oscilloscope's instrument noise (0 = Seed;
-	// bench.RunFigure16 historically used Seed+1).
-	TraceSeed int64
 
 	// Observers are user step observers, registered after the built-in
 	// ones in slice order.
@@ -234,32 +217,10 @@ func (s Spec) withDefaults() Spec {
 	if s.Telemetry.EverySteps <= 0 {
 		s.Telemetry.EverySteps = 250
 	}
-	if s.TraceSeed == 0 {
-		s.TraceSeed = s.Seed
-	}
-	// Map the legacy mission-union fields onto their adapter workloads; an
-	// explicit Workload wins over all of them.
 	if s.Workload == nil {
-		switch {
-		case s.Hover:
-			s.Workload = mission.Hover{}
-		case s.Trajectory != nil:
-			s.Workload = mission.Trajectory{Traj: s.Trajectory}
-		case s.Mission != nil:
-			s.Workload = mission.Waypoints{Plan: s.Mission}
-		default:
-			s.Workload = mission.Box{}
-		}
+		s.Workload = mission.Box{}
 	}
 	return s
-}
-
-// BoxMission is the reference 12 m box at the given takeoff altitude — the
-// mission cmd/flysim, faultx campaigns and bench.RunFigure16 all fly, so
-// their outputs stay mutually bit-comparable. It delegates to
-// mission.BoxPlan, the plan mission.Box flies.
-func BoxMission(altM float64) autopilot.MissionPlan {
-	return mission.BoxPlan(altM)
 }
 
 // Stack is a fully wired flight stack, ready to Run. All fields are the
@@ -379,7 +340,7 @@ func Build(spec Spec) (*Stack, error) {
 	// duration — takeoff budget plus the workload's own horizon (which
 	// includes its landing watch) — so steady-state stepping never grows an
 	// append. The buffers come from flights whose Results were released.
-	st.rec = takeRecording(spec.TraceSeed, 30+spec.Workload.HorizonS(spec.MaxSeconds))
+	st.rec = takeRecording(spec.Seed, 30+spec.Workload.HorizonS(spec.MaxSeconds))
 	st.Log, st.Trace = st.rec.log, st.rec.trace
 
 	// Observer bus, in the package-documented order.

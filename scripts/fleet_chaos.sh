@@ -35,7 +35,7 @@ go build -tags failpoint -o "$WORK/fleetd" ./cmd/fleetd
 go build -o "$WORK/fleetctl" ./cmd/fleetctl
 
 JOBS=16
-SUBMIT="submit -n $JOBS -hover -seconds 10 -vary 6 -seed 50"
+SUBMIT="submit -n $JOBS -workload hover -seconds 10 -vary 6 -seed 50"
 
 # start_fleetd <journal-dir>: boot fleetd on dynamic ports against the given
 # journal and point CTL at it. Extra environment (failpoints) via FLEETD_ENV.

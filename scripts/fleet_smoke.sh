@@ -56,16 +56,16 @@ done
 CTL="$WORK/fleetctl -addr http://$http_addr -telem $telem_addr"
 
 echo "fleet_smoke: phase 1 — live stream + digest cross-check, then 64 jobs"
-$CTL run -hover -seconds 30 -every 100 -seed 42 -check >/dev/null
-$CTL submit -n 64 -hover -seconds 2 -vary 8 >/dev/null
+$CTL run -workload hover -seconds 30 -every 100 -seed 42 -check >/dev/null
+$CTL submit -n 64 -workload hover -seconds 2 -vary 8 >/dev/null
 $CTL wait -verify -timeout 120s
 
 echo "fleet_smoke: phase 2 — $JOBS jobs with a stalled subscriber (min peak $MINPEAK)"
-STALL_ID=$($CTL submit -hover -seconds 30 -seed 99)
+STALL_ID=$($CTL submit -workload hover -seconds 30 -seed 99)
 $CTL stream -id "$STALL_ID" -stall >/dev/null &
 STALL_PID=$!
 sleep 0.2
-$CTL submit -n "$JOBS" -hover -seconds 2 -vary 16 >/dev/null
+$CTL submit -n "$JOBS" -workload hover -seconds 2 -vary 16 >/dev/null
 $CTL wait -verify -min-peak "$MINPEAK" -timeout 600s
 
 kill "$STALL_PID" 2>/dev/null || true
