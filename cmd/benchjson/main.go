@@ -208,12 +208,12 @@ func main() {
 		measureN(fmt.Sprintf("scenario_batch%d", size), serial, size, batchKernel(size))
 	}
 	// Fleet-server kernel: 256 resident hover flights stepped through the
-	// whole fleetd engine path — admission bookkeeping, sharded TickN,
+	// whole fleetd engine path — admission bookkeeping, one batch TickN,
 	// telemetry publish into subscriber-less hubs — reported per drone-step.
 	// The delta against scenario_batch is the multi-tenancy overhead.
 	fleetLanes, fleetStride := 256, 100
 	measureN("fleet_step256", pools, fleetLanes*fleetStride, func(b *testing.B) {
-		srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: fleetLanes, DropArtifacts: true})
+		srv := fleet.New(fleet.Config{MaxLanes: fleetLanes, DropArtifacts: true})
 		specs := make([]fleet.JobSpec, fleetLanes)
 		hover := &mission.WireSpec{KindName: "hover"}
 		for j := range specs {

@@ -1,12 +1,13 @@
 // Command fleetd hosts the multi-tenant fleet-simulation server: a JSON
 // job API over HTTP plus a framed TCP telemetry feed, both fronting one
-// fleet.Server engine that shards flights across scenario.Batch instances.
+// fleet.Server engine that steps every flight as a lane of one
+// scenario.Batch.
 //
 // Usage:
 //
 //	fleetd                                  # API on :8480, telemetry on :8481
 //	fleetd -http 127.0.0.1:0 -telem 127.0.0.1:0 -addrfile /tmp/fleetd.addr
-//	fleetd -shards 4 -lanes 10240 -lite     # 10k-lane configuration
+//	fleetd -lanes 10240 -lite               # 10k-lane configuration
 //	fleetd -journal /var/lib/fleetd         # crash-safe: jobs survive SIGKILL
 //
 // With -addrfile the actually-bound addresses are written as shell-
@@ -41,10 +42,8 @@ import (
 func main() {
 	httpAddr := flag.String("http", "127.0.0.1:8480", "job API listen address")
 	telemAddr := flag.String("telem", "127.0.0.1:8481", "telemetry stream listen address")
-	shards := flag.Int("shards", 0, "batch shards (0 = server default)")
 	lanes := flag.Int("lanes", 0, "max concurrent lanes (0 = server default)")
 	maxQueue := flag.Int("maxqueue", 0, "admission queue bound; beyond it submits get 429 (0 = default 4096)")
-	stride := flag.Int("stride", 0, "physics steps per engine advance (0 = server default)")
 	subqueue := flag.Int("subqueue", 0, "per-subscriber queue depth in telemetry units (0 = default)")
 	lite := flag.Bool("lite", false, "drop per-flight artifacts after digesting (10k+ lane runs)")
 	procs := flag.Int("procs", 0, "parallelx pool size (0 = all cores)")
@@ -59,10 +58,8 @@ func main() {
 	}
 
 	cfg := fleet.Config{
-		Shards:        *shards,
 		MaxLanes:      *lanes,
 		MaxQueue:      *maxQueue,
-		TickStride:    *stride,
 		SubQueue:      *subqueue,
 		JobDeadline:   *deadline,
 		DropArtifacts: *lite,

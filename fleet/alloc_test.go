@@ -14,7 +14,7 @@ import (
 // exactly its flight's step count (FlightTimeS at 1 kHz), not a whole last
 // stride.
 func TestLaneStepsCountsStepsTaken(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1})
+	srv := fleet.New(fleet.Config{})
 	id, err := srv.Submit(fleet.JobSpec{Seed: 5, MaxSeconds: 1})
 	if err != nil {
 		t.Fatal(err)

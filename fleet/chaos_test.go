@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -91,7 +92,7 @@ func advanceUntilCompleted(t *testing.T, srv *fleet.Server, n int) fleet.Stats {
 // a run that was never interrupted. Completed jobs are not re-flown: their
 // digests come straight off the journal.
 func TestCrashRecoveryBitIdentity(t *testing.T) {
-	cfg := fleet.Config{Shards: 2, MaxLanes: 4}
+	cfg := fleet.Config{MaxLanes: 4}
 	specs := coTenants(16, 900)
 	want := baselineDigests(t, cfg, specs)
 
@@ -134,6 +135,84 @@ func TestCrashRecoveryBitIdentity(t *testing.T) {
 	requireSameDigests(t, want, digestTable(t, srv2, ids))
 }
 
+// TestJournalHarvestOrderDeterministic: lanes that finish in the same
+// advance are harvested — and their DONE records journaled — in lane order,
+// so two servers fed the same campaign in lockstep write byte-identical
+// journals. The 48 co-tenants repeat every spec once, so twin lanes finish
+// together in every harvest that completes one of them.
+func TestJournalHarvestOrderDeterministic(t *testing.T) {
+	specs := coTenants(48, 300)
+	var wals [2][]byte
+	for i := range wals {
+		dir := t.TempDir()
+		srv, _, err := fleet.NewJournaled(fleet.Config{}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.SubmitAll(specs); err != nil {
+			t.Fatal(err)
+		}
+		drive(t, srv)
+		srv.Shutdown()
+		if wals[i], err = os.ReadFile(filepath.Join(dir, fleet.JournalFile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(wals[0], wals[1]) {
+		t.Fatal("same campaign in lockstep wrote different journals")
+	}
+}
+
+// TestJobStatusSameFromEverySource: a finished job's status comes from its
+// summary alone, so GET /jobs/{id} serves the same bytes whether the server
+// kept the job's artifacts, dropped them, or recovered the job from its
+// journal.
+func TestJobStatusSameFromEverySource(t *testing.T) {
+	spec := fleet.JobSpec{Seed: 5, MaxSeconds: 20}
+	status := func(name string, srv *fleet.Server, id uint64) []byte {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", fmt.Sprintf("/jobs/%d", id), nil))
+		if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"state":"done"`) {
+			t.Fatalf("%s: GET /jobs/%d = %d %s", name, id, rr.Code, rr.Body)
+		}
+		return rr.Body.Bytes()
+	}
+	run := func(srv *fleet.Server) uint64 {
+		t.Helper()
+		id, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, srv)
+		return id
+	}
+
+	dir := t.TempDir()
+	kept, _, err := fleet.NewJournaled(fleet.Config{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := run(kept)
+	want := status("artifacts kept", kept, id)
+	kept.Shutdown()
+
+	lite := fleet.New(fleet.Config{DropArtifacts: true})
+	defer lite.Shutdown()
+	if got := status("artifacts dropped", lite, run(lite)); !bytes.Equal(got, want) {
+		t.Fatalf("DropArtifacts status %s, want %s", got, want)
+	}
+
+	recovered, _, err := fleet.NewJournaled(fleet.Config{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Shutdown()
+	if got := status("recovered", recovered, id); !bytes.Equal(got, want) {
+		t.Fatalf("recovered status %s, want %s", got, want)
+	}
+}
+
 // TestRestartTwiceReplayIdempotency crashes the same campaign twice at
 // different points, finishes on the third incarnation, then reopens the
 // journal twice more: replay must be idempotent — no duplicate terminals,
@@ -141,7 +220,7 @@ func TestCrashRecoveryBitIdentity(t *testing.T) {
 // (served without re-running anything) still matches the uninterrupted
 // baseline.
 func TestRestartTwiceReplayIdempotency(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(8, 770)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -193,7 +272,7 @@ func TestRestartTwiceReplayIdempotency(t *testing.T) {
 // TestSubmitDurableBeforeAck: jobs whose submission was acknowledged are
 // durable even if the process dies before the engine ever advances.
 func TestSubmitDurableBeforeAck(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 4}
+	cfg := fleet.Config{MaxLanes: 4}
 	specs := coTenants(6, 410)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -224,7 +303,7 @@ func TestSubmitDurableBeforeAck(t *testing.T) {
 // re-flies to the same digests. Torn-tail handling at every byte offset is
 // pinned in the journal package; this covers the fleet-level consequence.
 func TestTornTerminalRecordReadmitsJob(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(2, 640)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -294,7 +373,7 @@ func TestReplayToleratesDupAndOrphanTerminals(t *testing.T) {
 	}
 	jl.Close()
 
-	srv, rec, err := fleet.NewJournaled(fleet.Config{Shards: 1, MaxLanes: 2}, dir)
+	srv, rec, err := fleet.NewJournaled(fleet.Config{MaxLanes: 2}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +400,7 @@ func TestReplayToleratesDupAndOrphanTerminals(t *testing.T) {
 // mid-flight with ErrDeadline and journaled as CANCEL — terminal, so a
 // restart does not re-fly it — while co-tenants finish untouched.
 func TestDeadlineEvictsRunawayJob(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	dir := t.TempDir()
 	srv, _, err := fleet.NewJournaled(cfg, dir)
 	if err != nil {
@@ -357,7 +436,7 @@ func TestDeadlineEvictsRunawayJob(t *testing.T) {
 // TestAdmissionQueueBound: the queue refuses whole batches beyond MaxQueue
 // with ErrQueueFull, and the HTTP layer turns that into 429 + Retry-After.
 func TestAdmissionQueueBound(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2, MaxQueue: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 2, MaxQueue: 4})
 	if _, err := srv.SubmitAll(coTenants(5, 100)); !errors.Is(err, fleet.ErrQueueFull) {
 		t.Fatalf("oversize batch: err=%v, want ErrQueueFull", err)
 	}
@@ -388,7 +467,7 @@ func TestAdmissionQueueBound(t *testing.T) {
 // TestHealthAndReadiness: /healthz is pure liveness; /readyz tracks the
 // engine loop, drain state and shutdown.
 func TestHealthAndReadiness(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2})
+	srv := fleet.New(fleet.Config{MaxLanes: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -425,7 +504,7 @@ func TestHealthAndReadiness(t *testing.T) {
 // admissions, finishes in-flight lanes, loses nothing, and a restart
 // completes the queued remainder bit-identically.
 func TestDrainGracefulRequeuesJournaledJobs(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(10, 330)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -478,7 +557,7 @@ func TestDrainGracefulRequeuesJournaledJobs(t *testing.T) {
 // fail with ErrDraining; a lane that cannot finish within the grace period
 // is abandoned but — journaled — not lost: the restart re-admits it.
 func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	dir := t.TempDir()
 	srv, _, err := fleet.NewJournaled(cfg, dir)
 	if err != nil {
@@ -529,7 +608,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 // client's jittered-backoff budget and the submission lands once the engine
 // frees queue space.
 func TestClientRetriesBackpressure(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2, MaxQueue: 2})
+	srv := fleet.New(fleet.Config{MaxLanes: 2, MaxQueue: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown()
@@ -578,7 +657,7 @@ func TestRecoverLegacyHoverJournal(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, fleet.JournalFile), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, rec, err := fleet.NewJournaled(fleet.Config{Shards: 1, MaxLanes: 4}, dir)
+	srv, rec, err := fleet.NewJournaled(fleet.Config{MaxLanes: 4}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func drive(t *testing.T, srv *fleet.Server) {
 
 // TestFleetMultiTenancyDeterminism is the ISSUE 7 acceptance property: the
 // same seeded job submitted alone and alongside ≥63 co-tenant jobs — across
-// parallelx pools 1/2/8, multiple shards, and a lane cap that forces
+// parallelx pools 1/2/8, with a lane cap that forces
 // queueing, eviction and slot reuse — produces bit-identical trajectory,
 // flight-log and Equation-7 ledger digests, equal to a direct scenario.Run.
 func TestFleetMultiTenancyDeterminism(t *testing.T) {
@@ -64,7 +64,7 @@ func TestFleetMultiTenancyDeterminism(t *testing.T) {
 		parallelx.SetPoolSize(pool)
 
 		// Solo: the job is the server's only tenant.
-		solo := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
+		solo := fleet.New(fleet.Config{MaxLanes: 4})
 		soloID, err := solo.Submit(ref)
 		if err != nil {
 			t.Fatal(err)
@@ -80,11 +80,11 @@ func TestFleetMultiTenancyDeterminism(t *testing.T) {
 		}
 
 		// Multi-tenant: the same job buried mid-queue among 63 co-tenants,
-		// on 3 shards with only 16 lanes — admission order, queue churn and
+		// with only 16 lanes — admission order, queue churn and
 		// slot reuse all in play.
 		specs := coTenants(63, 100)
 		specs = append(specs[:17], append([]fleet.JobSpec{ref}, specs[17:]...)...)
-		multi := fleet.New(fleet.Config{Shards: 3, MaxLanes: 16})
+		multi := fleet.New(fleet.Config{MaxLanes: 16})
 		ids, err := multi.SubmitAll(specs)
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestFleetResultMatchesScenarioRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 8})
+	srv := fleet.New(fleet.Config{MaxLanes: 8})
 	id, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func withCrash(t *testing.T, point string, fn func()) {
 // before the jobs become visible. The ack never went out, yet the jobs are
 // durable — the restart admits and flies them to baseline digests.
 func TestCrashBetweenJournalAndAdmission(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 4}
+	cfg := fleet.Config{MaxLanes: 4}
 	specs := coTenants(4, 510)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -76,7 +76,7 @@ func TestCrashBetweenJournalAndAdmission(t *testing.T) {
 // its DONE record hits the journal. The outcome is lost with the process —
 // the restart re-flies the job and deterministically reproduces it.
 func TestCrashAfterHarvestBeforeDone(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(3, 820)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()
@@ -111,7 +111,7 @@ func TestCrashAfterHarvestBeforeDone(t *testing.T) {
 // outcome lands in memory. The journal already owns the truth — the restart
 // recovers that job's digests without re-flying it, identical to baseline.
 func TestCrashAfterDoneBeforeVisible(t *testing.T) {
-	cfg := fleet.Config{Shards: 1, MaxLanes: 2}
+	cfg := fleet.Config{MaxLanes: 2}
 	specs := coTenants(3, 250)
 	want := baselineDigests(t, cfg, specs)
 	dir := t.TempDir()

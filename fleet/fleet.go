@@ -1,18 +1,18 @@
 // Package fleet turns the scenario engine into a long-running multi-tenant
 // simulation service: jobs — JSON-serializable flight experiments derived
-// from scenario.Spec — are admitted into lanes of one or more scenario.Batch
-// shards stepped by a single engine goroutine, and each flight's live
-// MAVLink telemetry fans out to subscribed ground-station clients through
-// bounded drop-oldest queues (groundstation.Hub), so a laggard subscriber
-// can never stall the tick loop.
+// from scenario.Spec — are admitted into lanes of one scenario.Batch stepped
+// by a single engine goroutine, and each flight's live MAVLink telemetry
+// fans out to subscribed ground-station clients through bounded drop-oldest
+// queues (groundstation.Hub), so a laggard subscriber can never stall the
+// tick loop.
 //
 // Determinism contract, inherited from the batch engine and preserved under
 // multi-tenancy: a job's seed fully determines its flight. The same JobSpec
 // produces bit-identical trajectory, flight-log and Equation-7 ledger
 // digests whether it runs alone or beside thousands of co-tenants, at any
-// parallelx pool size, in any admission order, in any shard — because every
-// lane owns its RNG streams, scratch and ledgers outright, and lanes never
-// exchange data. Job completion yields the same structured scenario.Result
+// parallelx pool size, in any admission order, in any lane slot — because
+// every lane owns its RNG streams, scratch and ledgers outright, and lanes
+// never exchange data. Job completion yields the same structured scenario.Result
 // a direct scenario.Run would have returned.
 package fleet
 
@@ -216,7 +216,6 @@ type Stats struct {
 	PeakLive  int `json:"peak_live"`
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
-	Shards    int `json:"shards"`
 
 	// Draining reports a graceful shutdown in progress: submissions are
 	// refused while in-flight jobs finish.

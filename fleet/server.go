@@ -36,22 +36,13 @@ var (
 
 // Config sizes a Server. The zero value is a usable single-box default.
 type Config struct {
-	// Shards is the number of scenario.Batch instances active flights are
-	// spread across (default 2). Admission balances onto the least-loaded
-	// shard; per-lane results are shard-invariant.
-	Shards int
-	// MaxLanes caps concurrently flying lanes across all shards (default
-	// 1024). Jobs beyond the cap queue FIFO and are admitted as eviction
-	// frees slots.
+	// MaxLanes caps concurrently flying lanes (default 1024). Jobs beyond
+	// the cap queue FIFO and are admitted as eviction frees slots.
 	MaxLanes int
 	// MaxQueue bounds the admission queue (jobs accepted but not yet
 	// launched; default 4096). Submissions beyond it fail with ErrQueueFull
 	// — HTTP 429 + Retry-After — instead of growing memory without bound.
 	MaxQueue int
-	// TickStride is how many physics steps each engine advance moves every
-	// live lane (default 250 — one 4 Hz telemetry unit per lane per
-	// advance at the default cadence).
-	TickStride int
 	// SubQueue is the per-subscriber telemetry queue depth in units
 	// (default groundstation.DefaultSubQueue). Laggards shed oldest.
 	SubQueue int
@@ -68,20 +59,18 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
 	if c.MaxLanes <= 0 {
 		c.MaxLanes = 1024
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4096
 	}
-	if c.TickStride <= 0 {
-		c.TickStride = 250
-	}
 	return c
 }
+
+// tickStride is how many physics steps each Run advance moves every live
+// lane: one 4 Hz telemetry unit per lane per advance at the default cadence.
+const tickStride = 250
 
 // job is the server-side record of one submitted flight.
 type job struct {
@@ -102,13 +91,6 @@ type job struct {
 	simTimeS float64 // live progress, mirrored out of the engine each advance
 }
 
-// shard is one scenario.Batch plus the lane→job table. Owned exclusively by
-// the engine goroutine (the Advance caller); never touched under Server.mu.
-type shard struct {
-	batch *scenario.Batch
-	jobs  map[int]*job // occupied lane index → job
-}
-
 // Server hosts concurrent simulation jobs. Exactly one goroutine may drive
 // the engine — either Run or a manual Advance loop — while any number of
 // goroutines submit jobs, query status, and stream telemetry.
@@ -126,15 +108,18 @@ type Server struct {
 	draining bool
 	conns    map[net.Conn]struct{} // live telemetry connections
 
-	// Engine-owned (no mu): only the Advance caller touches the shards.
-	shards []*shard
+	// Engine-owned (no mu): only the Advance caller touches the batch and
+	// the lane table, one entry per batch lane slot holding that slot's job
+	// (nil while the slot is free).
+	batch *scenario.Batch
+	lanes []*job
 
 	// Step counters, read by Stats while the engine advances.
 	ticks     atomic.Uint64
 	laneSteps atomic.Uint64
 
 	// Counter fields under mu. live is the occupied-lane count mirrored
-	// out of the engine-owned shard tables so Stats never reads those.
+	// out of the engine-owned lane table so Stats never reads it.
 	completed, failed, peakLive, live int
 
 	// subWG tracks telemetry-serving goroutines so Shutdown can wait for
@@ -156,18 +141,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
+		batch:       scenario.NewBatch(nil),
 		jobs:        make(map[uint64]*job),
 		conns:       make(map[net.Conn]struct{}),
 		wake:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		engineDone:  make(chan struct{}),
 		reqShutdown: make(chan struct{}),
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &shard{
-			batch: scenario.NewBatchOf(),
-			jobs:  make(map[int]*job),
-		})
 	}
 	return s
 }
@@ -307,11 +287,11 @@ func (s *Server) wakeEngine() {
 }
 
 // admitLocked drains the queue into free lanes: build the stack, install
-// the telemetry hub as the Spec's sink, and admit onto the least-loaded
-// shard. A Build failure fails the job without consuming a lane. Called
-// only from the engine goroutine (holding mu), so the shard tables are
-// safe to touch. During a drain (or after shutdown) nothing launches:
-// queued jobs stay journaled for the next start.
+// the telemetry hub as the Spec's sink, and admit it into the batch. A
+// Build failure fails the job without consuming a lane. Called only from
+// the engine goroutine (holding mu), so the lane table is safe to touch.
+// During a drain (or after shutdown) nothing launches: queued jobs stay
+// journaled for the next start.
 func (s *Server) admitLocked() {
 	for len(s.queue) > 0 && s.live < s.cfg.MaxLanes && !s.draining && !s.closed {
 		j := s.queue[0]
@@ -324,23 +304,19 @@ func (s *Server) admitLocked() {
 			s.failLocked(j, err)
 			continue
 		}
-		sh := s.shards[0]
-		for _, cand := range s.shards[1:] {
-			if len(cand.jobs) < len(sh.jobs) {
-				sh = cand
-			}
+		lane := s.batch.Admit(st)
+		if lane == len(s.lanes) { // a new slot, not a reused one
+			s.lanes = append(s.lanes, nil)
 		}
-		lane := sh.batch.Admit(st)
-		if sh.batch.LaneDone(lane) { // Start failed on a running batch
-			res, lerr := sh.batch.Evict(lane)
-			_ = res
-			s.failLocked(j, lerr)
+		if s.batch.LaneDone(lane) { // Start failed on a running batch
+			_, err := s.batch.Evict(lane)
+			s.failLocked(j, err)
 			continue
 		}
 		if ddl := j.deadlineBudget(s.cfg.JobDeadline); ddl > 0 {
 			j.deadline = time.Now().Add(ddl)
 		}
-		sh.jobs[lane] = j
+		s.lanes[lane] = j
 		j.state = JobRunning
 		s.live++
 	}
@@ -423,42 +399,42 @@ func (s *Server) finalize(j *job, res *scenario.Result, err error) {
 
 // Advance is the engine's unit of work: admit queued jobs into free lanes,
 // step every live lane by up to k physics steps, and harvest finished
-// lanes (evicting any job past its wall-clock deadline). It reports whether
-// the engine still has runnable work. Run is Advance in a loop; tests and
-// benchmarks call it directly for lockstep control. Only one goroutine may
-// call Advance.
+// lanes (evicting any job past its wall-clock deadline) in lane order, so
+// lanes finishing in the same advance are journaled in a fixed order. It
+// reports whether the engine still has runnable work. Run is Advance in a
+// loop; tests and benchmarks call it directly for lockstep control. Only
+// one goroutine may call Advance.
 func (s *Server) Advance(k int) bool {
 	s.mu.Lock()
 	s.admitLocked()
+	busy := s.live > 0
 	s.mu.Unlock()
 
-	busy := false
-	now := time.Now()
-	for _, sh := range s.shards {
-		if len(sh.jobs) == 0 {
-			continue
-		}
-		busy = true
-		s.laneSteps.Add(uint64(sh.batch.TickN(k)))
-		for lane, j := range sh.jobs {
-			if !sh.batch.LaneDone(lane) {
+	if busy {
+		now := time.Now()
+		s.laneSteps.Add(uint64(s.batch.TickN(k)))
+		for lane, j := range s.lanes {
+			if j == nil {
+				continue
+			}
+			if !s.batch.LaneDone(lane) {
 				if j.deadline.IsZero() || now.Before(j.deadline) {
 					continue
 				}
-				sh.batch.Abort(lane, fmt.Errorf("%w (%.0fs wall-clock)",
+				s.batch.Abort(lane, fmt.Errorf("%w (%.0fs wall-clock)",
 					ErrDeadline, now.Sub(j.deadline.Add(-j.deadlineBudget(s.cfg.JobDeadline))).Seconds()))
 			}
-			res, err := sh.batch.Evict(lane)
-			delete(sh.jobs, lane)
+			res, err := s.batch.Evict(lane)
+			s.lanes[lane] = nil
 			s.finalize(j, res, err)
 		}
-		if len(sh.jobs) > 0 { // mirror live progress into the status API
-			s.mu.Lock()
-			for lane, j := range sh.jobs {
-				j.simTimeS = sh.batch.LaneSimTimeS(lane)
+		s.mu.Lock() // mirror live progress into the status API
+		for lane, j := range s.lanes {
+			if j != nil {
+				j.simTimeS = s.batch.LaneSimTimeS(lane)
 			}
-			s.mu.Unlock()
 		}
+		s.mu.Unlock()
 	}
 	s.ticks.Add(1)
 
@@ -485,7 +461,7 @@ func (s *Server) Run() {
 			return
 		default:
 		}
-		if !s.Advance(s.cfg.TickStride) {
+		if !s.Advance(tickStride) {
 			select {
 			case <-s.quit:
 				return
@@ -653,22 +629,16 @@ func (s *Server) ShutdownRequested() <-chan struct{} { return s.reqShutdown }
 
 func (s *Server) requestShutdown() { s.reqOnce.Do(func() { close(s.reqShutdown) }) }
 
-// statusLocked renders a job's API view. Terminal jobs recovered from the
-// journal have no Result; their summary comes from the DONE record.
+// statusLocked renders a job's API view. A finished job's summary fields
+// come from its JobSummary — set by finalize, or read back from the DONE
+// record for a job recovered from the journal — so both serve the same
+// bytes.
 func (s *Server) statusLocked(j *job) JobStatus {
 	st := JobStatus{ID: j.id, State: j.state.String(), Spec: j.spec}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	switch {
-	case j.res != nil:
-		st.FlightTimeS = j.res.FlightTimeS
-		st.EnergyWh = j.res.EnergyWh
-		st.ComputeWh = j.res.ComputeWh
-		st.ComputeFlightCostMin = j.res.ComputeFlightCostMin()
-		st.Completed = j.res.Completed
-		st.FinalMode = j.res.FinalMode.String()
-	case j.sum != nil:
+	if j.sum != nil {
 		st.FlightTimeS = j.sum.FlightTimeS
 		st.EnergyWh = j.sum.EnergyWh
 		st.ComputeWh = j.sum.ComputeWh
@@ -734,7 +704,6 @@ func (s *Server) Stats() Stats {
 		PeakLive:  s.peakLive,
 		Completed: s.completed,
 		Failed:    s.failed,
-		Shards:    len(s.shards),
 		Draining:  s.draining,
 		Ticks:     s.ticks.Load(),
 		LaneSteps: s.laneSteps.Load(),

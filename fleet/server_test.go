@@ -70,7 +70,7 @@ func parseStream(t *testing.T, data []byte) []mavlink.Frame {
 // stalled subscriber on a co-tenant job sheds frames, and every job still
 // completes (the tick loop never waits on a socket).
 func TestServeTelemetryStreamAndStall(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 32, SubQueue: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 32, SubQueue: 4})
 	telemAddr := startTelemetry(t, srv)
 
 	specs := coTenants(8, 300)
@@ -135,7 +135,7 @@ func TestServeTelemetryStreamAndStall(t *testing.T) {
 // heartbeat timestamps across the gap (no duplicated or interleaved
 // frames), mirroring the hub-level contract over real TCP.
 func TestStreamReconnectResubscribe(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4, SubQueue: 4096})
+	srv := fleet.New(fleet.Config{MaxLanes: 4, SubQueue: 4096})
 	telemAddr := startTelemetry(t, srv)
 	id, err := srv.Submit(fleet.JobSpec{Seed: 9, Workload: hover, MaxSeconds: 30, TelemetryEverySteps: 100})
 	if err != nil {
@@ -210,7 +210,7 @@ func TestStreamReconnectResubscribe(t *testing.T) {
 // TestHTTPAPI exercises the JSON front end end to end: submit, poll, fetch
 // status + digests, stats, 404s, and the shutdown request channel.
 func TestHTTPAPI(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 8})
+	srv := fleet.New(fleet.Config{MaxLanes: 8})
 	go srv.Run()
 	defer srv.Shutdown()
 	hs := httptest.NewServer(srv.Handler())
@@ -257,7 +257,7 @@ func TestHTTPAPI(t *testing.T) {
 // TestQueueAdmissionEviction pins capacity behaviour: far more jobs than
 // lanes, all complete, and the lane cap is never exceeded.
 func TestQueueAdmissionEviction(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
 	specs := coTenants(12, 500)
 	if _, err := srv.SubmitAll(specs); err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestSubmitAfterShutdown(t *testing.T) {
 // TestBuildFailureFailsJobOnly: a job whose flight can't build fails with
 // its error recorded while co-tenants complete untouched.
 func TestBuildFailureFailsJobOnly(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
 	ids, err := srv.SubmitAll([]fleet.JobSpec{
 		{Seed: 1, Workload: hover, MaxSeconds: 2},
 		{Seed: 2, Workload: hover, MaxSeconds: 2, BatteryCells: -3},
@@ -315,7 +315,7 @@ func TestBuildFailureFailsJobOnly(t *testing.T) {
 // unit the engine ever published — nothing torn, nothing shed, nothing
 // published into a closed hub.
 func TestShutdownWithActiveSubscriberCleanEOF(t *testing.T) {
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 2, SubQueue: 8192, TickStride: 250})
+	srv := fleet.New(fleet.Config{MaxLanes: 2, SubQueue: 8192})
 	telemAddr := startTelemetry(t, srv)
 
 	// A flight long enough to still be airborne at shutdown, publishing at

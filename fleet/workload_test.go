@@ -69,7 +69,7 @@ func TestWorkloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := fleet.New(fleet.Config{Shards: 2, MaxLanes: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
 	ids, err := srv.SubmitAll(decoded)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestSubmitValidation(t *testing.T) {
 				{Pickup: mathx.V3(1, 0, 0), Dropoff: mathx.V3(2, 0, 5)}}}}}, // pickup on the ground
 	}
 
-	srv := fleet.New(fleet.Config{Shards: 1, MaxLanes: 4})
+	srv := fleet.New(fleet.Config{MaxLanes: 4})
 	for _, bad := range badJobs {
 		// The bad job rides second: the whole batch must be refused with no
 		// partial admission.

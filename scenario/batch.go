@@ -57,22 +57,6 @@ func NewBatch(specs []Spec) *Batch {
 	return b
 }
 
-// NewBatchOf wraps already-built stacks (callers that need to install
-// cross-cutting wiring — telemetry links, observers — before batching).
-func NewBatchOf(stacks ...*Stack) *Batch {
-	b := &Batch{
-		lanes: stacks,
-		done:  make([]bool, len(stacks)),
-		errs:  make([]error, len(stacks)),
-	}
-	for i, st := range stacks {
-		if st == nil {
-			b.done[i], b.errs[i] = true, errors.New("scenario: nil lane")
-		}
-	}
-	return b
-}
-
 // Len returns the lane count.
 func (b *Batch) Len() int { return len(b.lanes) }
 
@@ -83,10 +67,6 @@ func (b *Batch) Live() int {
 	}
 	return b.live
 }
-
-// Lane exposes lane i's stack (nil when its Build failed or the lane was
-// evicted).
-func (b *Batch) Lane(i int) *Stack { return b.lanes[i] }
 
 // LaneDone reports whether lane i has finished (normally, with an error, or
 // by eviction).

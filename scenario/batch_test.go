@@ -175,7 +175,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 		return st
 	}
 
-	b := scenario.NewBatchOf()
+	b := scenario.NewBatch(nil)
 	lane0 := b.Admit(build(0))
 	b.Start()
 	// Fly lane 0 alone for a while, then admit lane 1 mid-flight.
@@ -217,7 +217,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 // evicted, slots cannot be evicted twice, and a build-failed lane's error
 // is recoverable exactly once.
 func TestBatchEvictGuards(t *testing.T) {
-	b := scenario.NewBatchOf()
+	b := scenario.NewBatch(nil)
 	st, err := scenario.Build(scenario.Spec{Seed: 71, Workload: mission.Hover{}, MaxSeconds: 2})
 	if err != nil {
 		t.Fatal(err)

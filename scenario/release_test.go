@@ -88,7 +88,11 @@ func TestReleasedBuffersBitIdentical(t *testing.T) {
 			stacks, of = append(stacks, st), append(of, i)
 		}
 
-		results, errs := scenario.NewBatchOf(stacks...).Run()
+		b := scenario.NewBatch(nil)
+		for _, st := range stacks {
+			b.Admit(st)
+		}
+		results, errs := b.Run()
 		for lane, res := range results {
 			i := of[lane]
 			kind := specs[i].Workload.Kind()

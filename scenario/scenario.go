@@ -32,7 +32,6 @@ import (
 	"fmt"
 
 	"dronedse/autopilot"
-	"dronedse/control"
 	"dronedse/mission"
 	"dronedse/offload"
 	"dronedse/platform"
@@ -176,9 +175,6 @@ type Spec struct {
 	Battery Battery
 	// Compute selects the companion-computer draw (zero = RPi+Navio2).
 	Compute Compute
-	// Rates overrides the control-cascade rates (zero = Table 2b defaults).
-	Rates control.Rates
-
 	// TakeoffAltM is the takeoff altitude (default 5).
 	TakeoffAltM float64
 	// Workload is what the vehicle does after takeoff (nil = mission.Box{},
@@ -295,7 +291,7 @@ func Build(spec Spec) (*Stack, error) {
 	}
 	baseW := spec.Compute.BoardW()
 	ap, err := autopilot.New(autopilot.Config{
-		Quad: q, Rates: spec.Rates, Battery: pack, ComputeW: baseW,
+		Quad: q, Battery: pack, ComputeW: baseW,
 		TakeoffAltM: spec.TakeoffAltM, Seed: spec.Seed,
 	})
 	if err != nil {

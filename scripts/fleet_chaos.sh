@@ -42,7 +42,7 @@ SUBMIT="submit -n $JOBS -workload hover -seconds 10 -vary 6 -seed 50"
 start_fleetd() {
     rm -f "$WORK/addr"
     env $FLEETD_ENV "$WORK/fleetd" -http 127.0.0.1:0 -telem 127.0.0.1:0 \
-        -addrfile "$WORK/addr" -shards 2 -lanes 4 -journal "$1" \
+        -addrfile "$WORK/addr" -lanes 4 -journal "$1" \
         >>"$WORK/fleetd.log" 2>&1 &
     FLEETD_PID=$!
     i=0
