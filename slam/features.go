@@ -95,10 +95,15 @@ var briefPattern = func() [256][4]int {
 // this far from every border take the unclamped describe fast path.
 const briefRadius = 7
 
-// detectBandRows is the fixed height of one detection band. Band boundaries
-// depend only on the image height — never on the pool size — so the merged
-// keypoint list is identical however the bands are scheduled.
+// detectBandRows is the fixed height of one detection band. Bands are
+// aligned to multiples of it in y, so their boundaries depend only on the
+// image height — never on the pool size — and, because it is a multiple of
+// suppressCell, every suppression cell lies inside exactly one band.
 const detectBandRows = 32
+
+// suppressCell is the side of the square cells within which only the
+// strongest corner survives.
+const suppressCell = 8
 
 // Detector runs FAST-style corner detection plus BRIEF-style description.
 // The zero value is usable but unconfigured; a Detector is not safe for
@@ -118,16 +123,22 @@ type Detector struct {
 }
 
 // detectScratch is the detector's reusable per-frame storage: per-band
-// keypoint buffers for the parallel scan, the merged keypoint buffer, the
-// flat suppression grid, and the BRIEF pattern flattened to pixel strides
-// for the current image width.
+// candidate buffers and suppression grids for the parallel scan, the merged
+// keypoint buffer, and the BRIEF pattern flattened to pixel strides for the
+// current image width.
 type detectScratch struct {
-	bands    [][]Keypoint // one buffer per row band
-	kps      []Keypoint   // merged candidates (suppressed in place)
-	grid     []int32      // suppression grid: cell -> candidate index, -1 empty
+	bands    []bandScratch
+	kps      []Keypoint // suppressed winners of every band, in band order
 	briefOff [256][2]int32
 	briefW   int // image width briefOff was computed for (0 = none)
 	sorter   kpSorter
+}
+
+// bandScratch is one detection band's storage, touched only by the worker
+// that scans the band.
+type bandScratch struct {
+	kps  []Keypoint // the band's corners, suppressed in place
+	grid []int32    // the band's suppression cells: cell -> corner index, -1 empty
 }
 
 // kpSorter sorts keypoints by descending response. It lives in the scratch
@@ -146,26 +157,30 @@ func NewDetector(stats *Stats) *Detector {
 }
 
 // Detect finds corners and computes their descriptors. The pixel scan fans
-// out over fixed-height row bands via the parallelx pool and the per-band
-// results are concatenated in band order, which is exactly the row-major
-// order of the serial scan; description is parallelized per keypoint. The
-// result is therefore identical at every pool size.
+// out over cell-aligned row bands via the parallelx pool; each band keeps
+// the strongest corner per suppression cell, and the winners are
+// concatenated in band order, which is exactly the row-major order of a
+// serial scan followed by one global suppression pass. Description is
+// parallelized per keypoint. The result is therefore identical at every
+// pool size.
 func (d *Detector) Detect(im Image) []Keypoint {
 	sc := &d.scratch
-	rows := im.H - 6 // y ranges over [3, H-3)
-	var nb int
-	if rows > 0 {
-		nb = (rows + detectBandRows - 1) / detectBandRows
+	yEnd := im.H - 3 // y ranges over [3, H-3)
+	if yEnd <= 3 {
+		yEnd = 0 // no rows to scan: MapChunks runs no band
 	}
+	nb := (yEnd + detectBandRows - 1) / detectBandRows
 	for len(sc.bands) < nb {
-		sc.bands = append(sc.bands, nil)
+		sc.bands = append(sc.bands, bandScratch{})
 	}
-	bands := parallelx.MapChunks(rows, detectBandRows, func(ci, lo, hi int) []Keypoint {
-		return d.detectBand(im, 3+lo, 3+hi, sc.bands[ci][:0])
+	bands := parallelx.MapChunks(yEnd, detectBandRows, func(ci, lo, hi int) []Keypoint {
+		b := &sc.bands[ci]
+		b.kps = d.detectBand(im, max(lo, 3), hi, b.kps[:0])
+		b.kps, b.grid = suppressBand(b.kps, b.grid, lo, hi, im.W)
+		return b.kps
 	})
 	kps := sc.kps[:0]
-	for ci, b := range bands {
-		sc.bands[ci] = b // keep grown buffers for the next frame
+	for _, b := range bands {
 		kps = append(kps, b...)
 	}
 	if d.Stats != nil {
@@ -174,8 +189,6 @@ func (d *Detector) Detect(im Image) []Keypoint {
 		d.Stats.FeatureExtractionOps += uint64(im.W*im.H) * 10
 	}
 
-	// Non-max-ish suppression: keep the strongest within a cell grid.
-	kps = d.suppress(kps, im.W, im.H, 8)
 	sc.sorter.kps = kps
 	sort.Sort(&sc.sorter)
 	sc.sorter.kps = nil
@@ -219,7 +232,7 @@ func hasRun9(m uint32) bool {
 // detectBand scans rows [y0, y1) for FAST-9 corners, appending to out. The
 // scan range keeps the radius-3 circle inside the image, so every circle
 // sample indexes Pix directly without border clamping. The segment test
-// builds 16-bit brighter/darker masks and checks for a 9-run with bit
+// builds a 16-bit brighter or darker mask and checks for a 9-run with bit
 // arithmetic instead of scanning the doubled circle.
 func (d *Detector) detectBand(im Image, y0, y1 int, out []Keypoint) []Keypoint {
 	thr := d.Threshold
@@ -235,13 +248,17 @@ func (d *Detector) detectBand(im Image, y0, y1 int, out []Keypoint) []Keypoint {
 	t2 := uint(2*thr - 1)
 	for y := y0; y < y1; y++ {
 		row := y * w
-		// Row slices for the compass points: indexing them with x (proved
-		// in range by the loop bounds) drops the per-load bounds checks
-		// that dominate the flat-offset form.
+		// Row slices for the compass points, all cut to one length n so
+		// that indexing them with x < n needs no bounds check: rC is the
+		// centre row, rE the centre row shifted 3 pixels east, rT and rB
+		// the rows 3 above and below.
 		rC := pix[row : row+w]
-		rT := pix[row-3*w : row-3*w+w]
-		rB := pix[row+3*w : row+3*w+w]
-		for x := 3; x < w-3; x++ {
+		rE := rC[3:]
+		n := len(rE)
+		rC = rC[:n]
+		rT := pix[row-3*w:][:n]
+		rB := pix[row+3*w:][:n]
+		for x := 3; x < n; x++ {
 			c := int(rC[x])
 			hiT, loT := c+thr, c-thr
 			// Fast reject, stage 1: a 9-run of the 16-circle spans half the
@@ -255,38 +272,42 @@ func (d *Detector) detectBand(im Image, y0, y1 int, out []Keypoint) []Keypoint {
 				continue
 			}
 			// Stage 2: a 9-run must cover at least 2 of the 4 compass
-			// points, so fewer than 2 strong compass differences (on both
-			// sides) cannot be a FAST-9 corner. Counted branchlessly: a
-			// point cannot be both bright and dark, so the independent
-			// sums match the if/else-if chain.
-			p4 := int(rC[x+3])
+			// points, so fewer than 2 strong compass differences on a side
+			// rule out a 9-run on that side. Counted branchlessly: a point
+			// cannot be both bright and dark, so the independent sums match
+			// the if/else-if chain.
+			p4 := int(rE[x])
 			p12 := int(rC[x-3])
 			hi := b2i(p0 >= hiT) + b2i(p4 >= hiT) + b2i(p8 >= hiT) + b2i(p12 >= hiT)
 			lo := b2i(p0 <= loT) + b2i(p4 <= loT) + b2i(p8 <= loT) + b2i(p12 <= loT)
-			if hi < 2 && lo < 2 {
-				continue
-			}
-			// Full segment test over brighter/darker circle masks, built
+			// Full segment test, one side at a time: only a side that
+			// passed stage 2 can hold a 9-run, so its mask alone is built,
 			// branchlessly (candidate pixels are textured, so the per-point
 			// outcomes are close to random and mispredict as branches).
 			at := row + x
-			var bright, dark uint32
-			for k := 0; k < 16; k++ {
-				p := int(pix[at+off[k]])
-				bright |= uint32(b2u(p >= hiT)) << uint(k)
-				dark |= uint32(b2u(p <= loT)) << uint(k)
+			corner := false
+			if hi >= 2 {
+				var bright uint32
+				for k := 0; k < 16; k++ {
+					bright |= uint32(b2u(int(pix[at+off[k]]) >= hiT)) << uint(k)
+				}
+				corner = hasRun9(bright)
 			}
-			if !hasRun9(bright) && !hasRun9(dark) {
+			if !corner && lo >= 2 {
+				var dark uint32
+				for k := 0; k < 16; k++ {
+					dark |= uint32(b2u(int(pix[at+off[k]]) <= loT)) << uint(k)
+				}
+				corner = hasRun9(dark)
+			}
+			if !corner {
 				continue
 			}
+			// Response: the largest |p - c| over the circle.
 			resp := 0
 			for k := 0; k < 16; k++ {
 				p := int(pix[at+off[k]])
-				if p-c > resp {
-					resp = p - c
-				} else if c-p > resp {
-					resp = c - p
-				}
+				resp = max(resp, p-c, c-p)
 			}
 			out = append(out, Keypoint{X: float64(x), Y: float64(y), Response: resp})
 		}
@@ -294,39 +315,39 @@ func (d *Detector) detectBand(im Image, y0, y1 int, out []Keypoint) []Keypoint {
 	return out
 }
 
-// suppress keeps only the strongest keypoint per cell x cell block (first
-// occurrence wins ties), compacting kps in place. Winners are emitted in
-// detection order: the strongest-response sort downstream breaks ties by
-// position in this slice, so feeding it any other order would make the
-// surviving keypoint set (and every pose estimate built on it) vary run to
-// run. The cell grid is a flat slice reused across frames.
-func (d *Detector) suppress(kps []Keypoint, w, h, cell int) []Keypoint {
-	cw := (w + cell - 1) / cell
-	ch := (h + cell - 1) / cell
-	grid := d.scratch.grid
-	if len(grid) < cw*ch {
-		grid = make([]int32, cw*ch)
-		d.scratch.grid = grid
-	}
-	grid = grid[:cw*ch]
+// suppressBand keeps only the strongest corner per suppressCell block (first
+// occurrence wins ties), compacting kps — the corners of band rows [y0, y1)
+// in detection order — in place and emitting the winners in detection order.
+// The strongest-response sort downstream breaks ties by position in the
+// merged slice, so any other order would make the surviving keypoint set
+// (and every pose estimate built on it) vary run to run. y0 and y1 are
+// multiples of suppressCell except at the image border, so every cell the
+// band touches holds only this band's corners and the band-local winners
+// are exactly a global pass's. w is the image width; grid is the band's
+// reusable cell buffer, returned grown as needed.
+func suppressBand(kps []Keypoint, grid []int32, y0, y1, w int) ([]Keypoint, []int32) {
+	cw := (w + suppressCell - 1) / suppressCell
+	r0 := y0 / suppressCell
+	cells := ((y1+suppressCell-1)/suppressCell - r0) * cw
+	grid = grow(grid, cells)
 	for i := range grid {
 		grid[i] = -1
 	}
 	for i, kp := range kps {
-		key := int(kp.Y)/cell*cw + int(kp.X)/cell
+		key := (int(kp.Y)/suppressCell-r0)*cw + int(kp.X)/suppressCell
 		if j := grid[key]; j < 0 || kp.Response > kps[j].Response {
 			grid[key] = int32(i)
 		}
 	}
 	n := 0
 	for i := range kps {
-		key := int(kps[i].Y)/cell*cw + int(kps[i].X)/cell
+		key := (int(kps[i].Y)/suppressCell-r0)*cw + int(kps[i].X)/suppressCell
 		if grid[key] == int32(i) {
 			kps[n] = kps[i]
 			n++
 		}
 	}
-	return kps[:n]
+	return kps[:n], grid
 }
 
 // describeKp computes the BRIEF-style descriptor at a keypoint. Interior

@@ -127,8 +127,10 @@ func OptimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []floa
 // path the tracking loop and BA motion step use. The arithmetic (including
 // accumulation order) is bit-identical to the original Dense-backed loop:
 // the rotation matrix and point skew are hoisted because they are constant
-// within an iteration/observation, and CholeskyInto/SolveWithCholesky are
-// the bit-exact in-place siblings of SolveCholesky.
+// within an iteration/observation, the symmetric normal matrix is
+// accumulated as its upper triangle and mirrored (21 of 36 updates), and
+// CholeskyInto/SolveWithCholesky are the bit-exact in-place siblings of
+// SolveCholesky.
 func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []float64, iters int, stats *Stats, ps *poseScratch) Pose {
 	pose := init
 	n := len(pts)
@@ -177,9 +179,13 @@ func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []floa
 					j[r][3+cIdx] = jx[r][0]*sk[0][cIdx] + jx[r][1]*sk[1][cIdx] + jx[r][2]*sk[2][cIdx]
 				}
 			}
+			// Only the upper triangle is accumulated: IEEE multiplication
+			// commutes exactly, so the lower entry a full loop would add,
+			// w * (j[0][b]*j[0][a] + j[1][b]*j[1][a]), is this one bit for
+			// bit, and the copy below mirrors it.
 			for a := 0; a < 6; a++ {
 				g[a] += w * (j[0][a]*ru + j[1][a]*rv)
-				for b := 0; b < 6; b++ {
+				for b := a; b < 6; b++ {
 					hm[a][b] += w * (j[0][a]*j[0][b] + j[1][a]*j[1][b])
 				}
 			}
@@ -194,7 +200,7 @@ func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []floa
 		}
 		for a := 0; a < 6; a++ {
 			for b := 0; b < 6; b++ {
-				ps.h.Set(a, b, hm[a][b])
+				ps.h.Set(a, b, hm[min(a, b)][max(a, b)])
 			}
 			ps.neg[a] = -g[a]
 		}

@@ -3,6 +3,7 @@ package slam
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dronedse/dataset"
@@ -149,15 +150,11 @@ func TestDetectPoolInvariant(t *testing.T) {
 	}
 }
 
-// TestDetectMatchesReferenceScan pins the banded kernel to a plain reference
-// implementation: a single row-major scan with clamped At sampling, mapped
-// over the same suppression/sort/describe tail. This guards the band merge
-// order, the unclamped interior indexing, and the bitmask segment test.
-func TestDetectMatchesReferenceScan(t *testing.T) {
-	im := synthImage(190, 140, [][2]int{{25, 25}, {100, 70}, {160, 120}, {40, 110}}, 99)
-	d := NewDetector(nil)
-
-	// Reference corner scan (FAST-9 with the 2-of-4 compass pre-test).
+// refFASTScan is the plain reference corner scan: FAST-9 with the 2-of-4
+// compass pre-test, a single row-major pass with clamped At sampling, the
+// segment test as a run count over the doubled circle, and the response as
+// the largest |p - c| on the circle.
+func refFASTScan(im Image, thr int) []Keypoint {
 	var ref []Keypoint
 	for y := 3; y < im.H-3; y++ {
 		for x := 3; x < im.W-3; x++ {
@@ -165,9 +162,9 @@ func TestDetectMatchesReferenceScan(t *testing.T) {
 			hi, lo := 0, 0
 			for _, k := range [4]int{0, 4, 8, 12} {
 				p := int(im.At(x+fastOffsets[k][0], y+fastOffsets[k][1]))
-				if p >= c+d.Threshold {
+				if p >= c+thr {
 					hi++
-				} else if p <= c-d.Threshold {
+				} else if p <= c-thr {
 					lo++
 				}
 			}
@@ -178,9 +175,9 @@ func TestDetectMatchesReferenceScan(t *testing.T) {
 			for k := 0; k < 16; k++ {
 				p := int(im.At(x+fastOffsets[k][0], y+fastOffsets[k][1]))
 				switch {
-				case p >= c+d.Threshold:
+				case p >= c+thr:
 					diffs[k] = 1
-				case p <= c-d.Threshold:
+				case p <= c-thr:
 					diffs[k] = -1
 				}
 				diffs[16+k] = diffs[k]
@@ -212,6 +209,17 @@ func TestDetectMatchesReferenceScan(t *testing.T) {
 			ref = append(ref, Keypoint{X: float64(x), Y: float64(y), Response: resp})
 		}
 	}
+	return ref
+}
+
+// TestDetectMatchesReferenceScan pins the band scan kernel to refFASTScan:
+// detectBand run over consecutive row ranges must find exactly the
+// reference corners in the same order. This guards the unclamped interior
+// indexing, the one-sided bitmask segment test, and the response.
+func TestDetectMatchesReferenceScan(t *testing.T) {
+	im := synthImage(190, 140, [][2]int{{25, 25}, {100, 70}, {160, 120}, {40, 110}}, 99)
+	d := NewDetector(nil)
+	ref := refFASTScan(im, d.Threshold)
 
 	// The banded kernel must find exactly the reference corner set.
 	var got []Keypoint
@@ -228,6 +236,98 @@ func TestDetectMatchesReferenceScan(t *testing.T) {
 	}
 	if len(ref) == 0 {
 		t.Fatal("reference scan found nothing; test image too flat")
+	}
+}
+
+// refSuppress is one global suppression pass over the whole frame's
+// corners in row-major order: it keeps the strongest per cell x cell block
+// (first occurrence wins ties) and emits the winners in detection order.
+func refSuppress(kps []Keypoint, w, h, cell int) []Keypoint {
+	cw := (w + cell - 1) / cell
+	ch := (h + cell - 1) / cell
+	grid := make([]int, cw*ch)
+	for i := range grid {
+		grid[i] = -1
+	}
+	for i, kp := range kps {
+		key := int(kp.Y)/cell*cw + int(kp.X)/cell
+		if j := grid[key]; j < 0 || kp.Response > kps[j].Response {
+			grid[key] = i
+		}
+	}
+	var out []Keypoint
+	for i, kp := range kps {
+		if grid[int(kp.Y)/cell*cw+int(kp.X)/cell] == i {
+			out = append(out, kp)
+		}
+	}
+	return out
+}
+
+// refDetect is Detect written plainly: the reference scan, one global 8x8
+// suppression, sort.Sort by descending response, the MaxFeatures cap, and
+// the clamped describe for every keypoint.
+func refDetect(d *Detector, im Image) []Keypoint {
+	kps := refSuppress(refFASTScan(im, d.Threshold), im.W, im.H, 8)
+	sort.Sort(&kpSorter{kps})
+	if len(kps) > d.MaxFeatures {
+		kps = kps[:d.MaxFeatures]
+	}
+	for i := range kps {
+		kps[i].Desc = describe(im, kps[i])
+	}
+	return kps
+}
+
+// TestDetectMatchesReferencePipeline pins the whole Detect output —
+// keypoints, responses after suppression and sort, and descriptors — to
+// refDetect, on synthetic images (including ones with a single band) and
+// on a frame from each benchmark sequence. This guards the cell-aligned
+// bands, the band-local suppression, the one-sided segment test, and the
+// unclamped describe path.
+func TestDetectMatchesReferencePipeline(t *testing.T) {
+	images := map[string]Image{
+		"synth376x240": synthImage(376, 240, [][2]int{{30, 30}, {200, 120}, {90, 200}, {340, 40}}, 11),
+		"synth190x140": synthImage(190, 140, [][2]int{{25, 25}, {100, 70}, {160, 120}, {40, 110}}, 99),
+		"synth64x33":   synthImage(64, 33, [][2]int{{32, 16}, {10, 8}}, 13),
+		"synth20x7":    synthImage(20, 7, [][2]int{{10, 3}}, 14),
+	}
+	// The three EuRoC-style benchmark sequences plus the loop-closing orbit
+	// (roofline.LoopOrbitSpec, which this package cannot import).
+	specs := []dataset.Spec{
+		{Name: "ORBIT", Difficulty: dataset.Easy, Frames: 185, FPS: 20,
+			Landmarks: 900, SpeedMS: 2.0, RoomHalfM: 8, Orbit: true, Seed: 777},
+	}
+	for _, s := range dataset.EuRoCSpecs() {
+		switch s.Name {
+		case "MH01", "MH04", "V102":
+			specs = append(specs, s)
+		}
+	}
+	d := NewDetector(nil)
+	capped := false
+	for _, spec := range specs {
+		seq, err := dataset.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im := Image{W: seq.Cam.Width, H: seq.Cam.Height, Pix: seq.Frame(seq.Len() / 2).Image}
+		images[spec.Name] = im
+		capped = capped || len(refSuppress(refFASTScan(im, d.Threshold), im.W, im.H, 8)) > d.MaxFeatures
+	}
+	if !capped {
+		t.Fatal("no sequence frame fills the MaxFeatures cap; the sort order goes unchecked")
+	}
+	for name, im := range images {
+		want := refDetect(d, im)
+		for _, pool := range []int{1, 2} {
+			withPool(t, pool, func() {
+				if got := NewDetector(nil).Detect(im); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s pool=%d: Detect returned %d keypoints, reference %d (or they differ)",
+						name, pool, len(got), len(want))
+				}
+			})
+		}
 	}
 }
 
