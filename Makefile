@@ -57,10 +57,12 @@ race:
 # Quick benchmark smoke: exercises the pool-variant benchmarks without the
 # slow full-suite runs (SLAM/figure regeneration benchmarks stay opt-in), plus
 # the per-tick flight kernels (EKF covariance prediction, battery step) at a
-# fixed iteration count.
+# fixed iteration count, and a flight stack's Build, fresh and re-initialised
+# from the pool.
 bench-smoke:
 	$(GO) test ./core/ -run '^$$' -bench 'BenchmarkResolve|BenchmarkSweepCapacity|BenchmarkBestConfig' -benchtime 10x
 	$(GO) test ./estimation/ ./power/ -run '^$$' -bench 'BenchmarkEKFPredict|BenchmarkPackDrawPower' -benchtime 200000x
+	$(GO) test ./scenario/ -run '^$$' -bench 'BenchmarkBuild' -benchtime 200x
 	$(GO) test ./parallelx/ -run '^$$' -bench . -benchtime 10x 2>/dev/null || true
 
 # SLAM front-end kernel smoke: one quick pass over the tracking hot paths
@@ -78,14 +80,15 @@ bench-fault:
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 
 # Batch-engine smoke: the batch↔serial bit-identity property tests (batch
-# 1/8/64 × pools 1/2/8) and the released-buffer reuse property under the race
-# detector, plus the alloc-regression guards: a steady-state batched step
-# (telemetry included) must not allocate at all, and a one-second fleetd job
-# must stay within its per-job heap budget.
+# 1/8/64 × pools 1/2/8) and the released-stack reuse properties under the
+# race detector, plus the alloc-regression guards: a steady-state batched
+# step (telemetry included) must not allocate at all, and a warm
+# Build → Run → Release cycle and a one-second fleetd job must stay within
+# their heap budgets.
 bench-batch:
-	$(GO) test -race ./scenario/ -run 'TestBatchSerialBitIdentity|TestBatchTickGranularityInvariance|TestBatchLaneErrorIsolation|TestReleasedBuffersBitIdentical'
-	$(GO) test ./scenario/ -run TestBatchZeroAllocSteadyState
-	$(GO) test ./fleet/ -run TestDropArtifactsJobAllocBudget
+	$(GO) test -race ./scenario/ -run 'TestBatchSerialBitIdentity|TestBatchTickGranularityInvariance|TestBatchLaneErrorIsolation|TestReleasedBuffersBitIdentical|TestReleasedStackBitIdentical|TestFailedBuildKeepsPool|TestReleasedStackPinsNoTenant'
+	$(GO) test ./scenario/ -run 'TestBatchZeroAllocSteadyState|TestBuildRunReleaseAllocBudget'
+	$(GO) test ./fleet/ -run 'TestDropArtifactsJobAllocBudget|TestReleasedJobUnpinsHub'
 
 # End-to-end benchmark smoke: the benchmark module's own tests (every
 # workload, plain and traced, at -scale 0.01). The benchmark is a nested

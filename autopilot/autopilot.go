@@ -162,6 +162,16 @@ func New(cfg Config) (*Autopilot, error) {
 	if cfg.Quad == nil {
 		return nil, errors.New("autopilot: nil plant")
 	}
+	a := new(Autopilot)
+	a.Init(cfg)
+	return a, nil
+}
+
+// Init re-initialises a in place as New(cfg) would build it; cfg.Quad must
+// be set. The cascade, sensor suite and estimator it already owns are
+// re-initialised rather than replaced, and its random source is reseeded,
+// so a reused autopilot flies bit-identically to a new one.
+func (a *Autopilot) Init(cfg Config) {
 	r := cfg.Rates
 	if r.RateHz == 0 {
 		r = control.DefaultRates()
@@ -170,25 +180,51 @@ func New(cfg Config) (*Autopilot, error) {
 	if alt <= 0 {
 		alt = 5
 	}
-	a := &Autopilot{
+	physicsHz := 1000.0
+	if r.RateHz > physicsHz {
+		physicsHz = r.RateHz
+	}
+	cascade, suite, est := a.cascade, a.suite, a.est
+	if cascade == nil {
+		cascade = new(control.Cascade)
+	}
+	if suite == nil {
+		suite = new(sensors.Suite)
+	}
+	if est == nil {
+		est = new(estimation.Estimator)
+	}
+	cascade.Init(cfg.Quad)
+	suite.Init(cfg.Seed)
+	est.Init()
+	clear(a.observers)
+	*a = Autopilot{
 		quad:       cfg.Quad,
-		cascade:    control.NewCascade(cfg.Quad),
-		suite:      sensors.NewSuite(cfg.Seed),
-		est:        estimation.NewEstimator(),
+		cascade:    cascade,
+		suite:      suite,
+		est:        est,
 		battery:    cfg.Battery,
-		rng:        rand.New(rand.NewSource(cfg.Seed + 99)),
+		rng:        mathx.Reseed(a.rng, cfg.Seed+99),
 		takeoffAlt: alt,
 		computeW:   cfg.ComputeW,
-		physicsHz:  1000,
+		physicsHz:  physicsHz,
+		dt:         1 / physicsHz,
+		pos:        newStride(physicsHz, r.PositionHz),
+		att:        newStride(physicsHz, r.AttitudeHz),
+		rate:       newStride(physicsHz, r.RateHz),
+		observers:  a.observers[:0],
 	}
-	if r.RateHz > a.physicsHz {
-		a.physicsHz = r.RateHz
-	}
-	a.dt = 1 / a.physicsHz
-	a.pos = newStride(a.physicsHz, r.PositionHz)
-	a.att = newStride(a.physicsHz, r.AttitudeHz)
-	a.rate = newStride(a.physicsHz, r.RateHz)
-	return a, nil
+}
+
+// Detach drops everything installed on a from outside — step observers,
+// fault signals, the sensor suite's fault view, and the mission,
+// trajectory and follow target — so an idle autopilot keeps none of its
+// last flight's objects reachable. Init restores the rest.
+func (a *Autopilot) Detach() {
+	clear(a.observers)
+	a.observers = a.observers[:0]
+	a.faults, a.suite.Faults = nil, nil
+	a.mission, a.staged, a.traj, a.follow = nil, nil, nil, FollowConfig{}
 }
 
 // stride gates a control loop to every every-th physics step, starting with

@@ -62,28 +62,36 @@ type Cascade struct {
 // NewCascade builds a tuned cascade for a plant. Gains scale with mass and
 // inertia so the same tuning flies the 100 mm and 800 mm classes.
 func NewCascade(q *sim.Quad) *Cascade {
+	c := new(Cascade)
+	c.Init(q)
+	return c
+}
+
+// Init re-initialises c in place as NewCascade(q) would build it: gains
+// tuned for q, every loop's state cleared and the work ledger zeroed.
+func (c *Cascade) Init(q *sim.Quad) {
 	cfg := q.Config()
 	wbM := cfg.WheelbaseMM / 1000
-	c := &Cascade{
+	const maxVelXY = 6
+	*c = Cascade{
 		MassKg: cfg.MassKg,
 		Inertia: mathx.V3(
 			0.05*cfg.MassKg*wbM*wbM,
 			0.05*cfg.MassKg*wbM*wbM,
 			0.09*cfg.MassKg*wbM*wbM),
-		MaxTiltRad: units.DegToRad(35),
-		MaxVelXY:   6,
-		MaxVelZ:    3,
-		MaxThrustN: q.MaxThrustPerMotorN(),
-		armM:       wbM / 2 * math.Sqrt2 / 2,
-		torquePerN: 0.05 * units.InchToMeter(cfg.PropInches) * 10,
-		attP:       8,
+		MaxTiltRad:   units.DegToRad(35),
+		MaxVelXY:     maxVelXY,
+		MaxVelZ:      3,
+		MaxThrustN:   q.MaxThrustPerMotorN(),
+		armM:         wbM / 2 * math.Sqrt2 / 2,
+		torquePerN:   0.05 * units.InchToMeter(cfg.PropInches) * 10,
+		posP:         *NewVec3PID(PID{Kp: 1.1, OutputLimit: maxVelXY}),
+		velP:         *NewVec3PID(PID{Kp: 3.0, Ki: 0.4, Kd: 0.55, IntegralLimit: 2, OutputLimit: 8, DerivativeLPF: 0.4}),
+		attP:         8,
+		rate:         *NewVec3PID(PID{Kp: 28, Ki: 12, Kd: 0.4, IntegralLimit: 4, DerivativeLPF: 0.3}),
+		attTarget:    mathx.QuatIdentity(),
+		thrustTarget: cfg.MassKg * units.Gravity,
 	}
-	c.posP = *NewVec3PID(PID{Kp: 1.1, OutputLimit: c.MaxVelXY})
-	c.velP = *NewVec3PID(PID{Kp: 3.0, Ki: 0.4, Kd: 0.55, IntegralLimit: 2, OutputLimit: 8, DerivativeLPF: 0.4})
-	c.rate = *NewVec3PID(PID{Kp: 28, Ki: 12, Kd: 0.4, IntegralLimit: 4, DerivativeLPF: 0.3})
-	c.attTarget = mathx.QuatIdentity()
-	c.thrustTarget = cfg.MassKg * units.Gravity
-	return c
 }
 
 // UpdatePosition runs the high-level position/trajectory controller

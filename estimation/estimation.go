@@ -37,7 +37,13 @@ type AttitudeFilter struct {
 
 // NewAttitudeFilter returns a filter initialized level.
 func NewAttitudeFilter() *AttitudeFilter {
-	return &AttitudeFilter{AccelGain: 0.15, BiasGain: 0.03, MagGain: 0.3, q: mathx.QuatIdentity()}
+	f := new(AttitudeFilter)
+	f.init()
+	return f
+}
+
+func (f *AttitudeFilter) init() {
+	*f = AttitudeFilter{AccelGain: 0.15, BiasGain: 0.03, MagGain: 0.3, q: mathx.QuatIdentity()}
 }
 
 // PredictGyro integrates the bias-corrected body rate over dt.
@@ -98,9 +104,10 @@ func wrapAngle(a float64) float64 {
 // unchanged while a scenario batch can step thousands of filters without
 // touching the heap.
 type PosVelEKF struct {
-	x  []float64    // state
-	p  *mathx.Dense // covariance
-	pd []float64    // p's row-major backing storage, for predictCovariance
+	arena []float64   // every slice and matrix below is carved out of it
+	x     []float64   // state
+	p     mathx.Dense // covariance
+	pd    []float64   // p's row-major backing storage, for predictCovariance
 
 	// Stats is the filter's work ledger (see EKFStats); it only counts, so
 	// reading it never perturbs the filter state.
@@ -129,28 +136,50 @@ const ekfArenaFloats = 6 + 8*36 + 4*6 + 2*6
 
 // NewPosVelEKF returns a filter at the origin with loose covariance.
 func NewPosVelEKF() *PosVelEKF {
-	arena := make([]float64, ekfArenaFloats)
+	k := new(PosVelEKF)
+	k.init()
+	return k
+}
+
+// init (re)starts the filter at the origin with loose covariance, zeroing
+// and re-carving the arena it already owns.
+func (k *PosVelEKF) init() {
+	arena := k.arena
+	if arena == nil {
+		arena = make([]float64, ekfArenaFloats)
+	} else {
+		clear(arena)
+	}
+	rest := arena
 	take := func(n int) []float64 {
-		s := arena[:n:n]
-		arena = arena[n:]
+		s := rest[:n:n]
+		rest = rest[n:]
 		return s
 	}
 	mat := func() mathx.Dense { return mathx.DenseOn(take(36), 6, 6) }
-	k := &PosVelEKF{AccelNoise: 0.8}
-	k.x = take(6)
-	k.pd = take(36)
-	pm := mathx.DenseOn(k.pd, 6, 6)
-	k.p = &pm
-	k.t1 = mat()
-	k.s, k.pht = mat(), mat()
-	k.kg, k.kh, k.imkh = mat(), mat(), mat()
-	k.l = mat()
-	k.innov = take(6)
-	k.row, k.sol, k.ys = take(6), take(6), take(6)
-	k.zbuf, k.rbuf = take(6), take(6)
+	x, pd := take(6), take(36)
+	*k = PosVelEKF{
+		arena:      arena,
+		x:          x,
+		p:          mathx.DenseOn(pd, 6, 6),
+		pd:         pd,
+		AccelNoise: 0.8,
+		t1:         mat(),
+		s:          mat(),
+		pht:        mat(),
+		kg:         mat(),
+		kh:         mat(),
+		imkh:       mat(),
+		l:          mat(),
+		innov:      take(6),
+		row:        take(6),
+		sol:        take(6),
+		ys:         take(6),
+		zbuf:       take(6),
+		rbuf:       take(6),
+	}
 	k.p.SetIdentity()
 	k.p.ScaleInPlace(10)
-	return k
 }
 
 // Predict advances the state with a world-frame acceleration over dt.
@@ -285,7 +314,7 @@ func (k *PosVelEKF) update(idx []int, z, r []float64) {
 			k.imkh.Addf(i, j, -k.kh.At(i, j))
 		}
 	}
-	k.t1.MulOf(&k.imkh, k.p)
+	k.t1.MulOf(&k.imkh, &k.p)
 	k.p.CopyFrom(&k.t1)
 	k.p.Symmetrize()
 }
@@ -390,7 +419,24 @@ type Estimator struct {
 
 // NewEstimator builds the default estimator.
 func NewEstimator() *Estimator {
-	return &Estimator{Att: NewAttitudeFilter(), Pos: NewPosVelEKF()}
+	e := new(Estimator)
+	e.Init()
+	return e
+}
+
+// Init re-initialises e in place as NewEstimator would build it, restarting
+// its attitude filter and EKF inside the storage they already own.
+func (e *Estimator) Init() {
+	att, pos := e.Att, e.Pos
+	if att == nil {
+		att = new(AttitudeFilter)
+	}
+	if pos == nil {
+		pos = new(PosVelEKF)
+	}
+	att.init()
+	pos.init()
+	*e = Estimator{Att: att, Pos: pos}
 }
 
 // DeclareOutage marks a sensor (sensors.SensorGPS/SensorBaro/SensorMag) as

@@ -188,8 +188,8 @@ func Run(scenarios []Scenario, cfg Config) (*Campaign, error) {
 		r.res.MaxPathDivM = maxDivergence(r.traj, base.traj)
 		c.Results = append(c.Results, r.res)
 	}
-	// Every row and divergence is computed: the flights' recordings can go
-	// to the next campaign's lanes.
+	// Every row and divergence is computed: the flights' stacks can go to
+	// the next campaign's lanes.
 	for _, res := range results {
 		res.Release()
 	}

@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"weak"
 
 	"dronedse/fleet"
+	"dronedse/groundstation"
 )
 
 // TestLaneStepsCountsStepsTaken pins Stats.LaneSteps to the physics steps
@@ -34,11 +36,12 @@ func TestLaneStepsCountsStepsTaken(t *testing.T) {
 }
 
 // TestDropArtifactsJobAllocBudget pins what one job costs a DropArtifacts
-// server in heap bytes. Finished jobs release their flight log, trace and
-// trajectory for the next Build to record into, so a one-second box job
-// allocates well under the ~250 KiB it cost when every Build reserved its own
-// worst-case buffers. GC is off during the measurement so the buffer pool is
-// never drained.
+// server in heap bytes. Finished jobs release their whole flight stack —
+// plant, autopilot, filters, random sources and recordings — for the next
+// Build to re-initialise in place, so a one-second box job allocates only
+// its bookkeeping: about 2.6 KiB, against ~46 KiB when only the recordings
+// were pooled and ~250 KiB before that. GC is off during the measurement so
+// the pool is never drained.
 func TestDropArtifactsJobAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a random quarter of released buffers")
@@ -57,7 +60,7 @@ func TestDropArtifactsJobAllocBudget(t *testing.T) {
 	}
 	fly(1) // warm-up: its release stocks the pool
 
-	const jobs, budgetKiB = 20, 100
+	const jobs, budgetKiB = 20, 4
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < jobs; i++ {
@@ -68,5 +71,33 @@ func TestDropArtifactsJobAllocBudget(t *testing.T) {
 	t.Logf("%.1f KiB allocated per job", perJob)
 	if perJob > budgetKiB {
 		t.Fatalf("a one-second job allocates %.1f KiB, budget %d KiB", perJob, budgetKiB)
+	}
+}
+
+// TestReleasedJobUnpinsHub pins that a DropArtifacts server's released
+// flight stack does not keep the job's telemetry hub reachable: the stack
+// waits in the pool for the next Build, but the sink closure that reached
+// the hub went with the Spec. Once the server itself is dropped, one
+// collection (which leaves pooled stacks alive) frees the hub.
+func TestReleasedJobUnpinsHub(t *testing.T) {
+	fly := func() weak.Pointer[groundstation.Hub] {
+		srv := fleet.New(fleet.Config{DropArtifacts: true})
+		id, err := srv.Submit(fleet.JobSpec{Seed: 9, MaxSeconds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, srv)
+		if st, _ := srv.Job(id); st.Digests == nil {
+			t.Fatalf("job %d ended %s: %s", id, st.State, st.Error)
+		}
+		if srv.Stats().FramesPublished == 0 {
+			t.Fatal("the job published no telemetry")
+		}
+		return weak.Make(srv.JobHub(id))
+	}
+	hub := fly()
+	runtime.GC()
+	if hub.Value() != nil {
+		t.Fatal("a released job's telemetry hub is still reachable")
 	}
 }

@@ -50,11 +50,11 @@ type Config struct {
 	// (0 = unlimited). A job that blows it is evicted mid-flight with
 	// ErrDeadline. JobSpec.DeadlineS overrides it per job.
 	JobDeadline time.Duration
-	// DropArtifacts releases each finished job's log, trace and trajectory
-	// after digesting (scenario.Result.Release), keeping only the summary
-	// and digests — the 10k+ lane benchmark configuration. Later jobs record
-	// into the released buffers. Result-returning APIs then serve a
-	// summary-only Result.
+	// DropArtifacts releases each finished job's flight stack — log, trace
+	// and trajectory included — after digesting (scenario.Result.Release),
+	// keeping only the summary and digests: the 10k+ lane benchmark
+	// configuration. Later jobs' Builds re-initialise the released stacks.
+	// Result-returning APIs then serve a summary-only Result.
 	DropArtifacts bool
 }
 
@@ -369,7 +369,7 @@ func (s *Server) finalize(j *job, res *scenario.Result, err error) {
 			FinalMode:            res.FinalMode.String(),
 		}
 		if s.cfg.DropArtifacts {
-			res.Release() // digested; the next Build records into its buffers
+			res.Release() // digested; the next Build re-initialises its stack
 		}
 	}
 	if s.jl != nil {

@@ -98,13 +98,28 @@ func (r Report) Feasible() bool { return r.ThroughputOK && r.DeadlineOK }
 // ErrNoFrames means the ledger carries no frame count to normalize by.
 var ErrNoFrames = errors.New("offload: work ledger has no frames")
 
+// ValidateLedger reports whether a SLAM work ledger can be priced per
+// frame: Evaluate, and so NewSession, fail on exactly the ledgers it
+// rejects.
+func ValidateLedger(st slam.Stats) error {
+	if st.Frames == 0 {
+		return ErrNoFrames
+	}
+	return nil
+}
+
 // Evaluate computes the offload feasibility of running the measured SLAM
 // work on the node over the link. onboardRPiW is the power the on-board
 // host would burn (the §5.1 ~2 W SLAM increment).
 func Evaluate(link Link, node Node, w Workload, st slam.Stats, onboardRPiW float64) (Report, error) {
-	if st.Frames == 0 {
-		return Report{}, ErrNoFrames
+	if err := ValidateLedger(st); err != nil {
+		return Report{}, err
 	}
+	return evaluate(link, node, w, st, onboardRPiW), nil
+}
+
+// evaluate is Evaluate for a ledger that passes ValidateLedger.
+func evaluate(link Link, node Node, w Workload, st slam.Stats, onboardRPiW float64) Report {
 	r := Report{Link: link, Node: node}
 
 	// Serialization delays.
@@ -128,7 +143,7 @@ func Evaluate(link Link, node Node, w Workload, st slam.Stats, onboardRPiW float
 
 	// Airborne power: radio TX replaces the on-board host's burn.
 	r.PowerDeltaW = link.TxPowerW - onboardRPiW
-	return r, nil
+	return r
 }
 
 // Compare evaluates the standard links against a node for one ledger.

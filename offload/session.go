@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dronedse/core"
+	"dronedse/mathx"
 	"dronedse/slam"
 )
 
@@ -74,10 +75,18 @@ type Session struct {
 // starts offloaded. st supplies the per-frame remote compute time the same
 // way Evaluate derives it.
 func NewSession(cfg SessionConfig, st slam.Stats) (*Session, error) {
-	rep, err := Evaluate(cfg.Link, cfg.Node, cfg.W, st, cfg.OnboardW)
-	if err != nil {
+	if err := ValidateLedger(st); err != nil {
 		return nil, err
 	}
+	s := new(Session)
+	s.Init(cfg, st)
+	return s, nil
+}
+
+// Init re-initialises s in place as NewSession(cfg, st) would build it from
+// a ledger that passes ValidateLedger, reseeding its jitter source; no link
+// probe is installed.
+func (s *Session) Init(cfg SessionConfig, st slam.Stats) {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 3
 	}
@@ -93,13 +102,13 @@ func NewSession(cfg SessionConfig, st slam.Stats) (*Session, error) {
 	if cfg.RecoverAfterS <= 0 {
 		cfg.RecoverAfterS = 5
 	}
-	return &Session{
+	*s = Session{
 		cfg:          cfg,
-		baseRep:      rep,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		baseRep:      evaluate(cfg.Link, cfg.Node, cfg.W, st, cfg.OnboardW),
+		rng:          mathx.Reseed(s.rng, cfg.Seed),
 		offloaded:    true,
 		healthySince: -1,
-	}, nil
+	}
 }
 
 // SetProbe installs the link-condition source (nil means always healthy).

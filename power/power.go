@@ -41,18 +41,35 @@ type Pack struct {
 	vValid                      bool
 }
 
-// NewPack builds a pack; it validates the configuration.
-func NewPack(cells int, capacityMah, dischargeC float64) (*Pack, error) {
+// ValidatePack reports whether a pack of the given cell count, capacity and
+// C rating can be built: 1 to 12 cells, positive capacity and rating.
+func ValidatePack(cells int, capacityMah, dischargeC float64) error {
 	if cells < 1 || cells > 12 {
-		return nil, errors.New("power: cell count out of range")
+		return errors.New("power: cell count out of range")
 	}
 	if capacityMah <= 0 {
-		return nil, errors.New("power: non-positive capacity")
+		return errors.New("power: non-positive capacity")
 	}
 	if dischargeC <= 0 {
-		return nil, errors.New("power: non-positive C rating")
+		return errors.New("power: non-positive C rating")
 	}
-	return &Pack{Cells: cells, CapacityMah: capacityMah, DischargeC: dischargeC, PeukertK: 1.05}, nil
+	return nil
+}
+
+// NewPack builds a pack; it validates the configuration.
+func NewPack(cells int, capacityMah, dischargeC float64) (*Pack, error) {
+	if err := ValidatePack(cells, capacityMah, dischargeC); err != nil {
+		return nil, err
+	}
+	p := new(Pack)
+	p.Init(cells, capacityMah, dischargeC)
+	return p, nil
+}
+
+// Init re-initialises p in place as a full, fault-free pack of a
+// configuration that passes ValidatePack.
+func (p *Pack) Init(cells int, capacityMah, dischargeC float64) {
+	*p = Pack{Cells: cells, CapacityMah: capacityMah, DischargeC: dischargeC, PeukertK: 1.05}
 }
 
 // NominalVoltage is the pack's nominal voltage (3.7 V/cell).

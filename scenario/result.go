@@ -10,6 +10,8 @@ import (
 	"dronedse/estimation"
 	"dronedse/mathx"
 	"dronedse/mission"
+	"dronedse/power"
+	"dronedse/sim"
 	"dronedse/trace"
 )
 
@@ -61,58 +63,42 @@ type Result struct {
 	Log   *autopilot.FlightLog
 	Trace *trace.Recorder
 
-	rec *recording // the buffers behind Log, Trace and Trajectory
+	st *Stack // the flight's stack, until Release pools it
 }
 
-// Release returns the flight's recording buffers — Log, Trace and
-// Trajectory — to the pool Build draws from, so a later flight records into
-// them instead of allocating its own, and sets those three fields to nil.
-// The summary fields stay valid. Only the Result's owner may call it, after
-// its last read of the buffers, including slices taken from them
-// (Log.Entries, Trace.Samples) and the flight's Stack.Log and Stack.Trace,
-// which are the same objects; never release a Result that has been handed
-// to a caller. Releasing twice is a no-op.
+// Release returns the flight's whole Stack, Log, Trace and Trajectory
+// included, to the pool Build re-initialises stacks from, and sets those
+// three fields to nil. The summary fields stay valid. Only the Result's
+// owner may call it, after its last read of the Stack and the recordings,
+// including slices taken from them (Log.Entries, Trace.Samples); never
+// release a Result that has been handed to a caller. Releasing twice is a
+// no-op.
 func (r *Result) Release() {
-	rec := r.rec
-	if rec == nil {
+	st := r.st
+	if st == nil {
 		return
 	}
-	r.rec, r.Log, r.Trace, r.Trajectory = nil, nil, nil, nil
-	rec.log.Reset()
-	rec.traj = rec.traj[:0]
-	recordings.Put(rec)
+	r.st, r.Log, r.Trace, r.Trajectory = nil, nil, nil, nil
+	st.release()
 }
 
-// recording is one flight's recording buffers: the flight log, the
-// oscilloscope power trace and the 10 Hz trajectory slab.
-type recording struct {
-	log   *autopilot.FlightLog
-	trace *trace.Recorder
-	traj  []mathx.Vec3
-}
-
-// recordings holds the buffers of released Results for reuse by Build.
-var recordings = sync.Pool{New: func() any { return &recording{log: new(autopilot.FlightLog)} }}
-
-// takeRecording readies a pooled (or new) recording for a flight of up to
-// durS seconds: the trace restarts from traceSeed, bit-identical to a new
-// oscilloscope, and a buffer whose capacity is too short for durS falls back
-// to a fresh worst-case reservation, so steady-state stepping never grows an
-// append.
-func takeRecording(traceSeed int64, durS float64) *recording {
-	rec := recordings.Get().(*recording)
-	if rec.trace == nil {
-		rec.trace = trace.NewOscilloscope(traceSeed)
-	} else {
-		rec.trace.Reset(traceSeed)
+// release pools st, first dropping what its Spec supplied (telemetry sink,
+// fault injector, observers, phase hook, workload) and the hooks those
+// installed, so a pooled stack keeps no tenant's objects reachable.
+func (st *Stack) release() {
+	st.Autopilot.Detach()
+	if st.Session != nil {
+		st.Session.SetProbe(nil)
 	}
-	if n := int(durS*10) + 2; cap(rec.traj) < n {
-		rec.traj = make([]mathx.Vec3, 0, n)
-	}
-	rec.log.Reserve(durS)
-	rec.trace.Reserve(durS)
-	return rec
+	st.Spec, st.wl, st.drv = Spec{}, nil, driver{}
+	stacks.Put(st)
 }
+
+// stacks holds the stacks of released Results for Build to re-initialise.
+var stacks = sync.Pool{New: func() any {
+	return &Stack{Quad: new(sim.Quad), Env: new(sim.Environment), Battery: new(power.Pack),
+		Autopilot: new(autopilot.Autopilot), Log: new(autopilot.FlightLog), Trace: new(trace.Recorder)}
+}}
 
 // AvgPowerW is the flight's mean whole-drone power.
 func (r *Result) AvgPowerW() float64 {

@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"dronedse/autopilot"
+	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/offload"
 	"dronedse/platform"
@@ -220,21 +221,21 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Stack is a fully wired flight stack, ready to Run. All fields are the
-// live objects (read-mostly once Run starts).
+// live objects (read-mostly once Run starts) until Result.Release pools them.
 type Stack struct {
 	Spec      Spec // normalized (defaults resolved)
 	Quad      *sim.Quad
 	Env       *sim.Environment
 	Battery   *power.Pack
 	Autopilot *autopilot.Autopilot
-	Session   *offload.Session
+	Session   *offload.Session // nil without Spec.Offload
 	Log       *autopilot.FlightLog
 	Trace     *trace.Recorder
 
 	baseComputeW float64
 	designMassKg float64
 	steps        int
-	rec          *recording // Log, Trace and the trajectory tap's slab
+	traj         []mathx.Vec3 // the trajectory tap's slab
 	maxEstErr    float64
 	energyWh     float64
 	computeWh    float64
@@ -266,78 +267,91 @@ func (st *Stack) SetPayloadKg(kg float64) {
 
 // Build performs all cross-package wiring for a Spec and registers the
 // built-in step observers in the documented order. It does not advance
-// simulated time.
+// simulated time. Each part of a pooled stack is re-initialised through the
+// Init its constructor uses, so it flies bit-identically to a new one.
 func Build(spec Spec) (*Stack, error) {
 	spec = spec.withDefaults()
 	cfg := sim.DefaultConfig()
 	if spec.Quad != nil {
 		cfg = *spec.Quad
 	}
-	q, err := sim.NewQuad(cfg)
-	if err != nil {
+	// Every check that can fail Build runs before a pooled stack is taken,
+	// so a failed Build leaves the pool as it found it.
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: plant: %w", err)
 	}
-	var env *sim.Environment
-	if spec.Wind.MeanMS > 0 {
-		env = sim.WindyEnvironment(spec.Seed, spec.Wind.MeanMS, spec.Wind.GustMS)
-	} else {
-		env = sim.NewEnvironment(spec.Seed)
-	}
-	q.SetEnvironment(env)
-
-	pack, err := power.NewPack(spec.Battery.Cells, spec.Battery.CapacityMah, spec.Battery.CRating)
-	if err != nil {
+	b := spec.Battery
+	if err := power.ValidatePack(b.Cells, b.CapacityMah, b.CRating); err != nil {
 		return nil, fmt.Errorf("scenario: battery: %w", err)
 	}
-	baseW := spec.Compute.BoardW()
-	ap, err := autopilot.New(autopilot.Config{
-		Quad: q, Battery: pack, ComputeW: baseW,
-		TakeoffAltM: spec.TakeoffAltM, Seed: spec.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario: autopilot: %w", err)
-	}
-	if spec.EnergyPolicy != nil {
-		ap.SetEnergyPolicy(*spec.EnergyPolicy)
-	}
-
-	st := &Stack{
-		Spec: spec, Quad: q, Env: env, Battery: pack, Autopilot: ap,
-		baseComputeW: baseW, designMassKg: cfg.MassKg,
-	}
-	st.wl, err = spec.Workload.New(mission.Context{
+	wl, err := spec.Workload.New(mission.Context{
 		Seed: spec.Seed, TakeoffAltM: spec.TakeoffAltM, MaxSeconds: spec.MaxSeconds,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: workload: %w", err)
 	}
-
-	if spec.Faults != nil {
-		spec.Faults.Bind(q, pack, env)
-		ap.Suite().Faults = spec.Faults
-		ap.SetFaultSignals(spec.Faults)
-	}
 	if spec.Offload != nil {
+		if err := offload.ValidateLedger(spec.Offload.Stats); err != nil {
+			return nil, fmt.Errorf("scenario: offload: %w", err)
+		}
+	}
+
+	st := stacks.Get().(*Stack)
+	q, env, pack, ap, log, tr := st.Quad, st.Env, st.Battery, st.Autopilot, st.Log, st.Trace
+	q.Init(cfg)
+	var wind Wind // calm
+	if spec.Wind.MeanMS > 0 {
+		wind = spec.Wind
+	}
+	env.Init(spec.Seed, wind.MeanMS, wind.GustMS)
+	q.SetEnvironment(env)
+	pack.Init(b.Cells, b.CapacityMah, b.CRating)
+	baseW := spec.Compute.BoardW()
+	ap.Init(autopilot.Config{
+		Quad: q, Battery: pack, ComputeW: baseW,
+		TakeoffAltM: spec.TakeoffAltM, Seed: spec.Seed,
+	})
+	if spec.EnergyPolicy != nil {
+		ap.SetEnergyPolicy(*spec.EnergyPolicy)
+	}
+	var sess *offload.Session
+	if spec.Offload != nil {
+		if sess = st.Session; sess == nil {
+			sess = new(offload.Session)
+		}
 		scfg := spec.Offload.Session
 		if scfg.Seed == 0 {
 			scfg.Seed = spec.Seed
 		}
-		sess, err := offload.NewSession(scfg, spec.Offload.Stats)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: offload: %w", err)
-		}
-		if spec.Faults != nil {
-			sess.SetProbe(spec.Faults)
-		}
-		st.Session = sess
+		sess.Init(scfg, spec.Offload.Stats)
 	}
 
 	// Every per-step recording path is sized for the worst-case flight
 	// duration — takeoff budget plus the workload's own horizon (which
 	// includes its landing watch) — so steady-state stepping never grows an
-	// append. The buffers come from flights whose Results were released.
-	st.rec = takeRecording(spec.Seed, 30+spec.Workload.HorizonS(spec.MaxSeconds))
-	st.Log, st.Trace = st.rec.log, st.rec.trace
+	// append. Released buffers large enough for that are reused.
+	horizonS := 30 + spec.Workload.HorizonS(spec.MaxSeconds)
+	traj := st.traj[:0]
+	if n := int(horizonS*10) + 2; cap(traj) < n {
+		traj = make([]mathx.Vec3, 0, n)
+	}
+	log.Reset()
+	log.Reserve(horizonS)
+	tr.InitOscilloscope(spec.Seed)
+	tr.Reserve(horizonS)
+
+	*st = Stack{
+		Spec: spec, Quad: q, Env: env, Battery: pack, Autopilot: ap, Session: sess, Log: log, Trace: tr,
+		baseComputeW: baseW, designMassKg: cfg.MassKg, traj: traj, telem: st.telem[:0], wl: wl,
+	}
+	if spec.Faults != nil {
+		spec.Faults.Bind(q, pack, env)
+		ap.Suite().Faults = spec.Faults
+		ap.SetFaultSignals(spec.Faults)
+		if sess != nil {
+			sess.SetProbe(spec.Faults)
+		}
+	}
 
 	// Observer bus, in the package-documented order.
 	ap.Observe(func(a *autopilot.Autopilot, dt float64) {
@@ -366,7 +380,7 @@ func (st *Stack) probe(a *autopilot.Autopilot, dt float64) {
 			st.Session.Step(t)
 			a.SetComputeW(st.baseComputeW + st.Session.AirborneW())
 		}
-		st.rec.traj = append(st.rec.traj, a.Quad().State().Pos)
+		st.traj = append(st.traj, a.Quad().State().Pos)
 		if a.Mode() != autopilot.Disarmed {
 			if e := a.EstimatedState().Pos.Sub(a.Quad().State().Pos).Norm(); e > st.maxEstErr {
 				st.maxEstErr = e
@@ -514,7 +528,7 @@ func (st *Stack) finish() {
 		Workload:    st.wl.Outcome(),
 		FinalMode:   ap.Mode(),
 		LastEvent:   ap.LastEvent(),
-		Trajectory:  st.rec.traj,
+		Trajectory:  st.traj,
 		MaxEstErrM:  st.maxEstErr,
 		EnergyWh:    st.energyWh,
 		ComputeWh:   st.computeWh,
@@ -522,7 +536,7 @@ func (st *Stack) finish() {
 		Trace:       st.Trace,
 		EKFStats:    ap.Estimator().Pos.Stats,
 		CtrlStats:   ap.Cascade().Stats,
-		rec:         st.rec,
+		st:          st,
 	}
 	if st.Session != nil {
 		res.Fallbacks = st.Session.Fallbacks

@@ -58,8 +58,14 @@ type IMU struct {
 
 // NewIMU returns an IMU at the given rate with typical MEMS noise.
 func NewIMU(rateHz float64, seed int64) *IMU {
-	r := rand.New(rand.NewSource(seed))
-	return &IMU{
+	u := new(IMU)
+	u.init(rateHz, seed)
+	return u
+}
+
+func (u *IMU) init(rateHz float64, seed int64) {
+	r := mathx.Reseed(u.rng, seed)
+	*u = IMU{
 		Clocked:       Clocked{RateHz: rateHz},
 		GyroNoiseStd:  0.003,
 		AccelNoiseStd: 0.05,
@@ -100,7 +106,13 @@ type Magnetometer struct {
 
 // NewMagnetometer returns a magnetometer at the given rate.
 func NewMagnetometer(rateHz float64, seed int64) *Magnetometer {
-	return &Magnetometer{Clocked: Clocked{RateHz: rateHz}, NoiseStd: 0.02, rng: rand.New(rand.NewSource(seed))}
+	m := new(Magnetometer)
+	m.init(rateHz, seed)
+	return m
+}
+
+func (m *Magnetometer) init(rateHz float64, seed int64) {
+	*m = Magnetometer{Clocked: Clocked{RateHz: rateHz}, NoiseStd: 0.02, rng: mathx.Reseed(m.rng, seed)}
 }
 
 // SampleYaw returns the measured yaw (rad).
@@ -119,8 +131,14 @@ type Barometer struct {
 
 // NewBarometer returns a barometer at the given rate.
 func NewBarometer(rateHz float64, seed int64) *Barometer {
-	r := rand.New(rand.NewSource(seed))
-	return &Barometer{Clocked: Clocked{RateHz: rateHz}, NoiseStd: 0.15, Bias: r.NormFloat64() * 0.1, rng: r}
+	b := new(Barometer)
+	b.init(rateHz, seed)
+	return b
+}
+
+func (b *Barometer) init(rateHz float64, seed int64) {
+	r := mathx.Reseed(b.rng, seed)
+	*b = Barometer{Clocked: Clocked{RateHz: rateHz}, NoiseStd: 0.15, Bias: r.NormFloat64() * 0.1, rng: r}
 }
 
 // SampleAltitude returns the measured altitude (m).
@@ -138,7 +156,13 @@ type GPS struct {
 
 // NewGPS returns a GPS at the given rate.
 func NewGPS(rateHz float64, seed int64) *GPS {
-	return &GPS{Clocked: Clocked{RateHz: rateHz}, PosNoiseStd: 0.8, VelNoiseStd: 0.1, rng: rand.New(rand.NewSource(seed))}
+	g := new(GPS)
+	g.init(rateHz, seed)
+	return g
+}
+
+func (g *GPS) init(rateHz float64, seed int64) {
+	*g = GPS{Clocked: Clocked{RateHz: rateHz}, PosNoiseStd: 0.8, VelNoiseStd: 0.1, rng: mathx.Reseed(g.rng, seed)}
 }
 
 // GPSSample is one position/velocity fix.
@@ -212,12 +236,33 @@ type Suite struct {
 // NewSuite builds the default suite: IMU 200 Hz, magnetometer 10 Hz,
 // barometer 15 Hz, GPS 5 Hz.
 func NewSuite(seed int64) *Suite {
-	return &Suite{
-		IMU:  NewIMU(200, seed),
-		Mag:  NewMagnetometer(10, seed+1),
-		Baro: NewBarometer(15, seed+2),
-		GPS:  NewGPS(5, seed+3),
+	s := new(Suite)
+	s.Init(seed)
+	return s
+}
+
+// Init re-initialises s in place as NewSuite(seed) would build it: the four
+// sensors restart at their reference rates with their noise sources
+// reseeded, no fault view is installed and no sample is held.
+func (s *Suite) Init(seed int64) {
+	imu, mag, baro, gps := s.IMU, s.Mag, s.Baro, s.GPS
+	if imu == nil {
+		imu = new(IMU)
 	}
+	if mag == nil {
+		mag = new(Magnetometer)
+	}
+	if baro == nil {
+		baro = new(Barometer)
+	}
+	if gps == nil {
+		gps = new(GPS)
+	}
+	imu.init(200, seed)
+	mag.init(10, seed+1)
+	baro.init(15, seed+2)
+	gps.init(5, seed+3)
+	*s = Suite{IMU: imu, Mag: mag, Baro: baro, GPS: gps}
 }
 
 // fault returns the active fault state for a sensor, nominal when no view

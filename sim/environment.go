@@ -29,19 +29,29 @@ type Environment struct {
 }
 
 // NewEnvironment returns calm air with a deterministic turbulence source.
-func NewEnvironment(seed int64) *Environment {
-	return &Environment{GustPeriodS: 7, rng: rand.New(rand.NewSource(seed))}
-}
+func NewEnvironment(seed int64) *Environment { return WindyEnvironment(seed, 0, 0) }
 
 // WindyEnvironment returns a gusty test condition: steady wind with gusts
 // and turbulence, used by the INDI-style disturbance tests (§2.1.3-D cites
-// stabilization under powerful wind gusts at a 500 Hz loop).
+// stabilization under powerful wind gusts at a 500 Hz loop). Zero wind and
+// gust is calm air.
 func WindyEnvironment(seed int64, meanMS, gustMS float64) *Environment {
-	e := NewEnvironment(seed)
-	e.MeanWind = mathx.V3(meanMS, 0, 0)
-	e.GustAmplitude = gustMS
-	e.TurbulenceStd = gustMS / 4
+	e := new(Environment)
+	e.Init(seed, meanMS, gustMS)
 	return e
+}
+
+// Init re-initialises e in place as WindyEnvironment(seed, meanMS, gustMS)
+// would build it, reseeding its turbulence source rather than allocating a
+// new one.
+func (e *Environment) Init(seed int64, meanMS, gustMS float64) {
+	*e = Environment{
+		MeanWind:      mathx.V3(meanMS, 0, 0),
+		GustAmplitude: gustMS,
+		GustPeriodS:   7,
+		TurbulenceStd: gustMS / 4,
+		rng:           mathx.Reseed(e.rng, seed),
+	}
 }
 
 // WindAt returns the wind vector at simulated time t. The turbulence term is

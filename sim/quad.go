@@ -85,7 +85,7 @@ type Quad struct {
 	powerW     float64
 	powerDirty bool
 
-	env      *Environment
+	env      *Environment // nil is calm air
 	onGround bool
 	failed   [NumMotors]bool
 	// eff derates each rotor's commanded thrust (1 = healthy). Partial
@@ -99,17 +99,35 @@ type Quad struct {
 	t         float64
 }
 
-// NewQuad builds the plant from a config.
-func NewQuad(cfg Config) (*Quad, error) {
+// Validate reports whether the config describes a plant that can fly:
+// positive mass and dimensions and a thrust-to-weight ratio of at least 1.2.
+func (cfg Config) Validate() error {
 	if cfg.MassKg <= 0 || cfg.WheelbaseMM <= 0 || cfg.PropInches <= 0 {
-		return nil, errors.New("sim: non-physical config")
+		return errors.New("sim: non-physical config")
 	}
 	if cfg.TWR < 1.2 {
-		return nil, errors.New("sim: TWR below flying minimum")
+		return errors.New("sim: TWR below flying minimum")
 	}
+	return nil
+}
+
+// NewQuad builds the plant from a config.
+func NewQuad(cfg Config) (*Quad, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	q := new(Quad)
+	q.Init(cfg)
+	return q, nil
+}
+
+// Init re-initialises q in place from cfg, which must pass Validate: level,
+// at rest on the ground at the origin, healthy, carrying nothing, in calm
+// air until SetEnvironment installs a model.
+func (q *Quad) Init(cfg Config) {
 	maxThrustPerMotor := cfg.TWR * cfg.MassKg * units.Gravity / 4
 	wbM := cfg.WheelbaseMM / 1000
-	q := &Quad{
+	*q = Quad{
 		cfg:   cfg,
 		rotor: propulsion.DesignRotor(units.InchToMeter(cfg.PropInches), maxThrustPerMotor),
 		armM:  wbM / 2 * math.Sqrt2 / 2,
@@ -117,19 +135,15 @@ func NewQuad(cfg Config) (*Quad, error) {
 			0.05*cfg.MassKg*wbM*wbM,
 			0.05*cfg.MassKg*wbM*wbM,
 			0.09*cfg.MassKg*wbM*wbM),
-		power:    propulsion.NewPowerModel(units.InchToMeter(cfg.PropInches), cfg.Eff),
-		env:      NewEnvironment(0),
-		onGround: true,
+		state:      State{Att: mathx.QuatIdentity()},
+		power:      propulsion.NewPowerModel(units.InchToMeter(cfg.PropInches), cfg.Eff),
+		powerDirty: true,
+		onGround:   true,
+		eff:        [NumMotors]float64{1, 1, 1, 1},
 	}
-	q.state.Att = mathx.QuatIdentity()
-	q.powerDirty = true
-	for i := range q.eff {
-		q.eff[i] = 1
-	}
-	return q, nil
 }
 
-// SetEnvironment installs a wind/gust model.
+// SetEnvironment installs a wind/gust model; nil restores calm air.
 func (q *Quad) SetEnvironment(env *Environment) { q.env = env }
 
 // State returns a copy of the current true state.
@@ -299,7 +313,11 @@ func (q *Quad) Step(dt float64) {
 	thrustWorld := q.state.Att.Rotate(mathx.V3(0, 0, totalThrust))
 	m := q.massKg()
 	gravity := mathx.V3(0, 0, -m*units.Gravity)
-	air := q.env.WindAt(q.t).Sub(q.state.Vel) // air velocity relative to body
+	var wind mathx.Vec3 // calm air unless an environment is installed
+	if q.env != nil {
+		wind = q.env.WindAt(q.t)
+	}
+	air := wind.Sub(q.state.Vel) // air velocity relative to body
 	drag := air.Scale(q.cfg.DragCoef * air.Norm())
 	force := thrustWorld.Add(gravity).Add(drag)
 	accel := force.Scale(1 / m)

@@ -8,6 +8,8 @@ package trace
 import (
 	"math"
 	"math/rand"
+
+	"dronedse/mathx"
 )
 
 // Sample is one instrument reading.
@@ -32,12 +34,31 @@ type Recorder struct {
 
 // NewUSBMeter matches the paper's RPi instrument: 0.5 s period, ±10 mW.
 func NewUSBMeter(seed int64) *Recorder {
-	return &Recorder{PeriodS: 0.5, NoiseW: 0.010, rng: rand.New(rand.NewSource(seed))}
+	r := new(Recorder)
+	r.init(0.5, 0.010, seed)
+	return r
 }
 
 // NewOscilloscope matches the whole-drone instrument: 20 ms, ±0.5 mW.
 func NewOscilloscope(seed int64) *Recorder {
-	return &Recorder{PeriodS: 0.020, NoiseW: 0.0005, rng: rand.New(rand.NewSource(seed))}
+	r := new(Recorder)
+	r.InitOscilloscope(seed)
+	return r
+}
+
+// InitOscilloscope re-initialises r in place as NewOscilloscope(seed) would
+// build it, keeping its sample buffer for reuse and reseeding its noise
+// source. Slices returned by Samples before the call are overwritten by
+// later recording.
+func (r *Recorder) InitOscilloscope(seed int64) { r.init(0.020, 0.0005, seed) }
+
+func (r *Recorder) init(periodS, noiseW float64, seed int64) {
+	*r = Recorder{
+		PeriodS: periodS,
+		NoiseW:  noiseW,
+		rng:     mathx.Reseed(r.rng, seed),
+		samples: r.samples[:0],
+	}
 }
 
 // Observe feeds the recorder the instantaneous power at simulated time t;
@@ -86,13 +107,9 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 
 // Reset clears the recording, keeping the sample buffer for reuse, and
 // restarts the instrument noise from seed: the recorder then reads exactly
-// as a new one from the same constructor and seed would. Slices returned by
-// Samples before the Reset are overwritten by later recording.
-func (r *Recorder) Reset(seed int64) {
-	r.rng.Seed(seed)
-	r.samples = r.samples[:0]
-	r.nextT, r.lastPower, r.started = 0, 0, false
-}
+// as a new one with its period and noise from seed would. Slices returned
+// by Samples before the Reset are overwritten by later recording.
+func (r *Recorder) Reset(seed int64) { r.init(r.PeriodS, r.NoiseW, seed) }
 
 // MeanPower returns the average recorded power over [fromS, toS).
 func (r *Recorder) MeanPower(fromS, toS float64) float64 {
