@@ -114,11 +114,9 @@ type Autopilot struct {
 	trajT0 float64
 	follow FollowConfig
 
-	fence       Geofence
 	energy      EnergyPolicy
 	avgPowerW   float64
 	lastEvent   string
-	staged      []Waypoint
 	missionDone bool
 
 	physicsHz float64
@@ -224,7 +222,7 @@ func (a *Autopilot) Detach() {
 	clear(a.observers)
 	a.observers = a.observers[:0]
 	a.faults, a.suite.Faults = nil, nil
-	a.mission, a.staged, a.traj, a.follow = nil, nil, nil, FollowConfig{}
+	a.mission, a.traj, a.follow = nil, nil, FollowConfig{}
 }
 
 // stride gates a control loop to every every-th physics step, starting with
@@ -363,15 +361,6 @@ func (a *Autopilot) MissionIndex() int { return a.wpIndex }
 
 // CommandLand requests a descent to touchdown.
 func (a *Autopilot) CommandLand() { a.mode = Land }
-
-// CommandHover holds position at the current estimate (valid from any
-// airborne mode; it cancels missions, trajectories and following).
-func (a *Autopilot) CommandHover() {
-	if a.mode != Disarmed && a.mode != Land && a.mode != Failsafe {
-		a.mode = Hover
-		a.traj = nil
-	}
-}
 
 // CommandRTL requests return-to-launch.
 func (a *Autopilot) CommandRTL() {

@@ -161,6 +161,29 @@ func TestComputePowerAccounting(t *testing.T) {
 	}
 }
 
+// TestMidFlightReconfiguration changes the compute draw and the yaw set
+// point while hovering and checks both take effect at the next tick.
+func TestMidFlightReconfiguration(t *testing.T) {
+	ap := newTestAP(t, 3)
+	if err := ap.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+
+	before := ap.TotalPowerW()
+	ap.SetComputeW(ap.ComputeW() + 10)
+	if ap.TotalPowerW()-before < 9.9 {
+		t.Errorf("compute power change not live: %v -> %v", before, ap.TotalPowerW())
+	}
+
+	ap.yawTarget = 1.0
+	ap.RunFor(6)
+	_, _, yaw := ap.Quad().State().Att.Euler()
+	if math.Abs(yaw-1.0) > 0.15 {
+		t.Errorf("yaw after mid-flight retarget = %v, want ~1.0", yaw)
+	}
+}
+
 // TestInnerOuterSeparation verifies the §2.1.3-A property: outer-loop
 // (mission) decisions happen at a far lower rate than inner-loop actuation,
 // and the flight still works with the outer loop decimated to 10 Hz.

@@ -23,8 +23,8 @@ func TestMotorFailureCrashCheck(t *testing.T) {
 	}
 	ap.RunFor(2)
 
-	ap.Quad().FailMotor(sim.FrontLeft)
-	if !ap.Quad().MotorFailed(sim.FrontLeft) {
+	ap.Quad().SetMotorEfficiency(sim.FrontLeft, 0)
+	if ap.Quad().MotorEfficiency(sim.FrontLeft) != 0 {
 		t.Fatal("failure injection not recorded")
 	}
 	disarmed := ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Disarmed }, 20)
@@ -48,16 +48,25 @@ func TestMotorFailureCrashCheck(t *testing.T) {
 
 func TestMotorRepair(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	q.FailMotor(sim.BackRight)
-	q.RepairMotor(sim.BackRight)
-	if q.MotorFailed(sim.BackRight) {
+	q.SetMotorEfficiency(sim.BackRight, 0)
+	if q.MotorEfficiency(sim.BackRight) != 0 {
+		t.Fatal("failure injection not recorded")
+	}
+	q.SetMotorEfficiency(sim.BackRight, 1)
+	if q.MotorEfficiency(sim.BackRight) != 1 {
 		t.Error("repair did not clear the failure")
 	}
-	// Out-of-range indices are ignored.
-	q.FailMotor(-1)
-	q.FailMotor(99)
-	if q.MotorFailed(-1) || q.MotorFailed(99) {
-		t.Error("out-of-range motor reported failed")
+	// Out-of-range indices are ignored: no motor is touched, and they read
+	// as no thrust.
+	q.SetMotorEfficiency(-1, 0)
+	q.SetMotorEfficiency(99, 0)
+	for i := 0; i < sim.NumMotors; i++ {
+		if q.MotorEfficiency(i) != 1 {
+			t.Errorf("out-of-range failure reached motor %d", i)
+		}
+	}
+	if q.MotorEfficiency(-1) != 0 || q.MotorEfficiency(99) != 0 {
+		t.Error("out-of-range motor reported thrust")
 	}
 }
 

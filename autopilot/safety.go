@@ -1,48 +1,11 @@
 package autopilot
 
 import (
-	"errors"
 	"math"
 
 	"dronedse/mathx"
-	"dronedse/mavlink"
+	"dronedse/units"
 )
-
-// Geofence bounds the flight volume: a horizontal radius around home and
-// an altitude ceiling. A breach triggers return-to-launch — the safety
-// override path the paper routes through the inner loop for minimum
-// latency (§2.1.3-A).
-type Geofence struct {
-	RadiusM  float64
-	CeilingM float64
-}
-
-// SetGeofence installs (or, with a zero fence, removes) the geofence.
-func (a *Autopilot) SetGeofence(f Geofence) { a.fence = f }
-
-// fenceLookaheadS is the predictive-breach horizon: the monitor projects
-// the velocity forward so the turn-around starts before the boundary, the
-// way fielded autopilots implement fences (stopping from cruise takes
-// many meters).
-const fenceLookaheadS = 1.0
-
-// fenceBreached reports whether the estimate — projected one lookahead
-// ahead — is outside the fence.
-func (a *Autopilot) fenceBreached() bool {
-	if a.fence.RadiusM <= 0 && a.fence.CeilingM <= 0 {
-		return false
-	}
-	est := a.EstimatedState()
-	ahead := est.Pos.Add(est.Vel.Scale(fenceLookaheadS))
-	horiz := math.Hypot(ahead.X-a.home.X, ahead.Y-a.home.Y)
-	if a.fence.RadiusM > 0 && horiz > a.fence.RadiusM {
-		return true
-	}
-	if a.fence.CeilingM > 0 && ahead.Z > a.fence.CeilingM {
-		return true
-	}
-	return false
-}
 
 // EnergyPolicy is the outer-loop flight-time management duty of Table 1:
 // monitor the battery and the energy needed to get home, and bail out with
@@ -91,7 +54,7 @@ func (a *Autopilot) RemainingEnergyWh() float64 {
 	full := a.battery.UsableEnergyWh()
 	soc := a.battery.StateOfCharge()
 	// Usable fraction remaining: SoC spans [1-drainLimit, 1].
-	used := (1 - soc) / 0.85
+	used := (1 - soc) / units.LiPoDrainLimit
 	if used > 1 {
 		used = 1
 	}
@@ -153,11 +116,6 @@ func (a *Autopilot) checkSafety() {
 	if a.mode == Land {
 		return
 	}
-	if a.fenceBreached() && a.mode != ReturnToLaunch {
-		a.lastEvent = "geofence breach: RTL"
-		a.mode = ReturnToLaunch
-		return
-	}
 	// GPS-denial escalation: coasting is fine for a few seconds, but a
 	// sustained denial with a diverging estimate ends the mission.
 	if a.gpsDenied && a.mode != ReturnToLaunch {
@@ -179,34 +137,3 @@ func (a *Autopilot) checkSafety() {
 // LastEvent returns the most recent safety event description (empty when
 // none fired).
 func (a *Autopilot) LastEvent() string { return a.lastEvent }
-
-// --- Mission upload over MAVLink ---
-
-// ErrMissionIndex reports an out-of-order mission item upload.
-var ErrMissionIndex = errors.New("autopilot: mission item out of order")
-
-// HandleMissionItem accepts one uploaded waypoint. Items must arrive in
-// index order starting at 0; item 0 resets the staged mission. The staged
-// mission becomes active on CommitMission.
-func (a *Autopilot) HandleMissionItem(item mavlink.MissionItem) error {
-	if int(item.Index) == 0 {
-		a.staged = a.staged[:0]
-	}
-	if int(item.Index) != len(a.staged) {
-		return ErrMissionIndex
-	}
-	a.staged = append(a.staged, Waypoint{
-		Pos:   mathx.V3(float64(item.X), float64(item.Y), float64(item.Z)),
-		HoldS: float64(item.HoldS),
-	})
-	return nil
-}
-
-// CommitMission validates and activates the staged mission.
-func (a *Autopilot) CommitMission() error {
-	if err := a.LoadMission(append(MissionPlan(nil), a.staged...)); err != nil {
-		return err
-	}
-	a.staged = a.staged[:0]
-	return nil
-}

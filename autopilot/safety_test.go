@@ -5,71 +5,9 @@ import (
 	"testing"
 
 	"dronedse/mathx"
-	"dronedse/mavlink"
 	"dronedse/power"
 	"dronedse/sim"
 )
-
-func TestGeofenceTriggersRTL(t *testing.T) {
-	ap := newTestAP(t, 3)
-	ap.SetGeofence(Geofence{RadiusM: 8, CeilingM: 20})
-	ap.SetEnergyPolicy(EnergyPolicy{}) // isolate the fence
-	if err := ap.Arm(); err != nil {
-		t.Fatal(err)
-	}
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
-	// A mission waypoint beyond the fence: the breach monitor must flip
-	// to RTL mid-flight.
-	if err := ap.LoadMission(MissionPlan{{Pos: mathx.V3(30, 0, 5)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ap.StartMission(); err != nil {
-		t.Fatal(err)
-	}
-	sawRTL := false
-	maxHoriz := 0.0
-	ap.RunUntil(func(a *Autopilot) bool {
-		p := a.Quad().State().Pos
-		if h := math.Hypot(p.X, p.Y); h > maxHoriz {
-			maxHoriz = h
-		}
-		if a.Mode() == ReturnToLaunch {
-			sawRTL = true
-		}
-		return a.Mode() == Disarmed
-	}, 180)
-	if !sawRTL {
-		t.Fatal("geofence breach never triggered RTL")
-	}
-	if ap.LastEvent() != "geofence breach: RTL" {
-		t.Errorf("LastEvent = %q", ap.LastEvent())
-	}
-	// Allowing stopping distance from cruise (the mission leg accelerates
-	// hard before the predictive breach trips), the drone must not run
-	// far past the fence.
-	if maxHoriz > 20 {
-		t.Errorf("flew %v m horizontally past an 8 m fence", maxHoriz)
-	}
-}
-
-func TestCeilingFence(t *testing.T) {
-	q, _ := sim.NewQuad(sim.DefaultConfig())
-	pack, _ := power.NewPack(3, 3000, 30)
-	ap, _ := New(Config{Quad: q, Battery: pack, TakeoffAltM: 12, Seed: 5})
-	ap.SetGeofence(Geofence{CeilingM: 6})
-	ap.SetEnergyPolicy(EnergyPolicy{})
-	ap.Arm()
-	sawRTL := false
-	ap.RunUntil(func(a *Autopilot) bool {
-		if a.Mode() == ReturnToLaunch {
-			sawRTL = true
-		}
-		return a.Mode() == Disarmed
-	}, 120)
-	if !sawRTL {
-		t.Fatal("altitude ceiling breach never triggered RTL")
-	}
-}
 
 func TestEnergyPolicyBringsItHome(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
@@ -127,45 +65,5 @@ func TestNoBatteryEndurance(t *testing.T) {
 	ap, _ := New(Config{Quad: q, Seed: 1})
 	if !math.IsInf(ap.RemainingEnergyWh(), 1) {
 		t.Error("battery-less drone should report infinite energy")
-	}
-}
-
-func TestMissionUploadFlow(t *testing.T) {
-	ap := newTestAP(t, 3)
-	items := []mavlink.MissionItem{
-		{Index: 0, X: 5, Y: 0, Z: 5, HoldS: 1},
-		{Index: 1, X: 5, Y: 5, Z: 6, HoldS: 0.5},
-	}
-	for _, it := range items {
-		// Round-trip through the wire encoding like a real upload.
-		decoded, err := mavlink.DecodeMissionItem(mavlink.EncodeMissionItem(it))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ap.HandleMissionItem(decoded); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ap.CommitMission(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ap.mission) != 2 || ap.mission[1].Pos != mathx.V3(5, 5, 6) {
-		t.Fatalf("committed mission = %+v", ap.mission)
-	}
-	// Out-of-order upload is rejected.
-	if err := ap.HandleMissionItem(mavlink.MissionItem{Index: 3}); err == nil {
-		t.Error("out-of-order item accepted")
-	}
-	// Index 0 restarts the staging buffer.
-	if err := ap.HandleMissionItem(mavlink.MissionItem{Index: 0, X: 1, Y: 1, Z: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ap.staged) != 1 {
-		t.Errorf("staging not reset: %d items", len(ap.staged))
-	}
-	// Committing an invalid (underground) staged mission fails.
-	ap.staged = []Waypoint{{Pos: mathx.V3(0, 0, -1)}}
-	if err := ap.CommitMission(); err == nil {
-		t.Error("underground staged mission committed")
 	}
 }

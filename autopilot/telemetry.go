@@ -50,29 +50,3 @@ func (a *Autopilot) AppendTelemetry(dst []byte, seq *uint8) ([]byte, error) {
 	}
 	return dst, nil
 }
-
-// HandleCommand applies a ground-station CommandLong to the autopilot,
-// returning an error when the command is not executable in the current mode.
-func (a *Autopilot) HandleCommand(c mavlink.CommandLong) error {
-	switch c.Command {
-	case mavlink.CmdArm:
-		return a.Arm()
-	case mavlink.CmdLand:
-		a.CommandLand()
-		return nil
-	case mavlink.CmdRTL:
-		a.CommandRTL()
-		return nil
-	case mavlink.CmdStartMission:
-		return a.StartMission()
-	default:
-		return ErrUnknownCommand
-	}
-}
-
-// ErrUnknownCommand reports a CommandLong the autopilot does not implement.
-var ErrUnknownCommand = errUnknownCommand{}
-
-type errUnknownCommand struct{}
-
-func (errUnknownCommand) Error() string { return "autopilot: unknown command" }

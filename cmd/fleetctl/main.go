@@ -216,7 +216,7 @@ func cmdRun(c *fleet.Client, telem string, args []string) {
 	conn.Close()
 	check(err)
 
-	gs := groundstation.New(nil)
+	gs := groundstation.New()
 	gs.Consume(data)
 	vs := gs.State()
 	if vs.ParseErrors > 0 {

@@ -151,8 +151,8 @@ func FitBatteryCatalog(batteries []Battery) (map[int]fit.Linear, error) {
 
 // SelectBattery returns the lightest catalog battery with at least the given
 // cell count and capacity, or ok=false when none exists. The design-space
-// search (internal/core) uses the analytic model instead; this helper serves
-// the example programs that shop the catalog directly.
+// search (internal/core) uses the analytic model instead; this helper shops
+// the catalog directly.
 func SelectBattery(catalog []Battery, cells int, minCapacityMah float64) (Battery, bool) {
 	best := Battery{}
 	found := false

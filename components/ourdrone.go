@@ -35,20 +35,3 @@ func OurDroneTotalWeightG() float64 {
 	}
 	return total
 }
-
-// OurDrone returns the open-source platform as a commercial-drone-style
-// record for plotting against the Figure 10b sweep. The paper's measured
-// averages: 130 W whole-drone in flight, 3000 mAh 3S battery, RPi+Navio2
-// compute.
-func OurDrone() CommercialDrone {
-	return CommercialDrone{
-		Name:             "Our Drone (open-source F450)",
-		TakeoffWeightG:   OurDroneTotalWeightG(),
-		BatteryWh:        33.3, // 3000 mAh x 11.1 V
-		Cells:            3,
-		RatedFlightMin:   13,
-		WheelbaseClassMM: 450,
-		BaseComputeW:     4.14, // RPi 3.39 W autopilot + Navio2 0.75 W
-		HeavyComputeW:    5.31, // + SLAM active (RPi at 4.56 W)
-	}
-}

@@ -220,9 +220,6 @@ func (c *Cascade) SetAttitudeTarget(q mathx.Quat, thrustN float64) {
 	c.thrustTarget = mathx.Clamp(thrustN, 0, 4*c.MaxThrustN)
 }
 
-// AttitudeTarget exposes the current attitude set point (for telemetry).
-func (c *Cascade) AttitudeTarget() mathx.Quat { return c.attTarget }
-
 // ThrustTarget exposes the current collective thrust set point in newtons.
 func (c *Cascade) ThrustTarget() float64 { return c.thrustTarget }
 

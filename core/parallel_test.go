@@ -111,13 +111,12 @@ func TestBestConfigDeterministic(t *testing.T) {
 	}
 }
 
-// TestFrontiersDeterministic covers the four frontier/study functions in
+// TestFrontiersDeterministic covers the three frontier/study functions in
 // pareto.go at every pool size.
 func TestFrontiersDeterministic(t *testing.T) {
 	spec := DefaultSpec()
 	p := DefaultParams()
 	payloads := []float64{0, 100, 200, 400, 800}
-	computeW := []float64{1, 3, 10, 20, 40}
 	sensors := []struct {
 		Name    string
 		WeightG float64
@@ -125,17 +124,16 @@ func TestFrontiersDeterministic(t *testing.T) {
 	large := Spec{WheelbaseMM: 800, Cells: 6, CapacityMah: 8000, TWR: 2,
 		Compute: components.AdvancedComputeTier, ESCClass: components.LongFlight}
 
-	var wantPayload, wantCompute []ParetoPoint
+	var wantPayload []ParetoPoint
 	var wantTWR []TWRPoint
 	var wantSensor []SensorPayloadPoint
 	atPool(t, 1, func() {
 		ResetResolveCache()
 		wantPayload = ParetoPayloadFrontier(spec, p, payloads)
-		wantCompute = ParetoComputeFrontier(spec, p, computeW)
 		wantTWR = TWRSweep(spec, p)
 		wantSensor = SensorPayloadStudy(large, p, sensors)
 	})
-	if len(wantPayload) == 0 || len(wantCompute) == 0 || len(wantTWR) == 0 || len(wantSensor) == 0 {
+	if len(wantPayload) == 0 || len(wantTWR) == 0 || len(wantSensor) == 0 {
 		t.Fatal("serial frontiers empty")
 	}
 	for _, pool := range testPools {
@@ -143,9 +141,6 @@ func TestFrontiersDeterministic(t *testing.T) {
 			ResetResolveCache()
 			if got := ParetoPayloadFrontier(spec, p, payloads); !reflect.DeepEqual(got, wantPayload) {
 				t.Errorf("pool=%d payload frontier differs", pool)
-			}
-			if got := ParetoComputeFrontier(spec, p, computeW); !reflect.DeepEqual(got, wantCompute) {
-				t.Errorf("pool=%d compute frontier differs", pool)
 			}
 			if got := TWRSweep(spec, p); !reflect.DeepEqual(got, wantTWR) {
 				t.Errorf("pool=%d TWR sweep differs", pool)

@@ -102,28 +102,6 @@ func ParetoPayloadFrontier(spec Spec, p Params, payloadsG []float64) []ParetoPoi
 	return paretoFilter(pts)
 }
 
-// ParetoComputeFrontier sweeps compute power (with a weight model of
-// ~4 g/W, interpolating Table 4's boards) and returns the non-dominated
-// (compute ↑, flight time ↑) frontier.
-func ParetoComputeFrontier(spec Spec, p Params, computeW []float64) []ParetoPoint {
-	pts := parallelx.FilterMap(computeW, func(w float64) (ParetoPoint, bool) {
-		s := spec
-		s.Compute.Name = "swept"
-		s.Compute.PowerW = w
-		s.Compute.WeightG = 10 + 4*w
-		best, ok := BestConfig(s, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
-		if !ok {
-			return ParetoPoint{}, false
-		}
-		return ParetoPoint{
-			Design:    best,
-			FlightMin: best.HoverFlightTimeMin(),
-			Objective: w,
-		}, true
-	})
-	return paretoFilter(pts)
-}
-
 // paretoFilter keeps points not dominated by any other (another point with
 // >= objective and > flight time, or > objective and >= flight time).
 func paretoFilter(pts []ParetoPoint) []ParetoPoint {

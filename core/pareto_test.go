@@ -70,18 +70,6 @@ func TestParetoPayloadFrontier(t *testing.T) {
 	}
 }
 
-func TestParetoComputeFrontier(t *testing.T) {
-	pts := ParetoComputeFrontier(DefaultSpec(), DefaultParams(), []float64{0.5, 3, 10, 20, 40})
-	if len(pts) < 3 {
-		t.Fatalf("frontier too small: %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].FlightMin >= pts[i-1].FlightMin {
-			t.Error("more compute should cost flight time along the frontier")
-		}
-	}
-}
-
 func TestParetoFilterDominance(t *testing.T) {
 	pts := []ParetoPoint{
 		{Objective: 1, FlightMin: 10},

@@ -5,6 +5,7 @@ import (
 
 	"dronedse/mathx"
 	"dronedse/sensors"
+	"dronedse/sim"
 	"dronedse/units"
 )
 
@@ -101,5 +102,57 @@ func TestGPSDenialCoastAndRecover(t *testing.T) {
 				t.Errorf("uncertainty %.2f m did not re-converge (was %.2f m)", unc, uncAtDenialEnd)
 			}
 		})
+	}
+}
+
+// convergeStatic runs the filter on clean measurements of a static truth.
+func convergeStatic(k *PosVelEKF, truth sim.State, seconds float64) {
+	imu := sensors.NewIMU(200, 1)
+	gps := sensors.NewGPS(5, 2)
+	baro := sensors.NewBarometer(15, 3)
+	dt := 1.0 / 200
+	tm := 0.0
+	for i := 0; i < int(seconds*200); i++ {
+		tm += dt
+		s := imu.Sample(truth, mathx.Vec3{})
+		accel := mathx.QuatIdentity().Rotate(s.Accel).Sub(mathx.V3(0, 0, 9.80665))
+		k.Predict(accel, dt)
+		if gps.Due(tm) {
+			k.UpdateGPS(gps.Sample(truth), 0.8, 0.1)
+		}
+		if baro.Due(tm) {
+			k.UpdateBaro(baro.SampleAltitude(truth), 0.15)
+		}
+	}
+}
+
+func TestGPSDropoutDriftBounded(t *testing.T) {
+	// GPS out for 30 s: the baro keeps altitude honest while horizontal
+	// uncertainty grows — and the uncertainty signal must reflect it.
+	k := NewPosVelEKF()
+	truth := sim.State{Pos: mathx.V3(3, -2, 8), Att: mathx.QuatIdentity()}
+	convergeStatic(k, truth, 20)
+	sigmaBefore := k.PositionUncertainty()
+
+	imu := sensors.NewIMU(200, 4)
+	baro := sensors.NewBarometer(15, 5)
+	dt := 1.0 / 200
+	tm := 0.0
+	for i := 0; i < 200*30; i++ {
+		tm += dt
+		s := imu.Sample(truth, mathx.Vec3{})
+		accel := mathx.QuatIdentity().Rotate(s.Accel).Sub(mathx.V3(0, 0, 9.80665))
+		k.Predict(accel, dt)
+		if baro.Due(tm) {
+			k.UpdateBaro(baro.SampleAltitude(truth), 0.15)
+		}
+	}
+	if k.PositionUncertainty() <= sigmaBefore*2 {
+		t.Errorf("horizontal uncertainty did not grow during dropout: %v -> %v",
+			sigmaBefore, k.PositionUncertainty())
+	}
+	// Altitude stays pinned by the barometer.
+	if altErr := k.Position().Z - truth.Pos.Z; altErr > 0.5 || altErr < -0.5 {
+		t.Errorf("altitude drifted %v m despite the barometer", altErr)
 	}
 }

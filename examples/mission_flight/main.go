@@ -1,10 +1,10 @@
 // Mission flight: the full stack end to end — the simulated drone flies a
 // waypoint mission while streaming MAVLink telemetry over TCP to a ground
-// station running in the same process, which monitors progress and issues
-// the return-to-launch command, exactly like the paper's DroneKit +
-// 915 MHz telemetry setup.
+// station running in the same process, which monitors progress, like the
+// paper's 915 MHz telemetry setup. An operator's return-to-launch lands
+// mid-mission as an in-process call.
 //
-// The flight stack is wired by scenario.Build; because an operator command
+// The flight stack is wired by scenario.Build; because the operator's RTL
 // lands mid-mission, this example drives the flight phases itself instead
 // of using the canned scenario.Run sequence.
 package main
@@ -17,14 +17,13 @@ import (
 	"dronedse/autopilot"
 	"dronedse/groundstation"
 	"dronedse/mathx"
-	"dronedse/mavlink"
 	"dronedse/mission"
 	"dronedse/scenario"
 )
 
 func main() {
 	// Ground station listening on loopback.
-	gs := groundstation.New(nil)
+	gs := groundstation.New()
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- gs.ServeTCP("127.0.0.1:0", ready) }()
@@ -68,15 +67,13 @@ func main() {
 	}
 	fmt.Println("mission started; flying 2 waypoints")
 
-	// Fly until the second waypoint is reached, then send RTL from the
-	// ground-station side, the way an operator would.
+	// Fly until the second waypoint is reached, then order RTL the way an
+	// operator would; the telemetry link itself is one way.
 	ap.RunUntil(func(a *autopilot.Autopilot) bool {
 		return a.Quad().State().Pos.Sub(plan[1].Pos).Norm() < 1
 	}, 120)
 	fmt.Println("waypoint 2 reached; ground station commands RTL")
-	if err := ap.HandleCommand(mavlink.CommandLong{Command: mavlink.CmdRTL}); err != nil {
-		log.Fatal(err)
-	}
+	ap.CommandRTL()
 	ap.RunUntil(func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Disarmed }, 120)
 	conn.Close()
 	gs.Shutdown()

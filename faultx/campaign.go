@@ -236,7 +236,7 @@ func buildLane(sc Scenario, cfg Config) lane {
 	link.DropProb, link.CorruptProb = sc.Link.Drop, sc.Link.Corrupt
 	link.DupProb, link.TruncProb = sc.Link.Dup, sc.Link.Trunc
 	link.ReorderProb = sc.Link.Reorder
-	gs := groundstation.New(nil)
+	gs := groundstation.New()
 	policy := autopilot.DefaultEnergyPolicy()
 
 	return lane{

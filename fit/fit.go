@@ -129,35 +129,11 @@ func (p Piecewise2) Eval(x float64) float64 {
 	return p.High.Eval(x)
 }
 
-// RMSE returns the root-mean-square error of predictions ys_hat vs ys.
-func RMSE(ys, ysHat []float64) float64 {
-	if len(ys) == 0 || len(ys) != len(ysHat) {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range ys {
-		d := ys[i] - ysHat[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(ys)))
-}
-
-// Interp1 linearly interpolates y at x over the points (sorted internally),
-// clamping outside the domain. It backs the motor-survey lookup tables
-// (Figure 9). Callers on a hot path with an already-sorted table should use
-// Interp1Sorted, which does not copy.
-func Interp1(points []Point, x float64) float64 {
-	if len(points) == 0 {
-		return math.NaN()
-	}
-	ps := append([]Point(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].X < ps[j].X })
-	return Interp1Sorted(ps, x)
-}
-
-// Interp1Sorted is Interp1 over points already sorted ascending by X. It
-// performs no allocation, so lookup tables evaluated once per Resolve call
-// (the design-space sweeps visit millions) can be package-level constants.
+// Interp1Sorted linearly interpolates y at x over points sorted ascending
+// by X, clamping outside the domain. It backs the motor-survey lookup
+// tables (Figure 9) and performs no allocation, so lookup tables evaluated
+// once per Resolve call (the design-space sweeps visit millions) can be
+// package-level constants.
 func Interp1Sorted(ps []Point, x float64) float64 {
 	if len(ps) == 0 {
 		return math.NaN()

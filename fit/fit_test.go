@@ -131,38 +131,21 @@ func TestPiecewise2(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2}, []float64{1, 2}); got != 0 {
-		t.Errorf("perfect RMSE = %v", got)
-	}
-	if got := RMSE([]float64{0, 0}, []float64{3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMSE = %v", got)
-	}
-	if !math.IsNaN(RMSE(nil, nil)) {
-		t.Error("empty RMSE should be NaN")
-	}
-}
-
 func TestInterp1(t *testing.T) {
 	pts := []Point{{0, 0}, {10, 100}, {20, 100}}
-	if got := Interp1(pts, 5); math.Abs(got-50) > 1e-12 {
-		t.Errorf("Interp1(5) = %v", got)
+	if got := Interp1Sorted(pts, 5); math.Abs(got-50) > 1e-12 {
+		t.Errorf("Interp1Sorted(5) = %v", got)
 	}
-	if got := Interp1(pts, -5); got != 0 {
+	if got := Interp1Sorted(pts, -5); got != 0 {
 		t.Errorf("clamp low = %v", got)
 	}
-	if got := Interp1(pts, 50); got != 100 {
+	if got := Interp1Sorted(pts, 50); got != 100 {
 		t.Errorf("clamp high = %v", got)
 	}
-	if got := Interp1(pts, 15); math.Abs(got-100) > 1e-12 {
-		t.Errorf("Interp1(15) = %v", got)
+	if got := Interp1Sorted(pts, 15); math.Abs(got-100) > 1e-12 {
+		t.Errorf("Interp1Sorted(15) = %v", got)
 	}
-	if !math.IsNaN(Interp1(nil, 1)) {
-		t.Error("empty Interp1 should be NaN")
-	}
-	// unsorted input handled
-	rev := []Point{{20, 100}, {0, 0}, {10, 100}}
-	if got := Interp1(rev, 5); math.Abs(got-50) > 1e-12 {
-		t.Errorf("unsorted Interp1(5) = %v", got)
+	if !math.IsNaN(Interp1Sorted(nil, 1)) {
+		t.Error("empty Interp1Sorted should be NaN")
 	}
 }

@@ -123,7 +123,7 @@ func TestServeTelemetryStreamAndStall(t *testing.T) {
 	}
 
 	// A groundstation consuming the healthy stream sees a coherent flight.
-	gs := groundstation.New(nil)
+	gs := groundstation.New()
 	gs.Consume(stream)
 	if gst := gs.State(); gst.Heartbeats == 0 || gst.ParseErrors != 0 {
 		t.Fatalf("ground station state: %+v", gst)

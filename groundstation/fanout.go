@@ -199,14 +199,6 @@ func (s *Sub) Dropped() uint64 {
 	return s.dropped
 }
 
-// Closed reports whether the subscription has ended (queued units may still
-// be pending).
-func (s *Sub) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 func (s *Sub) close() {
 	s.mu.Lock()
 	s.closed = true

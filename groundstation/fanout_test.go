@@ -255,7 +255,7 @@ func TestHubReconnectResume(t *testing.T) {
 	}
 
 	// A station consuming the concatenated segments tracks state cleanly.
-	gs := New(nil)
+	gs := New()
 	gs.Consume(stream1.Bytes())
 	gs.Consume(stream2.Bytes())
 	if st := gs.State(); st.Heartbeats != 20 || st.ParseErrors != 0 {

@@ -1,14 +1,12 @@
 // Package groundstation is the monitoring side of the Figure 3/5
-// communication link: it consumes MAVLink telemetry from the drone over any
-// io stream (TCP in the examples, in-memory pipes in tests), tracks the
-// latest vehicle state, and can issue commands back — the DroneKit role in
-// the paper's stack.
+// communication link: it consumes the drone's one-way MAVLink telemetry
+// downlink over any io stream (TCP in the examples, in-memory pipes in
+// tests), tracks the latest vehicle state and keeps a bounded track
+// history.
 package groundstation
 
 import (
 	"bufio"
-	"fmt"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -30,19 +28,16 @@ type VehicleState struct {
 	BatteryV    float64
 	BatterySoC  float64
 	PowerW      float64
-	LastStatus  string
 	Heartbeats  int
 	Frames      int
 	ParseErrors int
 }
 
-// Station consumes telemetry and issues commands.
+// Station consumes telemetry.
 type Station struct {
 	mu      sync.Mutex
 	state   VehicleState
 	parser  mavlink.Parser
-	out     io.Writer
-	seq     uint8
 	history []VehicleState
 	histCap int
 
@@ -61,9 +56,9 @@ type Station struct {
 // DefaultReadTimeout is the served connection's silent-link deadline.
 const DefaultReadTimeout = 10 * time.Second
 
-// New returns a station writing commands to out (nil for receive-only).
-// The station keeps a bounded history of position fixes for track display.
-func New(out io.Writer) *Station { return &Station{out: out, histCap: 4096} }
+// New returns a station that keeps a bounded history of position fixes for
+// track display.
+func New() *Station { return &Station{histCap: 4096} }
 
 // State returns a snapshot of the latest vehicle state.
 func (s *Station) State() VehicleState {
@@ -116,36 +111,11 @@ func (s *Station) Consume(data []byte) {
 				continue
 			}
 			s.state.BatteryV, s.state.BatterySoC, s.state.PowerW = float64(b.VoltageV), float64(b.SoC), float64(b.PowerW)
-		case mavlink.MsgStatusText:
-			st, err := mavlink.DecodeStatusText(f.Payload)
-			if err != nil {
-				s.state.ParseErrors++
-				continue
-			}
-			s.state.LastStatus = st.Text
 		default:
-			// commands flowing drone-ward are not expected here
+			// the parser drops IDs without a CRC_EXTRA seed, so only the
+			// four downlink messages above reach here
 		}
 	}
-}
-
-// SendCommand writes a CommandLong frame to the drone.
-func (s *Station) SendCommand(c mavlink.CommandLong) error {
-	if s.out == nil {
-		return fmt.Errorf("groundstation: receive-only station")
-	}
-	s.mu.Lock()
-	seq := s.seq
-	s.seq++
-	s.mu.Unlock()
-	f := mavlink.Frame{Seq: seq, SysID: 255, CompID: 1,
-		MsgID: mavlink.MsgCommandLong, Payload: mavlink.EncodeCommandLong(c)}
-	raw, err := f.Marshal()
-	if err != nil {
-		return err
-	}
-	_, err = s.out.Write(raw)
-	return err
 }
 
 // ServeTCP accepts telemetry connections on addr and consumes them until

@@ -1,14 +1,12 @@
 package groundstation
 
 import (
-	"bytes"
 	"net"
 	"testing"
 	"time"
 
 	"dronedse/autopilot"
 	"dronedse/mathx"
-	"dronedse/mavlink"
 	"dronedse/power"
 	"dronedse/sim"
 )
@@ -28,7 +26,7 @@ func TestConsumeTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := New(nil)
+	gs := New()
 	gs.Consume(raw)
 	st := gs.State()
 	if st.Heartbeats != 1 {
@@ -57,7 +55,7 @@ func TestConsumeFragmented(t *testing.T) {
 		raw, _ := ap.AppendTelemetry(nil, &seq)
 		stream = append(stream, raw...)
 	}
-	gs := New(nil)
+	gs := New()
 	for i := 0; i < len(stream); i += 3 {
 		end := i + 3
 		if end > len(stream) {
@@ -70,53 +68,8 @@ func TestConsumeFragmented(t *testing.T) {
 	}
 }
 
-func TestSendCommand(t *testing.T) {
-	var buf bytes.Buffer
-	gs := New(&buf)
-	if err := gs.SendCommand(mavlink.CommandLong{Command: mavlink.CmdArm}); err != nil {
-		t.Fatal(err)
-	}
-	var p mavlink.Parser
-	frames := p.Push(buf.Bytes())
-	if len(frames) != 1 || frames[0].MsgID != mavlink.MsgCommandLong {
-		t.Fatalf("command frame = %+v", frames)
-	}
-	c, err := mavlink.DecodeCommandLong(frames[0].Payload)
-	if err != nil || c.Command != mavlink.CmdArm {
-		t.Errorf("decoded = %+v, %v", c, err)
-	}
-	recvOnly := New(nil)
-	if err := recvOnly.SendCommand(mavlink.CommandLong{}); err == nil {
-		t.Error("receive-only station sent a command")
-	}
-}
-
-func TestCommandDrivesAutopilot(t *testing.T) {
-	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
-	var buf bytes.Buffer
-	gs := New(&buf)
-	gs.SendCommand(mavlink.CommandLong{Command: mavlink.CmdArm})
-	var p mavlink.Parser
-	for _, f := range p.Push(buf.Bytes()) {
-		c, err := mavlink.DecodeCommandLong(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ap.HandleCommand(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ap.Mode() != autopilot.Takeoff {
-		t.Errorf("mode after remote arm = %v", ap.Mode())
-	}
-	if err := ap.HandleCommand(mavlink.CommandLong{Command: 999}); err == nil {
-		t.Error("unknown command accepted")
-	}
-}
-
 func TestServeTCP(t *testing.T) {
-	gs := New(nil)
+	gs := New()
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- gs.ServeTCP("127.0.0.1:0", ready) }()
@@ -169,7 +122,7 @@ func waitForHeartbeats(t *testing.T, gs *Station, n int) {
 // span both connections (the LossyLink outage scenario's ground-side
 // contract).
 func TestServeTCPReconnect(t *testing.T) {
-	gs := New(nil)
+	gs := New()
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- gs.ServeTCP("127.0.0.1:0", ready) }()
@@ -238,7 +191,7 @@ func TestServeTCPReconnect(t *testing.T) {
 // TestServeTCPReadDeadline verifies a silent connection is dropped after the
 // read timeout instead of wedging the accept loop forever.
 func TestServeTCPReadDeadline(t *testing.T) {
-	gs := New(nil)
+	gs := New()
 	gs.ReadTimeout = 50 * time.Millisecond
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
@@ -281,7 +234,7 @@ func TestServeTCPReadDeadline(t *testing.T) {
 func TestTrackHistory(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
 	ap, _ := autopilot.New(autopilot.Config{Quad: q, TakeoffAltM: 5, Seed: 4})
-	gs := New(nil)
+	gs := New()
 	var seq uint8
 	ap.Arm()
 	ap.RunUntil(func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Hover }, 30)
@@ -312,7 +265,7 @@ func TestTrackHistory(t *testing.T) {
 }
 
 func TestTrackBounded(t *testing.T) {
-	gs := New(nil)
+	gs := New()
 	gs.histCap = 8
 	q, _ := sim.NewQuad(sim.DefaultConfig())
 	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})

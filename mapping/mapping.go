@@ -164,17 +164,6 @@ func (g *Grid) OccupiedCount() int {
 	return n
 }
 
-// Keys returns the occupied voxel keys (order unspecified).
-func (g *Grid) Keys() []Key {
-	out := make([]Key, 0, len(g.vox))
-	for k, v := range g.vox {
-		if v >= occupiedAt {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // FromPoints builds a grid from a landmark cloud (the SLAM map points of
 // dronedse/slam become the obstacle map).
 func FromPoints(points []mathx.Vec3, resM float64) *Grid {

@@ -239,60 +239,6 @@ func (m *Dense) SolveCholesky(b []float64) (x []float64, ok bool) {
 	return x, true
 }
 
-// SolveLU solves m x = b using Gaussian elimination with partial pivoting.
-// It works for any non-singular square m. b is not modified.
-func (m *Dense) SolveLU(b []float64) (x []float64, ok bool) {
-	if m.rows != m.cols || len(b) != m.rows {
-		return nil, false
-	}
-	n := m.rows
-	a := m.Clone()
-	rhs := append([]float64(nil), b...)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for col := 0; col < n; col++ {
-		// pivot
-		p, best := col, math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				p, best = r, v
-			}
-		}
-		if best < 1e-14 {
-			return nil, false
-		}
-		if p != col {
-			for j := 0; j < n; j++ {
-				a.data[col*n+j], a.data[p*n+j] = a.data[p*n+j], a.data[col*n+j]
-			}
-			rhs[col], rhs[p] = rhs[p], rhs[col]
-		}
-		inv := 1 / a.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			a.Set(r, col, 0)
-			for j := col + 1; j < n; j++ {
-				a.Addf(r, j, -f*a.At(col, j))
-			}
-			rhs[r] -= f * rhs[col]
-		}
-	}
-	x = make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := rhs[i]
-		for j := i + 1; j < n; j++ {
-			s -= a.At(i, j) * x[j]
-		}
-		x[i] = s / a.At(i, i)
-	}
-	return x, true
-}
-
 // ---- In-place variants -------------------------------------------------
 //
 // The EKF runs its covariance algebra hundreds of times per simulated

@@ -91,41 +91,6 @@ func TestCholeskyFactorProperty(t *testing.T) {
 	}
 }
 
-func TestSolveLU(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + r.Intn(8)
-		m := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				m.Set(i, j, r.NormFloat64())
-			}
-			m.Addf(i, i, 3) // diagonally dominant-ish: keeps it non-singular
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = r.NormFloat64()
-		}
-		b := m.MulVec(want)
-		got, ok := m.SolveLU(b)
-		if !ok {
-			t.Fatalf("trial %d: solvable system rejected", trial)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-7 {
-				t.Fatalf("trial %d: x[%d]=%v want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSolveLUSingular(t *testing.T) {
-	m := DenseFrom([][]float64{{1, 2}, {2, 4}})
-	if _, ok := m.SolveLU([]float64{1, 2}); ok {
-		t.Error("singular system accepted")
-	}
-}
-
 func TestSymmetrize(t *testing.T) {
 	m := DenseFrom([][]float64{{1, 2}, {4, 5}})
 	m.Symmetrize()

@@ -36,39 +36,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Error("extremes wrong")
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("median = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Errorf("p25 = %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile != 0")
-	}
-	// input must not be reordered
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Error("Percentile mutated input")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = %v, %v", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Error("MinMax(nil) not zero")
-	}
-}
-
 func TestWithin(t *testing.T) {
 	if !Within(1.05, 1.0, 0.1) || Within(1.2, 1.0, 0.1) {
 		t.Error("Within wrong")

@@ -69,13 +69,6 @@ func (v Vec3) Clamp(lim float64) Vec3 {
 	return Vec3{clamp(v.X, -lim, lim), clamp(v.Y, -lim, lim), clamp(v.Z, -lim, lim)}
 }
 
-// IsFinite reports whether all components are finite numbers.
-func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
-
 // String implements fmt.Stringer.
 func (v Vec3) String() string { return fmt.Sprintf("(%.4g, %.4g, %.4g)", v.X, v.Y, v.Z) }
 
@@ -91,6 +84,3 @@ func clamp(x, lo, hi float64) float64 {
 
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 { return clamp(x, lo, hi) }
-
-// Lerp linearly interpolates between a and b with t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }

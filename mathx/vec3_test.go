@@ -76,23 +76,8 @@ func TestVec3Clamp(t *testing.T) {
 	}
 }
 
-func TestVec3IsFinite(t *testing.T) {
-	if !V3(1, 2, 3).IsFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	if V3(math.NaN(), 0, 0).IsFinite() {
-		t.Error("NaN vector reported finite")
-	}
-	if V3(0, math.Inf(1), 0).IsFinite() {
-		t.Error("Inf vector reported finite")
-	}
-}
-
-func TestClampAndLerp(t *testing.T) {
+func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.3, 0, 1) != 0.3 {
 		t.Error("Clamp wrong")
-	}
-	if Lerp(2, 4, 0.5) != 3 {
-		t.Error("Lerp wrong")
 	}
 }

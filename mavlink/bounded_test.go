@@ -55,8 +55,8 @@ func TestPushSmallMaxBuffer(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		f := Frame{Seq: uint8(i), MsgID: MsgHeartbeat,
-			Payload: EncodeHeartbeat(Heartbeat{Mode: uint8(i), TimeMS: uint32(i)})}
-		raw, err := f.Marshal()
+			Payload: AppendHeartbeat(nil, Heartbeat{Mode: uint8(i), TimeMS: uint32(i)})}
+		raw, err := f.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +80,8 @@ func TestPushByteConservationQuick(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		if r.Intn(2) == 0 {
 			f := Frame{Seq: uint8(i), MsgID: MsgAttitude,
-				Payload: EncodeAttitude(Attitude{TimeMS: uint32(i)})}
-			raw, _ := f.Marshal()
+				Payload: AppendAttitude(nil, Attitude{TimeMS: uint32(i)})}
+			raw, _ := f.AppendTo(nil)
 			stream = append(stream, raw...)
 		} else {
 			noise := make([]byte, r.Intn(40))

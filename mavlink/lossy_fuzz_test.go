@@ -17,8 +17,8 @@ func heartbeatStream(t testing.TB, n int) [][]byte {
 	var chunks [][]byte
 	for i := 0; i < n; i++ {
 		f := mavlink.Frame{Seq: uint8(i), MsgID: mavlink.MsgHeartbeat,
-			Payload: mavlink.EncodeHeartbeat(mavlink.Heartbeat{Mode: uint8(i % 7), TimeMS: uint32(i)})}
-		raw, err := f.Marshal()
+			Payload: mavlink.AppendHeartbeat(nil, mavlink.Heartbeat{Mode: uint8(i % 7), TimeMS: uint32(i)})}
+		raw, err := f.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

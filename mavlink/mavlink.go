@@ -1,7 +1,8 @@
-// Package mavlink implements a compact MAVLink-v1-style telemetry protocol
+// Package mavlink implements a compact MAVLink-v1-style telemetry downlink
 // (framing, X.25 CRC with per-message seeding, streaming parser with resync)
 // — the communication layer of Figure 5 that "delivers stats to the ground
-// station and, if necessary, offloads computations to another node".
+// station". Traffic is one way: the drone emits heartbeat, attitude,
+// position and battery frames, and nothing flows drone-ward.
 package mavlink
 
 import (
@@ -26,25 +27,17 @@ const (
 	MsgAttitude
 	MsgGlobalPosition
 	MsgBatteryStatus
-	MsgStatusText
-	MsgCommandLong
-	MsgMissionItem
-	MsgParamSet
-	MsgParamValue
 )
 
 // crcExtra seeds the CRC per message type so sender/receiver disagree loudly
-// on layout changes (the MAVLink CRC_EXTRA mechanism).
+// on layout changes (the MAVLink CRC_EXTRA mechanism). An ID with no entry
+// is unknown: the encoder refuses it and the parser counts it as a CRC
+// failure.
 var crcExtra = map[MsgID]byte{
 	MsgHeartbeat:      50,
 	MsgAttitude:       39,
 	MsgGlobalPosition: 104,
 	MsgBatteryStatus:  154,
-	MsgStatusText:     83,
-	MsgCommandLong:    152,
-	MsgMissionItem:    254,
-	MsgParamSet:       168,
-	MsgParamValue:     220,
 }
 
 // Frame is one wire frame.
@@ -72,7 +65,10 @@ func x25Byte(crc uint16, b byte) uint16 {
 	return (crc >> 8) ^ (tmp << 8) ^ (tmp << 3) ^ (tmp >> 4)
 }
 
-var errPayloadTooLarge = errors.New("mavlink: payload too large")
+var (
+	errPayloadTooLarge = errors.New("mavlink: payload too large")
+	errUnknownMsgID    = errors.New("mavlink: unknown message id")
+)
 
 // AppendTo appends the frame's wire encoding to dst and returns the extended
 // slice; with enough capacity in dst it does not allocate. On error dst is
@@ -81,15 +77,16 @@ func (f Frame) AppendTo(dst []byte) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return dst, errPayloadTooLarge
 	}
+	extra, ok := crcExtra[f.MsgID]
+	if !ok {
+		return dst, errUnknownMsgID
+	}
 	start := len(dst)
 	dst = append(dst, Magic, byte(len(f.Payload)), f.Seq, f.SysID, f.CompID, byte(f.MsgID))
 	dst = append(dst, f.Payload...)
-	crc := x25Byte(X25(dst[start+1:]), crcExtra[f.MsgID])
+	crc := x25Byte(X25(dst[start+1:]), extra)
 	return binary.LittleEndian.AppendUint16(dst, crc), nil
 }
-
-// Marshal serializes the frame into a new slice.
-func (f Frame) Marshal() ([]byte, error) { return f.AppendTo(make([]byte, 0, 8+len(f.Payload))) }
 
 // maxFrameLen is the largest possible wire frame: header + max payload +
 // CRC.
@@ -111,11 +108,13 @@ type Parser struct {
 	// MaxBuffer caps the buffered byte count (0 means DefaultMaxBuffer;
 	// values below one max-length frame are raised to it).
 	MaxBuffer int
-	BadCRC    int
-	Resyncs   int
-	Complete  int
+	// BadCRC counts frames dropped for a CRC mismatch or an unknown ID.
+	BadCRC   int
+	Resyncs  int
+	Complete int
 	// Discarded counts every byte dropped without decoding: resync skips,
-	// CRC-failed sync bytes, and overflow drops. Conservation invariant:
+	// the sync bytes of frames that fail the CRC or carry an unknown ID,
+	// and overflow drops. Conservation invariant:
 	// bytes pushed == bytes in returned frames (8+len(Payload) each)
 	//              + Discarded + BufferedBytes().
 	Discarded int
@@ -179,18 +178,18 @@ func (p *Parser) parse(out []Frame) []Frame {
 		if len(rem) < total {
 			break
 		}
-		frame := Frame{
-			Seq:     rem[2],
-			SysID:   rem[3],
-			CompID:  rem[4],
-			MsgID:   MsgID(rem[5]),
-			Payload: append([]byte(nil), rem[6:6+plen]...),
-		}
+		// An unknown ID fails like a CRC mismatch: no seed can vouch for it.
+		extra, known := crcExtra[MsgID(rem[5])]
 		wire := binary.LittleEndian.Uint16(rem[6+plen : 8+plen])
-		calc := x25Byte(X25(rem[1:6+plen]), crcExtra[frame.MsgID])
-		if wire == calc {
+		if known && wire == x25Byte(X25(rem[1:6+plen]), extra) {
 			p.Complete++
-			out = append(out, frame)
+			out = append(out, Frame{
+				Seq:     rem[2],
+				SysID:   rem[3],
+				CompID:  rem[4],
+				MsgID:   MsgID(rem[5]),
+				Payload: append([]byte(nil), rem[6:6+plen]...),
+			})
 			start += total
 		} else {
 			p.BadCRC++
@@ -236,36 +235,7 @@ type BatteryStatus struct {
 	PowerW   float32
 }
 
-// StatusText carries a severity-tagged log line.
-type StatusText struct {
-	Severity uint8
-	Text     string
-}
-
-// CommandLong carries a parametrized command (arm, takeoff, set-mode...).
-type CommandLong struct {
-	Command uint16
-	Param   [4]float32
-}
-
-// Command numbers for CommandLong.
-const (
-	CmdArm uint16 = iota + 400
-	CmdTakeoff
-	CmdLand
-	CmdRTL
-	CmdStartMission
-)
-
-// MissionItem uploads one waypoint.
-type MissionItem struct {
-	Index   uint16
-	X, Y, Z float32
-	HoldS   float32
-}
-
-func putF32(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }
-func getF32(b []byte) float32    { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
+func getF32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
 
 func appendF32s(dst []byte, vs ...float32) []byte {
 	for _, v := range vs {
@@ -284,9 +254,6 @@ func AppendHeartbeat(dst []byte, h Heartbeat) []byte {
 	return binary.LittleEndian.AppendUint32(dst, h.TimeMS)
 }
 
-// EncodeHeartbeat packs a heartbeat frame payload.
-func EncodeHeartbeat(h Heartbeat) []byte { return AppendHeartbeat(make([]byte, 0, 6), h) }
-
 // DecodeHeartbeat unpacks a heartbeat payload.
 func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 	if len(b) != 6 {
@@ -300,9 +267,6 @@ func AppendAttitude(dst []byte, a Attitude) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, a.TimeMS)
 	return appendF32s(dst, a.Roll, a.Pitch, a.Yaw, a.RollRate, a.PitchRate, a.YawRate)
 }
-
-// EncodeAttitude packs an attitude payload.
-func EncodeAttitude(a Attitude) []byte { return AppendAttitude(make([]byte, 0, 28), a) }
 
 // DecodeAttitude unpacks an attitude payload.
 func DecodeAttitude(b []byte) (Attitude, error) {
@@ -322,11 +286,6 @@ func AppendGlobalPosition(dst []byte, g GlobalPosition) []byte {
 	return appendF32s(dst, g.X, g.Y, g.Z, g.VX, g.VY, g.VZ)
 }
 
-// EncodeGlobalPosition packs a position payload.
-func EncodeGlobalPosition(g GlobalPosition) []byte {
-	return AppendGlobalPosition(make([]byte, 0, 28), g)
-}
-
 // DecodeGlobalPosition unpacks a position payload.
 func DecodeGlobalPosition(b []byte) (GlobalPosition, error) {
 	if len(b) != 28 {
@@ -344,113 +303,10 @@ func AppendBatteryStatus(dst []byte, s BatteryStatus) []byte {
 	return appendF32s(dst, s.VoltageV, s.SoC, s.PowerW)
 }
 
-// EncodeBatteryStatus packs a battery payload.
-func EncodeBatteryStatus(s BatteryStatus) []byte {
-	return AppendBatteryStatus(make([]byte, 0, 12), s)
-}
-
 // DecodeBatteryStatus unpacks a battery payload.
 func DecodeBatteryStatus(b []byte) (BatteryStatus, error) {
 	if len(b) != 12 {
 		return BatteryStatus{}, fmt.Errorf("mavlink: battery payload %d bytes", len(b))
 	}
 	return BatteryStatus{VoltageV: getF32(b), SoC: getF32(b[4:]), PowerW: getF32(b[8:])}, nil
-}
-
-// EncodeStatusText packs a status-text payload (text truncated to 200 bytes).
-func EncodeStatusText(s StatusText) []byte {
-	txt := s.Text
-	if len(txt) > 200 {
-		txt = txt[:200]
-	}
-	b := make([]byte, 1+len(txt))
-	b[0] = s.Severity
-	copy(b[1:], txt)
-	return b
-}
-
-// DecodeStatusText unpacks a status-text payload.
-func DecodeStatusText(b []byte) (StatusText, error) {
-	if len(b) < 1 {
-		return StatusText{}, errors.New("mavlink: empty status text")
-	}
-	return StatusText{Severity: b[0], Text: string(b[1:])}, nil
-}
-
-// EncodeCommandLong packs a command payload.
-func EncodeCommandLong(c CommandLong) []byte {
-	b := make([]byte, 18)
-	binary.LittleEndian.PutUint16(b, c.Command)
-	for i, v := range c.Param {
-		putF32(b[2+4*i:], v)
-	}
-	return b
-}
-
-// DecodeCommandLong unpacks a command payload.
-func DecodeCommandLong(b []byte) (CommandLong, error) {
-	if len(b) != 18 {
-		return CommandLong{}, fmt.Errorf("mavlink: command payload %d bytes", len(b))
-	}
-	c := CommandLong{Command: binary.LittleEndian.Uint16(b)}
-	for i := range c.Param {
-		c.Param[i] = getF32(b[2+4*i:])
-	}
-	return c, nil
-}
-
-// EncodeMissionItem packs a waypoint payload.
-func EncodeMissionItem(m MissionItem) []byte {
-	b := make([]byte, 18)
-	binary.LittleEndian.PutUint16(b, m.Index)
-	putF32(b[2:], m.X)
-	putF32(b[6:], m.Y)
-	putF32(b[10:], m.Z)
-	putF32(b[14:], m.HoldS)
-	return b
-}
-
-// DecodeMissionItem unpacks a waypoint payload.
-func DecodeMissionItem(b []byte) (MissionItem, error) {
-	if len(b) != 18 {
-		return MissionItem{}, fmt.Errorf("mavlink: mission item payload %d bytes", len(b))
-	}
-	return MissionItem{
-		Index: binary.LittleEndian.Uint16(b),
-		X:     getF32(b[2:]), Y: getF32(b[6:]), Z: getF32(b[10:]),
-		HoldS: getF32(b[14:]),
-	}, nil
-}
-
-// Param carries one named tunable — the MAVLink parameter protocol the
-// artifact uses to reconfigure the drone mid-flight. Names are up to 16
-// ASCII characters, zero-padded on the wire.
-type Param struct {
-	Name  string
-	Value float32
-}
-
-// EncodeParam packs a PARAM_SET / PARAM_VALUE payload.
-func EncodeParam(p Param) []byte {
-	b := make([]byte, 20)
-	n := p.Name
-	if len(n) > 16 {
-		n = n[:16]
-	}
-	copy(b, n)
-	putF32(b[16:], p.Value)
-	return b
-}
-
-// DecodeParam unpacks a parameter payload.
-func DecodeParam(b []byte) (Param, error) {
-	if len(b) != 20 {
-		return Param{}, fmt.Errorf("mavlink: param payload %d bytes", len(b))
-	}
-	name := b[:16]
-	end := 0
-	for end < 16 && name[end] != 0 {
-		end++
-	}
-	return Param{Name: string(name[:end]), Value: getF32(b[16:])}, nil
 }

@@ -87,10 +87,9 @@ type Quad struct {
 
 	env      *Environment // nil is calm air
 	onGround bool
-	failed   [NumMotors]bool
-	// eff derates each rotor's commanded thrust (1 = healthy). Partial
-	// thrust loss — a chipped prop, a sagging ESC — sits between healthy
-	// and the binary FailMotor, and fault injectors drive it over time.
+	// eff derates each rotor's commanded thrust (1 = healthy, 0 = failed).
+	// Partial thrust loss — a chipped prop, a sagging ESC — sits between
+	// the two, and fault injectors drive it over time.
 	eff [NumMotors]float64
 	// payloadKg is carried mass attached mid-flight (package delivery); it
 	// adds to the airframe mass in the translational dynamics but not to the
@@ -189,27 +188,9 @@ func (q *Quad) PayloadKg() float64 { return q.payloadKg }
 // massKg is the total translational mass: airframe plus carried payload.
 func (q *Quad) massKg() float64 { return q.cfg.MassKg + q.payloadKg }
 
-// FailMotor injects a motor/ESC failure: motor i produces no thrust until
-// repaired. Failure injection exercises the autopilot's crash detection.
-func (q *Quad) FailMotor(i int) {
-	if i >= 0 && i < NumMotors {
-		q.failed[i] = true
-	}
-}
-
-// RepairMotor clears an injected failure.
-func (q *Quad) RepairMotor(i int) {
-	if i >= 0 && i < NumMotors {
-		q.failed[i] = false
-	}
-}
-
-// MotorFailed reports whether motor i is failed.
-func (q *Quad) MotorFailed(i int) bool { return i >= 0 && i < NumMotors && q.failed[i] }
-
 // SetMotorEfficiency derates motor i to the given thrust fraction in [0, 1]
-// (1 restores full health). Unlike FailMotor it models partial thrust loss;
-// the commanded thrust is scaled before the spin-up lag.
+// (1 restores full health, 0 is a failed motor or ESC); the commanded
+// thrust is scaled before the spin-up lag. Out-of-range indices are ignored.
 func (q *Quad) SetMotorEfficiency(i int, frac float64) {
 	if i >= 0 && i < NumMotors {
 		q.eff[i] = mathx.Clamp(frac, 0, 1)
@@ -297,9 +278,6 @@ func (q *Quad) Step(dt float64) {
 		cmd := q.cmdN[i]
 		if q.eff[i] != 1 {
 			cmd *= q.eff[i]
-		}
-		if q.failed[i] {
-			cmd = 0
 		}
 		q.thrustN[i] += alpha * (cmd - q.thrustN[i])
 	}

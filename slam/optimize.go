@@ -57,10 +57,6 @@ func (s Stats) TotalOps() uint64 {
 	return s.FeatureExtractionOps + s.MatchingOps + s.LocalBAOps + s.GlobalBAOps + s.PoseGraphOps
 }
 
-// FrontEndOps groups feature extraction + matching (Figure 17's "Feature
-// Extraction/Matching" category).
-func (s Stats) FrontEndOps() uint64 { return s.FeatureExtractionOps + s.MatchingOps }
-
 // Pose is a camera pose: position and attitude (camera-to-world).
 type Pose struct {
 	Pos mathx.Vec3
@@ -114,19 +110,14 @@ func (ps *poseScratch) init() {
 	ps.neg, ps.dx, ps.yTmp = buf[72:78], buf[78:84], buf[84:90]
 }
 
-// OptimizePose refines a camera pose from 3-D map points and their 2-D
+// optimizePose refines a camera pose from 3-D map points and their 2-D
 // measurements by Gauss-Newton on the reprojection error over the 6-DOF
-// twist (translation + small rotation). It is the tracking back end; its
-// arithmetic is accounted to stats.MatchingOps (front-end tracking).
-func OptimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []float64, iters int, stats *Stats) Pose {
-	var ps poseScratch
-	return optimizePose(cam, init, pts, us, vs, iters, stats, &ps)
-}
-
-// optimizePose is OptimizePose over caller-owned scratch — the alloc-free
-// path the tracking loop and BA motion step use. The arithmetic (including
-// accumulation order) is bit-identical to the original Dense-backed loop:
-// the rotation matrix and point skew are hoisted because they are constant
+// twist (translation + small rotation), over caller-owned scratch. It is
+// the tracking back end, and the BA motion step uses it too; its
+// arithmetic is accounted to stats.MatchingOps (front-end tracking). The
+// loop does not allocate, and its arithmetic (including accumulation
+// order) is bit-identical to the original Dense-backed loop: the rotation
+// matrix and point skew are hoisted because they are constant
 // within an iteration/observation, the symmetric normal matrix is
 // accumulated as its upper triangle and mirrored (21 of 36 updates), and
 // CholeskyInto/SolveWithCholesky are the bit-exact in-place siblings of

@@ -169,7 +169,7 @@ func TestOptimizePoseConverges(t *testing.T) {
 		Att: truth.Att.Mul(mathx.QuatFromEuler(0.02, 0.03, -0.05)),
 	}
 	var st Stats
-	got := OptimizePose(cam, init, pts, us, vs, 10, &st)
+	got := optimizePose(cam, init, pts, us, vs, 10, &st, new(poseScratch))
 	if got.Pos.Sub(truth.Pos).Norm() > 1e-6 {
 		t.Errorf("position error %v", got.Pos.Sub(truth.Pos).Norm())
 	}
@@ -203,7 +203,7 @@ func TestOptimizePoseRobustToOutliers(t *testing.T) {
 		us[i] += 40 + r.Float64()*60
 		vs[i] -= 40 + r.Float64()*60
 	}
-	got := OptimizePose(cam, Pose{Att: mathx.QuatIdentity()}, pts, us, vs, 15, nil)
+	got := optimizePose(cam, Pose{Att: mathx.QuatIdentity()}, pts, us, vs, 15, nil, new(poseScratch))
 	if e := got.Pos.Sub(truth.Pos).Norm(); e > 0.05 {
 		t.Errorf("position error with outliers = %v m", e)
 	}
@@ -212,7 +212,7 @@ func TestOptimizePoseRobustToOutliers(t *testing.T) {
 func TestOptimizePoseDegenerate(t *testing.T) {
 	cam := dataset.DefaultCamera()
 	init := Pose{Att: mathx.QuatIdentity()}
-	got := OptimizePose(cam, init, nil, nil, nil, 5, nil)
+	got := optimizePose(cam, init, nil, nil, nil, 5, nil, new(poseScratch))
 	if got != init {
 		t.Error("empty problem changed the pose")
 	}
@@ -231,9 +231,6 @@ func TestStatsAggregation(t *testing.T) {
 	s := Stats{FeatureExtractionOps: 1, MatchingOps: 2, LocalBAOps: 3, GlobalBAOps: 4}
 	if s.TotalOps() != 10 {
 		t.Errorf("TotalOps = %d", s.TotalOps())
-	}
-	if s.FrontEndOps() != 3 {
-		t.Errorf("FrontEndOps = %d", s.FrontEndOps())
 	}
 }
 
