@@ -29,6 +29,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # The failpoint build tag swaps in the chaos-injection crash hooks; both
 # halves of the tagged pair must stay vet-clean or the chaos harness rots.
@@ -138,7 +139,7 @@ smoke-cmds:
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 	$(GO) run ./cmd/figures -fig 10 -procs 2 >/dev/null
 	$(GO) run ./cmd/figures -fig 15 >/dev/null
-	$(GO) run ./cmd/slambench -seqs 1 -procs 2 >/dev/null
+	$(GO) run ./cmd/figures -fig 17 -seqs 1 -procs 2 >/dev/null
 	$(GO) run ./cmd/benchjson -quick -o - >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null
 	$(GO) run ./examples/design_sweep >/dev/null

@@ -155,20 +155,10 @@ func (a *Autopilot) Observe(fn StepObserver) {
 	}
 }
 
-// New builds the autopilot stack.
-func New(cfg Config) (*Autopilot, error) {
-	if cfg.Quad == nil {
-		return nil, errors.New("autopilot: nil plant")
-	}
-	a := new(Autopilot)
-	a.Init(cfg)
-	return a, nil
-}
-
-// Init re-initialises a in place as New(cfg) would build it; cfg.Quad must
-// be set. The cascade, sensor suite and estimator it already owns are
-// re-initialised rather than replaced, and its random source is reseeded,
-// so a reused autopilot flies bit-identically to a new one.
+// Init (re)builds the autopilot stack in a, in place; cfg.Quad must be set.
+// The cascade, sensor suite and estimator it already owns are re-initialised
+// rather than replaced, and its random source is reseeded, so a reused
+// autopilot flies bit-identically to a new one.
 func (a *Autopilot) Init(cfg Config) {
 	r := cfg.Rates
 	if r.RateHz == 0 {

@@ -16,21 +16,11 @@ func newTestAP(t *testing.T, computeW float64) *Autopilot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := power.NewPack(3, 3000, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, err := New(Config{Quad: q, Battery: pack, ComputeW: computeW, TakeoffAltM: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pack := new(power.Pack)
+	pack.Init(3, 3000, 30)
+	ap := new(Autopilot)
+	ap.Init(Config{Quad: q, Battery: pack, ComputeW: computeW, TakeoffAltM: 5, Seed: 1})
 	return ap
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("nil plant accepted")
-	}
 }
 
 func TestArmOnlyFromDisarmed(t *testing.T) {
@@ -104,8 +94,10 @@ func TestMissionLifecycle(t *testing.T) {
 func TestBatteryFailsafe(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
 	// Absurdly small pack: drains mid-hover.
-	pack, _ := power.NewPack(3, 40, 80)
-	ap, _ := New(Config{Quad: q, Battery: pack, ComputeW: 5, TakeoffAltM: 5, Seed: 2})
+	pack := new(power.Pack)
+	pack.Init(3, 40, 80)
+	ap := new(Autopilot)
+	ap.Init(Config{Quad: q, Battery: pack, ComputeW: 5, TakeoffAltM: 5, Seed: 2})
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +121,13 @@ func TestBatteryFailsafe(t *testing.T) {
 
 func TestArmRejectedWithDrainedBattery(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	pack, _ := power.NewPack(3, 100, 80)
+	pack := new(power.Pack)
+	pack.Init(3, 100, 80)
 	for !pack.Drained() {
 		pack.Draw(50, 10)
 	}
-	ap, _ := New(Config{Quad: q, Battery: pack, Seed: 3})
+	ap := new(Autopilot)
+	ap.Init(Config{Quad: q, Battery: pack, Seed: 3})
 	if err := ap.Arm(); err == nil {
 		t.Error("armed with drained battery")
 	}
@@ -189,8 +183,10 @@ func TestMidFlightReconfiguration(t *testing.T) {
 // and the flight still works with the outer loop decimated to 10 Hz.
 func TestInnerOuterSeparation(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	pack, _ := power.NewPack(3, 3000, 30)
-	ap, _ := New(Config{
+	pack := new(power.Pack)
+	pack.Init(3, 3000, 30)
+	ap := new(Autopilot)
+	ap.Init(Config{
 		Quad: q, Battery: pack, TakeoffAltM: 5, Seed: 4,
 		Rates: control.Rates{PositionHz: 10, AttitudeHz: 200, RateHz: 1000},
 	})
@@ -241,11 +237,10 @@ func TestLoopStridesMatchStepModulo(t *testing.T) {
 		control.DefaultRates(),
 	} {
 		q, _ := sim.NewQuad(sim.DefaultConfig())
-		pack, _ := power.NewPack(3, 3000, 30)
-		ap, err := New(Config{Quad: q, Battery: pack, TakeoffAltM: 5, Seed: 2, Rates: r})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pack := new(power.Pack)
+		pack.Init(3, 3000, 30)
+		ap := new(Autopilot)
+		ap.Init(Config{Quad: q, Battery: pack, TakeoffAltM: 5, Seed: 2, Rates: r})
 		every := func(hz float64) int {
 			n := int(ap.PhysicsHz()/hz + 0.5)
 			if n < 1 {

@@ -12,8 +12,10 @@ import (
 func TestEnergyPolicyBringsItHome(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
 	// Small pack: enough to get out but the reserve must turn it around.
-	pack, _ := power.NewPack(3, 260, 80)
-	ap, _ := New(Config{Quad: q, Battery: pack, ComputeW: 5, TakeoffAltM: 5, Seed: 6})
+	pack := new(power.Pack)
+	pack.Init(3, 260, 80)
+	ap := new(Autopilot)
+	ap.Init(Config{Quad: q, Battery: pack, ComputeW: 5, TakeoffAltM: 5, Seed: 6})
 	ap.SetEnergyPolicy(DefaultEnergyPolicy())
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
@@ -62,7 +64,8 @@ func TestEnduranceEstimates(t *testing.T) {
 
 func TestNoBatteryEndurance(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := New(Config{Quad: q, Seed: 1})
+	ap := new(Autopilot)
+	ap.Init(Config{Quad: q, Seed: 1})
 	if !math.IsInf(ap.RemainingEnergyWh(), 1) {
 		t.Error("battery-less drone should report infinite energy")
 	}

@@ -128,17 +128,23 @@ func (fg Figure17) Stats() []slam.Stats {
 	return out
 }
 
-// Table renders the figure.
+// Table renders the figure, with each sequence's keyframe count, its RPi
+// time per frame, and its total speedup on every offload platform.
 func (fg Figure17) Table() Table {
 	t := Table{
-		Title:   "Figure 17: ORB-SLAM speedup over RPi (TX2 and FPGA) by category",
-		Columns: []string{"sequence", "ATE(m)", "TX2 total", "FPGA total", "FPGA FE part", "FPGA localBA part", "FPGA globalBA part"},
+		Title: "Figure 17: ORB-SLAM speedup over RPi (TX2 and FPGA) by category",
+		Columns: []string{"sequence", "ATE(m)", "keyframes", "RPi ms/frame", "sepRPi total", "TX2 total",
+			"FPGA total", "ASIC total", "FPGA FE part", "FPGA localBA part", "FPGA globalBA part"},
 	}
+	base := platform.RPi()
 	for i, r := range fg.Results {
 		tb, fb := fg.TX2Bars[i], fg.FPGABars[i]
+		rpiS, _, _, _ := base.SeqTime(r.Stats)
 		t.Rows = append(t.Rows, []string{
-			r.Name, fmt.Sprintf("%.3f", r.ATE),
-			f2(tb.Total), f2(fb.Total), f2(fb.FrontEnd), f2(fb.LocalBA), f2(fb.GlobalBA),
+			r.Name, fmt.Sprintf("%.3f", r.ATE), fmt.Sprint(r.Stats.Keyframes),
+			fmt.Sprintf("%.1f", rpiS/float64(r.Frames)*1000),
+			f2(platform.Speedup(base, platform.SeparateRPi(), r.Stats)), f2(tb.Total), f2(fb.Total),
+			f2(platform.Speedup(base, platform.ASIC(), r.Stats)), f2(fb.FrontEnd), f2(fb.LocalBA), f2(fb.GlobalBA),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -313,8 +313,8 @@ func BenchmarkFigure12Procedure(b *testing.B) {
 }
 
 // BenchmarkSLAMSuite times the full 11-sequence Figure 17 run at the pool
-// sizes the perf trajectory tracks (1, 2, NumCPU) — the slambench command's
-// hot path.
+// sizes the perf trajectory tracks (1, 2, NumCPU) — the hot path of
+// `figures -fig 17`.
 func BenchmarkSLAMSuite(b *testing.B) {
 	pools := []int{1, 2}
 	if n := runtime.NumCPU(); n > 2 {

@@ -225,13 +225,3 @@ func (c *Cascade) ThrustTarget() float64 { return c.thrustTarget }
 
 // RateTarget exposes the current body-rate set point.
 func (c *Cascade) RateTarget() mathx.Vec3 { return c.rateTarget }
-
-// Reset clears all controller state.
-func (c *Cascade) Reset() {
-	c.posP.Reset()
-	c.velP.Reset()
-	c.rate.Reset()
-	c.attTarget = mathx.QuatIdentity()
-	c.rateTarget = mathx.Vec3{}
-	c.thrustTarget = c.MassKg * units.Gravity
-}

@@ -51,15 +51,6 @@ func TestPIDOutputLimit(t *testing.T) {
 	}
 }
 
-func TestPIDReset(t *testing.T) {
-	c := PID{Kp: 1, Ki: 1}
-	c.Update(5, 1)
-	c.Reset()
-	if got := c.Update(0, 1); got != 0 {
-		t.Errorf("after reset output = %v, want 0", got)
-	}
-}
-
 func TestPIDZeroDt(t *testing.T) {
 	c := PID{Kp: 1, Ki: 100, Kd: 100}
 	if got := c.Update(2, 0); math.Abs(got-2) > 1e-12 {
@@ -73,7 +64,6 @@ func TestVec3PID(t *testing.T) {
 	if out != mathx.V3(2, 4, 6) {
 		t.Errorf("Vec3PID output = %v", out)
 	}
-	v.Reset()
 }
 
 func TestHoverHold(t *testing.T) {

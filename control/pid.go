@@ -62,11 +62,6 @@ func (c *PID) output(err, deriv float64) float64 {
 	return out
 }
 
-// Reset clears the controller state.
-func (c *PID) Reset() {
-	c.integral, c.prevErr, c.prevDeriv, c.primed = 0, 0, 0, false
-}
-
 // Vec3PID bundles three axis PIDs sharing gains.
 type Vec3PID struct{ X, Y, Z PID }
 
@@ -77,6 +72,3 @@ func NewVec3PID(p PID) *Vec3PID { return &Vec3PID{X: p, Y: p, Z: p} }
 func (v *Vec3PID) Update(err mathx.Vec3, dt float64) mathx.Vec3 {
 	return mathx.V3(v.X.Update(err.X, dt), v.Y.Update(err.Y, dt), v.Z.Update(err.Z, dt))
 }
-
-// Reset clears all three axes.
-func (v *Vec3PID) Reset() { v.X.Reset(); v.Y.Reset(); v.Z.Reset() }

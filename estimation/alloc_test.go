@@ -11,7 +11,8 @@ import (
 // after construction, Predict and every update path must run without touching
 // the heap — the filter's algebra lives entirely in its scratch arena.
 func TestPosVelEKFZeroAllocSteadyState(t *testing.T) {
-	k := NewPosVelEKF()
+	k := new(PosVelEKF)
+	k.init()
 	accel := mathx.V3(0.1, -0.2, 9.75)
 	fix := sensors.GPSSample{Pos: mathx.V3(1, 2, 3), Vel: mathx.V3(0.1, 0.2, 0.3)}
 	// Warm once so any lazy set-up happens outside the measured region.
@@ -46,7 +47,8 @@ func TestPosVelEKFZeroAllocSteadyState(t *testing.T) {
 // TestEstimatorZeroAllocSteadyState extends the guarantee to the composed
 // attitude + position estimator driven the way Autopilot.Step drives it.
 func TestEstimatorZeroAllocSteadyState(t *testing.T) {
-	e := NewEstimator()
+	e := new(Estimator)
+	e.Init()
 	imu := sensors.IMUSample{Accel: mathx.V3(0.05, 0.02, 9.79), Gyro: mathx.V3(0.01, -0.02, 0.005)}
 	fix := sensors.GPSSample{Pos: mathx.V3(0.4, -0.2, 5), Vel: mathx.V3(0, 0, 0.1)}
 	e.OnIMU(imu, 1.0/200)

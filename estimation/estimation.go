@@ -35,13 +35,7 @@ type AttitudeFilter struct {
 	bias mathx.Vec3
 }
 
-// NewAttitudeFilter returns a filter initialized level.
-func NewAttitudeFilter() *AttitudeFilter {
-	f := new(AttitudeFilter)
-	f.init()
-	return f
-}
-
+// init (re)starts f level with zero gyro-bias estimate.
 func (f *AttitudeFilter) init() {
 	*f = AttitudeFilter{AccelGain: 0.15, BiasGain: 0.03, MagGain: 0.3, q: mathx.QuatIdentity()}
 }
@@ -50,9 +44,6 @@ func (f *AttitudeFilter) init() {
 func (f *AttitudeFilter) PredictGyro(gyro mathx.Vec3, dt float64) {
 	f.q = f.q.Integrate(gyro.Sub(f.bias), dt)
 }
-
-// GyroBias returns the current gyro-bias estimate.
-func (f *AttitudeFilter) GyroBias() mathx.Vec3 { return f.bias }
 
 // CorrectAccel nudges roll/pitch so the measured specific force aligns with
 // gravity and integrates the residual into the gyro-bias estimate. Valid
@@ -133,13 +124,6 @@ type PosVelEKF struct {
 // (covariance and the update scratch set) + 4 length-6 work vectors + the
 // z/r measurement buffers.
 const ekfArenaFloats = 6 + 8*36 + 4*6 + 2*6
-
-// NewPosVelEKF returns a filter at the origin with loose covariance.
-func NewPosVelEKF() *PosVelEKF {
-	k := new(PosVelEKF)
-	k.init()
-	return k
-}
 
 // init (re)starts the filter at the origin with loose covariance, zeroing
 // and re-carving the arena it already owns.
@@ -417,15 +401,8 @@ type Estimator struct {
 	Rejected int
 }
 
-// NewEstimator builds the default estimator.
-func NewEstimator() *Estimator {
-	e := new(Estimator)
-	e.Init()
-	return e
-}
-
-// Init re-initialises e in place as NewEstimator would build it, restarting
-// its attitude filter and EKF inside the storage they already own.
+// Init (re)initialises e in place as the default estimator, restarting its
+// attitude filter and EKF inside the storage they already own.
 func (e *Estimator) Init() {
 	att, pos := e.Att, e.Pos
 	if att == nil {

@@ -12,9 +12,11 @@ import (
 
 func TestAttitudeFilterConvergesFromWrongInit(t *testing.T) {
 	truth := sim.State{Att: mathx.QuatFromEuler(0.2, -0.1, 0.8)}
-	imu := sensors.NewIMU(200, 1)
-	mag := sensors.NewMagnetometer(10, 2)
-	f := NewAttitudeFilter()
+	suite := new(sensors.Suite)
+	suite.Init(1)
+	imu, mag := suite.IMU, suite.Mag
+	f := new(AttitudeFilter)
+	f.init()
 	dt := 1.0 / 200
 	for i := 0; i < 200*40; i++ {
 		s := imu.Sample(truth, mathx.Vec3{})
@@ -30,7 +32,8 @@ func TestAttitudeFilterConvergesFromWrongInit(t *testing.T) {
 }
 
 func TestAttitudeFilterTracksRotation(t *testing.T) {
-	f := NewAttitudeFilter()
+	f := new(AttitudeFilter)
+	f.init()
 	dt := 1.0 / 200
 	truthAtt := mathx.QuatIdentity()
 	omega := mathx.V3(0, 0, 0.5)
@@ -44,7 +47,8 @@ func TestAttitudeFilterTracksRotation(t *testing.T) {
 }
 
 func TestAccelCorrectionGatedDuringManeuvers(t *testing.T) {
-	f := NewAttitudeFilter()
+	f := new(AttitudeFilter)
+	f.init()
 	before := f.Attitude()
 	// 3g specific force: must be ignored (not gravity).
 	f.CorrectAccel(mathx.V3(3*units.Gravity, 0, 0), 0.1)
@@ -63,10 +67,11 @@ func TestWrapAngle(t *testing.T) {
 }
 
 func TestEKFStaticConvergence(t *testing.T) {
-	est := NewEstimator()
-	imu := sensors.NewIMU(200, 1)
-	gps := sensors.NewGPS(5, 3)
-	baro := sensors.NewBarometer(15, 4)
+	est := new(Estimator)
+	est.Init()
+	suite := new(sensors.Suite)
+	suite.Init(1)
+	imu, gps, baro := suite.IMU, suite.GPS, suite.Baro
 	truth := sim.State{Pos: mathx.V3(3, -2, 7), Att: mathx.QuatIdentity()}
 	dt := 1.0 / 200
 	tm := 0.0
@@ -89,7 +94,8 @@ func TestEKFStaticConvergence(t *testing.T) {
 }
 
 func TestEKFCovarianceShrinks(t *testing.T) {
-	k := NewPosVelEKF()
+	k := new(PosVelEKF)
+	k.init()
 	before := k.Covariance().At(0, 0)
 	k.UpdateGPS(sensors.GPSSample{Pos: mathx.V3(1, 2, 3)}, 0.8, 0.1)
 	after := k.Covariance().At(0, 0)
@@ -99,7 +105,8 @@ func TestEKFCovarianceShrinks(t *testing.T) {
 }
 
 func TestEKFPredictGrowsUncertainty(t *testing.T) {
-	k := NewPosVelEKF()
+	k := new(PosVelEKF)
+	k.init()
 	k.UpdateGPS(sensors.GPSSample{}, 0.8, 0.1) // tighten first
 	before := k.Covariance().At(0, 0)
 	for i := 0; i < 100; i++ {
@@ -117,9 +124,11 @@ func TestEKFPredictGrowsUncertainty(t *testing.T) {
 }
 
 func TestEKFTracksConstantVelocity(t *testing.T) {
-	est := NewEstimator()
-	imu := sensors.NewIMU(200, 2)
-	gps := sensors.NewGPS(5, 5)
+	est := new(Estimator)
+	est.Init()
+	suite := new(sensors.Suite)
+	suite.Init(2)
+	imu, gps := suite.IMU, suite.GPS
 	dt := 1.0 / 200
 	tm := 0.0
 	vel := mathx.V3(2, -1, 0.5)
@@ -140,7 +149,8 @@ func TestEKFTracksConstantVelocity(t *testing.T) {
 }
 
 func TestEKFBaroOnlyFixesAltitude(t *testing.T) {
-	k := NewPosVelEKF()
+	k := new(PosVelEKF)
+	k.init()
 	for i := 0; i < 100; i++ {
 		k.UpdateBaro(9, 0.15)
 	}
@@ -163,8 +173,10 @@ func TestEKFFullStackInFlight(t *testing.T) {
 	q.Teleport(mathx.V3(0, 0, 8))
 	h := q.HoverThrustPerMotorN()
 	q.CommandThrusts([4]float64{h, h, h, h})
-	suite := sensors.NewSuite(11)
-	est := NewEstimator()
+	suite := new(sensors.Suite)
+	suite.Init(11)
+	est := new(Estimator)
+	est.Init()
 	est.Pos.UpdateGPS(sensors.GPSSample{Pos: mathx.V3(0, 0, 8)}, 0.1, 0.1) // init fix
 	prevVel := q.State().Vel
 	dt := 1e-3

@@ -35,7 +35,8 @@ func TestGPSDenialCoastAndRecover(t *testing.T) {
 	bias := mathx.V3(0.25, -0.25, 0) // |bias| ≈ 0.35 m/s²
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEstimator()
+			e := new(Estimator)
+			e.Init()
 			denEnd := denStart + tc.denialS
 			endT := denEnd + recoverS
 			prevUnc, maxCoastErr, uncAtDenialEnd := 0.0, 0.0, 0.0
@@ -107,9 +108,9 @@ func TestGPSDenialCoastAndRecover(t *testing.T) {
 
 // convergeStatic runs the filter on clean measurements of a static truth.
 func convergeStatic(k *PosVelEKF, truth sim.State, seconds float64) {
-	imu := sensors.NewIMU(200, 1)
-	gps := sensors.NewGPS(5, 2)
-	baro := sensors.NewBarometer(15, 3)
+	suite := new(sensors.Suite)
+	suite.Init(1)
+	imu, gps, baro := suite.IMU, suite.GPS, suite.Baro
 	dt := 1.0 / 200
 	tm := 0.0
 	for i := 0; i < int(seconds*200); i++ {
@@ -129,13 +130,15 @@ func convergeStatic(k *PosVelEKF, truth sim.State, seconds float64) {
 func TestGPSDropoutDriftBounded(t *testing.T) {
 	// GPS out for 30 s: the baro keeps altitude honest while horizontal
 	// uncertainty grows — and the uncertainty signal must reflect it.
-	k := NewPosVelEKF()
+	k := new(PosVelEKF)
+	k.init()
 	truth := sim.State{Pos: mathx.V3(3, -2, 8), Att: mathx.QuatIdentity()}
 	convergeStatic(k, truth, 20)
 	sigmaBefore := k.PositionUncertainty()
 
-	imu := sensors.NewIMU(200, 4)
-	baro := sensors.NewBarometer(15, 5)
+	suite := new(sensors.Suite)
+	suite.Init(4)
+	imu, baro := suite.IMU, suite.Baro
 	dt := 1.0 / 200
 	tm := 0.0
 	for i := 0; i < 200*30; i++ {

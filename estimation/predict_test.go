@@ -118,7 +118,8 @@ func TestPredictCovarianceBitExact(t *testing.T) {
 // updates and checks every predicted covariance against the dense path
 // applied to the pre-predict covariance.
 func TestPredictMatchesDenseFilter(t *testing.T) {
-	k := NewPosVelEKF()
+	k := new(PosVelEKF)
+	k.init()
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 4000; step++ {
 		before := k.Covariance()
@@ -151,7 +152,8 @@ func gpsFix(rng *rand.Rand) sensors.GPSSample {
 
 // BenchmarkEKFPredict measures one 200 Hz covariance-and-state prediction.
 func BenchmarkEKFPredict(b *testing.B) {
-	k := NewPosVelEKF()
+	k := new(PosVelEKF)
+	k.init()
 	accel := mathx.V3(0.1, -0.2, 0.05)
 	k.Predict(accel, 1.0/200)
 	b.ReportAllocs()

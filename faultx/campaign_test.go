@@ -21,16 +21,12 @@ func flysimReference(t *testing.T, seed int64) ([]mathx.Vec3, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := power.NewPack(3, 3000, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, err := autopilot.New(autopilot.Config{
+	pack := new(power.Pack)
+	pack.Init(3, 3000, 30)
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{
 		Quad: q, Battery: pack, ComputeW: 3.39 + 0.75, TakeoffAltM: 5, Seed: seed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var traj []mathx.Vec3
 	steps := 0
 	ap.Observe(func(a *autopilot.Autopilot, dt float64) {

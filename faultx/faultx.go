@@ -175,9 +175,6 @@ func NewInjector(plan Plan, seed int64) (*Injector, error) {
 	return &Injector{plan: plan, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Plan returns the schedule the injector executes.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Bind attaches the injector to the vehicle's plant, pack and environment.
 // Any of them may be nil; the corresponding effects are skipped.
 func (in *Injector) Bind(q *sim.Quad, p *power.Pack, e *sim.Environment) {

@@ -121,11 +121,9 @@ func TestApplyDrivesAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := power.NewPack(3, 3000, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := sim.NewEnvironment(1)
+	pack := new(power.Pack)
+	pack.Init(3, 3000, 30)
+	env := sim.WindyEnvironment(1, 0, 0)
 	q.SetEnvironment(env)
 	in, err := NewInjector(Plan{Events: []Event{
 		{Kind: MotorDerate, Start: 1, Duration: 2, Motor: 2, Frac: 0.6},

@@ -1,7 +1,6 @@
 package faultx
 
 import (
-	"io"
 	"math/rand"
 )
 
@@ -111,24 +110,4 @@ func (l *LossyLink) roll(p float64) bool {
 		return false
 	}
 	return l.rng.Float64() < p
-}
-
-// Writer wraps w so every Write passes through the link first. Dropped
-// chunks still report full-length success to the caller — the sender of a
-// datagram-ish telemetry stream cannot see the loss, just like the field.
-func (l *LossyLink) Writer(w io.Writer) io.Writer { return lossyWriter{l, w} }
-
-type lossyWriter struct {
-	l *LossyLink
-	w io.Writer
-}
-
-func (lw lossyWriter) Write(p []byte) (int, error) {
-	out := lw.l.Transmit(p)
-	if len(out) > 0 {
-		if _, err := lw.w.Write(out); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
 }

@@ -17,10 +17,11 @@ import (
 // stride.
 func TestLaneStepsCountsStepsTaken(t *testing.T) {
 	srv := fleet.New(fleet.Config{})
-	id, err := srv.Submit(fleet.JobSpec{Seed: 5, MaxSeconds: 1})
+	ids, err := srv.SubmitAll([]fleet.JobSpec{{Seed: 5, MaxSeconds: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := ids[0]
 	drive(t, srv) // Advance(1000) strides
 	res, err := srv.Result(id)
 	if err != nil {
@@ -49,10 +50,11 @@ func TestDropArtifactsJobAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	srv := fleet.New(fleet.Config{DropArtifacts: true})
 	fly := func(seed int64) {
-		id, err := srv.Submit(fleet.JobSpec{Seed: seed, MaxSeconds: 1})
+		ids, err := srv.SubmitAll([]fleet.JobSpec{{Seed: seed, MaxSeconds: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		id := ids[0]
 		drive(t, srv)
 		if st, _ := srv.Job(id); st.Digests == nil {
 			t.Fatalf("job %d ended %s: %s", id, st.State, st.Error)
@@ -82,10 +84,11 @@ func TestDropArtifactsJobAllocBudget(t *testing.T) {
 func TestReleasedJobUnpinsHub(t *testing.T) {
 	fly := func() weak.Pointer[groundstation.Hub] {
 		srv := fleet.New(fleet.Config{DropArtifacts: true})
-		id, err := srv.Submit(fleet.JobSpec{Seed: 9, MaxSeconds: 1})
+		ids, err := srv.SubmitAll([]fleet.JobSpec{{Seed: 9, MaxSeconds: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		id := ids[0]
 		drive(t, srv)
 		if st, _ := srv.Job(id); st.Digests == nil {
 			t.Fatalf("job %d ended %s: %s", id, st.State, st.Error)

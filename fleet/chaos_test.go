@@ -180,10 +180,11 @@ func TestJobStatusSameFromEverySource(t *testing.T) {
 	}
 	run := func(srv *fleet.Server) uint64 {
 		t.Helper()
-		id, err := srv.Submit(spec)
+		ids, err := srv.SubmitAll([]fleet.JobSpec{spec})
 		if err != nil {
 			t.Fatal(err)
 		}
+		id := ids[0]
 		drive(t, srv)
 		return id
 	}
@@ -389,9 +390,9 @@ func TestReplayToleratesDupAndOrphanTerminals(t *testing.T) {
 	}
 	// ID allocation resumes past the highest journaled SUBMIT, not the
 	// orphan's ID: the next job is 2, not 10.
-	id, err := srv.Submit(spec)
-	if err != nil || id != 2 {
-		t.Fatalf("post-recovery submit: id=%d err=%v, want 2", id, err)
+	ids, err := srv.SubmitAll([]fleet.JobSpec{spec})
+	if err != nil || len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("post-recovery submit: ids=%v err=%v, want [2]", ids, err)
 	}
 	srv.Shutdown()
 }
@@ -535,7 +536,7 @@ func TestDrainGracefulRequeuesJournaledJobs(t *testing.T) {
 	if total := rep.Completed + rep.Failed + rep.Requeued; total != len(specs) {
 		t.Fatalf("drain accounting: %+v covers %d of %d jobs", rep, total, len(specs))
 	}
-	if _, err := srv.Submit(specs[0]); !errors.Is(err, fleet.ErrShutdown) {
+	if _, err := srv.SubmitAll([]fleet.JobSpec{specs[0]}); !errors.Is(err, fleet.ErrShutdown) {
 		t.Fatalf("submit after drain: %v, want ErrShutdown", err)
 	}
 	if srv.Ready() == nil {
@@ -566,7 +567,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 	go srv.Run()
 	// A flight long enough (1200 simulated seconds) to outlive the tiny
 	// grace below on any machine.
-	if _, err := srv.Submit(fleet.JobSpec{Seed: 31, Workload: hover, MaxSeconds: 1200}); err != nil {
+	if _, err := srv.SubmitAll([]fleet.JobSpec{{Seed: 31, Workload: hover, MaxSeconds: 1200}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; srv.Stats().Live == 0; i++ {
@@ -584,7 +585,7 @@ func TestDrainRefusesSubmitsAndAbandonsAtGrace(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := srv.Submit(fleet.JobSpec{Seed: 32, Workload: hover, MaxSeconds: 2}); !errors.Is(err, fleet.ErrDraining) {
+	if _, err := srv.SubmitAll([]fleet.JobSpec{{Seed: 32, Workload: hover, MaxSeconds: 2}}); !errors.Is(err, fleet.ErrDraining) {
 		t.Fatalf("submit during drain: %v, want ErrDraining", err)
 	}
 	rep := <-repCh

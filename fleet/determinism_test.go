@@ -65,10 +65,11 @@ func TestFleetMultiTenancyDeterminism(t *testing.T) {
 
 		// Solo: the job is the server's only tenant.
 		solo := fleet.New(fleet.Config{MaxLanes: 4})
-		soloID, err := solo.Submit(ref)
+		ids, err := solo.SubmitAll([]fleet.JobSpec{ref})
 		if err != nil {
 			t.Fatal(err)
 		}
+		soloID := ids[0]
 		drive(t, solo)
 		soloSt, ok := solo.Job(soloID)
 		if !ok || soloSt.Digests == nil {
@@ -85,7 +86,7 @@ func TestFleetMultiTenancyDeterminism(t *testing.T) {
 		specs := coTenants(63, 100)
 		specs = append(specs[:17], append([]fleet.JobSpec{ref}, specs[17:]...)...)
 		multi := fleet.New(fleet.Config{MaxLanes: 16})
-		ids, err := multi.SubmitAll(specs)
+		ids, err = multi.SubmitAll(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,10 +137,11 @@ func TestFleetResultMatchesScenarioRun(t *testing.T) {
 	}
 
 	srv := fleet.New(fleet.Config{MaxLanes: 8})
-	id, err := srv.Submit(spec)
+	ids, err := srv.SubmitAll([]fleet.JobSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := ids[0]
 	drive(t, srv)
 	res, err := srv.Result(id)
 	if err != nil {

@@ -49,7 +49,6 @@ type Record struct {
 type Log struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	size int64
 	err  error
 }
@@ -93,7 +92,7 @@ func Open(path string) (l *Log, recs []Record, truncated int64, err error) {
 		dir.Sync()
 		dir.Close()
 	}
-	return &Log{f: f, path: path, size: clean}, recs, truncated, nil
+	return &Log{f: f, size: clean}, recs, truncated, nil
 }
 
 // Scan replays journal bytes from memory: it returns every intact record
@@ -189,9 +188,6 @@ func (l *Log) Size() int64 {
 	defer l.mu.Unlock()
 	return l.size
 }
-
-// Path returns the journal file's path.
-func (l *Log) Path() string { return l.path }
 
 // Close releases the file handle. A closed log fails further Appends.
 func (l *Log) Close() error {

@@ -196,24 +196,14 @@ func NewJournaled(cfg Config, dir string) (*Server, *Recovery, error) {
 // durability).
 func (s *Server) Journal() *journal.Log { return s.jl }
 
-// Submit enqueues one job and returns its ID. The job's telemetry hub
-// exists from submission, so clients may subscribe before the flight
-// launches.
-func (s *Server) Submit(spec JobSpec) (uint64, error) {
-	ids, err := s.SubmitAll([]JobSpec{spec})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// SubmitAll enqueues jobs in order and returns their IDs. With a journal,
-// every job is fsync'd durable BEFORE this returns: an acknowledged
-// submission survives SIGKILL from that moment on. Returns ErrBadSpec when
-// any job fails validation (the whole batch is refused — no partial
-// acceptance), ErrQueueFull when the bounded admission queue cannot take
-// the batch, ErrDraining / ErrShutdown when the server no longer accepts
-// work.
+// SubmitAll enqueues jobs in order and returns their IDs. Each job's
+// telemetry hub exists from submission, so clients may subscribe before the
+// flight launches. With a journal, every job is fsync'd durable BEFORE this
+// returns: an acknowledged submission survives SIGKILL from that moment on.
+// Returns ErrBadSpec when any job fails validation (the whole batch is
+// refused — no partial acceptance), ErrQueueFull when the bounded admission
+// queue cannot take the batch, ErrDraining / ErrShutdown when the server no
+// longer accepts work.
 func (s *Server) SubmitAll(specs []JobSpec) ([]uint64, error) {
 	if len(specs) == 0 {
 		return nil, nil

@@ -137,10 +137,11 @@ func TestServeTelemetryStreamAndStall(t *testing.T) {
 func TestStreamReconnectResubscribe(t *testing.T) {
 	srv := fleet.New(fleet.Config{MaxLanes: 4, SubQueue: 4096})
 	telemAddr := startTelemetry(t, srv)
-	id, err := srv.Submit(fleet.JobSpec{Seed: 9, Workload: hover, MaxSeconds: 30, TelemetryEverySteps: 100})
+	ids, err := srv.SubmitAll([]fleet.JobSpec{{Seed: 9, Workload: hover, MaxSeconds: 30, TelemetryEverySteps: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := ids[0]
 
 	conn1, err := fleet.DialStream(telemAddr, id)
 	if err != nil {
@@ -279,7 +280,7 @@ func TestQueueAdmissionEviction(t *testing.T) {
 func TestSubmitAfterShutdown(t *testing.T) {
 	srv := fleet.New(fleet.Config{})
 	srv.Shutdown()
-	if _, err := srv.Submit(fleet.JobSpec{Seed: 1}); err == nil {
+	if _, err := srv.SubmitAll([]fleet.JobSpec{{Seed: 1}}); err == nil {
 		t.Fatal("submit after shutdown succeeded")
 	}
 }
@@ -320,10 +321,11 @@ func TestShutdownWithActiveSubscriberCleanEOF(t *testing.T) {
 
 	// A flight long enough to still be airborne at shutdown, publishing at
 	// a brisk cadence.
-	id, err := srv.Submit(fleet.JobSpec{Seed: 11, Workload: hover, MaxSeconds: 1200, TelemetryEverySteps: 100})
+	ids, err := srv.SubmitAll([]fleet.JobSpec{{Seed: 11, Workload: hover, MaxSeconds: 1200, TelemetryEverySteps: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := ids[0]
 	conn, err := fleet.DialStream(telemAddr, id)
 	if err != nil {
 		t.Fatal(err)

@@ -192,13 +192,6 @@ func (s *Sub) Len() int {
 	return s.n
 }
 
-// Dropped returns how many units this subscriber has shed so far.
-func (s *Sub) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
 func (s *Sub) close() {
 	s.mu.Lock()
 	s.closed = true

@@ -22,14 +22,10 @@ func telemetrySource(t *testing.T) func() []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := power.NewPack(3, 3000, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, err := autopilot.New(autopilot.Config{Quad: q, Battery: pack, ComputeW: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pack := new(power.Pack)
+	pack.Init(3, 3000, 30)
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, Battery: pack, ComputeW: 4, Seed: 1})
 	ap.Arm()
 	var seq uint8
 	return func() []byte {
@@ -178,7 +174,10 @@ func TestHubStalledSubscriberIsolation(t *testing.T) {
 
 	// The stalled subscriber must have shed: queue depth 4, one unit stuck
 	// in its write, 200 published.
-	if d := stalled.Dropped(); d == 0 {
+	stalled.mu.Lock()
+	shed := stalled.dropped
+	stalled.mu.Unlock()
+	if shed == 0 {
 		t.Fatal("stalled subscriber shed nothing; backpressure policy broken")
 	}
 	_, hubDropped, _ := hub.Stats()

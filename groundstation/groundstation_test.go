@@ -13,11 +13,10 @@ import (
 
 func TestConsumeTelemetry(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	pack, _ := power.NewPack(3, 3000, 30)
-	ap, err := autopilot.New(autopilot.Config{Quad: q, Battery: pack, ComputeW: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pack := new(power.Pack)
+	pack.Init(3, 3000, 30)
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, Battery: pack, ComputeW: 4, Seed: 1})
 	ap.Arm()
 	ap.RunFor(2)
 
@@ -48,7 +47,8 @@ func TestConsumeTelemetry(t *testing.T) {
 
 func TestConsumeFragmented(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
 	var stream []byte
 	for i := 0; i < 10; i++ {
@@ -80,7 +80,8 @@ func TestServeTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
 	for i := 0; i < 5; i++ {
 		raw, _ := ap.AppendTelemetry(nil, &seq)
@@ -129,7 +130,8 @@ func TestServeTCPReconnect(t *testing.T) {
 	addr := <-ready
 
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
 	sendBurst := func(conn net.Conn, n int) {
 		t.Helper()
@@ -212,7 +214,8 @@ func TestServeTCPReadDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
 	raw, _ := ap.AppendTelemetry(nil, &seq)
 	if _, err := conn.Write(raw); err != nil {
@@ -233,7 +236,8 @@ func TestServeTCPReadDeadline(t *testing.T) {
 
 func TestTrackHistory(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := autopilot.New(autopilot.Config{Quad: q, TakeoffAltM: 5, Seed: 4})
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, TakeoffAltM: 5, Seed: 4})
 	gs := New()
 	var seq uint8
 	ap.Arm()
@@ -268,7 +272,8 @@ func TestTrackBounded(t *testing.T) {
 	gs := New()
 	gs.histCap = 8
 	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap, _ := autopilot.New(autopilot.Config{Quad: q, Seed: 1})
+	ap := new(autopilot.Autopilot)
+	ap.Init(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
 	for i := 0; i < 50; i++ {
 		ap.RunFor(0.05)

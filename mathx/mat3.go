@@ -44,39 +44,6 @@ func (m Mat3) MulVec(v Vec3) Vec3 {
 	}
 }
 
-// Add returns m + n.
-func (m Mat3) Add(n Mat3) Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = m[i][j] + n[i][j]
-		}
-	}
-	return out
-}
-
-// Sub returns m - n.
-func (m Mat3) Sub(n Mat3) Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = m[i][j] - n[i][j]
-		}
-	}
-	return out
-}
-
-// Scale returns s * m.
-func (m Mat3) Scale(s float64) Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = s * m[i][j]
-		}
-	}
-	return out
-}
-
 // Transpose returns m^T.
 func (m Mat3) Transpose() Mat3 {
 	var out Mat3

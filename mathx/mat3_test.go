@@ -68,18 +68,8 @@ func TestMat3TransposeDet(t *testing.T) {
 	}
 }
 
-func TestMat3AddSubScaleTrace(t *testing.T) {
+func TestMat3Trace(t *testing.T) {
 	m := Diag3(1, 2, 3)
-	n := Diag3(4, 5, 6)
-	if got := m.Add(n); got != Diag3(5, 7, 9) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := n.Sub(m); got != Diag3(3, 3, 3) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := m.Scale(2); got != Diag3(2, 4, 6) {
-		t.Errorf("Scale = %v", got)
-	}
 	if m.Trace() != 6 {
 		t.Errorf("Trace = %v", m.Trace())
 	}

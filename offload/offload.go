@@ -99,8 +99,8 @@ func (r Report) Feasible() bool { return r.ThroughputOK && r.DeadlineOK }
 var ErrNoFrames = errors.New("offload: work ledger has no frames")
 
 // ValidateLedger reports whether a SLAM work ledger can be priced per
-// frame: Evaluate, and so NewSession, fail on exactly the ledgers it
-// rejects.
+// frame: Evaluate fails on exactly the ledgers it rejects, and Session.Init
+// requires a ledger it accepts.
 func ValidateLedger(st slam.Stats) error {
 	if st.Frames == 0 {
 		return ErrNoFrames

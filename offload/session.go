@@ -71,21 +71,11 @@ type Session struct {
 	Recoveries int
 }
 
-// NewSession builds a session from the measured SLAM ledger; the session
-// starts offloaded. st supplies the per-frame remote compute time the same
-// way Evaluate derives it.
-func NewSession(cfg SessionConfig, st slam.Stats) (*Session, error) {
-	if err := ValidateLedger(st); err != nil {
-		return nil, err
-	}
-	s := new(Session)
-	s.Init(cfg, st)
-	return s, nil
-}
-
-// Init re-initialises s in place as NewSession(cfg, st) would build it from
-// a ledger that passes ValidateLedger, reseeding its jitter source; no link
-// probe is installed.
+// Init (re)initialises s in place as a session priced from the measured
+// SLAM ledger st, which must pass ValidateLedger; the session starts
+// offloaded. st supplies the per-frame remote compute time the same way
+// Evaluate derives it. Init reseeds the jitter source and installs no link
+// probe.
 func (s *Session) Init(cfg SessionConfig, st slam.Stats) {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 3

@@ -25,13 +25,11 @@ func (w windowProbe) BandwidthScale(t float64) float64 {
 
 func newTestSession(t *testing.T, seed int64) *Session {
 	t.Helper()
-	s, err := NewSession(SessionConfig{
+	s := new(Session)
+	s.Init(SessionConfig{
 		Link: WiFi5GHz(), Node: GroundStationGPU(), W: SLAMWorkload(),
 		OnboardW: 2.0, OnboardG: 50, Seed: seed,
 	}, testStats())
-	if err != nil {
-		t.Fatal(err)
-	}
 	return s
 }
 

@@ -1,7 +1,7 @@
 // Package parallelx is the repo's shared fan-out engine: a bounded worker
 // pool with deterministic, input-ordered map-reduce primitives. Every
 // compute-heavy layer (the core design-space sweeps, the bench figure
-// generators, the slambench per-sequence runs, the microarch trace sims)
+// generators and their per-sequence SLAM runs, the microarch trace sims)
 // fans out through it, so one knob — the pool size — governs the whole
 // pipeline's parallelism.
 //

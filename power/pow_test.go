@@ -67,14 +67,12 @@ func TestPeukertPowMatchesPow(t *testing.T) {
 // BenchmarkPackDrawPower measures one 1 kHz battery step at a hover-class
 // draw, recharging periodically so the pack stays in its normal range.
 func BenchmarkPackDrawPower(b *testing.B) {
-	p, err := NewPack(4, 5000, 25)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := new(Pack)
+	p.Init(4, 5000, 25)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%100000 == 0 {
-			p.Reset()
+			p.Init(4, 5000, 25)
 		}
 		p.DrawPower(300, 0.001)
 	}

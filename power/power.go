@@ -56,16 +56,6 @@ func ValidatePack(cells int, capacityMah, dischargeC float64) error {
 	return nil
 }
 
-// NewPack builds a pack; it validates the configuration.
-func NewPack(cells int, capacityMah, dischargeC float64) (*Pack, error) {
-	if err := ValidatePack(cells, capacityMah, dischargeC); err != nil {
-		return nil, err
-	}
-	p := new(Pack)
-	p.Init(cells, capacityMah, dischargeC)
-	return p, nil
-}
-
 // Init re-initialises p in place as a full, fault-free pack of a
 // configuration that passes ValidatePack.
 func (p *Pack) Init(cells int, capacityMah, dischargeC float64) {
@@ -201,9 +191,6 @@ func (p *Pack) DrawPower(watts, dt float64) float64 {
 	}
 	return p.Draw(watts/v, dt)
 }
-
-// Reset restores a full charge.
-func (p *Pack) Reset() { p.usedMah = 0 }
 
 // ESCStage models the speed-controller conversion stage: efficiency and the
 // switching frequency requirement (6 x rotor RPM electrical commutation,

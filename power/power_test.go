@@ -5,23 +5,24 @@ import (
 	"testing"
 )
 
-func TestNewPackValidation(t *testing.T) {
-	if _, err := NewPack(0, 3000, 20); err == nil {
+func TestValidatePack(t *testing.T) {
+	if err := ValidatePack(0, 3000, 20); err == nil {
 		t.Error("zero cells accepted")
 	}
-	if _, err := NewPack(3, -1, 20); err == nil {
+	if err := ValidatePack(3, -1, 20); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := NewPack(3, 3000, 0); err == nil {
+	if err := ValidatePack(3, 3000, 0); err == nil {
 		t.Error("zero C rating accepted")
 	}
-	if _, err := NewPack(3, 3000, 20); err != nil {
+	if err := ValidatePack(3, 3000, 20); err != nil {
 		t.Errorf("valid pack rejected: %v", err)
 	}
 }
 
 func TestPackVoltageCurve(t *testing.T) {
-	p, _ := NewPack(3, 3000, 20)
+	p := new(Pack)
+	p.Init(3, 3000, 20)
 	full := p.Voltage()
 	if math.Abs(full-12.6) > 0.01 {
 		t.Errorf("full 3S voltage = %v, want 12.6 (4.2/cell)", full)
@@ -40,7 +41,8 @@ func TestPackVoltageCurve(t *testing.T) {
 }
 
 func TestPackDrainLimit(t *testing.T) {
-	p, _ := NewPack(3, 1000, 30)
+	p := new(Pack)
+	p.Init(3, 1000, 30)
 	// 1000 mAh at 10 A drains the 85% limit in 0.085 h = 306 s ideally;
 	// at 10C the Peukert factor 10^0.05 ≈ 1.12 shortens it to ~273 s.
 	secs := 0
@@ -60,7 +62,8 @@ func TestPackDrainLimit(t *testing.T) {
 }
 
 func TestPackCurrentClamp(t *testing.T) {
-	p, _ := NewPack(3, 1000, 10) // ceiling 10 A
+	p := new(Pack)
+	p.Init(3, 1000, 10) // ceiling 10 A
 	vBefore := p.Voltage()
 	w := p.Draw(50, 1)
 	if w > 10*vBefore+1e-9 {
@@ -72,7 +75,8 @@ func TestPackCurrentClamp(t *testing.T) {
 }
 
 func TestPackUsableEnergy(t *testing.T) {
-	p, _ := NewPack(3, 3000, 20)
+	p := new(Pack)
+	p.Init(3, 3000, 20)
 	want := 3.0 * 11.1 * 0.85
 	if math.Abs(p.UsableEnergyWh()-want) > 1e-9 {
 		t.Errorf("usable energy = %v, want %v", p.UsableEnergyWh(), want)
@@ -80,7 +84,8 @@ func TestPackUsableEnergy(t *testing.T) {
 }
 
 func TestPackEnergyConservation(t *testing.T) {
-	p, _ := NewPack(3, 3000, 30)
+	p := new(Pack)
+	p.Init(3, 3000, 30)
 	total := 0.0
 	dt := 1.0
 	for !p.Drained() {
@@ -94,7 +99,8 @@ func TestPackEnergyConservation(t *testing.T) {
 }
 
 func TestDrawPower(t *testing.T) {
-	p, _ := NewPack(3, 3000, 30)
+	p := new(Pack)
+	p.Init(3, 3000, 30)
 	got := p.DrawPower(100, 1)
 	if math.Abs(got-100) > 1e-9 {
 		t.Errorf("DrawPower delivered %v, want 100", got)
@@ -102,11 +108,12 @@ func TestDrawPower(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	p, _ := NewPack(3, 1000, 30)
+	p := new(Pack)
+	p.Init(3, 1000, 30)
 	p.Draw(30, 60)
-	p.Reset()
+	p.Init(3, 1000, 30)
 	if p.StateOfCharge() != 1 {
-		t.Error("Reset did not restore charge")
+		t.Error("Init did not restore charge")
 	}
 }
 
@@ -135,8 +142,10 @@ func TestPeukertEffect(t *testing.T) {
 	// Same energy demand at 1C vs 6C: the high-current pack drains
 	// noticeably sooner (Peukert), the low-current one barely differs
 	// from ideal.
-	gentle, _ := NewPack(3, 3000, 30)
-	hard, _ := NewPack(3, 3000, 30)
+	gentle := new(Pack)
+	gentle.Init(3, 3000, 30)
+	hard := new(Pack)
+	hard.Init(3, 3000, 30)
 	secsAt := func(p *Pack, amps float64) int {
 		s := 0
 		for !p.Drained() && s < 100000 {
@@ -156,7 +165,8 @@ func TestPeukertEffect(t *testing.T) {
 		t.Errorf("6C drain %d s vs ideal %.0f s: Peukert should cost >5%%", tHard, idealHard)
 	}
 	// Disabling the effect restores ideal behavior.
-	off, _ := NewPack(3, 3000, 30)
+	off := new(Pack)
+	off.Init(3, 3000, 30)
 	off.PeukertK = 0
 	tOff := secsAt(off, 18)
 	if math.Abs(float64(tOff)-idealHard) > 3 {
@@ -170,12 +180,14 @@ func TestPeukertEffect(t *testing.T) {
 // exactly the value a fresh pack at the same state computes.
 func TestVoltageMemoBitExact(t *testing.T) {
 	fresh := func(usedFrac, sag, fade float64) float64 {
-		p, _ := NewPack(3, 3000, 30)
+		p := new(Pack)
+		p.Init(3, 3000, 30)
 		p.SetFault(sag, fade)
 		p.usedMah = usedFrac * p.effCapacityMah()
 		return p.Voltage()
 	}
-	p, _ := NewPack(3, 3000, 30)
+	p := new(Pack)
+	p.Init(3, 3000, 30)
 	if v1, v2 := p.Voltage(), p.Voltage(); v1 != v2 {
 		t.Fatalf("idle re-read changed: %v != %v", v1, v2)
 	}
@@ -191,8 +203,7 @@ func TestVoltageMemoBitExact(t *testing.T) {
 	if got := p.Voltage(); got != want {
 		t.Fatalf("after fault: memo %v != fresh %v", got, want)
 	}
-	p.SetFault(0, 0)
-	p.Reset()
+	p.Init(3, 3000, 30)
 	if got, want := p.Voltage(), fresh(0, 0, 0); got != want {
 		t.Fatalf("after reset: memo %v != fresh %v", got, want)
 	}

@@ -23,7 +23,7 @@ const batchTickStride = 1000
 
 // Batch steps N flights on one engine. Construction is struct-of-arrays at
 // lane granularity: the batch owns flat per-lane slices (stacks, done flags,
-// errors), and Tick advances every live lane exactly one physics step, in
+// errors), and TickN advances every live lane up to k physics steps, in
 // lane order within fixed-width chunks. The per-lane determinism contract:
 // the same Spec + seed produces a bit-identical Result whether run serially
 // via Run, as one lane of a 64-lane batch, or at any parallelx pool size.
@@ -56,9 +56,6 @@ func NewBatch(specs []Spec) *Batch {
 	}
 	return b
 }
-
-// Len returns the lane count.
-func (b *Batch) Len() int { return len(b.lanes) }
 
 // Live returns how many lanes are still flying.
 func (b *Batch) Live() int {
@@ -180,18 +177,11 @@ func (b *Batch) Start() {
 	b.recount()
 }
 
-// Tick advances every live lane exactly one physics step and reports whether
-// the whole batch has finished. Lane chunks fan through parallelx; within a
-// chunk lanes step in lane order.
-func (b *Batch) Tick() (allDone bool) {
-	b.TickN(1)
-	return b.live == 0
-}
-
 // TickN advances every live lane by up to k physics steps (fewer if the lane
 // finishes) in one parallel dispatch, and returns the physics steps taken,
-// summed over lanes; zero means no lane was left flying. Because lanes never
-// interact, the interleaving granularity is unobservable in any lane's
+// summed over lanes; zero means no lane was left flying. Lane chunks fan
+// through parallelx; within a chunk lanes step in lane order. Because lanes
+// never interact, the interleaving granularity is unobservable in any lane's
 // Result.
 func (b *Batch) TickN(k int) (steps int) {
 	if !b.started {

@@ -119,7 +119,7 @@ func TestBatchTickGranularityInvariance(t *testing.T) {
 
 	b := scenario.NewBatch([]scenario.Spec{{Seed: 31, Workload: mission.Hover{}, MaxSeconds: 2}})
 	b.Start()
-	for !b.Tick() {
+	for b.TickN(1) > 0 {
 	}
 	results, errs := b.Outcomes()
 	if got := resultDigest(t, results[0], errs[0]); got != want {
@@ -180,7 +180,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 	b.Start()
 	// Fly lane 0 alone for a while, then admit lane 1 mid-flight.
 	for i := 0; i < 3000; i++ {
-		b.Tick()
+		b.TickN(1)
 	}
 	lane1 := b.Admit(build(1))
 	if b.Live() != 2 {
@@ -190,7 +190,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 	// Run until lane 0 finishes, evict it, and admit lane 2 into the freed
 	// slot while lane 1 is still flying.
 	for !b.LaneDone(lane0) {
-		b.Tick()
+		b.TickN(1)
 	}
 	res0, err0 := b.Evict(lane0)
 	if got := resultDigest(t, res0, err0); got != want[0] {
@@ -224,11 +224,11 @@ func TestBatchEvictGuards(t *testing.T) {
 	}
 	lane := b.Admit(st)
 	b.Start()
-	b.Tick()
+	b.TickN(1)
 	if _, err := b.Evict(lane); err == nil {
 		t.Fatal("evicted a live lane")
 	}
-	for !b.Tick() {
+	for b.TickN(1) > 0 {
 	}
 	if res, err := b.Evict(lane); err != nil || res == nil {
 		t.Fatalf("evicting a finished lane: res=%v err=%v", res, err)
@@ -330,9 +330,9 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	// Warm through takeoff and into cruise so every lazy path (mode
 	// transitions, first log rows, trace priming) has already run.
 	for i := 0; i < 10000; i++ {
-		b.Tick()
+		b.TickN(1)
 	}
-	if n := testing.AllocsPerRun(500, func() { b.Tick() }); n != 0 {
+	if n := testing.AllocsPerRun(500, func() { b.TickN(1) }); n != 0 {
 		t.Fatalf("batched step allocates %.2f objects in steady state, want 0", n)
 	}
 	if telemBytes == 0 {

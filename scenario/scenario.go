@@ -475,9 +475,6 @@ func (st *Stack) Tick() (done bool, err error) {
 // Done reports whether the flight has finished (normally or with an error).
 func (st *Stack) Done() bool { return st.drv.state == drvDone }
 
-// Err returns the flight error, if any, once Done.
-func (st *Stack) Err() error { return st.drv.err }
-
 // SimTimeS returns the stack's current simulated time in seconds; it is
 // valid at any point between ticks and advances monotonically.
 func (st *Stack) SimTimeS() float64 { return st.Autopilot.Time() }

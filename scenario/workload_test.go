@@ -137,9 +137,9 @@ func TestWorkloadZeroAllocSteadyState(t *testing.T) {
 	})
 	b.Start()
 	for i := 0; i < 10000; i++ {
-		b.Tick()
+		b.TickN(1)
 	}
-	if n := testing.AllocsPerRun(500, func() { b.Tick() }); n != 0 {
+	if n := testing.AllocsPerRun(500, func() { b.TickN(1) }); n != 0 {
 		t.Fatalf("batched workload step allocates %.2f objects in steady state, want 0", n)
 	}
 }

@@ -56,13 +56,8 @@ type IMU struct {
 	rng           *rand.Rand
 }
 
-// NewIMU returns an IMU at the given rate with typical MEMS noise.
-func NewIMU(rateHz float64, seed int64) *IMU {
-	u := new(IMU)
-	u.init(rateHz, seed)
-	return u
-}
-
+// init (re)starts u at rateHz with typical MEMS noise and biases drawn
+// from seed.
 func (u *IMU) init(rateHz float64, seed int64) {
 	r := mathx.Reseed(u.rng, seed)
 	*u = IMU{
@@ -104,13 +99,7 @@ type Magnetometer struct {
 	rng      *rand.Rand
 }
 
-// NewMagnetometer returns a magnetometer at the given rate.
-func NewMagnetometer(rateHz float64, seed int64) *Magnetometer {
-	m := new(Magnetometer)
-	m.init(rateHz, seed)
-	return m
-}
-
+// init (re)starts m at rateHz with its noise source reseeded from seed.
 func (m *Magnetometer) init(rateHz float64, seed int64) {
 	*m = Magnetometer{Clocked: Clocked{RateHz: rateHz}, NoiseStd: 0.02, rng: mathx.Reseed(m.rng, seed)}
 }
@@ -129,13 +118,7 @@ type Barometer struct {
 	rng      *rand.Rand
 }
 
-// NewBarometer returns a barometer at the given rate.
-func NewBarometer(rateHz float64, seed int64) *Barometer {
-	b := new(Barometer)
-	b.init(rateHz, seed)
-	return b
-}
-
+// init (re)starts b at rateHz with a bias and noise source drawn from seed.
 func (b *Barometer) init(rateHz float64, seed int64) {
 	r := mathx.Reseed(b.rng, seed)
 	*b = Barometer{Clocked: Clocked{RateHz: rateHz}, NoiseStd: 0.15, Bias: r.NormFloat64() * 0.1, rng: r}
@@ -154,13 +137,7 @@ type GPS struct {
 	rng         *rand.Rand
 }
 
-// NewGPS returns a GPS at the given rate.
-func NewGPS(rateHz float64, seed int64) *GPS {
-	g := new(GPS)
-	g.init(rateHz, seed)
-	return g
-}
-
+// init (re)starts g at rateHz with its noise source reseeded from seed.
 func (g *GPS) init(rateHz float64, seed int64) {
 	*g = GPS{Clocked: Clocked{RateHz: rateHz}, PosNoiseStd: 0.8, VelNoiseStd: 0.1, rng: mathx.Reseed(g.rng, seed)}
 }
@@ -233,17 +210,10 @@ type Suite struct {
 	lastYawOK  bool
 }
 
-// NewSuite builds the default suite: IMU 200 Hz, magnetometer 10 Hz,
-// barometer 15 Hz, GPS 5 Hz.
-func NewSuite(seed int64) *Suite {
-	s := new(Suite)
-	s.Init(seed)
-	return s
-}
-
-// Init re-initialises s in place as NewSuite(seed) would build it: the four
-// sensors restart at their reference rates with their noise sources
-// reseeded, no fault view is installed and no sample is held.
+// Init (re)initialises s in place as the default suite: IMU 200 Hz,
+// magnetometer 10 Hz, barometer 15 Hz, GPS 5 Hz. The four sensors restart at
+// those reference rates with their noise sources reseeded from seed, no
+// fault view is installed and no sample is held.
 func (s *Suite) Init(seed int64) {
 	imu, mag, baro, gps := s.IMU, s.Mag, s.Baro, s.GPS
 	if imu == nil {

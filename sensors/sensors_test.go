@@ -58,7 +58,8 @@ func TestTable2aRates(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("Table 2a rows = %d, want 5", len(rows))
 	}
-	suite := NewSuite(1)
+	suite := new(Suite)
+	suite.Init(1)
 	check := func(name string, rate, lo, hi float64) {
 		t.Helper()
 		if rate < lo || rate > hi {
@@ -72,7 +73,8 @@ func TestTable2aRates(t *testing.T) {
 }
 
 func TestIMUAtRestReadsGravity(t *testing.T) {
-	imu := NewIMU(200, 42)
+	imu := new(IMU)
+	imu.init(200, 42)
 	imu.AccelNoiseStd = 0
 	imu.AccelBias = mathx.Vec3{}
 	imu.GyroNoiseStd = 0
@@ -88,7 +90,8 @@ func TestIMUAtRestReadsGravity(t *testing.T) {
 }
 
 func TestIMUTiltedReadsRotatedGravity(t *testing.T) {
-	imu := NewIMU(200, 42)
+	imu := new(IMU)
+	imu.init(200, 42)
 	imu.AccelNoiseStd, imu.AccelBias = 0, mathx.Vec3{}
 	// 90 degrees roll: gravity reads along body -Y.
 	s := sim.State{Att: mathx.QuatFromAxisAngle(mathx.V3(1, 0, 0), math.Pi/2)}
@@ -99,7 +102,8 @@ func TestIMUTiltedReadsRotatedGravity(t *testing.T) {
 }
 
 func TestIMUNoiseStatistics(t *testing.T) {
-	imu := NewIMU(200, 7)
+	imu := new(IMU)
+	imu.init(200, 7)
 	s := sim.State{Att: mathx.QuatIdentity()}
 	var xs []float64
 	for i := 0; i < 5000; i++ {
@@ -116,7 +120,8 @@ func TestIMUNoiseStatistics(t *testing.T) {
 }
 
 func TestGPSSampleNoise(t *testing.T) {
-	g := NewGPS(5, 9)
+	g := new(GPS)
+	g.init(5, 9)
 	s := sim.State{Pos: mathx.V3(100, -50, 30), Vel: mathx.V3(1, 2, 3)}
 	var errs []float64
 	for i := 0; i < 2000; i++ {
@@ -132,7 +137,8 @@ func TestGPSSampleNoise(t *testing.T) {
 }
 
 func TestBarometer(t *testing.T) {
-	b := NewBarometer(15, 3)
+	b := new(Barometer)
+	b.init(15, 3)
 	s := sim.State{Pos: mathx.V3(0, 0, 12)}
 	var alts []float64
 	for i := 0; i < 2000; i++ {
@@ -144,7 +150,8 @@ func TestBarometer(t *testing.T) {
 }
 
 func TestMagnetometer(t *testing.T) {
-	m := NewMagnetometer(10, 4)
+	m := new(Magnetometer)
+	m.init(10, 4)
 	s := sim.State{Att: mathx.QuatFromEuler(0, 0, 1.1)}
 	var yaws []float64
 	for i := 0; i < 2000; i++ {
@@ -156,7 +163,9 @@ func TestMagnetometer(t *testing.T) {
 }
 
 func TestSuiteDeterminism(t *testing.T) {
-	a, b := NewSuite(5), NewSuite(5)
+	a, b := new(Suite), new(Suite)
+	a.Init(5)
+	b.Init(5)
 	s := sim.State{Att: mathx.QuatIdentity(), Pos: mathx.V3(1, 2, 3)}
 	for i := 0; i < 50; i++ {
 		if a.IMU.Sample(s, mathx.Vec3{}) != b.IMU.Sample(s, mathx.Vec3{}) {

@@ -28,9 +28,6 @@ type Environment struct {
 	turb mathx.Vec3
 }
 
-// NewEnvironment returns calm air with a deterministic turbulence source.
-func NewEnvironment(seed int64) *Environment { return WindyEnvironment(seed, 0, 0) }
-
 // WindyEnvironment returns a gusty test condition: steady wind with gusts
 // and turbulence, used by the INDI-style disturbance tests (§2.1.3-D cites
 // stabilization under powerful wind gusts at a 500 Hz loop). Zero wind and

@@ -129,7 +129,7 @@ func trackingProblems(t *testing.T) []poseProblem {
 		if len(p.pts) < 6 {
 			t.Fatalf("%s warm %d: only %d tracking matches", spec.Name, c.warm, len(p.pts))
 		}
-		pose := h.sys.Pose()
+		pose := h.sys.pose
 		for k, init := range []Pose{
 			pose,
 			{Pos: pose.Pos.Add(mathx.V3(0.05, -0.03, 0.02)), Att: pose.Att},

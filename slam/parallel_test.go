@@ -29,7 +29,7 @@ func runSeqOutputs(t *testing.T, seq *dataset.Sequence) (Result, []Pose, int) {
 	}
 	s.Finish()
 	res := RunSequence(seq)
-	return res, s.Trajectory(), s.MapPoints()
+	return res, s.traj, s.MapPoints()
 }
 
 // TestRunSequencePoolInvariant is the PR acceptance property: for synthetic

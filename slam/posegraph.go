@@ -72,12 +72,15 @@ func OptimizePoseGraph(positions []mathx.Vec3, edges []GraphEdge, fixed int) []m
 		by[i] += w * positions[i].Y
 		bz[i] += w * positions[i].Z
 	}
-	xs, okX := h.SolveCholesky(bx)
-	ys, okY := h.SolveCholesky(by)
-	zs, okZ := h.SolveCholesky(bz)
-	if !okX || !okY || !okZ {
+	// Factor H once; the three axes share it and differ only in b.
+	l := mathx.NewDense(n, n)
+	if !h.CholeskyInto(l) {
 		return out
 	}
+	xs, ys, zs, y := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	mathx.SolveWithCholesky(l, bx, xs, y)
+	mathx.SolveWithCholesky(l, by, ys, y)
+	mathx.SolveWithCholesky(l, bz, zs, y)
 	for i := 0; i < n; i++ {
 		out[i] = mathx.V3(xs[i], ys[i], zs[i])
 	}

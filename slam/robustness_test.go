@@ -78,7 +78,7 @@ func TestRelocalizationAfterDropout(t *testing.T) {
 		if i > 46 {
 			// Compare relative displacement from frame 10 (removes the
 			// anchor offset) truth vs estimate.
-			d := est.Pos.Sub(s.Trajectory()[10].Pos).
+			d := est.Pos.Sub(s.traj[10].Pos).
 				Sub(f.TruePos.Sub(seq.Frame(10).TruePos)).Norm()
 			if d > worstAfter {
 				worstAfter = d

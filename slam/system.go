@@ -79,12 +79,6 @@ func NewSystem(cam dataset.Camera) *System {
 	return s
 }
 
-// Pose returns the current tracked pose.
-func (s *System) Pose() Pose { return s.pose }
-
-// Keyframes returns the keyframe count.
-func (s *System) Keyframes() int { return len(s.keyframes) }
-
 // MapPoints returns the landmark count.
 func (s *System) MapPoints() int { return len(s.points) }
 
@@ -106,9 +100,6 @@ func (s *System) point(id int) (*MapPoint, bool) {
 	}
 	return s.points[id], true
 }
-
-// Trajectory returns the per-frame pose estimates.
-func (s *System) Trajectory() []Pose { return s.traj }
 
 // localMap gathers the map points observed by the last few keyframes. The
 // returned slices are scratch-backed and valid until the next frame.

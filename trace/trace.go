@@ -39,17 +39,11 @@ func NewUSBMeter(seed int64) *Recorder {
 	return r
 }
 
-// NewOscilloscope matches the whole-drone instrument: 20 ms, ±0.5 mW.
-func NewOscilloscope(seed int64) *Recorder {
-	r := new(Recorder)
-	r.InitOscilloscope(seed)
-	return r
-}
-
-// InitOscilloscope re-initialises r in place as NewOscilloscope(seed) would
-// build it, keeping its sample buffer for reuse and reseeding its noise
-// source. Slices returned by Samples before the call are overwritten by
-// later recording.
+// InitOscilloscope (re)initialises r in place as the whole-drone instrument:
+// 20 ms, ±0.5 mW. It keeps r's sample buffer for reuse and reseeds its noise
+// source, so a used recorder then reads exactly as a new one from seed.
+// Slices returned by Samples before the call are overwritten by later
+// recording.
 func (r *Recorder) InitOscilloscope(seed int64) { r.init(0.020, 0.0005, seed) }
 
 func (r *Recorder) init(periodS, noiseW float64, seed int64) {
@@ -104,12 +98,6 @@ func (r *Recorder) Reserve(durationS float64) {
 
 // Samples returns the recorded series.
 func (r *Recorder) Samples() []Sample { return r.samples }
-
-// Reset clears the recording, keeping the sample buffer for reuse, and
-// restarts the instrument noise from seed: the recorder then reads exactly
-// as a new one with its period and noise from seed would. Slices returned
-// by Samples before the Reset are overwritten by later recording.
-func (r *Recorder) Reset(seed int64) { r.init(r.PeriodS, r.NoiseW, seed) }
 
 // MeanPower returns the average recorded power over [fromS, toS).
 func (r *Recorder) MeanPower(fromS, toS float64) float64 {

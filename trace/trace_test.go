@@ -23,7 +23,8 @@ func TestRecorderSamplingRate(t *testing.T) {
 	if n < 19 || n > 21 {
 		t.Errorf("USB meter took %d samples in 10 s, want ~20 at 0.5 s period", n)
 	}
-	o := NewOscilloscope(2)
+	o := new(Recorder)
+	o.InitOscilloscope(2)
 	feedConstant(o, 0, 1, 130, 0.001)
 	if n := len(o.Samples()); n < 48 || n > 52 {
 		t.Errorf("oscilloscope took %d samples in 1 s, want ~50 at 20 ms period", n)
@@ -50,7 +51,8 @@ func TestRecorderNoiseLevel(t *testing.T) {
 }
 
 func TestMeanAndPeakWindows(t *testing.T) {
-	r := NewOscilloscope(4)
+	r := new(Recorder)
+	r.InitOscilloscope(4)
 	feedConstant(r, 0, 5, 100, 0.005)
 	feedConstant(r, 5, 10, 250, 0.005)
 	if m := r.MeanPower(0, 5); math.Abs(m-100) > 1 {
@@ -68,12 +70,14 @@ func TestMeanAndPeakWindows(t *testing.T) {
 }
 
 func TestEnergyIntegration(t *testing.T) {
-	r := NewOscilloscope(5)
+	r := new(Recorder)
+	r.InitOscilloscope(5)
 	feedConstant(r, 0, 3600, 130, 0.02) // one hour at 130 W
 	if wh := r.EnergyWh(); math.Abs(wh-130) > 1.5 {
 		t.Errorf("energy = %v Wh, want ~130", wh)
 	}
-	empty := NewOscilloscope(6)
+	empty := new(Recorder)
+	empty.InitOscilloscope(6)
 	if empty.EnergyWh() != 0 {
 		t.Error("empty recording has nonzero energy")
 	}
@@ -142,27 +146,30 @@ func TestDenseObserveUnchanged(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	r := NewUSBMeter(8)
+	r := new(Recorder)
+	r.InitOscilloscope(8)
 	feedConstant(r, 0, 5, 1, 0.01)
-	r.Reset(8)
+	r.InitOscilloscope(8)
 	if len(r.Samples()) != 0 {
-		t.Error("Reset left samples")
+		t.Error("InitOscilloscope left samples")
 	}
 	feedConstant(r, 100, 105, 1, 0.01)
 	if len(r.Samples()) == 0 {
-		t.Error("recorder dead after Reset")
+		t.Error("recorder dead after InitOscilloscope")
 	}
 }
 
-// TestResetMatchesFresh pins the reuse contract: a recorder Reset to a seed
-// records bit-identically to a new recorder from that seed, whatever it
-// recorded before, and keeps its buffer.
+// TestResetMatchesFresh pins the reuse contract: a used recorder
+// re-initialised to a seed records bit-identically to a new recorder from
+// that seed, whatever it recorded before, and keeps its buffer.
 func TestResetMatchesFresh(t *testing.T) {
-	used := NewOscilloscope(1)
+	used := new(Recorder)
+	used.InitOscilloscope(1)
 	feedConstant(used, 0, 30, 7, 0.001)
 	capBefore := cap(used.Samples())
-	used.Reset(9)
-	fresh := NewOscilloscope(9)
+	used.InitOscilloscope(9)
+	fresh := new(Recorder)
+	fresh.InitOscilloscope(9)
 	feedConstant(used, 2, 4, 3, 0.001)
 	feedConstant(fresh, 2, 4, 3, 0.001)
 	got, want := used.Samples(), fresh.Samples()
@@ -175,6 +182,6 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}
 	if cap(used.Samples()) != capBefore {
-		t.Fatal("Reset dropped the sample buffer")
+		t.Fatal("InitOscilloscope dropped the sample buffer")
 	}
 }
