@@ -73,12 +73,14 @@ bench-slam:
 	$(GO) test ./slam/ -run '^$$' -bench 'BenchmarkDetect|BenchmarkMatchByProjection|BenchmarkBundleAdjustLocal' -benchtime 5x
 
 # Fault-campaign smoke: the faultx acceptance tests (pool-invariance,
-# severe-scenario degradation, fault-free bit-identity) under the race
-# detector, plus a two-scenario CLI campaign, so fault-injection regressions
-# surface in CI.
+# severe-scenario degradation, fault-free bit-identity, shared flights
+# matching solo ones) under the race detector, plus the standard CLI
+# campaign at one seed and, as JSON, at two seeds, whose rows share flights
+# within and not across seeds, so fault-injection regressions surface in CI.
 bench-fault:
-	$(GO) test -race ./faultx/ -run 'TestCampaignPoolInvariance|TestSevereScenario|TestFaultFreeBitIdentical'
+	$(GO) test -race ./faultx/ -run 'TestCampaignPoolInvariance|TestSevereScenario|TestFaultFreeBitIdentical|TestCampaignSharedFlightsMatchSolo'
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
+	$(GO) run ./cmd/faultcamp -procs 2 -n 2 -json >/dev/null
 
 # Batch-engine smoke: the batch↔serial bit-identity property tests (batch
 # 1/8/64 × pools 1/2/8) and the released-stack reuse properties under the

@@ -3,6 +3,8 @@ package faultx
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"dronedse/autopilot"
@@ -22,13 +24,23 @@ type Scenario struct {
 	Seed int64
 	Plan Plan
 	// Link mangles the telemetry stream to the ground station (zero =
-	// clean link).
+	// clean link); every probability must lie in [0, 1].
 	Link LinkLoss
 }
 
 // LinkLoss is the telemetry LossyLink's probability profile.
 type LinkLoss struct {
 	Drop, Corrupt, Dup, Trunc, Reorder float64
+}
+
+// validate rejects a probability that is non-finite or outside [0, 1].
+func (l LinkLoss) validate() error {
+	for _, p := range [...]float64{l.Drop, l.Corrupt, l.Dup, l.Trunc, l.Reorder} {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("faultx: link probability %v outside [0,1]", p)
+		}
+	}
+	return nil
 }
 
 // Outcome classifies how a scenario flight ended.
@@ -128,13 +140,18 @@ func campaignSLAMStats() slam.Stats {
 }
 
 // Run flies the fault-free baseline for every distinct seed plus every
-// scenario as lanes of one scenario.Batch: a single engine steps all
-// flights tick by tick, fanning fixed-width lane chunks across the
-// parallelx pool. Each lane carries its own RNG streams, injector and
-// telemetry link, so results are ordered like the input and bit-identical
-// at any pool size and any batch composition (the batch engine's lane-
-// determinism contract) — the campaign table is byte-identical to running
-// every flight serially.
+// scenario on one scenario.Batch: a single engine steps all flights tick by
+// tick, fanning fixed-width lane chunks across the parallelx pool. The
+// batch has one lane per distinct flight, not one per row: rows (the
+// baselines, then the scenarios) with the same seed and bit-identical fault
+// events share the lane of the first of them. Neither the plan's name nor
+// the telemetry link is flown (the link is one-way), so the lane's
+// telemetry fans out to every member row's own LossyLink and ground
+// station, in row order, and each row is scored from the shared flight.
+// Each lane carries its own RNG streams and injector, so results are
+// ordered like the input and bit-identical at any pool size and any batch
+// composition (the batch engine's lane-determinism contract) — the
+// campaign table is byte-identical to flying every row on its own.
 func Run(scenarios []Scenario, cfg Config) (*Campaign, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workload != nil {
@@ -146,43 +163,30 @@ func Run(scenarios []Scenario, cfg Config) (*Campaign, error) {
 		if err := sc.Plan.Validate(); err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
-	}
-	// Distinct seeds in first-appearance order.
-	var seeds []int64
-	seen := map[int64]bool{}
-	for _, sc := range scenarios {
-		if !seen[sc.Seed] {
-			seen[sc.Seed] = true
-			seeds = append(seeds, sc.Seed)
+		if err := sc.Link.validate(); err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
 	}
-	// One lane per baseline seed, then one per scenario — a single batch.
-	lanes := make([]lane, 0, len(seeds)+len(scenarios))
-	for _, seed := range seeds {
-		lanes = append(lanes, buildLane(Scenario{Name: "baseline", Seed: seed}, cfg))
-	}
-	for _, sc := range scenarios {
-		lanes = append(lanes, buildLane(sc, cfg))
-	}
+	lanes, rows, nBase := layout(scenarios, cfg)
 	specs := make([]scenario.Spec, len(lanes))
 	for i := range lanes {
 		specs[i] = lanes[i].spec
 	}
 	results, errs := scenario.RunBatch(specs)
-	outs := make([]runOut, len(lanes))
-	for i := range lanes {
-		if errs[i] != nil {
-			panic(errs[i]) // the campaign spec is statically valid
+	outs := make([]runOut, len(rows))
+	for i, r := range rows {
+		if errs[r.lane] != nil {
+			panic(errs[r.lane]) // the campaign spec is statically valid
 		}
-		outs[i] = lanes[i].finish(results[i])
+		outs[i] = r.finish(results[r.lane])
 	}
-	baseBySeed := make(map[int64]runOut, len(seeds))
+	baseBySeed := make(map[int64]runOut, nBase)
 	c := &Campaign{}
-	for _, b := range outs[:len(seeds)] {
+	for _, b := range outs[:nBase] {
 		baseBySeed[b.res.Seed] = b
 		c.Baselines = append(c.Baselines, b.res)
 	}
-	for _, r := range outs[len(seeds):] {
+	for _, r := range outs[nBase:] {
 		base := baseBySeed[r.res.Seed]
 		r.res.DeltaFlightTimeS = r.res.FlightTimeS - base.res.FlightTimeS
 		r.res.MaxPathDivM = maxDivergence(r.traj, base.traj)
@@ -194,6 +198,58 @@ func Run(scenarios []Scenario, cfg Config) (*Campaign, error) {
 		res.Release()
 	}
 	return c, nil
+}
+
+// layout lays a campaign out as batch lanes: one row per distinct seed's
+// baseline (nBase of them, first-appearance order), then one per scenario,
+// each row joining the lane of the first earlier row that flies the same
+// flight.
+func layout(scenarios []Scenario, cfg Config) (lanes []*lane, rows []*row, nBase int) {
+	var all []Scenario
+	seen := map[int64]bool{}
+	for _, sc := range scenarios {
+		if !seen[sc.Seed] {
+			seen[sc.Seed] = true
+			all = append(all, Scenario{Name: "baseline", Seed: sc.Seed})
+		}
+	}
+	nBase = len(all)
+	all = append(all, scenarios...)
+	rows = make([]*row, len(all))
+	for i, sc := range all {
+		r := newRow(sc)
+		r.lane = slices.IndexFunc(lanes, func(l *lane) bool { return sameFlight(l.rows[0].sc, sc) })
+		if r.lane < 0 {
+			r.lane = len(lanes)
+			lanes = append(lanes, newLane(sc, cfg))
+		}
+		lanes[r.lane].rows = append(lanes[r.lane].rows, r)
+		rows[i] = r
+	}
+	return lanes, rows, nBase
+}
+
+// sameFlight reports whether a and b fly bit-identical flights: the same
+// seed and the same fault events, floats compared by their bits so -0 and
+// +0 never share. The plan name and the telemetry link are not flown.
+func sameFlight(a, b Scenario) bool {
+	if a.Seed != b.Seed || len(a.Plan.Events) != len(b.Plan.Events) {
+		return false
+	}
+	for i := range a.Plan.Events {
+		if !sameEvent(&a.Plan.Events[i], &b.Plan.Events[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameEvent(a, b *Event) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Kind == b.Kind && a.Sensor == b.Sensor && a.Motor == b.Motor &&
+		same(a.Start, b.Start) && same(a.Duration, b.Duration) &&
+		same(a.Frac, b.Frac) && same(a.Mag, b.Mag) && same(a.Prob, b.Prob) &&
+		same(a.Vec.X, b.Vec.X) && same(a.Vec.Y, b.Vec.Y) && same(a.Vec.Z, b.Vec.Z)
 }
 
 // maxDivergence is the largest pointwise distance over the common prefix.
@@ -212,80 +268,93 @@ func maxDivergence(a, b []mathx.Vec3) float64 {
 }
 
 // lane is one batch lane in flight: the Spec the scenario engine flies plus
-// the lane-private telemetry plumbing (LossyLink into a ground station) the
-// campaign row is scored against after landing. Everything a lane touches
-// during stepping is lane-owned, so co-tenant lanes in a batch cannot
-// perturb it.
+// the campaign rows that share it. Everything a lane touches during
+// stepping is lane-owned, so co-tenant lanes in a batch cannot perturb it.
 type lane struct {
-	sc   Scenario
 	spec scenario.Spec
-	link *LossyLink
-	gs   *groundstation.Station
+	rows []*row
 }
 
-// buildLane assembles a single scenario closed-loop: the flysim stack —
-// declared as a scenario.Spec — plus the injector, an offload session
-// polling the injected link, and telemetry streamed through a LossyLink
-// into a ground station.
-func buildLane(sc Scenario, cfg Config) lane {
+// newLane assembles sc's flight closed-loop: the flysim stack — declared as
+// a scenario.Spec — plus the injector and an offload session polling the
+// injected link, its telemetry fanned out to every row of the lane.
+func newLane(sc Scenario, cfg Config) *lane {
 	inj, err := NewInjector(sc.Plan, sc.Seed)
 	if err != nil {
 		panic(err) // validated by Run
 	}
+	policy := autopilot.DefaultEnergyPolicy()
+	l := &lane{}
+	l.spec = scenario.Spec{
+		Seed:         sc.Seed,
+		Workload:     cfg.Workload,
+		TakeoffAltM:  cfg.TakeoffAltM,
+		MaxSeconds:   cfg.MaxSeconds,
+		Compute:      scenario.Compute{BaseW: cfg.BaseComputeW},
+		EnergyPolicy: &policy,
+		Faults:       inj,
+		Offload: &scenario.Offload{
+			Session: offload.SessionConfig{
+				Link: offload.WiFi5GHz(), Node: offload.GroundStationGPU(),
+				W: offload.SLAMWorkload(), OnboardW: 2.0, OnboardG: 50,
+			},
+			Stats: campaignSLAMStats(),
+		},
+		// Transmit never aliases the borrowed burst, so every row's link
+		// may read it in turn.
+		Telemetry: scenario.Telemetry{Send: func(raw []byte) {
+			for _, r := range l.rows {
+				r.receive(raw)
+			}
+		}},
+	}
+	return l
+}
+
+// row is one campaign row's telemetry plumbing: a LossyLink into a ground
+// station, the row scored against after landing.
+type row struct {
+	sc   Scenario
+	lane int // index of the lane flying this row
+	link *LossyLink
+	gs   *groundstation.Station
+}
+
+func newRow(sc Scenario) *row {
 	link := NewLossyLink(sc.Seed + 1)
 	link.DropProb, link.CorruptProb = sc.Link.Drop, sc.Link.Corrupt
 	link.DupProb, link.TruncProb = sc.Link.Dup, sc.Link.Trunc
 	link.ReorderProb = sc.Link.Reorder
-	gs := groundstation.New()
-	policy := autopilot.DefaultEnergyPolicy()
+	return &row{sc: sc, link: link, gs: groundstation.New()}
+}
 
-	return lane{
-		sc:   sc,
-		link: link,
-		gs:   gs,
-		spec: scenario.Spec{
-			Seed:         sc.Seed,
-			Workload:     cfg.Workload,
-			TakeoffAltM:  cfg.TakeoffAltM,
-			MaxSeconds:   cfg.MaxSeconds,
-			Compute:      scenario.Compute{BaseW: cfg.BaseComputeW},
-			EnergyPolicy: &policy,
-			Faults:       inj,
-			Offload: &scenario.Offload{
-				Session: offload.SessionConfig{
-					Link: offload.WiFi5GHz(), Node: offload.GroundStationGPU(),
-					W: offload.SLAMWorkload(), OnboardW: 2.0, OnboardG: 50,
-				},
-				Stats: campaignSLAMStats(),
-			},
-			Telemetry: scenario.Telemetry{Send: func(raw []byte) {
-				if got := link.Transmit(raw); len(got) > 0 {
-					gs.Consume(got)
-				}
-			}},
-		},
+// receive passes one telemetry burst through the row's link into its
+// ground station.
+func (r *row) receive(raw []byte) {
+	if got := r.link.Transmit(raw); len(got) > 0 {
+		r.gs.Consume(got)
 	}
 }
 
-// finish drains the lane's telemetry link and folds the flight outcome into
+// finish drains the row's telemetry link and folds the flight outcome into
 // a campaign row.
-func (l lane) finish(res *scenario.Result) runOut {
-	if tail := l.link.Transmit(l.link.Flush()); len(tail) > 0 {
-		l.gs.Consume(tail)
+func (r *row) finish(res *scenario.Result) runOut {
+	if tail := r.link.Transmit(r.link.Flush()); len(tail) > 0 {
+		r.gs.Consume(tail)
 	}
 	return runOut{
 		traj: res.Trajectory,
 		res: Result{
-			Scenario:         l.sc.Name,
-			Seed:             l.sc.Seed,
+			Scenario:         r.sc.Name,
+			Seed:             r.sc.Seed,
 			Outcome:          classify(res),
 			FlightTimeS:      res.FlightTimeS,
 			MaxEstErrM:       res.MaxEstErrM,
 			EnergyWh:         res.EnergyWh,
 			Fallbacks:        res.Fallbacks,
 			Recoveries:       res.Recoveries,
-			TelemetryFrames:  l.gs.State().Frames,
-			TelemetryDropped: l.link.Stats.Dropped,
+			TelemetryFrames:  r.gs.State().Frames,
+			TelemetryDropped: r.link.Stats.Dropped,
 			LastEvent:        res.LastEvent,
 		},
 	}

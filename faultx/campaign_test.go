@@ -1,10 +1,13 @@
 package faultx
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 
 	"dronedse/autopilot"
 	"dronedse/mathx"
+	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/power"
 	"dronedse/scenario"
@@ -65,12 +68,12 @@ func flysimReference(t *testing.T, seed int64) ([]mathx.Vec3, float64) {
 func TestFaultFreeBitIdentical(t *testing.T) {
 	const seed = 1
 	want, wantT := flysimReference(t, seed)
-	l := buildLane(Scenario{Name: "fault-free", Seed: seed}, Config{}.withDefaults())
-	res, err := scenario.Run(l.spec)
+	lanes, rows, _ := layout([]Scenario{{Name: "fault-free", Seed: seed}}, Config{}.withDefaults())
+	res, err := scenario.Run(lanes[0].spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := l.finish(res)
+	got := rows[1].finish(res)
 	if got.res.Outcome != OutcomeCompleted {
 		t.Fatalf("fault-free outcome = %v (%s)", got.res.Outcome, got.res.LastEvent)
 	}
@@ -154,5 +157,116 @@ func TestSevereScenario(t *testing.T) {
 	}
 	if r.TelemetryFrames == 0 {
 		t.Errorf("ground station decoded nothing through the lossy link")
+	}
+}
+
+// TestCampaignLayoutSharesFlights pins the lane grouping: rows share a lane
+// exactly when they share a seed and bit-identical fault events.
+func TestCampaignLayoutSharesFlights(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	scs := append(StandardScenarios(1), StandardScenarios(2)...)
+	lanes, rows, nBase := layout(scs, cfg)
+	// Per seed: the baseline, fault-free and lossy-telemetry rows fly one
+	// flight; the six faulted scenarios fly their own.
+	if nBase != 2 || len(rows) != 18 || len(lanes) != 14 {
+		t.Fatalf("standard scenarios at 2 seeds: %d baselines, %d rows, %d lanes; want 2, 18, 14",
+			nBase, len(rows), len(lanes))
+	}
+	for _, name := range []string{"fault-free", "lossy-telemetry"} {
+		for i, sc := range scs {
+			if sc.Name == name && rows[nBase+i].lane != rows[sc.Seed-1].lane {
+				t.Errorf("%s at seed %d flies lane %d, not its baseline's", name, sc.Seed, rows[nBase+i].lane)
+			}
+		}
+	}
+
+	denial := []Event{{Kind: GPSDenial, Start: 8, Duration: 12}}
+	nLanes := func(scs ...Scenario) int {
+		lanes, _, _ := layout(scs, cfg)
+		return len(lanes)
+	}
+	if n := nLanes(
+		Scenario{Name: "a", Seed: 3, Plan: Plan{Name: "a", Events: denial}},
+		Scenario{Name: "b", Seed: 3, Plan: Plan{Name: "b", Events: denial}},
+	); n != 2 {
+		t.Errorf("same events under another plan name: %d lanes, want 2 (baseline + one shared)", n)
+	}
+	if n := nLanes(
+		Scenario{Name: "a", Seed: 3, Plan: Plan{Events: denial}},
+		Scenario{Name: "a", Seed: 4, Plan: Plan{Events: denial}},
+	); n != 4 {
+		t.Errorf("same events at another seed: %d lanes, want 4", n)
+	}
+	gust := func(x float64) Scenario {
+		return Scenario{Name: "gust", Seed: 3, Plan: Plan{Events: []Event{{Kind: WindGust, Start: 5, Vec: mathx.V3(x, 1, 0)}}}}
+	}
+	if n := nLanes(gust(0), gust(math.Copysign(0, -1))); n != 3 {
+		t.Errorf("events differing only in -0/+0: %d lanes, want 3", n)
+	}
+}
+
+// TestCampaignSharedFlightsMatchSolo is the sharing contract: every row of
+// a multi-seed standard campaign, telemetry accounting included, equals the
+// row from flying that scenario in a campaign of its own.
+func TestCampaignSharedFlightsMatchSolo(t *testing.T) {
+	workloads := []mission.Workload{nil, mission.Follow{DurationS: 20}}
+	marshal := func(r Result) string {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, wl := range workloads {
+		kind := "box"
+		if wl != nil {
+			kind = wl.Kind()
+		}
+		cfg := Config{MaxSeconds: 120, Workload: wl}
+		scs := append(StandardScenarios(31), StandardScenarios(32)...)
+		c, err := Run(scs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Baselines) != 2 || len(c.Results) != len(scs) {
+			t.Fatalf("campaign shape: %d baselines, %d results", len(c.Baselines), len(c.Results))
+		}
+		for i, sc := range scs {
+			solo, err := Run([]Scenario{sc}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := c.Baselines[sc.Seed-31]
+			if got, want := marshal(base), marshal(solo.Baselines[0]); got != want {
+				t.Errorf("%s: baseline at seed %d:\n shared %s\n solo   %s", kind, sc.Seed, got, want)
+			}
+			if got, want := marshal(c.Results[i]), marshal(solo.Results[0]); got != want {
+				t.Errorf("%s: %s at seed %d:\n shared %s\n solo   %s", kind, sc.Name, sc.Seed, got, want)
+			}
+			if sc.Name == "lossy-telemetry" {
+				if c.Results[i].TelemetryDropped == 0 || base.TelemetryDropped != 0 {
+					t.Errorf("%s: lossy-telemetry dropped %d chunks, its baseline %d; want > 0 and 0",
+						kind, c.Results[i].TelemetryDropped, base.TelemetryDropped)
+				}
+			}
+		}
+	}
+}
+
+// TestCampaignRejectsNonFinite pins upfront validation of every scenario
+// input: a non-finite fault field or an out-of-range link probability
+// fails the campaign before any flight is launched.
+func TestCampaignRejectsNonFinite(t *testing.T) {
+	bad := []Scenario{
+		{Name: "nan-derate", Seed: 1, Plan: Plan{Events: []Event{{Kind: MotorDerate, Motor: 0, Frac: math.NaN()}}}},
+		{Name: "nan-drop", Seed: 1, Link: LinkLoss{Drop: math.NaN()}},
+		{Name: "inf-dup", Seed: 1, Link: LinkLoss{Dup: math.Inf(1)}},
+		{Name: "big-trunc", Seed: 1, Link: LinkLoss{Trunc: 1.5}},
+		{Name: "neg-reorder", Seed: 1, Link: LinkLoss{Reorder: -0.1}},
+	}
+	for _, sc := range bad {
+		if _, err := Run([]Scenario{SevereScenario(1), sc}, Config{MaxSeconds: 10}); err == nil {
+			t.Errorf("campaign accepted scenario %q", sc.Name)
+		}
 	}
 }

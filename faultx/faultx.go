@@ -14,6 +14,7 @@ package faultx
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dronedse/mathx"
@@ -113,9 +114,14 @@ type Plan struct {
 }
 
 // Validate rejects malformed plans before a campaign spends time flying
-// them.
+// them: every float field must be finite, and the kind's fields in range.
 func (p Plan) Validate() error {
 	for i, e := range p.Events {
+		for _, v := range [...]float64{e.Start, e.Duration, e.Frac, e.Mag, e.Prob, e.Vec.X, e.Vec.Y, e.Vec.Z} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("faultx: event %d has non-finite field %v", i, v)
+			}
+		}
 		if e.Start < 0 {
 			return fmt.Errorf("faultx: event %d starts at %v", i, e.Start)
 		}
@@ -191,7 +197,8 @@ func (in *Injector) Apply(t float64) {
 		for i := range eff {
 			eff[i] = 1
 		}
-		for _, e := range in.plan.Events {
+		for i := range in.plan.Events {
+			e := &in.plan.Events[i]
 			if e.Kind == MotorDerate && e.Active(t) && e.Frac < eff[e.Motor] {
 				eff[e.Motor] = e.Frac
 			}
@@ -202,7 +209,8 @@ func (in *Injector) Apply(t float64) {
 	}
 	if in.pack != nil {
 		sag, fade := 0.0, 0.0
-		for _, e := range in.plan.Events {
+		for i := range in.plan.Events {
+			e := &in.plan.Events[i]
 			if e.Kind == BatterySag && e.Active(t) {
 				sag += e.Mag
 				if e.Frac > fade {
@@ -214,7 +222,8 @@ func (in *Injector) Apply(t float64) {
 	}
 	if in.env != nil {
 		var gust mathx.Vec3
-		for _, e := range in.plan.Events {
+		for i := range in.plan.Events {
+			e := &in.plan.Events[i]
 			if e.Kind == WindGust && e.Active(t) {
 				gust = gust.Add(e.Vec)
 			}
@@ -228,7 +237,8 @@ func (in *Injector) Apply(t float64) {
 // so the decision sequence is reproducible across runs of the same plan.
 func (in *Injector) SensorFault(sensor string, t float64) sensors.FaultState {
 	var st sensors.FaultState
-	for _, e := range in.plan.Events {
+	for i := range in.plan.Events {
+		e := &in.plan.Events[i]
 		if !e.Active(t) {
 			continue
 		}
@@ -259,7 +269,8 @@ func (in *Injector) SensorFault(sensor string, t float64) sensors.FaultState {
 
 // GPSDenied implements autopilot.FaultSignals.
 func (in *Injector) GPSDenied(t float64) bool {
-	for _, e := range in.plan.Events {
+	for i := range in.plan.Events {
+		e := &in.plan.Events[i]
 		if e.Kind == GPSDenial && e.Active(t) {
 			return true
 		}
@@ -269,7 +280,8 @@ func (in *Injector) GPSDenied(t float64) bool {
 
 // LinkUp implements offload.LinkProbe: false while any LinkOutage covers t.
 func (in *Injector) LinkUp(t float64) bool {
-	for _, e := range in.plan.Events {
+	for i := range in.plan.Events {
+		e := &in.plan.Events[i]
 		if e.Kind == LinkOutage && e.Active(t) {
 			return false
 		}
@@ -281,7 +293,8 @@ func (in *Injector) LinkUp(t float64) bool {
 // LinkDegrade fraction (1 when none).
 func (in *Injector) BandwidthScale(t float64) float64 {
 	scale := 1.0
-	for _, e := range in.plan.Events {
+	for i := range in.plan.Events {
+		e := &in.plan.Events[i]
 		if e.Kind == LinkDegrade && e.Active(t) && e.Frac < scale {
 			scale = e.Frac
 		}

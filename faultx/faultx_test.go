@@ -2,6 +2,7 @@ package faultx
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dronedse/mathx"
@@ -20,6 +21,17 @@ func TestPlanValidate(t *testing.T) {
 		{Events: []Event{{Kind: LinkDegrade, Frac: -0.1}}},
 		{Events: []Event{{Kind: WindGust, Start: -1}}},
 		{Events: []Event{{Kind: Kind(42)}}},
+		{Events: []Event{{Kind: MotorDerate, Motor: 0, Frac: math.NaN()}}},
+		{Events: []Event{{Kind: SensorDropout, Sensor: sensors.SensorGPS, Prob: math.NaN()}}},
+		{Events: []Event{{Kind: BatterySag, Mag: math.NaN(), Frac: 0.3}}},
+		{Events: []Event{{Kind: LinkDegrade, Frac: math.NaN()}}},
+		{Events: []Event{{Kind: GPSDenial, Start: math.NaN()}}},
+		{Events: []Event{{Kind: GPSDenial, Start: math.Inf(1)}}},
+		{Events: []Event{{Kind: LinkOutage, Duration: math.NaN()}}},
+		{Events: []Event{{Kind: LinkOutage, Duration: math.Inf(1)}}},
+		{Events: []Event{{Kind: WindGust, Vec: mathx.V3(0, math.Inf(-1), 0)}}},
+		{Events: []Event{{Kind: SensorBias, Sensor: sensors.SensorBaro, Mag: math.NaN()}}},
+		{Events: []Event{{Kind: SensorBias, Sensor: sensors.SensorIMU, Vec: mathx.V3(0, 0, math.NaN())}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
