@@ -74,11 +74,17 @@ bench-slam:
 
 # Fault-campaign smoke: the faultx acceptance tests (pool-invariance,
 # severe-scenario degradation, fault-free bit-identity, shared flights
-# matching solo ones) under the race detector, plus the standard CLI
-# campaign at one seed and, as JSON, at two seeds, whose rows share flights
-# within and not across seeds, so fault-injection regressions surface in CI.
+# matching solo ones) under the race detector; the telemetry receive path's
+# zero-alloc guards (a warmed parser Push, lossy-link Transmit and campaign
+# row receive must not allocate) and the parser's frame-ownership test; ten
+# seconds of fuzzing the parser from its committed corpus; plus the standard
+# CLI campaign at one seed and, as JSON, at two seeds, whose rows share
+# flights within and not across seeds, so fault-injection regressions
+# surface in CI.
 bench-fault:
 	$(GO) test -race ./faultx/ -run 'TestCampaignPoolInvariance|TestSevereScenario|TestFaultFreeBitIdentical|TestCampaignSharedFlightsMatchSolo'
+	$(GO) test ./mavlink/ ./faultx/ -run 'TestPushZeroAlloc|TestPushFramesOwnership|TestLossyLinkZeroAlloc|TestLossyLinkAcceptsOwnBuffers|TestRowReceiveZeroAlloc'
+	$(GO) test ./mavlink/ -run '^$$' -fuzz '^FuzzParserPush$$' -fuzztime 10s
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 	$(GO) run ./cmd/faultcamp -procs 2 -n 2 -json >/dev/null
 

@@ -8,8 +8,8 @@ import (
 	"strings"
 
 	"dronedse/autopilot"
-	"dronedse/groundstation"
 	"dronedse/mathx"
+	"dronedse/mavlink"
 	"dronedse/mission"
 	"dronedse/offload"
 	"dronedse/platform"
@@ -23,8 +23,8 @@ type Scenario struct {
 	Name string
 	Seed int64
 	Plan Plan
-	// Link mangles the telemetry stream to the ground station (zero =
-	// clean link); every probability must lie in [0, 1].
+	// Link mangles the telemetry downlink (zero = clean link); every
+	// probability must lie in [0, 1].
 	Link LinkLoss
 }
 
@@ -113,7 +113,7 @@ type Result struct {
 	// Offload session accounting.
 	Fallbacks  int `json:"offload_fallbacks"`
 	Recoveries int `json:"offload_recoveries"`
-	// Ground-station accounting over the (possibly lossy) telemetry link.
+	// Receiver accounting over the (possibly lossy) telemetry link.
 	TelemetryFrames  int    `json:"telemetry_frames"`
 	TelemetryDropped int    `json:"telemetry_chunks_dropped"`
 	LastEvent        string `json:"last_event"`
@@ -146,8 +146,8 @@ func campaignSLAMStats() slam.Stats {
 // baselines, then the scenarios) with the same seed and bit-identical fault
 // events share the lane of the first of them. Neither the plan's name nor
 // the telemetry link is flown (the link is one-way), so the lane's
-// telemetry fans out to every member row's own LossyLink and ground
-// station, in row order, and each row is scored from the shared flight.
+// telemetry fans out to every member row's own LossyLink and MAVLink
+// parser, in row order, and each row is scored from the shared flight.
 // Each lane carries its own RNG streams and injector, so results are
 // ordered like the input and bit-identical at any pool size and any batch
 // composition (the batch engine's lane-determinism contract) — the
@@ -300,8 +300,8 @@ func newLane(sc Scenario, cfg Config) *lane {
 			},
 			Stats: campaignSLAMStats(),
 		},
-		// Transmit never aliases the borrowed burst, so every row's link
-		// may read it in turn.
+		// Transmit copies the borrowed burst, so every row's link may
+		// read it in turn.
 		Telemetry: scenario.Telemetry{Send: func(raw []byte) {
 			for _, r := range l.rows {
 				r.receive(raw)
@@ -311,13 +311,13 @@ func newLane(sc Scenario, cfg Config) *lane {
 	return l
 }
 
-// row is one campaign row's telemetry plumbing: a LossyLink into a ground
-// station, the row scored against after landing.
+// row is one campaign row's telemetry plumbing: a LossyLink into a MAVLink
+// parser, whose Complete count (a ground station's Frames) the row reports.
 type row struct {
-	sc   Scenario
-	lane int // index of the lane flying this row
-	link *LossyLink
-	gs   *groundstation.Station
+	sc     Scenario
+	lane   int // index of the lane flying this row
+	link   *LossyLink
+	parser mavlink.Parser
 }
 
 func newRow(sc Scenario) *row {
@@ -325,23 +325,19 @@ func newRow(sc Scenario) *row {
 	link.DropProb, link.CorruptProb = sc.Link.Drop, sc.Link.Corrupt
 	link.DupProb, link.TruncProb = sc.Link.Dup, sc.Link.Trunc
 	link.ReorderProb = sc.Link.Reorder
-	return &row{sc: sc, link: link, gs: groundstation.New()}
+	return &row{sc: sc, link: link}
 }
 
 // receive passes one telemetry burst through the row's link into its
-// ground station.
+// parser.
 func (r *row) receive(raw []byte) {
-	if got := r.link.Transmit(raw); len(got) > 0 {
-		r.gs.Consume(got)
-	}
+	r.parser.Push(r.link.Transmit(raw))
 }
 
 // finish drains the row's telemetry link and folds the flight outcome into
 // a campaign row.
 func (r *row) finish(res *scenario.Result) runOut {
-	if tail := r.link.Transmit(r.link.Flush()); len(tail) > 0 {
-		r.gs.Consume(tail)
-	}
+	r.parser.Push(r.link.Transmit(r.link.Flush()))
 	return runOut{
 		traj: res.Trajectory,
 		res: Result{
@@ -353,7 +349,7 @@ func (r *row) finish(res *scenario.Result) runOut {
 			EnergyWh:         res.EnergyWh,
 			Fallbacks:        res.Fallbacks,
 			Recoveries:       res.Recoveries,
-			TelemetryFrames:  r.gs.State().Frames,
+			TelemetryFrames:  r.parser.Complete,
 			TelemetryDropped: r.link.Stats.Dropped,
 			LastEvent:        res.LastEvent,
 		},

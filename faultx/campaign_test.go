@@ -156,7 +156,7 @@ func TestSevereScenario(t *testing.T) {
 		t.Errorf("lossy telemetry dropped no chunks")
 	}
 	if r.TelemetryFrames == 0 {
-		t.Errorf("ground station decoded nothing through the lossy link")
+		t.Errorf("the row's parser decoded nothing through the lossy link")
 	}
 }
 

@@ -165,7 +165,8 @@ func (p Plan) Validate() error {
 // so faultx stays dependency-light and the hosts stay fault-agnostic.
 type Injector struct {
 	plan Plan
-	rng  *rand.Rand
+	seed int64
+	rng  *rand.Rand // seeded on the first stochastic dropout
 
 	quad *sim.Quad
 	pack *power.Pack
@@ -178,7 +179,7 @@ func NewInjector(plan Plan, seed int64) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{plan: plan, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Injector{plan: plan, seed: seed}, nil
 }
 
 // Bind attaches the injector to the vehicle's plant, pack and environment.
@@ -251,6 +252,9 @@ func (in *Injector) SensorFault(sensor string, t float64) sensors.FaultState {
 		}
 		switch e.Kind {
 		case SensorDropout:
+			if e.Prob > 0 && in.rng == nil {
+				in.rng = rand.New(rand.NewSource(in.seed))
+			}
 			if e.Prob <= 0 || in.rng.Float64() < e.Prob {
 				st.Dropout = true
 			}

@@ -168,9 +168,6 @@ func (s *Sub) Next() ([]byte, bool) {
 func (s *Sub) TryNext() ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.n == 0 {
-		return nil, false
-	}
 	return s.popLocked()
 }
 

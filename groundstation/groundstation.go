@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,7 +39,8 @@ type Station struct {
 	mu      sync.Mutex
 	state   VehicleState
 	parser  mavlink.Parser
-	history []VehicleState
+	history []VehicleState // ring of position fixes, oldest at histAt once full
+	histAt  int
 	histCap int
 
 	// ReadTimeout is the per-read deadline on served TCP connections: a
@@ -69,10 +71,9 @@ func (s *Station) State() VehicleState {
 
 // Consume feeds raw telemetry bytes into the station.
 func (s *Station) Consume(data []byte) {
-	frames := s.parser.Push(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, f := range frames {
+	for _, f := range s.parser.Push(data) {
 		s.state.Frames++
 		switch f.MsgID {
 		case mavlink.MsgHeartbeat:
@@ -99,11 +100,12 @@ func (s *Station) Consume(data []byte) {
 			s.state.X, s.state.Y, s.state.Z = float64(g.X), float64(g.Y), float64(g.Z)
 			s.state.VX, s.state.VY, s.state.VZ = float64(g.VX), float64(g.VY), float64(g.VZ)
 			s.state.TimeMS = g.TimeMS
-			if len(s.history) >= s.histCap {
-				copy(s.history, s.history[1:])
-				s.history = s.history[:len(s.history)-1]
+			if len(s.history) < s.histCap {
+				s.history = append(s.history, s.state)
+			} else {
+				s.history[s.histAt] = s.state
+				s.histAt = (s.histAt + 1) % s.histCap
 			}
-			s.history = append(s.history, s.state)
 		case mavlink.MsgBatteryStatus:
 			b, err := mavlink.DecodeBatteryStatus(f.Payload)
 			if err != nil {
@@ -202,7 +204,7 @@ func (s *Station) Shutdown() {
 func (s *Station) Track() []VehicleState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]VehicleState(nil), s.history...)
+	return slices.Concat(s.history[s.histAt:], s.history[:s.histAt])
 }
 
 // DistanceFlown integrates the track's horizontal path length in meters.

@@ -1,12 +1,14 @@
 package groundstation
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"dronedse/autopilot"
 	"dronedse/mathx"
+	"dronedse/mavlink"
 	"dronedse/power"
 	"dronedse/sim"
 )
@@ -282,6 +284,41 @@ func TestTrackBounded(t *testing.T) {
 	}
 	if got := len(gs.Track()); got > 8 {
 		t.Errorf("history grew to %d, cap 8", got)
+	}
+}
+
+// TestTrackRingPastCap streams more position fixes than the history holds:
+// the track keeps the newest histCap fixes, oldest first, and the distance
+// flown is the path length over exactly those fixes.
+func TestTrackRingPastCap(t *testing.T) {
+	gs := New()
+	const extra = 1000
+	n := gs.histCap + extra
+	var stream []byte
+	for i := 0; i < n; i++ {
+		pl := mavlink.AppendGlobalPosition(nil, mavlink.GlobalPosition{TimeMS: uint32(i), X: float32(i), Y: float32(i % 2)})
+		var err error
+		if stream, err = (mavlink.Frame{Seq: uint8(i), MsgID: mavlink.MsgGlobalPosition, Payload: pl}).AppendTo(stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(stream) > 0 { // bursts of 3000 bytes, splitting frames
+		k := min(3000, len(stream))
+		gs.Consume(stream[:k])
+		stream = stream[k:]
+	}
+	track := gs.Track()
+	if len(track) != gs.histCap {
+		t.Fatalf("track holds %d fixes, want %d", len(track), gs.histCap)
+	}
+	for i, fix := range track {
+		if want := uint32(extra + i); fix.TimeMS != want || fix.X != float64(want) {
+			t.Fatalf("track[%d] = t%d x%v, want fix %d", i, fix.TimeMS, fix.X, want)
+		}
+	}
+	// Every step is dx = 1, dy = ±1.
+	if got, want := gs.DistanceFlown(), float64(gs.histCap-1)*math.Sqrt2; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("distance flown = %v, want %v", got, want)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestPushBoundedBuffer(t *testing.T) {
 		pushed += len(chunk)
 	}
 	bound := 2 * DefaultMaxBuffer
-	if got := p.BufferCap(); got > bound {
+	if got := cap(p.buf); got > bound {
 		t.Errorf("buffer capacity grew to %d after a %d byte flood (bound %d)", got, pushed, bound)
 	}
 	if got := p.BufferedBytes(); got >= maxFrameLen {

@@ -1,6 +1,7 @@
 package mavlink
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -117,4 +118,41 @@ func TestDecodersRejectShortPayloads(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParserPush feeds arbitrary bytes, pushed in chunks of 1+split bytes,
+// through one parser. Every push must keep the documented conservation
+// invariant (bytes pushed = framed bytes + Discarded + BufferedBytes), and
+// every returned frame, read before the next Push, must re-encode through
+// AppendTo to a frame that decodes to the same header and payload. The
+// committed corpus lives in testdata/fuzz/FuzzParserPush.
+func FuzzParserPush(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+		var p Parser
+		pushed, framed := 0, 0
+		for rest := data; len(rest) > 0; {
+			n := min(1+int(split), len(rest))
+			frames := p.Push(rest[:n])
+			pushed += n
+			rest = rest[n:]
+			for _, fr := range frames {
+				framed += 8 + len(fr.Payload)
+				raw, err := fr.AppendTo(nil)
+				if err != nil {
+					t.Fatalf("decoded frame %+v does not re-encode: %v", fr, err)
+				}
+				var q Parser
+				got := q.Push(raw)
+				if len(got) != 1 || got[0].Seq != fr.Seq || got[0].SysID != fr.SysID ||
+					got[0].CompID != fr.CompID || got[0].MsgID != fr.MsgID ||
+					!bytes.Equal(got[0].Payload, fr.Payload) {
+					t.Fatalf("frame %+v re-encodes to %x, which decodes to %+v", fr, raw, got)
+				}
+			}
+			if got := framed + p.Discarded + p.BufferedBytes(); got != pushed {
+				t.Fatalf("byte ledger: framed %d + discarded %d + buffered %d = %d, pushed %d",
+					framed, p.Discarded, p.BufferedBytes(), got, pushed)
+			}
+		}
+	})
 }

@@ -30,10 +30,9 @@ const (
 )
 
 // crcExtra seeds the CRC per message type so sender/receiver disagree loudly
-// on layout changes (the MAVLink CRC_EXTRA mechanism). An ID with no entry
-// is unknown: the encoder refuses it and the parser counts it as a CRC
-// failure.
-var crcExtra = map[MsgID]byte{
+// on layout changes (the MAVLink CRC_EXTRA mechanism). An ID past the end is
+// unknown: the encoder refuses it and the parser counts it as a CRC failure.
+var crcExtra = [...]byte{
 	MsgHeartbeat:      50,
 	MsgAttitude:       39,
 	MsgGlobalPosition: 104,
@@ -77,14 +76,13 @@ func (f Frame) AppendTo(dst []byte) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return dst, errPayloadTooLarge
 	}
-	extra, ok := crcExtra[f.MsgID]
-	if !ok {
+	if int(f.MsgID) >= len(crcExtra) {
 		return dst, errUnknownMsgID
 	}
 	start := len(dst)
 	dst = append(dst, Magic, byte(len(f.Payload)), f.Seq, f.SysID, f.CompID, byte(f.MsgID))
 	dst = append(dst, f.Payload...)
-	crc := x25Byte(X25(dst[start+1:]), extra)
+	crc := x25Byte(X25(dst[start+1:]), crcExtra[f.MsgID])
 	return binary.LittleEndian.AppendUint16(dst, crc), nil
 }
 
@@ -104,7 +102,9 @@ const DefaultMaxBuffer = 1 << 14
 // internal buffer is compacted as bytes are consumed and capped at
 // MaxBuffer, so a garbage flood costs O(MaxBuffer) memory, not O(input).
 type Parser struct {
-	buf []byte
+	buf    []byte
+	frames []Frame // Push's result, reused
+	arena  []byte  // the returned frames' payloads, reused
 	// MaxBuffer caps the buffered byte count (0 means DefaultMaxBuffer;
 	// values below one max-length frame are raised to it).
 	MaxBuffer int
@@ -123,13 +123,11 @@ type Parser struct {
 // BufferedBytes returns the number of bytes currently held for reassembly.
 func (p *Parser) BufferedBytes() int { return len(p.buf) }
 
-// BufferCap returns the capacity of the internal buffer (tests assert the
-// garbage-flood bound on it).
-func (p *Parser) BufferCap() int { return cap(p.buf) }
-
 // Push appends bytes and returns any complete frames decoded. Input larger
 // than the buffer cap is consumed in bounded slices, so the working set
 // stays O(MaxBuffer) regardless of chunk size.
+// The frames and their payloads are parser-owned and valid until the next
+// Push (the bufio.Scanner.Bytes contract): copy what must outlive it.
 func (p *Parser) Push(data []byte) []Frame {
 	max := p.MaxBuffer
 	if max <= 0 {
@@ -138,7 +136,7 @@ func (p *Parser) Push(data []byte) []Frame {
 	if max < maxFrameLen {
 		max = maxFrameLen
 	}
-	var out []Frame
+	p.frames, p.arena = p.frames[:0], p.arena[:0]
 	for {
 		if n := max - len(p.buf); n > 0 {
 			if n > len(data) {
@@ -147,16 +145,17 @@ func (p *Parser) Push(data []byte) []Frame {
 			p.buf = append(p.buf, data[:n]...)
 			data = data[n:]
 		}
-		out = p.parse(out)
+		p.parse()
 		if len(data) == 0 {
-			return out
+			return p.frames
 		}
 	}
 }
 
 // parse consumes as many frames as possible from the buffer, compacting it
-// afterwards so consumed prefixes do not pin the backing array.
-func (p *Parser) parse(out []Frame) []Frame {
+// afterwards so consumed prefixes do not pin the backing array. Payloads go
+// to the arena; frames decoded before it grows keep the old array.
+func (p *Parser) parse() {
 	start := 0 // consumed prefix
 	for {
 		// find magic
@@ -179,16 +178,17 @@ func (p *Parser) parse(out []Frame) []Frame {
 			break
 		}
 		// An unknown ID fails like a CRC mismatch: no seed can vouch for it.
-		extra, known := crcExtra[MsgID(rem[5])]
 		wire := binary.LittleEndian.Uint16(rem[6+plen : 8+plen])
-		if known && wire == x25Byte(X25(rem[1:6+plen]), extra) {
+		if int(rem[5]) < len(crcExtra) && wire == x25Byte(X25(rem[1:6+plen]), crcExtra[rem[5]]) {
 			p.Complete++
-			out = append(out, Frame{
+			at := len(p.arena)
+			p.arena = append(p.arena, rem[6:6+plen]...)
+			p.frames = append(p.frames, Frame{
 				Seq:     rem[2],
 				SysID:   rem[3],
 				CompID:  rem[4],
 				MsgID:   MsgID(rem[5]),
-				Payload: append([]byte(nil), rem[6:6+plen]...),
+				Payload: p.arena[at:len(p.arena):len(p.arena)],
 			})
 			start += total
 		} else {
@@ -202,7 +202,6 @@ func (p *Parser) parse(out []Frame) []Frame {
 		n := copy(p.buf, p.buf[start:])
 		p.buf = p.buf[:n]
 	}
-	return out
 }
 
 // --- Message payloads ---
