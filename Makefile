@@ -67,10 +67,15 @@ bench-smoke:
 	$(GO) test ./parallelx/ -run '^$$' -bench . -benchtime 10x 2>/dev/null || true
 
 # SLAM front-end kernel smoke: one quick pass over the tracking hot paths
-# (detection, projection matching, local BA, full sequence) so kernel
-# regressions surface in CI without the full benchmark suite.
+# (detection, projection matching, local BA) so kernel regressions surface
+# in CI without the full benchmark suite; the sequence arena's guards (a
+# warm RunSequence's heap budget per frame, and an arena reused across
+# sequences giving a fresh arena's bits and keeping no map pointer); and
+# one full-sequence run per pool size, so its B/op shows in the CI log.
 bench-slam:
 	$(GO) test ./slam/ -run '^$$' -bench 'BenchmarkDetect|BenchmarkMatchByProjection|BenchmarkBundleAdjustLocal' -benchtime 5x
+	$(GO) test ./slam/ -run '^(TestRunSequenceAllocBudget|TestRunSequenceArenaReuse)$$'
+	$(GO) test ./slam/ -run '^$$' -bench BenchmarkRunSequence -benchtime 1x -benchmem
 
 # Fault-campaign smoke: the faultx acceptance tests (pool-invariance,
 # severe-scenario degradation, fault-free bit-identity, shared flights

@@ -56,12 +56,16 @@ type kfProblem struct {
 	// ps is this problem's pose-solver working set: motion steps for
 	// different keyframes run concurrently, so each needs its own.
 	ps poseScratch
+	// ops is the raw op count of the problem's latest motion step.
+	ops uint64
 }
 
 // ptProblem is the structure-step work unit for one map point.
 type ptProblem struct {
 	mp  *MapPoint
 	obs []obsRef
+	// ops is the raw op count of the point's latest structure step.
+	ops uint64
 }
 
 // baScratch holds bundleAdjust's adjacency buffers, reused across calls
@@ -79,6 +83,22 @@ type baScratch struct {
 	kfRt []mathx.Mat3
 }
 
+// release clears every map pointer the work units hold, over the full
+// capacity of each buffer: a truncated slot still references the keyframes
+// and points of the call that last filled it. The buffers themselves stay.
+func (sc *baScratch) release() {
+	kfProbs := sc.kfProbs[:cap(sc.kfProbs)]
+	for i := range kfProbs {
+		kfProbs[i].kf = nil
+		clear(kfProbs[i].mps[:cap(kfProbs[i].mps)])
+	}
+	ptProbs := sc.ptProbs[:cap(sc.ptProbs)]
+	for i := range ptProbs {
+		ptProbs[i].mp = nil
+		clear(ptProbs[i].obs[:cap(ptProbs[i].obs)])
+	}
+}
+
 // bundleAdjust performs block-coordinate bundle adjustment over the given
 // keyframes and the map points they observe: alternating motion-only
 // Gauss-Newton (per keyframe) and structure-only Gauss-Newton (per point),
@@ -93,14 +113,15 @@ type baScratch struct {
 // motion step every keyframe refinement reads only point positions (written
 // by the previous structure step) and its own pose; within the structure
 // step every point refinement reads only keyframe poses and its own
-// position. Ops are summed from per-unit counts, and uint64 addition is
-// exact and commutative, so the ledger and all poses/points are identical
-// at every pool size.
+// position. Each unit records its op count in its own problem, and the
+// counts are summed in index order; uint64 addition is exact, so the ledger
+// and all poses/points are identical at every pool size, and no fan-out
+// allocates a result slice (MapIndex over struct{} allocates nothing).
 func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 	if len(kfs) == 0 {
 		return
 	}
-	sc := &s.baScratch
+	sc := &s.ar.ba
 	ptIdx := grow(sc.ptIdx, len(s.points))
 	for i := range ptIdx {
 		ptIdx[i] = -1
@@ -174,20 +195,28 @@ func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 	sc.kfRt = grow(sc.kfRt, len(kfs))
 	kfRt := sc.kfRt
 
+	// Motion step unit: refine keyframe i's pose against its points.
+	motion := func(i int) struct{} {
+		p := &kfProbs[i]
+		for k, mp := range p.mps {
+			p.pts[k] = mp.Pos
+		}
+		var tmp Stats
+		p.kf.Pose = optimizePose(s.Cam, p.kf.Pose, p.pts, p.us, p.vs, 2, &tmp, &p.ps)
+		p.ops = tmp.MatchingOps + tmp.LocalBAOps
+		return struct{}{}
+	}
+	// Structure step unit: refine point i, seen from >= 2 keyframes.
+	structure := func(i int) struct{} {
+		q := &ptProbs[i]
+		q.mp.Pos, q.ops = refinePoint(s, q.mp.Pos, q.obs, kfRt)
+		return struct{}{}
+	}
 	var raw uint64
 	for it := 0; it < iters; it++ {
-		// Motion step: refine each keyframe pose against its points.
-		kfOps := parallelx.MapIndex(len(kfProbs), func(i int) uint64 {
-			p := &kfProbs[i]
-			for k, mp := range p.mps {
-				p.pts[k] = mp.Pos
-			}
-			var tmp Stats
-			p.kf.Pose = optimizePose(s.Cam, p.kf.Pose, p.pts, p.us, p.vs, 2, &tmp, &p.ps)
-			return tmp.MatchingOps + tmp.LocalBAOps
-		})
-		for _, ops := range kfOps {
-			raw += ops
+		parallelx.MapIndex(len(kfProbs), motion)
+		for i := range kfProbs {
+			raw += kfProbs[i].ops
 		}
 
 		// Poses are now fixed until the next motion step: cache each
@@ -196,14 +225,9 @@ func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 			kfRt[ki] = kf.Pose.Att.Conj().Mat()
 		}
 
-		// Structure step: refine each point seen from >= 2 keyframes.
-		ptOps := parallelx.MapIndex(len(ptProbs), func(i int) uint64 {
-			pos, ops := refinePoint(s, ptProbs[i].mp.Pos, ptProbs[i].obs, kfRt)
-			ptProbs[i].mp.Pos = pos
-			return ops
-		})
-		for _, ops := range ptOps {
-			raw += ops
+		parallelx.MapIndex(len(ptProbs), structure)
+		for i := range ptProbs {
+			raw += ptProbs[i].ops
 		}
 	}
 	*opsCounter += raw * jointBAEquivalence

@@ -66,7 +66,9 @@ func BenchmarkBundleAdjustLocal(b *testing.B) {
 func BenchmarkRunSequence(b *testing.B) {
 	seq := benchSeq(b)
 	benchPools(b, func(b *testing.B) {
+		RunSequence(seq) // stock the free list with a warm sequence arena
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			RunSequence(seq)
 		}

@@ -107,7 +107,7 @@ const suppressCell = 8
 
 // Detector runs FAST-style corner detection plus BRIEF-style description.
 // The zero value is usable but unconfigured; a Detector is not safe for
-// concurrent Detect calls (it owns reusable per-frame scratch buffers).
+// concurrent Detect calls (it reuses per-frame scratch buffers).
 type Detector struct {
 	// Threshold is the FAST intensity threshold.
 	Threshold int
@@ -116,10 +116,12 @@ type Detector struct {
 	// Stats receives the work accounting; nil disables accounting.
 	Stats *Stats
 
-	// scratch holds the per-frame buffers Detect reuses across calls; the
-	// returned keypoint slice is always a fresh copy, so callers may retain
-	// it across frames.
-	scratch detectScratch
+	// scratch holds the per-frame buffers detection reuses across calls. A
+	// System's detector works in the System's sequence arena; any other
+	// detector gets its own scratch on first use. detect returns the
+	// scratch's merged keypoint buffer itself, while Detect hands out a
+	// copy that callers may retain across frames.
+	scratch *detectScratch
 }
 
 // detectScratch is the detector's reusable per-frame storage: per-band
@@ -162,9 +164,19 @@ func NewDetector(stats *Stats) *Detector {
 // concatenated in band order, which is exactly the row-major order of a
 // serial scan followed by one global suppression pass. Description is
 // parallelized per keypoint. The result is therefore identical at every
-// pool size.
+// pool size. The returned slice is the caller's.
 func (d *Detector) Detect(im Image) []Keypoint {
-	sc := &d.scratch
+	return append([]Keypoint(nil), d.detect(im)...)
+}
+
+// detect is Detect without the copy: it returns the detector's merged
+// keypoint buffer, which stays valid until the next call on d. Tracking
+// uses it directly, since ProcessFrameDetected keeps no keypoint slice.
+func (d *Detector) detect(im Image) []Keypoint {
+	if d.scratch == nil {
+		d.scratch = new(detectScratch)
+	}
+	sc := d.scratch
 	yEnd := im.H - 3 // y ranges over [3, H-3)
 	if yEnd <= 3 {
 		yEnd = 0 // no rows to scan: MapChunks runs no band
@@ -211,8 +223,8 @@ func (d *Detector) Detect(im Image) []Keypoint {
 		// 256 pairwise intensity comparisons per descriptor.
 		d.Stats.FeatureExtractionOps += uint64(len(kps)) * 256 * 3
 	}
-	sc.kps = kps[:0] // keep the merged buffer; hand the caller a copy
-	return append([]Keypoint(nil), kps...)
+	sc.kps = kps[:0] // keep the merged buffer for the next call
+	return kps
 }
 
 // hasRun9 reports whether the 16-bit circular mask m contains 9 contiguous

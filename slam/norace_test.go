@@ -1,0 +1,5 @@
+//go:build !race
+
+package slam
+
+const raceEnabled = false

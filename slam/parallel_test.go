@@ -29,7 +29,7 @@ func runSeqOutputs(t *testing.T, seq *dataset.Sequence) (Result, []Pose, int) {
 	}
 	s.Finish()
 	res := RunSequence(seq)
-	return res, s.traj, s.MapPoints()
+	return res, s.traj, len(s.points)
 }
 
 // TestRunSequencePoolInvariant is the PR acceptance property: for synthetic

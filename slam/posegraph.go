@@ -134,7 +134,7 @@ func (s *System) loopEdge(old, cur *KeyFrame) (rel mathx.Vec3, ok bool) {
 	if len(pts) < 12 {
 		return mathx.Vec3{}, false
 	}
-	reg := optimizePose(s.Cam, cur.Pose, pts, us, vs, 6, &s.Stats, &s.scratch.ps)
+	reg := optimizePose(s.Cam, cur.Pose, pts, us, vs, 6, &s.Stats, &s.ar.frame.ps)
 	return reg.Pos.Sub(old.Pose.Pos), true
 }
 

@@ -100,8 +100,8 @@ func TestBlindStartDoesNotPanic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.ProcessFrame(dataset.Frame{Image: img, Depth: depth})
 	}
-	if s.MapPoints() != 0 {
-		t.Errorf("featureless frames created %d map points", s.MapPoints())
+	if len(s.points) != 0 {
+		t.Errorf("featureless frames created %d map points", len(s.points))
 	}
 	if got := len(s.MapPointPositions()); got != 0 {
 		t.Errorf("MapPointPositions returned %d", got)
@@ -117,8 +117,8 @@ func TestMapPointPositions(t *testing.T) {
 		s.ProcessFrame(seq.Frame(i))
 	}
 	pts := s.MapPointPositions()
-	if len(pts) != s.MapPoints() {
-		t.Fatalf("positions %d != map points %d", len(pts), s.MapPoints())
+	if len(pts) != len(s.points) {
+		t.Fatalf("positions %d != map points %d", len(pts), len(s.points))
 	}
 	// Map points live in front of the trajectory (the landmark wall is at
 	// z >= ~2.5 in the camera world).

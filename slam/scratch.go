@@ -1,6 +1,97 @@
 package slam
 
-import "dronedse/mathx"
+import (
+	"sync"
+
+	"dronedse/mathx"
+)
+
+// seqArena is the storage one sequence run reuses frame after frame: the
+// detector's buffers, tracking's per-frame scratch, bundle adjustment's
+// adjacency and the pipelined driver's keypoint ring. A System works in
+// exactly one arena. RunSequence borrows its arena from a free list and
+// returns it when the sequence is done, so a warm run regrows none of these
+// buffers and allocates only the map it builds: keyframes, map points and
+// the trajectory.
+type seqArena struct {
+	det   detectScratch
+	frame frameScratch
+	ba    baScratch
+	ring  kpRing
+}
+
+// release drops every pointer the arena holds into the finished map, so a
+// pooled arena keeps no keyframe or landmark alive. Only bundle adjustment's
+// work units point into the map; every other buffer holds plain values.
+func (a *seqArena) release() { a.ba.release() }
+
+// arenas is the free list RunSequence borrows from. Like parallelx's
+// arenaPool it is a mutexed slice, not a sync.Pool: a sync.Pool drops its
+// contents at every garbage collection, so warm runs would regrow their
+// scratch at a rate set by the collector (DESIGN §13). maxFreeArenas bounds
+// what it retains; a run that finds the list empty builds a fresh arena,
+// and one that finds it full lets its arena go.
+var arenas struct {
+	mu   sync.Mutex
+	free []*seqArena
+}
+
+const maxFreeArenas = 8
+
+// getArena pops a free arena, or builds a fresh one.
+func getArena() *seqArena {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	n := len(arenas.free)
+	if n == 0 {
+		return new(seqArena)
+	}
+	a := arenas.free[n-1]
+	arenas.free[n-1] = nil
+	arenas.free = arenas.free[:n-1]
+	return a
+}
+
+// putArena releases a quiescent arena — no goroutine touches it any more —
+// and returns it to the free list.
+func putArena(a *seqArena) {
+	a.release()
+	arenas.mu.Lock()
+	if len(arenas.free) < maxFreeArenas {
+		arenas.free = append(arenas.free, a)
+	}
+	arenas.mu.Unlock()
+}
+
+// kpRing is the pipelined driver's keypoint hand-off: a fixed set of
+// keypoint buffers that circulate between the prefetch stage and the
+// tracker. The prefetch stage takes a slot index from free, copies the
+// detector's output into that slot and sends the index on full; the tracker
+// receives it, tracks the frame and sends the index back on free. A slot
+// therefore has one owner at a time, and a warm ring allocates nothing.
+//
+// full holds one slot, so the prefetch stage runs at most one frame ahead
+// of the hand-off: while the tracker holds frame N and full holds N+1, the
+// prefetch stage detects N+2. Three slots cover exactly those three frames,
+// so the prefetch stage waits only on full, never for a free slot.
+type kpRing struct {
+	bufs [3][]Keypoint
+	free chan int
+	full chan int
+}
+
+// init makes the channels on first use. Every run hands each slot back, so
+// a ring between runs has all its slots on free and nothing on full.
+func (r *kpRing) init() {
+	if r.free != nil {
+		return
+	}
+	r.free = make(chan int, len(r.bufs))
+	for k := range r.bufs {
+		r.free <- k
+	}
+	r.full = make(chan int, 1)
+}
 
 // frameScratch is the System's reusable per-frame storage. Tracking runs
 // every frame and used to rebuild the same map-backed grids and match/inlier

@@ -12,9 +12,9 @@ import (
 // forcePipeline makes RunSequence take the software-pipelined path even on
 // a single-P runtime, where it is normally skipped: with GOMAXPROCS=1 the
 // prefetch goroutine cannot overlap tracking, so the hand-off is pure
-// overhead (~8% slower, plus a few dozen scheduler allocations that would
-// make allocs grow with the pool size). The pool-invariance and race tests
-// set it so the pipelined path stays covered on any machine.
+// overhead (~8% slower). The pool-invariance, arena and alloc-budget tests
+// set it so the pipelined path and its keypoint ring stay covered on any
+// machine.
 var forcePipeline = false
 
 // System is the full SLAM pipeline: tracking (feature extraction, matching,
@@ -56,14 +56,17 @@ type System struct {
 	// traj records the estimated pose per processed frame.
 	traj []Pose
 
-	// scratch holds the per-frame buffers tracking reuses across frames.
-	scratch frameScratch
-	// baScratch holds the adjacency buffers bundleAdjust reuses per call.
-	baScratch baScratch
+	// ar holds the buffers detection, tracking and bundle adjustment reuse
+	// across frames. NewSystem gives each System its own; RunSequence
+	// lends one from the free list for the length of the sequence.
+	ar *seqArena
 }
 
 // NewSystem builds the pipeline for a camera.
-func NewSystem(cam dataset.Camera) *System {
+func NewSystem(cam dataset.Camera) *System { return newSystem(cam, new(seqArena)) }
+
+// newSystem builds the pipeline for a camera over the arena a.
+func newSystem(cam dataset.Camera, a *seqArena) *System {
 	s := &System{
 		Cam:               cam,
 		KeyframeEvery:     5,
@@ -73,14 +76,13 @@ func NewSystem(cam dataset.Camera) *System {
 		GlobalBAIters:     4,
 		GlobalBAEveryKF:   8,
 		lastLoopKF:        -1000,
+		ar:                a,
 	}
 	s.det = NewDetector(&s.Stats)
+	s.det.scratch = &a.det
 	s.pose.Att = mathx.QuatIdentity()
 	return s
 }
-
-// MapPoints returns the landmark count.
-func (s *System) MapPoints() int { return len(s.points) }
 
 // MapPointPositions returns the positions of all map points — the landmark
 // cloud downstream consumers (occupancy mapping, planning) build on. The
@@ -104,7 +106,7 @@ func (s *System) point(id int) (*MapPoint, bool) {
 // localMap gathers the map points observed by the last few keyframes. The
 // returned slices are scratch-backed and valid until the next frame.
 func (s *System) localMap() (ids []int, descs []Descriptor, pts []mathx.Vec3) {
-	sc := &s.scratch
+	sc := &s.ar.frame
 	seen := grow(sc.lmSeen, len(s.points))
 	for i := range seen {
 		seen[i] = false
@@ -137,8 +139,7 @@ func (s *System) localMap() (ids []int, descs []Descriptor, pts []mathx.Vec3) {
 // ProcessFrame tracks one camera frame and returns the pose estimate.
 func (s *System) ProcessFrame(f dataset.Frame) Pose {
 	im := Image{W: s.Cam.Width, H: s.Cam.Height, Pix: f.Image}
-	kps := s.det.Detect(im)
-	return s.ProcessFrameDetected(kps, f)
+	return s.ProcessFrameDetected(s.det.detect(im), f)
 }
 
 // ProcessFrameDetected tracks one camera frame whose keypoints were already
@@ -149,7 +150,8 @@ func (s *System) ProcessFrame(f dataset.Frame) Pose {
 // is deterministic because detection depends only on the frame pixels —
 // never on tracking state — so detecting ahead produces bit-identical
 // keypoints, and the tracking state is touched only by this (the owner's)
-// goroutine.
+// goroutine. kps is only read during the call: nothing keeps the slice, so
+// the caller may reuse its buffer for the next frame.
 func (s *System) ProcessFrameDetected(kps []Keypoint, f dataset.Frame) Pose {
 	s.Stats.Frames++
 
@@ -168,7 +170,7 @@ func (s *System) ProcessFrameDetected(kps []Keypoint, f dataset.Frame) Pose {
 		// relocalization path).
 		matches = Match(kps, descs, 50, &s.Stats)
 	}
-	sc := &s.scratch
+	sc := &s.ar.frame
 	mpts := grow(sc.mpts, len(matches))[:0]
 	us, vs := grow(sc.us, len(matches))[:0], grow(sc.vs, len(matches))[:0]
 	for _, m := range matches {
@@ -258,7 +260,7 @@ func (s *System) matchByProjection(kps []Keypoint, descs []Descriptor, pts []mat
 	const cell = 16
 	cw := (s.Cam.Width + cell - 1) / cell
 	ch := (s.Cam.Height + cell - 1) / cell
-	sc := &s.scratch
+	sc := &s.ar.frame
 	nc := cw * ch
 	start := grow(sc.cellStart, nc+1)
 	cur := grow(sc.cellCur, nc)
@@ -344,17 +346,18 @@ func (s *System) fuseByProjection(kps []Keypoint, ids []int, descs []Descriptor,
 			n = id + 1
 		}
 	}
-	taken := grow(s.scratch.taken, n)
+	sc := &s.ar.frame
+	taken := grow(sc.taken, n)
 	for i := range taken {
 		taken[i] = false
 	}
-	s.scratch.taken = taken
+	sc.taken = taken
 	for _, pid := range matchedByKp {
 		if pid >= 0 {
 			taken[pid] = true
 		}
 	}
-	projs := s.scratch.projs[:0]
+	projs := sc.projs[:0]
 	for j, pw := range pts {
 		if taken[ids[j]] {
 			continue
@@ -366,7 +369,7 @@ func (s *System) fuseByProjection(kps []Keypoint, ids []int, descs []Descriptor,
 		}
 		projs = append(projs, projCand{j, u, v})
 	}
-	s.scratch.projs = projs
+	sc.projs = projs
 	for i, kp := range kps {
 		if matchedByKp[i] >= 0 {
 			continue
@@ -391,9 +394,16 @@ func (s *System) fuseByProjection(kps []Keypoint, ids []int, descs []Descriptor,
 
 // createKeyframe adds the current frame as a keyframe: matched keypoints
 // become observations of their map points; unmatched keypoints with stereo
-// depth spawn new map points.
+// depth spawn new map points. The observations are copied out of kps into
+// a list sized exactly, once.
 func (s *System) createKeyframe(kps []Keypoint, f dataset.Frame, matched []int) {
-	kf := &KeyFrame{ID: len(s.keyframes), Pose: s.pose}
+	n := 0
+	for i, kp := range kps {
+		if i < len(matched) && matched[i] >= 0 || s.depthAt(kp, f) > 0.1 {
+			n++
+		}
+	}
+	kf := &KeyFrame{ID: len(s.keyframes), Pose: s.pose, Obs: make([]Observation, 0, n)}
 	for i, kp := range kps {
 		if i < len(matched) && matched[i] >= 0 {
 			pid := matched[i]
@@ -404,8 +414,7 @@ func (s *System) createKeyframe(kps []Keypoint, f dataset.Frame, matched []int) 
 			continue
 		}
 		// New landmark from stereo depth.
-		x, y := int(kp.X), int(kp.Y)
-		z := float64(f.Depth[y*s.Cam.Width+x])
+		z := s.depthAt(kp, f)
 		if z <= 0.1 {
 			continue
 		}
@@ -418,6 +427,11 @@ func (s *System) createKeyframe(kps []Keypoint, f dataset.Frame, matched []int) 
 	s.keyframes = append(s.keyframes, kf)
 	s.Stats.Keyframes++
 	s.sinceKF = 0
+}
+
+// depthAt is the stereo depth under keypoint kp of frame f.
+func (s *System) depthAt(kp Keypoint, f dataset.Frame) float64 {
+	return float64(f.Depth[int(kp.Y)*s.Cam.Width+int(kp.X)])
 }
 
 // detectLoop checks whether the newest keyframe revisits the neighborhood
@@ -461,69 +475,86 @@ type Result struct {
 // after translation-aligning the estimated trajectory to ground truth, as
 // the standard evaluation does (the SLAM map frame is anchored at the first
 // camera pose, not at the world origin).
+//
+// The run works in an arena borrowed from the free list and returned, with
+// its map pointers cleared, once the sequence is done; concurrent runs
+// borrow distinct arenas.
 func RunSequence(seq *dataset.Sequence) Result {
-	s := NewSystem(seq.Cam)
-	type pair struct{ est, truth mathx.Vec3 }
-	pairs := make([]pair, 0, seq.Len())
+	a := getArena()
+	s := newSystem(seq.Cam, a)
+	s.run(seq)
+	putArena(a)
+	return s.result(seq)
+}
+
+// run tracks every frame of seq, pipelined when the pool and runtime allow
+// it, then runs the final global BA.
+func (s *System) run(seq *dataset.Sequence) {
+	s.traj = make([]Pose, 0, seq.Len())
 	if parallelx.PoolSize() > 1 && (runtime.GOMAXPROCS(0) > 1 || forcePipeline) {
-		// Software-pipelined: a prefetch stage detects/describes frame N+1
-		// while tracking and bundle adjustment run on frame N. Hand-off is
-		// a 1-slot channel, so the stages stay at most one frame apart and
-		// frames are consumed strictly in order — the tracked output is the
-		// serial path's, bit for bit (TestRunSequencePoolInvariant). The
-		// GOMAXPROCS gate above skips this path on a single-P runtime,
-		// where no overlap is possible and the hand-off is pure overhead.
-		//
-		// The prefetch stage reuses the System's detector — safe because
-		// tracking never detects on this path (ProcessFrameDetected) and
-		// Detect hands each caller a fresh keypoint slice, and free of the
-		// second scratch arena a private detector would grow (the alloc
-		// count must not rise with the pool size). It shares the Stats
-		// ledger as its only writer of FeatureExtractionOps (tracking
-		// writes the other fields), uint64 accumulation is exact and
-		// order-free, and each channel send publishes the charge before
-		// the frame is tracked, so the ledger is race-free and identical
-		// to serial accounting.
-		type detected struct {
-			kps []Keypoint
-			f   dataset.Frame
-		}
-		ch := make(chan detected, 1)
-		go func() {
-			det := s.det
-			for i := 0; i < seq.Len(); i++ {
-				f := seq.Frame(i)
-				kps := det.Detect(Image{W: s.Cam.Width, H: s.Cam.Height, Pix: f.Image})
-				ch <- detected{kps, f}
-			}
-			close(ch)
-		}()
-		for d := range ch {
-			est := s.ProcessFrameDetected(d.kps, d.f)
-			pairs = append(pairs, pair{est.Pos, d.f.TruePos})
-		}
+		s.runPipelined(seq)
 	} else {
 		for i := 0; i < seq.Len(); i++ {
-			f := seq.Frame(i)
-			est := s.ProcessFrame(f)
-			pairs = append(pairs, pair{est.Pos, f.TruePos})
+			s.ProcessFrame(seq.Frame(i))
 		}
 	}
 	s.Finish()
+}
 
+// result scores the trajectory of a finished run of seq against ground
+// truth.
+func (s *System) result(seq *dataset.Sequence) Result {
 	var offset mathx.Vec3
-	for _, p := range pairs {
-		offset = offset.Add(p.truth.Sub(p.est))
+	for i, est := range s.traj {
+		offset = offset.Add(seq.Frame(i).TruePos.Sub(est.Pos))
 	}
-	offset = offset.Scale(1 / float64(len(pairs)))
+	offset = offset.Scale(1 / float64(len(s.traj)))
 	var sqSum float64
-	for _, p := range pairs {
-		sqSum += p.est.Add(offset).Sub(p.truth).NormSq()
+	for i, est := range s.traj {
+		sqSum += est.Pos.Add(offset).Sub(seq.Frame(i).TruePos).NormSq()
 	}
 	return Result{
 		Name:   seq.Spec.Name,
 		Stats:  s.Stats,
-		ATE:    math.Sqrt(sqSum / float64(len(pairs))),
+		ATE:    math.Sqrt(sqSum / float64(len(s.traj))),
 		Frames: seq.Len(),
+	}
+}
+
+// runPipelined is RunSequence's software-pipelined driver: a prefetch
+// goroutine detects and describes frame N+1 while tracking and bundle
+// adjustment run on frame N. Keypoints cross over in the arena's ring
+// (kpRing), whose one-slot full channel keeps the stages at most one frame
+// apart and delivers frames strictly in order, so the tracked output is the
+// serial path's, bit for bit (TestRunSequencePoolInvariant). RunSequence
+// skips this path on a single-P runtime, where no overlap is possible and
+// the hand-off is pure overhead.
+//
+// The prefetch stage reuses the System's detector. That is safe because
+// tracking never detects on this path (ProcessFrameDetected), and each
+// detection is copied into a ring slot before the next one overwrites the
+// detector's buffer; a private detector would grow a second scratch. The
+// prefetch stage shares the Stats ledger as its only writer of
+// FeatureExtractionOps (tracking writes the other fields). uint64
+// accumulation is exact and order-free, and each send on full publishes the
+// charge before the frame is tracked, so the ledger is race-free and
+// identical to serial accounting. The tracker receives exactly seq.Len()
+// frames, so when this returns the prefetch stage has made its last access
+// to the arena and every slot is back on free.
+func (s *System) runPipelined(seq *dataset.Sequence) {
+	r := &s.ar.ring
+	r.init()
+	go func() {
+		for i := 0; i < seq.Len(); i++ {
+			kps := s.det.detect(Image{W: s.Cam.Width, H: s.Cam.Height, Pix: seq.Frame(i).Image})
+			k := <-r.free
+			r.bufs[k] = append(r.bufs[k][:0], kps...)
+			r.full <- k
+		}
+	}()
+	for i := 0; i < seq.Len(); i++ {
+		k := <-r.full
+		s.ProcessFrameDetected(r.bufs[k], seq.Frame(i))
+		r.free <- k
 	}
 }
