@@ -98,11 +98,17 @@ bench-fault:
 # race detector, plus the alloc-regression guards: a steady-state batched
 # step (telemetry included) must not allocate at all, and a warm
 # Build → Run → Release cycle and a one-second fleetd job must stay within
-# their heap budgets.
+# their heap budgets. The fleet-owned job path has its own guards: a
+# journaled job with a drained subscriber stays within its budget, a warm
+# digest allocates only its strings (and matches the per-value oracle), a
+# warm journal append allocates nothing, and subscriber rings grow with
+# their backlog up to the queue depth.
 bench-batch:
 	$(GO) test -race ./scenario/ -run 'TestBatchSerialBitIdentity|TestBatchTickGranularityInvariance|TestBatchLaneErrorIsolation|TestReleasedBuffersBitIdentical|TestReleasedStackBitIdentical|TestFailedBuildKeepsPool|TestReleasedStackPinsNoTenant'
 	$(GO) test ./scenario/ -run 'TestBatchZeroAllocSteadyState|TestBuildRunReleaseAllocBudget'
-	$(GO) test ./fleet/ -run 'TestDropArtifactsJobAllocBudget|TestReleasedJobUnpinsHub'
+	$(GO) test ./fleet/ -run 'TestDropArtifactsJobAllocBudget|TestReleasedJobUnpinsHub|TestJournaledJobAllocBudget|TestDigestMatchesOracle|TestDigestAllocs'
+	$(GO) test ./fleet/journal/ -run 'TestAppendReusesFrameBuffer'
+	$(GO) test ./groundstation/ -run 'TestSubRingShedsAtDepth|TestSubRingGrowKeepsOrder|TestSubRingStaysSmallForReader|TestSubscribeClosedHubNoRing|TestHubBacklog'
 
 # End-to-end benchmark smoke: the benchmark module's own tests (every
 # workload, plain and traced, at -scale 0.01). The benchmark is a nested

@@ -17,12 +17,6 @@
 package fleet
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"hash"
-	"math"
-
 	"dronedse/mission"
 	"dronedse/scenario"
 )
@@ -124,67 +118,6 @@ func (j JobSpec) Scenario() scenario.Spec {
 		spec.Workload = *j.Workload
 	}
 	return spec
-}
-
-// Digests are the determinism contract's fingerprints, taken at full
-// float-bit fidelity over the three artifacts multi-tenancy must not
-// perturb: the 10 Hz trajectory, the DataFlash-style flight log, and the
-// Equation-7 energy/flight-time ledger.
-type Digests struct {
-	Trajectory string `json:"trajectory"`
-	FlightLog  string `json:"flight_log"`
-	Ledger     string `json:"ledger"`
-}
-
-func putBits(h hash.Hash, vs ...float64) {
-	var buf [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-}
-
-// DigestResult fingerprints a flight outcome. Two results digest equal iff
-// their trajectories, logs and ledgers are bit-identical.
-func DigestResult(res *scenario.Result) Digests {
-	traj := sha256.New()
-	for _, p := range res.Trajectory {
-		putBits(traj, p.X, p.Y, p.Z)
-	}
-
-	logh := sha256.New()
-	if res.TakeoffOK {
-		logh.Write([]byte{1})
-	} else {
-		logh.Write([]byte{0})
-	}
-	if res.Completed {
-		logh.Write([]byte{1})
-	} else {
-		logh.Write([]byte{0})
-	}
-	logh.Write([]byte(res.FinalMode.String()))
-	logh.Write([]byte(res.LastEvent))
-	for _, e := range res.Log.Entries() {
-		putBits(logh, e.TimeS, e.PosX, e.PosY, e.Alt, e.Speed,
-			e.Roll, e.Pitch, e.Yaw, e.PowerW, e.BatterySoC)
-		logh.Write([]byte(e.Mode.String()))
-	}
-	for _, e := range res.Log.Events() {
-		putBits(logh, e.TimeS)
-		logh.Write([]byte(e.Text))
-	}
-
-	ledger := sha256.New()
-	putBits(ledger, res.FlightTimeS, res.EnergyWh, res.ComputeWh,
-		res.MaxEstErrM, res.AvgPowerW(), res.AvgComputeW(), res.ComputeFlightCostMin())
-	putBits(ledger, float64(res.Fallbacks), float64(res.Recoveries))
-
-	return Digests{
-		Trajectory: hex.EncodeToString(traj.Sum(nil)),
-		FlightLog:  hex.EncodeToString(logh.Sum(nil)),
-		Ledger:     hex.EncodeToString(ledger.Sum(nil)),
-	}
 }
 
 // JobStatus is the API view of a job.

@@ -43,6 +43,11 @@ type Record struct {
 	Payload []byte
 }
 
+// maxRetainedFrame caps the frame buffer a Log keeps between appends: a
+// batch that framed more than this drops its buffer, so one large batch
+// does not pin its memory for the life of the log.
+const maxRetainedFrame = 64 << 10
+
 // Log is an open journal file. Append is safe for concurrent use; the log
 // keeps its own error state so a failed disk turns every later Append (and
 // Healthy) into that error instead of silently dropping records.
@@ -51,6 +56,7 @@ type Log struct {
 	f    *os.File
 	size int64
 	err  error
+	buf  []byte // frame buffer, reused across appends under mu
 }
 
 // Open opens (creating if absent) the journal at path, replays every intact
@@ -124,19 +130,20 @@ func Scan(data []byte) (recs []Record, clean int64) {
 	}
 }
 
-// frame appends one record's wire form to buf.
+// frame appends one record's wire form to buf. The CRC is taken over the
+// kind and payload where they land in buf, so framing allocates nothing
+// beyond buf's own growth.
 func frame(buf []byte, kind byte, payload []byte) ([]byte, error) {
 	length := 1 + len(payload)
 	if length > MaxRecord {
 		return nil, fmt.Errorf("journal: record %d bytes exceeds MaxRecord", length)
 	}
-	var hdr [headerSize + 1]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(length))
-	hdr[8] = kind
-	crc := crc32.Update(crc32.Checksum(hdr[8:9], castagnoli), castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(length))
+	buf = append(buf, 0, 0, 0, 0, kind)
+	buf = append(buf, payload...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+headerSize:], castagnoli))
+	return buf, nil
 }
 
 // Append frames one record, writes it, and fsyncs before returning: once
@@ -154,12 +161,17 @@ func (l *Log) AppendBatch(recs []Record) error {
 	if l.err != nil {
 		return l.err
 	}
-	var buf []byte
+	buf := l.buf[:0]
 	var err error
 	for _, r := range recs {
 		if buf, err = frame(buf, r.Kind, r.Payload); err != nil {
 			return err
 		}
+	}
+	if cap(buf) <= maxRetainedFrame {
+		l.buf = buf
+	} else {
+		l.buf = nil
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		l.err = fmt.Errorf("journal: write: %w", err)

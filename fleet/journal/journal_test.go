@@ -223,3 +223,49 @@ func TestOversizeAppendRefused(t *testing.T) {
 		t.Fatalf("oversize refusal poisoned the log: %v", err)
 	}
 }
+
+// TestAppendReusesFrameBuffer pins the append path's memory: a warm Append
+// frames into the log's retained buffer and allocates nothing, a batch that
+// frames more than maxRetainedFrame does not stay pinned, and reuse changes
+// no byte of the file.
+func TestAppendReusesFrameBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.wal")
+	l, _, _ := mustOpen(t, path)
+	payload := bytes.Repeat([]byte{0x5A}, 1024)
+	want := []Record{{Kind: 1, Payload: payload}}
+	if err := l.Append(1, payload); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := l.Append(2, payload[:512]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm Append allocates %.1f objects", n)
+	}
+	for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
+		want = append(want, Record{Kind: 2, Payload: payload[:512]})
+	}
+
+	big := []Record{{Kind: 3, Payload: bytes.Repeat([]byte{0xC3}, maxRetainedFrame)}}
+	if err := l.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	if l.buf != nil {
+		t.Fatalf("a %d-byte batch left a %d-byte frame buffer pinned", len(big[0].Payload), cap(l.buf))
+	}
+	if err := l.Append(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	if l.buf == nil {
+		t.Fatal("a small append after a large batch retains no frame buffer")
+	}
+	l.Close()
+	want = append(want, big[0], Record{Kind: 4, Payload: []byte{}})
+
+	_, recs, trunc := mustOpen(t, path)
+	if trunc != 0 || !recordsEqual(recs, want) {
+		t.Fatalf("replay after buffer reuse: %d records (truncated %d), want %d", len(recs), trunc, len(want))
+	}
+}

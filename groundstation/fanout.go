@@ -17,6 +17,11 @@ import (
 // not bytes) when Subscribe is given a non-positive capacity.
 const DefaultSubQueue = 256
 
+// minRing is the ring a subscriber's first unit allocates. The ring doubles
+// from here only while its backlog fills it, so a reader that keeps up
+// never holds more than this many slots, whatever its queue depth.
+const minRing = 8
+
 // Hub fans one telemetry stream out to subscribers. All methods are safe
 // for concurrent use; Publish is wait-free with respect to subscribers (it
 // only ever takes short in-memory locks, never an I/O path).
@@ -54,13 +59,14 @@ func (h *Hub) Publish(unit []byte) {
 }
 
 // Subscribe attaches a new subscriber with the given queue capacity in
-// telemetry units (<=0 selects DefaultSubQueue). Subscribing to a closed
-// hub yields a subscription that is already drained: Next reports false.
+// telemetry units (<=0 selects DefaultSubQueue). The capacity bounds the
+// queue; its memory follows the backlog. Subscribing to a closed hub yields
+// a subscription that is already drained: Next reports false.
 func (h *Hub) Subscribe(queue int) *Sub {
 	if queue <= 0 {
 		queue = DefaultSubQueue
 	}
-	s := &Sub{ring: make([][]byte, queue)}
+	s := &Sub{depth: queue}
 	s.cond.L = &s.mu
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -82,33 +88,34 @@ func (h *Hub) Unsubscribe(s *Sub) {
 }
 
 // Close ends the stream: subscribers drain whatever is already queued and
-// then see Next report false. Counters stay readable after Close.
+// then see Next report false. They stay attached, so Backlog keeps counting
+// what they have still to drain until they do or unsubscribe. Counters stay
+// readable after Close.
 func (h *Hub) Close() {
 	h.mu.Lock()
-	subs := make([]*Sub, 0, len(h.subs))
-	for s := range h.subs {
-		subs = append(subs, s)
+	defer h.mu.Unlock()
+	if h.closed {
+		return
 	}
-	h.subs = map[*Sub]struct{}{}
 	h.closed = true
-	h.mu.Unlock()
-	for _, s := range subs {
+	for s := range h.subs {
 		s.close()
 	}
 }
 
 // Stats reports units published, units shed across all subscribers (past
-// and present), and the current subscriber count.
+// and present), and the attached subscriber count (closed ones included
+// until they unsubscribe).
 func (h *Hub) Stats() (published, dropped uint64, subscribers int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.published, h.dropped, len(h.subs)
 }
 
-// Backlog returns the total queued-but-undelivered units across current
-// subscribers — the drain-aware close signal: a shutdown that wants
-// subscribers to see every published unit waits for the backlog to flush
-// (bounded) before force-closing their connections.
+// Backlog returns the total queued-but-undelivered units across attached
+// subscribers, closed ones included — the drain-aware close signal: a
+// shutdown that wants subscribers to see every published unit waits for
+// the backlog to flush (bounded) before force-closing their connections.
 func (h *Hub) Backlog() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -120,23 +127,29 @@ func (h *Hub) Backlog() int {
 }
 
 // Sub is one subscriber's bounded telemetry queue. Next blocks until a unit
-// arrives or the subscription closes; push (hub-side) never blocks.
+// arrives or the subscription closes; push (hub-side) never blocks. The
+// ring starts empty and grows with the backlog up to depth slots.
 type Sub struct {
 	mu      sync.Mutex
 	cond    sync.Cond
 	ring    [][]byte
 	head, n int
+	depth   int
 	dropped uint64
 	closed  bool
 }
 
-// push enqueues a unit, shedding the oldest one when the ring is full, and
-// returns how many units were dropped (0 or 1).
+// push enqueues a unit and returns how many units were dropped (0 or 1). A
+// full ring below depth doubles, keeping its units in order; at depth the
+// oldest unit is shed.
 func (s *Sub) push(unit []byte) (shed uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0
+	}
+	if s.n == len(s.ring) && s.n < s.depth {
+		s.grow()
 	}
 	if s.n == len(s.ring) {
 		s.ring[s.head] = nil
@@ -149,6 +162,15 @@ func (s *Sub) push(unit []byte) (shed uint64) {
 	s.n++
 	s.cond.Signal()
 	return shed
+}
+
+// grow moves the queued units, oldest first, into a ring twice the size
+// (minRing at first), capped at depth.
+func (s *Sub) grow() {
+	ring := make([][]byte, min(max(2*len(s.ring), minRing), s.depth))
+	k := copy(ring, s.ring[s.head:])
+	copy(ring[k:], s.ring[:s.head])
+	s.ring, s.head = ring, 0
 }
 
 // Next returns the oldest queued unit, blocking while the queue is empty.

@@ -3,6 +3,7 @@ package groundstation
 import (
 	"bytes"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -294,6 +295,10 @@ func TestHubBacklog(t *testing.T) {
 		t.Fatalf("backlog after unsubscribe = %d, want 3", got)
 	}
 	hub.Close()
+	// A closed subscriber still owes its reader what it queued.
+	if got := hub.Backlog(); got != 3 || b.Len() != 3 {
+		t.Fatalf("backlog after close = %d (sub len %d), want 3", got, b.Len())
+	}
 	for {
 		if _, ok := b.Next(); !ok {
 			break
@@ -301,6 +306,99 @@ func TestHubBacklog(t *testing.T) {
 	}
 	if got := hub.Backlog(); got != 0 {
 		t.Fatalf("backlog after close + drain = %d, want 0", got)
+	}
+}
+
+// TestSubRingShedsAtDepth floods a subscriber that is never read: its ring
+// grows to the queue depth and no further, exactly the units beyond the
+// depth are shed, and the survivors are the newest ones, in order.
+func TestSubRingShedsAtDepth(t *testing.T) {
+	const depth, units = 20, 500
+	hub := NewHub()
+	sub := hub.Subscribe(depth)
+	for i := 0; i < units; i++ {
+		hub.Publish([]byte(strconv.Itoa(i)))
+		sub.mu.Lock()
+		size := len(sub.ring)
+		sub.mu.Unlock()
+		if size > depth {
+			t.Fatalf("after %d units the ring holds %d slots, depth %d", i+1, size, depth)
+		}
+	}
+	if _, dropped, _ := hub.Stats(); dropped != units-depth || sub.dropped != units-depth {
+		t.Fatalf("shed %d (hub) / %d (sub), want %d", dropped, sub.dropped, units-depth)
+	}
+	hub.Close()
+	for i := units - depth; i < units; i++ {
+		u, ok := sub.Next()
+		if !ok || string(u) != strconv.Itoa(i) {
+			t.Fatalf("survivor %d = %q (ok %v), want %d", i-(units-depth), u, ok, i)
+		}
+	}
+	if u, ok := sub.Next(); ok {
+		t.Fatalf("unit %q left after the survivors", u)
+	}
+}
+
+// TestSubRingGrowKeepsOrder reads a subscriber while its backlog forces
+// the ring to grow past a wrapped head: every unit still comes out once,
+// in order.
+func TestSubRingGrowKeepsOrder(t *testing.T) {
+	hub := NewHub()
+	sub := hub.Subscribe(DefaultSubQueue)
+	next, want := 0, 0
+	for round := 1; round <= 28; round++ {
+		for i := 0; i < round; i++ {
+			hub.Publish([]byte(strconv.Itoa(next)))
+			next++
+		}
+		for i := 0; i < round/2; i++ {
+			u, ok := sub.TryNext()
+			if !ok || string(u) != strconv.Itoa(want) {
+				t.Fatalf("read %q (ok %v), want %d", u, ok, want)
+			}
+			want++
+		}
+	}
+	hub.Close()
+	for ; want < next; want++ {
+		if u, ok := sub.Next(); !ok || string(u) != strconv.Itoa(want) {
+			t.Fatalf("read %q (ok %v), want %d", u, ok, want)
+		}
+	}
+	if _, dropped, _ := hub.Stats(); dropped != 0 {
+		t.Fatalf("a backlog below the depth shed %d units", dropped)
+	}
+}
+
+// TestSubRingStaysSmallForReader pins what a subscriber that keeps up
+// costs: whatever its queue depth, its ring never grows past minRing.
+func TestSubRingStaysSmallForReader(t *testing.T) {
+	hub := NewHub()
+	sub := hub.Subscribe(8192)
+	for i := 0; i < 1000; i++ {
+		hub.Publish([]byte("unit"))
+		if _, ok := sub.TryNext(); !ok {
+			t.Fatalf("unit %d not delivered", i)
+		}
+	}
+	if got := len(sub.ring); got > minRing {
+		t.Fatalf("a reader that keeps up holds a %d-slot ring, want at most %d", got, minRing)
+	}
+}
+
+// TestSubscribeClosedHubNoRing: a subscription to a closed hub is born
+// drained and never allocates a ring.
+func TestSubscribeClosedHubNoRing(t *testing.T) {
+	hub := NewHub()
+	hub.Close()
+	sub := hub.Subscribe(DefaultSubQueue)
+	hub.Publish([]byte("late"))
+	if sub.ring != nil {
+		t.Fatalf("subscription to a closed hub holds a %d-slot ring", len(sub.ring))
+	}
+	if _, ok := sub.Next(); ok {
+		t.Fatal("subscription to a closed hub yielded a unit")
 	}
 }
 
