@@ -97,15 +97,15 @@ bench-fault:
 # 1/8/64 × pools 1/2/8) and the released-stack reuse properties under the
 # race detector, plus the alloc-regression guards: a steady-state batched
 # step (telemetry included) must not allocate at all, and a warm
-# Build → Run → Release cycle and a one-second fleetd job must stay within
-# their heap budgets. The fleet-owned job path has its own guards: a
+# Build → Run → Release cycle, a cold Build on an emptied pool and a
+# one-second fleetd job must stay within their heap budgets. The fleet-owned job path has its own guards: a
 # journaled job with a drained subscriber stays within its budget, a warm
 # digest allocates only its strings (and matches the per-value oracle), a
 # warm journal append allocates nothing, and subscriber rings grow with
 # their backlog up to the queue depth.
 bench-batch:
 	$(GO) test -race ./scenario/ -run 'TestBatchSerialBitIdentity|TestBatchTickGranularityInvariance|TestBatchLaneErrorIsolation|TestReleasedBuffersBitIdentical|TestReleasedStackBitIdentical|TestFailedBuildKeepsPool|TestReleasedStackPinsNoTenant'
-	$(GO) test ./scenario/ -run 'TestBatchZeroAllocSteadyState|TestBuildRunReleaseAllocBudget'
+	$(GO) test ./scenario/ -run 'TestBatchZeroAllocSteadyState|TestBuildRunReleaseAllocBudget|TestColdBuildAllocBudget'
 	$(GO) test ./fleet/ -run 'TestDropArtifactsJobAllocBudget|TestReleasedJobUnpinsHub|TestJournaledJobAllocBudget|TestDigestMatchesOracle|TestDigestAllocs'
 	$(GO) test ./fleet/journal/ -run 'TestAppendReusesFrameBuffer'
 	$(GO) test ./groundstation/ -run 'TestSubRingShedsAtDepth|TestSubRingGrowKeepsOrder|TestSubRingStaysSmallForReader|TestSubscribeClosedHubNoRing|TestHubBacklog'
@@ -158,6 +158,7 @@ smoke-cmds:
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 	$(GO) run ./cmd/figures -fig 10 -procs 2 >/dev/null
 	$(GO) run ./cmd/figures -fig 15 >/dev/null
+	$(GO) run ./cmd/figures -fig 16 >/dev/null
 	$(GO) run ./cmd/figures -fig 17 -seqs 1 -procs 2 >/dev/null
 	$(GO) run ./cmd/benchjson -quick -o - >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null

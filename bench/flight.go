@@ -155,7 +155,6 @@ func (a InnerLoopAblation) Table() Table {
 type Figure16 struct {
 	RPiTrace   *trace.Recorder
 	RPiPhases  []trace.Phase
-	DroneTrace *trace.Recorder
 	DroneAvgW  float64
 	DronePeakW float64
 	// FlightOK reports the mission completed (took off, flew, landed).
@@ -200,18 +199,21 @@ func RunFigure16(seed int64) (Figure16, error) {
 	// SLAM-active compute phase, oscilloscope on the battery — as a batch
 	// of one on the scenario batch engine (bit-identical to scenario.Run by
 	// the lane-determinism contract).
+	osc := trace.NewOscilloscope(seed)
 	results, errs := scenario.RunBatch([]scenario.Spec{{
 		Seed:    seed,
 		Compute: scenario.Compute{SLAM: true}, // RPi w/ SLAM + Navio2
+		Observers: []autopilot.StepObserver{func(a *autopilot.Autopilot, _ float64) {
+			osc.Observe(a.Time(), a.TotalPowerW())
+		}},
 	}})
 	if errs[0] != nil {
 		return out, errs[0]
 	}
 	res := results[0]
 	out.FlightOK = res.FinalMode == autopilot.Disarmed
-	out.DroneTrace = res.Trace
-	out.DroneAvgW = res.Trace.MeanPower(2, res.FlightTimeS)
-	out.DronePeakW = res.Trace.PeakPower(2, res.FlightTimeS)
+	out.DroneAvgW = osc.MeanPower(2, res.FlightTimeS)
+	out.DronePeakW = osc.PeakPower(2, res.FlightTimeS)
 	return out, nil
 }
 

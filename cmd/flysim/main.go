@@ -21,6 +21,7 @@ import (
 	"dronedse/autopilot"
 	"dronedse/mission"
 	"dronedse/scenario"
+	"dronedse/trace"
 )
 
 func main() {
@@ -34,12 +35,14 @@ func main() {
 	flag.Parse()
 
 	lastLog := -5.0
+	osc := trace.NewOscilloscope(*seed)
 	spec := scenario.Spec{
 		Seed:        *seed,
 		TakeoffAltM: *alt,
 		MaxSeconds:  *seconds,
 		Compute:     scenario.Compute{SLAM: *slam},
 		Observers: []autopilot.StepObserver{func(a *autopilot.Autopilot, dt float64) {
+			osc.Observe(a.Time(), a.TotalPowerW())
 			if a.Time()-lastLog >= 5 {
 				lastLog = a.Time()
 				s := a.Quad().State()
@@ -92,9 +95,9 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("whole-drone power: avg %.1f W, peak %.1f W (paper's drone: 130 W avg)\n",
-		res.Trace.MeanPower(2, res.FlightTimeS), res.Trace.PeakPower(2, res.FlightTimeS))
+		osc.MeanPower(2, res.FlightTimeS), osc.PeakPower(2, res.FlightTimeS))
 	fmt.Printf("energy used: %.2f Wh of %.2f Wh usable\n",
-		res.Trace.EnergyWh(), st.Battery.UsableEnergyWh())
+		osc.EnergyWh(), st.Battery.UsableEnergyWh())
 	fmt.Println(res.Log.Summary())
 	if *logCSV != "" {
 		f, err := os.Create(*logCSV)

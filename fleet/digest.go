@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"sync"
 
+	"dronedse/parallelx"
 	"dronedse/scenario"
 )
 
@@ -26,7 +26,10 @@ type Digests struct {
 // the sha256 of the artifact's fields in order: floats as their
 // little-endian IEEE-754 bits, flags as one byte, strings as their bytes.
 func DigestResult(res *scenario.Result) Digests {
-	w := getDigestWriter()
+	w, ok := digestWriters.Get()
+	if !ok {
+		w = &digestWriter{h: sha256.New()}
+	}
 
 	for _, p := range res.Trajectory {
 		w.floats(p.X, p.Y, p.Z)
@@ -53,7 +56,7 @@ func DigestResult(res *scenario.Result) Digests {
 	w.floats(float64(res.Fallbacks), float64(res.Recoveries))
 
 	d := Digests{Trajectory: traj, FlightLog: logDigest, Ledger: w.sum()}
-	putDigestWriter(w)
+	digestWriters.Put(w)
 	return d
 }
 
@@ -117,38 +120,10 @@ func (w *digestWriter) sum() string {
 	return string(w.hex[:])
 }
 
-// digestWriters is the free list DigestResult borrows from: a mutexed slice
-// rather than a sync.Pool, whose contents every garbage collection drops
-// (DESIGN §13), the way slam's arenas and parallelx's arenaPool work.
-var digestWriters struct {
-	mu   sync.Mutex
-	free []*digestWriter
-}
-
-// maxFreeDigestWriters bounds what the free list retains. fleetd's engine
-// digests one job at a time; the spares serve concurrent in-process callers,
-// and a writer returned to a full list is let go.
-const maxFreeDigestWriters = 4
-
-func getDigestWriter() *digestWriter {
-	digestWriters.mu.Lock()
-	defer digestWriters.mu.Unlock()
-	n := len(digestWriters.free)
-	if n == 0 {
-		return &digestWriter{h: sha256.New()}
-	}
-	w := digestWriters.free[n-1]
-	digestWriters.free[n-1] = nil
-	digestWriters.free = digestWriters.free[:n-1]
-	return w
-}
-
-// putDigestWriter returns a writer whose last digest was summed, so its
-// state is already reset.
-func putDigestWriter(w *digestWriter) {
-	digestWriters.mu.Lock()
-	if len(digestWriters.free) < maxFreeDigestWriters {
-		digestWriters.free = append(digestWriters.free, w)
-	}
-	digestWriters.mu.Unlock()
-}
+// digestWriters is the free list DigestResult borrows from (a
+// parallelx.FreeList, so a collection never empties it). fleetd's engine
+// digests one job at a time; the spares serve concurrent in-process
+// callers, and a writer returned to a full list is let go. A writer goes
+// back only after its last digest was summed, so its state is already
+// reset.
+var digestWriters = parallelx.NewFreeList[*digestWriter](4)

@@ -50,8 +50,8 @@ type Config struct {
 	// (0 = unlimited). A job that blows it is evicted mid-flight with
 	// ErrDeadline. JobSpec.DeadlineS overrides it per job.
 	JobDeadline time.Duration
-	// DropArtifacts releases each finished job's flight stack — log, trace
-	// and trajectory included — after digesting (scenario.Result.Release),
+	// DropArtifacts releases each finished job's flight stack — log and
+	// trajectory included — after digesting (scenario.Result.Release),
 	// keeping only the summary and digests: the 10k+ lane benchmark
 	// configuration. Later jobs' Builds re-initialise the released stacks.
 	// Result-returning APIs then serve a summary-only Result.

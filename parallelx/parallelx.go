@@ -89,59 +89,69 @@ func (j *job) run() {
 // nested fan-out can never deadlock the pool.
 var jobs = make(chan *job, 1024)
 
-// arenaPool is a GC-stable free list. sync.Pool would fit, but its contents
-// are dropped at every garbage collection, and the refill allocations scale
-// with how many jobs run concurrently — i.e. with the pool size, which is
-// exactly the dependence the allocs-vs-pool benchmarks forbid. A mutexed
-// slice keeps its arenas across GCs; the cap bounds retention, and the
-// retained objects are a few words each (their payload slices are cleared
-// before Put).
-type arenaPool struct {
-	mu   sync.Mutex
-	free []any
+// FreeList is a GC-stable free list: a mutexed LIFO slice that retains at
+// most the number of objects its constructor fixes. sync.Pool would fit,
+// but every garbage collection drops its contents, so warm callers would
+// regrow what they pooled at a rate set by the collector; for fan-out
+// arenas the refill also scales with how many jobs run at once, i.e. with
+// the pool size, exactly the dependence the allocs-vs-pool benchmarks
+// forbid (DESIGN §13). The cap bounds retention: Put on a full list lets
+// the object go, and Get on an empty one reports false so the caller builds
+// a fresh object. Only objects nothing else touches any more may be Put.
+type FreeList[T any] struct {
+	mu    sync.Mutex
+	free  []T
+	limit int
 }
 
-// arenaPoolCap bounds each type's free list; deeper nesting than this just
-// allocates a fresh arena.
-const arenaPoolCap = 64
+// NewFreeList returns an empty free list that retains at most limit
+// objects.
+func NewFreeList[T any](limit int) *FreeList[T] { return &FreeList[T]{limit: limit} }
 
-// Get pops a free arena, or returns nil when the caller should allocate.
-func (p *arenaPool) Get() any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
+// Get pops the most recently returned object, or reports false when the
+// list is empty.
+func (l *FreeList[T]) Get() (T, bool) {
+	var zero T
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
 	if n == 0 {
-		return nil
+		return zero, false
 	}
-	v := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	return v
+	v := l.free[n-1]
+	l.free[n-1] = zero
+	l.free = l.free[:n-1]
+	return v, true
 }
 
-// Put returns a quiescent arena to the free list.
-func (p *arenaPool) Put(v any) {
-	p.mu.Lock()
-	if len(p.free) < arenaPoolCap {
-		p.free = append(p.free, v)
+// Put returns v to the list, or lets it go when the list is full.
+func (l *FreeList[T]) Put(v T) {
+	l.mu.Lock()
+	if len(l.free) < l.limit {
+		l.free = append(l.free, v)
 	}
-	p.mu.Unlock()
+	l.mu.Unlock()
 }
+
+// maxFreeJobs bounds each runner type's free list; deeper nesting than this
+// just allocates a fresh arena. The retained arenas are a few words each:
+// their payload slices are cleared before Put.
+const maxFreeJobs = 64
 
 // jobPools maps a runner's concrete type to the free list its arenas are
 // recycled through. Generic instantiations cannot declare package-level
-// pools, so the generic mapJob[R] pools live here, keyed by type.
-var jobPools sync.Map // reflect.Type -> *arenaPool
+// lists, so the generic mapJob[R] lists live here, keyed by type.
+var jobPools sync.Map // reflect.Type -> *FreeList[*mapJob[R]]
 
-// poolFor returns the arena pool for the runner type of key (a nil typed
-// pointer, so the lookup itself never allocates).
-func poolFor(key any) *arenaPool {
-	t := reflect.TypeOf(key)
-	if p, ok := jobPools.Load(t); ok {
-		return p.(*arenaPool)
+// mapJobs returns the free list for mapJob[R] (keyed by a nil typed pointer,
+// so the lookup itself never allocates).
+func mapJobs[R any]() *FreeList[*mapJob[R]] {
+	t := reflect.TypeOf((*mapJob[R])(nil))
+	if l, ok := jobPools.Load(t); ok {
+		return l.(*FreeList[*mapJob[R]])
 	}
-	p, _ := jobPools.LoadOrStore(t, &arenaPool{})
-	return p.(*arenaPool)
+	l, _ := jobPools.LoadOrStore(t, NewFreeList[*mapJob[R]](maxFreeJobs))
+	return l.(*FreeList[*mapJob[R]])
 }
 
 // spawned counts the persistent workers started so far. Workers are spawned
@@ -256,16 +266,16 @@ func MapIndex[R any](n int, fn func(i int) R) []R {
 		}
 		return out
 	}
-	p := poolFor((*mapJob[R])(nil))
-	m, _ := p.Get().(*mapJob[R])
-	if m == nil {
+	l := mapJobs[R]()
+	m, ok := l.Get()
+	if !ok {
 		m = &mapJob[R]{}
 		m.j.r = m
 	}
 	m.out, m.fn = out, fn
 	m.j.dispatch(n, w)
 	m.out, m.fn = nil, nil
-	p.Put(m)
+	l.Put(m)
 	return out
 }
 
@@ -335,15 +345,15 @@ func ChunkIndex(n int, fn func(lo, hi int)) {
 	}
 	chunk := (n + w - 1) / w
 	nc := (n + chunk - 1) / chunk
-	c, _ := chunkPool.Get().(*chunkJob)
-	if c == nil {
+	c, ok := chunkJobs.Get()
+	if !ok {
 		c = &chunkJob{}
 		c.j.r = c
 	}
 	c.n, c.chunk, c.fn = n, chunk, fn
 	c.j.dispatch(nc, w)
 	c.fn = nil
-	chunkPool.Put(c)
+	chunkJobs.Put(c)
 }
 
 // chunkJob is the pooled arena for one ChunkIndex fan-out.
@@ -353,7 +363,7 @@ type chunkJob struct {
 	j        job
 }
 
-var chunkPool arenaPool
+var chunkJobs = NewFreeList[*chunkJob](maxFreeJobs)
 
 func (c *chunkJob) item(ci int) {
 	lo := ci * c.chunk

@@ -3,6 +3,7 @@ package parallelx
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -222,4 +223,60 @@ func TestNestedMap(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFreeList pins the free list's contract: Get on an empty list reports
+// false, objects come back last in first out, Put on a full list lets the
+// object go, and concurrent Gets never hand one object to two callers.
+func TestFreeList(t *testing.T) {
+	l := NewFreeList[*int](2)
+	if v, ok := l.Get(); ok || v != nil {
+		t.Fatalf("empty list gave %v, %v", v, ok)
+	}
+	a, b, c := new(int), new(int), new(int)
+	l.Put(a)
+	l.Put(b)
+	l.Put(c) // over the cap: let go
+	for _, want := range []*int{b, a} {
+		if got, ok := l.Get(); !ok || got != want {
+			t.Fatalf("Get = %p, %v; want %p", got, ok, want)
+		}
+	}
+	if _, ok := l.Get(); ok {
+		t.Fatal("the list kept an object past its cap")
+	}
+
+	const workers, rounds = 4, 1000
+	l = NewFreeList[*int](workers)
+	var owner [workers]atomic.Int32
+	ids := make([]*int, workers)
+	for i := range ids {
+		ids[i] = new(int)
+		*ids[i] = i
+		l.Put(ids[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				v, ok := l.Get()
+				if !ok {
+					continue
+				}
+				if !owner[*v].CompareAndSwap(0, 1) {
+					t.Error("two callers hold the same object")
+				}
+				owner[*v].Store(0)
+				l.Put(v)
+			}
+		}()
+	}
+	wg.Wait()
+	for range ids {
+		if _, ok := l.Get(); !ok {
+			t.Fatal("concurrent use lost an object")
+		}
+	}
 }

@@ -11,7 +11,7 @@ import (
 // TestBuildRunReleaseAllocBudget pins what one warm flight costs in heap
 // bytes once its Result is released: Build re-initialises the pooled stack
 // in place, so a one-second box flight allocates only its Result, workload
-// driver and observer closures (about 780 B), not the ~227 KiB of random
+// driver and observer closures (about 760 B), not the ~148 KB of random
 // sources, filters and worst-case recordings a fresh stack takes. GC is off
 // during the measurement so the pool is never drained.
 func TestBuildRunReleaseAllocBudget(t *testing.T) {
@@ -70,4 +70,30 @@ func BenchmarkBuild(b *testing.B) {
 			st.release()
 		}
 	})
+}
+
+// TestColdBuildAllocBudget pins what Build costs on an emptied pool: a new
+// stack's random sources, filters and worst-case recording reservations for
+// a 240 s box flight. With an oscilloscope recorder built into every stack
+// (sized for the whole horizon) it was about 694 KB; with the oscilloscope
+// left to the flights that attach one through Spec.Observers it is about
+// 419 KB.
+func TestColdBuildAllocBudget(t *testing.T) {
+	const budgetBytes = 520_000
+	spec := Spec{Seed: 1, Workload: mission.Box{}, MaxSeconds: 240}
+	runtime.GC() // two collections empty the pool
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := Build(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.release()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a cold Build allocates %d bytes", got)
+	if got > budgetBytes {
+		t.Fatalf("a cold 240 s Build allocates %d bytes, budget %d", got, budgetBytes)
+	}
 }

@@ -9,10 +9,12 @@ import (
 	"math"
 	"testing"
 
+	"dronedse/autopilot"
 	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
 	"dronedse/sim"
+	"dronedse/trace"
 )
 
 // identitySpecs is the bit-identity property-test fleet: a factory (fault
@@ -40,10 +42,31 @@ func putBits(h hash.Hash, vs ...float64) {
 	}
 }
 
+// withScope attaches a new oscilloscope to spec through Spec.Observers, the
+// way Figure 16b and flysim attach theirs, so resultDigest can pin its
+// samples. A recorder is stateful: every flight needs its own.
+func withScope(spec scenario.Spec) (scenario.Spec, *trace.Recorder) {
+	osc := trace.NewOscilloscope(spec.Seed)
+	n := len(spec.Observers)
+	spec.Observers = append(spec.Observers[:n:n], func(a *autopilot.Autopilot, _ float64) {
+		osc.Observe(a.Time(), a.TotalPowerW())
+	})
+	return spec, osc
+}
+
+// runScoped flies spec with an oscilloscope attached and returns its digest.
+func runScoped(t *testing.T, spec scenario.Spec) string {
+	t.Helper()
+	spec, osc := withScope(spec)
+	res, err := scenario.Run(spec)
+	return resultDigest(t, res, err, osc)
+}
+
 // resultDigest hashes everything the determinism contract pins: the
-// trajectory, the flight log (entries and events), the oscilloscope trace,
-// and the Equation-7 energy ledger — all at full float-bit fidelity.
-func resultDigest(t *testing.T, res *scenario.Result, err error) string {
+// trajectory, the flight log (entries and events), the samples of the
+// oscilloscope withScope attached, and the Equation-7 energy ledger — all at
+// full float-bit fidelity.
+func resultDigest(t *testing.T, res *scenario.Result, err error, osc *trace.Recorder) string {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("flight failed: %v", err)
@@ -69,7 +92,7 @@ func resultDigest(t *testing.T, res *scenario.Result, err error) string {
 		putBits(h, e.TimeS)
 		h.Write([]byte(e.Text))
 	}
-	for _, s := range res.Trace.Samples() {
+	for _, s := range osc.Samples() {
 		putBits(h, s.TimeS, s.PowerW)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -82,8 +105,7 @@ func TestBatchSerialBitIdentity(t *testing.T) {
 	specs := identitySpecs()
 	want := make([]string, len(specs))
 	for i, spec := range specs {
-		res, err := scenario.Run(spec)
-		want[i] = resultDigest(t, res, err)
+		want[i] = runScoped(t, spec)
 	}
 
 	prev := parallelx.PoolSize()
@@ -94,13 +116,14 @@ func TestBatchSerialBitIdentity(t *testing.T) {
 			// Fill the batch by cycling the spec fleet; every lane must
 			// reproduce its spec's serial digest.
 			lanes := make([]scenario.Spec, batchSize)
+			scopes := make([]*trace.Recorder, batchSize)
 			fresh := identitySpecs()
 			for i := range lanes {
-				lanes[i] = fresh[i%len(fresh)]
+				lanes[i], scopes[i] = withScope(fresh[i%len(fresh)])
 			}
 			results, errs := scenario.RunBatch(lanes)
 			for i := range lanes {
-				got := resultDigest(t, results[i], errs[i])
+				got := resultDigest(t, results[i], errs[i], scopes[i])
 				if got != want[i%len(specs)] {
 					t.Fatalf("pool %d batch %d lane %d (seed %d): result diverged from serial run",
 						pool, batchSize, i, lanes[i].Seed)
@@ -114,15 +137,15 @@ func TestBatchSerialBitIdentity(t *testing.T) {
 // (one tick at a time vs the Run stride) is unobservable in lane results.
 func TestBatchTickGranularityInvariance(t *testing.T) {
 	spec := scenario.Spec{Seed: 31, Workload: mission.Hover{}, MaxSeconds: 2}
-	res, err := scenario.Run(spec)
-	want := resultDigest(t, res, err)
+	want := runScoped(t, spec)
 
-	b := scenario.NewBatch([]scenario.Spec{{Seed: 31, Workload: mission.Hover{}, MaxSeconds: 2}})
+	lane, osc := withScope(spec)
+	b := scenario.NewBatch([]scenario.Spec{lane})
 	b.Start()
 	for b.TickN(1) > 0 {
 	}
 	results, errs := b.Outcomes()
-	if got := resultDigest(t, results[0], errs[0]); got != want {
+	if got := resultDigest(t, results[0], errs[0], osc); got != want {
 		t.Fatal("tick-at-a-time batch diverged from serial run")
 	}
 }
@@ -131,21 +154,18 @@ func TestBatchTickGranularityInvariance(t *testing.T) {
 // error recorded and must not poison its co-tenants' results.
 func TestBatchLaneErrorIsolation(t *testing.T) {
 	good := scenario.Spec{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2}
-	wantRes, wantErr := scenario.Run(good)
-	want := resultDigest(t, wantRes, wantErr)
+	want := runScoped(t, good)
 
 	badQuad := sim.DefaultConfig()
 	badQuad.TWR = 0.5 // below the flying minimum: Build must fail
-	results, errs := scenario.RunBatch([]scenario.Spec{
-		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
-		{Seed: 42, Quad: &badQuad},
-		{Seed: 41, Workload: mission.Hover{}, MaxSeconds: 2},
-	})
+	lane0, osc0 := withScope(good)
+	lane2, osc2 := withScope(good)
+	results, errs := scenario.RunBatch([]scenario.Spec{lane0, {Seed: 42, Quad: &badQuad}, lane2})
 	if errs[1] == nil || results[1] != nil {
 		t.Fatal("bad lane did not report its build error")
 	}
-	for _, i := range []int{0, 2} {
-		if got := resultDigest(t, results[i], errs[i]); got != want {
+	for i, osc := range map[int]*trace.Recorder{0: osc0, 2: osc2} {
+		if got := resultDigest(t, results[i], errs[i], osc); got != want {
 			t.Fatalf("lane %d diverged next to a failed lane", i)
 		}
 	}
@@ -163,12 +183,14 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 	}
 	want := make([]string, len(specs))
 	for i, spec := range specs {
-		res, err := scenario.Run(spec)
-		want[i] = resultDigest(t, res, err)
+		want[i] = runScoped(t, spec)
 	}
 
+	scopes := make([]*trace.Recorder, len(specs))
 	build := func(i int) *scenario.Stack {
-		st, err := scenario.Build(specs[i])
+		var spec scenario.Spec
+		spec, scopes[i] = withScope(specs[i])
+		st, err := scenario.Build(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +215,7 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 		b.TickN(1)
 	}
 	res0, err0 := b.Evict(lane0)
-	if got := resultDigest(t, res0, err0); got != want[0] {
+	if got := resultDigest(t, res0, err0, scopes[0]); got != want[0] {
 		t.Fatal("founding lane diverged from its solo run")
 	}
 	lane2 := b.Admit(build(2))
@@ -204,11 +226,11 @@ func TestBatchAdmitMidFlightBitIdentity(t *testing.T) {
 	for b.TickN(100) > 0 {
 	}
 	res1, err1 := b.Evict(lane1)
-	if got := resultDigest(t, res1, err1); got != want[1] {
+	if got := resultDigest(t, res1, err1, scopes[1]); got != want[1] {
 		t.Fatal("mid-flight-admitted lane diverged from its solo run")
 	}
 	res2, err2 := b.Evict(lane2)
-	if got := resultDigest(t, res2, err2); got != want[2] {
+	if got := resultDigest(t, res2, err2, scopes[2]); got != want[2] {
 		t.Fatal("slot-reusing lane diverged from its solo run")
 	}
 }
@@ -328,7 +350,7 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	})
 	b.Start()
 	// Warm through takeoff and into cruise so every lazy path (mode
-	// transitions, first log rows, trace priming) has already run.
+	// transitions, first log rows) has already run.
 	for i := 0; i < 10000; i++ {
 		b.TickN(1)
 	}

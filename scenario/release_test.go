@@ -21,6 +21,7 @@ import (
 	"dronedse/sensors"
 	"dronedse/sim"
 	"dronedse/slam"
+	"dronedse/trace"
 )
 
 // buildOnReleased flies donor, releases its Result and builds spec on the
@@ -37,7 +38,7 @@ func buildOnReleased(t *testing.T, donor, spec scenario.Spec) (*scenario.Stack, 
 		}
 		log, n := res.Log, len(res.Trajectory)
 		res.Release()
-		if res.Log != nil || res.Trace != nil || res.Trajectory != nil {
+		if res.Log != nil || res.Trajectory != nil {
 			t.Fatal("Release left the recording fields set")
 		}
 		for k := 0; k < 8; k++ {
@@ -68,8 +69,9 @@ func TestReleasedBuffersBitIdentical(t *testing.T) {
 	wantDig := make([]fleet.Digests, len(specs))
 	wantLen := make([]int, len(specs))
 	for i, spec := range specs {
-		res, err := scenario.Run(spec)
-		want[i] = resultDigest(t, res, err)
+		scoped, osc := withScope(spec)
+		res, err := scenario.Run(scoped)
+		want[i] = resultDigest(t, res, err, osc)
 		if kind := spec.Workload.Kind(); want[i] != golden[kind] {
 			t.Fatalf("%s: reference flight digest %s, golden %s", kind, want[i], golden[kind])
 		}
@@ -83,6 +85,7 @@ func TestReleasedBuffersBitIdentical(t *testing.T) {
 		parallelx.SetPoolSize(pool)
 		var stacks []*scenario.Stack
 		var of []int // the spec each lane flies
+		var scopes []*trace.Recorder
 		for i, spec := range specs {
 			var other mission.Workload = mission.Hover{}
 			if spec.Workload.Kind() == other.Kind() {
@@ -92,14 +95,16 @@ func TestReleasedBuffersBitIdentical(t *testing.T) {
 				MaxSeconds: float64(wantLen[i])/10 + 5}
 			shorter := scenario.Spec{Seed: 950 + int64(i), Workload: other, MaxSeconds: 1}
 
-			st, n := buildOnReleased(t, longer, spec)
+			scoped, osc := withScope(spec)
+			st, n := buildOnReleased(t, longer, scoped)
 			if n <= wantLen[i] {
 				t.Fatalf("%s: donor flew %d samples, not longer than the flight's %d",
 					spec.Workload.Kind(), n, wantLen[i])
 			}
-			stacks, of = append(stacks, st), append(of, i)
-			st, _ = buildOnReleased(t, shorter, spec)
-			stacks, of = append(stacks, st), append(of, i)
+			stacks, of, scopes = append(stacks, st), append(of, i), append(scopes, osc)
+			scoped, osc = withScope(spec)
+			st, _ = buildOnReleased(t, shorter, scoped)
+			stacks, of, scopes = append(stacks, st), append(of, i), append(scopes, osc)
 		}
 
 		b := scenario.NewBatch(nil)
@@ -110,7 +115,7 @@ func TestReleasedBuffersBitIdentical(t *testing.T) {
 		for lane, res := range results {
 			i := of[lane]
 			kind := specs[i].Workload.Kind()
-			if got := resultDigest(t, res, errs[lane]); got != want[i] {
+			if got := resultDigest(t, res, errs[lane], scopes[lane]); got != want[i] {
 				t.Errorf("pool %d lane %d (%s): flight on released buffers diverged", pool, lane, kind)
 			}
 			if got := fleet.DigestResult(res); got != wantDig[i] {
@@ -205,9 +210,9 @@ func TestReleasedStackBitIdentical(t *testing.T) {
 	var refs []*scenario.Result
 	for k, f := range flights {
 		h, sink := telemetry()
-		spec := specOf(f, sink)
+		spec, osc := withScope(specOf(f, sink))
 		res, err := scenario.Run(spec)
-		want[k] = resultDigest(t, res, err)
+		want[k] = resultDigest(t, res, err, osc)
 		if kind := spec.Workload.Kind(); !f.on && want[k] != golden[kind] {
 			t.Fatalf("%s: reference flight digest %s, golden %s", kind, want[k], golden[kind])
 		}
@@ -229,10 +234,12 @@ func TestReleasedStackBitIdentical(t *testing.T) {
 		parallelx.SetPoolSize(pool)
 		b := scenario.NewBatch(nil)
 		sums := make([]hash.Hash, len(flights))
+		scopes := make([]*trace.Recorder, len(flights))
 		for k, f := range flights {
 			h, sink := telemetry()
-			st, _ := buildOnReleased(t, donorOf(f), specOf(f, sink))
-			sums[k] = h
+			spec, osc := withScope(specOf(f, sink))
+			st, _ := buildOnReleased(t, donorOf(f), spec)
+			sums[k], scopes[k] = h, osc
 			if lane := b.Admit(st); lane != k {
 				t.Fatalf("flight %d admitted as lane %d", k, lane)
 			}
@@ -240,7 +247,7 @@ func TestReleasedStackBitIdentical(t *testing.T) {
 		results, errs := b.Run()
 		for k, res := range results {
 			kind := workloadSpecs()[flights[k].kind].Workload.Kind()
-			if got := resultDigest(t, res, errs[k]); got != want[k] {
+			if got := resultDigest(t, res, errs[k], scopes[k]); got != want[k] {
 				t.Errorf("pool %d %s (parts %v): flight on a released stack diverged", pool, kind, flights[k].on)
 			}
 			if got := fleet.DigestResult(res); got != wantDig[k] {
@@ -265,8 +272,7 @@ func TestFailedBuildKeepsPool(t *testing.T) {
 	spec := scenario.Spec{Seed: 61, Workload: mission.Hover{}, MaxSeconds: 2}
 	runtime.GC()
 	runtime.GC()
-	res, err := scenario.Run(spec)
-	want := resultDigest(t, res, err)
+	want := runScoped(t, spec)
 
 	badQuad := sim.DefaultConfig()
 	badQuad.TWR = 0.5
@@ -290,7 +296,8 @@ func TestFailedBuildKeepsPool(t *testing.T) {
 				t.Fatalf("Build(%+v) succeeded", b)
 			}
 		}
-		st, err := scenario.Build(spec)
+		scoped, osc := withScope(spec)
+		st, err := scenario.Build(scoped)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +305,7 @@ func TestFailedBuildKeepsPool(t *testing.T) {
 			continue // the pool dropped the donor (it may, under the race detector)
 		}
 		res, err := st.Run()
-		if got := resultDigest(t, res, err); got != want {
+		if got := resultDigest(t, res, err, osc); got != want {
 			t.Fatal("flight after failed Builds diverged from a fresh build")
 		}
 		return

@@ -12,7 +12,6 @@ import (
 	"dronedse/mission"
 	"dronedse/power"
 	"dronedse/sim"
-	"dronedse/trace"
 )
 
 // Result is the structured outcome of one scenario flight.
@@ -58,27 +57,24 @@ type Result struct {
 	EKFStats  estimation.EKFStats
 	CtrlStats control.CtrlStats
 
-	// Log is the DataFlash-style flight log; Trace the oscilloscope
-	// power recording.
-	Log   *autopilot.FlightLog
-	Trace *trace.Recorder
+	// Log is the DataFlash-style flight log.
+	Log *autopilot.FlightLog
 
 	st *Stack // the flight's stack, until Release pools it
 }
 
-// Release returns the flight's whole Stack, Log, Trace and Trajectory
-// included, to the pool Build re-initialises stacks from, and sets those
-// three fields to nil. The summary fields stay valid. Only the Result's
-// owner may call it, after its last read of the Stack and the recordings,
-// including slices taken from them (Log.Entries, Trace.Samples); never
-// release a Result that has been handed to a caller. Releasing twice is a
-// no-op.
+// Release returns the flight's whole Stack, Log and Trajectory included, to
+// the pool Build re-initialises stacks from, and sets those two fields to
+// nil. The summary fields stay valid. Only the Result's owner may call it,
+// after its last read of the Stack and the recordings, including slices
+// taken from them (Log.Entries); never release a Result that has been handed
+// to a caller. Releasing twice is a no-op.
 func (r *Result) Release() {
 	st := r.st
 	if st == nil {
 		return
 	}
-	r.st, r.Log, r.Trace, r.Trajectory = nil, nil, nil, nil
+	r.st, r.Log, r.Trajectory = nil, nil, nil
 	st.release()
 }
 
@@ -97,7 +93,7 @@ func (st *Stack) release() {
 // stacks holds the stacks of released Results for Build to re-initialise.
 var stacks = sync.Pool{New: func() any {
 	return &Stack{Quad: new(sim.Quad), Env: new(sim.Environment), Battery: new(power.Pack),
-		Autopilot: new(autopilot.Autopilot), Log: new(autopilot.FlightLog), Trace: new(trace.Recorder)}
+		Autopilot: new(autopilot.Autopilot), Log: new(autopilot.FlightLog)}
 }}
 
 // AvgPowerW is the flight's mean whole-drone power.

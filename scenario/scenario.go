@@ -2,16 +2,16 @@
 // Spec describing the paper's experiment shape — a vehicle, an environment,
 // a battery, a compute platform, optional SLAM offload and fault plans, a
 // mission — and one audited Build that performs all the cross-package
-// wiring (quad ↔ sensors ↔ estimator ↔ autopilot ↔ battery ↔ injector ↔
-// trace recorders) that was previously hand-rolled, divergently, by
-// cmd/flysim, faultx.Run, bench.RunFigure16 and the examples.
+// wiring (quad ↔ sensors ↔ estimator ↔ autopilot ↔ battery ↔ injector)
+// that was previously hand-rolled, divergently, by cmd/flysim, faultx.Run,
+// bench.RunFigure16 and the examples.
 //
 // Determinism contract: a Spec is a pure value plus a seed. Build derives
-// every stochastic stream (sensor noise, turbulence, instrument noise,
-// offload jitter) from Spec.Seed, and Run drives the stack through a fixed
-// arm → takeoff → workload → land sequence, so the same Spec always
-// reproduces the same flight bit for bit — the property the campaign
-// pool-invariance and golden-regression tests pin.
+// every stochastic stream (sensor noise, turbulence, offload jitter) from
+// Spec.Seed, and Run drives the stack through a fixed arm → takeoff →
+// workload → land sequence, so the same Spec always reproduces the same
+// flight bit for bit — the property the campaign pool-invariance and
+// golden-regression tests pin.
 //
 // What flies after takeoff is a mission.Workload: the driver arms, takes
 // off, then hands the flight to the workload's per-flight Driver until it
@@ -19,12 +19,14 @@
 // what to fly; a nil Workload flies mission.Box{}.
 //
 // Observer ordering: Build registers step observers on the autopilot's bus
-// in a fixed order — (1) the power-trace recorder, (2) the flight log,
-// (3) the scenario probe (fault application at 100 Hz, offload session and
-// trajectory tap at 10 Hz, telemetry at the configured cadence, energy
-// integration every step), (4) user observers in Spec order. Registration
-// order is execution order (see autopilot.Observe), so a given Spec always
-// replays observer side effects identically.
+// in a fixed order — (1) the flight log, (2) the scenario probe (fault
+// application at 100 Hz, offload session and trajectory tap at 10 Hz,
+// telemetry at the configured cadence, energy integration every step),
+// (3) user observers in Spec order. Registration order is execution order
+// (see autopilot.Observe), so a given Spec always replays observer side
+// effects identically. An instrument such as the Figure 16b oscilloscope
+// (trace.NewOscilloscope) is a user observer: the flights that read one
+// attach it.
 package scenario
 
 import (
@@ -40,7 +42,6 @@ import (
 	"dronedse/sensors"
 	"dronedse/sim"
 	"dronedse/slam"
-	"dronedse/trace"
 )
 
 // Wind selects the environment. The zero value is calm air (deterministic
@@ -230,7 +231,6 @@ type Stack struct {
 	Autopilot *autopilot.Autopilot
 	Session   *offload.Session // nil without Spec.Offload
 	Log       *autopilot.FlightLog
-	Trace     *trace.Recorder
 
 	baseComputeW float64
 	designMassKg float64
@@ -297,7 +297,7 @@ func Build(spec Spec) (*Stack, error) {
 	}
 
 	st := stacks.Get().(*Stack)
-	q, env, pack, ap, log, tr := st.Quad, st.Env, st.Battery, st.Autopilot, st.Log, st.Trace
+	q, env, pack, ap, log := st.Quad, st.Env, st.Battery, st.Autopilot, st.Log
 	q.Init(cfg)
 	var wind Wind // calm
 	if spec.Wind.MeanMS > 0 {
@@ -337,11 +337,9 @@ func Build(spec Spec) (*Stack, error) {
 	}
 	log.Reset()
 	log.Reserve(horizonS)
-	tr.InitOscilloscope(spec.Seed)
-	tr.Reserve(horizonS)
 
 	*st = Stack{
-		Spec: spec, Quad: q, Env: env, Battery: pack, Autopilot: ap, Session: sess, Log: log, Trace: tr,
+		Spec: spec, Quad: q, Env: env, Battery: pack, Autopilot: ap, Session: sess, Log: log,
 		baseComputeW: baseW, designMassKg: cfg.MassKg, traj: traj, telem: st.telem[:0], wl: wl,
 	}
 	if spec.Faults != nil {
@@ -354,9 +352,6 @@ func Build(spec Spec) (*Stack, error) {
 	}
 
 	// Observer bus, in the package-documented order.
-	ap.Observe(func(a *autopilot.Autopilot, dt float64) {
-		st.Trace.Observe(a.Time(), a.TotalPowerW())
-	})
 	ap.AttachFlightLog(st.Log)
 	ap.Observe(st.probe)
 	for _, fn := range spec.Observers {
@@ -530,7 +525,6 @@ func (st *Stack) finish() {
 		EnergyWh:    st.energyWh,
 		ComputeWh:   st.computeWh,
 		Log:         st.Log,
-		Trace:       st.Trace,
 		EKFStats:    ap.Estimator().Pos.Stats,
 		CtrlStats:   ap.Cascade().Stats,
 		st:          st,

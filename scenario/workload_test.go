@@ -15,6 +15,7 @@ import (
 	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
+	"dronedse/trace"
 )
 
 // workloadSpecs is the mixed-workload property-test fleet: one spec per
@@ -70,8 +71,7 @@ func TestWorkloadGoldenDigests(t *testing.T) {
 	if updateGoldens {
 		body := ""
 		for _, spec := range specs {
-			res, err := scenario.Run(spec)
-			body += fmt.Sprintf("%s %s\n", spec.Workload.Kind(), resultDigest(t, res, err))
+			body += fmt.Sprintf("%s %s\n", spec.Workload.Kind(), runScoped(t, spec))
 		}
 		if err := os.WriteFile("testdata/workloads_golden.txt", []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -82,8 +82,7 @@ func TestWorkloadGoldenDigests(t *testing.T) {
 	want := readGolden(t, "testdata/workloads_golden.txt")
 	for _, spec := range specs {
 		kind := spec.Workload.Kind()
-		res, err := scenario.Run(spec)
-		if got := resultDigest(t, res, err); got != want[kind] {
+		if got := runScoped(t, spec); got != want[kind] {
 			t.Errorf("%s: digest %s, golden %s", kind, got, want[kind])
 		}
 	}
@@ -97,8 +96,7 @@ func TestWorkloadMixedBatchBitIdentity(t *testing.T) {
 	specs := workloadSpecs()
 	want := make([]string, len(specs))
 	for i, spec := range specs {
-		res, err := scenario.Run(spec)
-		want[i] = resultDigest(t, res, err)
+		want[i] = runScoped(t, spec)
 	}
 
 	prev := parallelx.PoolSize()
@@ -107,13 +105,14 @@ func TestWorkloadMixedBatchBitIdentity(t *testing.T) {
 		parallelx.SetPoolSize(pool)
 		for _, batchSize := range []int{len(specs), 64} {
 			lanes := make([]scenario.Spec, batchSize)
+			scopes := make([]*trace.Recorder, batchSize)
 			fresh := workloadSpecs()
 			for i := range lanes {
-				lanes[i] = fresh[i%len(fresh)]
+				lanes[i], scopes[i] = withScope(fresh[i%len(fresh)])
 			}
 			results, errs := scenario.RunBatch(lanes)
 			for i := range lanes {
-				got := resultDigest(t, results[i], errs[i])
+				got := resultDigest(t, results[i], errs[i], scopes[i])
 				if got != want[i%len(specs)] {
 					t.Fatalf("pool %d batch %d lane %d (%s): diverged from solo run",
 						pool, batchSize, i, lanes[i].Workload.Kind())

@@ -78,8 +78,8 @@ type Quad struct {
 
 	// power is the rotor power model with its per-propeller constants
 	// computed once. powerW caches ElectricalPowerW between thrust changes:
-	// the autopilot, trace recorder and scenario probe all read it every
-	// step, and the cache collapses that to one evaluation per Step without
+	// the autopilot, the scenario probe and any attached power recorder
+	// read it every step, and the cache collapses that to one evaluation per Step without
 	// changing a single returned bit.
 	power      propulsion.PowerModel
 	powerW     float64
@@ -233,7 +233,7 @@ func (q *Quad) MotorThrusts() [NumMotors]float64 { return q.thrustN }
 
 // ElectricalPowerW returns the present propulsion electrical power draw.
 // The value is computed once per thrust change and cached, so the several
-// per-step consumers (autopilot ledger, trace recorder, scenario probe) share
+// per-step consumers (autopilot ledger, scenario probe, power recorders) share
 // one evaluation of the rotor power model.
 func (q *Quad) ElectricalPowerW() float64 {
 	if q.powerDirty {

@@ -169,12 +169,15 @@ func TestRunSequenceArenaReuse(t *testing.T) {
 				}
 			}
 
-			arenas.mu.Lock()
-			defer arenas.mu.Unlock()
-			for i, free := range arenas.free {
-				if holdsMapPointer(reflect.ValueOf(free)) {
+			var free []*seqArena
+			for a, ok := arenas.Get(); ok; a, ok = arenas.Get() {
+				free = append(free, a)
+			}
+			for i, a := range free {
+				if holdsMapPointer(reflect.ValueOf(a)) {
 					t.Errorf("%s: free arena %d still points into a finished map", m.name, i)
 				}
+				arenas.Put(a)
 			}
 		})
 	}

@@ -1,9 +1,8 @@
 package slam
 
 import (
-	"sync"
-
 	"dronedse/mathx"
+	"dronedse/parallelx"
 )
 
 // seqArena is the storage one sequence run reuses frame after frame: the
@@ -25,42 +24,16 @@ type seqArena struct {
 // work units point into the map; every other buffer holds plain values.
 func (a *seqArena) release() { a.ba.release() }
 
-// arenas is the free list RunSequence borrows from. Like parallelx's
-// arenaPool it is a mutexed slice, not a sync.Pool: a sync.Pool drops its
-// contents at every garbage collection, so warm runs would regrow their
-// scratch at a rate set by the collector (DESIGN §13). maxFreeArenas bounds
-// what it retains; a run that finds the list empty builds a fresh arena,
-// and one that finds it full lets its arena go.
-var arenas struct {
-	mu   sync.Mutex
-	free []*seqArena
-}
-
-const maxFreeArenas = 8
-
-// getArena pops a free arena, or builds a fresh one.
-func getArena() *seqArena {
-	arenas.mu.Lock()
-	defer arenas.mu.Unlock()
-	n := len(arenas.free)
-	if n == 0 {
-		return new(seqArena)
-	}
-	a := arenas.free[n-1]
-	arenas.free[n-1] = nil
-	arenas.free = arenas.free[:n-1]
-	return a
-}
+// arenas is the free list RunSequence borrows from (a parallelx.FreeList,
+// so a collection never empties it). A run that finds the list empty builds
+// a fresh arena, and one that finds it full lets its arena go.
+var arenas = parallelx.NewFreeList[*seqArena](8)
 
 // putArena releases a quiescent arena — no goroutine touches it any more —
 // and returns it to the free list.
 func putArena(a *seqArena) {
 	a.release()
-	arenas.mu.Lock()
-	if len(arenas.free) < maxFreeArenas {
-		arenas.free = append(arenas.free, a)
-	}
-	arenas.mu.Unlock()
+	arenas.Put(a)
 }
 
 // kpRing is the pipelined driver's keypoint hand-off: a fixed set of

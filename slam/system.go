@@ -480,7 +480,10 @@ type Result struct {
 // its map pointers cleared, once the sequence is done; concurrent runs
 // borrow distinct arenas.
 func RunSequence(seq *dataset.Sequence) Result {
-	a := getArena()
+	a, ok := arenas.Get()
+	if !ok {
+		a = new(seqArena)
+	}
 	s := newSystem(seq.Cam, a)
 	s.run(seq)
 	putArena(a)

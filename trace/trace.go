@@ -8,8 +8,6 @@ package trace
 import (
 	"math"
 	"math/rand"
-
-	"dronedse/mathx"
 )
 
 // Sample is one instrument reading.
@@ -19,11 +17,11 @@ type Sample struct {
 }
 
 // Recorder samples a power signal at a fixed rate with instrument noise.
+// Build one with NewUSBMeter or NewOscilloscope; the zero value has no
+// noise source and no sampling period, so it is not a working instrument.
 type Recorder struct {
-	// PeriodS is the sampling interval.
-	PeriodS float64
-	// NoiseW is the 1-sigma instrument error in watts.
-	NoiseW float64
+	periodS float64 // sampling interval
+	noiseW  float64 // 1-sigma instrument error in watts
 
 	rng       *rand.Rand
 	samples   []Sample
@@ -33,26 +31,14 @@ type Recorder struct {
 }
 
 // NewUSBMeter matches the paper's RPi instrument: 0.5 s period, ±10 mW.
-func NewUSBMeter(seed int64) *Recorder {
-	r := new(Recorder)
-	r.init(0.5, 0.010, seed)
-	return r
-}
+func NewUSBMeter(seed int64) *Recorder { return newRecorder(0.5, 0.010, seed) }
 
-// InitOscilloscope (re)initialises r in place as the whole-drone instrument:
-// 20 ms, ±0.5 mW. It keeps r's sample buffer for reuse and reseeds its noise
-// source, so a used recorder then reads exactly as a new one from seed.
-// Slices returned by Samples before the call are overwritten by later
-// recording.
-func (r *Recorder) InitOscilloscope(seed int64) { r.init(0.020, 0.0005, seed) }
+// NewOscilloscope matches the paper's whole-drone instrument: 20 ms period,
+// ±0.5 mW.
+func NewOscilloscope(seed int64) *Recorder { return newRecorder(0.020, 0.0005, seed) }
 
-func (r *Recorder) init(periodS, noiseW float64, seed int64) {
-	*r = Recorder{
-		PeriodS: periodS,
-		NoiseW:  noiseW,
-		rng:     mathx.Reseed(r.rng, seed),
-		samples: r.samples[:0],
-	}
+func newRecorder(periodS, noiseW float64, seed int64) *Recorder {
+	return &Recorder{periodS: periodS, noiseW: noiseW, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Observe feeds the recorder the instantaneous power at simulated time t;
@@ -74,26 +60,11 @@ func (r *Recorder) Observe(t, powerW float64) {
 		}
 		r.samples = append(r.samples, Sample{
 			TimeS:  r.nextT,
-			PowerW: v + r.rng.NormFloat64()*r.NoiseW,
+			PowerW: v + r.rng.NormFloat64()*r.noiseW,
 		})
-		r.nextT += r.PeriodS
+		r.nextT += r.periodS
 	}
 	r.lastPower = powerW
-}
-
-// Reserve grows the sample capacity to cover a recording of the given
-// duration, so a full flight's sampling does no steady-state append
-// reallocation.
-func (r *Recorder) Reserve(durationS float64) {
-	if r.PeriodS <= 0 {
-		return
-	}
-	n := int(durationS/r.PeriodS) + 2
-	if cap(r.samples) < n {
-		samples := make([]Sample, len(r.samples), n)
-		copy(samples, r.samples)
-		r.samples = samples
-	}
 }
 
 // Samples returns the recorded series.

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// newTestRNG backs a hand-built Recorder; with NoiseW zero the draws are
+// newTestRNG backs a hand-built Recorder; with noiseW zero the draws are
 // multiplied away, so the samples are exact.
 func newTestRNG() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
@@ -23,8 +23,7 @@ func TestRecorderSamplingRate(t *testing.T) {
 	if n < 19 || n > 21 {
 		t.Errorf("USB meter took %d samples in 10 s, want ~20 at 0.5 s period", n)
 	}
-	o := new(Recorder)
-	o.InitOscilloscope(2)
+	o := NewOscilloscope(2)
 	feedConstant(o, 0, 1, 130, 0.001)
 	if n := len(o.Samples()); n < 48 || n > 52 {
 		t.Errorf("oscilloscope took %d samples in 1 s, want ~50 at 20 ms period", n)
@@ -32,27 +31,33 @@ func TestRecorderSamplingRate(t *testing.T) {
 }
 
 func TestRecorderNoiseLevel(t *testing.T) {
-	r := NewUSBMeter(3)
-	feedConstant(r, 0, 600, 4.0, 0.01)
-	mean := r.MeanPower(0, 600)
-	if math.Abs(mean-4.0) > 0.005 {
-		t.Errorf("mean power = %v, want ~4.0", mean)
-	}
-	// Spread should reflect the ±10 mW instrument error.
-	var sq float64
-	for _, s := range r.Samples() {
-		d := s.PowerW - 4.0
-		sq += d * d
-	}
-	std := math.Sqrt(sq / float64(len(r.Samples())))
-	if std < 0.005 || std > 0.02 {
-		t.Errorf("noise std = %v, configured 0.010", std)
+	for _, c := range []struct {
+		name           string
+		r              *Recorder
+		powerW, noiseW float64
+	}{
+		{"USB meter", NewUSBMeter(3), 4.0, 0.010},
+		{"oscilloscope", NewOscilloscope(3), 130, 0.0005},
+	} {
+		feedConstant(c.r, 0, 600, c.powerW, 0.01)
+		if mean := c.r.MeanPower(0, 600); math.Abs(mean-c.powerW) > c.noiseW/2 {
+			t.Errorf("%s: mean power = %v, want ~%v", c.name, mean, c.powerW)
+		}
+		// Spread should reflect the configured instrument error.
+		var sq float64
+		for _, s := range c.r.Samples() {
+			d := s.PowerW - c.powerW
+			sq += d * d
+		}
+		std := math.Sqrt(sq / float64(len(c.r.Samples())))
+		if std < c.noiseW/2 || std > 2*c.noiseW {
+			t.Errorf("%s: noise std = %v, configured %v", c.name, std, c.noiseW)
+		}
 	}
 }
 
 func TestMeanAndPeakWindows(t *testing.T) {
-	r := new(Recorder)
-	r.InitOscilloscope(4)
+	r := NewOscilloscope(4)
 	feedConstant(r, 0, 5, 100, 0.005)
 	feedConstant(r, 5, 10, 250, 0.005)
 	if m := r.MeanPower(0, 5); math.Abs(m-100) > 1 {
@@ -70,15 +75,12 @@ func TestMeanAndPeakWindows(t *testing.T) {
 }
 
 func TestEnergyIntegration(t *testing.T) {
-	r := new(Recorder)
-	r.InitOscilloscope(5)
+	r := NewOscilloscope(5)
 	feedConstant(r, 0, 3600, 130, 0.02) // one hour at 130 W
 	if wh := r.EnergyWh(); math.Abs(wh-130) > 1.5 {
 		t.Errorf("energy = %v Wh, want ~130", wh)
 	}
-	empty := new(Recorder)
-	empty.InitOscilloscope(6)
-	if empty.EnergyWh() != 0 {
+	if NewOscilloscope(6).EnergyWh() != 0 {
 		t.Error("empty recording has nonzero energy")
 	}
 }
@@ -105,7 +107,7 @@ func TestPhaseMeans(t *testing.T) {
 // points must read the previously observed power (zero-order hold), not
 // smear the new reading backwards in time.
 func TestSparseObserveZeroOrderHold(t *testing.T) {
-	r := &Recorder{PeriodS: 1, rng: newTestRNG()} // noise-free instrument
+	r := &Recorder{periodS: 1, rng: newTestRNG()} // noise-free instrument
 	r.Observe(0, 100)
 	// One sparse call 5 s later at a new level: sample points at t=1..4
 	// lie before the new observation and must hold 100 W; the point at
@@ -129,7 +131,7 @@ func TestSparseObserveZeroOrderHold(t *testing.T) {
 // dense feed every flight uses (one call per physics step): every emitted
 // sample must read the power passed in the very call that emitted it.
 func TestDenseObserveUnchanged(t *testing.T) {
-	r := &Recorder{PeriodS: 0.02, rng: newTestRNG()}
+	r := &Recorder{periodS: 0.02, rng: newTestRNG()}
 	// Level steps every 500 calls (0.5 s), far from any epsilon ambiguity:
 	// a sample can only be emitted by a call within one step of its grid
 	// point, and adjacent calls share the same level there.
@@ -142,46 +144,5 @@ func TestDenseObserveUnchanged(t *testing.T) {
 			t.Fatalf("sample %d at t=%v = %v W, want %v (dense feed must not hold stale values)",
 				k, s.TimeS, s.PowerW, want)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := new(Recorder)
-	r.InitOscilloscope(8)
-	feedConstant(r, 0, 5, 1, 0.01)
-	r.InitOscilloscope(8)
-	if len(r.Samples()) != 0 {
-		t.Error("InitOscilloscope left samples")
-	}
-	feedConstant(r, 100, 105, 1, 0.01)
-	if len(r.Samples()) == 0 {
-		t.Error("recorder dead after InitOscilloscope")
-	}
-}
-
-// TestResetMatchesFresh pins the reuse contract: a used recorder
-// re-initialised to a seed records bit-identically to a new recorder from
-// that seed, whatever it recorded before, and keeps its buffer.
-func TestResetMatchesFresh(t *testing.T) {
-	used := new(Recorder)
-	used.InitOscilloscope(1)
-	feedConstant(used, 0, 30, 7, 0.001)
-	capBefore := cap(used.Samples())
-	used.InitOscilloscope(9)
-	fresh := new(Recorder)
-	fresh.InitOscilloscope(9)
-	feedConstant(used, 2, 4, 3, 0.001)
-	feedConstant(fresh, 2, 4, 3, 0.001)
-	got, want := used.Samples(), fresh.Samples()
-	if len(got) != len(want) {
-		t.Fatalf("reset recorder took %d samples, fresh %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: reset %+v, fresh %+v", i, got[i], want[i])
-		}
-	}
-	if cap(used.Samples()) != capBefore {
-		t.Fatal("InitOscilloscope dropped the sample buffer")
 	}
 }
