@@ -96,16 +96,20 @@ bench-fault:
 # Batch-engine smoke: the batch↔serial bit-identity property tests (batch
 # 1/8/64 × pools 1/2/8) and the released-stack reuse properties under the
 # race detector, plus the alloc-regression guards: a steady-state batched
-# step (telemetry included) must not allocate at all, and a warm
+# step (telemetry included) must not allocate at all, nor may a step across
+# a recording chunk edge on warm chunk free lists; a warm
 # Build → Run → Release cycle, a cold Build on an emptied pool and a
-# one-second fleetd job must stay within their heap budgets. The fleet-owned job path has its own guards: a
+# one-second fleetd job must stay within their heap budgets, a day-long
+# Build may cost no more than a minute-long one, and the chunked recordings
+# must read back what was appended. The fleet-owned job path has its own guards: a
 # journaled job with a drained subscriber stays within its budget, a warm
 # digest allocates only its strings (and matches the per-value oracle), a
 # warm journal append allocates nothing, and subscriber rings grow with
 # their backlog up to the queue depth.
 bench-batch:
 	$(GO) test -race ./scenario/ -run 'TestBatchSerialBitIdentity|TestBatchTickGranularityInvariance|TestBatchLaneErrorIsolation|TestReleasedBuffersBitIdentical|TestReleasedStackBitIdentical|TestFailedBuildKeepsPool|TestReleasedStackPinsNoTenant'
-	$(GO) test ./scenario/ -run 'TestBatchZeroAllocSteadyState|TestBuildRunReleaseAllocBudget|TestColdBuildAllocBudget'
+	$(GO) test ./scenario/ -run 'TestBatchZeroAllocSteadyState|TestBuildRunReleaseAllocBudget|TestColdBuildAllocBudget|TestBuildAllocIndependentOfMaxSeconds|TestChunkEdgeZeroAlloc'
+	$(GO) test ./parallelx/ -run 'TestRecording'
 	$(GO) test ./fleet/ -run 'TestDropArtifactsJobAllocBudget|TestReleasedJobUnpinsHub|TestJournaledJobAllocBudget|TestDigestMatchesOracle|TestDigestAllocs'
 	$(GO) test ./fleet/journal/ -run 'TestAppendReusesFrameBuffer'
 	$(GO) test ./groundstation/ -run 'TestSubRingShedsAtDepth|TestSubRingGrowKeepsOrder|TestSubRingStaysSmallForReader|TestSubscribeClosedHubNoRing|TestHubBacklog'

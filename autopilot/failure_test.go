@@ -90,9 +90,8 @@ func TestFlightLogRecords(t *testing.T) {
 	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	ap.RunFor(5)
 
-	entries := log.Entries()
-	if len(entries) < 100 {
-		t.Fatalf("only %d log entries", len(entries))
+	if n := log.entries.Len(); n < 100 {
+		t.Fatalf("only %d log entries", n)
 	}
 	if log.MaxAltitude() < 4 {
 		t.Errorf("max altitude = %v", log.MaxAltitude())

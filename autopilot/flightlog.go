@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"dronedse/parallelx"
 )
 
 // FlightLog is a DataFlash-style structured flight recorder: periodic
@@ -14,7 +16,7 @@ type FlightLog struct {
 	// PeriodS is the sample interval (default 0.1 s).
 	PeriodS float64
 
-	entries []LogEntry
+	entries parallelx.Recording[LogEntry]
 	next    float64
 	primed  bool
 	events  []LogEvent
@@ -40,36 +42,14 @@ type LogEvent struct {
 	Text  string
 }
 
-// Reserve grows the log's entry and event capacity so a flight of the given
-// duration records without steady-state append reallocation. Entry capacity
-// follows the sample period; events get a fixed allowance (mode changes and
-// safety annotations are rare).
-func (l *FlightLog) Reserve(durationS float64) {
-	period := l.PeriodS
-	if period <= 0 {
-		period = 0.1
-	}
-	n := int(durationS/period) + 2
-	if cap(l.entries) < n {
-		entries := make([]LogEntry, len(l.entries), n)
-		copy(entries, l.entries)
-		l.entries = entries
-	}
-	const eventAllowance = 64
-	if cap(l.events) < eventAllowance {
-		events := make([]LogEvent, len(l.events), eventAllowance)
-		copy(events, l.events)
-		l.events = events
-	}
-}
-
-// Reset empties the log for reuse by another flight, keeping the entry and
-// event capacity: a reset log records exactly as a new FlightLog would.
-// Slices returned by Entries and Events before the Reset are overwritten by
-// later recording.
+// Reset empties the log for reuse by another flight and returns its rows'
+// chunks to the shared free list, keeping the event capacity: a reset log
+// records exactly as a new FlightLog would. Rows and events read before the
+// Reset are overwritten by later recording.
 func (l *FlightLog) Reset() {
+	l.entries.Release()
 	clear(l.events) // drop the old annotation strings
-	*l = FlightLog{entries: l.entries[:0], events: l.events[:0]}
+	*l = FlightLog{entries: l.entries, events: l.events[:0]}
 }
 
 // AttachFlightLog registers the recorder on the autopilot's step bus; it
@@ -109,33 +89,28 @@ func (a *Autopilot) AttachFlightLog(l *FlightLog) {
 		if b := ap.Battery(); b != nil {
 			e.BatterySoC = b.StateOfCharge()
 		}
-		l.entries = append(l.entries, e)
+		l.entries.Append(e)
 	})
 }
 
-// Entries returns the recorded rows.
-func (l *FlightLog) Entries() []LogEntry { return l.entries }
+// Entries returns the recorded rows, read-only and in time order.
+func (l *FlightLog) Entries() *parallelx.Series[LogEntry] { return &l.entries.Series }
 
 // Events returns the recorded annotations.
 func (l *FlightLog) Events() []LogEvent { return l.events }
 
 // MaxAltitude returns the highest recorded altitude.
-func (l *FlightLog) MaxAltitude() float64 {
-	m := 0.0
-	for _, e := range l.entries {
-		if e.Alt > m {
-			m = e.Alt
-		}
-	}
-	return m
-}
+func (l *FlightLog) MaxAltitude() float64 { return l.peak(func(e LogEntry) float64 { return e.Alt }) }
 
 // MaxSpeed returns the highest recorded speed.
-func (l *FlightLog) MaxSpeed() float64 {
+func (l *FlightLog) MaxSpeed() float64 { return l.peak(func(e LogEntry) float64 { return e.Speed }) }
+
+// peak returns the largest positive f over the rows (0 when none is).
+func (l *FlightLog) peak(f func(LogEntry) float64) float64 {
 	m := 0.0
-	for _, e := range l.entries {
-		if e.Speed > m {
-			m = e.Speed
+	for _, e := range l.entries.All() {
+		if v := f(e); v > m {
+			m = v
 		}
 	}
 	return m
@@ -144,9 +119,9 @@ func (l *FlightLog) MaxSpeed() float64 {
 // EnergyWh integrates the recorded power into watt-hours.
 func (l *FlightLog) EnergyWh() float64 {
 	wh := 0.0
-	for i := 1; i < len(l.entries); i++ {
-		dt := l.entries[i].TimeS - l.entries[i-1].TimeS
-		wh += (l.entries[i].PowerW + l.entries[i-1].PowerW) / 2 * dt / 3600
+	for i := 1; i < l.entries.Len(); i++ {
+		a, b := l.entries.At(i-1), l.entries.At(i)
+		wh += (b.PowerW + a.PowerW) / 2 * (b.TimeS - a.TimeS) / 3600
 	}
 	return wh
 }
@@ -154,9 +129,9 @@ func (l *FlightLog) EnergyWh() float64 {
 // TimeInMode sums the recorded seconds spent in a mode.
 func (l *FlightLog) TimeInMode(m Mode) float64 {
 	t := 0.0
-	for i := 1; i < len(l.entries); i++ {
-		if l.entries[i].Mode == m {
-			t += l.entries[i].TimeS - l.entries[i-1].TimeS
+	for i := 1; i < l.entries.Len(); i++ {
+		if b := l.entries.At(i); b.Mode == m {
+			t += b.TimeS - l.entries.At(i-1).TimeS
 		}
 	}
 	return t
@@ -168,7 +143,7 @@ func (l *FlightLog) WriteCSV(w io.Writer) error {
 		"time_s,mode,x,y,alt,speed,roll,pitch,yaw,power_w,soc\n"); err != nil {
 		return err
 	}
-	for _, e := range l.entries {
+	for _, e := range l.entries.All() {
 		_, err := fmt.Fprintf(w, "%.3f,%s,%.3f,%.3f,%.3f,%.3f,%.4f,%.4f,%.4f,%.2f,%.4f\n",
 			e.TimeS, e.Mode, e.PosX, e.PosY, e.Alt, e.Speed,
 			e.Roll, e.Pitch, e.Yaw, e.PowerW, e.BatterySoC)
@@ -181,13 +156,13 @@ func (l *FlightLog) WriteCSV(w io.Writer) error {
 
 // Summary renders a one-paragraph post-flight report.
 func (l *FlightLog) Summary() string {
-	if len(l.entries) == 0 {
+	n := l.entries.Len()
+	if n == 0 {
 		return "flight log: empty"
 	}
 	var b strings.Builder
-	first, last := l.entries[0], l.entries[len(l.entries)-1]
 	fmt.Fprintf(&b, "flight log: %.1f s, %d samples, %d events; ",
-		last.TimeS-first.TimeS, len(l.entries), len(l.events))
+		l.entries.At(n-1).TimeS-l.entries.At(0).TimeS, n, len(l.events))
 	fmt.Fprintf(&b, "max alt %.1f m, max speed %.1f m/s, energy %.2f Wh",
 		l.MaxAltitude(), l.MaxSpeed(), l.EnergyWh())
 	return b.String()

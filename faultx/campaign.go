@@ -12,6 +12,7 @@ import (
 	"dronedse/mavlink"
 	"dronedse/mission"
 	"dronedse/offload"
+	"dronedse/parallelx"
 	"dronedse/platform"
 	"dronedse/scenario"
 	"dronedse/slam"
@@ -129,7 +130,7 @@ type Campaign struct {
 // runOut carries a Result plus the data needed for baseline comparison.
 type runOut struct {
 	res  Result
-	traj []mathx.Vec3 // true position at 10 Hz
+	traj *parallelx.Series[mathx.Vec3] // true position at 10 Hz, until Release
 }
 
 // campaignSLAMStats is the fixed per-mission SLAM ledger the offload
@@ -253,14 +254,10 @@ func sameEvent(a, b *Event) bool {
 }
 
 // maxDivergence is the largest pointwise distance over the common prefix.
-func maxDivergence(a, b []mathx.Vec3) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+func maxDivergence(a, b *parallelx.Series[mathx.Vec3]) float64 {
 	worst := 0.0
-	for i := 0; i < n; i++ {
-		if d := a[i].Sub(b[i]).Norm(); d > worst {
+	for i := range min(a.Len(), b.Len()) {
+		if d := a.At(i).Sub(b.At(i)).Norm(); d > worst {
 			worst = d
 		}
 	}

@@ -80,12 +80,12 @@ func TestFaultFreeBitIdentical(t *testing.T) {
 	if got.res.FlightTimeS != wantT {
 		t.Fatalf("flight time %v != reference %v", got.res.FlightTimeS, wantT)
 	}
-	if len(got.traj) != len(want) {
-		t.Fatalf("trajectory length %d != reference %d", len(got.traj), len(want))
+	if got.traj.Len() != len(want) {
+		t.Fatalf("trajectory length %d != reference %d", got.traj.Len(), len(want))
 	}
-	for i := range want {
-		if got.traj[i] != want[i] {
-			t.Fatalf("trajectory diverges at sample %d: %v != %v", i, got.traj[i], want[i])
+	for i, p := range got.traj.All() {
+		if p != want[i] {
+			t.Fatalf("trajectory diverges at sample %d: %v != %v", i, p, want[i])
 		}
 	}
 }

@@ -31,7 +31,7 @@ func DigestResult(res *scenario.Result) Digests {
 		w = &digestWriter{h: sha256.New()}
 	}
 
-	for _, p := range res.Trajectory {
+	for _, p := range res.Trajectory.All() {
 		w.floats(p.X, p.Y, p.Z)
 	}
 	traj := w.sum()
@@ -40,7 +40,7 @@ func DigestResult(res *scenario.Result) Digests {
 	w.flag(res.Completed)
 	w.str(res.FinalMode.String())
 	w.str(res.LastEvent)
-	for _, e := range res.Log.Entries() {
+	for _, e := range res.Log.Entries().All() {
 		w.floats(e.TimeS, e.PosX, e.PosY, e.Alt, e.Speed,
 			e.Roll, e.Pitch, e.Yaw, e.PowerW, e.BatterySoC)
 		w.str(e.Mode.String())

@@ -28,7 +28,7 @@ func oracleDigest(res *scenario.Result) fleet.Digests {
 		}
 	}
 	traj := sha256.New()
-	for _, p := range res.Trajectory {
+	for _, p := range res.Trajectory.All() {
 		putBits(traj, p.X, p.Y, p.Z)
 	}
 
@@ -45,7 +45,7 @@ func oracleDigest(res *scenario.Result) fleet.Digests {
 	}
 	logh.Write([]byte(res.FinalMode.String()))
 	logh.Write([]byte(res.LastEvent))
-	for _, e := range res.Log.Entries() {
+	for _, e := range res.Log.Entries().All() {
 		putBits(logh, e.TimeS, e.PosX, e.PosY, e.Alt, e.Speed,
 			e.Roll, e.Pitch, e.Yaw, e.PowerW, e.BatterySoC)
 		logh.Write([]byte(e.Mode.String()))

@@ -31,9 +31,6 @@ func (Box) Kind() string { return "box" }
 // Validate implements Workload; the box has no parameters.
 func (Box) Validate() error { return nil }
 
-// HorizonS implements Workload: the mission window plus the landing watch.
-func (Box) HorizonS(maxSeconds float64) float64 { return maxSeconds + 60 }
-
 // New implements Workload.
 func (Box) New(ctx Context) (Driver, error) {
 	return &waypointDriver{kind: "box", plan: BoxPlan(ctx.TakeoffAltM), maxS: ctx.MaxSeconds}, nil
@@ -64,9 +61,6 @@ func (w Waypoints) Validate() error {
 	}
 	return nil
 }
-
-// HorizonS implements Workload.
-func (Waypoints) HorizonS(maxSeconds float64) float64 { return maxSeconds + 60 }
 
 // New implements Workload.
 func (w Waypoints) New(ctx Context) (Driver, error) {
@@ -137,9 +131,6 @@ func (Hover) Kind() string { return "hover" }
 
 // Validate implements Workload.
 func (Hover) Validate() error { return nil }
-
-// HorizonS implements Workload: the loiter plus the landing watch.
-func (Hover) HorizonS(maxSeconds float64) float64 { return maxSeconds + 60 }
 
 // New implements Workload.
 func (Hover) New(ctx Context) (Driver, error) {
@@ -241,18 +232,6 @@ func (t Trajectory) Validate() error {
 		return errors.New("mission: trajectory limits must be finite and non-negative")
 	}
 	return nil
-}
-
-// HorizonS implements Workload: the longer of the mission window and the
-// trajectory's own duration plus its hover-settle margin.
-func (t Trajectory) HorizonS(maxSeconds float64) float64 {
-	h := maxSeconds + 60
-	if t.Traj != nil {
-		if d := t.Traj.TotalS + 30; d > h {
-			h = d
-		}
-	}
-	return h
 }
 
 // resolve returns the flyable trajectory, planning the wire form on demand.

@@ -73,9 +73,6 @@ func (c Coverage) Validate() error {
 	return nil
 }
 
-// HorizonS implements Workload.
-func (Coverage) HorizonS(maxSeconds float64) float64 { return maxSeconds + 60 }
-
 // New implements Workload: plan the sweep, then fly it as a waypoint
 // mission whose outcome reports the visited-lane fraction.
 func (c Coverage) New(ctx Context) (Driver, error) {

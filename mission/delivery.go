@@ -79,9 +79,6 @@ func (d Delivery) Validate() error {
 	return nil
 }
 
-// HorizonS implements Workload.
-func (Delivery) HorizonS(maxSeconds float64) float64 { return maxSeconds + 60 }
-
 // New implements Workload.
 func (d Delivery) New(ctx Context) (Driver, error) {
 	if err := d.Validate(); err != nil {

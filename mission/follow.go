@@ -69,16 +69,6 @@ func (f Follow) Validate() error {
 	return nil
 }
 
-// HorizonS implements Workload: the follow window (bounded by MaxSeconds)
-// plus the landing watch.
-func (f Follow) HorizonS(maxSeconds float64) float64 {
-	h := maxSeconds + 60
-	if d := f.durationS() + 90; d > h {
-		h = d
-	}
-	return h
-}
-
 func (f Follow) durationS() float64 {
 	if f.DurationS > 0 {
 		return f.DurationS

@@ -59,11 +59,6 @@ type Workload interface {
 	// Validate checks the declarative parameters; the fleet API maps its
 	// errors to HTTP 400 before a job is accepted.
 	Validate() error
-	// HorizonS is the worst-case post-takeoff flight duration in seconds
-	// (loiter/mission plus landing watch) given the Spec's MaxSeconds; the
-	// engine pre-sizes every per-step recording path from it so steady-state
-	// stepping never grows an append.
-	HorizonS(maxSeconds float64) float64
 	// New instantiates the per-flight Driver. All mutable state lives in
 	// the returned Driver; construction errors (infeasible payloads, empty
 	// coverage areas) surface as scenario.Build errors.

@@ -82,15 +82,6 @@ func (w WireSpec) Validate() error {
 	return wl.Validate()
 }
 
-// HorizonS implements Workload.
-func (w WireSpec) HorizonS(maxSeconds float64) float64 {
-	wl, err := w.Resolve()
-	if err != nil {
-		return maxSeconds + 60
-	}
-	return wl.HorizonS(maxSeconds)
-}
-
 // New implements Workload.
 func (w WireSpec) New(ctx Context) (Driver, error) {
 	wl, err := w.Resolve()

@@ -138,20 +138,20 @@ func (l *FreeList[T]) Put(v T) {
 // their payload slices are cleared before Put.
 const maxFreeJobs = 64
 
-// jobPools maps a runner's concrete type to the free list its arenas are
-// recycled through. Generic instantiations cannot declare package-level
-// lists, so the generic mapJob[R] lists live here, keyed by type.
-var jobPools sync.Map // reflect.Type -> *FreeList[*mapJob[R]]
+// freeLists maps a recycled object's type to its free list. Generic
+// instantiations cannot declare package-level lists, so the lists of the
+// generic mapJob[R] arenas and Recording[T] chunks live here, keyed by type.
+var freeLists sync.Map // reflect.Type -> *FreeList[T]
 
-// mapJobs returns the free list for mapJob[R] (keyed by a nil typed pointer,
-// so the lookup itself never allocates).
-func mapJobs[R any]() *FreeList[*mapJob[R]] {
-	t := reflect.TypeOf((*mapJob[R])(nil))
-	if l, ok := jobPools.Load(t); ok {
-		return l.(*FreeList[*mapJob[R]])
+// freeListOf returns the free list for T, retaining at most limit objects
+// (keyed by a nil typed pointer, so the lookup itself never allocates).
+func freeListOf[T any](limit int) *FreeList[T] {
+	t := reflect.TypeOf((*T)(nil))
+	if l, ok := freeLists.Load(t); ok {
+		return l.(*FreeList[T])
 	}
-	l, _ := jobPools.LoadOrStore(t, NewFreeList[*mapJob[R]](maxFreeJobs))
-	return l.(*FreeList[*mapJob[R]])
+	l, _ := freeLists.LoadOrStore(t, NewFreeList[T](limit))
+	return l.(*FreeList[T])
 }
 
 // spawned counts the persistent workers started so far. Workers are spawned
@@ -266,7 +266,7 @@ func MapIndex[R any](n int, fn func(i int) R) []R {
 		}
 		return out
 	}
-	l := mapJobs[R]()
+	l := freeListOf[*mapJob[R]](maxFreeJobs)
 	m, ok := l.Get()
 	if !ok {
 		m = &mapJob[R]{}

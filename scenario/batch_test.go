@@ -80,10 +80,10 @@ func resultDigest(t *testing.T, res *scenario.Result, err error, osc *trace.Reco
 	}
 	h.Write([]byte(res.FinalMode.String()))
 	h.Write([]byte(res.LastEvent))
-	for _, p := range res.Trajectory {
+	for _, p := range res.Trajectory.All() {
 		putBits(h, p.X, p.Y, p.Z)
 	}
-	for _, e := range res.Log.Entries() {
+	for _, e := range res.Log.Entries().All() {
 		putBits(h, e.TimeS, e.PosX, e.PosY, e.Alt, e.Speed,
 			e.Roll, e.Pitch, e.Yaw, e.PowerW, e.BatterySoC)
 		h.Write([]byte(e.Mode.String()))

@@ -34,14 +34,14 @@ var updateGoldens = os.Getenv("GOLDEN_UPDATE") != ""
 
 // trajDigest hashes a trajectory exactly as the golden generator did:
 // sha256 over the little-endian IEEE-754 bits of X, Y, Z per sample.
-func trajDigest(traj []mathx.Vec3) string {
+func trajDigest(traj *parallelx.Series[mathx.Vec3]) string {
 	h := sha256.New()
 	var buf [8]byte
 	put := func(v float64) {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
-	for _, p := range traj {
+	for _, p := range traj.All() {
 		put(p.X)
 		put(p.Y)
 		put(p.Z)
@@ -84,7 +84,7 @@ func TestFlysimGolden(t *testing.T) {
 	}
 	if updateGoldens {
 		body := fmt.Sprintf("traj_sha256 %s\nsamples %d\nflight_time_s %v\n",
-			trajDigest(res.Trajectory), len(res.Trajectory), res.FlightTimeS)
+			trajDigest(res.Trajectory), res.Trajectory.Len(), res.FlightTimeS)
 		if err := os.WriteFile("testdata/flysim_golden.txt", []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestFlysimGolden(t *testing.T) {
 		return
 	}
 	want := readGolden(t, "testdata/flysim_golden.txt")
-	if got := strconv.Itoa(len(res.Trajectory)); got != want["samples"] {
+	if got := strconv.Itoa(res.Trajectory.Len()); got != want["samples"] {
 		t.Errorf("trajectory samples = %s, golden %s", got, want["samples"])
 	}
 	if got := fmt.Sprintf("%v", res.FlightTimeS); got != want["flight_time_s"] {

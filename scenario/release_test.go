@@ -36,7 +36,7 @@ func buildOnReleased(t *testing.T, donor, spec scenario.Spec) (*scenario.Stack, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, n := res.Log, len(res.Trajectory)
+		log, n := res.Log, res.Trajectory.Len()
 		res.Release()
 		if res.Log != nil || res.Trajectory != nil {
 			t.Fatal("Release left the recording fields set")
@@ -58,10 +58,10 @@ func buildOnReleased(t *testing.T, donor, spec scenario.Spec) (*scenario.Stack, 
 // TestReleasedBuffersBitIdentical pins Result.Release's reuse contract: a
 // flight recorded into buffers another flight released is bit-identical to
 // one recorded into new buffers. Every workload kind flies on the buffers of
-// a longer flight of another kind (stale rows past every length, capacity to
-// spare) and of a shorter one (capacity too small, so Build falls back to a
-// worst-case reservation), as lanes of one batch at pools 1 and 8. The
-// reference flights are themselves checked against the pinned goldens.
+// a longer flight of another kind (its recycled chunks hold stale rows past
+// every length) and of a shorter one (the flight borrows chunks beyond the
+// donor's), as lanes of one batch at pools 1 and 8. The reference flights
+// are themselves checked against the pinned goldens.
 func TestReleasedBuffersBitIdentical(t *testing.T) {
 	specs := workloadSpecs()
 	golden := readGolden(t, "testdata/workloads_golden.txt")
@@ -76,7 +76,7 @@ func TestReleasedBuffersBitIdentical(t *testing.T) {
 			t.Fatalf("%s: reference flight digest %s, golden %s", kind, want[i], golden[kind])
 		}
 		wantDig[i] = fleet.DigestResult(res)
-		wantLen[i] = len(res.Trajectory)
+		wantLen[i] = res.Trajectory.Len()
 	}
 
 	prev := parallelx.PoolSize()

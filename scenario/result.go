@@ -10,6 +10,7 @@ import (
 	"dronedse/estimation"
 	"dronedse/mathx"
 	"dronedse/mission"
+	"dronedse/parallelx"
 	"dronedse/power"
 	"dronedse/sim"
 )
@@ -37,7 +38,7 @@ type Result struct {
 
 	// Trajectory is the true position sampled at 10 Hz from the first
 	// physics step.
-	Trajectory []mathx.Vec3
+	Trajectory *parallelx.Series[mathx.Vec3]
 	// MaxEstErrM is the worst airborne estimator error |estimate - truth|.
 	MaxEstErrM float64
 
@@ -63,12 +64,12 @@ type Result struct {
 	st *Stack // the flight's stack, until Release pools it
 }
 
-// Release returns the flight's whole Stack, Log and Trajectory included, to
-// the pool Build re-initialises stacks from, and sets those two fields to
-// nil. The summary fields stay valid. Only the Result's owner may call it,
-// after its last read of the Stack and the recordings, including slices
-// taken from them (Log.Entries); never release a Result that has been handed
-// to a caller. Releasing twice is a no-op.
+// Release returns the flight's whole Stack to the pool Build re-initialises
+// stacks from and the chunks of its recordings, Log and Trajectory, to their
+// free lists, and sets those two fields to nil. The summary fields stay
+// valid. Only the Result's owner may call it, after its last read of the
+// Stack and the recordings (a Log, Entries or Trajectory pointer kept past
+// Release reads later flights); never release a Result handed to a caller.
 func (r *Result) Release() {
 	st := r.st
 	if st == nil {
@@ -78,10 +79,13 @@ func (r *Result) Release() {
 	st.release()
 }
 
-// release pools st, first dropping what its Spec supplied (telemetry sink,
-// fault injector, observers, phase hook, workload) and the hooks those
-// installed, so a pooled stack keeps no tenant's objects reachable.
+// release pools st, first returning its recordings' chunks and dropping what
+// its Spec supplied (telemetry sink, fault injector, observers, phase hook,
+// workload) and the hooks those installed, so a pooled stack keeps no
+// tenant's objects reachable.
 func (st *Stack) release() {
+	st.traj.Release()
+	st.Log.Reset()
 	st.Autopilot.Detach()
 	if st.Session != nil {
 		st.Session.SetProbe(nil)

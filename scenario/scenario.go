@@ -37,6 +37,7 @@ import (
 	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/offload"
+	"dronedse/parallelx"
 	"dronedse/platform"
 	"dronedse/power"
 	"dronedse/sensors"
@@ -235,7 +236,7 @@ type Stack struct {
 	baseComputeW float64
 	designMassKg float64
 	steps        int
-	traj         []mathx.Vec3 // the trajectory tap's slab
+	traj         parallelx.Recording[mathx.Vec3] // the trajectory tap's samples
 	maxEstErr    float64
 	energyWh     float64
 	computeWh    float64
@@ -297,7 +298,7 @@ func Build(spec Spec) (*Stack, error) {
 	}
 
 	st := stacks.Get().(*Stack)
-	q, env, pack, ap, log := st.Quad, st.Env, st.Battery, st.Autopilot, st.Log
+	q, env, pack, ap := st.Quad, st.Env, st.Battery, st.Autopilot
 	q.Init(cfg)
 	var wind Wind // calm
 	if spec.Wind.MeanMS > 0 {
@@ -326,21 +327,9 @@ func Build(spec Spec) (*Stack, error) {
 		sess.Init(scfg, spec.Offload.Stats)
 	}
 
-	// Every per-step recording path is sized for the worst-case flight
-	// duration — takeoff budget plus the workload's own horizon (which
-	// includes its landing watch) — so steady-state stepping never grows an
-	// append. Released buffers large enough for that are reused.
-	horizonS := 30 + spec.Workload.HorizonS(spec.MaxSeconds)
-	traj := st.traj[:0]
-	if n := int(horizonS*10) + 2; cap(traj) < n {
-		traj = make([]mathx.Vec3, 0, n)
-	}
-	log.Reset()
-	log.Reserve(horizonS)
-
 	*st = Stack{
-		Spec: spec, Quad: q, Env: env, Battery: pack, Autopilot: ap, Session: sess, Log: log,
-		baseComputeW: baseW, designMassKg: cfg.MassKg, traj: traj, telem: st.telem[:0], wl: wl,
+		Spec: spec, Quad: q, Env: env, Battery: pack, Autopilot: ap, Session: sess, Log: st.Log,
+		baseComputeW: baseW, designMassKg: cfg.MassKg, traj: st.traj, telem: st.telem[:0], wl: wl,
 	}
 	if spec.Faults != nil {
 		spec.Faults.Bind(q, pack, env)
@@ -375,7 +364,7 @@ func (st *Stack) probe(a *autopilot.Autopilot, dt float64) {
 			st.Session.Step(t)
 			a.SetComputeW(st.baseComputeW + st.Session.AirborneW())
 		}
-		st.traj = append(st.traj, a.Quad().State().Pos)
+		st.traj.Append(a.Quad().State().Pos)
 		if a.Mode() != autopilot.Disarmed {
 			if e := a.EstimatedState().Pos.Sub(a.Quad().State().Pos).Norm(); e > st.maxEstErr {
 				st.maxEstErr = e
@@ -520,7 +509,7 @@ func (st *Stack) finish() {
 		Workload:    st.wl.Outcome(),
 		FinalMode:   ap.Mode(),
 		LastEvent:   ap.LastEvent(),
-		Trajectory:  st.traj,
+		Trajectory:  &st.traj.Series,
 		MaxEstErrM:  st.maxEstErr,
 		EnergyWh:    st.energyWh,
 		ComputeWh:   st.computeWh,

@@ -18,7 +18,7 @@ type Sample struct {
 
 // Recorder samples a power signal at a fixed rate with instrument noise.
 // Build one with NewUSBMeter or NewOscilloscope; the zero value has no
-// noise source and no sampling period, so it is not a working instrument.
+// noise source and no sampling period, so Observe panics on it.
 type Recorder struct {
 	periodS float64 // sampling interval
 	noiseW  float64 // 1-sigma instrument error in watts
@@ -49,6 +49,9 @@ func newRecorder(periodS, noiseW float64, seed int64) *Recorder {
 // the new value. A dense feed (one call per period or faster) is unaffected.
 func (r *Recorder) Observe(t, powerW float64) {
 	if !r.started {
+		if r.rng == nil {
+			panic("trace: Observe on a Recorder not built by NewUSBMeter or NewOscilloscope")
+		}
 		r.nextT = t
 		r.lastPower = powerW
 		r.started = true

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -145,4 +146,18 @@ func TestDenseObserveUnchanged(t *testing.T) {
 				k, s.TimeS, s.PowerW, want)
 		}
 	}
+}
+
+// TestZeroRecorderPanicsNamed pins that the zero Recorder, which has no
+// noise source, fails with a message naming the constructors instead of a
+// nil dereference.
+func TestZeroRecorderPanicsNamed(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "NewUSBMeter") || !strings.Contains(msg, "NewOscilloscope") {
+			t.Fatalf("zero Recorder.Observe panicked with %q, want a message naming its constructors", msg)
+		}
+	}()
+	var r Recorder
+	r.Observe(0, 1)
 }
