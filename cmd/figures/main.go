@@ -58,7 +58,16 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		}
 	}
 
-	want := func(id string) bool { return fig == "all" || fig == id }
+	// want reports whether -fig selects id, and records id so that a -fig
+	// that selects nothing can be answered with the ids that exist.
+	var known []string
+	selected := false
+	want := func(id string) bool {
+		known = append(known, id)
+		ok := fig == "all" || fig == id
+		selected = selected || ok
+		return ok
+	}
 
 	if want("table2a") {
 		emit(bench.Table2aRender())
@@ -157,6 +166,9 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 			}
 			emit(t5.Table())
 		}
+	}
+	if !selected {
+		return fmt.Errorf("unknown figure id %q (known: all %s)", fig, strings.Join(known, " "))
 	}
 	return nil
 }

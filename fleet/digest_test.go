@@ -152,7 +152,12 @@ func TestDigestConcurrent(t *testing.T) {
 func TestDigestAllocs(t *testing.T) {
 	res := faultedFlight(t)
 	fleet.DigestResult(res) // warm: stocks the writer free list
-	if n := testing.AllocsPerRun(50, func() { fleet.DigestResult(res) }); n != 3 {
-		t.Fatalf("a warm DigestResult allocates %.1f objects, want 3", n)
+	const digests = 50
+	if n := testing.AllocsPerRun(1, func() {
+		for range digests {
+			fleet.DigestResult(res)
+		}
+	}); n != 3*digests {
+		t.Fatalf("%d warm DigestResults allocate %.0f objects, want %d", digests, n, 3*digests)
 	}
 }

@@ -26,46 +26,7 @@ func RunDedicatedCores(primary, secondary Workload, totalIters, quantum, seconda
 	shared := NewCache(512*1024, 16, 64)
 	p := NewCoreSharedL2(shared)
 	s := NewCoreSharedL2(shared)
-
-	var instr uint64
-	var cyc float64
-	var llcA, llcM, brA, brM, tlbA, tlbM uint64
-	done := 0
-	for done < totalIters {
-		n := quantum
-		if done+n > totalIters {
-			n = totalIters - done
-		}
-		before := p.counters()
-		primary.Burst(p, n)
-		after := p.counters()
-		instr += uint64(after.instr - before.instr)
-		cyc += after.cycles - before.cycles
-		llcA += after.llcA - before.llcA
-		llcM += after.llcM - before.llcM
-		brA += after.brA - before.brA
-		brM += after.brM - before.brM
-		tlbA += after.tlbA - before.tlbA
-		tlbM += after.tlbM - before.tlbM
-		done += n
-		secondary.Burst(s, quantum*secondaryScale)
-	}
-	var out Metrics
-	out.Instructions = instr
-	if cyc > 0 {
-		out.IPC = float64(instr) / cyc
-	}
-	if llcA > 0 {
-		out.LLCMissRate = float64(llcM) / float64(llcA)
-	}
-	if brA > 0 {
-		out.BranchMissRate = float64(brM) / float64(brA)
-	}
-	out.TLBMisses = tlbM
-	if tlbA > 0 {
-		out.TLBMissRate = float64(tlbM) / float64(tlbA)
-	}
-	return out
+	return interleave(p, s, primary, secondary, totalIters, quantum, secondaryScale)
 }
 
 // IsolationResult extends Figure 15 with the dedicated-core and

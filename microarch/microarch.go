@@ -439,21 +439,26 @@ func RunSolo(w Workload, iters int) Metrics {
 // bars.
 func RunCoResident(primary, secondary Workload, totalIters, quantum, secondaryScale int) Metrics {
 	c := NewCore()
-	var acc counters
-	var got Metrics
-	instr := uint64(0)
-	tlbM := uint64(0)
+	return interleave(c, c, primary, secondary, totalIters, quantum, secondaryScale)
+}
+
+// interleave runs quantum-iteration bursts of primary on core p, each
+// followed by a secondaryScale x quantum burst of secondary on core s, until
+// primary has run totalIters iterations, and reports the metrics of the
+// primary bursts alone. p and s may be the same core.
+func interleave(p, s *Core, primary, secondary Workload, totalIters, quantum, secondaryScale int) Metrics {
+	var instr uint64
 	var cyc float64
-	var llcA, llcM, brA, brM, tlbA uint64
+	var llcA, llcM, brA, brM, tlbA, tlbM uint64
 	done := 0
 	for done < totalIters {
 		n := quantum
 		if done+n > totalIters {
 			n = totalIters - done
 		}
-		before := c.counters()
-		primary.Burst(c, n)
-		after := c.counters()
+		before := p.counters()
+		primary.Burst(p, n)
+		after := p.counters()
 		instr += uint64(after.instr - before.instr)
 		cyc += after.cycles - before.cycles
 		llcA += after.llcA - before.llcA
@@ -463,24 +468,22 @@ func RunCoResident(primary, secondary Workload, totalIters, quantum, secondarySc
 		tlbA += after.tlbA - before.tlbA
 		tlbM += after.tlbM - before.tlbM
 		done += n
-		secondary.Burst(c, quantum*secondaryScale)
+		secondary.Burst(s, quantum*secondaryScale)
 	}
-	_ = acc
-	got.Instructions = instr
+	m := Metrics{Instructions: instr, TLBMisses: tlbM}
 	if cyc > 0 {
-		got.IPC = float64(instr) / cyc
+		m.IPC = float64(instr) / cyc
 	}
 	if llcA > 0 {
-		got.LLCMissRate = float64(llcM) / float64(llcA)
+		m.LLCMissRate = float64(llcM) / float64(llcA)
 	}
 	if brA > 0 {
-		got.BranchMissRate = float64(brM) / float64(brA)
+		m.BranchMissRate = float64(brM) / float64(brA)
 	}
-	got.TLBMisses = tlbM
 	if tlbA > 0 {
-		got.TLBMissRate = float64(tlbM) / float64(tlbA)
+		m.TLBMissRate = float64(tlbM) / float64(tlbA)
 	}
-	return got
+	return m
 }
 
 // Figure15 runs the three Figure 15 configurations: autopilot alone, SLAM

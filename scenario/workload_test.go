@@ -138,8 +138,12 @@ func TestWorkloadZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		b.TickN(1)
 	}
-	if n := testing.AllocsPerRun(500, func() { b.TickN(1) }); n != 0 {
-		t.Fatalf("batched workload step allocates %.2f objects in steady state, want 0", n)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 500 {
+			b.TickN(1)
+		}
+	}); n != 0 {
+		t.Fatalf("500 batched workload steps allocate %.0f objects in steady state, want 0", n)
 	}
 }
 
