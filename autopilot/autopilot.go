@@ -140,7 +140,7 @@ type Autopilot struct {
 
 // StepObserver observes one completed physics step. Observers run after the
 // plant and battery have advanced, so reads of Time/State/TotalPowerW see
-// the post-step values. Observers must not call Step/RunFor/RunUntil.
+// the post-step values. Observers must not call Step or RunUntil.
 type StepObserver func(a *Autopilot, dt float64)
 
 // Observe registers fn on the step bus. Observers are invoked once per
@@ -269,7 +269,7 @@ func (a *Autopilot) Time() float64 { return a.quad.Time() }
 
 // PhysicsHz returns the physics step rate (steps per simulated second) —
 // external tick drivers use it to convert second budgets into step counts
-// exactly as RunFor and RunUntil do.
+// exactly as RunUntil does.
 func (a *Autopilot) PhysicsHz() float64 { return a.physicsHz }
 
 // Quad exposes the plant (read-mostly; tests and traces).
@@ -527,14 +527,6 @@ func (a *Autopilot) Step() {
 	}
 	for _, fn := range a.observers {
 		fn(a, dt)
-	}
-}
-
-// RunFor advances the stack for the given simulated duration.
-func (a *Autopilot) RunFor(seconds float64) {
-	n := int(seconds * a.physicsHz)
-	for i := 0; i < n; i++ {
-		a.Step()
 	}
 }
 

@@ -10,6 +10,13 @@ import (
 	"dronedse/sim"
 )
 
+// runFor steps the autopilot for the given simulated duration.
+func runFor(a *Autopilot, seconds float64) {
+	for range int(seconds * a.physicsHz) {
+		a.Step()
+	}
+}
+
 func newTestAP(t *testing.T, computeW float64) *Autopilot {
 	t.Helper()
 	q, err := sim.NewQuad(sim.DefaultConfig())
@@ -171,7 +178,7 @@ func TestMidFlightReconfiguration(t *testing.T) {
 	}
 
 	ap.yawTarget = 1.0
-	ap.RunFor(6)
+	runFor(ap, 6)
 	_, _, yaw := ap.Quad().State().Att.Euler()
 	if math.Abs(yaw-1.0) > 0.15 {
 		t.Errorf("yaw after mid-flight retarget = %v, want ~1.0", yaw)
@@ -215,7 +222,7 @@ func TestEstimatedStateSanity(t *testing.T) {
 	ap := newTestAP(t, 3)
 	ap.Arm()
 	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
-	ap.RunFor(3)
+	runFor(ap, 3)
 	est := ap.EstimatedState()
 	truth := ap.Quad().State()
 	if est.Pos.Sub(truth.Pos).Norm() > 1.5 {
@@ -253,12 +260,12 @@ func TestLoopStridesMatchStepModulo(t *testing.T) {
 		// the mode the next one starts in.
 		armed := []bool{false}
 		ap.Observe(func(a *Autopilot, _ float64) { armed = append(armed, a.Mode() != Disarmed) })
-		ap.RunFor(0.137)
+		runFor(ap, 0.137)
 		if err := ap.Arm(); err != nil {
 			t.Fatal(err)
 		}
 		armed[len(armed)-1] = true
-		ap.RunFor(6)
+		runFor(ap, 6)
 		var want control.CtrlStats
 		for s, on := range armed[:len(armed)-1] {
 			if !on {

@@ -126,17 +126,6 @@ func (l *FlightLog) EnergyWh() float64 {
 	return wh
 }
 
-// TimeInMode sums the recorded seconds spent in a mode.
-func (l *FlightLog) TimeInMode(m Mode) float64 {
-	t := 0.0
-	for i := 1; i < l.entries.Len(); i++ {
-		if b := l.entries.At(i); b.Mode == m {
-			t += b.TimeS - l.entries.At(i-1).TimeS
-		}
-	}
-	return t
-}
-
 // WriteCSV streams the log as CSV.
 func (l *FlightLog) WriteCSV(w io.Writer) error {
 	if _, err := io.WriteString(w,

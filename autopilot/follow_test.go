@@ -27,7 +27,7 @@ func TestFollowMovingTarget(t *testing.T) {
 	}
 
 	// Let the chase converge, then check the geometry over 10 s.
-	ap.RunFor(15)
+	runFor(ap, 15)
 	var worstDist, worstYaw float64
 	samples := 0
 	ap.Observe(func(a *Autopilot, dt float64) {
@@ -48,7 +48,7 @@ func TestFollowMovingTarget(t *testing.T) {
 			worstYaw = d
 		}
 	})
-	ap.RunFor(10)
+	runFor(ap, 10)
 	if worstDist > 2.0 {
 		t.Errorf("standoff error up to %.2f m while tracking", worstDist)
 	}

@@ -47,7 +47,7 @@ func TestEnduranceEstimates(t *testing.T) {
 	ap := newTestAP(t, 5)
 	ap.Arm()
 	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
-	ap.RunFor(5)
+	runFor(ap, 5)
 	e := ap.EstimatedEnduranceMin()
 	// 3000 mAh 3S at ~110 W: ~14-20 min.
 	if e < 8 || e > 30 {

@@ -54,8 +54,8 @@ func TestFlyTrajectory(t *testing.T) {
 		t.Errorf("worst tracking error %.2f m along the trajectory", worst)
 	}
 	// Holding at the end point.
-	ap.RunFor(3)
-	if d := ap.Quad().State().Pos.Sub(tr.End()).Norm(); d > 1 {
+	runFor(ap, 3)
+	if d := ap.Quad().State().Pos.Sub(path[len(path)-1]).Norm(); d > 1 {
 		t.Errorf("not holding at trajectory end: %.2f m away", d)
 	}
 }

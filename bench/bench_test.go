@@ -1,12 +1,12 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"dronedse/components"
 	"dronedse/core"
-	"dronedse/mathx"
 )
 
 func TestTableRender(t *testing.T) {
@@ -33,7 +33,7 @@ func TestRunFigure7(t *testing.T) {
 		t.Fatalf("fits for %d configurations, want 6", len(fg.Fits))
 	}
 	for cells, v := range fg.Fits {
-		if !mathx.WithinRel(v.Slope, v.PaperSlope, 0.15) {
+		if !(math.Abs(v.Slope-v.PaperSlope) <= 0.15*math.Abs(v.PaperSlope)) {
 			t.Errorf("%dS slope %v vs paper %v", cells, v.Slope, v.PaperSlope)
 		}
 	}
@@ -47,10 +47,10 @@ func TestRunFigure8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.WithinRel(fg.ESCLong.Slope, fg.ESCLong.PaperSlope, 0.2) {
+	if !(math.Abs(fg.ESCLong.Slope-fg.ESCLong.PaperSlope) <= 0.2*math.Abs(fg.ESCLong.PaperSlope)) {
 		t.Errorf("long-flight ESC slope %v vs paper %v", fg.ESCLong.Slope, fg.ESCLong.PaperSlope)
 	}
-	if !mathx.WithinRel(fg.FrameHighSlope, fg.PaperFrameSlope, 0.2) {
+	if !(math.Abs(fg.FrameHighSlope-fg.PaperFrameSlope) <= 0.2*math.Abs(fg.PaperFrameSlope)) {
 		t.Errorf("frame slope %v vs paper %v", fg.FrameHighSlope, fg.PaperFrameSlope)
 	}
 	fg.Table().Render()
@@ -179,10 +179,10 @@ func TestFigure16(t *testing.T) {
 	for _, ph := range fg.RPiPhases {
 		means[ph.Name] = fg.RPiTrace.MeanPower(ph.FromS, ph.ToS)
 	}
-	if !mathx.Within(means["autopilot"], 3.39, 0.05) {
+	if !(math.Abs(means["autopilot"]-3.39) <= 0.05) {
 		t.Errorf("autopilot phase = %v W, paper 3.39", means["autopilot"])
 	}
-	if !mathx.Within(means["autopilot+SLAM(idle)"], 4.05, 0.05) {
+	if !(math.Abs(means["autopilot+SLAM(idle)"]-4.05) <= 0.05) {
 		t.Errorf("SLAM-idle phase = %v W, paper 4.05", means["autopilot+SLAM(idle)"])
 	}
 	flying := means["autopilot+SLAM(flying)"]

@@ -3,8 +3,6 @@ package components
 import (
 	"math"
 	"testing"
-
-	"dronedse/mathx"
 )
 
 func TestGenerateBatteryCatalogSize(t *testing.T) {
@@ -59,7 +57,7 @@ func TestFitBatteryCatalogReproducesFigure7(t *testing.T) {
 		if !ok {
 			t.Fatalf("no fit for %dS", cells)
 		}
-		if !mathx.WithinRel(got.Slope, want.Slope, 0.15) {
+		if !(math.Abs(got.Slope-want.Slope) <= 0.15*math.Abs(want.Slope)) {
 			t.Errorf("%dS slope = %v, paper %v", cells, got.Slope, want.Slope)
 		}
 		if got.R2 < 0.8 {

@@ -1,30 +1,5 @@
 package components
 
-// Catalog bundles the full component survey the design-space exploration
-// consumes: the synthesized equivalents of the paper's 250 batteries, 40
-// ESCs, 25 frames and 150-manufacturer motor data, plus the Table 4 boards.
-type Catalog struct {
-	Batteries []Battery
-	ESCs      []ESC
-	Frames    []Frame
-	Motors    []Motor
-	Boards    []Board
-}
-
 // DefaultSeed is the deterministic seed every tool uses so that catalogs,
 // fits, and figures are reproducible run to run.
 const DefaultSeed int64 = 20210419 // ASPLOS '21 opening day
-
-// NewCatalog generates the full survey with the given seed.
-func NewCatalog(seed int64) *Catalog {
-	return &Catalog{
-		Batteries: GenerateBatteryCatalog(seed),
-		ESCs:      GenerateESCCatalog(seed + 1),
-		Frames:    GenerateFrameCatalog(seed + 2),
-		Motors:    GenerateMotorSurvey(seed + 3),
-		Boards:    Table4(),
-	}
-}
-
-// Default returns the catalog at DefaultSeed.
-func Default() *Catalog { return NewCatalog(DefaultSeed) }

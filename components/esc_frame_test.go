@@ -3,8 +3,6 @@ package components
 import (
 	"math"
 	"testing"
-
-	"dronedse/mathx"
 )
 
 func TestGenerateESCCatalog(t *testing.T) {
@@ -39,7 +37,7 @@ func TestFitESCCatalogReproducesFigure8a(t *testing.T) {
 	}
 	for class, want := range Figure8aLines {
 		got := fits[class]
-		if !mathx.WithinRel(got.Slope, want.Slope, 0.2) {
+		if !(math.Abs(got.Slope-want.Slope) <= 0.2*math.Abs(want.Slope)) {
 			t.Errorf("%v slope = %v, paper %v", class, got.Slope, want.Slope)
 		}
 	}
@@ -97,7 +95,7 @@ func TestGenerateFrameCatalog(t *testing.T) {
 // on y = 1.2767x - 167.6.
 func TestFitFrameCatalogReproducesFigure8b(t *testing.T) {
 	pw := FitFrameCatalog(GenerateFrameCatalog(DefaultSeed))
-	if !mathx.WithinRel(pw.High.Slope, Figure8bSlope, 0.2) {
+	if !(math.Abs(pw.High.Slope-Figure8bSlope) <= 0.2*math.Abs(Figure8bSlope)) {
 		t.Errorf("large-frame slope = %v, paper %v", pw.High.Slope, Figure8bSlope)
 	}
 	// Small-frame regime stays in the paper's 50<y<200 band at e.g. 150mm.

@@ -184,13 +184,3 @@ func TestOurDroneBreakdown(t *testing.T) {
 		t.Errorf("top-4 share = %v, want ~0.79", share)
 	}
 }
-
-func TestCatalog(t *testing.T) {
-	c := Default()
-	if len(c.Batteries) != 250 || len(c.ESCs) != 40 || len(c.Frames) != 25 || len(c.Motors) != 150 {
-		t.Errorf("catalog sizes wrong: %d/%d/%d/%d", len(c.Batteries), len(c.ESCs), len(c.Frames), len(c.Motors))
-	}
-	if len(c.Boards) == 0 {
-		t.Error("boards missing")
-	}
-}

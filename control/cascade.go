@@ -219,9 +219,3 @@ func (c *Cascade) SetAttitudeTarget(q mathx.Quat, thrustN float64) {
 	c.attTarget = q.Normalized()
 	c.thrustTarget = mathx.Clamp(thrustN, 0, 4*c.MaxThrustN)
 }
-
-// ThrustTarget exposes the current collective thrust set point in newtons.
-func (c *Cascade) ThrustTarget() float64 { return c.thrustTarget }
-
-// RateTarget exposes the current body-rate set point.
-func (c *Cascade) RateTarget() mathx.Vec3 { return c.rateTarget }

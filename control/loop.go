@@ -19,6 +19,9 @@ type Loop struct {
 
 	physicsHz float64
 	steps     int
+	// rateLaw, when set, replaces C.UpdateRate as the rate level; the INDI
+	// study (indi_test.go) flies the loop with its own rate law this way.
+	rateLaw func(s sim.State, dt float64) [sim.NumMotors]float64
 }
 
 // NewLoop wires a cascade to a plant at the given rates.
@@ -34,6 +37,10 @@ func (l *Loop) Run(target Targets, seconds float64, onStep func(t float64, s sim
 	posEvery := every(l.physicsHz, l.Rates.PositionHz)
 	attEvery := every(l.physicsHz, l.Rates.AttitudeHz)
 	rateEvery := every(l.physicsHz, l.Rates.RateHz)
+	rateLaw := l.rateLaw
+	if rateLaw == nil {
+		rateLaw = l.C.UpdateRate
+	}
 
 	n := int(seconds * l.physicsHz)
 	for i := 0; i < n; i++ {
@@ -45,7 +52,7 @@ func (l *Loop) Run(target Targets, seconds float64, onStep func(t float64, s sim
 			l.C.UpdateAttitude(s, float64(attEvery)*dt)
 		}
 		if l.steps%rateEvery == 0 {
-			l.Quad.CommandThrusts(l.C.UpdateRate(s, float64(rateEvery)*dt))
+			l.Quad.CommandThrusts(rateLaw(s, float64(rateEvery)*dt))
 		}
 		l.Quad.Step(dt)
 		l.steps++

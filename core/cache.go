@@ -89,18 +89,6 @@ func ResolveCached(spec Spec, p Params) (Design, error) {
 	return d, err
 }
 
-// ResolveCacheStats reports cumulative cache behavior: hits, misses, and the
-// current number of resident entries.
-func ResolveCacheStats() (hits, misses uint64, entries int) {
-	for i := range resolveCache.shards {
-		s := &resolveCache.shards[i]
-		s.mu.RLock()
-		entries += len(s.m)
-		s.mu.RUnlock()
-	}
-	return resolveCache.hits.Load(), resolveCache.misses.Load(), entries
-}
-
 // ResetResolveCache drops every cached entry and zeroes the counters
 // (benchmarks use it to measure cold and warm paths separately).
 func ResetResolveCache() {

@@ -9,6 +9,18 @@ import (
 
 // cacheSpecs spans the interesting regions: feasible designs across the
 // frame classes, validation errors, and a non-converging (infeasible) point.
+// resolveCacheStats reads the cache's cumulative hits and misses and the
+// number of resident entries.
+func resolveCacheStats() (hits, misses uint64, entries int) {
+	for i := range resolveCache.shards {
+		s := &resolveCache.shards[i]
+		s.mu.RLock()
+		entries += len(s.m)
+		s.mu.RUnlock()
+	}
+	return resolveCache.hits.Load(), resolveCache.misses.Load(), entries
+}
+
 func cacheSpecs() []Spec {
 	specs := []Spec{
 		DefaultSpec(),
@@ -53,7 +65,7 @@ func TestResolveCachedMatchesResolve(t *testing.T) {
 			}
 		}
 	}
-	hits, misses, entries := ResolveCacheStats()
+	hits, misses, entries := resolveCacheStats()
 	if hits == 0 || misses == 0 {
 		t.Fatalf("expected both hits and misses, got hits=%d misses=%d", hits, misses)
 	}
@@ -101,7 +113,7 @@ func TestResolveCacheEviction(t *testing.T) {
 			t.Fatalf("i=%d: cached design differs after eviction churn", i)
 		}
 	}
-	_, _, entries := ResolveCacheStats()
+	_, _, entries := resolveCacheStats()
 	if entries > resolveShards*8 {
 		t.Fatalf("cache grew past its bound: %d entries", entries)
 	}

@@ -249,17 +249,3 @@ func stampPatch(img []uint8, depth []float32, w, h int, u, v float64, patch []ui
 		}
 	}
 }
-
-// VisibleLandmarks counts the landmarks projecting into the camera at a
-// frame's true pose — tests use it to confirm the texture-density knob.
-func (s *Sequence) VisibleLandmarks(i int) int {
-	f := s.frames[i]
-	n := 0
-	for _, lw := range s.LandmarksW {
-		pc := f.TrueAtt.RotateInv(lw.Sub(f.TruePos))
-		if _, _, ok := s.Cam.Project(pc); ok {
-			n++
-		}
-	}
-	return n
-}

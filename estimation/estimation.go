@@ -183,7 +183,7 @@ func (k *PosVelEKF) Predict(accelWorld mathx.Vec3, dt float64) {
 
 // predictCovariance sets P = sym(F P F^T + Q) for F = [I, dt*I; 0, I] and
 // the white-acceleration Q, bit-identical to the dense sequence it replaces
-// (t1 = F P and t2 = t1 F^T by Dense.MulOf, P = t2 + Q by AddOf, then
+// (t1 = F P and t2 = t1 F^T by Dense.MulOf, P = t2 + Q elementwise, then
 // Symmetrize) for every finite P.
 //
 // The rounding argument: MulOf zeroes its destination and accumulates, in k
@@ -366,9 +366,6 @@ func (k *PosVelEKF) Position() mathx.Vec3 { return mathx.V3(k.x[0], k.x[1], k.x[
 // Velocity returns the velocity estimate.
 func (k *PosVelEKF) Velocity() mathx.Vec3 { return mathx.V3(k.x[3], k.x[4], k.x[5]) }
 
-// Covariance returns a copy of the covariance matrix (tests and telemetry).
-func (k *PosVelEKF) Covariance() *mathx.Dense { return k.p.Clone() }
-
 // coastInflationPerS is the covariance growth rate applied while coasting
 // through a declared outage: ~5%/s of extra uncertainty on top of the
 // normal process noise, so minute-long denials do not blow the filter up
@@ -432,19 +429,6 @@ func (e *Estimator) DeclareOutage(sensor string, active bool) {
 	case sensors.SensorMag:
 		e.magOut = active
 	}
-}
-
-// OutageActive reports whether the named sensor is in a declared outage.
-func (e *Estimator) OutageActive(sensor string) bool {
-	switch sensor {
-	case sensors.SensorGPS:
-		return e.gpsOut
-	case sensors.SensorBaro:
-		return e.baroOut
-	case sensors.SensorMag:
-		return e.magOut
-	}
-	return false
 }
 
 // OnIMU processes one IMU sample: attitude prediction/correction plus EKF

@@ -96,9 +96,9 @@ func TestEKFStaticConvergence(t *testing.T) {
 func TestEKFCovarianceShrinks(t *testing.T) {
 	k := new(PosVelEKF)
 	k.init()
-	before := k.Covariance().At(0, 0)
+	before := k.p.At(0, 0)
 	k.UpdateGPS(sensors.GPSSample{Pos: mathx.V3(1, 2, 3)}, 0.8, 0.1)
-	after := k.Covariance().At(0, 0)
+	after := k.p.At(0, 0)
 	if after >= before {
 		t.Errorf("covariance did not shrink on update: %v -> %v", before, after)
 	}
@@ -108,17 +108,17 @@ func TestEKFPredictGrowsUncertainty(t *testing.T) {
 	k := new(PosVelEKF)
 	k.init()
 	k.UpdateGPS(sensors.GPSSample{}, 0.8, 0.1) // tighten first
-	before := k.Covariance().At(0, 0)
+	before := k.p.At(0, 0)
 	for i := 0; i < 100; i++ {
 		k.Predict(mathx.Vec3{}, 0.01)
 	}
-	if k.Covariance().At(0, 0) <= before {
+	if k.p.At(0, 0) <= before {
 		t.Error("dead-reckoning must grow position uncertainty")
 	}
 	// zero-dt predict is a no-op
-	c := k.Covariance().At(0, 0)
+	c := k.p.At(0, 0)
 	k.Predict(mathx.Vec3{}, 0)
-	if k.Covariance().At(0, 0) != c {
+	if k.p.At(0, 0) != c {
 		t.Error("zero-dt predict changed covariance")
 	}
 }

@@ -44,7 +44,7 @@ func TestGPSDenialCoastAndRecover(t *testing.T) {
 			for step := 0; float64(step)*dt < endT; step++ {
 				now := float64(step) * dt
 				denied := now >= denStart && now < denEnd
-				if denied != e.OutageActive(sensors.SensorGPS) {
+				if denied != e.gpsOut {
 					e.DeclareOutage(sensors.SensorGPS, denied)
 					if denied {
 						prevUnc = 0

@@ -11,14 +11,16 @@ import (
 
 // densePredictCovariance is the dense covariance prediction that
 // predictCovariance replaced: F and Q built element by element, then
-// P = sym(F P F^T + Q) through MulOf, MulOf, AddOf and Symmetrize.
+// P = sym(F P F^T + Q) through MulOf, MulOf, an elementwise add and
+// Symmetrize.
 func densePredictCovariance(p *mathx.Dense, dt, accelNoise float64) {
 	s2 := accelNoise * accelNoise
-	f := mathx.DenseIdentity(6)
+	f := mathx.NewDense(6, 6)
+	f.SetIdentity()
 	for i := 0; i < 3; i++ {
 		f.Set(i, 3+i, dt)
 	}
-	ft := f.Transpose()
+	ft := transposed(f, 6)
 	q := mathx.NewDense(6, 6)
 	for i := 0; i < 3; i++ {
 		q.Set(i, i, 0.25*dt*dt*dt*dt*s2)
@@ -29,8 +31,30 @@ func densePredictCovariance(p *mathx.Dense, dt, accelNoise float64) {
 	t1, t2 := mathx.NewDense(6, 6), mathx.NewDense(6, 6)
 	t1.MulOf(f, p)
 	t2.MulOf(t1, ft)
-	p.AddOf(t2, q)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			p.Set(i, j, t2.At(i, j)+q.At(i, j))
+		}
+	}
 	p.Symmetrize()
+}
+
+// transposed returns the transpose of the n x n matrix a.
+func transposed(a *mathx.Dense, n int) *mathx.Dense {
+	at := mathx.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			at.Set(j, i, a.At(i, j))
+		}
+	}
+	return at
+}
+
+// covarianceOf copies the filter's covariance.
+func covarianceOf(k *PosVelEKF) *mathx.Dense {
+	p := mathx.NewDense(6, 6)
+	p.CopyFrom(&k.p)
+	return p
 }
 
 // randomCovariance returns a random SPD 6x6 matrix A A^T + diag, then
@@ -45,7 +69,7 @@ func randomCovariance(rng *rand.Rand) *mathx.Dense {
 		}
 	}
 	p := mathx.NewDense(6, 6)
-	p.MulOf(a, a.Transpose())
+	p.MulOf(a, transposed(a, 6))
 	for i := 0; i < 6; i++ {
 		p.Addf(i, i, rng.Float64()*scale)
 	}
@@ -93,7 +117,8 @@ func TestPredictCovarianceBitExact(t *testing.T) {
 		if trial%5 == 0 {
 			dt = rng.Float64() * 0.05
 		}
-		want := p0.Clone()
+		want := mathx.NewDense(6, 6)
+		want.CopyFrom(p0)
 		densePredictCovariance(want, dt, noise)
 		var arr [36]float64
 		for i := 0; i < 6; i++ {
@@ -122,11 +147,11 @@ func TestPredictMatchesDenseFilter(t *testing.T) {
 	k.init()
 	rng := rand.New(rand.NewSource(3))
 	for step := 0; step < 4000; step++ {
-		before := k.Covariance()
+		before := covarianceOf(k)
 		accel := mathx.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 		k.Predict(accel, 1.0/200)
 		densePredictCovariance(before, 1.0/200, k.AccelNoise)
-		got := k.Covariance()
+		got := &k.p
 		for i := 0; i < 6; i++ {
 			for j := 0; j < 6; j++ {
 				if math.Float64bits(got.At(i, j)) != math.Float64bits(before.At(i, j)) {

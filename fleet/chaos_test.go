@@ -527,7 +527,7 @@ func TestDrainGracefulRequeuesJournaledJobs(t *testing.T) {
 	}
 
 	rep := srv.Drain(30 * time.Second)
-	if !rep.Clean() {
+	if rep.Abandoned != 0 {
 		t.Fatalf("in-flight lanes did not finish within grace: %+v", rep)
 	}
 	if rep.Lost() != 0 {

@@ -476,10 +476,6 @@ type DrainReport struct {
 	Journaled bool
 }
 
-// Clean reports whether every launched job finished within the grace
-// period.
-func (r DrainReport) Clean() bool { return r.Abandoned == 0 }
-
 // Lost reports how many accepted jobs this exit abandons forever (always 0
 // with a journal).
 func (r DrainReport) Lost() int {

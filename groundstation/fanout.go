@@ -185,14 +185,6 @@ func (s *Sub) Next() ([]byte, bool) {
 	return s.popLocked()
 }
 
-// TryNext is the non-blocking Next: ok is false when the queue is empty
-// (closed or not).
-func (s *Sub) TryNext() ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.popLocked()
-}
-
 func (s *Sub) popLocked() ([]byte, bool) {
 	if s.n == 0 {
 		return nil, false

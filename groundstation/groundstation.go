@@ -7,9 +7,7 @@ package groundstation
 
 import (
 	"bufio"
-	"math"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -125,7 +123,7 @@ func (s *Station) Consume(data []byte) {
 // channel. Connections are served one at a time (one vehicle): a dropped or
 // silent link — enforced with a per-read deadline — closes the connection
 // and the loop accepts the vehicle's reconnect, preserving the accumulated
-// state and Track history across link outages.
+// state and track history across link outages.
 func (s *Station) ServeTCP(addr string, ready chan<- net.Addr) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -197,24 +195,4 @@ func (s *Station) Shutdown() {
 	if ln != nil {
 		ln.Close()
 	}
-}
-
-// Track returns the recorded position history (oldest first), bounded at
-// the station's history capacity.
-func (s *Station) Track() []VehicleState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Concat(s.history[s.histAt:], s.history[:s.histAt])
-}
-
-// DistanceFlown integrates the track's horizontal path length in meters.
-func (s *Station) DistanceFlown() float64 {
-	track := s.Track()
-	total := 0.0
-	for i := 1; i < len(track); i++ {
-		dx := track[i].X - track[i-1].X
-		dy := track[i].Y - track[i-1].Y
-		total += math.Hypot(dx, dy)
-	}
-	return total
 }

@@ -3,6 +3,7 @@ package groundstation
 import (
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +14,12 @@ import (
 	"dronedse/sim"
 )
 
+// fly steps the autopilot for the given simulated duration: RunUntil with a
+// condition that never holds.
+func fly(ap *autopilot.Autopilot, seconds float64) {
+	ap.RunUntil(func(*autopilot.Autopilot) bool { return false }, seconds)
+}
+
 func TestConsumeTelemetry(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
 	pack := new(power.Pack)
@@ -20,7 +27,7 @@ func TestConsumeTelemetry(t *testing.T) {
 	ap := new(autopilot.Autopilot)
 	ap.Init(autopilot.Config{Quad: q, Battery: pack, ComputeW: 4, Seed: 1})
 	ap.Arm()
-	ap.RunFor(2)
+	fly(ap, 2)
 
 	var seq uint8
 	raw, err := ap.AppendTelemetry(nil, &seq)
@@ -138,7 +145,7 @@ func TestServeTCPReconnect(t *testing.T) {
 	sendBurst := func(conn net.Conn, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			ap.RunFor(0.05)
+			fly(ap, 0.05)
 			raw, err := ap.AppendTelemetry(nil, &seq)
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +163,7 @@ func TestServeTCPReconnect(t *testing.T) {
 	sendBurst(conn1, 4)
 	conn1.Close() // link drop
 	waitForHeartbeats(t, gs, 4)
-	trackBefore := len(gs.Track())
+	trackBefore := len(trackOf(gs))
 
 	conn2, err := net.Dial("tcp", addr.String())
 	if err != nil {
@@ -178,7 +185,7 @@ func TestServeTCPReconnect(t *testing.T) {
 	if gs.Reconnects != 1 {
 		t.Errorf("reconnects = %d, want 1", gs.Reconnects)
 	}
-	track := gs.Track()
+	track := trackOf(gs)
 	if len(track) != 7 {
 		t.Errorf("track = %d fixes, want 7 (history must survive the link drop)", len(track))
 	}
@@ -255,7 +262,7 @@ func TestTrackHistory(t *testing.T) {
 		}
 		return a.Mode() == autopilot.Disarmed
 	}, 120)
-	track := gs.Track()
+	track := trackOf(gs)
 	if len(track) < 10 {
 		t.Fatalf("track has %d fixes", len(track))
 	}
@@ -265,7 +272,7 @@ func TestTrackHistory(t *testing.T) {
 		}
 	}
 	// The mission went out ~10 m and back: distance flown ~20 m or more.
-	if d := gs.DistanceFlown(); d < 12 || d > 60 {
+	if d := distanceFlown(gs); d < 12 || d > 60 {
 		t.Errorf("distance flown = %.1f m, want ~20+", d)
 	}
 }
@@ -278,11 +285,11 @@ func TestTrackBounded(t *testing.T) {
 	ap.Init(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
 	for i := 0; i < 50; i++ {
-		ap.RunFor(0.05)
+		fly(ap, 0.05)
 		raw, _ := ap.AppendTelemetry(nil, &seq)
 		gs.Consume(raw)
 	}
-	if got := len(gs.Track()); got > 8 {
+	if got := len(trackOf(gs)); got > 8 {
 		t.Errorf("history grew to %d, cap 8", got)
 	}
 }
@@ -307,7 +314,7 @@ func TestTrackRingPastCap(t *testing.T) {
 		gs.Consume(stream[:k])
 		stream = stream[k:]
 	}
-	track := gs.Track()
+	track := trackOf(gs)
 	if len(track) != gs.histCap {
 		t.Fatalf("track holds %d fixes, want %d", len(track), gs.histCap)
 	}
@@ -317,9 +324,26 @@ func TestTrackRingPastCap(t *testing.T) {
 		}
 	}
 	// Every step is dx = 1, dy = ±1.
-	if got, want := gs.DistanceFlown(), float64(gs.histCap-1)*math.Sqrt2; math.Abs(got-want) > 1e-9*want {
+	if got, want := distanceFlown(gs), float64(gs.histCap-1)*math.Sqrt2; math.Abs(got-want) > 1e-9*want {
 		t.Errorf("distance flown = %v, want %v", got, want)
 	}
+}
+
+// trackOf returns the station's position history, oldest first.
+func trackOf(s *Station) []VehicleState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Concat(s.history[s.histAt:], s.history[:s.histAt])
+}
+
+// distanceFlown integrates the track's horizontal path length in meters.
+func distanceFlown(s *Station) float64 {
+	track := trackOf(s)
+	total := 0.0
+	for i := 1; i < len(track); i++ {
+		total += math.Hypot(track[i].X-track[i-1].X, track[i].Y-track[i-1].Y)
+	}
+	return total
 }
 
 func mathxV3(x, y, z float64) mathx.Vec3 { return mathx.V3(x, y, z) }

@@ -6,18 +6,20 @@ import (
 	"testing/quick"
 )
 
+// TestMat3Identity checks that the identity leaves a vector unchanged and is
+// its own inverse.
 func TestMat3Identity(t *testing.T) {
-	m := Mat3{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	if got := Identity3().Mul(m); got != m {
-		t.Errorf("I*m = %v", got)
+	id := Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	if got := id.MulVec(V3(1, -2, 3)); got != V3(1, -2, 3) {
+		t.Errorf("I*v = %v", got)
 	}
-	if got := m.Mul(Identity3()); got != m {
-		t.Errorf("m*I = %v", got)
+	if inv, ok := id.Inverse(); !ok || inv != id {
+		t.Errorf("I^-1 = %v (ok %v)", inv, ok)
 	}
 }
 
 func TestMat3MulVec(t *testing.T) {
-	m := Diag3(2, 3, 4)
+	m := Mat3{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}
 	if got := m.MulVec(V3(1, 1, 1)); got != V3(2, 3, 4) {
 		t.Errorf("diag mul = %v", got)
 	}
@@ -29,12 +31,11 @@ func TestMat3Inverse(t *testing.T) {
 	if !ok {
 		t.Fatal("invertible matrix reported singular")
 	}
-	p := m.Mul(inv)
-	id := Identity3()
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if math.Abs(p[i][j]-id[i][j]) > 1e-10 {
-				t.Fatalf("m*inv != I at (%d,%d): %v", i, j, p[i][j])
+			p := m[i][0]*inv[0][j] + m[i][1]*inv[1][j] + m[i][2]*inv[2][j]
+			if math.Abs(p-delta(i, j)) > 1e-10 {
+				t.Fatalf("m*inv != I at (%d,%d): %v", i, j, p)
 			}
 		}
 	}
@@ -60,16 +61,14 @@ func TestSkewIsCross(t *testing.T) {
 
 func TestMat3TransposeDet(t *testing.T) {
 	m := Mat3{{4, 7, 2}, {3, 6, 1}, {2, 5, 3}}
-	if m.Transpose().Det() != m.Det() {
-		t.Error("det(m^T) != det(m)")
-	}
-	if m.Transpose().Transpose() != m {
-		t.Error("double transpose changed matrix")
+	mt := Mat3{{4, 3, 2}, {7, 6, 5}, {2, 1, 3}}
+	if m.Det() != 9 || mt.Det() != m.Det() {
+		t.Errorf("det(m) = %v, det(m^T) = %v, want 9", m.Det(), mt.Det())
 	}
 }
 
 func TestMat3Trace(t *testing.T) {
-	m := Diag3(1, 2, 3)
+	m := Mat3{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}}
 	if m.Trace() != 6 {
 		t.Errorf("Trace = %v", m.Trace())
 	}
@@ -77,9 +76,26 @@ func TestMat3Trace(t *testing.T) {
 
 func TestRotationOrthonormal(t *testing.T) {
 	f := func(q Quat) bool {
-		return q.Mat().IsOrthonormal(1e-9)
+		m := q.Mat()
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 3; j++ { // (m^T m)(i,j) = I(i,j)
+				p := m[0][i]*m[0][j] + m[1][i]*m[1][j] + m[2][i]*m[2][j]
+				if math.Abs(p-delta(i, j)) > 1e-9 {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: quatSingle}); err != nil {
 		t.Error(err)
 	}
+}
+
+// delta is the Kronecker delta, the (i, j) entry of the identity.
+func delta(i, j int) float64 {
+	if i == j {
+		return 1
+	}
+	return 0
 }

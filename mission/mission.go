@@ -109,7 +109,7 @@ type Outcome struct {
 }
 
 // stepBudget converts a seconds budget into physics steps with the same
-// truncation RunFor/RunUntil historically used — the arithmetic the golden
+// truncation Autopilot.RunUntil uses — the arithmetic the golden
 // tests pin.
 func stepBudget(seconds, hz float64) int { return int(seconds * hz) }
 

@@ -104,9 +104,6 @@ func (s *Session) Init(cfg SessionConfig, st slam.Stats) {
 // SetProbe installs the link-condition source (nil means always healthy).
 func (s *Session) SetProbe(p LinkProbe) { s.probe = p }
 
-// Offloaded reports whether compute currently runs on the remote node.
-func (s *Session) Offloaded() bool { return s.offloaded }
-
 // AirborneW is the airborne power the task costs right now: radio transmit
 // power while offloaded, the on-board host's burn after a fallback.
 func (s *Session) AirborneW() float64 {

@@ -36,7 +36,7 @@ func newTestSession(t *testing.T, seed int64) *Session {
 func TestSessionFallbackAndRecovery(t *testing.T) {
 	s := newTestSession(t, 1)
 	s.SetProbe(windowProbe{from: 2, to: 10})
-	if !s.Offloaded() {
+	if !s.offloaded {
 		t.Fatal("session must start offloaded")
 	}
 	radioW := WiFi5GHz().TxPowerW
@@ -47,10 +47,10 @@ func TestSessionFallbackAndRecovery(t *testing.T) {
 	for step := 0; step <= 3000; step++ {
 		tm := float64(step) * 0.01 // 100 Hz polling for 30 s
 		if s.Step(tm) {
-			if !s.Offloaded() && fellBackAt < 0 {
+			if !s.offloaded && fellBackAt < 0 {
 				fellBackAt = tm
 			}
-			if s.Offloaded() && fellBackAt >= 0 {
+			if s.offloaded && fellBackAt >= 0 {
 				recoveredAt = tm
 			}
 		}
@@ -82,7 +82,7 @@ func TestSessionBackoffSpacing(t *testing.T) {
 	if s.Attempts > 30 {
 		t.Errorf("%d attempts in 10 s of dead link: backoff not applied", s.Attempts)
 	}
-	if s.Offloaded() {
+	if s.offloaded {
 		t.Error("session still offloaded after sustained link failure")
 	}
 }

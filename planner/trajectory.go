@@ -105,9 +105,6 @@ func (tr *Trajectory) Sample(t float64) (pos, vel mathx.Vec3) {
 	return last.b, mathx.Vec3{}
 }
 
-// End returns the final waypoint.
-func (tr *Trajectory) End() mathx.Vec3 { return tr.segs[len(tr.segs)-1].b }
-
 // MaxSpeed returns the highest speed the profile commands.
 func (tr *Trajectory) MaxSpeed() float64 {
 	m := 0.0

@@ -68,13 +68,13 @@ func TestFigure17Speedups(t *testing.T) {
 		fpgas = append(fpgas, Speedup(base, FPGA(), st))
 		asics = append(asics, Speedup(base, ASIC(), st))
 	}
-	if g := mathx.GeoMean(tx2s); !mathx.WithinRel(g, 2.16, 0.15) {
+	if g := mathx.GeoMean(tx2s); !(math.Abs(g-2.16) <= 0.15*2.16) {
 		t.Errorf("TX2 GMean = %.2f, paper 2.16", g)
 	}
-	if g := mathx.GeoMean(fpgas); !mathx.WithinRel(g, 30.7, 0.15) {
+	if g := mathx.GeoMean(fpgas); !(math.Abs(g-30.7) <= 0.15*30.7) {
 		t.Errorf("FPGA GMean = %.1f, paper 30.7", g)
 	}
-	if g := mathx.GeoMean(asics); !mathx.WithinRel(g, 23.53, 0.15) {
+	if g := mathx.GeoMean(asics); !(math.Abs(g-23.53) <= 0.15*23.53) {
 		t.Errorf("ASIC GMean = %.1f, paper 23.53", g)
 	}
 	// Ordering: FPGA > ASIC > TX2 > RPi (the paper's landscape).
@@ -112,7 +112,7 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 func TestSeparateRPi(t *testing.T) {
 	stats := euRoCStats(t)
 	sp := Speedup(RPi(), SeparateRPi(), stats[0])
-	if !mathx.WithinRel(sp, 2.3, 0.01) {
+	if !(math.Abs(sp-2.3) <= 0.01*2.3) {
 		t.Errorf("separate RPi speedup = %.2f, paper reports 2.3x", sp)
 	}
 }

@@ -57,20 +57,9 @@ func NewBatch(specs []Spec) *Batch {
 	return b
 }
 
-// Live returns how many lanes are still flying.
-func (b *Batch) Live() int {
-	if !b.started {
-		return 0
-	}
-	return b.live
-}
-
 // LaneDone reports whether lane i has finished (normally, with an error, or
 // by eviction).
 func (b *Batch) LaneDone(i int) bool { return b.done[i] }
-
-// LaneErr returns lane i's error, if any.
-func (b *Batch) LaneErr(i int) error { return b.errs[i] }
 
 // Admit installs an un-started stack as a new lane — reusing an evicted
 // slot before growing the batch — and returns its lane index. On a started

@@ -396,7 +396,7 @@ const (
 
 // driver is the resumable replacement for the blocking Run loop. Budgets are
 // integer step counts computed with the same int(seconds*hz) truncation
-// RunFor/RunUntil use, and conditions are evaluated at the same points (after
+// RunUntil uses, and conditions are evaluated at the same points (after
 // each step; once more when a budget expires), so a flight ticked one step at
 // a time is bit-identical to the historical blocking sequence. This is what
 // lets Batch interleave N flights on one engine: each lane advances exactly

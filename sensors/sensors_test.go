@@ -101,6 +101,25 @@ func TestIMUTiltedReadsRotatedGravity(t *testing.T) {
 	}
 }
 
+// mean returns the arithmetic mean of xs.
+func mean(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+// stdDev returns the population standard deviation of xs.
+func stdDev(xs []float64) float64 {
+	m := mean(xs)
+	s := 0.0
+	for _, x := range xs {
+		s += (x - m) * (x - m)
+	}
+	return math.Sqrt(s / float64(len(xs)))
+}
+
 func TestIMUNoiseStatistics(t *testing.T) {
 	imu := new(IMU)
 	imu.init(200, 7)
@@ -109,12 +128,12 @@ func TestIMUNoiseStatistics(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		xs = append(xs, imu.Sample(s, mathx.Vec3{}).Gyro.X)
 	}
-	mean := mathx.Mean(xs)
-	sd := mathx.StdDev(xs)
-	if math.Abs(mean-imu.GyroBias.X) > 3*imu.GyroNoiseStd/math.Sqrt(5000) {
-		t.Errorf("gyro mean %v far from bias %v", mean, imu.GyroBias.X)
+	m := mean(xs)
+	sd := stdDev(xs)
+	if math.Abs(m-imu.GyroBias.X) > 3*imu.GyroNoiseStd/math.Sqrt(5000) {
+		t.Errorf("gyro mean %v far from bias %v", m, imu.GyroBias.X)
 	}
-	if !mathx.WithinRel(sd, imu.GyroNoiseStd, 0.1) {
+	if !(math.Abs(sd-imu.GyroNoiseStd) <= 0.1*imu.GyroNoiseStd) {
 		t.Errorf("gyro noise std = %v, configured %v", sd, imu.GyroNoiseStd)
 	}
 }
@@ -131,8 +150,8 @@ func TestGPSSampleNoise(t *testing.T) {
 			t.Fatalf("velocity noise implausible: %v", fix.Vel)
 		}
 	}
-	if !mathx.WithinRel(mathx.StdDev(errs), g.PosNoiseStd, 0.12) {
-		t.Errorf("GPS position noise std = %v, configured %v", mathx.StdDev(errs), g.PosNoiseStd)
+	if sd := stdDev(errs); !(math.Abs(sd-g.PosNoiseStd) <= 0.12*g.PosNoiseStd) {
+		t.Errorf("GPS position noise std = %v, configured %v", sd, g.PosNoiseStd)
 	}
 }
 
@@ -144,8 +163,8 @@ func TestBarometer(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		alts = append(alts, b.SampleAltitude(s))
 	}
-	if math.Abs(mathx.Mean(alts)-12-b.Bias) > 0.05 {
-		t.Errorf("baro mean %v, want 12+bias(%v)", mathx.Mean(alts), b.Bias)
+	if math.Abs(mean(alts)-12-b.Bias) > 0.05 {
+		t.Errorf("baro mean %v, want 12+bias(%v)", mean(alts), b.Bias)
 	}
 }
 
@@ -157,8 +176,8 @@ func TestMagnetometer(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		yaws = append(yaws, m.SampleYaw(s))
 	}
-	if math.Abs(mathx.Mean(yaws)-1.1) > 0.01 {
-		t.Errorf("mag mean yaw %v, want 1.1", mathx.Mean(yaws))
+	if math.Abs(mean(yaws)-1.1) > 0.01 {
+		t.Errorf("mag mean yaw %v, want 1.1", mean(yaws))
 	}
 }
 

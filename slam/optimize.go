@@ -120,8 +120,8 @@ func (ps *poseScratch) init() {
 // matrix and point skew are hoisted because they are constant
 // within an iteration/observation, the symmetric normal matrix is
 // accumulated as its upper triangle and mirrored (21 of 36 updates), and
-// CholeskyInto/SolveWithCholesky are the bit-exact in-place siblings of
-// SolveCholesky.
+// the normal equations are solved in place by CholeskyInto and
+// SolveWithCholesky.
 func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []float64, iters int, stats *Stats, ps *poseScratch) Pose {
 	pose := init
 	n := len(pts)
