@@ -1,7 +1,7 @@
 # Build/CI entry points. `make ci` is the gate every PR must pass: format
 # check, vet, build, the full test suite under the race detector (mandatory
-# now that the parallelx worker pools and the Resolve memoization cache share
-# state across goroutines), the benchmark smokes, and the command smokes.
+# now that the parallelx worker pools share state across goroutines), the
+# benchmark smokes, and the command smokes.
 #
 # The gate is split so CI can fan the slow halves out as parallel jobs
 # (.github/workflows/ci.yml) while one `make ci` still runs everything

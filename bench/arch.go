@@ -12,12 +12,14 @@ import (
 	"dronedse/slam"
 )
 
-// Figure15 regenerates the co-residency interference study.
+// Figure15 regenerates the co-residency interference study and the §2.2
+// isolation ladder, which shares its simulations.
 type Figure15 struct {
 	Result microarch.Figure15Result
 }
 
-// RunFigure15 executes the three workload configurations.
+// RunFigure15 executes the workload configurations of Figure 15 and the
+// isolation ladder.
 func RunFigure15(seed int64) Figure15 {
 	return Figure15{Result: microarch.RunFigure15(seed, 30000)}
 }
@@ -56,6 +58,28 @@ func (fg Figure15) Table() Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("TLB miss ratio %.2fx (paper 4.5x); autopilot IPC drop %.2fx (paper 1.7x)",
 			fg.TLBRatio(), fg.IPCDrop()))
+	return t
+}
+
+// IsolationTable renders the §2.2 deployment-option ladder: dedicated unit,
+// dedicated core (shared LLC), shared core.
+func (fg Figure15) IsolationTable() Table {
+	t := Table{
+		Title:   "Isolation ladder (§2.2): why the inner loop gets its own unit",
+		Columns: []string{"deployment", "autopilot IPC", "TLB misses", "LLC miss rate", "branch miss rate"},
+		Notes: []string{
+			"a dedicated core removes TLB/branch pollution but the shared LLC still throttles — hence \"not co-located on the same core or even the same unit\"",
+		},
+	}
+	row := func(name string, m microarch.Metrics) {
+		t.Rows = append(t.Rows, []string{
+			name, fmt.Sprintf("%.3f", m.IPC), fmt.Sprint(m.TLBMisses),
+			fmt.Sprintf("%.3f", m.LLCMissRate), fmt.Sprintf("%.4f", m.BranchMissRate),
+		})
+	}
+	row("dedicated unit (solo)", fg.Result.Autopilot)
+	row("dedicated core, shared LLC", fg.Result.DedicatedCore)
+	row("shared core (co-resident)", fg.Result.AutopilotWithSLAM)
 	return t
 }
 

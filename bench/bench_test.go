@@ -3,11 +3,16 @@ package bench
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"dronedse/components"
 	"dronedse/core"
 )
+
+// figure15Seed1 is RunFigure15(1), simulated once for the Figure 15 and
+// isolation-ladder tests that both read it.
+var figure15Seed1 = sync.OnceValue(func() Figure15 { return RunFigure15(1) })
 
 func TestTableRender(t *testing.T) {
 	tb := Table{
@@ -204,7 +209,7 @@ func TestFigure16(t *testing.T) {
 
 // TestFigure15Bench checks the harness-level interference numbers.
 func TestFigure15Bench(t *testing.T) {
-	fg := RunFigure15(1)
+	fg := figure15Seed1()
 	if r := fg.TLBRatio(); r < 3 || r > 6.5 {
 		t.Errorf("TLB ratio = %v, paper 4.5", r)
 	}

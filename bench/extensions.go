@@ -253,38 +253,6 @@ func (s ParetoStudy) Table() Table {
 	return t
 }
 
-// IsolationStudy is the §2.2 deployment-option ladder: shared core,
-// dedicated core (shared LLC), dedicated unit.
-type IsolationStudy struct {
-	Result microarch.IsolationResult
-}
-
-// RunIsolationStudy measures the three configurations.
-func RunIsolationStudy(seed int64) IsolationStudy {
-	return IsolationStudy{Result: microarch.RunIsolationStudy(seed, 30000)}
-}
-
-// Table renders the ladder.
-func (s IsolationStudy) Table() Table {
-	t := Table{
-		Title:   "Isolation ladder (§2.2): why the inner loop gets its own unit",
-		Columns: []string{"deployment", "autopilot IPC", "TLB misses", "LLC miss rate", "branch miss rate"},
-		Notes: []string{
-			"a dedicated core removes TLB/branch pollution but the shared LLC still throttles — hence \"not co-located on the same core or even the same unit\"",
-		},
-	}
-	row := func(name string, m microarch.Metrics) {
-		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprintf("%.3f", m.IPC), fmt.Sprint(m.TLBMisses),
-			fmt.Sprintf("%.3f", m.LLCMissRate), fmt.Sprintf("%.4f", m.BranchMissRate),
-		})
-	}
-	row("dedicated unit (solo)", s.Result.Solo)
-	row("dedicated core, shared LLC", s.Result.DedicatedCore)
-	row("shared core (co-resident)", s.Result.SharedCore)
-	return t
-}
-
 // PrefetchStudy is the Figure 1 general-purpose-feature question: what a
 // cheap stream prefetcher buys each workload class.
 type PrefetchStudy struct {

@@ -106,13 +106,13 @@ func TestRunParetoStudy(t *testing.T) {
 }
 
 func TestRunIsolationStudyTable(t *testing.T) {
-	s := RunIsolationStudy(1)
-	r := s.Result
-	if !(r.Solo.IPC >= r.DedicatedCore.IPC && r.DedicatedCore.IPC > r.SharedCore.IPC) {
+	fg := figure15Seed1()
+	r := fg.Result
+	if !(r.Autopilot.IPC >= r.DedicatedCore.IPC && r.DedicatedCore.IPC > r.AutopilotWithSLAM.IPC) {
 		t.Errorf("isolation ladder violated: %.3f / %.3f / %.3f",
-			r.Solo.IPC, r.DedicatedCore.IPC, r.SharedCore.IPC)
+			r.Autopilot.IPC, r.DedicatedCore.IPC, r.AutopilotWithSLAM.IPC)
 	}
-	if !strings.Contains(s.Table().Render(), "dedicated unit") {
+	if !strings.Contains(fg.IsolationTable().Render(), "dedicated unit") {
 		t.Error("render broken")
 	}
 }

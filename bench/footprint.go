@@ -16,12 +16,13 @@ import (
 // points.
 type Figure10 struct {
 	WheelbaseMM float64
-	// Sweeps[cells] is the battery sweep for that configuration.
+	// Sweeps[cells] is the battery sweep of each 1S-6S configuration with
+	// the 3 W compute tier; Sweeps[3] also carries the 3 W compute-share
+	// series (panels d-f).
 	Sweeps map[int][]core.SweepPoint
-	// Shares are the 20 W and 3 W compute-share series (panels d-f),
-	// sampled along the 3S sweep.
+	// Shares20W is the 20 W compute-share series, sampled along the 3S
+	// sweep.
 	Shares20W []core.SweepPoint
-	Shares3W  []core.SweepPoint
 	// Best is the longest-hovering configuration across cells/capacity.
 	Best         core.Design
 	BestFlight   float64
@@ -47,24 +48,26 @@ func RunFigure10(wheelbaseMM float64, p core.Params) Figure10 {
 			Compute: tier, ESCClass: components.LongFlight,
 		}
 	}
-	// Panels a-c use the 1S/3S/6S battery configurations like the legend.
-	// The six independent series (three panel sweeps, two share series,
-	// the best-config search) run concurrently; each writes its own field.
-	var sweep1, sweep3, sweep6 []core.SweepPoint
+	// The six basic-tier battery sweeps feed both panels a-c (the 1S/3S/6S
+	// legend series, with 3S also carrying the 3 W shares) and the
+	// best-config search; the 20 W share series runs beside them.
+	basicCells := []int{1, 2, 3, 4, 5, 6}
+	var basic [][]core.SweepPoint
 	parallelx.Do(
-		func() { sweep1 = core.SweepCapacity(mk(1, components.BasicComputeTier), p, 1000, 8000, 250) },
-		func() { sweep3 = core.SweepCapacity(mk(3, components.BasicComputeTier), p, 1000, 8000, 250) },
-		func() { sweep6 = core.SweepCapacity(mk(6, components.BasicComputeTier), p, 1000, 8000, 250) },
-		func() { out.Shares20W = core.SweepCapacity(mk(3, components.AdvancedComputeTier), p, 1000, 8000, 250) },
-		func() { out.Shares3W = core.SweepCapacity(mk(3, components.BasicComputeTier), p, 1000, 8000, 250) },
 		func() {
-			if best, ok := core.BestConfig(mk(3, components.BasicComputeTier), p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250); ok {
-				out.Best = best
-				out.BestFlight = best.HoverFlightTimeMin()
-			}
+			basic = parallelx.Map(basicCells, func(cells int) []core.SweepPoint {
+				return core.SweepCapacity(mk(cells, components.BasicComputeTier), p, 1000, 8000, 250)
+			})
 		},
+		func() { out.Shares20W = core.SweepCapacity(mk(3, components.AdvancedComputeTier), p, 1000, 8000, 250) },
 	)
-	out.Sweeps[1], out.Sweeps[3], out.Sweeps[6] = sweep1, sweep3, sweep6
+	for i, cells := range basicCells {
+		out.Sweeps[cells] = basic[i]
+	}
+	if best, ok := core.BestOf(basic); ok {
+		out.Best = best
+		out.BestFlight = best.HoverFlightTimeMin()
+	}
 	for _, cd := range components.CommercialDrones() {
 		if cd.WheelbaseClassMM == wheelbaseMM {
 			out.Validation = append(out.Validation, cd)
@@ -106,8 +109,8 @@ func (fg Figure10) Table() Table {
 			fmt.Sprintf("%.1f→%.1f", lo.ComputeShareManeuverPct, hi.ComputeShareManeuverPct), "-",
 		})
 	}
-	if len(fg.Shares3W) > 0 {
-		lo, hi := fg.Shares3W[0], fg.Shares3W[len(fg.Shares3W)-1]
+	if pts := fg.Sweeps[3]; len(pts) > 0 {
+		lo, hi := pts[0], pts[len(pts)-1]
 		t.Rows = append(t.Rows, []string{
 			"3W chip", fmt.Sprintf("%.0f-%.0f", lo.TotalWeightG, hi.TotalWeightG), "-", "-", "-",
 			fmt.Sprintf("%.1f→%.1f", lo.ComputeShareHoverPct, hi.ComputeShareHoverPct),

@@ -12,7 +12,6 @@ import (
 // output must be byte-identical to serial output.
 func renderAll(t *testing.T) map[string]string {
 	t.Helper()
-	core.ResetResolveCache()
 	p := core.DefaultParams()
 	out := map[string]string{}
 	out["fig9"] = RunFigure9(p).Table().Render()

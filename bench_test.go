@@ -137,6 +137,7 @@ func BenchmarkFig15(b *testing.B) {
 	}
 	b.ReportMetric(fg.TLBRatio(), "tlb-ratio")
 	b.ReportMetric(fg.IPCDrop(), "ipc-drop")
+	b.ReportMetric(fg.Result.Autopilot.IPC/fg.Result.DedicatedCore.IPC, "dedicated-core-ipc-drop")
 }
 
 func BenchmarkFig16(b *testing.B) {
@@ -276,15 +277,6 @@ func BenchmarkSLAMPipeline(b *testing.B) {
 			b.Fatalf("tracking failed: ATE %v", res.ATE)
 		}
 	}
-}
-
-func BenchmarkIsolationLadder(b *testing.B) {
-	var s bench.IsolationStudy
-	for i := 0; i < b.N; i++ {
-		s = bench.RunIsolationStudy(1)
-	}
-	b.ReportMetric(s.Result.Solo.IPC/s.Result.SharedCore.IPC, "shared-core-ipc-drop")
-	b.ReportMetric(s.Result.Solo.IPC/s.Result.DedicatedCore.IPC, "dedicated-core-ipc-drop")
 }
 
 func BenchmarkPrefetchAblation(b *testing.B) {

@@ -147,17 +147,6 @@ func main() {
 			}
 		}
 	})
-	measure("resolve_cached_warm", serial, func(b *testing.B) {
-		core.ResetResolveCache()
-		core.ResolveCached(spec, p)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ResolveCached(spec, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	// Scenario-engine kernel: one full closed-loop reference flight (build,
 	// arm, box mission, land) per op — the wiring + flight cost every
 	// scenario-based tool pays.
@@ -280,24 +269,12 @@ func main() {
 
 	measure("sweep_capacity_cold", pools, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ResetResolveCache()
 			if pts := core.SweepCapacity(spec, p, 1000, 8000, 100); len(pts) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}
 	})
 	measure("best_config_cold", pools, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.ResetResolveCache()
-			if _, ok := core.BestConfig(spec, p, cells, 1000, 8000, 250); !ok {
-				b.Fatal("no feasible config")
-			}
-		}
-	})
-	measure("best_config_warm", serial, func(b *testing.B) {
-		core.ResetResolveCache()
-		core.BestConfig(spec, p, cells, 1000, 8000, 250)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, ok := core.BestConfig(spec, p, cells, 1000, 8000, 250); !ok {
 				b.Fatal("no feasible config")
@@ -307,7 +284,6 @@ func main() {
 	measure("pareto_payload_cold", pools, func(b *testing.B) {
 		payloads := []float64{0, 100, 200, 300, 500, 750, 1000}
 		for i := 0; i < b.N; i++ {
-			core.ResetResolveCache()
 			if pts := core.ParetoPayloadFrontier(spec, p, payloads); len(pts) == 0 {
 				b.Fatal("empty frontier")
 			}
@@ -315,7 +291,6 @@ func main() {
 	})
 	measure("figure10_450mm", pools, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ResetResolveCache()
 			bench.RunFigure10(450, p)
 		}
 	})

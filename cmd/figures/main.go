@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 
 	"dronedse/bench"
 	"dronedse/components"
@@ -57,6 +58,10 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 			fmt.Fprintln(os.Stderr, "figures: csv:", err)
 		}
 	}
+
+	// Figure 15 and the isolation ladder read one simulation of their four
+	// configurations, run the first time either is wanted.
+	figure15 := sync.OnceValue(func() bench.Figure15 { return bench.RunFigure15(seed) })
 
 	// want reports whether -fig selects id, and records id so that a -fig
 	// that selects nothing can be answered with the ids that exist.
@@ -110,7 +115,7 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		emit(bench.Table4Render())
 	}
 	if want("15") {
-		emit(bench.RunFigure15(seed).Table())
+		emit(figure15().Table())
 	}
 	if want("16") {
 		fg, err := bench.RunFigure16(seed)
@@ -146,7 +151,7 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		emit(bench.RunParetoStudy(p).Table())
 	}
 	if want("isolation") {
-		emit(bench.RunIsolationStudy(seed).Table())
+		emit(figure15().IsolationTable())
 	}
 	if want("prefetch") {
 		emit(bench.RunPrefetchStudy(seed).Table())

@@ -135,10 +135,45 @@ type Design struct {
 var (
 	ErrBadWheelbase = errors.New("core: wheelbase must be 40-1100 mm")
 	ErrBadCells     = errors.New("core: cells must be 1-6")
-	ErrBadCapacity  = errors.New("core: capacity must be positive")
-	ErrBadTWR       = errors.New("core: TWR must be at least 1.2 (2 is the flying minimum)")
+	ErrBadCapacity  = errors.New("core: capacity must be positive and finite")
+	ErrBadTWR       = errors.New("core: TWR must be finite and at least 1.2 (2 is the flying minimum)")
+	ErrBadWeight    = errors.New("core: compute, sensor and payload weights must be finite and non-negative")
+	ErrBadPower     = errors.New("core: compute and sensor power must be finite and non-negative")
+	ErrBadESCClass  = errors.New("core: ESC class must be LongFlight or ShortFlight")
 	ErrNoConverge   = errors.New("core: weight closure did not converge (design infeasible)")
 )
+
+// atLeast reports lo <= v < +Inf. NaN fails every comparison, so it is
+// never at least anything.
+func atLeast(v, lo float64) bool { return v >= lo && v <= math.MaxFloat64 }
+
+// validate checks a spec against the model's domain before Resolve feeds it
+// to the component fits.
+func (spec Spec) validate() error {
+	switch {
+	case !(spec.WheelbaseMM >= 40 && spec.WheelbaseMM <= 1100):
+		return fmt.Errorf("%w: %v", ErrBadWheelbase, spec.WheelbaseMM)
+	case spec.Cells < 1 || spec.Cells > 6:
+		return fmt.Errorf("%w: %d", ErrBadCells, spec.Cells)
+	case !atLeast(spec.CapacityMah, math.SmallestNonzeroFloat64):
+		return fmt.Errorf("%w: %v", ErrBadCapacity, spec.CapacityMah)
+	case !atLeast(spec.TWR, 1.2):
+		return fmt.Errorf("%w: %v", ErrBadTWR, spec.TWR)
+	case !atLeast(spec.Compute.WeightG, 0):
+		return fmt.Errorf("%w: compute %v g", ErrBadWeight, spec.Compute.WeightG)
+	case !atLeast(spec.SensorsG, 0):
+		return fmt.Errorf("%w: sensors %v g", ErrBadWeight, spec.SensorsG)
+	case !atLeast(spec.PayloadG, 0):
+		return fmt.Errorf("%w: payload %v g", ErrBadWeight, spec.PayloadG)
+	case !atLeast(spec.Compute.PowerW, 0):
+		return fmt.Errorf("%w: compute %v W", ErrBadPower, spec.Compute.PowerW)
+	case !atLeast(spec.SensorsW, 0):
+		return fmt.Errorf("%w: sensors %v W", ErrBadPower, spec.SensorsW)
+	case spec.ESCClass != components.LongFlight && spec.ESCClass != components.ShortFlight:
+		return fmt.Errorf("%w: %d", ErrBadESCClass, spec.ESCClass)
+	}
+	return nil
+}
 
 // weightClosure is the result of one Equation 1 damped fixed-point run.
 type weightClosure struct {
@@ -196,17 +231,8 @@ func closeWeightLoop(fixedG, initialG, twr, propD, packV float64, p Params,
 
 // Resolve computes the Equation 1 fixed point for a spec.
 func Resolve(spec Spec, p Params) (Design, error) {
-	if spec.WheelbaseMM < 40 || spec.WheelbaseMM > 1100 {
-		return Design{}, fmt.Errorf("%w: %v", ErrBadWheelbase, spec.WheelbaseMM)
-	}
-	if spec.Cells < 1 || spec.Cells > 6 {
-		return Design{}, fmt.Errorf("%w: %d", ErrBadCells, spec.Cells)
-	}
-	if spec.CapacityMah <= 0 {
-		return Design{}, fmt.Errorf("%w: %v", ErrBadCapacity, spec.CapacityMah)
-	}
-	if spec.TWR < 1.2 {
-		return Design{}, fmt.Errorf("%w: %v", ErrBadTWR, spec.TWR)
+	if err := spec.validate(); err != nil {
+		return Design{}, err
 	}
 
 	d := Design{Spec: spec, Params: p}

@@ -17,29 +17,76 @@ func mustResolve(t *testing.T, spec Spec) Design {
 	return d
 }
 
+// TestResolveValidation: every out-of-domain Spec field — out of range,
+// negative where a weight or power must not be, NaN or infinite, an ESC
+// class the survey does not have — is rejected with its typed error before
+// it reaches the component fits.
 func TestResolveValidation(t *testing.T) {
-	p := DefaultParams()
-	base := DefaultSpec()
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Spec)
+		want error
+	}{
+		{"tiny wheelbase", func(s *Spec) { s.WheelbaseMM = 10 }, ErrBadWheelbase},
+		{"huge wheelbase", func(s *Spec) { s.WheelbaseMM = 1200 }, ErrBadWheelbase},
+		{"NaN wheelbase", func(s *Spec) { s.WheelbaseMM = nan }, ErrBadWheelbase},
+		{"7S", func(s *Spec) { s.Cells = 7 }, ErrBadCells},
+		{"0S", func(s *Spec) { s.Cells = 0 }, ErrBadCells},
+		{"zero capacity", func(s *Spec) { s.CapacityMah = 0 }, ErrBadCapacity},
+		{"NaN capacity", func(s *Spec) { s.CapacityMah = nan }, ErrBadCapacity},
+		{"+Inf capacity", func(s *Spec) { s.CapacityMah = inf }, ErrBadCapacity},
+		{"TWR 1", func(s *Spec) { s.TWR = 1.0 }, ErrBadTWR},
+		{"NaN TWR", func(s *Spec) { s.TWR = nan }, ErrBadTWR},
+		{"+Inf TWR", func(s *Spec) { s.TWR = inf }, ErrBadTWR},
+		{"negative compute weight", func(s *Spec) { s.Compute.WeightG = -10 }, ErrBadWeight},
+		{"negative sensors weight", func(s *Spec) { s.SensorsG = -10 }, ErrBadWeight},
+		{"negative payload", func(s *Spec) { s.PayloadG = -100 }, ErrBadWeight},
+		{"NaN payload", func(s *Spec) { s.PayloadG = nan }, ErrBadWeight},
+		{"+Inf payload", func(s *Spec) { s.PayloadG = inf }, ErrBadWeight},
+		{"negative compute power", func(s *Spec) { s.Compute.PowerW = -50 }, ErrBadPower},
+		{"NaN compute power", func(s *Spec) { s.Compute.PowerW = nan }, ErrBadPower},
+		{"+Inf sensors power", func(s *Spec) { s.SensorsW = inf }, ErrBadPower},
+		{"negative sensors power", func(s *Spec) { s.SensorsW = -1 }, ErrBadPower},
+		{"unknown ESC class", func(s *Spec) { s.ESCClass = 7 }, ErrBadESCClass},
+		{"negative ESC class", func(s *Spec) { s.ESCClass = -1 }, ErrBadESCClass},
+	}
+	for _, c := range cases {
+		spec := DefaultSpec()
+		c.edit(&spec)
+		if _, err := Resolve(spec, DefaultParams()); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
 
-	bad := base
-	bad.WheelbaseMM = 10
-	if _, err := Resolve(bad, p); !errors.Is(err, ErrBadWheelbase) {
-		t.Errorf("tiny wheelbase: err = %v", err)
+// TestResolveNeverPanics sets each float field of the default Spec to every
+// special value in turn: Resolve must return a Design or an error, never
+// panic, and a nil error must come with a finite design.
+func TestResolveNeverPanics(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, 1e-300, 1e300, math.MaxFloat64}
+	fields := map[string]func(*Spec) *float64{
+		"WheelbaseMM":     func(s *Spec) *float64 { return &s.WheelbaseMM },
+		"CapacityMah":     func(s *Spec) *float64 { return &s.CapacityMah },
+		"TWR":             func(s *Spec) *float64 { return &s.TWR },
+		"Compute.PowerW":  func(s *Spec) *float64 { return &s.Compute.PowerW },
+		"Compute.WeightG": func(s *Spec) *float64 { return &s.Compute.WeightG },
+		"SensorsW":        func(s *Spec) *float64 { return &s.SensorsW },
+		"SensorsG":        func(s *Spec) *float64 { return &s.SensorsG },
+		"PayloadG":        func(s *Spec) *float64 { return &s.PayloadG },
 	}
-	bad = base
-	bad.Cells = 7
-	if _, err := Resolve(bad, p); !errors.Is(err, ErrBadCells) {
-		t.Errorf("7S: err = %v", err)
-	}
-	bad = base
-	bad.CapacityMah = 0
-	if _, err := Resolve(bad, p); !errors.Is(err, ErrBadCapacity) {
-		t.Errorf("zero capacity: err = %v", err)
-	}
-	bad = base
-	bad.TWR = 1.0
-	if _, err := Resolve(bad, p); !errors.Is(err, ErrBadTWR) {
-		t.Errorf("TWR 1: err = %v", err)
+	for name, field := range fields {
+		for _, v := range specials {
+			spec := DefaultSpec()
+			*field(&spec) = v
+			d, err := Resolve(spec, DefaultParams())
+			if err != nil {
+				continue
+			}
+			if ft := d.HoverFlightTimeMin(); math.IsNaN(d.TotalG) || math.IsInf(d.TotalG, 0) || math.IsNaN(ft) {
+				t.Errorf("%s = %v: nil error with total %v g, flight %v min", name, v, d.TotalG, ft)
+			}
+		}
 	}
 }
 

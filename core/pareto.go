@@ -143,7 +143,7 @@ func TWRSweep(spec Spec, p Params) []TWRPoint {
 	return parallelx.FilterMap([]float64{2, 3, 4, 5, 6, 7}, func(twr float64) (TWRPoint, bool) {
 		s := spec
 		s.TWR = twr
-		d, err := ResolveCached(s, p)
+		d, err := Resolve(s, p)
 		if err != nil {
 			return TWRPoint{}, false
 		}
@@ -175,7 +175,7 @@ func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
 	Name    string
 	WeightG float64
 }) []SensorPayloadPoint {
-	base, err := ResolveCached(spec, p)
+	base, err := Resolve(spec, p)
 	if err != nil {
 		return nil
 	}
@@ -191,7 +191,7 @@ func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
 	}) (SensorPayloadPoint, bool) {
 		s := spec
 		s.SensorsG = sn.WeightG // self-powered: weight only
-		d, err := ResolveCached(s, p)
+		d, err := Resolve(s, p)
 		if err != nil {
 			return SensorPayloadPoint{}, false
 		}

@@ -39,41 +39,11 @@ func BenchmarkResolve(b *testing.B) {
 	}
 }
 
-func BenchmarkResolveCachedCold(b *testing.B) {
-	p := DefaultParams()
-	spec := DefaultSpec()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ResetResolveCache()
-		spec.CapacityMah = 1000 + float64(i%7000)
-		if _, err := ResolveCached(spec, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkResolveCachedWarm(b *testing.B) {
-	spec := DefaultSpec()
-	p := DefaultParams()
-	ResetResolveCache()
-	if _, err := ResolveCached(spec, p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ResolveCached(spec, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSweepCapacity(b *testing.B) {
 	spec := DefaultSpec()
 	p := DefaultParams()
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ResetResolveCache() // time the compute, not the cache
 			if pts := SweepCapacity(spec, p, 1000, 8000, 100); len(pts) == 0 {
 				b.Fatal("empty sweep")
 			}
@@ -87,28 +57,11 @@ func BenchmarkBestConfig(b *testing.B) {
 	cells := []int{1, 2, 3, 4, 5, 6}
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ResetResolveCache()
 			if _, ok := BestConfig(spec, p, cells, 1000, 8000, 250); !ok {
 				b.Fatal("no feasible config")
 			}
 		}
 	})
-}
-
-// BenchmarkBestConfigCached measures the steady-state (warm cache) search —
-// the BestConfig the Pareto frontier and Figure 12 procedure actually see.
-func BenchmarkBestConfigCached(b *testing.B) {
-	spec := DefaultSpec()
-	p := DefaultParams()
-	cells := []int{1, 2, 3, 4, 5, 6}
-	ResetResolveCache()
-	BestConfig(spec, p, cells, 1000, 8000, 250)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := BestConfig(spec, p, cells, 1000, 8000, 250); !ok {
-			b.Fatal("no feasible config")
-		}
-	}
 }
 
 func BenchmarkParetoPayloadFrontier(b *testing.B) {
@@ -117,7 +70,6 @@ func BenchmarkParetoPayloadFrontier(b *testing.B) {
 	payloads := []float64{0, 100, 200, 300, 500, 750, 1000}
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ResetResolveCache()
 			if pts := ParetoPayloadFrontier(spec, p, payloads); len(pts) == 0 {
 				b.Fatal("empty frontier")
 			}

@@ -1,8 +1,7 @@
 // Package groundstation is the monitoring side of the Figure 3/5
 // communication link: it consumes the drone's one-way MAVLink telemetry
 // downlink over any io stream (TCP in the examples, in-memory pipes in
-// tests), tracks the latest vehicle state and keeps a bounded track
-// history.
+// tests) and tracks the latest vehicle state.
 package groundstation
 
 import (
@@ -34,12 +33,9 @@ type VehicleState struct {
 
 // Station consumes telemetry.
 type Station struct {
-	mu      sync.Mutex
-	state   VehicleState
-	parser  mavlink.Parser
-	history []VehicleState // ring of position fixes, oldest at histAt once full
-	histAt  int
-	histCap int
+	mu     sync.Mutex
+	state  VehicleState
+	parser mavlink.Parser
 
 	// ReadTimeout is the per-read deadline on served TCP connections: a
 	// link that goes silent longer than this is dropped so the vehicle can
@@ -56,9 +52,8 @@ type Station struct {
 // DefaultReadTimeout is the served connection's silent-link deadline.
 const DefaultReadTimeout = 10 * time.Second
 
-// New returns a station that keeps a bounded history of position fixes for
-// track display.
-func New() *Station { return &Station{histCap: 4096} }
+// New returns a station that has seen no telemetry yet.
+func New() *Station { return &Station{} }
 
 // State returns a snapshot of the latest vehicle state.
 func (s *Station) State() VehicleState {
@@ -98,12 +93,6 @@ func (s *Station) Consume(data []byte) {
 			s.state.X, s.state.Y, s.state.Z = float64(g.X), float64(g.Y), float64(g.Z)
 			s.state.VX, s.state.VY, s.state.VZ = float64(g.VX), float64(g.VY), float64(g.VZ)
 			s.state.TimeMS = g.TimeMS
-			if len(s.history) < s.histCap {
-				s.history = append(s.history, s.state)
-			} else {
-				s.history[s.histAt] = s.state
-				s.histAt = (s.histAt + 1) % s.histCap
-			}
 		case mavlink.MsgBatteryStatus:
 			b, err := mavlink.DecodeBatteryStatus(f.Payload)
 			if err != nil {
@@ -123,7 +112,7 @@ func (s *Station) Consume(data []byte) {
 // channel. Connections are served one at a time (one vehicle): a dropped or
 // silent link — enforced with a per-read deadline — closes the connection
 // and the loop accepts the vehicle's reconnect, preserving the accumulated
-// state and track history across link outages.
+// state across link outages.
 func (s *Station) ServeTCP(addr string, ready chan<- net.Addr) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -3,7 +3,6 @@ package groundstation
 import (
 	"math"
 	"net"
-	"slices"
 	"testing"
 	"time"
 
@@ -128,9 +127,9 @@ func waitForHeartbeats(t *testing.T, gs *Station, n int) {
 }
 
 // TestServeTCPReconnect drops the telemetry link mid-flight and reconnects:
-// the accept loop must serve the new connection and the Track history must
-// span both connections (the LossyLink outage scenario's ground-side
-// contract).
+// the accept loop must serve the new connection, and the station's state —
+// its frame count and last fix — must carry across the drop (the LossyLink
+// outage scenario's ground-side contract).
 func TestServeTCPReconnect(t *testing.T) {
 	gs := New()
 	ready := make(chan net.Addr, 1)
@@ -142,6 +141,7 @@ func TestServeTCPReconnect(t *testing.T) {
 	ap := new(autopilot.Autopilot)
 	ap.Init(autopilot.Config{Quad: q, Seed: 1})
 	var seq uint8
+	var last []byte // the newest telemetry burst sent
 	sendBurst := func(conn net.Conn, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -153,6 +153,7 @@ func TestServeTCPReconnect(t *testing.T) {
 			if _, err := conn.Write(raw); err != nil {
 				t.Fatal(err)
 			}
+			last = raw
 		}
 	}
 
@@ -163,7 +164,7 @@ func TestServeTCPReconnect(t *testing.T) {
 	sendBurst(conn1, 4)
 	conn1.Close() // link drop
 	waitForHeartbeats(t, gs, 4)
-	trackBefore := len(trackOf(gs))
+	before := gs.State()
 
 	conn2, err := net.Dial("tcp", addr.String())
 	if err != nil {
@@ -185,17 +186,17 @@ func TestServeTCPReconnect(t *testing.T) {
 	if gs.Reconnects != 1 {
 		t.Errorf("reconnects = %d, want 1", gs.Reconnects)
 	}
-	track := trackOf(gs)
-	if len(track) != 7 {
-		t.Errorf("track = %d fixes, want 7 (history must survive the link drop)", len(track))
+	st := gs.State()
+	if before.Frames == 0 || st.Frames != before.Frames/4*7 {
+		t.Errorf("frames = %d after 7 bursts, %d after the first 4: the count must survive the link drop",
+			st.Frames, before.Frames)
 	}
-	if trackBefore == 0 || len(track) <= trackBefore {
-		t.Errorf("track did not grow across reconnect: before=%d after=%d", trackBefore, len(track))
-	}
-	for i := 1; i < len(track); i++ {
-		if track[i].TimeMS < track[i-1].TimeMS {
-			t.Fatal("track timestamps not monotone across reconnect")
-		}
+	ref := New()
+	ref.Consume(last)
+	want := ref.State()
+	if st.TimeMS <= before.TimeMS || st.TimeMS != want.TimeMS || st.X != want.X || st.Y != want.Y || st.Z != want.Z {
+		t.Errorf("last fix t%d (%v, %v, %v), want the newest burst's t%d (%v, %v, %v)",
+			st.TimeMS, st.X, st.Y, st.Z, want.TimeMS, want.X, want.Y, want.Z)
 	}
 }
 
@@ -243,7 +244,11 @@ func TestServeTCPReadDeadline(t *testing.T) {
 	}
 }
 
-func TestTrackHistory(t *testing.T) {
+// TestStateFollowsMission streams 2 Hz telemetry of a 10 m out-and-back
+// mission: the station's state after each burst is the vehicle's newest
+// fix, so its timestamps never go back and the path through them has the
+// mission's length.
+func TestStateFollowsMission(t *testing.T) {
 	q, _ := sim.NewQuad(sim.DefaultConfig())
 	ap := new(autopilot.Autopilot)
 	ap.Init(autopilot.Config{Quad: q, TakeoffAltM: 5, Seed: 4})
@@ -251,56 +256,41 @@ func TestTrackHistory(t *testing.T) {
 	var seq uint8
 	ap.Arm()
 	ap.RunUntil(func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Hover }, 30)
-	ap.LoadMission(autopilot.MissionPlan{{Pos: mathxV3(10, 0, 5)}})
+	ap.LoadMission(autopilot.MissionPlan{{Pos: mathx.V3(10, 0, 5)}})
 	ap.StartMission()
+	var fixes []VehicleState
 	steps := 0
 	ap.RunUntil(func(a *autopilot.Autopilot) bool {
 		steps++
 		if steps%500 == 0 { // 2 Hz telemetry
 			raw, _ := a.AppendTelemetry(nil, &seq)
 			gs.Consume(raw)
+			fixes = append(fixes, gs.State())
 		}
 		return a.Mode() == autopilot.Disarmed
 	}, 120)
-	track := trackOf(gs)
-	if len(track) < 10 {
-		t.Fatalf("track has %d fixes", len(track))
+	if len(fixes) < 10 {
+		t.Fatalf("station saw %d fixes", len(fixes))
 	}
-	for i := 1; i < len(track); i++ {
-		if track[i].TimeMS < track[i-1].TimeMS {
-			t.Fatal("track timestamps not monotone")
+	dist := 0.0
+	for i := 1; i < len(fixes); i++ {
+		if fixes[i].TimeMS < fixes[i-1].TimeMS {
+			t.Fatal("fix timestamps not monotone")
 		}
+		dist += math.Hypot(fixes[i].X-fixes[i-1].X, fixes[i].Y-fixes[i-1].Y)
 	}
 	// The mission went out ~10 m and back: distance flown ~20 m or more.
-	if d := distanceFlown(gs); d < 12 || d > 60 {
-		t.Errorf("distance flown = %.1f m, want ~20+", d)
+	if dist < 12 || dist > 60 {
+		t.Errorf("distance flown = %.1f m, want ~20+", dist)
 	}
 }
 
-func TestTrackBounded(t *testing.T) {
+// TestConsumeBurstsKeepNewestFix streams 5096 position fixes in 3000-byte
+// bursts that split frames: every frame counts, and the state holds the
+// newest fix.
+func TestConsumeBurstsKeepNewestFix(t *testing.T) {
 	gs := New()
-	gs.histCap = 8
-	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap := new(autopilot.Autopilot)
-	ap.Init(autopilot.Config{Quad: q, Seed: 1})
-	var seq uint8
-	for i := 0; i < 50; i++ {
-		fly(ap, 0.05)
-		raw, _ := ap.AppendTelemetry(nil, &seq)
-		gs.Consume(raw)
-	}
-	if got := len(trackOf(gs)); got > 8 {
-		t.Errorf("history grew to %d, cap 8", got)
-	}
-}
-
-// TestTrackRingPastCap streams more position fixes than the history holds:
-// the track keeps the newest histCap fixes, oldest first, and the distance
-// flown is the path length over exactly those fixes.
-func TestTrackRingPastCap(t *testing.T) {
-	gs := New()
-	const extra = 1000
-	n := gs.histCap + extra
+	const n = 5096
 	var stream []byte
 	for i := 0; i < n; i++ {
 		pl := mavlink.AppendGlobalPosition(nil, mavlink.GlobalPosition{TimeMS: uint32(i), X: float32(i), Y: float32(i % 2)})
@@ -309,41 +299,16 @@ func TestTrackRingPastCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for len(stream) > 0 { // bursts of 3000 bytes, splitting frames
+	for len(stream) > 0 {
 		k := min(3000, len(stream))
 		gs.Consume(stream[:k])
 		stream = stream[k:]
 	}
-	track := trackOf(gs)
-	if len(track) != gs.histCap {
-		t.Fatalf("track holds %d fixes, want %d", len(track), gs.histCap)
+	st := gs.State()
+	if st.Frames != n || st.ParseErrors != 0 {
+		t.Errorf("frames = %d, parse errors = %d; want %d, 0", st.Frames, st.ParseErrors, n)
 	}
-	for i, fix := range track {
-		if want := uint32(extra + i); fix.TimeMS != want || fix.X != float64(want) {
-			t.Fatalf("track[%d] = t%d x%v, want fix %d", i, fix.TimeMS, fix.X, want)
-		}
-	}
-	// Every step is dx = 1, dy = ±1.
-	if got, want := distanceFlown(gs), float64(gs.histCap-1)*math.Sqrt2; math.Abs(got-want) > 1e-9*want {
-		t.Errorf("distance flown = %v, want %v", got, want)
+	if st.TimeMS != n-1 || st.X != n-1 || st.Y != (n-1)%2 {
+		t.Errorf("state holds fix t%d (%v, %v), want the newest, t%d", st.TimeMS, st.X, st.Y, n-1)
 	}
 }
-
-// trackOf returns the station's position history, oldest first.
-func trackOf(s *Station) []VehicleState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Concat(s.history[s.histAt:], s.history[:s.histAt])
-}
-
-// distanceFlown integrates the track's horizontal path length in meters.
-func distanceFlown(s *Station) float64 {
-	track := trackOf(s)
-	total := 0.0
-	for i := 1; i < len(track); i++ {
-		total += math.Hypot(track[i].X-track[i-1].X, track[i].Y-track[i-1].Y)
-	}
-	return total
-}
-
-func mathxV3(x, y, z float64) mathx.Vec3 { return mathx.V3(x, y, z) }

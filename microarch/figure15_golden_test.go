@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestFigure15Golden pins RunFigure15(7, 5000) and RunIsolationStudy(7, 5000)
-// to the float bit: every Metrics field of every configuration, floats as the
-// hex of their IEEE-754 bits (the rendered tables round, and the other tests
+// TestFigure15Golden pins RunFigure15(7, 5000), the isolation ladder
+// included, to the float bit: every Metrics field of every configuration,
+// floats as the hex of their IEEE-754 bits (the rendered tables round, and the other tests
 // check directions only). Regenerate deliberately with
 //
 //	GOLDEN_UPDATE=1 go test ./microarch/ -run TestFigure15Golden
@@ -27,10 +27,9 @@ func TestFigure15Golden(t *testing.T) {
 	line("fig15.autopilot", fig.Autopilot)
 	line("fig15.slam", fig.SLAM)
 	line("fig15.autopilot_with_slam", fig.AutopilotWithSLAM)
-	iso := RunIsolationStudy(7, 5000)
-	line("isolation.solo", iso.Solo)
-	line("isolation.shared_core", iso.SharedCore)
-	line("isolation.dedicated_core", iso.DedicatedCore)
+	line("isolation.solo", fig.Autopilot)
+	line("isolation.shared_core", fig.AutopilotWithSLAM)
+	line("isolation.dedicated_core", fig.DedicatedCore)
 	got := b.String()
 
 	if os.Getenv("GOLDEN_UPDATE") != "" {

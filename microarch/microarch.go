@@ -486,15 +486,20 @@ func interleave(p, s *Core, primary, secondary Workload, totalIters, quantum, se
 	return m
 }
 
-// Figure15 runs the three Figure 15 configurations: autopilot alone, SLAM
-// alone, and the autopilot co-resident with SLAM.
+// Figure15Result holds the three Figure 15 configurations (autopilot
+// alone, SLAM alone, and the autopilot co-resident with SLAM) and the one
+// more that the §2.2 isolation ladder adds: the autopilot on a dedicated
+// core that shares only the LLC with SLAM. The ladder's other two rungs are
+// Figure 15's: the dedicated unit is Autopilot, the shared core is
+// AutopilotWithSLAM.
 type Figure15Result struct {
 	Autopilot         Metrics
 	SLAM              Metrics
 	AutopilotWithSLAM Metrics
+	DedicatedCore     Metrics
 }
 
-// RunFigure15 executes the experiment at a representative scale. The three
+// RunFigure15 executes the experiment at a representative scale. The four
 // workload configurations simulate on independent core models with
 // independent RNG streams, so they run concurrently on the parallelx pool
 // with results identical to back-to-back serial runs.
@@ -505,6 +510,10 @@ func RunFigure15(seed int64, iters int) Figure15Result {
 		func() { out.SLAM = RunSolo(NewSLAMWorkload(seed+1), iters) },
 		func() {
 			out.AutopilotWithSLAM = RunCoResident(
+				NewAutopilotWorkload(seed), NewSLAMWorkload(seed+1), iters, 40, 8)
+		},
+		func() {
+			out.DedicatedCore = RunDedicatedCores(
 				NewAutopilotWorkload(seed), NewSLAMWorkload(seed+1), iters, 40, 8)
 		},
 	)

@@ -2,8 +2,13 @@ package microarch
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
+
+// figure15Seed1 is RunFigure15(1, 30000), simulated once for the Figure 15
+// and isolation-ladder tests that both read it.
+var figure15Seed1 = sync.OnceValue(func() Figure15Result { return RunFigure15(1, 30000) })
 
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(1024, 2, 64) // 8 sets x 2 ways
@@ -135,7 +140,7 @@ func TestWorkloadCharacters(t *testing.T) {
 // TLB misses ~4.5x and cuts its IPC ~1.7x, with LLC and branch miss rates
 // strictly higher.
 func TestFigure15(t *testing.T) {
-	r := RunFigure15(1, 30000)
+	r := figure15Seed1()
 	tlbRatio := float64(r.AutopilotWithSLAM.TLBMisses) / float64(r.Autopilot.TLBMisses)
 	if tlbRatio < 3.0 || tlbRatio > 6.5 {
 		t.Errorf("TLB miss ratio = %.2f, paper reports 4.5x", tlbRatio)

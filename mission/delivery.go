@@ -108,7 +108,7 @@ func (d Delivery) New(ctx Context) (Driver, error) {
 		if i > 0 {
 			s.PayloadG = legs[i-1].PayloadKg * 1000
 		}
-		des, err := core.ResolveCached(s, params)
+		des, err := core.Resolve(s, params)
 		if err != nil {
 			return nil, fmt.Errorf("mission: delivery leg %d payload infeasible: %w", i-1, err)
 		}

@@ -149,10 +149,10 @@ type Ceiling struct {
 }
 
 // CeilingFor derives a platform's roofs: compute from its throughput
-// table, memory from its spec bandwidth derated by the microarch-simulated
-// streaming efficiency of a SLAM-like access mix.
-func CeilingFor(p platform.Platform) Ceiling {
-	eff := StreamEfficiency()
+// table, memory from its spec bandwidth derated by eff, the
+// microarch-simulated streaming efficiency of a SLAM-like access mix
+// (StreamEfficiency).
+func CeilingFor(p platform.Platform, eff float64) Ceiling {
 	return Ceiling{
 		Platform:  p.Name,
 		Compute:   p.Throughput,
@@ -161,9 +161,6 @@ func CeilingFor(p platform.Platform) Ceiling {
 		StreamEff: eff,
 	}
 }
-
-// streamEff caches the (deterministic) simulation.
-var streamEff float64
 
 // StreamEfficiency simulates the fraction of raw memory bandwidth a
 // SLAM-like access mix sustains, using the microarch cache model's
@@ -174,9 +171,6 @@ var streamEff float64
 // BA/EKF blocks do the strided touches. The result is useful bytes over
 // fetched bytes, a pure function of the cache geometry and the fixed mix.
 func StreamEfficiency() float64 {
-	if streamEff != 0 {
-		return streamEff
-	}
 	// RPi-class shared last-level cache: 512 KiB, 8-way, 64 B lines.
 	const (
 		lineBytes = 64
@@ -201,8 +195,7 @@ func StreamEfficiency() float64 {
 		useful += wordBytes
 	}
 	fetched := c.Misses * lineBytes
-	streamEff = float64(useful) / float64(fetched)
-	return streamEff
+	return float64(useful) / float64(fetched)
 }
 
 // Placement is one kernel under one platform's roofs.
@@ -264,10 +257,10 @@ type Report struct {
 
 // BuildReport places the kernel points under every Table 5 platform.
 func BuildReport(pts []Point) Report {
-	plats := platform.All()
+	eff := StreamEfficiency()
 	r := Report{Points: pts}
-	for _, p := range plats {
-		c := CeilingFor(p)
+	for _, p := range platform.All() {
+		c := CeilingFor(p, eff)
 		r.Ceilings = append(r.Ceilings, c)
 		r.Placements = append(r.Placements, Place(pts, c))
 	}
