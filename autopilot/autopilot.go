@@ -1,8 +1,8 @@
 // Package autopilot is the flight-code layer of the stack (Figure 5): an
 // ArduCopter-style autopilot owning modes, arming, waypoint missions and
-// failsafes, wired to the inner-loop cascade (internal/control), the sensor
-// suite (internal/sensors), the estimator (internal/estimation), the battery
-// (internal/power) and the 6-DOF plant (internal/sim).
+// failsafes, wired to the inner-loop cascade (dronedse/control), the sensor
+// suite (dronedse/sensors), the estimator (dronedse/estimation), the battery
+// (dronedse/power) and the 6-DOF plant (dronedse/sim).
 //
 // The outer loop — mission logic producing position/velocity targets — runs
 // at 10 Hz with relaxed deadlines, while the inner loop runs at the Table 2b

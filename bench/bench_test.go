@@ -81,7 +81,10 @@ func TestRunFigure9(t *testing.T) {
 func TestRunFigure10(t *testing.T) {
 	p := core.DefaultParams()
 	for _, wb := range []float64{100, 450, 800} {
-		fg := RunFigure10(wb, p)
+		fg, err := RunFigure10(wb, p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(fg.Sweeps[3]) == 0 {
 			t.Fatalf("wb %v: empty 3S sweep", wb)
 		}

@@ -48,7 +48,10 @@ func TestDesignStudiesGolden(t *testing.T) {
 	}
 
 	for _, wb := range []float64{100, 450, 800} {
-		fg := RunFigure10(wb, p)
+		fg, err := RunFigure10(wb, p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		key := fmt.Sprintf("fig10/%.0f", wb)
 		for _, cells := range []int{1, 3, 6} {
 			sweep(fmt.Sprintf("%s/%dS", key, cells), fg.Sweeps[cells])
@@ -61,7 +64,11 @@ func TestDesignStudiesGolden(t *testing.T) {
 		line(fmt.Sprintf("twr/%.0f", pt.TWR),
 			pt.TWR, pt.TotalWeightG, pt.HoverPowerW, pt.ComputeShareHoverPct, pt.FlightMin)
 	}
-	for _, pt := range RunParetoStudy(p).Points {
+	pareto, err := RunParetoStudy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range pareto.Points {
 		line(fmt.Sprintf("pareto/%.0f", pt.Objective),
 			append([]float64{pt.Objective, pt.FlightMin}, design(pt.Design)...)...)
 	}

@@ -232,9 +232,9 @@ type ParetoStudy struct {
 }
 
 // RunParetoStudy sweeps payload on the 450 mm class.
-func RunParetoStudy(p core.Params) ParetoStudy {
-	return ParetoStudy{Points: core.ParetoPayloadFrontier(
-		core.DefaultSpec(), p, []float64{0, 100, 200, 300, 500, 750, 1000})}
+func RunParetoStudy(p core.Params) (ParetoStudy, error) {
+	pts, err := core.ParetoPayloadFrontier(core.DefaultSpec(), p, []float64{0, 100, 200, 300, 500, 750, 1000})
+	return ParetoStudy{Points: pts}, err
 }
 
 // Table renders the frontier.

@@ -93,7 +93,10 @@ func TestRunESLAMStudy(t *testing.T) {
 }
 
 func TestRunParetoStudy(t *testing.T) {
-	s := RunParetoStudy(core.DefaultParams())
+	s, err := RunParetoStudy(core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s.Points) < 4 {
 		t.Fatalf("frontier has %d points", len(s.Points))
 	}

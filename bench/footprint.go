@@ -35,8 +35,9 @@ type Figure10 struct {
 // paperBestMinutes are the Figure 10 annotations.
 var paperBestMinutes = map[float64]float64{100: 23, 450: 19, 800: 22}
 
-// RunFigure10 sweeps one wheelbase class.
-func RunFigure10(wheelbaseMM float64, p core.Params) Figure10 {
+// RunFigure10 sweeps one wheelbase class. It returns core's validation
+// error for a wheelbase outside the model's domain.
+func RunFigure10(wheelbaseMM float64, p core.Params) (Figure10, error) {
 	out := Figure10{
 		WheelbaseMM:  wheelbaseMM,
 		Sweeps:       map[int][]core.SweepPoint{},
@@ -50,17 +51,26 @@ func RunFigure10(wheelbaseMM float64, p core.Params) Figure10 {
 	}
 	// The six basic-tier battery sweeps feed both panels a-c (the 1S/3S/6S
 	// legend series, with 3S also carrying the 3 W shares) and the
-	// best-config search; the 20 W share series runs beside them.
+	// best-config search; the 20 W share series runs beside them, last.
 	basicCells := []int{1, 2, 3, 4, 5, 6}
-	var basic [][]core.SweepPoint
-	parallelx.Do(
-		func() {
-			basic = parallelx.Map(basicCells, func(cells int) []core.SweepPoint {
-				return core.SweepCapacity(mk(cells, components.BasicComputeTier), p, 1000, 8000, 250)
-			})
-		},
-		func() { out.Shares20W = core.SweepCapacity(mk(3, components.AdvancedComputeTier), p, 1000, 8000, 250) },
-	)
+	var specs []core.Spec
+	for _, cells := range basicCells {
+		specs = append(specs, mk(cells, components.BasicComputeTier))
+	}
+	specs = append(specs, mk(3, components.AdvancedComputeTier))
+	errs := make([]error, len(specs))
+	sweeps := parallelx.MapIndex(len(specs), func(i int) []core.SweepPoint {
+		pts, err := core.SweepCapacity(specs[i], p, 1000, 8000, 250)
+		errs[i] = err
+		return pts
+	})
+	for _, err := range errs {
+		if err != nil {
+			return Figure10{}, err
+		}
+	}
+	basic := sweeps[:len(basicCells)]
+	out.Shares20W = sweeps[len(basicCells)]
 	for i, cells := range basicCells {
 		out.Sweeps[cells] = basic[i]
 	}
@@ -73,7 +83,7 @@ func RunFigure10(wheelbaseMM float64, p core.Params) Figure10 {
 			out.Validation = append(out.Validation, cd)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Table renders the sweep summary.

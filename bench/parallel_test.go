@@ -16,7 +16,11 @@ func renderAll(t *testing.T) map[string]string {
 	out := map[string]string{}
 	out["fig9"] = RunFigure9(p).Table().Render()
 	for _, wb := range []float64{100, 450, 800} {
-		out["fig10"] += RunFigure10(wb, p).Table().Render()
+		fg, err := RunFigure10(wb, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["fig10"] += fg.Table().Render()
 	}
 	out["fig15"] = RunFigure15(7).Table().Render()
 	fg17, err := RunFigure17(3)
@@ -25,7 +29,11 @@ func renderAll(t *testing.T) map[string]string {
 	}
 	out["fig17"] = fg17.Table().Render()
 	out["twr"] = RunTWRStudy(p).Table().Render()
-	out["pareto"] = RunParetoStudy(p).Table().Render()
+	pareto, err := RunParetoStudy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["pareto"] = pareto.Table().Render()
 	return out
 }
 

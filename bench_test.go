@@ -2,7 +2,7 @@ package dronedse
 
 // Repo-root benchmarks: one per table and figure in the paper's evaluation
 // (see DESIGN.md §3 for the index). Each benchmark regenerates its
-// experiment through the internal/bench harness and reports the headline
+// experiment through the dronedse/bench harness and reports the headline
 // quantity as a custom metric, so
 //
 //	go test -bench=. -benchmem
@@ -106,7 +106,10 @@ func BenchmarkFig10(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
 		for _, wb := range []float64{100, 450, 800} {
-			fg := bench.RunFigure10(wb, p)
+			fg, err := bench.RunFigure10(wb, p)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if wb == 450 {
 				best = fg.BestFlight
 			}
@@ -257,7 +260,10 @@ func BenchmarkESLAMAblation(b *testing.B) {
 func BenchmarkParetoFrontier(b *testing.B) {
 	var s bench.ParetoStudy
 	for i := 0; i < b.N; i++ {
-		s = bench.RunParetoStudy(core.DefaultParams())
+		var err error
+		if s, err = bench.RunParetoStudy(core.DefaultParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(s.Points)), "frontier-points")
 }

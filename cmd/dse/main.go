@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -73,7 +74,11 @@ func main() {
 		fmt.Println()
 		report(rec.Design)
 	case *pareto:
-		pts := core.ParetoPayloadFrontier(spec, p, []float64{0, 100, 200, 300, 500, 750, 1000, 1500})
+		pts, err := core.ParetoPayloadFrontier(spec, p, []float64{0, 100, 200, 300, 500, 750, 1000, 1500})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dse:", err)
+			os.Exit(1)
+		}
 		fmt.Println("payload(g)  best config      weight(g)  flight(min)")
 		for _, pt := range pts {
 			fmt.Printf("%9.0f  %dS %6.0f mAh  %9.0f  %11.1f\n",
@@ -81,15 +86,23 @@ func main() {
 				pt.Design.TotalG, pt.FlightMin)
 		}
 	case *best:
-		d, ok := core.BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
-		if !ok {
+		d, err := core.BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
+		if errors.Is(err, core.ErrNoConverge) {
 			fmt.Fprintln(os.Stderr, "dse: no feasible configuration")
+			os.Exit(1)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dse:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("best configuration: %dS %.0f mAh\n", d.Spec.Cells, d.Spec.CapacityMah)
 		report(d)
 	case *sweep:
-		pts := core.SweepCapacity(spec, p, 1000, 8000, 250)
+		pts, err := core.SweepCapacity(spec, p, 1000, 8000, 250)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dse:", err)
+			os.Exit(1)
+		}
 		fmt.Println("capacity(mAh)  weight(g)  hoverP(W)  maneuverP(W)  flight(min)  computeShare(%)")
 		for _, pt := range pts {
 			fmt.Printf("%12.0f  %9.0f  %9.1f  %12.1f  %11.1f  %15.1f\n",

@@ -102,7 +102,11 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 	}
 	if want("10") {
 		for _, wb := range []float64{100, 450, 800} {
-			emit(bench.RunFigure10(wb, p).Table())
+			fg, err := bench.RunFigure10(wb, p)
+			if err != nil {
+				return err
+			}
+			emit(fg.Table())
 		}
 	}
 	if want("11") {
@@ -148,7 +152,11 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		emit(s.Table())
 	}
 	if want("pareto") {
-		emit(bench.RunParetoStudy(p).Table())
+		s, err := bench.RunParetoStudy(p)
+		if err != nil {
+			return err
+		}
+		emit(s.Table())
 	}
 	if want("isolation") {
 		emit(figure15().IsolationTable())

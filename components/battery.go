@@ -4,8 +4,8 @@
 // Table 4. The paper scraped real spec sheets; since those sheets are not
 // shipped with the paper, the catalogs here are synthesized deterministically
 // around the regression lines the paper publishes, with realistic scatter and
-// ranges, so that the fitting pipeline (internal/fit) re-derives the paper's
-// formulas and every downstream consumer (internal/core) is exercised exactly
+// ranges, so that the fitting pipeline (dronedse/fit) re-derives the paper's
+// formulas and every downstream consumer (dronedse/core) is exercised exactly
 // as in the paper.
 package components
 
@@ -151,7 +151,7 @@ func FitBatteryCatalog(batteries []Battery) (map[int]fit.Linear, error) {
 
 // SelectBattery returns the lightest catalog battery with at least the given
 // cell count and capacity, or ok=false when none exists. The design-space
-// search (internal/core) uses the analytic model instead; this helper shops
+// search (dronedse/core) uses the analytic model instead; this helper shops
 // the catalog directly.
 func SelectBattery(catalog []Battery, cells int, minCapacityMah float64) (Battery, bool) {
 	best := Battery{}

@@ -1,6 +1,6 @@
 // Package core implements the paper's primary contribution: the analytical
 // design-space model of §3.2 (Equations 1-7) that composes the component
-// survey (internal/components) with propulsion physics (internal/propulsion)
+// survey (dronedse/components) with propulsion physics (dronedse/propulsion)
 // to translate compute power consumption into drone flight time.
 //
 // The pipeline mirrors the paper's procedure (Figure 12):

@@ -179,7 +179,7 @@ func TestPhantomValidation(t *testing.T) {
 	spec := Spec{WheelbaseMM: 450, Cells: 4, TWR: 2,
 		Compute:     components.ComputeTier{Name: "phantom avionics", PowerW: 3, WeightG: 30},
 		CapacityMah: 1000, ESCClass: components.LongFlight}
-	pts := SweepCapacity(spec, DefaultParams(), 1000, 9000, 100)
+	pts := mustSweep(t, spec, DefaultParams(), 1000, 9000, 100)
 	bestDiff := math.Inf(1)
 	var at SweepPoint
 	for _, pt := range pts {
@@ -237,7 +237,7 @@ func TestFigure10ShareBands(t *testing.T) {
 	for _, wb := range []float64{450, 800} {
 		basic := Spec{WheelbaseMM: wb, Cells: 3, CapacityMah: 1000, TWR: 2,
 			Compute: components.BasicComputeTier, ESCClass: components.LongFlight}
-		for _, pt := range SweepCapacity(basic, p, 1000, 8000, 500) {
+		for _, pt := range mustSweep(t, basic, p, 1000, 8000, 500) {
 			// Paper: "3 W chips have less than 5% contribution"; allow
 			// a point of slack at the very light end of the sweep.
 			if pt.ComputeShareHoverPct >= 6 {
@@ -247,7 +247,7 @@ func TestFigure10ShareBands(t *testing.T) {
 		}
 		adv := basic
 		adv.Compute = components.AdvancedComputeTier
-		for _, pt := range SweepCapacity(adv, p, 1000, 8000, 500) {
+		for _, pt := range mustSweep(t, adv, p, 1000, 8000, 500) {
 			if pt.ComputeShareManeuverPct > 12 {
 				t.Errorf("wb=%v w=%.0fg: 20 W maneuvering share %.1f%%, paper says drops to ~10%%",
 					wb, pt.TotalWeightG, pt.ComputeShareManeuverPct)
@@ -268,7 +268,7 @@ func TestComputationPowerRange(t *testing.T) {
 	for _, wb := range []float64{100, 450, 800} {
 		for _, tier := range []components.ComputeTier{components.BasicComputeTier, components.AdvancedComputeTier} {
 			s := Spec{WheelbaseMM: wb, Cells: 3, CapacityMah: 1000, TWR: 2, Compute: tier, ESCClass: components.LongFlight}
-			for _, pt := range SweepCapacity(s, p, 1000, 8000, 1000) {
+			for _, pt := range mustSweep(t, s, p, 1000, 8000, 1000) {
 				if pt.ComputeShareHoverPct < lo {
 					lo = pt.ComputeShareHoverPct
 				}
@@ -326,7 +326,7 @@ func TestBestConfig(t *testing.T) {
 	p := DefaultParams()
 	spec := Spec{WheelbaseMM: 450, TWR: 2, Compute: components.BasicComputeTier,
 		Cells: 3, CapacityMah: 1000, ESCClass: components.LongFlight}
-	best, ok := BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
+	best, ok := mustBest(t, spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
 	if !ok {
 		t.Fatal("no feasible configuration at 450 mm")
 	}
@@ -338,7 +338,7 @@ func TestBestConfig(t *testing.T) {
 	for cells := 1; cells <= 6; cells++ {
 		s := spec
 		s.Cells = cells
-		for _, pt := range SweepCapacity(s, p, 1000, 8000, 500) {
+		for _, pt := range mustSweep(t, s, p, 1000, 8000, 500) {
 			if pt.HoverFlightMin > ft+1e-9 {
 				t.Fatalf("sweep point beats best config: %v > %v", pt.HoverFlightMin, ft)
 			}
@@ -351,7 +351,7 @@ func TestSweepCapacitySkipsInfeasible(t *testing.T) {
 	// either resolve or are skipped, never panic.
 	spec := Spec{WheelbaseMM: 800, Cells: 1, CapacityMah: 1000, TWR: 2,
 		Compute: components.AdvancedComputeTier, ESCClass: components.LongFlight}
-	pts := SweepCapacity(spec, DefaultParams(), 1000, 8000, 1000)
+	pts := mustSweep(t, spec, DefaultParams(), 1000, 8000, 1000)
 	for _, pt := range pts {
 		if pt.TotalWeightG <= 0 || math.IsNaN(pt.HoverPowerW) {
 			t.Fatalf("invalid sweep point: %+v", pt)

@@ -27,14 +27,14 @@ func TestSweepCapacityDeterministic(t *testing.T) {
 	p := DefaultParams()
 	var want []SweepPoint
 	atPool(t, 1, func() {
-		want = SweepCapacity(spec, p, 1000, 8000, 250)
+		want = mustSweep(t, spec, p, 1000, 8000, 250)
 	})
 	if len(want) == 0 {
 		t.Fatal("serial sweep is empty")
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			if got := SweepCapacity(spec, p, 1000, 8000, 250); !reflect.DeepEqual(got, want) {
+			if got := mustSweep(t, spec, p, 1000, 8000, 250); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pool=%d sweep differs from serial", pool)
 			}
 		})
@@ -58,7 +58,7 @@ func TestSweepCapacityGridEndpoints(t *testing.T) {
 		{3000, 3000, 500, 1},
 	}
 	for _, c := range cases {
-		pts := SweepCapacity(spec, p, c.lo, c.hi, c.step)
+		pts := mustSweep(t, spec, p, c.lo, c.hi, c.step)
 		if len(pts) != c.wantN {
 			t.Errorf("grid [%g,%g] step %g: %d points, want %d", c.lo, c.hi, c.step, len(pts), c.wantN)
 			continue
@@ -69,10 +69,10 @@ func TestSweepCapacityGridEndpoints(t *testing.T) {
 			t.Errorf("grid [%g,%g] step %g: last point %v, want %v", c.lo, c.hi, c.step, last, wantLast)
 		}
 	}
-	if pts := SweepCapacity(spec, p, 8000, 1000, 250); pts != nil {
+	if pts := mustSweep(t, spec, p, 8000, 1000, 250); pts != nil {
 		t.Error("inverted grid should be empty")
 	}
-	if pts := SweepCapacity(spec, p, 1000, 8000, 0); pts != nil {
+	if pts := mustSweep(t, spec, p, 1000, 8000, 0); pts != nil {
 		t.Error("zero step should be empty, not an infinite loop")
 	}
 }
@@ -86,14 +86,14 @@ func TestBestConfigDeterministic(t *testing.T) {
 	var want Design
 	var wantOK bool
 	atPool(t, 1, func() {
-		want, wantOK = BestConfig(spec, p, cells, 1000, 8000, 250)
+		want, wantOK = mustBest(t, spec, p, cells, 1000, 8000, 250)
 	})
 	if !wantOK {
 		t.Fatal("serial BestConfig found nothing")
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			got, ok := BestConfig(spec, p, cells, 1000, 8000, 250)
+			got, ok := mustBest(t, spec, p, cells, 1000, 8000, 250)
 			if !ok || got != want {
 				t.Fatalf("pool=%d BestConfig differs: ok=%v got %dS %.0f mAh, want %dS %.0f mAh",
 					pool, ok, got.Spec.Cells, got.Spec.CapacityMah, want.Spec.Cells, want.Spec.CapacityMah)
@@ -119,7 +119,7 @@ func TestFrontiersDeterministic(t *testing.T) {
 	var wantTWR []TWRPoint
 	var wantSensor []SensorPayloadPoint
 	atPool(t, 1, func() {
-		wantPayload = ParetoPayloadFrontier(spec, p, payloads)
+		wantPayload = mustFrontier(t, spec, p, payloads)
 		wantTWR = TWRSweep(spec, p)
 		wantSensor = SensorPayloadStudy(large, p, sensors)
 	})
@@ -128,7 +128,7 @@ func TestFrontiersDeterministic(t *testing.T) {
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			if got := ParetoPayloadFrontier(spec, p, payloads); !reflect.DeepEqual(got, wantPayload) {
+			if got := mustFrontier(t, spec, p, payloads); !reflect.DeepEqual(got, wantPayload) {
 				t.Errorf("pool=%d payload frontier differs", pool)
 			}
 			if got := TWRSweep(spec, p); !reflect.DeepEqual(got, wantTWR) {

@@ -84,13 +84,24 @@ type ParetoPoint struct {
 // ParetoPayloadFrontier sweeps payload mass for a spec, finding for each
 // payload the best battery configuration, and returns the non-dominated
 // (payload ↑, flight time ↑) frontier — the "extra payload?" branch of the
-// Figure 12 procedure turned into a tool.
-func ParetoPayloadFrontier(spec Spec, p Params, payloadsG []float64) []ParetoPoint {
+// Figure 12 procedure turned into a tool. The spec is validated at every
+// payload before the search fans out, and a validation error is returned as
+// is; payloads with no feasible configuration are left off the frontier.
+func ParetoPayloadFrontier(spec Spec, p Params, payloadsG []float64) ([]ParetoPoint, error) {
+	cells := []int{1, 2, 3, 4, 5, 6}
+	for _, payload := range payloadsG {
+		s := spec
+		s.PayloadG = payload
+		if err := validateGrid(s, cells, 1000); err != nil {
+			return nil, err
+		}
+	}
 	pts := parallelx.FilterMap(payloadsG, func(payload float64) (ParetoPoint, bool) {
 		s := spec
 		s.PayloadG = payload
-		best, ok := BestConfig(s, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
-		if !ok {
+		// Validated above, so the only error left is ErrNoConverge.
+		best, err := BestConfig(s, p, cells, 1000, 8000, 500)
+		if err != nil {
 			return ParetoPoint{}, false
 		}
 		return ParetoPoint{
@@ -99,7 +110,7 @@ func ParetoPayloadFrontier(spec Spec, p Params, payloadsG []float64) []ParetoPoi
 			Objective: payload,
 		}, true
 	})
-	return paretoFilter(pts)
+	return paretoFilter(pts), nil
 }
 
 // paretoFilter keeps points not dominated by any other (another point with

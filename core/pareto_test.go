@@ -53,7 +53,7 @@ func TestFeasibilityStrings(t *testing.T) {
 func TestParetoPayloadFrontier(t *testing.T) {
 	spec := DefaultSpec()
 	p := DefaultParams()
-	pts := ParetoPayloadFrontier(spec, p, []float64{0, 100, 200, 400, 800})
+	pts := mustFrontier(t, spec, p, []float64{0, 100, 200, 400, 800})
 	if len(pts) < 3 {
 		t.Fatalf("frontier too small: %d points", len(pts))
 	}

@@ -44,7 +44,7 @@ func BenchmarkSweepCapacity(b *testing.B) {
 	p := DefaultParams()
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if pts := SweepCapacity(spec, p, 1000, 8000, 100); len(pts) == 0 {
+			if pts := mustSweep(b, spec, p, 1000, 8000, 100); len(pts) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}
@@ -57,7 +57,7 @@ func BenchmarkBestConfig(b *testing.B) {
 	cells := []int{1, 2, 3, 4, 5, 6}
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := BestConfig(spec, p, cells, 1000, 8000, 250); !ok {
+			if _, ok := mustBest(b, spec, p, cells, 1000, 8000, 250); !ok {
 				b.Fatal("no feasible config")
 			}
 		}
@@ -70,7 +70,7 @@ func BenchmarkParetoPayloadFrontier(b *testing.B) {
 	payloads := []float64{0, 100, 200, 300, 500, 750, 1000}
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if pts := ParetoPayloadFrontier(spec, p, payloads); len(pts) == 0 {
+			if pts := mustFrontier(b, spec, p, payloads); len(pts) == 0 {
 				b.Fatal("empty frontier")
 			}
 		}

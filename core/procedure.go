@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -46,7 +47,9 @@ var ErrNoFeasibleDesign = fmt.Errorf("core: no feasible design meets the require
 // sensors/compute/payload weight (growing the frame when needed), select a
 // battery, close the weight loop, and compute flight time and the compute
 // power footprint. It returns the lightest design meeting the endurance
-// requirement.
+// requirement, ErrNoFeasibleDesign when no frame class meets it, or the
+// spec's validation error, found at the first frame class before its grid
+// fans out.
 func RunProcedure(req Requirements, p Params) (Recommendation, error) {
 	var rec Recommendation
 	log := func(format string, args ...interface{}) {
@@ -72,10 +75,13 @@ func RunProcedure(req Requirements, p Params) (Recommendation, error) {
 			PayloadG: req.PayloadG,
 			ESCClass: components.LongFlight,
 		}
-		best, ok := BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
-		if !ok {
+		best, err := BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
+		if errors.Is(err, ErrNoConverge) {
 			log("%.0f mm: infeasible (weight closure diverges)", wb)
 			continue
+		}
+		if err != nil {
+			return rec, err
 		}
 		ft := best.HoverFlightTimeMin()
 		if req.MaxWeightG > 0 && best.TotalG > req.MaxWeightG {

@@ -32,9 +32,34 @@ func gridSize(lo, hi, step float64) int {
 // SweepCapacity resolves the design at each battery capacity from loMah to
 // hiMah in stepMah increments (the paper sweeps 1000-8000 mAh), returning
 // the Figure 10 series for one wheelbase / cell-count / compute choice.
-// Infeasible points are skipped. Grid points fan out across the parallelx
-// pool; output is identical to the serial (PoolSize=1) loop.
-func SweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPoint {
+// The spec is validated once, at loMah, before the grid fans out, and a
+// validation error is returned as is; only infeasible points (ErrNoConverge)
+// are skipped. Grid points fan out across the parallelx pool; output is
+// identical to the serial (PoolSize=1) loop.
+func SweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) ([]SweepPoint, error) {
+	if err := validateGrid(spec, []int{spec.Cells}, loMah); err != nil {
+		return nil, err
+	}
+	return sweepCapacity(spec, p, loMah, hiMah, stepMah), nil
+}
+
+// validateGrid validates spec at every cell count of a cells x capacity
+// grid, at the grid's lowest capacity loMah. The grid's other capacities
+// are larger, so every grid point passes validation when these do.
+func validateGrid(spec Spec, cellsOptions []int, loMah float64) error {
+	for _, cells := range cellsOptions {
+		s := spec
+		s.Cells, s.CapacityMah = cells, loMah
+		if err := s.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweepCapacity is SweepCapacity on a spec validateGrid has passed, where
+// Resolve's only error is ErrNoConverge.
+func sweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPoint {
 	n := gridSize(loMah, hiMah, stepMah)
 	pts := parallelx.MapIndex(n, func(i int) *SweepPoint {
 		capacityMah := loMah + float64(i)*stepMah
@@ -66,14 +91,23 @@ func SweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPo
 
 // BestConfig searches cells x capacity for the configuration with the
 // longest hovering flight time — the "Best Configuration" annotation of
-// Figures 10a-c. The whole grid fans out across the pool and BestOf reduces
-// it. It returns ok=false when nothing is feasible.
-func BestConfig(spec Spec, p Params, cellsOptions []int, loMah, hiMah, stepMah float64) (Design, bool) {
-	return BestOf(parallelx.Map(cellsOptions, func(cells int) []SweepPoint {
+// Figures 10a-c. The spec is validated at every cell count before the grid
+// fans out, and a validation error is returned as is; the whole grid then
+// fans out across the pool and BestOf reduces it. It returns ErrNoConverge
+// when no grid point is feasible.
+func BestConfig(spec Spec, p Params, cellsOptions []int, loMah, hiMah, stepMah float64) (Design, error) {
+	if err := validateGrid(spec, cellsOptions, loMah); err != nil {
+		return Design{}, err
+	}
+	best, ok := BestOf(parallelx.Map(cellsOptions, func(cells int) []SweepPoint {
 		s := spec
 		s.Cells = cells
-		return SweepCapacity(s, p, loMah, hiMah, stepMah)
+		return sweepCapacity(s, p, loMah, hiMah, stepMah)
 	}))
+	if !ok {
+		return Design{}, ErrNoConverge
+	}
+	return best, nil
 }
 
 // BestOf returns the design with the longest hovering flight time across

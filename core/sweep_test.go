@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestFigure10PowerLevels(t *testing.T) {
 	p := DefaultParams()
 	spec := Spec{WheelbaseMM: 450, Cells: 3, CapacityMah: 1000, TWR: 2,
 		Compute: components.BasicComputeTier, ESCClass: components.LongFlight}
-	pts := SweepCapacity(spec, p, 1000, 8000, 250)
+	pts := mustSweep(t, spec, p, 1000, 8000, 250)
 	if len(pts) < 20 {
 		t.Fatalf("sweep too sparse: %d points", len(pts))
 	}
@@ -133,7 +134,7 @@ func TestBestConfigPerWheelbase(t *testing.T) {
 	for _, c := range cases {
 		spec := Spec{WheelbaseMM: c.wb, TWR: 2, Cells: 3, CapacityMah: 1000,
 			Compute: components.BasicComputeTier, ESCClass: components.LongFlight}
-		best, ok := BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
+		best, ok := mustBest(t, spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
 		if !ok {
 			t.Fatalf("wb=%v: no feasible config", c.wb)
 		}
@@ -162,5 +163,111 @@ func TestTWRSensitivity(t *testing.T) {
 	s2, s4 := at(2), at(4)
 	if s4 >= s2 {
 		t.Errorf("share at TWR 4 (%.1f%%) not below TWR 2 (%.1f%%)", s4, s2)
+	}
+}
+
+// mustSweep is SweepCapacity on a spec the test expects to validate.
+func mustSweep(tb testing.TB, spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPoint {
+	tb.Helper()
+	pts, err := SweepCapacity(spec, p, loMah, hiMah, stepMah)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pts
+}
+
+// mustBest is BestConfig on a spec the test expects to validate, with
+// ok=false when no configuration is feasible.
+func mustBest(tb testing.TB, spec Spec, p Params, cells []int, loMah, hiMah, stepMah float64) (Design, bool) {
+	tb.Helper()
+	d, err := BestConfig(spec, p, cells, loMah, hiMah, stepMah)
+	if errors.Is(err, ErrNoConverge) {
+		return d, false
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d, true
+}
+
+// mustFrontier is ParetoPayloadFrontier on a spec the test expects to
+// validate.
+func mustFrontier(tb testing.TB, spec Spec, p Params, payloadsG []float64) []ParetoPoint {
+	tb.Helper()
+	pts, err := ParetoPayloadFrontier(spec, p, payloadsG)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pts
+}
+
+// TestGridEntryPointsReturnValidationErrors: an invalid spec is reported
+// with its validation error by every grid entry point, not as an empty or
+// infeasible result, while a valid but infeasible one is not an error to
+// the sweep and is ErrNoConverge to the best-config search.
+func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
+	p := DefaultParams()
+	cells := []int{1, 2, 3, 4, 5, 6}
+	bad := []struct {
+		name string
+		edit func(*Spec)
+		want error
+	}{
+		{"wheelbase NaN", func(s *Spec) { s.WheelbaseMM = math.NaN() }, ErrBadWheelbase},
+		{"compute -50 g", func(s *Spec) { s.Compute.WeightG = -50 }, ErrBadWeight},
+		{"compute -50 W", func(s *Spec) { s.Compute.PowerW = -50 }, ErrBadPower},
+		{"compute NaN W", func(s *Spec) { s.Compute.PowerW = math.NaN() }, ErrBadPower},
+		{"TWR 1", func(s *Spec) { s.TWR = 1 }, ErrBadTWR},
+		{"ESC class 9", func(s *Spec) { s.ESCClass = 9 }, ErrBadESCClass},
+	}
+	for _, c := range bad {
+		spec := DefaultSpec()
+		c.edit(&spec)
+		if pts, err := SweepCapacity(spec, p, 1000, 8000, 500); !errors.Is(err, c.want) || pts != nil {
+			t.Errorf("%s: SweepCapacity = %d points, %v; want %v", c.name, len(pts), err, c.want)
+		}
+		if _, err := BestConfig(spec, p, cells, 1000, 8000, 500); !errors.Is(err, c.want) {
+			t.Errorf("%s: BestConfig error %v, want %v", c.name, err, c.want)
+		}
+		if pts, err := ParetoPayloadFrontier(spec, p, []float64{0, 500}); !errors.Is(err, c.want) || pts != nil {
+			t.Errorf("%s: ParetoPayloadFrontier = %d points, %v; want %v", c.name, len(pts), err, c.want)
+		}
+	}
+	// The grid's own range and cell counts are validated too.
+	if _, err := SweepCapacity(DefaultSpec(), p, 0, 8000, 500); !errors.Is(err, ErrBadCapacity) {
+		t.Errorf("SweepCapacity from 0 mAh: error %v, want ErrBadCapacity", err)
+	}
+	if _, err := BestConfig(DefaultSpec(), p, []int{3, 7}, 1000, 8000, 500); !errors.Is(err, ErrBadCells) {
+		t.Errorf("BestConfig over 7 cells: error %v, want ErrBadCells", err)
+	}
+	if _, err := ParetoPayloadFrontier(DefaultSpec(), p, []float64{0, math.Inf(1)}); !errors.Is(err, ErrBadWeight) {
+		t.Errorf("ParetoPayloadFrontier at +Inf g: error %v, want ErrBadWeight", err)
+	}
+	for _, c := range []struct {
+		name string
+		req  Requirements
+		want error
+	}{
+		{"compute -50 g", Requirements{Compute: components.ComputeTier{PowerW: 3, WeightG: -50}}, ErrBadWeight},
+		{"compute NaN W", Requirements{Compute: components.ComputeTier{PowerW: math.NaN(), WeightG: 20}}, ErrBadPower},
+		{"payload NaN", Requirements{Compute: components.BasicComputeTier, PayloadG: math.NaN()}, ErrBadWeight},
+	} {
+		c.req.MinFlightMin = 10
+		if _, err := RunProcedure(c.req, p); !errors.Is(err, c.want) {
+			t.Errorf("%s: RunProcedure error %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	// Valid but infeasible: a 100 mm frame cannot lift 20 kg.
+	heavy := DefaultSpec()
+	heavy.WheelbaseMM, heavy.PayloadG = 100, 20000
+	if pts, err := SweepCapacity(heavy, p, 1000, 8000, 500); err != nil || len(pts) != 0 {
+		t.Errorf("infeasible sweep = %d points, %v; want none, nil", len(pts), err)
+	}
+	if _, err := BestConfig(heavy, p, cells, 1000, 8000, 500); !errors.Is(err, ErrNoConverge) {
+		t.Errorf("infeasible BestConfig error %v, want ErrNoConverge", err)
+	}
+	if pts, err := ParetoPayloadFrontier(heavy, p, []float64{20000}); err != nil || len(pts) != 0 {
+		t.Errorf("infeasible frontier = %d points, %v; want none, nil", len(pts), err)
 	}
 }

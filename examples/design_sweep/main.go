@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -22,10 +23,13 @@ func main() {
 				WheelbaseMM: wb, Cells: 3, CapacityMah: 1000, TWR: 2,
 				Compute: tier, ESCClass: components.LongFlight,
 			}
-			best, ok := core.BestConfig(spec, params, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
-			if !ok {
+			best, err := core.BestConfig(spec, params, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
+			if errors.Is(err, core.ErrNoConverge) {
 				fmt.Printf("  %-22s infeasible\n", tier.Name)
 				continue
+			}
+			if err != nil {
+				log.Fatal(err)
 			}
 			fmt.Printf("  %-22s best %dS %4.0f mAh: %5.0f g, %6.1f W hover, %5.1f min, compute %4.1f%%\n",
 				tier.Name, best.Spec.Cells, best.Spec.CapacityMah, best.TotalG,

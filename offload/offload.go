@@ -130,7 +130,7 @@ func evaluate(link Link, node Node, w Workload, st slam.Stats, onboardRPiW float
 
 	// Remote compute time per frame: the RPi-ledger seconds divided by
 	// the node's speedup.
-	rpiOpsPerSec := 300e6 // matches internal/platform's RPi calibration
+	rpiOpsPerSec := 300e6 // matches dronedse/platform's RPi calibration
 	rpiPerFrameS := float64(st.TotalOps()) / rpiOpsPerSec / float64(st.Frames)
 	r.ComputeMS = rpiPerFrameS / node.SpeedupVsRPi * 1000
 

@@ -1,7 +1,7 @@
 // Package sensors models the on-board acquisition suite at the data
 // frequencies of Table 2a: accelerometer and gyroscope at 100-200 Hz,
 // magnetometer at 10 Hz, barometer at 10-20 Hz, and GPS at 1-40 Hz, each
-// with bias and Gaussian noise. The estimator (internal/estimation) fuses
+// with bias and Gaussian noise. The estimator (dronedse/estimation) fuses
 // these exactly as the shared-libraries layer of Figure 5 does.
 package sensors
 

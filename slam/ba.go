@@ -1,8 +1,6 @@
 package slam
 
 import (
-	"math"
-
 	"dronedse/mathx"
 	"dronedse/parallelx"
 )
@@ -250,7 +248,7 @@ func refinePoint(s *System, pos mathx.Vec3, obs []obsRef, kfRt []mathx.Mat3) (ma
 		pv := s.Cam.Fy*pc.Y*invZ + s.Cam.Cy
 		ru := pu - ob.u
 		rv := pv - ob.v
-		w := huberWeight(math.Hypot(ru, rv), 4)
+		w := reprojWeight(ru, rv)
 		jx := [2][3]float64{
 			{s.Cam.Fx * invZ, 0, -s.Cam.Fx * pc.X * invZ * invZ},
 			{0, s.Cam.Fy * invZ, -s.Cam.Fy * pc.Y * invZ * invZ},

@@ -16,6 +16,32 @@ func huberWeight(r, k float64) float64 {
 	return k / r
 }
 
+// huberInlier2 is the squared pixel residual below which reprojWeight
+// returns 1 without computing the norm.
+const huberInlier2 = 16 * (1 - 1e-9)
+
+// reprojWeight is huberWeight(math.Hypot(ru, rv), 4), the Huber weight of a
+// pixel residual (ru, rv), bit for bit, without math.Hypot for inliers. The
+// computed ru*ru+rv*rv is two rounded products and a rounded sum, so it is
+// within a relative 3e-16 of the exact sum (a square that underflows is off
+// by less than 1e-307, far too little to matter near 16). A computed sum
+// below 16(1-1e-9) therefore puts the exact norm below 4(1-4.9e-10), and
+// Hypot's few-ulp error cannot carry it to 4: huberWeight would return 1.
+// NaN and infinite residuals, and residuals whose squares overflow, fail
+// the comparison and take the Hypot path.
+func reprojWeight(ru, rv float64) float64 {
+	if ru*ru+rv*rv < huberInlier2 {
+		return 1
+	}
+	return hypotWeight(ru, rv)
+}
+
+// hypotWeight is reprojWeight beyond the inlier bound, kept out of line so
+// the inlier test inlines into the solvers' loops.
+//
+//go:noinline
+func hypotWeight(ru, rv float64) float64 { return huberWeight(math.Hypot(ru, rv), 4) }
+
 // Stats is the SLAM work ledger: abstract arithmetic-operation counts per
 // kernel, accumulated while the pipeline runs. The platform models divide
 // these by per-kernel throughputs to retime the computation on RPi, TX2,
@@ -150,7 +176,7 @@ func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []floa
 			rv := pv - vs[i]
 			// Huber robustness: wrong data associations must not
 			// dominate the normal equations.
-			w := huberWeight(math.Hypot(ru, rv), 4)
+			w := reprojWeight(ru, rv)
 			// Jacobian of projection wrt camera-frame point.
 			jx := [2][3]float64{
 				{cam.Fx * invZ, 0, -cam.Fx * pc.X * invZ * invZ},

@@ -216,3 +216,44 @@ func TestOptimizePoseMirrorBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestReprojWeightMatchesHypot checks reprojWeight against the Huber weight
+// it stands for, huberWeight(math.Hypot(ru, rv), 4), bit for bit: at the
+// inlier bound and one ulp either side of it, at the Huber threshold, at
+// signed zeros, subnormals, NaN, infinities and 1e300, and on random
+// residuals within 1e-8 of the threshold in every direction.
+func TestReprojWeightMatchesHypot(t *testing.T) {
+	check := func(ru, rv float64) {
+		t.Helper()
+		got, want := reprojWeight(ru, rv), huberWeight(math.Hypot(ru, rv), 4)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reprojWeight(%v, %v) = %v, want %v", ru, rv, got, want)
+		}
+	}
+	bound := math.Sqrt(huberInlier2)
+	special := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308, 1e-160,
+		math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, math.MaxFloat64,
+		1, 2.5, 4, -4, math.Nextafter(4, 0), math.Nextafter(4, 5),
+		bound, -bound, math.Nextafter(bound, 0), math.Nextafter(bound, 5),
+		bound / math.Sqrt2, math.Nextafter(bound/math.Sqrt2, 0), math.Nextafter(bound/math.Sqrt2, 5),
+	}
+	for _, ru := range special {
+		for _, rv := range special {
+			check(ru, rv)
+		}
+	}
+	// The squared norm one ulp either side of the bound, in both axes and
+	// on the diagonal.
+	for _, r2 := range []float64{math.Nextafter(huberInlier2, 0), huberInlier2, math.Nextafter(huberInlier2, 17)} {
+		check(math.Sqrt(r2), 0)
+		check(0, -math.Sqrt(r2))
+		check(math.Sqrt(r2/2), math.Sqrt(r2/2))
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 200000; i++ {
+		norm := 4 * (1 + (2*r.Float64()-1)*1e-8)
+		a := 2 * math.Pi * r.Float64()
+		check(norm*math.Cos(a), norm*math.Sin(a))
+	}
+}

@@ -151,17 +151,17 @@ func TestDetectPoolInvariant(t *testing.T) {
 }
 
 // refFASTScan is the plain reference corner scan: FAST-9 with the 2-of-4
-// compass pre-test, a single row-major pass with clamped At sampling, the
+// compass pre-test, a single row-major pass with clampAt sampling, the
 // segment test as a run count over the doubled circle, and the response as
 // the largest |p - c| on the circle.
 func refFASTScan(im Image, thr int) []Keypoint {
 	var ref []Keypoint
 	for y := 3; y < im.H-3; y++ {
 		for x := 3; x < im.W-3; x++ {
-			c := int(im.At(x, y))
+			c := int(clampAt(im, x, y))
 			hi, lo := 0, 0
 			for _, k := range [4]int{0, 4, 8, 12} {
-				p := int(im.At(x+fastOffsets[k][0], y+fastOffsets[k][1]))
+				p := int(clampAt(im, x+fastOffsets[k][0], y+fastOffsets[k][1]))
 				if p >= c+thr {
 					hi++
 				} else if p <= c-thr {
@@ -173,7 +173,7 @@ func refFASTScan(im Image, thr int) []Keypoint {
 			}
 			var diffs [32]int
 			for k := 0; k < 16; k++ {
-				p := int(im.At(x+fastOffsets[k][0], y+fastOffsets[k][1]))
+				p := int(clampAt(im, x+fastOffsets[k][0], y+fastOffsets[k][1]))
 				switch {
 				case p >= c+thr:
 					diffs[k] = 1
@@ -199,7 +199,7 @@ func refFASTScan(im Image, thr int) []Keypoint {
 			}
 			resp := 0
 			for k := 0; k < 16; k++ {
-				p := int(im.At(x+fastOffsets[k][0], y+fastOffsets[k][1]))
+				p := int(clampAt(im, x+fastOffsets[k][0], y+fastOffsets[k][1]))
 				if p-c > resp {
 					resp = p - c
 				} else if c-p > resp {
@@ -222,15 +222,15 @@ func TestDetectMatchesReferenceScan(t *testing.T) {
 	ref := refFASTScan(im, d.Threshold)
 
 	// The banded kernel must find exactly the reference corner set.
-	var got []Keypoint
+	var cs []corner
 	for ci, b := 0, 0; b < im.H-6; ci, b = ci+1, b+detectBandRows {
 		hi := b + detectBandRows
 		if hi > im.H-6 {
 			hi = im.H - 6
 		}
-		got = d.detectBand(im, 3+b, 3+hi, got)
+		cs = d.detectBand(im, 3+b, 3+hi, cs)
 	}
-	if !reflect.DeepEqual(got, ref) {
+	if got := keypointsOf(cs); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("banded scan found %d corners, reference %d (or ordering differs)",
 			len(got), len(ref))
 	}
@@ -264,17 +264,24 @@ func refSuppress(kps []Keypoint, w, h, cell int) []Keypoint {
 	return out
 }
 
+// byResponse sorts keypoints by descending response.
+type byResponse []Keypoint
+
+func (s byResponse) Len() int           { return len(s) }
+func (s byResponse) Less(i, j int) bool { return s[i].Response > s[j].Response }
+func (s byResponse) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
 // refDetect is Detect written plainly: the reference scan, one global 8x8
 // suppression, sort.Sort by descending response, the MaxFeatures cap, and
 // the clamped describe for every keypoint.
 func refDetect(d *Detector, im Image) []Keypoint {
 	kps := refSuppress(refFASTScan(im, d.Threshold), im.W, im.H, 8)
-	sort.Sort(&kpSorter{kps})
+	sort.Sort(byResponse(kps))
 	if len(kps) > d.MaxFeatures {
 		kps = kps[:d.MaxFeatures]
 	}
 	for i := range kps {
-		kps[i].Desc = describe(im, kps[i])
+		kps[i].Desc = clampedDescribe(im, kps[i])
 	}
 	return kps
 }
