@@ -9,9 +9,9 @@
 #
 #   ci-quick   fmt-check + vet + build + test — the fast inner loop
 #   race       the full suite under the race detector
-#   ci-bench   the benchmark smokes (core, SLAM, fault, batch, workloads,
+#   ci-bench   the benchmark smokes (SLAM arena, fault, batch, workloads,
 #              roofline, the end-to-end benchmark module's tests)
-#              plus the BENCH_core.json ns/op regression guard
+#              plus the BENCH_core.json regression gate
 #   ci-smoke   the end-to-end command smokes, including the fleetd pipeline
 #              and the crash/recovery chaos harness (scripts/fleet_chaos.sh)
 #   vuln       govulncheck, when installed (CI installs it; locally it is
@@ -20,7 +20,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet vet-failpoint test test-failpoint race fmt-check vuln bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard bench-e2e smoke-cmds ci-quick ci-bench ci-smoke ci
+.PHONY: all build vet vet-failpoint test test-failpoint race fmt-check vuln bench-slam bench-fault bench-batch bench-workloads bench-json bench-roofline bench-guard bench-e2e smoke-cmds ci-quick ci-bench ci-smoke ci
 
 all: build
 
@@ -55,27 +55,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick benchmark smoke: exercises the pool-variant benchmarks without the
-# slow full-suite runs (SLAM/figure regeneration benchmarks stay opt-in), plus
-# the per-tick flight kernels (EKF covariance prediction, battery step) at a
-# fixed iteration count, and a flight stack's Build, fresh and re-initialised
-# from the pool.
-bench-smoke:
-	$(GO) test ./core/ -run '^$$' -bench 'BenchmarkResolve|BenchmarkSweepCapacity|BenchmarkBestConfig' -benchtime 10x
-	$(GO) test ./estimation/ ./power/ -run '^$$' -bench 'BenchmarkEKFPredict|BenchmarkPackDrawPower' -benchtime 200000x
-	$(GO) test ./scenario/ -run '^$$' -bench 'BenchmarkBuild' -benchtime 200x
-	$(GO) test ./parallelx/ -run '^$$' -bench . -benchtime 10x 2>/dev/null || true
-
-# SLAM front-end kernel smoke: one quick pass over the tracking hot paths
-# (detection, projection matching, local BA) so kernel regressions surface
-# in CI without the full benchmark suite; the sequence arena's guards (a
-# warm RunSequence's heap budget per frame, and an arena reused across
-# sequences giving a fresh arena's bits and keeping no map pointer); and
-# one full-sequence run per pool size, so its B/op shows in the CI log.
+# SLAM sequence-arena guards: a warm RunSequence's heap budget per frame,
+# and an arena reused across sequences giving a fresh arena's bits and
+# keeping no map pointer. The SLAM kernels themselves are BENCH rows.
 bench-slam:
-	$(GO) test ./slam/ -run '^$$' -bench 'BenchmarkDetect|BenchmarkMatchByProjection|BenchmarkBundleAdjustLocal' -benchtime 5x
 	$(GO) test ./slam/ -run '^(TestRunSequenceAllocBudget|TestRunSequenceArenaReuse)$$'
-	$(GO) test ./slam/ -run '^$$' -bench BenchmarkRunSequence -benchtime 1x -benchmem
 
 # Fault-campaign smoke: the faultx acceptance tests (pool-invariance,
 # severe-scenario degradation, fault-free bit-identity, shared flights
@@ -130,10 +114,20 @@ bench-workloads:
 	$(GO) test -race ./fleet/ -run 'TestWorkloadRoundTrip|TestSubmitValidation'
 	$(GO) run ./cmd/flysim -workload delivery -seconds 120 >/dev/null
 
-# Perf trajectory artifact: BENCH_core.json (ns/op, allocs/op per pool size,
-# plus the per-kernel roofline placements).
+# The BENCH set: every kernel BENCH_core.json records, each one Benchmark*
+# function in the package that owns it, run in five rounds. Rounds rather
+# than -count 5, which times a row's samples back to back: spread over the
+# whole run, a row's min-max spread also shows the host drifting. cmd/benchjson
+# reads the go test output, takes each row's median, min and max, adds the
+# roofline placements, and fails on a FAIL line or a package without "ok"
+# (make's /bin/sh has no pipefail).
+BENCH = for round in 1 2 3 4 5; do $(GO) test -run '^$$' -benchmem -count 1 \
+	-bench '^Benchmark(Resolve|SweepCapacity|BestConfig|ParetoPayloadFrontier|EKFPredict|PackDrawPower|Build|Run|Batch|Advance|Detect|MatchByProjection|BundleAdjustLocal|RunSequence|Fig10|SLAMSuite)$$' \
+	. ./core ./estimation ./power ./scenario ./fleet ./faultx ./slam || break; done | $(GO) run ./cmd/benchjson
+
+# Perf trajectory artifact: regenerate BENCH_core.json from the BENCH set.
 bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_core.json
+	$(BENCH) -o BENCH_core.json
 
 # Roofline smoke: the arithmetic-intensity ledgers and roof placements must be
 # bit-identical across pool sizes (golden + completeness tests), and the
@@ -142,14 +136,13 @@ bench-roofline:
 	$(GO) test ./roofline/ ./cmd/roofline/
 	$(GO) run ./cmd/roofline -procs 2 -nofig >/dev/null
 
-# Perf-regression gate: re-measure the quick kernel suite and compare ns/op
-# against the committed BENCH_core.json baseline (fail beyond +25%, or on any
-# allocation by a kernel whose baseline allocs/op is 0). The quick
-# suite skips the slow full-sequence rows, which are skipped by name match.
-# Re-baseline deliberately with `make bench-json` and commit the diff.
+# Perf-regression gate: re-measure the whole BENCH set and compare each
+# row's median ns/op with the committed BENCH_core.json (fail beyond +25%,
+# or on any allocation by a row whose baseline allocs/op is 0; a row whose
+# spread exceeds the bound on either side reads "unresolved"). Re-baseline
+# deliberately with `make bench-json` and commit the diff.
 bench-guard:
-	$(GO) run ./cmd/benchjson -quick -o /tmp/bench_guard_new.json
-	$(GO) run ./cmd/benchguard -new /tmp/bench_guard_new.json
+	$(BENCH) -base BENCH_core.json -o /tmp/bench_guard_new.json
 
 # End-to-end command smoke: build and briefly run every cmd binary and every
 # example, so a refactor that compiles but breaks a tool's wiring (all of
@@ -164,7 +157,7 @@ smoke-cmds:
 	$(GO) run ./cmd/figures -fig 15 >/dev/null
 	$(GO) run ./cmd/figures -fig 16 >/dev/null
 	$(GO) run ./cmd/figures -fig 17 -seqs 1 -procs 2 >/dev/null
-	$(GO) run ./cmd/benchjson -quick -o - >/dev/null
+	$(GO) run ./cmd/benchjson -o - <cmd/benchjson/testdata/pass.txt >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null
 	$(GO) run ./examples/design_sweep >/dev/null
 	$(GO) run ./examples/mission_flight >/dev/null
@@ -180,7 +173,7 @@ test-failpoint:
 
 ci-quick: fmt-check vet vet-failpoint build test
 
-ci-bench: bench-smoke bench-slam bench-fault bench-batch bench-workloads bench-roofline bench-guard bench-e2e
+ci-bench: bench-slam bench-fault bench-batch bench-workloads bench-roofline bench-guard bench-e2e
 
 ci-smoke: test-failpoint smoke-cmds
 

@@ -60,7 +60,11 @@ func TestDesignStudiesGolden(t *testing.T) {
 		line(key+"/best", design(fg.Best)...)
 		line(key+"/best_flight", fg.BestFlight)
 	}
-	for _, pt := range RunTWRStudy(p).Points {
+	twr, err := RunTWRStudy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range twr.Points {
 		line(fmt.Sprintf("twr/%.0f", pt.TWR),
 			pt.TWR, pt.TotalWeightG, pt.HoverPowerW, pt.ComputeShareHoverPct, pt.FlightMin)
 	}
@@ -72,7 +76,11 @@ func TestDesignStudiesGolden(t *testing.T) {
 		line(fmt.Sprintf("pareto/%.0f", pt.Objective),
 			append([]float64{pt.Objective, pt.FlightMin}, design(pt.Design)...)...)
 	}
-	for _, pt := range RunSensorStudy(p).Points {
+	sensors, err := RunSensorStudy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range sensors.Points {
 		line("sensors/"+strings.ReplaceAll(pt.SensorName, " ", "_"),
 			pt.SensorWeightG, pt.TotalWeightG, pt.ComputeShareHoverPct, pt.FlightMin)
 	}

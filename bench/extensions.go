@@ -24,11 +24,12 @@ type TWRStudy struct {
 }
 
 // RunTWRStudy sweeps TWR on a 450 mm drone with the 20 W compute tier.
-func RunTWRStudy(p core.Params) TWRStudy {
+func RunTWRStudy(p core.Params) (TWRStudy, error) {
 	spec := core.DefaultSpec()
 	spec.CapacityMah = 4000
 	spec.Compute = components.AdvancedComputeTier
-	return TWRStudy{Points: core.TWRSweep(spec, p)}
+	pts, err := core.TWRSweep(spec, p)
+	return TWRStudy{Points: pts}, err
 }
 
 // Table renders the study.
@@ -53,7 +54,7 @@ type SensorStudy struct {
 }
 
 // RunSensorStudy adds each Table 4 LiDAR to an 800 mm drone.
-func RunSensorStudy(p core.Params) SensorStudy {
+func RunSensorStudy(p core.Params) (SensorStudy, error) {
 	spec := core.Spec{WheelbaseMM: 800, Cells: 6, CapacityMah: 8000, TWR: 2,
 		Compute: components.AdvancedComputeTier, ESCClass: components.LongFlight}
 	var sensors []struct {
@@ -68,7 +69,8 @@ func RunSensorStudy(p core.Params) SensorStudy {
 			}{b.Name, b.WeightG})
 		}
 	}
-	return SensorStudy{Points: core.SensorPayloadStudy(spec, p, sensors)}
+	pts, err := core.SensorPayloadStudy(spec, p, sensors)
+	return SensorStudy{Points: pts}, err
 }
 
 // Table renders the study.

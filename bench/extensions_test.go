@@ -8,7 +8,10 @@ import (
 )
 
 func TestRunTWRStudy(t *testing.T) {
-	s := RunTWRStudy(core.DefaultParams())
+	s, err := RunTWRStudy(core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s.Points) < 4 {
 		t.Fatalf("TWR study produced %d points", len(s.Points))
 	}
@@ -21,7 +24,10 @@ func TestRunTWRStudy(t *testing.T) {
 }
 
 func TestRunSensorStudy(t *testing.T) {
-	s := RunSensorStudy(core.DefaultParams())
+	s, err := RunSensorStudy(core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s.Points) != 4 { // none + 3 LiDARs
 		t.Fatalf("sensor study rows = %d, want 4", len(s.Points))
 	}

@@ -28,7 +28,11 @@ func renderAll(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	out["fig17"] = fg17.Table().Render()
-	out["twr"] = RunTWRStudy(p).Table().Render()
+	twr, err := RunTWRStudy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["twr"] = twr.Table().Render()
 	pareto, err := RunParetoStudy(p)
 	if err != nil {
 		t.Fatal(err)

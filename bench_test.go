@@ -101,21 +101,25 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
+// BenchmarkFig10 regenerates Figure 10's three frame classes at each pool
+// size; it is one of BENCH_core.json's rows (make bench-json).
 func BenchmarkFig10(b *testing.B) {
 	p := core.DefaultParams()
-	var best float64
-	for i := 0; i < b.N; i++ {
-		for _, wb := range []float64{100, 450, 800} {
-			fg, err := bench.RunFigure10(wb, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if wb == 450 {
-				best = fg.BestFlight
+	atEachPool(b, func(b *testing.B) {
+		var best float64
+		for i := 0; i < b.N; i++ {
+			for _, wb := range []float64{100, 450, 800} {
+				fg, err := bench.RunFigure10(wb, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if wb == 450 {
+					best = fg.BestFlight
+				}
 			}
 		}
-	}
-	b.ReportMetric(best, "best-450mm-min")
+		b.ReportMetric(best, "best-450mm-min")
+	})
 }
 
 func BenchmarkFig11(b *testing.B) {
@@ -199,8 +203,11 @@ func BenchmarkTable5(b *testing.B) {
 
 func BenchmarkTWRSweep(b *testing.B) {
 	var s bench.TWRStudy
+	var err error
 	for i := 0; i < b.N; i++ {
-		s = bench.RunTWRStudy(core.DefaultParams())
+		if s, err = bench.RunTWRStudy(core.DefaultParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if len(s.Points) > 0 {
 		b.ReportMetric(s.Points[0].ComputeShareHoverPct, "share-twr2-pct")
@@ -209,8 +216,11 @@ func BenchmarkTWRSweep(b *testing.B) {
 
 func BenchmarkSensorPayload(b *testing.B) {
 	var s bench.SensorStudy
+	var err error
 	for i := 0; i < b.N; i++ {
-		s = bench.RunSensorStudy(core.DefaultParams())
+		if s, err = bench.RunSensorStudy(core.DefaultParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if len(s.Points) > 1 {
 		b.ReportMetric(s.Points[len(s.Points)-1].ComputeShareHoverPct, "share-heaviest-pct")
@@ -310,23 +320,30 @@ func BenchmarkFigure12Procedure(b *testing.B) {
 	b.ReportMetric(rec.ComputeSharePct, "compute-share-pct")
 }
 
-// BenchmarkSLAMSuite times the full 11-sequence Figure 17 run at the pool
-// sizes the perf trajectory tracks (1, 2, NumCPU) — the hot path of
-// `figures -fig 17`.
+// BenchmarkSLAMSuite times the Figure 17 run over its first two sequences
+// at each pool size, the hot path of `figures -fig 17`; it is one of
+// BENCH_core.json's rows (make bench-json).
 func BenchmarkSLAMSuite(b *testing.B) {
+	atEachPool(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := bench.RunFigure17(2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// atEachPool runs body as one sub-benchmark per pool size of the perf
+// trajectory: 1, 2, and NumCPU when larger.
+func atEachPool(b *testing.B, body func(b *testing.B)) {
 	pools := []int{1, 2}
 	if n := runtime.NumCPU(); n > 2 {
 		pools = append(pools, n)
 	}
 	for _, pool := range pools {
 		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
-			prev := parallelx.SetPoolSize(pool)
-			defer parallelx.SetPoolSize(prev)
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunFigure17(0); err != nil {
-					b.Fatal(err)
-				}
-			}
+			defer parallelx.SetPoolSize(parallelx.SetPoolSize(pool))
+			body(b)
 		})
 	}
 }

@@ -1,46 +1,80 @@
-// Command benchjson measures the design-space engine's hot paths with the
-// standard testing.Benchmark driver and writes the results as JSON
-// (BENCH_core.json by default), so successive PRs can track the perf
-// trajectory mechanically: each entry records ns/op, allocs/op, and the
-// pool size it ran at.
+// Command benchjson turns `go test -bench` output into BENCH_core.json, the
+// perf trajectory every perf claim cites, and gates a fresh run against a
+// committed baseline.
 //
-// Usage:
+// Each row is one Benchmark* function of the package that owns the kernel,
+// named "<import path>.<benchmark name>", with the `pool=N` element of a
+// sub-benchmark name moved into the row's pool field. For every row the
+// report records how many samples were read (one per result line), the median,
+// min and max ns/op, and the median allocs/op and B/op. The roofline rows
+// place the reference workload's kernels (roofline.RunReference) under
+// each Table 5 platform's roofs; they are deterministic, unlike the timings.
 //
-//	benchjson                 # quick suite -> BENCH_core.json
-//	benchjson -o - -seqs 2    # print to stdout, truncated SLAM suite
-//	benchjson -quick -o -     # smoke subset (resolve, scenario/batch/fleet kernels, SLAM detection)
+// With -base, every row that has a baseline row of the same name and pool
+// is gated. It fails when it allocates at all where the baseline allocates
+// nothing, or when every fresh sample exceeds every baseline sample by more
+// than 25% of the baseline's median: a slowdown clear of both runs' spreads
+// fails however noisy they are, so a large regression cannot hide behind the
+// spread it widens. Otherwise the row reads "unresolved" when either run's
+// own spread (max - min) exceeds 25% of that run's median, unless every
+// fresh sample beats every baseline sample: such a pair cannot tell a
+// regression from noise. A quiet pair fails when its median ns/op is more
+// than 25% above the baseline's. This is benchmark/compare's rule with
+// max - min in place of its quartile spread, which five samples would not
+// support.
+//
+// benchjson exits non-zero when the input has a FAIL line, a benchmarked
+// package without its closing "ok" line, or no benchmark rows at all, so a
+// failed `go test` fails the pipeline even without pipefail.
+//
+// Usage: the Makefile's BENCH line runs the BENCH set in five
+// `go test -count 1` rounds, so that each row's samples spread over the
+// whole run and show the host drifting between rows, which five
+// back-to-back samples of `-count 5` would hide.
+//
+//	make bench-json    # the BENCH set in five rounds, into BENCH_core.json
+//	make bench-guard   # the same, gated with -base BENCH_core.json
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
+	"slices"
 	"sort"
-	"testing"
+	"strconv"
+	"strings"
 
-	"dronedse/bench"
-	"dronedse/core"
-	"dronedse/dataset"
-	"dronedse/faultx"
-	"dronedse/fleet"
-	"dronedse/mission"
-	"dronedse/parallelx"
 	"dronedse/roofline"
-	"dronedse/scenario"
-	"dronedse/slam"
 )
 
-// Result is one benchmark measurement.
-type Result struct {
+// tolerance is the gate's bound: a row fails when its median ns/op exceeds
+// the baseline's median by more than this fraction.
+const tolerance = 0.25
+
+// Row is one benchmark's samples, summarised.
+type Row struct {
 	Name        string  `json:"name"`
-	Pool        int     `json:"pool"`
+	Pool        int     `json:"pool,omitempty"`
+	Samples     int     `json:"samples"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	MinNsPerOp  float64 `json:"min_ns_per_op"`
+	MaxNsPerOp  float64 `json:"max_ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	N           int     `json:"n"`
+}
+
+// key names a row as the gate matches it.
+func (r Row) key() string {
+	if r.Pool == 0 {
+		return r.Name
+	}
+	return fmt.Sprintf("%s@pool%d", r.Name, r.Pool)
 }
 
 // RoofRow is one kernel's roofline placement under one platform's
@@ -56,381 +90,211 @@ type RoofRow struct {
 	RoofFrac    float64 `json:"roof_frac"`
 }
 
-// Report is the BENCH_core.json schema. GoMaxProcsRequested is the -procs
-// value the run asked for; GoMaxProcs is what runtime.GOMAXPROCS actually
-// reports afterwards — recording both keeps the file honest about whether a
-// multi-core request ran on a smaller machine.
+// Report is the BENCH_core.json schema. GoMaxProcs is the value the
+// benchmarks ran at, read from the "-N" suffix go test gives their names.
 type Report struct {
-	GoMaxProcsRequested int       `json:"go_max_procs_requested"`
-	GoMaxProcs          int       `json:"go_max_procs"`
-	NumCPU              int       `json:"num_cpu"`
-	GoVersion           string    `json:"go_version"`
-	Results             []Result  `json:"results"`
-	Roofline            []RoofRow `json:"roofline,omitempty"`
+	GoMaxProcs int       `json:"go_max_procs"`
+	NumCPU     int       `json:"num_cpu"`
+	GoVersion  string    `json:"go_version"`
+	Results    []Row     `json:"results"`
+	Roofline   []RoofRow `json:"roofline"`
 }
 
-func main() {
-	out := flag.String("o", "BENCH_core.json", "output file (- for stdout)")
-	seqs := flag.Int("seqs", 2, "SLAM sequences for the suite benchmark (0 = all 11, slow)")
-	quick := flag.Bool("quick", false, "smoke subset only (resolve kernels, scenario_flight, workload kernels, slam_detect)")
-	procs := flag.Int("procs", runtime.NumCPU(), "runtime.GOMAXPROCS for the whole run")
-	flag.Parse()
-	runtime.GOMAXPROCS(*procs)
+// sample is one benchmark result line.
+type sample struct{ ns, allocs, bytes float64 }
 
-	pools := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		pools = append(pools, n)
-	}
-
-	spec := core.DefaultSpec()
-	p := core.DefaultParams()
-	cells := []int{1, 2, 3, 4, 5, 6}
-
-	rep := Report{
-		GoMaxProcsRequested: *procs,
-		GoMaxProcs:          runtime.GOMAXPROCS(0),
-		NumCPU:              runtime.NumCPU(),
-		GoVersion:           runtime.Version(),
-	}
-
-	// measureN runs fn under testing.Benchmark at each pool size and divides
-	// every per-op figure by perOp — the batch kernels report per-flight
-	// costs this way (one op = a whole batch of perOp flights).
-	measureN := func(name string, poolSizes []int, perOp int, fn func(b *testing.B)) {
-		for _, pool := range poolSizes {
-			prev := parallelx.SetPoolSize(pool)
-			r := testing.Benchmark(fn)
-			parallelx.SetPoolSize(prev)
-			rep.Results = append(rep.Results, Result{
-				Name:        name,
-				Pool:        pool,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N) / float64(perOp),
-				AllocsPerOp: r.AllocsPerOp() / int64(perOp),
-				BytesPerOp:  r.AllocedBytesPerOp() / int64(perOp),
-				N:           r.N,
-			})
-			fmt.Fprintf(os.Stderr, "%-28s pool=%-2d %12.0f ns/op  (n=%d)\n",
-				name, pool, float64(r.T.Nanoseconds())/float64(r.N)/float64(perOp), r.N)
-		}
-	}
-	measure := func(name string, poolSizes []int, fn func(b *testing.B)) {
-		measureN(name, poolSizes, 1, fn)
-	}
-	// medianAllocs measures fn's per-call mallocs and bytes directly from
-	// runtime.MemStats with the collector pinned off, and returns the median
-	// of n runs — robust to the odd run whose map growth lands differently.
-	medianAllocs := func(n int, fn func()) (allocs, bytes int64) {
-		prevGC := debug.SetGCPercent(-1)
-		defer debug.SetGCPercent(prevGC)
-		fn() // warm
-		ma := make([]int64, n)
-		mb := make([]int64, n)
-		var m0, m1 runtime.MemStats
-		for i := 0; i < n; i++ {
-			runtime.ReadMemStats(&m0)
-			fn()
-			runtime.ReadMemStats(&m1)
-			ma[i] = int64(m1.Mallocs - m0.Mallocs)
-			mb[i] = int64(m1.TotalAlloc - m0.TotalAlloc)
-		}
-		sort.Slice(ma, func(i, j int) bool { return ma[i] < ma[j] })
-		sort.Slice(mb, func(i, j int) bool { return mb[i] < mb[j] })
-		return ma[n/2], mb[n/2]
-	}
-	serial := []int{1}
-
-	measure("resolve_uncached", serial, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Resolve(spec, p); err != nil {
-				b.Fatal(err)
+// parse reads go test -bench -benchmem output to its end and returns one
+// row per benchmark, in first-seen order, and the GOMAXPROCS the rows ran
+// at.
+func parse(r io.Reader) ([]Row, int, error) {
+	var (
+		pkg     string
+		open    []string // packages benchmarked and not yet closed by "ok"
+		order   []Row
+		samples = map[string][]sample{}
+		procs   = 0
+		failed  error
+	)
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		fields := strings.Fields(line)
+		switch {
+		case failed != nil:
+			// Read on, so the whole failure report is echoed.
+		case strings.HasPrefix(line, "FAIL") || strings.Contains(line, "--- FAIL") || strings.HasPrefix(line, "panic:"):
+			failed = fmt.Errorf("go test failed: %s", line)
+		case strings.HasPrefix(line, "pkg: "):
+			pkg = strings.TrimPrefix(line, "pkg: ")
+			open = append(open, pkg)
+		case len(fields) >= 2 && fields[0] == "ok":
+			open = slices.DeleteFunc(open, func(p string) bool { return p == fields[1] })
+		case strings.HasPrefix(line, "Benchmark") && len(fields) >= 4:
+			if pkg == "" {
+				return nil, 0, fmt.Errorf("benchmark line before any \"pkg:\" line: %s", line)
 			}
-		}
-	})
-	// Scenario-engine kernel: one full closed-loop reference flight (build,
-	// arm, box mission, land) per op — the wiring + flight cost every
-	// scenario-based tool pays.
-	measure("scenario_flight", serial, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := scenario.Run(scenario.Spec{Seed: 1})
+			row, n, err := parseName(pkg, fields[0])
 			if err != nil {
-				b.Fatal(err)
+				return nil, 0, err
 			}
-			if !res.Completed {
-				b.Fatal("reference mission did not complete")
+			if procs != 0 && n != procs {
+				return nil, 0, fmt.Errorf("mixed GOMAXPROCS: %d and %d", procs, n)
 			}
-		}
-	})
-	// Batch-engine kernels: N reference flights stepped in lock-step on one
-	// scenario.Batch, reported per flight. Build/arm happen outside the
-	// timer, so ns and allocs measure exactly the steady-state stepping the
-	// fleet-simulation north star pays — the alloc column is the
-	// zero-steady-state-allocation contract (the residual is the one
-	// Outcomes slice, amortized over the batch).
-	batchKernel := func(size int) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				specs := make([]scenario.Spec, size)
-				for j := range specs {
-					specs[j] = scenario.Spec{Seed: int64(j + 1)}
-				}
-				bt := scenario.NewBatch(specs)
-				bt.Start()
-				b.StartTimer()
-				results, errs := bt.Run()
-				b.StopTimer()
-				for j := range errs {
-					if errs[j] != nil {
-						b.Fatal(errs[j])
-					}
-					if !results[j].Completed {
-						b.Fatal("lane mission did not complete")
-					}
-				}
+			procs = n
+			s, err := parseMetrics(fields[2:])
+			if err != nil {
+				return nil, 0, fmt.Errorf("%s: %w", fields[0], err)
 			}
+			if _, seen := samples[row.key()]; !seen {
+				order = append(order, row)
+			}
+			samples[row.key()] = append(samples[row.key()], s)
 		}
 	}
-	for _, size := range []int{1, 16, 64} {
-		measureN(fmt.Sprintf("scenario_batch%d", size), serial, size, batchKernel(size))
+	if err := sc.Err(); err != nil {
+		return nil, 0, err
 	}
-	// Fleet-server kernel: 256 resident hover flights stepped through the
-	// whole fleetd engine path — admission bookkeeping, one batch TickN,
-	// telemetry publish into subscriber-less hubs — reported per drone-step.
-	// The delta against scenario_batch is the multi-tenancy overhead.
-	fleetLanes, fleetStride := 256, 100
-	measureN("fleet_step256", pools, fleetLanes*fleetStride, func(b *testing.B) {
-		srv := fleet.New(fleet.Config{MaxLanes: fleetLanes, DropArtifacts: true})
-		specs := make([]fleet.JobSpec, fleetLanes)
-		hover := &mission.WireSpec{KindName: "hover"}
-		for j := range specs {
-			specs[j] = fleet.JobSpec{Seed: int64(j + 1), Workload: hover, MaxSeconds: 3600}
-		}
-		if _, err := srv.SubmitAll(specs); err != nil {
-			b.Fatal(err)
-		}
-		srv.Advance(10000) // through takeoff into steady hover
-		if st := srv.Stats(); st.Live != fleetLanes {
-			b.Fatalf("%d of %d lanes live after warmup", st.Live, fleetLanes)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv.Advance(fleetStride)
-		}
-		b.StopTimer()
-		srv.Shutdown()
-	})
-	// Workload kernels: one full closed-loop flight per op for each
-	// MAVBench-style workload, plus a fault-campaign variant (fault-free
-	// baseline + severe compound fault) per workload. Each flight kernel
-	// also checks the run resolves a positive Equation-7 compute
-	// flight-time cost — the figure the paper prices companion compute in.
-	for _, wk := range []struct {
-		name string
-		wl   mission.Workload
-	}{
-		{"workload_coverage", mission.Coverage{}},
-		{"workload_delivery", mission.DefaultDelivery()},
-		{"workload_follow", mission.Follow{}},
-	} {
-		wk := wk
-		measure(wk.name, serial, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := scenario.Run(scenario.Spec{Seed: 1, MaxSeconds: 120, Workload: wk.wl})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Workload.Completed {
-					b.Fatalf("%s did not complete", wk.name)
-				}
-				if res.ComputeFlightCostMin() <= 0 {
-					b.Fatalf("%s: no Equation-7 flight-time cost", wk.name)
-				}
-			}
-		})
-		measure(wk.name+"_campaign", serial, func(b *testing.B) {
-			scenarios := []faultx.Scenario{faultx.SevereScenario(1)}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := faultx.Run(scenarios, faultx.Config{MaxSeconds: 90, Workload: wk.wl}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	if failed != nil {
+		return nil, 0, failed
 	}
-	// SLAM feature detection, the front end's largest kernel, is in the
-	// quick suite so the bench-guard gate re-measures it, at pools 1 and 2
-	// only: pool 8 would oversubscribe a 2-CPU host. The full suite adds
-	// pool 8 with the other SLAM kernels below.
-	seq, err := dataset.Generate(dataset.EuRoCSpecs()[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	if len(open) > 0 {
+		return nil, 0, fmt.Errorf("no ok line for %s", strings.Join(open, ", "))
 	}
-	h := slam.NewBenchHarness(seq, 30)
-	slamDetect := func(b *testing.B) {
-		h.Detect() // warm detector scratch at this pool size
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Detect()
-		}
+	if len(order) == 0 {
+		return nil, 0, errors.New("no benchmark results in the input")
 	}
-	measure("slam_detect", []int{1, 2}, slamDetect)
-	if *quick {
-		writeReport(rep, *out)
-		return
+	for i := range order {
+		order[i].summarise(samples[order[i].key()])
 	}
-
-	measure("sweep_capacity_cold", pools, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if pts, err := core.SweepCapacity(spec, p, 1000, 8000, 100); err != nil || len(pts) == 0 {
-				b.Fatalf("empty sweep (%v)", err)
-			}
-		}
-	})
-	measure("best_config_cold", pools, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.BestConfig(spec, p, cells, 1000, 8000, 250); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	measure("pareto_payload_cold", pools, func(b *testing.B) {
-		payloads := []float64{0, 100, 200, 300, 500, 750, 1000}
-		for i := 0; i < b.N; i++ {
-			if pts, err := core.ParetoPayloadFrontier(spec, p, payloads); err != nil || len(pts) == 0 {
-				b.Fatalf("empty frontier (%v)", err)
-			}
-		}
-	})
-	measure("figure10_450mm", pools, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.RunFigure10(450, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// SLAM front-end kernels (this PR's hot paths). Pool sizes 1/2/8 track
-	// the serial floor, the dual-core win, and the saturation point; outputs
-	// are pool-invariant (see slam/parallel_test.go), so only timing moves.
-	slamPools := []int{1, 2, 8}
-	measure("slam_detect", []int{8}, slamDetect)
-	measure("slam_match_projection", slamPools, func(b *testing.B) {
-		h.MatchByProjection()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.MatchByProjection()
-		}
-	})
-	measure("slam_ba_local", slamPools, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h.LocalBA()
-		}
-	})
-	// slam_run_sequence reports ns/op from testing.Benchmark like every other
-	// kernel, but takes its alloc column from a GC-pinned median of warmed
-	// runs instead of the benchmark mean: the run's ~16k allocations carry a
-	// few allocs of run-to-run jitter (map overflow-bucket layout depends on
-	// insertion order), and a mean over testing.Benchmark's small N would make
-	// the pool-1 vs pool-8 alloc comparison — the pool-independence contract
-	// this file is the record of — a coin flip.
-	for _, pool := range slamPools {
-		prev := parallelx.SetPoolSize(pool)
-		r := testing.Benchmark(func(b *testing.B) {
-			slam.RunSequence(seq) // warm this pool size's worker scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				slam.RunSequence(seq)
-			}
-		})
-		allocs, bytes := medianAllocs(5, func() { slam.RunSequence(seq) })
-		parallelx.SetPoolSize(prev)
-		rep.Results = append(rep.Results, Result{
-			Name:        "slam_run_sequence",
-			Pool:        pool,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: allocs,
-			BytesPerOp:  bytes,
-			N:           r.N,
-		})
-		fmt.Fprintf(os.Stderr, "%-28s pool=%-2d %12.0f ns/op  (n=%d)\n",
-			"slam_run_sequence", pool, float64(r.T.Nanoseconds())/float64(r.N), r.N)
-	}
-
-	// Fault-campaign kernel: two full closed-loop flights (fault-free
-	// baseline + severe compound) per op. Scales with the pool because the
-	// flights are independent; the campaign table itself is pool-invariant.
-	measure("fault_campaign", []int{1, 2}, func(b *testing.B) {
-		scenarios := []faultx.Scenario{faultx.SevereScenario(1)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := faultx.Run(scenarios, faultx.Config{MaxSeconds: 120}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	seqName := fmt.Sprintf("slam_suite_%dseq", *seqs)
-	if *seqs == 0 {
-		seqName = "slam_suite_full"
-	}
-	measure(seqName, pools, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.RunFigure17(*seqs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	rows, err := rooflineRows(seq)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	rep.Roofline = rows
-
-	writeReport(rep, *out)
+	return order, procs, nil
 }
 
-// rooflineRows ledgers the reference workload (the MH01 sequence already
-// generated for the SLAM benchmarks, the loop-closing orbit, and the
-// reference box-mission flight) and places every kernel under each Table 5
-// platform's roofs. The ledgers are deterministic functions of the
-// workload, so these rows are bit-stable across runs and pool sizes —
-// unlike the timing results above, a diff here always means a real change
-// to the pipeline's arithmetic or the byte models.
-func rooflineRows(mh01 *dataset.Sequence) ([]RoofRow, error) {
-	st := slam.RunSequence(mh01).Stats
-	orbit, err := dataset.Generate(roofline.LoopOrbitSpec())
-	if err != nil {
-		return nil, err
+// parseName splits a benchmark name such as "BenchmarkBatch/n=16/pool=2-8"
+// into a row of pkg and the GOMAXPROCS suffix (1 when go test omits it).
+func parseName(pkg, name string) (Row, int, error) {
+	procs := 1
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
+		}
 	}
-	ost := slam.RunSequence(orbit).Stats
-	st.FeatureExtractionOps += ost.FeatureExtractionOps
-	st.MatchingOps += ost.MatchingOps
-	st.LocalBAOps += ost.LocalBAOps
-	st.GlobalBAOps += ost.GlobalBAOps
-	st.PoseGraphOps += ost.PoseGraphOps
-	st.Frames += ost.Frames
+	row := Row{}
+	var parts []string
+	for _, part := range strings.Split(name, "/") {
+		if v, ok := strings.CutPrefix(part, "pool="); ok {
+			pool, err := strconv.Atoi(v)
+			if err != nil || pool < 1 {
+				return Row{}, 0, fmt.Errorf("%s: bad pool %q", name, v)
+			}
+			row.Pool = pool
+			continue
+		}
+		parts = append(parts, part)
+	}
+	row.Name = pkg + "." + strings.Join(parts, "/")
+	return row, procs, nil
+}
 
-	fres, err := scenario.Run(scenario.Spec{Seed: 42, MaxSeconds: 120})
+// parseMetrics reads the "value unit" pairs after a result line's
+// iteration count.
+func parseMetrics(fields []string) (sample, error) {
+	var s sample
+	var haveNs bool
+	for i := 0; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return sample{}, fmt.Errorf("bad value %q", fields[i])
+		}
+		switch fields[i+1] {
+		case "ns/op":
+			s.ns, haveNs = v, true
+		case "allocs/op":
+			s.allocs = v
+		case "B/op":
+			s.bytes = v
+		}
+	}
+	if !haveNs {
+		return sample{}, errors.New("no ns/op")
+	}
+	return s, nil
+}
+
+// summarise fills the row's statistics from its samples.
+func (r *Row) summarise(ss []sample) {
+	col := func(f func(sample) float64) []float64 {
+		xs := make([]float64, len(ss))
+		for i, s := range ss {
+			xs[i] = f(s)
+		}
+		sort.Float64s(xs)
+		return xs
+	}
+	ns := col(func(s sample) float64 { return s.ns })
+	r.Samples = len(ss)
+	r.NsPerOp, r.MinNsPerOp, r.MaxNsPerOp = median(ns), ns[0], ns[len(ns)-1]
+	r.AllocsPerOp = int64(median(col(func(s sample) float64 { return s.allocs })))
+	r.BytesPerOp = int64(median(col(func(s sample) float64 { return s.bytes })))
+}
+
+// median of sorted, non-empty xs.
+func median(xs []float64) float64 {
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// gate prints one line per fresh row that has a baseline row, in key
+// order, and counts the rows failed, unresolved, compared, and skipped for
+// want of a baseline.
+func gate(w io.Writer, base, fresh []Row) (failed, unresolved, compared, skipped int) {
+	baseRows := make(map[string]Row, len(base))
+	for _, r := range base {
+		baseRows[r.key()] = r
+	}
+	rows := slices.Clone(fresh)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].key() < rows[j].key() })
+	for _, nr := range rows {
+		br, ok := baseRows[nr.key()]
+		if !ok || br.NsPerOp <= 0 {
+			skipped++
+			continue
+		}
+		compared++
+		bound := tolerance * br.NsPerOp
+		noisy := br.MaxNsPerOp-br.MinNsPerOp > bound || nr.MaxNsPerOp-nr.MinNsPerOp > tolerance*nr.NsPerOp
+		status := "ok"
+		switch {
+		case br.AllocsPerOp == 0 && nr.AllocsPerOp != 0:
+			status = fmt.Sprintf("FAIL (%d allocs/op, baseline 0)", nr.AllocsPerOp)
+			failed++
+		case nr.MinNsPerOp-br.MaxNsPerOp > bound:
+			status = "FAIL"
+			failed++
+		case noisy && nr.MaxNsPerOp >= br.MinNsPerOp:
+			status = "unresolved"
+			unresolved++
+		case !noisy && nr.NsPerOp-br.NsPerOp > bound:
+			status = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(w, "%-56s %12.0f -> %12.0f ns/op  %5.2fx  %s\n",
+			nr.key(), br.NsPerOp, nr.NsPerOp, nr.NsPerOp/br.NsPerOp, status)
+	}
+	return failed, unresolved, compared, skipped
+}
+
+// roofRows places the reference workload's kernels under each platform.
+func roofRows() ([]RoofRow, error) {
+	ref, err := roofline.RunReference()
 	if err != nil {
 		return nil, err
 	}
-	pts := append(roofline.FromSLAM(st, mh01.Cam.Width, mh01.Cam.Height),
-		roofline.FromFlight(fres.EKFStats, fres.CtrlStats)...)
-	roofRep := roofline.BuildReport(pts)
 	var rows []RoofRow
-	for i, c := range roofRep.Ceilings {
-		for _, pl := range roofRep.Placements[i] {
+	for i, c := range ref.Report.Ceilings {
+		for _, pl := range ref.Report.Placements[i] {
 			rows = append(rows, RoofRow{
 				Platform:    c.Platform,
 				Kernel:      pl.Name,
@@ -445,20 +309,90 @@ func rooflineRows(mh01 *dataset.Sequence) ([]RoofRow, error) {
 	return rows, nil
 }
 
-func writeReport(rep Report, out string) {
+func loadReport(path string) (Report, error) {
+	var rep Report
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rep, err
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return rep, fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, nil
+}
+
+func writeReport(rep Report, out string) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
 	}
 	data = append(data, '\n')
 	if out == "-" {
-		os.Stdout.Write(data)
-		return
+		_, err = os.Stdout.Write(data)
+		return err
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
+	return os.WriteFile(out, data, 0o644)
+}
+
+func run(in io.Reader, out, basePath string) error {
+	var base Report
+	if basePath != "" {
+		var err error
+		if base, err = loadReport(basePath); err != nil {
+			return err
+		}
+	}
+	rows, procs, err := parse(in)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if r.Pool > runtime.NumCPU() {
+			return fmt.Errorf("%s: pool %d is above NumCPU %d", r.Name, r.Pool, runtime.NumCPU())
+		}
+	}
+	roof, err := roofRows()
+	if err != nil {
+		return err
+	}
+	rep := Report{
+		GoMaxProcs: procs,
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		Results:    rows,
+		Roofline:   roof,
+	}
+	if err := writeReport(rep, out); err != nil {
+		return err
+	}
+	if basePath == "" {
+		return nil
+	}
+	failed, unresolved, compared, skipped := gate(os.Stderr, base.Results, rows)
+	if skipped > 0 {
+		fmt.Fprintf(os.Stderr, "(%d rows without a baseline row skipped)\n", skipped)
+	}
+	if compared == 0 {
+		return fmt.Errorf("no rows in common with %s", basePath)
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d rows degraded beyond %.0f%% of the %s baseline or lost zero allocs/op; "+
+			"if deliberate, re-baseline with `make bench-json` and commit BENCH_core.json",
+			failed, compared, tolerance*100, basePath)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: %d rows within %.0f%% of %s, %d unresolved\n",
+		compared-unresolved, tolerance*100, basePath, unresolved)
+	return nil
+}
+
+func main() {
+	out := flag.String("o", "-", "write the report to this file (- for stdout)")
+	base := flag.String("base", "", "gate the rows against this baseline report")
+	flag.Parse()
+	// Echo the go test output, which the pipe would otherwise hide until
+	// the end of the run.
+	if err := run(io.TeeReader(os.Stdin, os.Stderr), *out, *base); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, "wrote", out)
 }

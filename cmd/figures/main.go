@@ -129,10 +129,18 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		emit(fg.Table())
 	}
 	if want("twr") {
-		emit(bench.RunTWRStudy(p).Table())
+		s, err := bench.RunTWRStudy(p)
+		if err != nil {
+			return err
+		}
+		emit(s.Table())
 	}
 	if want("sensors") {
-		emit(bench.RunSensorStudy(p).Table())
+		s, err := bench.RunSensorStudy(p)
+		if err != nil {
+			return err
+		}
+		emit(s.Table())
 	}
 	if want("gust") {
 		emit(bench.RunGustStudy(seed).Table())

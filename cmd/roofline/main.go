@@ -22,49 +22,26 @@ import (
 	"os"
 	"runtime"
 
-	"dronedse/dataset"
 	"dronedse/parallelx"
 	"dronedse/roofline"
-	"dronedse/scenario"
-	"dronedse/slam"
 )
 
 // run builds the workload ledgers and writes the report, returning it so
 // the tests can assert on the ledgers behind the exact user-facing output.
 func run(w io.Writer, figPlatform string) (roofline.Report, error) {
-	// SLAM ledger: MH01 (nominal tracking mix) + the loop-closing orbit,
-	// summed into one sequence-suite ledger.
-	var st slam.Stats
-	var width, height int
-	for _, spec := range []dataset.Spec{dataset.EuRoCSpecs()[0], roofline.LoopOrbitSpec()} {
-		seq, err := dataset.Generate(spec)
-		if err != nil {
-			return roofline.Report{}, fmt.Errorf("generate %s: %w", spec.Name, err)
-		}
-		res := slam.RunSequence(seq)
+	ref, err := roofline.RunReference()
+	if err != nil {
+		return roofline.Report{}, err
+	}
+	for _, res := range ref.Sequences {
 		fmt.Fprintf(w, "slam %-6s frames %3d  kfs %3d  loops %d  ate %.3f m\n",
 			res.Name, res.Frames, res.Stats.Keyframes, res.Stats.LoopClosures, res.ATE)
-		st.FeatureExtractionOps += res.Stats.FeatureExtractionOps
-		st.MatchingOps += res.Stats.MatchingOps
-		st.LocalBAOps += res.Stats.LocalBAOps
-		st.GlobalBAOps += res.Stats.GlobalBAOps
-		st.PoseGraphOps += res.Stats.PoseGraphOps
-		st.Frames += res.Stats.Frames
-		width, height = seq.Cam.Width, seq.Cam.Height
 	}
-
-	// Flight ledger: the reference box mission (scenario defaults).
-	fres, err := scenario.Run(scenario.Spec{Seed: 42, MaxSeconds: 120})
-	if err != nil {
-		return roofline.Report{}, fmt.Errorf("flight: %w", err)
-	}
+	fres := ref.Flight
 	fmt.Fprintf(w, "flight %.1f s  ekf predicts %d / updates %d  ctrl updates %d\n\n",
 		fres.FlightTimeS, fres.EKFStats.Predicts, fres.EKFStats.Updates,
 		fres.CtrlStats.RateUpdates)
-
-	pts := append(roofline.FromSLAM(st, width, height),
-		roofline.FromFlight(fres.EKFStats, fres.CtrlStats)...)
-	rep := roofline.BuildReport(pts)
+	rep := ref.Report
 	fmt.Fprint(w, rep.Table())
 
 	if figPlatform != "" {

@@ -115,13 +115,27 @@ func TestFrontiersDeterministic(t *testing.T) {
 	large := Spec{WheelbaseMM: 800, Cells: 6, CapacityMah: 8000, TWR: 2,
 		Compute: components.AdvancedComputeTier, ESCClass: components.LongFlight}
 
+	twr := func() []TWRPoint {
+		pts, err := TWRSweep(spec, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	sensorStudy := func() []SensorPayloadPoint {
+		pts, err := SensorPayloadStudy(large, p, sensors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
 	var wantPayload []ParetoPoint
 	var wantTWR []TWRPoint
 	var wantSensor []SensorPayloadPoint
 	atPool(t, 1, func() {
 		wantPayload = mustFrontier(t, spec, p, payloads)
-		wantTWR = TWRSweep(spec, p)
-		wantSensor = SensorPayloadStudy(large, p, sensors)
+		wantTWR = twr()
+		wantSensor = sensorStudy()
 	})
 	if len(wantPayload) == 0 || len(wantTWR) == 0 || len(wantSensor) == 0 {
 		t.Fatal("serial frontiers empty")
@@ -131,10 +145,10 @@ func TestFrontiersDeterministic(t *testing.T) {
 			if got := mustFrontier(t, spec, p, payloads); !reflect.DeepEqual(got, wantPayload) {
 				t.Errorf("pool=%d payload frontier differs", pool)
 			}
-			if got := TWRSweep(spec, p); !reflect.DeepEqual(got, wantTWR) {
+			if got := twr(); !reflect.DeepEqual(got, wantTWR) {
 				t.Errorf("pool=%d TWR sweep differs", pool)
 			}
-			if got := SensorPayloadStudy(large, p, sensors); !reflect.DeepEqual(got, wantSensor) {
+			if got := sensorStudy(); !reflect.DeepEqual(got, wantSensor) {
 				t.Errorf("pool=%d sensor study differs", pool)
 			}
 		})

@@ -149,11 +149,19 @@ type TWRPoint struct {
 // TWRSweep evaluates the design at thrust-to-weight ratios from 2 to 7
 // (Table 3's common range). The paper's conclusion (§7): higher TWR lowers
 // the compute contribution further; TWR 2 is the upper bound on compute's
-// share. Infeasible ratios are skipped.
-func TWRSweep(spec Spec, p Params) []TWRPoint {
-	return parallelx.FilterMap([]float64{2, 3, 4, 5, 6, 7}, func(twr float64) (TWRPoint, bool) {
+// share. The spec is validated once, and a validation error is returned as
+// is; infeasible ratios are skipped.
+func TWRSweep(spec Spec, p Params) ([]TWRPoint, error) {
+	twrs := []float64{2, 3, 4, 5, 6, 7}
+	s := spec
+	s.TWR = twrs[0]
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return parallelx.FilterMap(twrs, func(twr float64) (TWRPoint, bool) {
 		s := spec
 		s.TWR = twr
+		// Validated above, so the only error left is ErrNoConverge.
 		d, err := Resolve(s, p)
 		if err != nil {
 			return TWRPoint{}, false
@@ -165,7 +173,7 @@ func TWRSweep(spec Spec, p Params) []TWRPoint {
 			ComputeShareHoverPct: d.ComputeSharePct(p.HoverLoad),
 			FlightMin:            d.HoverFlightTimeMin(),
 		}, true
-	})
+	}), nil
 }
 
 // SensorPayloadPoint is one sample of the §3.1 external-sensor study: how a
@@ -181,14 +189,28 @@ type SensorPayloadPoint struct {
 // SensorPayloadStudy adds each self-powered LiDAR from Table 4 to a large
 // drone and reports the squeeze on the computation power boundary ("We
 // study how the addition of these sensors due to their weight reduces the
-// contribution boundary of main computation power in large drones").
+// contribution boundary of main computation power in large drones"). The
+// spec is validated with every sensor before any design is resolved, and a
+// validation error is returned as is; an infeasible base design gives no
+// points, and infeasible sensors are skipped.
 func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
 	Name    string
 	WeightG float64
-}) []SensorPayloadPoint {
+}) ([]SensorPayloadPoint, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	for _, sn := range sensors {
+		s := spec
+		s.SensorsG = sn.WeightG
+		if err := s.validate(); err != nil {
+			return nil, err
+		}
+	}
+	// Validated above, so the only error left is ErrNoConverge.
 	base, err := Resolve(spec, p)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	out := []SensorPayloadPoint{{
 		SensorName:           "(none)",
@@ -214,5 +236,5 @@ func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
 			FlightMin:            d.HoverFlightTimeMin(),
 		}, true
 	})
-	return append(out, pts...)
+	return append(out, pts...), nil
 }

@@ -88,7 +88,10 @@ func TestParetoFilterDominance(t *testing.T) {
 func TestTWRSweep(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Compute = components.AdvancedComputeTier
-	pts := TWRSweep(spec, DefaultParams())
+	pts, err := TWRSweep(spec, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) < 4 {
 		t.Fatalf("sweep produced %d points", len(pts))
 	}
@@ -120,7 +123,10 @@ func TestSensorPayloadStudy(t *testing.T) {
 		{"Ultra Puck", 925},
 		{"YellowScan Surveyor", 1600},
 	}
-	pts := SensorPayloadStudy(spec, DefaultParams(), sensors)
+	pts, err := SensorPayloadStudy(spec, DefaultParams(), sensors)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("study produced %d rows", len(pts))
 	}

@@ -8,21 +8,18 @@ import (
 	"dronedse/parallelx"
 )
 
-// benchPools are the pool sizes the perf trajectory is tracked at.
-func benchPools() []int {
+// The benchmarks below are BENCH_core.json's core rows (make bench-json).
+
+// atEachPool runs body as one sub-benchmark per pool size of the perf
+// trajectory: 1, 2, and NumCPU when larger.
+func atEachPool(b *testing.B, body func(b *testing.B)) {
 	pools := []int{1, 2}
 	if n := runtime.NumCPU(); n > 2 {
 		pools = append(pools, n)
 	}
-	return pools
-}
-
-// atEachPool runs the body as a sub-benchmark per pool size.
-func atEachPool(b *testing.B, body func(b *testing.B)) {
-	for _, pool := range benchPools() {
+	for _, pool := range pools {
 		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
-			prev := parallelx.SetPoolSize(pool)
-			defer parallelx.SetPoolSize(prev)
+			defer parallelx.SetPoolSize(parallelx.SetPoolSize(pool))
 			body(b)
 		})
 	}

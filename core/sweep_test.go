@@ -208,6 +208,10 @@ func mustFrontier(tb testing.TB, spec Spec, p Params, payloadsG []float64) []Par
 func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
 	p := DefaultParams()
 	cells := []int{1, 2, 3, 4, 5, 6}
+	lidars := []struct {
+		Name    string
+		WeightG float64
+	}{{"Ultra Puck", 925}}
 	bad := []struct {
 		name string
 		edit func(*Spec)
@@ -232,6 +236,13 @@ func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
 		if pts, err := ParetoPayloadFrontier(spec, p, []float64{0, 500}); !errors.Is(err, c.want) || pts != nil {
 			t.Errorf("%s: ParetoPayloadFrontier = %d points, %v; want %v", c.name, len(pts), err, c.want)
 		}
+		// TWRSweep sets the TWR itself, so only the other fields can fail it.
+		if pts, err := TWRSweep(spec, p); c.want != ErrBadTWR && (!errors.Is(err, c.want) || pts != nil) {
+			t.Errorf("%s: TWRSweep = %d points, %v; want %v", c.name, len(pts), err, c.want)
+		}
+		if pts, err := SensorPayloadStudy(spec, p, lidars); !errors.Is(err, c.want) || pts != nil {
+			t.Errorf("%s: SensorPayloadStudy = %d points, %v; want %v", c.name, len(pts), err, c.want)
+		}
 	}
 	// The grid's own range and cell counts are validated too.
 	if _, err := SweepCapacity(DefaultSpec(), p, 0, 8000, 500); !errors.Is(err, ErrBadCapacity) {
@@ -242,6 +253,13 @@ func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
 	}
 	if _, err := ParetoPayloadFrontier(DefaultSpec(), p, []float64{0, math.Inf(1)}); !errors.Is(err, ErrBadWeight) {
 		t.Errorf("ParetoPayloadFrontier at +Inf g: error %v, want ErrBadWeight", err)
+	}
+	nanSensor := append(lidars, struct {
+		Name    string
+		WeightG float64
+	}{"NaN", math.NaN()})
+	if _, err := SensorPayloadStudy(DefaultSpec(), p, nanSensor); !errors.Is(err, ErrBadWeight) {
+		t.Errorf("SensorPayloadStudy with a NaN g sensor: error %v, want ErrBadWeight", err)
 	}
 	for _, c := range []struct {
 		name string
@@ -269,5 +287,11 @@ func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
 	}
 	if pts, err := ParetoPayloadFrontier(heavy, p, []float64{20000}); err != nil || len(pts) != 0 {
 		t.Errorf("infeasible frontier = %d points, %v; want none, nil", len(pts), err)
+	}
+	if pts, err := TWRSweep(heavy, p); err != nil || len(pts) != 0 {
+		t.Errorf("infeasible TWR sweep = %d points, %v; want none, nil", len(pts), err)
+	}
+	if pts, err := SensorPayloadStudy(heavy, p, lidars); err != nil || len(pts) != 0 {
+		t.Errorf("infeasible sensor study = %d points, %v; want none, nil", len(pts), err)
 	}
 }

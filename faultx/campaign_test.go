@@ -99,7 +99,7 @@ func TestCampaignPoolInvariance(t *testing.T) {
 			Name: "gps-denial", Seed: 11,
 			Plan: Plan{Events: []Event{{Kind: GPSDenial, Start: 8, Duration: 12}}},
 		},
-		SevereScenario(11),
+		severeScenario(11),
 	}
 	cfg := Config{MaxSeconds: 200}
 	run := func(pool int) string {
@@ -126,7 +126,7 @@ func TestCampaignPoolInvariance(t *testing.T) {
 // worst case must force the offload fallback and a failsafe RTL — and the
 // vehicle must still get down without crashing.
 func TestSevereScenario(t *testing.T) {
-	c, err := Run([]Scenario{SevereScenario(5)}, Config{MaxSeconds: 200})
+	c, err := Run([]Scenario{severeScenario(5)}, Config{MaxSeconds: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestCampaignRejectsNonFinite(t *testing.T) {
 		{Name: "neg-reorder", Seed: 1, Link: LinkLoss{Reorder: -0.1}},
 	}
 	for _, sc := range bad {
-		if _, err := Run([]Scenario{SevereScenario(1), sc}, Config{MaxSeconds: 10}); err == nil {
+		if _, err := Run([]Scenario{severeScenario(1), sc}, Config{MaxSeconds: 10}); err == nil {
 			t.Errorf("campaign accepted scenario %q", sc.Name)
 		}
 	}

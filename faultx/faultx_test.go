@@ -38,7 +38,7 @@ func TestPlanValidate(t *testing.T) {
 			t.Errorf("bad plan %d accepted", i)
 		}
 	}
-	if err := SevereScenario(1).Plan.Validate(); err != nil {
+	if err := severeScenario(1).Plan.Validate(); err != nil {
 		t.Errorf("severe plan rejected: %v", err)
 	}
 }

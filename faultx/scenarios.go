@@ -5,13 +5,13 @@ import (
 	"dronedse/sensors"
 )
 
-// SevereScenario is the campaign's worst-case compound fault: a permanent
+// severeScenario is the campaign's worst-case compound fault: a permanent
 // radio outage (forcing the offload fallback onto the onboard host), a
 // sagging and faded pack, a damaged motor, a gust step, a sustained GPS
 // denial mid-mission, and a badly lossy telemetry link. The acceptance
 // contract: the stack must fall back, escalate to RTL, and land without
 // crashing.
-func SevereScenario(seed int64) Scenario {
+func severeScenario(seed int64) Scenario {
 	return Scenario{
 		Name: "severe",
 		Seed: seed,
@@ -67,6 +67,6 @@ func StandardScenarios(seed int64) []Scenario {
 				{Kind: WindGust, Start: 10, Vec: mathx.V3(1.5, -1, 0)},
 			}},
 		},
-		SevereScenario(seed),
+		severeScenario(seed),
 	}
 }

@@ -20,7 +20,7 @@ func TestWorkloadCampaignPoolInvariance(t *testing.T) {
 			Name: "gps-denial", Seed: 21,
 			Plan: Plan{Events: []Event{{Kind: GPSDenial, Start: 8, Duration: 12}}},
 		},
-		SevereScenario(21),
+		severeScenario(21),
 	}
 	workloads := []mission.Workload{
 		mission.Coverage{WidthM: 12, HeightM: 12, SpacingM: 6},

@@ -71,7 +71,8 @@ func oracleDigest(res *scenario.Result) fleet.Digests {
 // carries failsafe and mode-change events.
 func faultedFlight(t *testing.T) *scenario.Result {
 	t.Helper()
-	sc := faultx.SevereScenario(31)
+	scs := faultx.StandardScenarios(31)
+	sc := scs[len(scs)-1] // the severe compound fault
 	inj, err := faultx.NewInjector(sc.Plan, sc.Seed)
 	if err != nil {
 		t.Fatal(err)

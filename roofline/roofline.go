@@ -26,16 +26,58 @@ import (
 	"dronedse/estimation"
 	"dronedse/microarch"
 	"dronedse/platform"
+	"dronedse/scenario"
 	"dronedse/slam"
 )
 
 // LoopOrbitSpec is the reference loop-closing sequence: a closed orbit that
 // revisits its starting view, so a run exercises the pose-graph and
-// global-BA kernels the sweep-pattern EuRoC specs leave cold. cmd/roofline
-// and benchjson both ledger it, so their kernel rows stay comparable.
+// global-BA kernels the sweep-pattern EuRoC specs leave cold.
 func LoopOrbitSpec() dataset.Spec {
 	return dataset.Spec{Name: "ORBIT", Difficulty: dataset.Easy, Frames: 185, FPS: 20,
 		Landmarks: 900, SpeedMS: 2.0, RoomHalfM: 8, Orbit: true, Seed: 777}
+}
+
+// Reference is the reference workload run through the full stack: the MH01
+// sequence and the loop-closing orbit, whose SLAM ledgers are summed into
+// one suite ledger, and the reference box-mission flight. Report places
+// every kernel of those ledgers under each Table 5 platform's roofs.
+type Reference struct {
+	Sequences []slam.Result
+	Flight    *scenario.Result
+	Report    Report
+}
+
+// RunReference runs the reference workload. cmd/roofline prints it and
+// cmd/benchjson records its placements, so their kernel rows are one
+// computation.
+func RunReference() (Reference, error) {
+	var ref Reference
+	var st slam.Stats
+	var width, height int
+	for _, spec := range []dataset.Spec{dataset.EuRoCSpecs()[0], LoopOrbitSpec()} {
+		seq, err := dataset.Generate(spec)
+		if err != nil {
+			return Reference{}, fmt.Errorf("generate %s: %w", spec.Name, err)
+		}
+		res := slam.RunSequence(seq)
+		ref.Sequences = append(ref.Sequences, res)
+		st.FeatureExtractionOps += res.Stats.FeatureExtractionOps
+		st.MatchingOps += res.Stats.MatchingOps
+		st.LocalBAOps += res.Stats.LocalBAOps
+		st.GlobalBAOps += res.Stats.GlobalBAOps
+		st.PoseGraphOps += res.Stats.PoseGraphOps
+		st.Frames += res.Stats.Frames
+		width, height = seq.Cam.Width, seq.Cam.Height
+	}
+	fres, err := scenario.Run(scenario.Spec{Seed: 42, MaxSeconds: 120})
+	if err != nil {
+		return Reference{}, fmt.Errorf("flight: %w", err)
+	}
+	ref.Flight = fres
+	ref.Report = BuildReport(append(FromSLAM(st, width, height),
+		FromFlight(fres.EKFStats, fres.CtrlStats)...))
+	return ref, nil
 }
 
 // Point is one kernel's position on the roofline plane: its accounted work

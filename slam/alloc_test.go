@@ -23,21 +23,21 @@ func TestKernelAllocsPoolIndependent(t *testing.T) {
 
 	kernels := []struct {
 		name string
-		run  func(h *BenchHarness)
+		run  func(h *benchHarness)
 		// slack absorbs runtime noise (map growth inside pooled scratch,
 		// one-off sync.Pool refills) without letting per-dispatch garbage
 		// through: the fixed regressions were +27 and +102 allocs.
 		slack float64
 	}{
-		{"detect", func(h *BenchHarness) { h.Detect() }, 2},
-		{"match_projection", func(h *BenchHarness) { h.MatchByProjection() }, 2},
-		{"local_ba", func(h *BenchHarness) { h.LocalBA() }, 10},
+		{"detect", func(h *benchHarness) { h.Detect() }, 2},
+		{"match_projection", func(h *benchHarness) { h.MatchByProjection() }, 2},
+		{"local_ba", func(h *benchHarness) { h.LocalBA() }, 10},
 	}
 
-	measure := func(pool int, k func(h *BenchHarness)) float64 {
+	measure := func(pool int, k func(h *benchHarness)) float64 {
 		prev := parallelx.SetPoolSize(pool)
 		defer parallelx.SetPoolSize(prev)
-		h := NewBenchHarness(seq, 30)
+		h := newBenchHarness(seq, 30)
 		k(h) // warm this pool size's worker scratch
 		return testing.AllocsPerRun(5, func() { k(h) })
 	}

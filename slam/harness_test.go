@@ -5,13 +5,13 @@ import (
 	"dronedse/mathx"
 )
 
-// BenchHarness exposes the SLAM front-end kernels to external benchmark
-// drivers (cmd/benchjson) without exporting the kernels themselves. It runs
-// a sequence prefix through the full pipeline to build a realistic map and
-// scratch state, then lets each kernel be invoked in isolation on that
-// state. The localMap outputs are copied out of the System's scratch so the
-// harness inputs stay stable across repeated kernel calls.
-type BenchHarness struct {
+// benchHarness lets the kernel benchmarks and tests invoke the SLAM
+// front-end kernels in isolation. It runs a sequence prefix through the
+// full pipeline to build a realistic map and scratch state, then lets each
+// kernel be invoked on that state. The localMap outputs are copied out of
+// the System's scratch so the harness inputs stay stable across repeated
+// kernel calls.
+type benchHarness struct {
 	sys   *System
 	im    Image
 	kps   []Keypoint
@@ -21,9 +21,9 @@ type BenchHarness struct {
 	baOps uint64
 }
 
-// NewBenchHarness processes the first warmFrames frames of seq (clamped to
+// newBenchHarness processes the first warmFrames frames of seq (clamped to
 // the sequence length) and snapshots the kernel inputs at that point.
-func NewBenchHarness(seq *dataset.Sequence, warmFrames int) *BenchHarness {
+func newBenchHarness(seq *dataset.Sequence, warmFrames int) *benchHarness {
 	if warmFrames > seq.Len() {
 		warmFrames = seq.Len()
 	}
@@ -32,7 +32,7 @@ func NewBenchHarness(seq *dataset.Sequence, warmFrames int) *BenchHarness {
 		s.ProcessFrame(seq.Frame(i))
 	}
 	f := seq.Frame(warmFrames - 1)
-	h := &BenchHarness{
+	h := &benchHarness{
 		sys: s,
 		im:  Image{W: seq.Cam.Width, H: seq.Cam.Height, Pix: f.Image},
 	}
@@ -51,19 +51,19 @@ func NewBenchHarness(seq *dataset.Sequence, warmFrames int) *BenchHarness {
 
 // Detect runs feature detection + description on the snapshot frame and
 // returns the keypoint count.
-func (h *BenchHarness) Detect() int {
+func (h *benchHarness) Detect() int {
 	return len(h.sys.det.Detect(h.im))
 }
 
 // MatchByProjection runs grid-indexed projection matching of the snapshot
 // local map against the snapshot keypoints and returns the match count.
-func (h *BenchHarness) MatchByProjection() int {
+func (h *benchHarness) MatchByProjection() int {
 	return len(h.sys.matchByProjection(h.kps, h.descs, h.pts))
 }
 
 // LocalBA runs one local bundle-adjustment pass over the snapshot keyframe
 // window and returns the ops charged.
-func (h *BenchHarness) LocalBA() uint64 {
+func (h *benchHarness) LocalBA() uint64 {
 	var ops uint64
 	h.sys.bundleAdjust(h.sys.keyframes[h.baLo:], h.sys.LocalBAIters, &ops)
 	return ops

@@ -104,7 +104,7 @@ type poseProblem struct {
 	iters  int
 }
 
-// trackingProblems takes real tracking inputs from NewBenchHarness: the
+// trackingProblems takes real tracking inputs from newBenchHarness: the
 // snapshot frame's keypoints matched by projection against the local map,
 // solved from the tracked pose and from two perturbed starts.
 func trackingProblems(t *testing.T) []poseProblem {
@@ -119,7 +119,7 @@ func trackingProblems(t *testing.T) []poseProblem {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewBenchHarness(seq, c.warm)
+		h := newBenchHarness(seq, c.warm)
 		var p poseProblem
 		for _, m := range h.sys.matchByProjection(h.kps, h.descs, h.pts) {
 			p.pts = append(p.pts, h.pts[m[1]])
