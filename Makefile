@@ -80,7 +80,8 @@ bench-fault:
 # Batch-engine smoke: the batch↔serial bit-identity property tests (batch
 # 1/8/64 × pools 1/2/8) and the released-stack reuse properties under the
 # race detector, plus the alloc-regression guards: a steady-state batched
-# step (telemetry included) must not allocate at all, nor may a step across
+# step (telemetry included) must not allocate at all, on the serial path or
+# fanned out at pool 2 over more than one lane chunk, nor may a step across
 # a recording chunk edge on warm chunk free lists; a warm
 # Build → Run → Release cycle, a cold Build on an emptied pool and a
 # one-second fleetd job must stay within their heap budgets, a day-long
@@ -122,8 +123,8 @@ bench-workloads:
 # roofline placements, and fails on a FAIL line or a package without "ok"
 # (make's /bin/sh has no pipefail).
 BENCH = for round in 1 2 3 4 5; do $(GO) test -run '^$$' -benchmem -count 1 \
-	-bench '^Benchmark(Resolve|SweepCapacity|BestConfig|ParetoPayloadFrontier|EKFPredict|PackDrawPower|Build|Run|Batch|Advance|Detect|MatchByProjection|BundleAdjustLocal|RunSequence|Fig10|SLAMSuite)$$' \
-	. ./core ./estimation ./power ./scenario ./fleet ./faultx ./slam || break; done | $(GO) run ./cmd/benchjson
+	-bench '^Benchmark(Resolve|SweepCapacity|BestConfig|ParetoPayloadFrontier|EKFPredict|PackDrawPower|Build|Run|Batch|Advance|Generate|Detect|MatchByProjection|BundleAdjustLocal|RunSequence|Fig10|SLAMSuite)$$' \
+	. ./core ./estimation ./power ./scenario ./fleet ./faultx ./dataset ./slam || break; done | $(GO) run ./cmd/benchjson
 
 # Perf trajectory artifact: regenerate BENCH_core.json from the BENCH set.
 bench-json:

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"dronedse/fit"
+	"dronedse/mathx"
 	"dronedse/units"
 )
 
@@ -107,7 +108,7 @@ var batteryVendors = []string{
 // 20-120C that (as the paper observes) thicken the scatter without moving
 // the fitted lines.
 func GenerateBatteryCatalog(seed int64) []Battery {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(mathx.NewSource(seed))
 	const total = 250
 	var out []Battery
 	for i := 0; i < total; i++ {

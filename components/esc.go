@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dronedse/fit"
+	"dronedse/mathx"
 )
 
 // ESCClass separates the two ESC families of Figure 8a.
@@ -71,7 +72,7 @@ var escVendors = []string{
 // long-flight products spanning 10-90 A and 20 short-flight racing products,
 // scattered around the published lines.
 func GenerateESCCatalog(seed int64) []ESC {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(mathx.NewSource(seed))
 	var out []ESC
 	for i := 0; i < 40; i++ {
 		class := LongFlight

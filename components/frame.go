@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dronedse/fit"
+	"dronedse/mathx"
 )
 
 // Frame is one commercial quadcopter frame product.
@@ -60,7 +61,7 @@ var frameVendors = []string{
 // the five named products plus 20 synthesized frames spanning 65-1000 mm
 // scattered around the weight model.
 func GenerateFrameCatalog(seed int64) []Frame {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(mathx.NewSource(seed))
 	out := append([]Frame(nil), namedFrames...)
 	for i := 0; i < 20; i++ {
 		// First five fill the sparse small-frame region; the rest span

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"dronedse/mathx"
 	"dronedse/propulsion"
 	"dronedse/units"
 )
@@ -77,7 +78,7 @@ var motorVendors = []string{
 // all six supply voltages. Each entry perturbs the physics-designed motor
 // the way real product lines scatter around the trend.
 func GenerateMotorSurvey(seed int64) []Motor {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(mathx.NewSource(seed))
 	classes := []struct {
 		prop      float64
 		minThrust float64 // gram-force per motor at TWR=2

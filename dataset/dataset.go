@@ -11,6 +11,7 @@ package dataset
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -53,14 +54,14 @@ func DefaultCamera() Camera {
 }
 
 // Project maps a camera-frame 3D point to pixel coordinates; ok is false
-// behind the camera or outside the image.
+// behind the camera, outside the image, or for a NaN coordinate.
 func (c Camera) Project(p mathx.Vec3) (u, v float64, ok bool) {
-	if p.Z <= 0.1 {
+	if !(p.Z > 0.1) {
 		return 0, 0, false
 	}
 	u = c.Fx*p.X/p.Z + c.Cx
 	v = c.Fy*p.Y/p.Z + c.Cy
-	if u < 0 || v < 0 || u >= float64(c.Width) || v >= float64(c.Height) {
+	if !(u >= 0 && v >= 0 && u < float64(c.Width) && v < float64(c.Height)) {
 		return 0, 0, false
 	}
 	return u, v, true
@@ -146,12 +147,47 @@ func (s *Sequence) Len() int { return len(s.frames) }
 // Frame returns frame i.
 func (s *Sequence) Frame(i int) Frame { return s.frames[i] }
 
-// Generate renders a sequence from its spec.
-func Generate(spec Spec) (*Sequence, error) {
-	if spec.Frames <= 0 || spec.Landmarks <= 0 || spec.FPS <= 0 {
-		return nil, errors.New("dataset: invalid spec")
+// Validation errors.
+var (
+	ErrBadDifficulty = errors.New("dataset: difficulty must be Easy, Medium or Difficult")
+	ErrBadCount      = errors.New("dataset: frames and landmarks must be positive (an orbit needs 2 frames)")
+	ErrBadRate       = errors.New("dataset: FPS must be in [1, 1000]")
+	ErrBadGeometry   = errors.New("dataset: speed must be in [0, 100] m/s, room half-extent in (0, 1000] m")
+)
+
+// validate checks a spec before Generate renders it. The ranges keep every
+// rendered value finite (the trajectory phase grows as speed·frames/FPS)
+// and the noise bound positive.
+func (spec Spec) validate() error {
+	switch {
+	case spec.Difficulty < Easy || spec.Difficulty > Difficult:
+		return fmt.Errorf("%w: %d", ErrBadDifficulty, spec.Difficulty)
+	case spec.Frames <= 0 || spec.Orbit && spec.Frames < 2:
+		return fmt.Errorf("%w: %d frames", ErrBadCount, spec.Frames)
+	case spec.Landmarks <= 0:
+		return fmt.Errorf("%w: %d landmarks", ErrBadCount, spec.Landmarks)
+	case !(spec.FPS >= 1 && spec.FPS <= 1000):
+		return fmt.Errorf("%w: %v", ErrBadRate, spec.FPS)
+	case !(spec.SpeedMS >= 0 && spec.SpeedMS <= 100):
+		return fmt.Errorf("%w: speed %v m/s", ErrBadGeometry, spec.SpeedMS)
+	case !(spec.RoomHalfM > 0 && spec.RoomHalfM <= 1000):
+		return fmt.Errorf("%w: room half-extent %v m", ErrBadGeometry, spec.RoomHalfM)
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	return nil
+}
+
+// Generate renders a sequence from its spec, or returns the validation
+// error of an out-of-range spec.
+func Generate(spec Spec) (*Sequence, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	// rng and src are one stream: render draws the per-pixel noise straight
+	// from the concrete source, everything else through rng. rand.Rand keeps
+	// no draw-ahead state for the methods used here, so the interleaving is
+	// exactly that of drawing all of it through rng.
+	src := mathx.NewSource(spec.Seed)
+	rng := rand.New(src)
 	cam := DefaultCamera()
 	seq := &Sequence{Spec: spec, Cam: cam}
 
@@ -198,7 +234,7 @@ func Generate(spec Spec) (*Sequence, error) {
 			yaw = 0.25 * math.Sin(0.6*phase) // gentle pan
 		}
 		att := mathx.QuatFromEuler(0, 0, yaw)
-		img, depth := seq.render(pos, att, rng)
+		img, depth := seq.render(pos, att, src, rng)
 		seq.frames = append(seq.frames, Frame{
 			Index: i, TimeS: t, Image: img, Depth: depth, TruePos: pos, TrueAtt: att,
 		})
@@ -209,16 +245,15 @@ func Generate(spec Spec) (*Sequence, error) {
 // render draws the visible landmarks as bright blobs over textured noise.
 // The camera frame is x-right, y-down, z-forward; world-to-camera applies
 // the inverse body attitude (camera boresight = world +Z at identity).
-func (s *Sequence) render(pos mathx.Vec3, att mathx.Quat, rng *rand.Rand) ([]uint8, []float32) {
+// The background noise is drawn from src, rng's own source, exactly as one
+// rng.Intn per pixel would draw it.
+func (s *Sequence) render(pos mathx.Vec3, att mathx.Quat, src *mathx.Source, rng *rand.Rand) ([]uint8, []float32) {
 	cam := s.Cam
 	img := make([]uint8, cam.Width*cam.Height)
 	depth := make([]float32, cam.Width*cam.Height)
 	// Background: low-amplitude noise (sensor noise rises with
 	// difficulty: harder sequences are darker/noisier like V203).
-	noise := 6 + 4*int(s.Spec.Difficulty)
-	for i := range img {
-		img[i] = uint8(20 + rng.Intn(noise))
-	}
+	mathx.FillInt31n(img, 20, int32(6+4*s.Spec.Difficulty), src)
 	// Stereo depth noise grows with difficulty.
 	depthNoise := 0.01 + 0.015*float64(s.Spec.Difficulty)
 	for li, lw := range s.LandmarksW {
@@ -236,16 +271,17 @@ func (s *Sequence) render(pos mathx.Vec3, att mathx.Quat, rng *rand.Rand) ([]uin
 // stampPatch draws a landmark's static texture centered at (u, v) and fills
 // the synthetic stereo depth under it.
 func stampPatch(img []uint8, depth []float32, w, h int, u, v float64, patch []uint8, z float32) {
-	cu, cv := int(u+0.5), int(v+0.5)
-	half := patchSize / 2
-	for dy := -half; dy <= half; dy++ {
-		for dx := -half; dx <= half; dx++ {
-			x, y := cu+dx, cv+dy
-			if x < 0 || y < 0 || x >= w || y >= h {
-				continue
-			}
-			img[y*w+x] = patch[(dy+half)*patchSize+(dx+half)]
-			depth[y*w+x] = z
+	const half = patchSize / 2
+	// The patch's top-left pixel, and its rows and columns clipped to the
+	// image.
+	x0, y0 := int(u+0.5)-half, int(v+0.5)-half
+	px0, px1 := max(0, -x0), min(patchSize, w-x0)
+	py0, py1 := max(0, -y0), min(patchSize, h-y0)
+	for py := py0; py < py1; py++ {
+		row := (y0+py)*w + x0
+		copy(img[row+px0:row+px1], patch[py*patchSize+px0:py*patchSize+px1])
+		for px := px0; px < px1; px++ {
+			depth[row+px] = z
 		}
 	}
 }

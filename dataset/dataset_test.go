@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"dronedse/mathx"
@@ -49,9 +51,122 @@ func TestDifficultyKnobs(t *testing.T) {
 	}
 }
 
+// TestGenerateValidation checks that every out-of-range field class is
+// refused with its typed error before anything is rendered.
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(Spec{}); err == nil {
-		t.Error("zero spec accepted")
+	base := Spec{Name: "v", Difficulty: Medium, Frames: 2, FPS: 20,
+		Landmarks: 10, SpeedMS: 1, RoomHalfM: 8, Seed: 1}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Spec)
+		want error
+	}{
+		{"zero spec", func(s *Spec) { *s = Spec{} }, ErrBadCount},
+		{"difficulty -2", func(s *Spec) { s.Difficulty = -2 }, ErrBadDifficulty},
+		{"difficulty -1", func(s *Spec) { s.Difficulty = -1 }, ErrBadDifficulty},
+		{"difficulty 3", func(s *Spec) { s.Difficulty = 3 }, ErrBadDifficulty},
+		{"difficulty 60", func(s *Spec) { s.Difficulty = 60 }, ErrBadDifficulty},
+		{"no frames", func(s *Spec) { s.Frames = 0 }, ErrBadCount},
+		{"negative frames", func(s *Spec) { s.Frames = -3 }, ErrBadCount},
+		{"one-frame orbit", func(s *Spec) { s.Orbit, s.Frames = true, 1 }, ErrBadCount},
+		{"no landmarks", func(s *Spec) { s.Landmarks = 0 }, ErrBadCount},
+		{"negative landmarks", func(s *Spec) { s.Landmarks = -1 }, ErrBadCount},
+		{"zero FPS", func(s *Spec) { s.FPS = 0 }, ErrBadRate},
+		{"FPS below 1", func(s *Spec) { s.FPS = 1e-300 }, ErrBadRate},
+		{"FPS above 1000", func(s *Spec) { s.FPS = 1e4 }, ErrBadRate},
+		{"negative FPS", func(s *Spec) { s.FPS = -20 }, ErrBadRate},
+		{"NaN FPS", func(s *Spec) { s.FPS = nan }, ErrBadRate},
+		{"+Inf FPS", func(s *Spec) { s.FPS = inf }, ErrBadRate},
+		{"-Inf FPS", func(s *Spec) { s.FPS = -inf }, ErrBadRate},
+		{"negative speed", func(s *Spec) { s.SpeedMS = -1 }, ErrBadGeometry},
+		{"NaN speed", func(s *Spec) { s.SpeedMS = nan }, ErrBadGeometry},
+		{"+Inf speed", func(s *Spec) { s.SpeedMS = inf }, ErrBadGeometry},
+		{"speed above 100 m/s", func(s *Spec) { s.SpeedMS = 1e300 }, ErrBadGeometry},
+		{"zero room", func(s *Spec) { s.RoomHalfM = 0 }, ErrBadGeometry},
+		{"negative room", func(s *Spec) { s.RoomHalfM = -8 }, ErrBadGeometry},
+		{"NaN room", func(s *Spec) { s.RoomHalfM = nan }, ErrBadGeometry},
+		{"+Inf room", func(s *Spec) { s.RoomHalfM = inf }, ErrBadGeometry},
+		{"room beyond 1 km", func(s *Spec) { s.RoomHalfM = 1e300 }, ErrBadGeometry},
+	}
+	for _, c := range cases {
+		spec := base
+		c.edit(&spec)
+		seq, err := Generate(spec)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if seq != nil {
+			t.Errorf("%s: a sequence came back with the error", c.name)
+		}
+	}
+	for _, d := range []Difficulty{Easy, Medium, Difficult} {
+		spec := base
+		spec.Difficulty = d
+		if _, err := Generate(spec); err != nil {
+			t.Errorf("difficulty %v refused: %v", d, err)
+		}
+	}
+	spec := base
+	spec.SpeedMS, spec.Orbit = 0, true
+	if _, err := Generate(spec); err != nil {
+		t.Errorf("a hovering two-frame orbit refused: %v", err)
+	}
+}
+
+// TestGenerateNeverPanics feeds Generate every combination of edge values
+// and checks that it either refuses the spec or renders finite ground truth.
+func TestGenerateNeverPanics(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	floats := []float64{nan, inf, -inf, -1, 0, 1e-300, 0.5, 20, 1000, 1e300}
+	for _, d := range []Difficulty{-2, -1, Easy, Difficult, 3, 60} {
+		for _, frames := range []int{-1, 0, 1, 2} {
+			for _, lms := range []int{-1, 0, 3} {
+				for _, orbit := range []bool{false, true} {
+					for _, fps := range floats {
+						for _, speed := range floats {
+							for _, room := range floats {
+								checkGenerate(t, Spec{Difficulty: d, Frames: frames, Landmarks: lms,
+									Orbit: orbit, FPS: fps, SpeedMS: speed, RoomHalfM: room})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkGenerate(t *testing.T, spec Spec) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Generate(%+v) panicked: %v", spec, r)
+		}
+	}()
+	seq, err := Generate(spec)
+	if err != nil {
+		return
+	}
+	finite := func(vs ...float64) bool {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, lw := range seq.LandmarksW {
+		if !finite(lw.X, lw.Y, lw.Z) {
+			t.Fatalf("Generate(%+v): landmark %v", spec, lw)
+		}
+	}
+	for i := range seq.Len() {
+		f := seq.Frame(i)
+		p, q := f.TruePos, f.TrueAtt
+		if !finite(f.TimeS, p.X, p.Y, p.Z, q.W, q.X, q.Y, q.Z) {
+			t.Fatalf("Generate(%+v): frame %d at t=%v pose %v %v", spec, i, f.TimeS, p, q)
+		}
 	}
 }
 

@@ -253,7 +253,7 @@ func (in *Injector) SensorFault(sensor string, t float64) sensors.FaultState {
 		switch e.Kind {
 		case SensorDropout:
 			if e.Prob > 0 && in.rng == nil {
-				in.rng = rand.New(rand.NewSource(in.seed))
+				in.rng = rand.New(mathx.NewSource(in.seed))
 			}
 			if e.Prob <= 0 || in.rng.Float64() < e.Prob {
 				st.Dropout = true

@@ -2,6 +2,8 @@ package faultx
 
 import (
 	"math/rand"
+
+	"dronedse/mathx"
 )
 
 // LinkStats counts what a LossyLink did to the byte stream.
@@ -109,7 +111,7 @@ func (l *LossyLink) roll(p float64) bool {
 		return false
 	}
 	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(l.seed))
+		l.rng = rand.New(mathx.NewSource(l.seed))
 	}
 	return l.rng.Float64() < p
 }

@@ -12,6 +12,7 @@ package microarch
 import (
 	"math/rand"
 
+	"dronedse/mathx"
 	"dronedse/parallelx"
 )
 
@@ -332,7 +333,7 @@ type AutopilotWorkload struct {
 // NewAutopilotWorkload builds the control-loop workload.
 func NewAutopilotWorkload(seed int64) *AutopilotWorkload {
 	return &AutopilotWorkload{
-		rng:            rand.New(rand.NewSource(seed)),
+		rng:            rand.New(mathx.NewSource(seed)),
 		FootprintBytes: 128 * 1024,
 		MiscBytes:      1 << 20,
 		MiscEvery:      4,
@@ -381,7 +382,7 @@ type SLAMWorkload struct {
 // NewSLAMWorkload builds the SLAM workload.
 func NewSLAMWorkload(seed int64) *SLAMWorkload {
 	return &SLAMWorkload{
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(mathx.NewSource(seed)),
 		MapBytes: 24 << 20,
 		HotBytes: 192 * 1024,
 		base:     0x5000_0000,

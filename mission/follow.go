@@ -229,7 +229,7 @@ func NewTargetModel(cfg FollowTarget, seed int64, horizonS float64) *TargetModel
 	}
 	start := cfg.Start
 	start.Z = 0
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(mathx.NewSource(seed))
 	heading := rng.Float64() * 2 * math.Pi
 	m := &TargetModel{segs: make([]targetSeg, 0, int(horizonS/turn)+3)}
 	t, pos := 0.0, start

@@ -319,15 +319,9 @@ func MapChunks[R any](n, chunk int, fn func(ci, lo, hi int) R) []R {
 	if chunk < 1 {
 		chunk = 1
 	}
-	nc := (n + chunk - 1) / chunk
-	return MapIndex(nc, func(ci int) R {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return fn(ci, lo, hi)
-	})
+	out := make([]R, (n+chunk-1)/chunk)
+	ForChunks(n, chunk, func(ci, lo, hi int) { out[ci] = fn(ci, lo, hi) })
+	return out
 }
 
 // ChunkIndex splits [0, n) into one contiguous chunk per worker and calls
@@ -344,22 +338,50 @@ func ChunkIndex(n int, fn func(lo, hi int)) {
 		return
 	}
 	chunk := (n + w - 1) / w
-	nc := (n + chunk - 1) / chunk
+	runChunks(n, chunk, w, fn, nil)
+}
+
+// ForChunks is MapChunks for a fn that stores its own results: it calls
+// fn(ci, lo, hi) for each fixed-length chunk of [0, n) across the pool and
+// returns when all have finished. It allocates nothing once the pool is
+// warm, so a steady-state caller that keeps per-chunk results in a slice of
+// its own, indexed by ci, fans out without garbage.
+func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if chunk < 1 {
+		chunk = 1
+	}
+	w := workers((n + chunk - 1) / chunk)
+	if w == 1 {
+		for lo, ci := 0, 0; lo < n; lo, ci = lo+chunk, ci+1 {
+			fn(ci, lo, min(lo+chunk, n))
+		}
+		return
+	}
+	runChunks(n, chunk, w, nil, fn)
+}
+
+// runChunks fans the chunks of [0, n) out at parallelism w through a pooled
+// arena, calling span(lo, hi) or, when span is nil, indexed(ci, lo, hi).
+func runChunks(n, chunk, w int, span func(lo, hi int), indexed func(ci, lo, hi int)) {
 	c, ok := chunkJobs.Get()
 	if !ok {
 		c = &chunkJob{}
 		c.j.r = c
 	}
-	c.n, c.chunk, c.fn = n, chunk, fn
-	c.j.dispatch(nc, w)
-	c.fn = nil
+	c.n, c.chunk, c.span, c.indexed = n, chunk, span, indexed
+	c.j.dispatch((n+chunk-1)/chunk, w)
+	c.span, c.indexed = nil, nil
 	chunkJobs.Put(c)
 }
 
-// chunkJob is the pooled arena for one ChunkIndex fan-out.
+// chunkJob is the pooled arena for one ChunkIndex or ForChunks fan-out.
 type chunkJob struct {
 	n, chunk int
-	fn       func(lo, hi int)
+	span     func(lo, hi int)
+	indexed  func(ci, lo, hi int)
 	j        job
 }
 
@@ -367,11 +389,12 @@ var chunkJobs = NewFreeList[*chunkJob](maxFreeJobs)
 
 func (c *chunkJob) item(ci int) {
 	lo := ci * c.chunk
-	hi := lo + c.chunk
-	if hi > c.n {
-		hi = c.n
+	hi := min(lo+c.chunk, c.n)
+	if c.span != nil {
+		c.span(lo, hi)
+	} else {
+		c.indexed(ci, lo, hi)
 	}
-	c.fn(lo, hi)
 }
 
 // Do runs the thunks concurrently (bounded by the pool) and returns when all

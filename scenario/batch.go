@@ -7,7 +7,7 @@ import (
 )
 
 // BatchChunkLanes is the fixed lane-chunk width a Batch fans through
-// parallelx.MapChunks. Chunk boundaries depend only on the lane count, never
+// parallelx.ForChunks. Chunk boundaries depend only on the lane count, never
 // on the pool size, so lane→worker assignment cannot perturb results (the
 // PR-3 SLAM chunking discipline). Each lane is self-contained — its own RNG
 // streams, fault injector, scratch — so co-tenant lanes cannot perturb it
@@ -35,6 +35,13 @@ type Batch struct {
 
 	started bool
 	live    int
+
+	// chunkSteps holds each lane chunk's step count for the dispatch in
+	// flight, and tickChunk, built once, steps chunk ci by stride ticks:
+	// with both kept here a parallel TickN allocates nothing.
+	chunkSteps []int
+	stride     int
+	tickChunk  func(ci, lo, hi int)
 }
 
 // NewBatch builds one lane per Spec. A Spec whose Build fails does not abort
@@ -183,9 +190,17 @@ func (b *Batch) TickN(k int) (steps int) {
 	if parallelx.PoolSize() <= 1 || n <= BatchChunkLanes {
 		steps = b.tickRange(0, n, k)
 	} else {
-		for _, s := range parallelx.MapChunks(n, BatchChunkLanes, func(ci, lo, hi int) int {
-			return b.tickRange(lo, hi, k)
-		}) {
+		nc := (n + BatchChunkLanes - 1) / BatchChunkLanes
+		if cap(b.chunkSteps) < nc {
+			b.chunkSteps = make([]int, nc)
+		}
+		b.chunkSteps = b.chunkSteps[:nc]
+		if b.tickChunk == nil {
+			b.tickChunk = func(ci, lo, hi int) { b.chunkSteps[ci] = b.tickRange(lo, hi, b.stride) }
+		}
+		b.stride = k
+		parallelx.ForChunks(n, BatchChunkLanes, b.tickChunk)
+		for _, s := range b.chunkSteps {
 			steps += s
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash"
 	"math"
 	"testing"
@@ -330,38 +331,49 @@ func TestBatchLaneSimTime(t *testing.T) {
 	}
 }
 
-// TestBatchZeroAllocSteadyState is the ISSUE 6 alloc-regression guard: once
-// a batch is warmed past takeoff, advancing it must do zero steady-state
-// heap allocations per step. It runs on the serial path (pool 1) — parallel
-// dispatch adds only per-dispatch goroutine fan-out, amortized by TickN. One
-// lane streams telemetry every step into a sink that, per the Send contract,
-// does not keep the slice: encoding a burst must not allocate either.
+// TestBatchZeroAllocSteadyState is the alloc-regression guard of the batch
+// engine: once a batch is warmed past takeoff, advancing it must do zero
+// steady-state heap allocations per step. It runs on the serial path (pool
+// 1) and at pool 2 with more than BatchChunkLanes lanes, where every TickN
+// fans its lane chunks out to the workers. One lane streams telemetry every
+// step into a sink that, per the Send contract, does not keep the slice:
+// encoding a burst must not allocate either.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
-	prev := parallelx.SetPoolSize(1)
-	defer parallelx.SetPoolSize(prev)
-	var telemBytes int
-	b := scenario.NewBatch([]scenario.Spec{
-		{Seed: 51, Workload: mission.Hover{}},
-		{Seed: 52},
-		{Seed: 53, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
-		{Seed: 54, Telemetry: scenario.Telemetry{EverySteps: 1, Send: func(raw []byte) {
-			telemBytes += len(raw)
-		}}},
-	})
-	b.Start()
-	// Warm through takeoff and into cruise so every lazy path (mode
-	// transitions, first log rows) has already run.
-	for i := 0; i < 10000; i++ {
-		b.TickN(1)
-	}
-	if n := testing.AllocsPerRun(1, func() {
-		for range 500 {
-			b.TickN(1)
-		}
-	}); n != 0 {
-		t.Fatalf("500 batched steps allocate %.0f objects in steady state, want 0", n)
-	}
-	if telemBytes == 0 {
-		t.Fatal("the telemetry lane sent nothing")
+	for _, pool := range []int{1, 2} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) {
+			prev := parallelx.SetPoolSize(pool)
+			defer parallelx.SetPoolSize(prev)
+			var telemBytes int
+			specs := []scenario.Spec{
+				{Seed: 51, Workload: mission.Hover{}},
+				{Seed: 52},
+				{Seed: 53, Wind: scenario.Wind{MeanMS: 4, GustMS: 2}},
+				{Seed: 54, Telemetry: scenario.Telemetry{EverySteps: 1, Send: func(raw []byte) {
+					telemBytes += len(raw)
+				}}},
+			}
+			if pool > 1 {
+				for i := range scenario.BatchChunkLanes {
+					specs = append(specs, scenario.Spec{Seed: int64(60 + i), Workload: mission.Hover{}})
+				}
+			}
+			b := scenario.NewBatch(specs)
+			b.Start()
+			// Warm through takeoff and into cruise so every lazy path (mode
+			// transitions, first log rows, the fan-out arena) has already run.
+			for i := 0; i < 10000; i++ {
+				b.TickN(1)
+			}
+			if n := testing.AllocsPerRun(1, func() {
+				for range 500 {
+					b.TickN(1)
+				}
+			}); n != 0 {
+				t.Fatalf("500 batched steps of %d lanes allocate %.0f objects in steady state, want 0", len(specs), n)
+			}
+			if telemBytes == 0 {
+				t.Fatal("the telemetry lane sent nothing")
+			}
+		})
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"dronedse/mathx"
 	"dronedse/parallelx"
 )
 
@@ -67,7 +68,7 @@ var fastOffsets = [16][2]int{
 // (p[0], p[1]) and (p[2], p[3]) from the keypoint, each in [-briefRadius,
 // briefRadius].
 var briefPattern = func() [256][4]int {
-	r := rand.New(rand.NewSource(31415))
+	r := rand.New(mathx.NewSource(31415))
 	var p [256][4]int
 	for i := range p {
 		p[i] = [4]int{r.Intn(15) - 7, r.Intn(15) - 7, r.Intn(15) - 7, r.Intn(15) - 7}

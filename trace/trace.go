@@ -8,6 +8,8 @@ package trace
 import (
 	"math"
 	"math/rand"
+
+	"dronedse/mathx"
 )
 
 // Sample is one instrument reading.
@@ -38,7 +40,7 @@ func NewUSBMeter(seed int64) *Recorder { return newRecorder(0.5, 0.010, seed) }
 func NewOscilloscope(seed int64) *Recorder { return newRecorder(0.020, 0.0005, seed) }
 
 func newRecorder(periodS, noiseW float64, seed int64) *Recorder {
-	return &Recorder{periodS: periodS, noiseW: noiseW, rng: rand.New(rand.NewSource(seed))}
+	return &Recorder{periodS: periodS, noiseW: noiseW, rng: rand.New(mathx.NewSource(seed))}
 }
 
 // Observe feeds the recorder the instantaneous power at simulated time t;
