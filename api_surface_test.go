@@ -6,11 +6,16 @@ package dronedse
 // listed, with a reason, in testdata/api_allowlist.txt. API that only tests
 // call is deleted rather than kept "just in case"; the allowlist can only
 // shrink, because an entry that is now used or no longer declared fails the
-// guard too.
+// guard too. The same holds for every other package-level func, type, var
+// and const of non-test code, exported or not, main packages included (bar
+// main, init and blank names). Methods are guarded only when exported and
+// in a library package: unexported methods and struct fields are exempt,
+// because interfaces and encoding/json reach them without naming them.
 //
 // The match is by type, not by name: the non-test packages are type-checked
-// from source with go/types, and a function or method counts as used when
-// its types.Object is referred to anywhere outside its own declaration. A
+// from source with go/types, and a declaration counts as used when its
+// types.Object is referred to anywhere outside its own declaration; a type
+// named only as the receiver of its own methods is unused. A
 // method also counts as used when its receiver type implements an interface
 // with a method of that name, declared in the repository or in a package it
 // imports (sort.Interface, heap.Interface, fmt.Stringer, error, io.Writer,
@@ -58,7 +63,8 @@ type surfaceLoader struct {
 	std    map[string]*types.Package // by directory
 	pkgs   map[string]*types.Package // module packages, by import path
 	info   *types.Info
-	decls  map[*types.Func]*ast.FuncDecl // exported, in non-main packages
+	decls  map[types.Object]ast.Node // each guarded declaration, with its span
+	recvs  map[*ast.Ident]bool       // the type names in method receivers
 }
 
 func (l *surfaceLoader) Import(path string) (*types.Package, error) {
@@ -103,7 +109,7 @@ func (l *surfaceLoader) ImportFrom(importPath, srcDir string, _ types.ImportMode
 }
 
 // loadModulePkg type-checks the module package in dir, recording its uses
-// in l.info and its exported declarations in l.decls.
+// in l.info and its guarded declarations in l.decls.
 func (l *surfaceLoader) loadModulePkg(importPath, dir string) (*types.Package, error) {
 	if pkg := l.pkgs[importPath]; pkg != nil {
 		return pkg, nil
@@ -122,13 +128,40 @@ func (l *surfaceLoader) loadModulePkg(importPath, dir string) (*types.Package, e
 		return nil, err
 	}
 	l.pkgs[importPath] = pkg
-	if pkg.Name() == "main" {
-		return pkg, nil
+	main := pkg.Name() == "main"
+	guard := func(id *ast.Ident, span ast.Node) {
+		if id.Name != "_" && id.Name != "init" && !(main && id.Name == "main") {
+			l.decls[l.info.Defs[id]] = span
+		}
 	}
 	for _, f := range files {
 		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-				l.decls[l.info.Defs[fn.Name].(*types.Func)] = fn
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					guard(d.Name, d)
+					break
+				}
+				ast.Inspect(d.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						l.recvs[id] = true
+					}
+					return true
+				})
+				if !main && d.Name.IsExported() {
+					l.decls[l.info.Defs[d.Name]] = d
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						guard(spec.Name, spec)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							guard(id, spec)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -175,10 +208,9 @@ func (l *surfaceLoader) interfaces() []*types.Interface {
 }
 
 // scanAPI type-checks every non-test package under root (a directory holding
-// a go.mod) once per build in builds. It returns the exported functions and
-// methods of non-main packages, keyed "dir.Name" or "dir.Type.Name" with dir
-// relative to root, each with its position, and the set of those keys that
-// are used.
+// a go.mod) once per build in builds. It returns the guarded declarations,
+// keyed "dir.Name" or "dir.Type.Name" with dir relative to root, each with
+// its position, and the set of those keys that are used.
 func scanAPI(root string, builds [][]string) (decls map[string]string, used map[string]bool, err error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -197,7 +229,8 @@ func scanAPI(root string, builds [][]string) (decls map[string]string, used map[
 			ctx: build.Default, fset: fset, root: root, module: module, std: std,
 			pkgs:  map[string]*types.Package{},
 			info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-			decls: map[*types.Func]*ast.FuncDecl{},
+			decls: map[types.Object]ast.Node{},
+			recvs: map[*ast.Ident]bool{},
 		}
 		// Without cgo the standard library type-checks from pure Go source.
 		l.ctx.CgoEnabled = false
@@ -221,45 +254,47 @@ func scanAPI(root string, builds [][]string) (decls map[string]string, used map[
 		}
 		// Info.Uses holds every reference, selections (x.M) included.
 		for id, obj := range l.info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
 			}
-			fn = fn.Origin()
-			if d := l.decls[fn]; d != nil && (id.Pos() < d.Pos() || id.Pos() >= d.End()) {
-				used[l.key(fn)] = true
+			if d := l.decls[obj]; d != nil && !l.recvs[id] && (id.Pos() < d.Pos() || id.Pos() >= d.End()) {
+				used[l.key(obj)] = true
 			}
 		}
 		ifaces := l.interfaces()
-		for fn, d := range l.decls {
-			key := l.key(fn)
+		for obj, d := range l.decls {
+			key := l.key(obj)
 			if _, ok := decls[key]; !ok {
 				decls[key] = fset.Position(d.Pos()).String()
 			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && !used[key] && implementsByName(recv.Type(), fn.Name(), ifaces) {
-				used[key] = true
+			if fn, ok := obj.(*types.Func); ok && !used[key] {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && implementsByName(recv.Type(), fn.Name(), ifaces) {
+					used[key] = true
+				}
 			}
 		}
 	}
 	return decls, used, nil
 }
 
-// key names fn as the allowlist does: its package's directory relative to
+// key names obj as the allowlist does: its package's directory relative to
 // root, its receiver's type name for a method, then its own name.
-func (l *surfaceLoader) key(fn *types.Func) string {
-	dir := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), l.module), "/")
+func (l *surfaceLoader) key(obj types.Object) string {
+	dir := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), l.module), "/")
 	if dir == "" {
 		dir = "."
 	}
 	key := dir + "."
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			key += t.(*types.Named).Obj().Name() + "."
 		}
-		key += t.(*types.Named).Obj().Name() + "."
 	}
-	return key + fn.Name()
+	return key + obj.Name()
 }
 
 // implementsByName reports whether T or *T, for the receiver type recv,
@@ -319,9 +354,9 @@ func checkSurface(decls map[string]string, used map[string]bool, allow map[strin
 		_, listed := allow[key]
 		switch {
 		case !used[key] && !listed:
-			bad = append(bad, pos+": "+key+" has no non-test caller; delete it or add it to "+apiAllowlistPath+" with a reason")
+			bad = append(bad, pos+": "+key+" has no non-test use; delete it or add it to "+apiAllowlistPath+" with a reason")
 		case used[key] && listed:
-			bad = append(bad, apiAllowlistPath+": "+key+" now has a non-test caller; drop its entry")
+			bad = append(bad, apiAllowlistPath+": "+key+" now has a non-test use; drop its entry")
 		}
 	}
 	for key := range allow {
@@ -349,10 +384,14 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 // TestSurfaceGuardFlagsUnusedAndStale runs the guard over a synthetic module.
 // An uncalled export, one that only calls itself, an allowlisted export that
 // gained a caller, an allowlisted name that is gone, the uncalled one of two
-// same-named methods, and an uncalled function declared only under the
-// failpoint tag all fail. A called export, an allowlisted uncalled one,
-// methods reached only through sort.Interface, and a function that only a
-// failpoint-tagged file calls pass.
+// same-named methods and the type named only as their receiver, an uncalled
+// function declared only under the failpoint tag, unused exported types,
+// vars and consts, unused unexported funcs, types (a self-referential one
+// too), vars and consts, and an unused func of a main package all fail. A
+// called export, an allowlisted uncalled one, methods reached only through
+// sort.Interface, a function that only a failpoint-tagged file calls, used
+// unexported declarations, an unexported method and a struct field that
+// only encoding/json reaches, and main, init and blank declarations pass.
 func TestSurfaceGuardFlagsUnusedAndStale(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
@@ -381,6 +420,47 @@ func Self()    { Self() }
 func Listed()  {}
 func Revived() {}
 `,
+		"p/decls.go": `package p
+
+import "encoding/json"
+
+type Kind int
+
+const (
+	KindA Kind = iota
+	KindB
+)
+
+var Table = map[string]int{}
+
+type Spare struct{}
+
+type node struct{ next *node }
+
+type doc struct {
+	Name string ` + "`json:\"name\"`" + `
+}
+
+func (d doc) label() string { return d.Name }
+
+const (
+	limit       = 3
+	unusedLimit = 4
+)
+
+var (
+	hits  int
+	cache []int
+)
+
+func helper() int { return limit + hits }
+func dead()       {}
+
+func Encode() ([]byte, error) {
+	_ = helper()
+	return json.Marshal(doc{})
+}
+`,
 		"p/hook.go": `//go:build failpoint
 
 package p
@@ -392,7 +472,13 @@ func Disarm() {}
 
 import "synth/p"
 
-func main() { p.A{}.Step(); p.Used(); p.Revived(); p.Sort(nil) }
+var _ = 1
+
+func init() {}
+
+func main() { p.A{}.Step(); p.Used(); p.Revived(); p.Sort(nil); p.Encode(); _ = p.KindA }
+
+func unusedMain() {}
 `,
 		"cmd/hook.go": `//go:build failpoint
 
@@ -419,19 +505,28 @@ func init() { p.Arm() }
 	bad := checkSurface(decls, used, allow)
 	got := strings.Join(bad, "\n")
 	for _, want := range []string{
-		": p.Orphan has no non-test caller",
-		": p.Self has no non-test caller",
-		": p.B.Step has no non-test caller",
-		": p.Disarm has no non-test caller",
-		apiAllowlistPath + ": p.Revived now has a non-test caller",
+		": p.Orphan has no non-test use",
+		": p.Self has no non-test use",
+		": p.B has no non-test use",
+		": p.B.Step has no non-test use",
+		": p.Disarm has no non-test use",
+		": p.KindB has no non-test use",
+		": p.Table has no non-test use",
+		": p.Spare has no non-test use",
+		": p.node has no non-test use",
+		": p.unusedLimit has no non-test use",
+		": p.cache has no non-test use",
+		": p.dead has no non-test use",
+		": cmd.unusedMain has no non-test use",
+		apiAllowlistPath + ": p.Revived now has a non-test use",
 		apiAllowlistPath + ": p.Gone is no longer declared",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("guard output lacks %q:\n%s", want, got)
 		}
 	}
-	if len(bad) != 6 {
-		t.Errorf("guard raised %d complaints, want 6:\n%s", len(bad), got)
+	if len(bad) != 15 {
+		t.Errorf("guard raised %d complaints, want 15:\n%s", len(bad), got)
 	}
 	if decls, _, err := scanAPI(root, [][]string{nil}); err != nil || decls["p.Disarm"] != "" {
 		t.Errorf("default build: err %v, p.Disarm declared at %q; want neither", err, decls["p.Disarm"])

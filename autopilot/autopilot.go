@@ -123,7 +123,7 @@ type Autopilot struct {
 	dt        float64 // 1/physicsHz, the physics step
 	// pos, att and rate gate the Table 2b loops to their rates; they are
 	// fixed with the rates in New.
-	pos, att, rate stride
+	pos, att, rate sim.Stride
 	lastIMU        sensors.IMUSample
 	prevVel        mathx.Vec3
 
@@ -197,9 +197,9 @@ func (a *Autopilot) Init(cfg Config) {
 		computeW:   cfg.ComputeW,
 		physicsHz:  physicsHz,
 		dt:         1 / physicsHz,
-		pos:        newStride(physicsHz, r.PositionHz),
-		att:        newStride(physicsHz, r.AttitudeHz),
-		rate:       newStride(physicsHz, r.RateHz),
+		pos:        sim.NewStride(physicsHz, r.PositionHz),
+		att:        sim.NewStride(physicsHz, r.AttitudeHz),
+		rate:       sim.NewStride(physicsHz, r.RateHz),
 		observers:  a.observers[:0],
 	}
 }
@@ -213,29 +213,6 @@ func (a *Autopilot) Detach() {
 	a.observers = a.observers[:0]
 	a.faults, a.suite.Faults = nil, nil
 	a.mission, a.traj, a.follow = nil, nil, FollowConfig{}
-}
-
-// stride gates a control loop to every every-th physics step, starting with
-// the first. phase counts the steps since the loop last ran, so due is the
-// step count modulo every without a per-step division.
-type stride struct{ every, phase int }
-
-// newStride returns the stride of a loop at loopHz on a physicsHz clock,
-// rounded to the nearest whole step and at least one.
-func newStride(physicsHz, loopHz float64) stride {
-	every := int(physicsHz/loopHz + 0.5)
-	if every < 1 {
-		every = 1
-	}
-	return stride{every: every}
-}
-
-func (s *stride) due() bool { return s.phase == 0 }
-
-func (s *stride) advance() {
-	if s.phase++; s.phase == s.every {
-		s.phase = 0
-	}
 }
 
 // FaultSignals is the autopilot's view of declared fault conditions
@@ -493,23 +470,23 @@ func (a *Autopilot) Step() {
 	// Control cascade at Table 2b rates, flying on the estimate.
 	est := a.EstimatedState()
 	armed := a.mode != Disarmed
-	if a.pos.due() && armed {
+	if a.pos.Due() && armed {
 		a.checkSafety()
-		a.cascade.UpdatePosition(est, a.targets(), float64(a.pos.every)*dt)
+		a.cascade.UpdatePosition(est, a.targets(), float64(a.pos.Every())*dt)
 	}
-	if a.att.due() && armed {
-		a.cascade.UpdateAttitude(est, float64(a.att.every)*dt)
+	if a.att.Due() && armed {
+		a.cascade.UpdateAttitude(est, float64(a.att.Every())*dt)
 	}
-	if a.rate.due() {
+	if a.rate.Due() {
 		if armed {
-			a.quad.CommandThrusts(a.cascade.UpdateRate(est, float64(a.rate.every)*dt))
+			a.quad.CommandThrusts(a.cascade.UpdateRate(est, float64(a.rate.Every())*dt))
 		} else {
 			a.quad.CommandThrusts([sim.NumMotors]float64{})
 		}
 	}
-	a.pos.advance()
-	a.att.advance()
-	a.rate.advance()
+	a.pos.Advance()
+	a.att.Advance()
+	a.rate.Advance()
 
 	a.quad.Step(dt)
 

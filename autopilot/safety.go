@@ -61,27 +61,6 @@ func (a *Autopilot) RemainingEnergyWh() float64 {
 	return full * (1 - used)
 }
 
-// EstimatedEnduranceMin is the remaining flight time at the recent average
-// power — the "calculate flight time" box of Figure 12, live.
-func (a *Autopilot) EstimatedEnduranceMin() float64 {
-	p := a.avgPowerW
-	if p <= 0 {
-		p = a.TotalPowerW()
-	}
-	if p <= 0 {
-		return 0
-	}
-	return RemainingOrInf(a.RemainingEnergyWh()) / p * 60
-}
-
-// RemainingOrInf guards the Inf battery-less case for display math.
-func RemainingOrInf(v float64) float64 {
-	if math.IsInf(v, 1) {
-		return math.MaxFloat64 / 1e6
-	}
-	return v
-}
-
 // GPS-denial failsafe thresholds: once a declared denial has both lasted
 // past the grace period and inflated the horizontal position uncertainty
 // beyond the limit, the autopilot stops trusting the mission geometry and

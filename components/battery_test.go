@@ -3,6 +3,8 @@ package components
 import (
 	"math"
 	"testing"
+
+	"dronedse/units"
 )
 
 func TestGenerateBatteryCatalogSize(t *testing.T) {
@@ -86,34 +88,18 @@ func TestBatteryWeightModelMonotonic(t *testing.T) {
 	}
 }
 
+// TestBatteryDerivedQuantities reads a Table 3 pack's voltage, energy and
+// continuous-current ceiling off its catalog fields.
 func TestBatteryDerivedQuantities(t *testing.T) {
 	b := Battery{Cells: 3, CapacityMah: 3000, DischargeC: 20}
-	if math.Abs(b.Voltage()-11.1) > 1e-9 {
-		t.Errorf("Voltage = %v", b.Voltage())
+	v := units.CellsToVoltage(b.Cells)
+	if math.Abs(v-11.1) > 1e-9 {
+		t.Errorf("voltage = %v", v)
 	}
-	if math.Abs(b.EnergyWh()-33.3) > 1e-9 {
-		t.Errorf("EnergyWh = %v", b.EnergyWh())
+	if e := units.MahToWh(b.CapacityMah, v); math.Abs(e-33.3) > 1e-9 {
+		t.Errorf("energy = %v Wh", e)
 	}
-	if math.Abs(b.MaxContinuousCurrentA()-60) > 1e-9 {
-		t.Errorf("MaxContinuousCurrentA = %v", b.MaxContinuousCurrentA())
-	}
-}
-
-func TestSelectBattery(t *testing.T) {
-	cat := GenerateBatteryCatalog(DefaultSeed)
-	b, ok := SelectBattery(cat, 3, 3000)
-	if !ok {
-		t.Fatal("no 3S >= 3000 mAh battery in a 250-product survey")
-	}
-	if b.Cells != 3 || b.CapacityMah < 3000 {
-		t.Fatalf("selection violated constraints: %+v", b)
-	}
-	for _, other := range cat {
-		if other.Cells == 3 && other.CapacityMah >= 3000 && other.WeightG < b.WeightG {
-			t.Fatalf("not the lightest: %+v beats %+v", other, b)
-		}
-	}
-	if _, ok := SelectBattery(cat, 6, 1e9); ok {
-		t.Error("impossible requirement satisfied")
+	if i := units.CRatingMaxCurrent(b.CapacityMah, b.DischargeC); math.Abs(i-60) > 1e-9 {
+		t.Errorf("continuous current = %v A", i)
 	}
 }

@@ -74,13 +74,3 @@ var (
 	BasicComputeTier    = ComputeTier{Name: "3W basic controller", PowerW: 3, WeightG: 20}
 	AdvancedComputeTier = ComputeTier{Name: "20W GPU-CPU system", PowerW: 20, WeightG: 85}
 )
-
-// FindBoard returns the Table 4 row with the given name.
-func FindBoard(name string) (Board, bool) {
-	for _, b := range Table4() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Board{}, false
-}

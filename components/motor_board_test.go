@@ -24,62 +24,6 @@ func TestMotorWeightModelAnchors(t *testing.T) {
 	}
 }
 
-func TestDesignMotorKvTrend(t *testing.T) {
-	// Figure 9: small props at low voltage need extreme Kv; large props
-	// at high voltage need low Kv.
-	tiny := DesignMotor(100, 1, 1)
-	big := DesignMotor(3000, 20, 6)
-	if tiny.Kv < 10000 {
-		t.Errorf("1\" 1S Kv = %v, want extreme (Figure 9a annotates 51000 Kv)", tiny.Kv)
-	}
-	if big.Kv > 2000 {
-		t.Errorf("20\" 6S Kv = %v, want low (Figure 9d annotates 420 Kv)", big.Kv)
-	}
-	if tiny.Kv <= big.Kv {
-		t.Error("Kv ordering violated")
-	}
-}
-
-func TestDesignMotorCurrentDecreasesWithVoltage(t *testing.T) {
-	// Same thrust and prop: a 6S supply draws less current than 2S
-	// (Figure 9's per-voltage line ordering).
-	lo := DesignMotor(800, 10, 2)
-	hi := DesignMotor(800, 10, 6)
-	if hi.MaxCurrentA >= lo.MaxCurrentA {
-		t.Errorf("6S current %v >= 2S current %v", hi.MaxCurrentA, lo.MaxCurrentA)
-	}
-	ratio := lo.MaxCurrentA / hi.MaxCurrentA
-	if math.Abs(ratio-3) > 0.3 {
-		t.Errorf("current ratio = %v, want ~voltage ratio 3", ratio)
-	}
-}
-
-func TestGenerateMotorSurvey(t *testing.T) {
-	survey := GenerateMotorSurvey(DefaultSeed)
-	if len(survey) != 150 {
-		t.Fatalf("survey size = %d, want 150 (paper: 150 manufacturers)", len(survey))
-	}
-	for _, m := range survey {
-		if m.Kv <= 0 || m.WeightG <= 0 || m.MaxThrustG <= 0 || m.MaxCurrentA <= 0 {
-			t.Fatalf("non-physical motor: %+v", m)
-		}
-	}
-}
-
-func TestSelectMotor(t *testing.T) {
-	survey := GenerateMotorSurvey(DefaultSeed)
-	m, ok := SelectMotor(survey, 500, 10, 3)
-	if !ok {
-		t.Fatal("no 10\" 3S motor for 500 g thrust")
-	}
-	if m.MaxThrustG < 500 || m.Cells != 3 {
-		t.Fatalf("selection violated constraints: %+v", m)
-	}
-	if _, ok := SelectMotor(survey, 1e9, 10, 3); ok {
-		t.Error("impossible motor requirement satisfied")
-	}
-}
-
 func TestPropellerWeight(t *testing.T) {
 	if PropellerWeightG(1) < 0.5 {
 		t.Error("floor not applied")
@@ -98,23 +42,23 @@ func TestTable4(t *testing.T) {
 	if len(rows) != 15 {
 		t.Fatalf("Table 4 rows = %d, want 15", len(rows))
 	}
-	b, ok := FindBoard("Nvidia Jetson TX2")
-	if !ok {
-		t.Fatal("TX2 missing")
-	}
-	if b.PowerW != 10 || b.WeightG != 85 {
-		t.Errorf("TX2 = %+v, want 10 W / 85 g", b)
-	}
-	if _, ok := FindBoard("nonexistent"); ok {
-		t.Error("found nonexistent board")
-	}
+	tx2 := false
 	for _, r := range rows {
+		if r.Name == "Nvidia Jetson TX2" {
+			tx2 = true
+			if r.PowerW != 10 || r.WeightG != 85 {
+				t.Errorf("TX2 = %+v, want 10 W / 85 g", r)
+			}
+		}
 		if r.Class == LiDARUnit && !r.SelfPowered {
 			t.Errorf("LiDAR %s must be self-powered per §3.1", r.Name)
 		}
 		if r.WeightG <= 0 || r.PowerW <= 0 {
 			t.Errorf("non-physical row: %+v", r)
 		}
+	}
+	if !tx2 {
+		t.Error("TX2 missing")
 	}
 }
 

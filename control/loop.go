@@ -11,14 +11,13 @@ import (
 // implementing the time-scale separation of §2.1.3-C. Physics always steps
 // at least at 1 kHz; each controller level fires at its own divisor. The
 // update-rate ablation (§2.1.3-D: the inner loop is physics-limited at
-// 50-500 Hz) swaps Rates and measures the response.
+// 50-500 Hz) builds loops at other Rates and measures the response.
 type Loop struct {
-	Quad  *sim.Quad
-	C     *Cascade
-	Rates Rates
+	Quad *sim.Quad
+	C    *Cascade
 
-	physicsHz float64
-	steps     int
+	physicsHz      float64
+	pos, att, rate sim.Stride
 	// rateLaw, when set, replaces C.UpdateRate as the rate level; the INDI
 	// study (indi_test.go) flies the loop with its own rate law this way.
 	rateLaw func(s sim.State, dt float64) [sim.NumMotors]float64
@@ -27,16 +26,18 @@ type Loop struct {
 // NewLoop wires a cascade to a plant at the given rates.
 func NewLoop(q *sim.Quad, rates Rates) *Loop {
 	physHz := math.Max(1000, rates.RateHz)
-	return &Loop{Quad: q, C: NewCascade(q), Rates: rates, physicsHz: physHz}
+	return &Loop{
+		Quad: q, C: NewCascade(q), physicsHz: physHz,
+		pos:  sim.NewStride(physHz, rates.PositionHz),
+		att:  sim.NewStride(physHz, rates.AttitudeHz),
+		rate: sim.NewStride(physHz, rates.RateHz),
+	}
 }
 
 // Run advances the closed loop for the given duration toward a fixed target,
 // invoking onStep (if non-nil) after every physics step.
 func (l *Loop) Run(target Targets, seconds float64, onStep func(t float64, s sim.State)) {
 	dt := 1 / l.physicsHz
-	posEvery := every(l.physicsHz, l.Rates.PositionHz)
-	attEvery := every(l.physicsHz, l.Rates.AttitudeHz)
-	rateEvery := every(l.physicsHz, l.Rates.RateHz)
 	rateLaw := l.rateLaw
 	if rateLaw == nil {
 		rateLaw = l.C.UpdateRate
@@ -45,32 +46,23 @@ func (l *Loop) Run(target Targets, seconds float64, onStep func(t float64, s sim
 	n := int(seconds * l.physicsHz)
 	for i := 0; i < n; i++ {
 		s := l.Quad.State()
-		if l.steps%posEvery == 0 {
-			l.C.UpdatePosition(s, target, float64(posEvery)*dt)
+		if l.pos.Due() {
+			l.C.UpdatePosition(s, target, float64(l.pos.Every())*dt)
 		}
-		if l.steps%attEvery == 0 {
-			l.C.UpdateAttitude(s, float64(attEvery)*dt)
+		if l.att.Due() {
+			l.C.UpdateAttitude(s, float64(l.att.Every())*dt)
 		}
-		if l.steps%rateEvery == 0 {
-			l.Quad.CommandThrusts(rateLaw(s, float64(rateEvery)*dt))
+		if l.rate.Due() {
+			l.Quad.CommandThrusts(rateLaw(s, float64(l.rate.Every())*dt))
 		}
+		l.pos.Advance()
+		l.att.Advance()
+		l.rate.Advance()
 		l.Quad.Step(dt)
-		l.steps++
 		if onStep != nil {
 			onStep(l.Quad.Time(), l.Quad.State())
 		}
 	}
-}
-
-func every(physHz, loopHz float64) int {
-	if loopHz <= 0 {
-		return 1
-	}
-	e := int(math.Round(physHz / loopHz))
-	if e < 1 {
-		e = 1
-	}
-	return e
 }
 
 // StepResponse measures the 90%-settling response time (seconds) of a

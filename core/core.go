@@ -55,7 +55,7 @@ type Params struct {
 // DefaultParams returns the calibrated defaults.
 func DefaultParams() Params {
 	return Params{
-		Eff:           propulsion.Efficiencies{FigureOfMerit: 0.60, Motor: 0.80, ESC: 0.93},
+		Eff:           propulsion.DefaultEfficiencies(),
 		MotorOversize: 1.35,
 		HoverLoad:     propulsion.HoverLoadFraction,
 		ManeuverLoad:  propulsion.ManeuverLoadFraction,
@@ -261,12 +261,6 @@ func Resolve(spec Spec, p Params) (Design, error) {
 	d.MotorKv = propulsion.KvForDesign(
 		units.GramsToNewtons(spec.TWR*wc.TotalG/4), propD, v)
 	return d, nil
-}
-
-// BasicWeightG is Figure 9's x-axis: total weight excluding battery, ESCs,
-// and motors.
-func (d Design) BasicWeightG() float64 {
-	return d.TotalG - d.BatteryG - d.ESC4xG - 4*d.MotorUnitG
 }
 
 // Voltage is the pack's nominal voltage.

@@ -100,9 +100,6 @@ func TestResolveClosureConsistency(t *testing.T) {
 	if d.Iterations < 2 {
 		t.Errorf("closure converged suspiciously fast (%d iterations)", d.Iterations)
 	}
-	if d.BasicWeightG() >= d.TotalG {
-		t.Error("basic weight must exclude battery/motors/ESCs")
-	}
 	if d.MotorMaxCurrentA <= d.RequiredCurrentA {
 		t.Error("catalog oversizing must exceed the physics minimum")
 	}

@@ -8,9 +8,21 @@ import (
 	"dronedse/components"
 )
 
+// table4Row returns the Table 4 row with the given name.
+func table4Row(t *testing.T, name string) components.Board {
+	t.Helper()
+	for _, b := range components.Table4() {
+		if b.Name == name {
+			return b
+		}
+	}
+	t.Fatalf("Table 4 has no %q", name)
+	return components.Board{}
+}
+
 func TestProcedureBasicApplication(t *testing.T) {
 	// A mapping application: FPV camera + 20 W compute, 15 minutes.
-	cam, _ := components.FindBoard("RunCam Night Eagle 2")
+	cam := table4Row(t, "RunCam Night Eagle 2")
 	rec, err := RunProcedure(Requirements{
 		ExtraSensors: []components.Board{cam},
 		Compute:      components.AdvancedComputeTier,
@@ -37,7 +49,7 @@ func TestProcedureGrowsFrameForLiDAR(t *testing.T) {
 	// A LiDAR survey drone (Ultra Puck, 925 g, self-powered): small
 	// frames can't lift it with endurance; the procedure must climb to a
 	// large class.
-	lidar, _ := components.FindBoard("Ultra Puck")
+	lidar := table4Row(t, "Ultra Puck")
 	light, err := RunProcedure(Requirements{
 		Compute:      components.BasicComputeTier,
 		MinFlightMin: 12,

@@ -26,7 +26,7 @@ func TestAttitudeFilterConvergesFromWrongInit(t *testing.T) {
 			f.CorrectYaw(mag.SampleYaw(truth), dt*20)
 		}
 	}
-	if errDeg := units.RadToDeg(f.Attitude().AngleTo(truth.Att)); errDeg > 3 {
+	if errDeg := f.Attitude().AngleTo(truth.Att) * 180 / math.Pi; errDeg > 3 {
 		t.Errorf("attitude error after 40 s = %.2f deg", errDeg)
 	}
 }

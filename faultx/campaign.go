@@ -293,7 +293,7 @@ func newLane(sc Scenario, cfg Config) *lane {
 		Offload: &scenario.Offload{
 			Session: offload.SessionConfig{
 				Link: offload.WiFi5GHz(), Node: offload.GroundStationGPU(),
-				W: offload.SLAMWorkload(), OnboardW: 2.0, OnboardG: 50,
+				W: offload.SLAMWorkload(), OnboardW: 2.0,
 			},
 			Stats: campaignSLAMStats(),
 		},

@@ -8,8 +8,9 @@
 // The paper's design-space methodology prices components under nominal
 // conditions; this package supplies the other axis — how a chosen design
 // degrades when the field misbehaves (GPS denial, radio outages, battery
-// fade, motor damage, gusts) — and feeds the outcome back through the same
-// Equation 7 flight-time model via offload.Session.FallbackCostMin.
+// fade, motor damage, gusts). Each flight is a scenario.Result, whose
+// ComputeFlightCostMin prices its compute energy with the paper's
+// Equation 7 flight-time approximation.
 package faultx
 
 import (

@@ -21,9 +21,6 @@ type Linear struct {
 	N int
 }
 
-// Eval returns the fitted value at x.
-func (l Linear) Eval(x float64) float64 { return l.Slope*x + l.Intercept }
-
 // ErrInsufficientData is returned when a regression has fewer than two
 // distinct points.
 var ErrInsufficientData = errors.New("fit: need at least two distinct points")
@@ -121,17 +118,10 @@ func FitPiecewise2(points []Point, breakX float64) Piecewise2 {
 	return out
 }
 
-// Eval evaluates the piecewise model at x.
-func (p Piecewise2) Eval(x float64) float64 {
-	if x < p.BreakX {
-		return p.Low.Eval(x)
-	}
-	return p.High.Eval(x)
-}
-
 // Interp1Sorted linearly interpolates y at x over points sorted ascending
-// by X, clamping outside the domain. It backs the motor-survey lookup
-// tables (Figure 9) and performs no allocation, so lookup tables evaluated
+// by X, clamping outside the domain. It backs the wheelbase-to-propeller
+// lookup (components.MaxPropellerInches) and performs no allocation, so
+// lookup tables evaluated
 // once per Resolve call (the design-space sweeps visit millions) can be
 // package-level constants.
 func Interp1Sorted(ps []Point, x float64) float64 {

@@ -120,14 +120,8 @@ func TestPiecewise2(t *testing.T) {
 	if math.Abs(pw.Low.Slope) > 1e-9 || math.Abs(pw.Low.Intercept-100) > 1e-9 {
 		t.Errorf("low fit = %+v", pw.Low)
 	}
-	if math.Abs(pw.High.Slope-1.2) > 1e-9 {
-		t.Errorf("high slope = %v", pw.High.Slope)
-	}
-	if got := pw.Eval(100); math.Abs(got-100) > 1e-9 {
-		t.Errorf("Eval(100) = %v", got)
-	}
-	if got := pw.Eval(500); math.Abs(got-440) > 1e-9 {
-		t.Errorf("Eval(500) = %v", got)
+	if math.Abs(pw.High.Slope-1.2) > 1e-9 || math.Abs(pw.High.Intercept+160) > 1e-9 {
+		t.Errorf("high fit = %+v", pw.High)
 	}
 }
 

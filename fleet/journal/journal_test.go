@@ -228,6 +228,14 @@ func TestOversizeAppendRefused(t *testing.T) {
 // frames into the log's retained buffer and allocates nothing, a batch that
 // frames more than maxRetainedFrame does not stay pinned, and reuse changes
 // no byte of the file.
+//
+// The allocation count is process-wide, and each Append blocks in fsync,
+// which lets the runtime run its background goroutines on the test's P.
+// Under the race detector on a loaded host a window counted one object; a
+// per-window memory profile (MemProfileRate 1) attributes such an object to
+// runtime.bgscavenge growing a timer heap (runtime.(*timers).addHeap), not
+// to Append. The race build, where the slower windows catch it, skips only
+// the count; make bench-batch keeps it in the plain build.
 func TestAppendReusesFrameBuffer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.wal")
 	l, _, _ := mustOpen(t, path)
@@ -243,7 +251,7 @@ func TestAppendReusesFrameBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}); n != 0 {
+	}); n != 0 && !raceEnabled {
 		t.Fatalf("%d warm Appends allocate %.0f objects", window, n)
 	}
 	for range 2 * window { // AllocsPerRun runs the window once to warm up, then once measured

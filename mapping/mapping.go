@@ -1,8 +1,8 @@
 // Package mapping is an occupancy-grid substrate for the outer-loop
 // applications Table 1 lists (LiDAR mapping, sonar mapping, obstacle
 // detection): a sparse voxel grid in the Octomap tradition, fed by SLAM map
-// points or range sensors, with the inflation and collision queries the
-// planner (dronedse/planner) consumes.
+// points, with the inflation and collision queries the planner
+// (dronedse/planner) consumes.
 package mapping
 
 import (
@@ -25,9 +25,7 @@ type Grid struct {
 // Log-odds update constants (Octomap-style clamped counters).
 const (
 	hitInc     = 3
-	missDec    = -1
 	occupiedAt = 2
-	clampLo    = -8
 	clampHi    = 16
 )
 
@@ -56,95 +54,10 @@ func (g *Grid) Center(k Key) mathx.Vec3 {
 		(float64(k[2])+0.5)*g.ResM)
 }
 
-// bump applies a clamped log-odds step.
-func (g *Grid) bump(k Key, delta int8) {
-	v := int(g.vox[k]) + int(delta)
-	if v < clampLo {
-		v = clampLo
-	}
-	if v > clampHi {
-		v = clampHi
-	}
-	if v == 0 {
-		delete(g.vox, k)
-		return
-	}
-	g.vox[k] = int8(v)
-}
-
 // InsertPoint marks the voxel containing p as observed-occupied.
-func (g *Grid) InsertPoint(p mathx.Vec3) { g.bump(g.KeyOf(p), hitInc) }
-
-// InsertRay integrates one range measurement: free space along the ray from
-// origin to hit, occupied at the hit (the LiDAR/sonar mapping update).
-func (g *Grid) InsertRay(origin, hit mathx.Vec3) {
-	for _, k := range g.Raycast(origin, hit) {
-		g.bump(k, missDec)
-	}
-	g.bump(g.KeyOf(hit), hitInc)
-}
-
-// Raycast returns the voxels traversed from a to b, excluding b's voxel
-// (Amanatides-Woo DDA).
-func (g *Grid) Raycast(a, b mathx.Vec3) []Key {
-	var out []Key
-	cur := g.KeyOf(a)
-	end := g.KeyOf(b)
-	if cur == end {
-		return out
-	}
-	d := b.Sub(a)
-	step := Key{sign(d.X), sign(d.Y), sign(d.Z)}
-	// Parametric distance to the next voxel boundary per axis.
-	next := [3]float64{}
-	delta := [3]float64{}
-	pos := [3]float64{a.X, a.Y, a.Z}
-	dir := [3]float64{d.X, d.Y, d.Z}
-	for i := 0; i < 3; i++ {
-		if dir[i] == 0 {
-			next[i] = math.Inf(1)
-			delta[i] = math.Inf(1)
-			continue
-		}
-		var boundary float64
-		if step[i] > 0 {
-			boundary = (float64(cur[i]) + 1) * g.ResM
-		} else {
-			boundary = float64(cur[i]) * g.ResM
-		}
-		next[i] = (boundary - pos[i]) / dir[i]
-		delta[i] = g.ResM / math.Abs(dir[i])
-	}
-	for steps := 0; steps < 1<<16; steps++ {
-		axis := 0
-		if next[1] < next[axis] {
-			axis = 1
-		}
-		if next[2] < next[axis] {
-			axis = 2
-		}
-		if next[axis] > 1 {
-			return out // b reached within this voxel
-		}
-		cur[axis] += step[axis]
-		next[axis] += delta[axis]
-		if cur == end {
-			return out
-		}
-		out = append(out, cur)
-	}
-	return out
-}
-
-func sign(v float64) int {
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
-	default:
-		return 0
-	}
+func (g *Grid) InsertPoint(p mathx.Vec3) {
+	k := g.KeyOf(p)
+	g.vox[k] = min(g.vox[k]+hitInc, clampHi)
 }
 
 // Occupied reports whether the voxel containing p is occupied.

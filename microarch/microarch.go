@@ -84,14 +84,6 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // TLB is a fully-associative LRU translation buffer over 4 KiB pages.
 type TLB struct {
 	entries int
@@ -164,14 +156,6 @@ func (b *BranchPredictor) Predict(pc uint64, taken bool) bool {
 		return false
 	}
 	return true
-}
-
-// MissRate returns mispredictions/branches.
-func (b *BranchPredictor) MissRate() float64 {
-	if b.Branches == 0 {
-		return 0
-	}
-	return float64(b.Misses) / float64(b.Branches)
 }
 
 func boolBit(v bool) uint64 {
@@ -250,14 +234,6 @@ func (c *Core) Branch(pc uint64, taken bool) {
 func (c *Core) ALU(n int) {
 	c.Instructions += uint64(n)
 	c.Cycles += float64(n) / c.BaseIPC
-}
-
-// IPC returns retired instructions per cycle.
-func (c *Core) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Instructions) / c.Cycles
 }
 
 // Metrics is the Figure 15 measurement set for one workload configuration.
@@ -505,18 +481,16 @@ type Figure15Result struct {
 // independent RNG streams, so they run concurrently on the parallelx pool
 // with results identical to back-to-back serial runs.
 func RunFigure15(seed int64, iters int) Figure15Result {
-	var out Figure15Result
-	parallelx.Do(
-		func() { out.Autopilot = RunSolo(NewAutopilotWorkload(seed), iters) },
-		func() { out.SLAM = RunSolo(NewSLAMWorkload(seed+1), iters) },
-		func() {
-			out.AutopilotWithSLAM = RunCoResident(
-				NewAutopilotWorkload(seed), NewSLAMWorkload(seed+1), iters, 40, 8)
+	runs := [...]func() Metrics{
+		func() Metrics { return RunSolo(NewAutopilotWorkload(seed), iters) },
+		func() Metrics { return RunSolo(NewSLAMWorkload(seed+1), iters) },
+		func() Metrics {
+			return RunCoResident(NewAutopilotWorkload(seed), NewSLAMWorkload(seed+1), iters, 40, 8)
 		},
-		func() {
-			out.DedicatedCore = RunDedicatedCores(
-				NewAutopilotWorkload(seed), NewSLAMWorkload(seed+1), iters, 40, 8)
+		func() Metrics {
+			return RunDedicatedCores(NewAutopilotWorkload(seed), NewSLAMWorkload(seed+1), iters, 40, 8)
 		},
-	)
-	return out
+	}
+	m := parallelx.MapIndex(len(runs), func(i int) Metrics { return runs[i]() })
+	return Figure15Result{Autopilot: m[0], SLAM: m[1], AutopilotWithSLAM: m[2], DedicatedCore: m[3]}
 }

@@ -10,6 +10,17 @@ import (
 // and isolation-ladder tests that both read it.
 var figure15Seed1 = sync.OnceValue(func() Figure15Result { return RunFigure15(1, 30000) })
 
+// missRate is misses over accesses, 0 before the first access.
+func missRate(misses, accesses uint64) float64 {
+	if accesses == 0 {
+		return 0
+	}
+	return float64(misses) / float64(accesses)
+}
+
+// ipc is retired instructions per cycle.
+func ipc(c *Core) float64 { return float64(c.Instructions) / c.Cycles }
+
 func TestCacheBasics(t *testing.T) {
 	c := NewCache(1024, 2, 64) // 8 sets x 2 ways
 	if c.Access(0) {
@@ -21,8 +32,8 @@ func TestCacheBasics(t *testing.T) {
 	if !c.Access(32) { // same line
 		t.Error("same-line access missed")
 	}
-	if c.MissRate() >= 0.5 {
-		t.Errorf("miss rate = %v", c.MissRate())
+	if mr := missRate(c.Misses, c.Accesses); mr >= 0.5 {
+		t.Errorf("miss rate = %v", mr)
 	}
 }
 
@@ -55,11 +66,11 @@ func TestCacheCapacityBehavior(t *testing.T) {
 			c2.Access(a)
 		}
 	}
-	if c.MissRate() > 0.3 {
-		t.Errorf("fitting working set miss rate = %v", c.MissRate())
+	if mr := missRate(c.Misses, c.Accesses); mr > 0.3 {
+		t.Errorf("fitting working set miss rate = %v", mr)
 	}
-	if c2.MissRate() < 0.9 {
-		t.Errorf("thrashing working set miss rate = %v", c2.MissRate())
+	if mr := missRate(c2.Misses, c2.Accesses); mr < 0.9 {
+		t.Errorf("thrashing working set miss rate = %v", mr)
 	}
 }
 
@@ -86,8 +97,8 @@ func TestBranchPredictorLearnsLoops(t *testing.T) {
 		bp.Predict(0x40, true)
 	}
 	// Warmup fills the 12-bit history before the counters stabilize.
-	if bp.MissRate() > 0.02 {
-		t.Errorf("always-taken miss rate = %v", bp.MissRate())
+	if mr := missRate(bp.Misses, bp.Branches); mr > 0.02 {
+		t.Errorf("always-taken miss rate = %v", mr)
 	}
 	// Random branch: ~50% misses.
 	bp2 := NewBranchPredictor(10)
@@ -95,8 +106,8 @@ func TestBranchPredictorLearnsLoops(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		bp2.Predict(0x80, r.Intn(2) == 0)
 	}
-	if bp2.MissRate() < 0.35 || bp2.MissRate() > 0.65 {
-		t.Errorf("random-branch miss rate = %v, want ~0.5", bp2.MissRate())
+	if mr := missRate(bp2.Misses, bp2.Branches); mr < 0.35 || mr > 0.65 {
+		t.Errorf("random-branch miss rate = %v, want ~0.5", mr)
 	}
 }
 
@@ -112,8 +123,8 @@ func TestCoreIPCDegradesWithMisses(t *testing.T) {
 		bad.Load(uint64(r.Int63n(64 << 20))) // random in 64 MiB
 		bad.ALU(4)
 	}
-	if bad.IPC() >= good.IPC()/2 {
-		t.Errorf("random-access IPC %v not clearly below cached IPC %v", bad.IPC(), good.IPC())
+	if ipc(bad) >= ipc(good)/2 {
+		t.Errorf("random-access IPC %v not clearly below cached IPC %v", ipc(bad), ipc(good))
 	}
 }
 

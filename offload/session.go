@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"dronedse/core"
 	"dronedse/mathx"
 	"dronedse/slam"
 )
@@ -28,9 +27,6 @@ type SessionConfig struct {
 	// OnboardW is the on-board host's power draw while hosting the task
 	// after a fallback (the §5.1 ~2 W SLAM increment on the RPi class).
 	OnboardW float64
-	// OnboardG is the on-board host's weight (grams), used when the
-	// session re-enters the design-space model to price the fallback.
-	OnboardG float64
 	// MaxRetries is the consecutive failed attempts tolerated before the
 	// session falls back to onboard compute (default 3).
 	MaxRetries int
@@ -170,27 +166,4 @@ func (s *Session) Step(t float64) bool {
 		return true
 	}
 	return false
-}
-
-// FallbackCostMin re-enters the design-space model (Equation 7): the
-// flight-time cost, in minutes, of hosting the task onboard (host power +
-// host weight) instead of streaming it over the radio (transmit power,
-// negligible weight — the telemetry radio is already aboard). Positive
-// means the fallback shortens the flight.
-func FallbackCostMin(base core.Design, onboardW, onboardG, radioW, load float64) (float64, error) {
-	onboardGain, err := core.GainedFlightTimeMin(base, onboardW, onboardG, load)
-	if err != nil {
-		return 0, err
-	}
-	radioGain, err := core.GainedFlightTimeMin(base, radioW, 0, load)
-	if err != nil {
-		return 0, err
-	}
-	return radioGain - onboardGain, nil
-}
-
-// FallbackCostMin prices this session's configured fallback against a
-// resolved base design at the given flying load.
-func (s *Session) FallbackCostMin(base core.Design, load float64) (float64, error) {
-	return FallbackCostMin(base, s.cfg.OnboardW, s.cfg.OnboardG, s.cfg.Link.TxPowerW, load)
 }

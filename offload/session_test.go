@@ -3,7 +3,6 @@ package offload
 import (
 	"testing"
 
-	"dronedse/core"
 	"dronedse/slam"
 )
 
@@ -28,7 +27,7 @@ func newTestSession(t *testing.T, seed int64) *Session {
 	s := new(Session)
 	s.Init(SessionConfig{
 		Link: WiFi5GHz(), Node: GroundStationGPU(), W: SLAMWorkload(),
-		OnboardW: 2.0, OnboardG: 50, Seed: seed,
+		OnboardW: 2.0, Seed: seed,
 	}, testStats())
 	return s
 }
@@ -104,25 +103,5 @@ func TestSessionDeterministic(t *testing.T) {
 	a2, f2, l2 := run()
 	if a1 != a2 || f1 != f2 || l1 != l2 {
 		t.Errorf("same seed diverged: (%d,%d,%v) vs (%d,%d,%v)", a1, f1, l1, a2, f2, l2)
-	}
-}
-
-func TestFallbackCostMin(t *testing.T) {
-	base, err := core.Resolve(core.DefaultSpec(), core.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestSession(t, 1)
-	cost, err := s.FallbackCostMin(base, core.DefaultParams().HoverLoad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Onboard hosting burns 2.0 W + 50 g vs the radio's 1.8 W at zero
-	// added weight: the fallback must cost flight time.
-	if cost <= 0 {
-		t.Errorf("fallback cost = %v min, want positive", cost)
-	}
-	if cost > 5 {
-		t.Errorf("fallback cost = %v min: implausibly large for a 0.2 W + 50 g swap", cost)
 	}
 }

@@ -306,46 +306,15 @@ func FilterMap[T, R any](items []T, fn func(T) (R, bool)) []R {
 	return out
 }
 
-// MapChunks splits [0, n) into fixed-length chunks — ceil(n/chunk) of them,
-// the last possibly short — and computes fn(ci, lo, hi) for each across the
-// pool, returning the results in chunk order. Unlike ChunkIndex, the chunk
-// boundaries depend only on n and chunk, never on the pool size, so banded
-// kernels (e.g. row-band feature detection) whose per-chunk results are
-// concatenated produce identical merged output at every pool size.
-func MapChunks[R any](n, chunk int, fn func(ci, lo, hi int) R) []R {
-	if n <= 0 {
-		return nil
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	out := make([]R, (n+chunk-1)/chunk)
-	ForChunks(n, chunk, func(ci, lo, hi int) { out[ci] = fn(ci, lo, hi) })
-	return out
-}
-
-// ChunkIndex splits [0, n) into one contiguous chunk per worker and calls
-// fn(lo, hi) for each. Use it for grid sweeps whose per-index work is too
-// cheap to schedule individually; fn chunks must write only to their own
-// index range.
-func ChunkIndex(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := workers(n)
-	if w == 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	runChunks(n, chunk, w, fn, nil)
-}
-
-// ForChunks is MapChunks for a fn that stores its own results: it calls
-// fn(ci, lo, hi) for each fixed-length chunk of [0, n) across the pool and
-// returns when all have finished. It allocates nothing once the pool is
-// warm, so a steady-state caller that keeps per-chunk results in a slice of
-// its own, indexed by ci, fans out without garbage.
+// ForChunks splits [0, n) into fixed-length chunks — ceil(n/chunk) of them,
+// the last possibly short — calls fn(ci, lo, hi) for each across the pool,
+// and returns when all have finished. The chunk boundaries depend only on n
+// and chunk, never on the pool size, so banded kernels (e.g. row-band
+// feature detection) whose per-chunk results are concatenated in chunk
+// order produce identical merged output at every pool size. It allocates
+// nothing once the pool is warm, so a steady-state caller that keeps
+// per-chunk results in a slice of its own, indexed by ci, fans out without
+// garbage.
 func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -353,35 +322,29 @@ func ForChunks(n, chunk int, fn func(ci, lo, hi int)) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	w := workers((n + chunk - 1) / chunk)
+	nc := (n + chunk - 1) / chunk
+	w := workers(nc)
 	if w == 1 {
 		for lo, ci := 0, 0; lo < n; lo, ci = lo+chunk, ci+1 {
 			fn(ci, lo, min(lo+chunk, n))
 		}
 		return
 	}
-	runChunks(n, chunk, w, nil, fn)
-}
-
-// runChunks fans the chunks of [0, n) out at parallelism w through a pooled
-// arena, calling span(lo, hi) or, when span is nil, indexed(ci, lo, hi).
-func runChunks(n, chunk, w int, span func(lo, hi int), indexed func(ci, lo, hi int)) {
 	c, ok := chunkJobs.Get()
 	if !ok {
 		c = &chunkJob{}
 		c.j.r = c
 	}
-	c.n, c.chunk, c.span, c.indexed = n, chunk, span, indexed
-	c.j.dispatch((n+chunk-1)/chunk, w)
-	c.span, c.indexed = nil, nil
+	c.n, c.chunk, c.fn = n, chunk, fn
+	c.j.dispatch(nc, w)
+	c.fn = nil
 	chunkJobs.Put(c)
 }
 
-// chunkJob is the pooled arena for one ChunkIndex or ForChunks fan-out.
+// chunkJob is the pooled arena for one ForChunks fan-out.
 type chunkJob struct {
 	n, chunk int
-	span     func(lo, hi int)
-	indexed  func(ci, lo, hi int)
+	fn       func(ci, lo, hi int)
 	j        job
 }
 
@@ -389,19 +352,5 @@ var chunkJobs = NewFreeList[*chunkJob](maxFreeJobs)
 
 func (c *chunkJob) item(ci int) {
 	lo := ci * c.chunk
-	hi := min(lo+c.chunk, c.n)
-	if c.span != nil {
-		c.span(lo, hi)
-	} else {
-		c.indexed(ci, lo, hi)
-	}
-}
-
-// Do runs the thunks concurrently (bounded by the pool) and returns when all
-// have finished. Each thunk must write only to its own destinations.
-func Do(fns ...func()) {
-	MapIndex(len(fns), func(i int) struct{} {
-		fns[i]()
-		return struct{}{}
-	})
+	c.fn(ci, lo, min(lo+c.chunk, c.n))
 }

@@ -1,6 +1,6 @@
 // Package power models the drone power-delivery system (§2.1.2): the LiPo
 // battery pack with its drain limit, C-rating current ceiling and voltage
-// sag, and the ESC conversion stage. The design-space core uses the static
+// sag. The design-space core uses the static
 // relationships; the flight simulator uses the stateful Pack to drain energy
 // over a mission and produce the Figure 16b whole-drone power trace.
 package power
@@ -190,29 +190,4 @@ func (p *Pack) DrawPower(watts, dt float64) float64 {
 		return 0
 	}
 	return p.Draw(watts/v, dt)
-}
-
-// ESCStage models the speed-controller conversion stage: efficiency and the
-// switching frequency requirement (6 x rotor RPM electrical commutation,
-// §3.1).
-type ESCStage struct {
-	Efficiency float64
-}
-
-// InputPower returns the battery-side power for a requested motor-side power.
-func (e ESCStage) InputPower(motorW float64) float64 {
-	if e.Efficiency <= 0 {
-		return 0
-	}
-	return motorW / e.Efficiency
-}
-
-// RequiredSwitchingHz returns the commutation frequency for a motor running
-// at the given RPM with the given pole-pair count (the paper notes 60-600 kHz
-// product ranges; DShot1200 signalling runs at 74.6 kHz).
-func RequiredSwitchingHz(rpm float64, polePairs int) float64 {
-	if polePairs < 1 {
-		polePairs = 1
-	}
-	return rpm / 60 * float64(polePairs) * 6
 }

@@ -117,27 +117,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestESCStage(t *testing.T) {
-	e := ESCStage{Efficiency: 0.9}
-	if math.Abs(e.InputPower(90)-100) > 1e-9 {
-		t.Errorf("InputPower = %v", e.InputPower(90))
-	}
-	if (ESCStage{}).InputPower(100) != 0 {
-		t.Error("degenerate efficiency should return 0")
-	}
-}
-
-func TestRequiredSwitchingHz(t *testing.T) {
-	// 10000 RPM, 7 pole pairs: 10000/60*7*6 = 7 kHz electrical x6.
-	got := RequiredSwitchingHz(10000, 7)
-	if math.Abs(got-7000) > 1e-9 {
-		t.Errorf("switching = %v, want 7000", got)
-	}
-	if RequiredSwitchingHz(6000, 0) != RequiredSwitchingHz(6000, 1) {
-		t.Error("pole pairs not clamped")
-	}
-}
-
 func TestPeukertEffect(t *testing.T) {
 	// Same energy demand at 1C vs 6C: the high-current pack drains
 	// noticeably sooner (Peukert), the low-current one barely differs

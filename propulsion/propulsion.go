@@ -26,9 +26,11 @@ type Efficiencies struct {
 	ESC float64
 }
 
-// DefaultEfficiencies are the calibrated defaults used across the repo.
+// DefaultEfficiencies is the calibrated chain that the design model
+// (core.DefaultParams) and the flight plant (sim.DefaultConfig) share, so a
+// design is flown with the losses it was sized with.
 func DefaultEfficiencies() Efficiencies {
-	return Efficiencies{FigureOfMerit: 0.70, Motor: 0.85, ESC: 0.95}
+	return Efficiencies{FigureOfMerit: 0.60, Motor: 0.80, ESC: 0.93}
 }
 
 // chain returns the end-to-end electrical-to-induced-power efficiency.
@@ -117,12 +119,6 @@ type Rotor struct {
 func (r Rotor) Thrust(w float64) float64 {
 	w = clamp(w, 0, r.MaxOmega)
 	return r.KT * w * w
-}
-
-// Torque returns the aerodynamic reaction torque (N*m) at speed w.
-func (r Rotor) Torque(w float64) float64 {
-	w = clamp(w, 0, r.MaxOmega)
-	return r.KQ * w * w
 }
 
 // OmegaForThrust inverts the thrust model: the speed (rad/s) needed for

@@ -155,7 +155,7 @@ func withParts(t *testing.T, spec scenario.Spec, on bool, sink func([]byte)) sce
 	spec.Offload = &scenario.Offload{
 		Session: offload.SessionConfig{
 			Link: offload.WiFi5GHz(), Node: offload.GroundStationGPU(),
-			W: offload.SLAMWorkload(), OnboardW: 2, OnboardG: 50,
+			W: offload.SLAMWorkload(), OnboardW: 2,
 		},
 		Stats: slam.Stats{FeatureExtractionOps: 40e6, MatchingOps: 20e6, LocalBAOps: 30e6, Frames: 100},
 	}

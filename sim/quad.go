@@ -58,8 +58,7 @@ func DefaultConfig() Config {
 		PropInches:  10,
 		TWR:         2,
 		DragCoef:    0.02, // ~23 m/s terminal velocity
-
-		Eff: propulsion.Efficiencies{FigureOfMerit: 0.60, Motor: 0.80, ESC: 0.93},
+		Eff:         propulsion.DefaultEfficiencies(),
 	}
 }
 
@@ -245,16 +244,6 @@ func (q *Quad) ElectricalPowerW() float64 {
 		q.powerDirty = false
 	}
 	return q.powerW
-}
-
-// CurrentLoadFraction is the present total thrust over the TWR maximum — the
-// "FlyingLoad" axis of §3.2 (hover ≈ 0.25-0.35, maneuvers 0.6+).
-func (q *Quad) CurrentLoadFraction() float64 {
-	sum := 0.0
-	for _, tN := range q.thrustN {
-		sum += tN
-	}
-	return sum / (4 * q.MaxThrustPerMotorN())
 }
 
 // yaw spin directions: diagonal pairs share a direction.

@@ -185,7 +185,8 @@ func TestElectricalPowerScale(t *testing.T) {
 	if p < 70 || p > 160 {
 		t.Errorf("hover electrical power = %v W, want ~90-140 W", p)
 	}
-	if lf := q.CurrentLoadFraction(); math.Abs(lf-0.5) > 0.05 {
+	// The §3.2 flying load: total thrust over the TWR maximum.
+	if lf := (q.thrustN[0] + q.thrustN[1] + q.thrustN[2] + q.thrustN[3]) / (4 * q.MaxThrustPerMotorN()); math.Abs(lf-0.5) > 0.05 {
 		t.Errorf("hover load fraction = %v, want 0.5 at TWR 2", lf)
 	}
 }
@@ -243,7 +244,7 @@ func TestElectricalPowerCacheInvalidation(t *testing.T) {
 	}
 	small := DefaultConfig()
 	small.MassKg, small.WheelbaseMM, small.PropInches, small.TWR = 0.45, 250, 5, 3.5
-	small.Eff = propulsion.DefaultEfficiencies()
+	small.Eff = propulsion.Efficiencies{FigureOfMerit: 0.7, Motor: 0.85, ESC: 0.95}
 	for _, cfg := range []Config{DefaultConfig(), small} {
 		q, err := NewQuad(cfg)
 		if err != nil {

@@ -102,6 +102,11 @@ var briefA, briefB = func() (a, b [256]uint8) {
 // suppressCell, every suppression cell lies inside exactly one band.
 const detectBandRows = 32
 
+// describeChunk is the number of keypoints one description chunk covers,
+// fixed like detectBandRows so the chunking depends only on the keypoint
+// count; each descriptor reads only its own keypoint's patch.
+const describeChunk = 64
+
 // suppressCell is the side of the square cells within which only the
 // strongest corner survives.
 const suppressCell = 8
@@ -169,8 +174,8 @@ func NewDetector(stats *Stats) *Detector {
 // out over cell-aligned row bands via the parallelx pool; each band keeps
 // the strongest corner per suppression cell, and the winners are
 // concatenated in band order, which is exactly the row-major order of a
-// serial scan followed by one global suppression pass. Description is
-// parallelized per keypoint. The result is therefore identical at every
+// serial scan followed by one global suppression pass. Description fans
+// out over fixed keypoint chunks. The result is therefore identical at every
 // pool size. The returned slice is the caller's.
 func (d *Detector) Detect(im Image) []Keypoint {
 	return append([]Keypoint(nil), d.detect(im)...)
@@ -186,21 +191,20 @@ func (d *Detector) detect(im Image) []Keypoint {
 	sc := d.scratch
 	yEnd := im.H - 3 // y ranges over [3, H-3)
 	if yEnd <= 3 {
-		yEnd = 0 // no rows to scan: MapChunks runs no band
+		yEnd = 0 // no rows to scan: ForChunks runs no band
 	}
 	nb := (yEnd + detectBandRows - 1) / detectBandRows
 	for len(sc.bands) < nb {
 		sc.bands = append(sc.bands, bandScratch{})
 	}
-	bands := parallelx.MapChunks(yEnd, detectBandRows, func(ci, lo, hi int) []corner {
+	parallelx.ForChunks(yEnd, detectBandRows, func(ci, lo, hi int) {
 		b := &sc.bands[ci]
 		b.cs = d.detectBand(im, max(lo, 3), hi, b.cs[:0])
 		b.cs, b.grid = suppressBand(b.cs, b.grid, lo, hi, im.W)
-		return b.cs
 	})
 	cs := sc.cs[:0]
-	for _, b := range bands {
-		cs = append(cs, b...)
+	for _, b := range sc.bands[:nb] {
+		cs = append(cs, b.cs...)
 	}
 	if d.Stats != nil {
 		// ~10 ops per pixel on average: the compass-point early-out
@@ -219,7 +223,7 @@ func (d *Detector) detect(im Image) []Keypoint {
 	for _, c := range cs {
 		kps = append(kps, Keypoint{X: float64(c.x), Y: float64(c.y), Response: int(c.resp)})
 	}
-	parallelx.ChunkIndex(len(kps), func(lo, hi int) {
+	parallelx.ForChunks(len(kps), describeChunk, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			kps[i].Desc = describe(im, int(kps[i].X), int(kps[i].Y))
 		}

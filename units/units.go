@@ -26,15 +26,8 @@ func CellsToVoltage(cells int) float64 { return float64(cells) * LiPoCellVoltage
 // GramsToNewtons converts a mass in grams to its weight force in newtons.
 func GramsToNewtons(grams float64) float64 { return grams / 1000 * Gravity }
 
-// NewtonsToGrams converts a force in newtons to gram-force (the "thrust in
-// grams" convention used by motor datasheets and the paper's TWR metric).
-func NewtonsToGrams(newtons float64) float64 { return newtons / Gravity * 1000 }
-
 // MahToWh converts battery capacity in mAh at a pack voltage to watt-hours.
 func MahToWh(mah, voltage float64) float64 { return mah / 1000 * voltage }
-
-// WhToMah converts watt-hours back to mAh at a pack voltage.
-func WhToMah(wh, voltage float64) float64 { return wh * 1000 / voltage }
 
 // InchToMeter converts propeller diameter in inches to meters.
 func InchToMeter(in float64) float64 { return in * 0.0254 }
@@ -46,20 +39,11 @@ func DiskArea(diameterM float64) float64 {
 	return math.Pi * r * r
 }
 
-// RPMToRadPerSec converts rotations per minute to rad/s.
-func RPMToRadPerSec(rpm float64) float64 { return rpm * 2 * math.Pi / 60 }
-
 // RadPerSecToRPM converts rad/s to rotations per minute.
 func RadPerSecToRPM(w float64) float64 { return w * 60 / (2 * math.Pi) }
 
 // DegToRad converts degrees to radians.
 func DegToRad(deg float64) float64 { return deg * math.Pi / 180 }
-
-// RadToDeg converts radians to degrees.
-func RadToDeg(rad float64) float64 { return rad * 180 / math.Pi }
-
-// MinutesFromHours converts hours to minutes.
-func MinutesFromHours(h float64) float64 { return h * 60 }
 
 // CRatingMaxCurrent returns the maximum continuous current (A) a battery can
 // safely supply given its capacity in mAh and its C rating (Table 3:

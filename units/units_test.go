@@ -23,7 +23,7 @@ func TestCellsToVoltage(t *testing.T) {
 func TestGramNewtonRoundTrip(t *testing.T) {
 	f := func(g float64) bool {
 		g = math.Abs(g)
-		return math.Abs(NewtonsToGrams(GramsToNewtons(g))-g) < 1e-9*(1+g)
+		return math.Abs(GramsToNewtons(g)/Gravity*1000-g) < 1e-9*(1+g)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -35,8 +35,8 @@ func TestMahWhRoundTrip(t *testing.T) {
 	if math.Abs(wh-55.5) > 1e-9 {
 		t.Errorf("MahToWh = %v, want 55.5", wh)
 	}
-	if got := WhToMah(wh, 11.1); math.Abs(got-5000) > 1e-9 {
-		t.Errorf("WhToMah round trip = %v", got)
+	if got := wh * 1000 / 11.1; math.Abs(got-5000) > 1e-9 {
+		t.Errorf("Wh to mAh round trip = %v", got)
 	}
 }
 
@@ -54,15 +54,15 @@ func TestDiskArea(t *testing.T) {
 }
 
 func TestRPMConversions(t *testing.T) {
-	if got := RPMToRadPerSec(60); math.Abs(got-2*math.Pi) > 1e-12 {
-		t.Errorf("RPMToRadPerSec(60) = %v", got)
+	if got := RadPerSecToRPM(2 * math.Pi); math.Abs(got-60) > 1e-12 {
+		t.Errorf("RadPerSecToRPM(2π) = %v", got)
 	}
 	f := func(rpm float64) bool {
 		rpm = math.Mod(rpm, 1e6) // physically plausible magnitudes
 		if math.IsNaN(rpm) {
 			rpm = 0
 		}
-		return math.Abs(RadPerSecToRPM(RPMToRadPerSec(rpm))-rpm) < 1e-9*(1+math.Abs(rpm))
+		return math.Abs(RadPerSecToRPM(rpm*2*math.Pi/60)-rpm) < 1e-9*(1+math.Abs(rpm))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -73,8 +73,8 @@ func TestAngleConversions(t *testing.T) {
 	if math.Abs(DegToRad(180)-math.Pi) > 1e-12 {
 		t.Error("DegToRad wrong")
 	}
-	if math.Abs(RadToDeg(math.Pi/2)-90) > 1e-12 {
-		t.Error("RadToDeg wrong")
+	if math.Abs(DegToRad(90)-math.Pi/2) > 1e-12 {
+		t.Error("DegToRad(90) wrong")
 	}
 }
 
@@ -88,11 +88,5 @@ func TestCRating(t *testing.T) {
 func TestDrainLimit(t *testing.T) {
 	if LiPoDrainLimit != 0.85 {
 		t.Errorf("LiPoDrainLimit = %v, want paper's 0.85", LiPoDrainLimit)
-	}
-}
-
-func TestMinutesFromHours(t *testing.T) {
-	if MinutesFromHours(0.5) != 30 {
-		t.Error("MinutesFromHours wrong")
 	}
 }
