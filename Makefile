@@ -55,11 +55,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# SLAM sequence-arena guards: a warm RunSequence's heap budget per frame,
-# and an arena reused across sequences giving a fresh arena's bits and
-# keeping no map pointer. The SLAM kernels themselves are BENCH rows.
+# SLAM smoke: the sequence-arena guards (a warm RunSequence's heap budget
+# per frame, and an arena reused across sequences giving a fresh arena's
+# bits and keeping no map pointer); the tracking kernels' bit-identity set
+# (the pose and point solvers and the prepared rotation against their
+# references, the cell-ordered projection search against its map oracle,
+# the bench harness's repeatable local BA, and the benchmark sequences'
+# ATE, Stats, trajectory and landmark goldens), so a kernel edit that moves
+# a bit fails here; and bundle adjustment's pool invariance under the race
+# detector, since its structure step fans out in chunks. The SLAM kernels'
+# speed is BENCH rows.
 bench-slam:
 	$(GO) test ./slam/ -run '^(TestRunSequenceAllocBudget|TestRunSequenceArenaReuse)$$'
+	$(GO) test ./slam/ ./mathx/ -run '^(TestOptimizePoseMirrorBitIdentical|TestOptimizePoseDegenerateBitIdentical|TestRefinePointBitIdentical|TestRotationApplyMatchesRotate|TestMatchByProjectionGridEquivalence|TestBenchHarnessLocalBARepeatable|TestBenchmarkSequenceGoldens)$$'
+	$(GO) test -race ./slam/ -run '^TestBundleAdjustPoolInvariant$$'
 
 # Fault-campaign smoke: the faultx acceptance tests (pool-invariance,
 # severe-scenario degradation, fault-free bit-identity, shared flights

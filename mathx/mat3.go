@@ -5,15 +5,6 @@ import "math"
 // Mat3 is a 3x3 matrix in row-major order.
 type Mat3 [3][3]float64
 
-// Skew returns the skew-symmetric matrix [v]_x such that [v]_x w = v x w.
-func Skew(v Vec3) Mat3 {
-	return Mat3{
-		{0, -v.Z, v.Y},
-		{v.Z, 0, -v.X},
-		{-v.Y, v.X, 0},
-	}
-}
-
 // MulVec returns m * v.
 func (m Mat3) MulVec(v Vec3) Vec3 {
 	return Vec3{

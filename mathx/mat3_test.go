@@ -48,17 +48,6 @@ func TestMat3SingularInverse(t *testing.T) {
 	}
 }
 
-func TestSkewIsCross(t *testing.T) {
-	f := func(a, b Vec3) bool {
-		got := Skew(a).MulVec(b)
-		want := a.Cross(b)
-		return got.Sub(want).Norm() < 1e-9*(1+a.Norm()*b.Norm())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: smallVecPair}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMat3TransposeDet(t *testing.T) {
 	m := Mat3{{4, 7, 2}, {3, 6, 1}, {2, 5, 3}}
 	mt := Mat3{{4, 3, 2}, {7, 6, 5}, {2, 1, 3}}

@@ -98,6 +98,30 @@ func (q Quat) Rotate(v Vec3) Vec3 {
 // RotateInv applies the inverse rotation (world → body).
 func (q Quat) RotateInv(v Vec3) Vec3 { return q.Conj().Rotate(v) }
 
+// Rotation is a quaternion prepared for rotating many vectors: the two
+// factors of Rotate that depend only on q, s²−u·u and 2s, computed once.
+// Apply performs the same operations on the same operands as Rotate, so
+// q.Rotation().Apply(v) is q.Rotate(v) bit for bit, except that a NaN
+// component may differ in sign and payload, which Go leaves unspecified.
+type Rotation struct {
+	u       Vec3
+	c, twoS float64
+}
+
+// Rotation prepares q for Apply; q.Conj().Rotation() prepares RotateInv.
+func (q Quat) Rotation() Rotation {
+	u := Vec3{q.X, q.Y, q.Z}
+	s := q.W
+	return Rotation{u: u, c: s*s - u.Dot(u), twoS: 2 * s}
+}
+
+// Apply rotates v: Rotate without recomputing its per-quaternion factors.
+func (r Rotation) Apply(v Vec3) Vec3 {
+	return r.u.Scale(2 * r.u.Dot(v)).
+		Add(v.Scale(r.c)).
+		Add(r.u.Cross(v).Scale(r.twoS))
+}
+
 // Mat returns the 3x3 rotation matrix of q.
 func (q Quat) Mat() Mat3 {
 	w, x, y, z := q.W, q.X, q.Y, q.Z

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -113,4 +114,51 @@ func TestQuatDegenerateNormalize(t *testing.T) {
 	if q != QuatIdentity() {
 		t.Errorf("zero quat normalized = %v, want identity", q)
 	}
+}
+
+// TestRotationApplyMatchesRotate: a prepared Rotation rotates bit for bit
+// as Rotate and RotateInv do, on random unit and non-unit quaternions and
+// on every combination of special components (signed zeros, subnormals,
+// huge values, NaN and ±Inf) in the quaternion and in the vector. A NaN
+// component must be NaN on both sides, but its sign and payload may differ:
+// Go leaves them unspecified, and on amd64 they follow whichever operand
+// the compiler put first.
+func TestRotationApplyMatchesRotate(t *testing.T) {
+	same := func(a, b Vec3) bool {
+		for _, p := range [][2]float64{{a.X, b.X}, {a.Y, b.Y}, {a.Z, b.Z}} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) && !(math.IsNaN(p[0]) && math.IsNaN(p[1])) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(q Quat, v Vec3) {
+		t.Helper()
+		if got, want := q.Rotation().Apply(v), q.Rotate(v); !same(got, want) {
+			t.Fatalf("Rotation(%v).Apply(%v) = %v, Rotate = %v", q, v, got, want)
+		}
+		if got, want := q.Conj().Rotation().Apply(v), q.RotateInv(v); !same(got, want) {
+			t.Fatalf("Conj().Rotation(%v).Apply(%v) = %v, RotateInv = %v", q, v, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		v := V3(r.NormFloat64()*10, r.NormFloat64()*10, r.NormFloat64()*10)
+		check(randomUnitQuat(r), v)
+		check(Quat{r.NormFloat64() * 3, r.NormFloat64(), r.NormFloat64(), r.NormFloat64() * 1e-3}, v)
+	}
+	special := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 5e-324, -5e-324, 2.2250738585072009e-308,
+		1e200, -1e300, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, a := range special {
+		for _, b := range special {
+			check(Quat{a, b, 0.25, -0.75}, V3(a, b, 3))
+			check(Quat{0.5, a, -0.5, b}, V3(-2, a, b))
+			check(Quat{b, 0.1, a, 0.3}, V3(b, 1.5, a))
+			check(Quat{-0.2, 0.4, b, a}, V3(0.7, b, -a))
+		}
+	}
+	check(Quat{}, V3(1, 2, 3))
+	check(Quat{math.Copysign(0, -1), math.Copysign(0, -1), 0, math.Copysign(0, -1)}, V3(0, math.Copysign(0, -1), 1))
 }

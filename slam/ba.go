@@ -1,6 +1,7 @@
 package slam
 
 import (
+	"dronedse/dataset"
 	"dronedse/mathx"
 	"dronedse/parallelx"
 )
@@ -32,15 +33,35 @@ type MapPoint struct {
 // ORB-SLAM's execution time on the RPi.
 const jointBAEquivalence = 12
 
-// obsRef is one keyframe observation of a map point: the observing keyframe
-// (whose pose is read live during BA), its index into the bundleAdjust
-// window (for the per-iteration rotation cache), plus the fixed 2-D
-// measurement.
+// obsRef is one keyframe observation of a map point: the observing
+// keyframe's index into the bundleAdjust window (whose kfView the structure
+// step reads), plus the fixed 2-D measurement.
 type obsRef struct {
-	kf   *KeyFrame
 	kfi  int32
 	u, v float64
 }
+
+// kfView is one window keyframe's pose as the structure step reads it,
+// prepared once per structure step: the poses are fixed within the step, so
+// preparing them per keyframe instead of per observation is bit-identical.
+type kfView struct {
+	pos mathx.Vec3
+	// rot is the world-to-camera rotation, rt its matrix R^T = d(pc)/d(pw).
+	rot mathx.Rotation
+	rt  mathx.Mat3
+}
+
+// viewOf prepares pose for the structure step.
+func viewOf(pose Pose) kfView {
+	inv := pose.Att.Conj()
+	return kfView{pos: pose.Pos, rot: inv.Rotation(), rt: inv.Mat()}
+}
+
+// structureChunk is the number of points one structure-step work unit
+// refines. One point's refinement is a Gauss-Newton step over a handful of
+// observations; chunks of 32 beat one fan-out claim per point end to end
+// (DESIGN §8 has the measurement).
+const structureChunk = 32
 
 // kfProblem is the motion-step work unit for one keyframe: the map points it
 // observes and their measurements. mps/us/vs are fixed for the whole
@@ -74,11 +95,9 @@ type baScratch struct {
 	// ptIdx maps point ID -> index into ptProbs (-1: unseen), dense over
 	// the landmark table like every other per-ID structure in the package.
 	ptIdx []int32
-	// kfRt caches each window keyframe's inverse-rotation matrix for the
-	// structure step, refreshed after every motion step: within one
-	// structure step the poses are fixed, so computing R^T once per
-	// keyframe instead of once per observation is bit-identical.
-	kfRt []mathx.Mat3
+	// views caches each window keyframe's prepared pose for the structure
+	// step, refreshed after every motion step.
+	views []kfView
 }
 
 // release clears every map pointer the work units hold, over the full
@@ -93,7 +112,6 @@ func (sc *baScratch) release() {
 	ptProbs := sc.ptProbs[:cap(sc.ptProbs)]
 	for i := range ptProbs {
 		ptProbs[i].mp = nil
-		clear(ptProbs[i].obs[:cap(ptProbs[i].obs)])
 	}
 }
 
@@ -110,11 +128,14 @@ func (sc *baScratch) release() {
 // iteration — and both steps fan out through the parallelx pool: within the
 // motion step every keyframe refinement reads only point positions (written
 // by the previous structure step) and its own pose; within the structure
-// step every point refinement reads only keyframe poses and its own
-// position. Each unit records its op count in its own problem, and the
-// counts are summed in index order; uint64 addition is exact, so the ledger
-// and all poses/points are identical at every pool size, and no fan-out
-// allocates a result slice (MapIndex over struct{} allocates nothing).
+// step every point refinement reads only keyframe poses (through the
+// per-step kfView cache) and its own position. The motion step fans out
+// per keyframe, the structure step in fixed chunks of structureChunk
+// points. Each point or keyframe records its op count in its own problem,
+// and the counts are summed in index order; uint64 addition is exact, so
+// the ledger and all poses/points are identical at every pool size, and no
+// fan-out allocates a result slice (MapIndex over struct{} allocates
+// nothing, and ForChunks returns none).
 func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 	if len(kfs) == 0 {
 		return
@@ -170,7 +191,7 @@ func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 				q.mp = mp
 				q.obs = q.obs[:0]
 			}
-			ptProbs[pi].obs = append(ptProbs[pi].obs, obsRef{kf, int32(ki), ob.U, ob.V})
+			ptProbs[pi].obs = append(ptProbs[pi].obs, obsRef{int32(ki), ob.U, ob.V})
 		}
 		if p != nil && len(p.mps) < 6 {
 			kfProbs = kfProbs[:len(kfProbs)-1] // too few points to refine
@@ -190,8 +211,8 @@ func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 	ptProbs = ptProbs[:n]
 	sc.kfProbs, sc.ptProbs = kfProbs[:0], ptProbs[:0]
 
-	sc.kfRt = grow(sc.kfRt, len(kfs))
-	kfRt := sc.kfRt
+	sc.views = grow(sc.views, len(kfs))
+	views := sc.views
 
 	// Motion step unit: refine keyframe i's pose against its points.
 	motion := func(i int) struct{} {
@@ -204,11 +225,13 @@ func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 		p.ops = tmp.MatchingOps + tmp.LocalBAOps
 		return struct{}{}
 	}
-	// Structure step unit: refine point i, seen from >= 2 keyframes.
-	structure := func(i int) struct{} {
-		q := &ptProbs[i]
-		q.mp.Pos, q.ops = refinePoint(s, q.mp.Pos, q.obs, kfRt)
-		return struct{}{}
+	// Structure step unit: refine points [lo, hi), each seen from >= 2
+	// keyframes.
+	structure := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			q := &ptProbs[i]
+			q.mp.Pos, q.ops = refinePoint(s.Cam, q.mp.Pos, q.obs, views)
+		}
 	}
 	var raw uint64
 	for it := 0; it < iters; it++ {
@@ -217,13 +240,13 @@ func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 			raw += kfProbs[i].ops
 		}
 
-		// Poses are now fixed until the next motion step: cache each
-		// keyframe's R^T once for every structure-step observation.
+		// Poses are now fixed until the next motion step: prepare each
+		// keyframe once for every structure-step observation.
 		for ki, kf := range kfs {
-			kfRt[ki] = kf.Pose.Att.Conj().Mat()
+			views[ki] = viewOf(kf.Pose)
 		}
 
-		parallelx.MapIndex(len(ptProbs), structure)
+		parallelx.ForChunks(len(ptProbs), structureChunk, structure)
 		for i := range ptProbs {
 			raw += ptProbs[i].ops
 		}
@@ -233,61 +256,71 @@ func (s *System) bundleAdjust(kfs []*KeyFrame, iters int, opsCounter *uint64) {
 
 // refinePoint runs one Gauss-Newton step on a point position from its
 // observations (3x3 normal equations), returning the refined position and
-// the raw op count.
-func refinePoint(s *System, pos mathx.Vec3, obs []obsRef, kfRt []mathx.Mat3) (mathx.Vec3, uint64) {
-	var h mathx.Mat3
-	var g mathx.Vec3
+// the raw op count. views are the window's keyframes prepared by viewOf.
+//
+// Its results are bit-identical to the array-indexed original (kept as
+// refinePointFull in the tests), by optimizePose's argument: the symmetric
+// normal matrix is accumulated as its upper triangle (6 of 9 entries) in
+// scalar locals and mirrored, and the 2x3 Jacobian jx R^T skips the two
+// products of each row with jx's structural zero (row 0 column 1, row 1
+// column 0); for a finite rt a skipped product is ±0, and the sign of a
+// zero Jacobian entry cannot reach the accumulators. A keyframe attitude
+// that overflows rt also overflows its rotation, and on such inputs the
+// point still matches the full form, NaN for NaN
+// (TestRefinePointBitIdentical).
+func refinePoint(cam dataset.Camera, pos mathx.Vec3, obs []obsRef, views []kfView) (mathx.Vec3, uint64) {
+	var h00, h01, h02, h11, h12, h22, g0, g1, g2 float64
 	used := 0
 	for _, ob := range obs {
-		pc := ob.kf.Pose.WorldToCamera(pos)
+		kv := &views[ob.kfi]
+		pc := kv.rot.Apply(pos.Sub(kv.pos))
 		if pc.Z <= 0.1 {
 			continue
 		}
 		invZ := 1 / pc.Z
-		pu := s.Cam.Fx*pc.X*invZ + s.Cam.Cx
-		pv := s.Cam.Fy*pc.Y*invZ + s.Cam.Cy
+		pu := cam.Fx*pc.X*invZ + cam.Cx
+		pv := cam.Fy*pc.Y*invZ + cam.Cy
 		ru := pu - ob.u
 		rv := pv - ob.v
 		w := reprojWeight(ru, rv)
-		jx := [2][3]float64{
-			{s.Cam.Fx * invZ, 0, -s.Cam.Fx * pc.X * invZ * invZ},
-			{0, s.Cam.Fy * invZ, -s.Cam.Fy * pc.Y * invZ * invZ},
-		}
-		// d(pc)/d(pw) = R^T, cached per keyframe for this structure step.
-		rt := &kfRt[ob.kfi]
-		var j [2][3]float64
-		for r := 0; r < 2; r++ {
-			for c := 0; c < 3; c++ {
-				j[r][c] = jx[r][0]*rt[0][c] + jx[r][1]*rt[1][c] + jx[r][2]*rt[2][c]
-			}
-		}
-		for a := 0; a < 3; a++ {
-			gv := w * (j[0][a]*ru + j[1][a]*rv)
-			switch a {
-			case 0:
-				g.X += gv
-			case 1:
-				g.Y += gv
-			case 2:
-				g.Z += gv
-			}
-			for b := 0; b < 3; b++ {
-				h[a][b] += w * (j[0][a]*j[0][b] + j[1][a]*j[1][b])
-			}
-		}
+		// Projection Jacobian [[ja, 0, jb], [0, jc, jd]] times
+		// d(pc)/d(pw) = R^T.
+		ja, jb := cam.Fx*invZ, -cam.Fx*pc.X*invZ*invZ
+		jc, jd := cam.Fy*invZ, -cam.Fy*pc.Y*invZ*invZ
+		rt := &kv.rt
+		j00 := ja*rt[0][0] + jb*rt[2][0]
+		j01 := ja*rt[0][1] + jb*rt[2][1]
+		j02 := ja*rt[0][2] + jb*rt[2][2]
+		j10 := jc*rt[1][0] + jd*rt[2][0]
+		j11 := jc*rt[1][1] + jd*rt[2][1]
+		j12 := jc*rt[1][2] + jd*rt[2][2]
+		g0 += w * (j00*ru + j10*rv)
+		g1 += w * (j01*ru + j11*rv)
+		g2 += w * (j02*ru + j12*rv)
+		h00 += w * (j00*j00 + j10*j10)
+		h01 += w * (j00*j01 + j10*j11)
+		h02 += w * (j00*j02 + j10*j12)
+		h11 += w * (j01*j01 + j11*j11)
+		h12 += w * (j01*j02 + j11*j12)
+		h22 += w * (j02*j02 + j12*j12)
 		used++
 	}
 	if used < 2 {
 		return pos, 0
 	}
-	for a := 0; a < 3; a++ {
-		h[a][a] += 1e-3*h[a][a] + 1e-9
+	h00 += 1e-3*h00 + 1e-9
+	h11 += 1e-3*h11 + 1e-9
+	h22 += 1e-3*h22 + 1e-9
+	h := mathx.Mat3{
+		{h00, h01, h02},
+		{h01, h11, h12},
+		{h02, h12, h22},
 	}
 	inv, ok := h.Inverse()
 	if !ok {
 		return pos, 0
 	}
-	delta := inv.MulVec(g.Neg())
+	delta := inv.MulVec(mathx.V3(g0, g1, g2).Neg())
 	if delta.Norm() > 1.0 {
 		delta = delta.Scale(1.0 / delta.Norm()) // trust region
 	}

@@ -1,0 +1,15 @@
+package slam
+
+import (
+	"dronedse/dataset"
+	"dronedse/mathx"
+)
+
+// RunSequenceMap is RunSequence that also returns what the run leaves
+// behind besides its Result: the per-frame trajectory and the final
+// landmark cloud in ID order, so the external goldens can pin every pose
+// and landmark bit.
+func RunSequenceMap(seq *dataset.Sequence) (Result, []Pose, []mathx.Vec3) {
+	s := runSequence(seq)
+	return s.result(seq), s.traj, s.MapPointPositions()
+}

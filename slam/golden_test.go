@@ -1,11 +1,16 @@
 package slam_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"dronedse/dataset"
+	"dronedse/mathx"
 	"dronedse/roofline"
 	"dronedse/slam"
 )
@@ -22,10 +27,38 @@ var benchmarkGoldens = map[string]string{
 	"ORBIT": "ate=3f93bec73d9deaa5 {FeatureExtractionOps:223776000 MatchingOps:88235572 LocalBAOps:1326400560 GlobalBAOps:876128400 PoseGraphOps:49896 Frames:185 Keyframes:37 TrackedMatches:40423 LoopClosures:1}",
 }
 
+// mapDigest hashes what a run leaves behind that the ATE does not show:
+// the IEEE bits of every trajectory pose (position and attitude) and of
+// every final landmark position, in frame and ID order.
+func mapDigest(traj []slam.Pose, cloud []mathx.Vec3) string {
+	h := sha256.New()
+	var buf [8]byte
+	f64 := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	for _, p := range traj {
+		f64(p.Pos.X, p.Pos.Y, p.Pos.Z, p.Att.W, p.Att.X, p.Att.Y, p.Att.Z)
+	}
+	for _, lw := range cloud {
+		f64(lw.X, lw.Y, lw.Z)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // TestBenchmarkSequenceGoldens runs each benchmark sequence through
 // RunSequence and compares its result string with the golden, so ATE drift
-// fails the unit suite without running the benchmark.
+// fails the unit suite without running the benchmark. It also pins a
+// SHA-256 of the trajectory and the landmark cloud (mapDigest) to
+// testdata/sequence_golden.txt, so a change that moves an attitude or a
+// landmark without moving the ATE fails too. Regenerate the digests
+// deliberately with
+//
+//	GOLDEN_UPDATE=1 go test ./slam/ -run TestBenchmarkSequenceGoldens
 func TestBenchmarkSequenceGoldens(t *testing.T) {
+	const path = "testdata/sequence_golden.txt"
 	var specs []dataset.Spec
 	for _, s := range dataset.EuRoCSpecs() {
 		if _, ok := benchmarkGoldens[s.Name]; ok {
@@ -36,15 +69,35 @@ func TestBenchmarkSequenceGoldens(t *testing.T) {
 	if len(specs) != len(benchmarkGoldens) {
 		t.Fatalf("found %d of the %d golden sequences", len(specs), len(benchmarkGoldens))
 	}
+	var lines strings.Builder
 	for _, spec := range specs {
 		seq, err := dataset.Generate(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := slam.RunSequence(seq)
+		r, traj, cloud := slam.RunSequenceMap(seq)
 		got := fmt.Sprintf("ate=%016x %+v", math.Float64bits(r.ATE), r.Stats)
 		if want := benchmarkGoldens[spec.Name]; got != want {
 			t.Errorf("%s:\n got %s\nwant %s", spec.Name, got, want)
 		}
+		fmt.Fprintf(&lines, "%s poses=%d landmarks=%d sha256=%s\n", spec.Name, len(traj), len(cloud), mapDigest(traj, cloud))
+	}
+
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(lines.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Log("rewrote " + path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lines.String(); got != string(want) {
+		t.Errorf("trajectories or landmark clouds drifted:\n%s\ngolden:\n%s", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package slam
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -183,31 +184,83 @@ func refMatchByProjection(s *System, kps []Keypoint, descs []Descriptor, pts []m
 	return out, candidates
 }
 
+// TestMatchByProjectionGridEquivalence checks the cell-ordered CSR search
+// against the map-backed oracle: random keypoints and projections, then
+// keypoints and projections snapped to cell borders (multiples of 16 px,
+// and one ulp either side) and to the image edges, including the last,
+// partial cell column. Half the trials look from a rotated, displaced pose.
 func TestMatchByProjectionGridEquivalence(t *testing.T) {
 	s := matchTestSystem()
 	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
+	w, h := float64(s.Cam.Width), float64(s.Cam.Height)
+	// border snaps x, in [0, limit), to a cell border or an image edge.
+	border := func(x, limit float64) float64 {
+		switch r.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.Nextafter(limit, 0) // the last pixel column or row
+		}
+		b := math.Min(math.Floor(x/16)*16, math.Floor((limit-1)/16)*16)
+		switch r.Intn(3) {
+		case 0:
+			return math.Nextafter(b, 0)
+		case 1:
+			return math.Nextafter(b, limit)
+		}
+		return b
+	}
+	for trial := 0; trial < 60; trial++ {
+		s.pose = Pose{Att: mathx.QuatIdentity()}
+		if trial%2 == 1 {
+			s.pose = Pose{
+				Pos: mathx.V3(r.Float64()-0.5, r.Float64()-0.5, r.Float64()*0.2),
+				Att: mathx.QuatFromEuler(r.Float64()*0.2-0.1, r.Float64()*0.2-0.1, r.Float64()*0.4-0.2),
+			}
+		}
+		onBorders := trial >= 20
 		nk, np := 5+r.Intn(120), 5+r.Intn(120)
 		kps := make([]Keypoint, nk)
 		for i := range kps {
 			kps[i] = Keypoint{
-				X:    r.Float64() * float64(s.Cam.Width),
-				Y:    r.Float64() * float64(s.Cam.Height),
+				X:    r.Float64() * w,
+				Y:    r.Float64() * h,
 				Desc: Descriptor{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()},
+			}
+			if onBorders {
+				if r.Intn(3) > 0 {
+					kps[i].X = border(kps[i].X, w)
+				}
+				if r.Intn(3) > 0 {
+					kps[i].Y = border(kps[i].Y, h)
+				}
 			}
 		}
 		descs := make([]Descriptor, np)
 		pts := make([]mathx.Vec3, np)
 		for j := range pts {
 			// Mostly in view, some behind or outside the frustum.
-			u := r.Float64()*float64(s.Cam.Width+80) - 40
-			v := r.Float64()*float64(s.Cam.Height+80) - 40
+			u := r.Float64()*(w+80) - 40
+			v := r.Float64()*(h+80) - 40
+			if onBorders && r.Intn(2) == 0 {
+				// Projecting onto a border, or close to a keypoint.
+				if k := kps[r.Intn(nk)]; r.Intn(2) == 0 {
+					u, v = k.X+r.Float64()*20-10, k.Y+r.Float64()*20-10
+				} else {
+					u, v = border(math.Max(u, 0), w), border(math.Max(v, 0), h)
+				}
+			}
 			z := 0.5 + r.Float64()*6
 			if r.Intn(10) == 0 {
 				z = -z
 			}
-			pts[j] = worldAt(s.Cam, u, v, z)
+			pts[j] = s.pose.CameraToWorld(worldAt(s.Cam, u, v, z))
 			descs[j] = Descriptor{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}
+			if r.Intn(3) == 0 {
+				// Near-duplicate descriptors make ties and close calls.
+				descs[j] = kps[r.Intn(nk)].Desc
+				descs[j][r.Intn(4)] ^= 1 << r.Intn(64)
+			}
 		}
 		wantM, wantCand := refMatchByProjection(s, kps, descs, pts)
 		before := s.Stats.MatchingOps

@@ -141,13 +141,29 @@ func (ps *poseScratch) init() {
 // twist (translation + small rotation), over caller-owned scratch. It is
 // the tracking back end, and the BA motion step uses it too; its
 // arithmetic is accounted to stats.MatchingOps (front-end tracking). The
-// loop does not allocate, and its arithmetic (including accumulation
-// order) is bit-identical to the original Dense-backed loop: the rotation
-// matrix and point skew are hoisted because they are constant
-// within an iteration/observation, the symmetric normal matrix is
-// accumulated as its upper triangle and mirrored (21 of 36 updates), and
-// the normal equations are solved in place by CholeskyInto and
-// SolveWithCholesky.
+// loop does not allocate, and its results are bit-identical to the
+// original array-indexed loop (kept as optimizePoseFull in the tests):
+//
+//   - The pose is fixed within an iteration, so its world-to-camera
+//     Rotation and R^T are prepared once per iteration, not per point.
+//   - The symmetric normal matrix is accumulated as its upper triangle, 21
+//     scalar locals, and mirrored into the Cholesky input; IEEE
+//     multiplication commutes exactly, so the mirrored entry is the one a
+//     full accumulation builds.
+//   - Each observation's 2x6 Jacobian is built from its nonzero structure:
+//     row 0 of jx is zero in column 1, row 1 in column 0, and [pc]_x has a
+//     zero diagonal, so 12 of the full form's 36 products have a zero
+//     operand and are skipped. A skipped product is ±0 when its other
+//     operand is finite, so skipping it can change only the sign of a
+//     Jacobian entry that is exactly zero. That sign cannot reach the
+//     normal equations: a product with it is ±0 or the NaN the full product
+//     gives too, the accumulators start at +0, and an IEEE sum is -0 only
+//     when both addends are -0, so adding ±0 leaves every accumulator as it
+//     was. The argument is term by term only for finite operands; a point or
+//     rotation at or beyond overflow (0·∞ is NaN, not ±0) also puts a
+//     non-finite value into kept products, and on such inputs the pose
+//     still matches the full form, NaN for NaN
+//     (TestOptimizePoseDegenerateBitIdentical).
 func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []float64, iters int, stats *Stats, ps *poseScratch) Pose {
 	pose := init
 	n := len(pts)
@@ -156,16 +172,22 @@ func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []floa
 	}
 	ps.init()
 	for it := 0; it < iters; it++ {
-		// Normal equations over the 6-vector [dt; dtheta], accumulated on
-		// the stack.
-		var hm [6][6]float64
-		var g [6]float64
-		// d(pc)/d(dt) = -R^T: the pose — hence R^T — is fixed for the whole
-		// iteration, so compute it once, not per observation.
+		// Normal equations over the 6-vector [dt; dtheta]: hAB is entry
+		// (A, B) of the upper triangle, gA the gradient.
+		var h00, h01, h02, h03, h04, h05,
+			h11, h12, h13, h14, h15,
+			h22, h23, h24, h25,
+			h33, h34, h35,
+			h44, h45,
+			h55 float64
+		var g0, g1, g2, g3, g4, g5 float64
+		// The pose is fixed for the whole iteration: prepare its
+		// world-to-camera rotation and R^T (d(pc)/d(dt) = -R^T) once.
+		rot := pose.Att.Conj().Rotation()
 		rt := pose.Att.Conj().Mat()
 		used := 0
 		for i := 0; i < n; i++ {
-			pc := pose.WorldToCamera(pts[i])
+			pc := rot.Apply(pts[i].Sub(pose.Pos))
 			if pc.Z <= 0.1 {
 				continue
 			}
@@ -177,50 +199,78 @@ func optimizePose(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []floa
 			// Huber robustness: wrong data associations must not
 			// dominate the normal equations.
 			w := reprojWeight(ru, rv)
-			// Jacobian of projection wrt camera-frame point.
-			jx := [2][3]float64{
-				{cam.Fx * invZ, 0, -cam.Fx * pc.X * invZ * invZ},
-				{0, cam.Fy * invZ, -cam.Fy * pc.Y * invZ * invZ},
-			}
-			// d(pc)/d(dtheta) = [pc]_x (for the perturbation
-			// pc' = R^T(exp(-[dtheta])...)). Compose rows.
-			sk := mathx.Skew(pc)
-			var j [2][6]float64
-			for r := 0; r < 2; r++ {
-				for cIdx := 0; cIdx < 3; cIdx++ {
-					// translation block
-					j[r][cIdx] = -(jx[r][0]*rt[0][cIdx] + jx[r][1]*rt[1][cIdx] + jx[r][2]*rt[2][cIdx])
-				}
-				// rotation block: J * [pc]_x
-				for cIdx := 0; cIdx < 3; cIdx++ {
-					j[r][3+cIdx] = jx[r][0]*sk[0][cIdx] + jx[r][1]*sk[1][cIdx] + jx[r][2]*sk[2][cIdx]
-				}
-			}
-			// Only the upper triangle is accumulated: IEEE multiplication
-			// commutes exactly, so the lower entry a full loop would add,
-			// w * (j[0][b]*j[0][a] + j[1][b]*j[1][a]), is this one bit for
-			// bit, and the copy below mirrors it.
-			for a := 0; a < 6; a++ {
-				g[a] += w * (j[0][a]*ru + j[1][a]*rv)
-				for b := a; b < 6; b++ {
-					hm[a][b] += w * (j[0][a]*j[0][b] + j[1][a]*j[1][b])
-				}
-			}
+			// Jacobian of projection wrt camera-frame point:
+			// [[ja, 0, jb], [0, jc, jd]].
+			ja, jb := cam.Fx*invZ, -cam.Fx*pc.X*invZ*invZ
+			jc, jd := cam.Fy*invZ, -cam.Fy*pc.Y*invZ*invZ
+			// Observation Jacobian rows: translation block -(jx R^T),
+			// rotation block jx [pc]_x (for the perturbation
+			// pc' = R^T(exp(-[dtheta])...)).
+			j00 := -(ja*rt[0][0] + jb*rt[2][0])
+			j01 := -(ja*rt[0][1] + jb*rt[2][1])
+			j02 := -(ja*rt[0][2] + jb*rt[2][2])
+			j03 := jb * -pc.Y
+			j04 := ja*-pc.Z + jb*pc.X
+			j05 := ja * pc.Y
+			j10 := -(jc*rt[1][0] + jd*rt[2][0])
+			j11 := -(jc*rt[1][1] + jd*rt[2][1])
+			j12 := -(jc*rt[1][2] + jd*rt[2][2])
+			j13 := jc*pc.Z + jd*-pc.Y
+			j14 := jd * pc.X
+			j15 := jc * -pc.X
+			g0 += w * (j00*ru + j10*rv)
+			g1 += w * (j01*ru + j11*rv)
+			g2 += w * (j02*ru + j12*rv)
+			g3 += w * (j03*ru + j13*rv)
+			g4 += w * (j04*ru + j14*rv)
+			g5 += w * (j05*ru + j15*rv)
+			h00 += w * (j00*j00 + j10*j10)
+			h01 += w * (j00*j01 + j10*j11)
+			h02 += w * (j00*j02 + j10*j12)
+			h03 += w * (j00*j03 + j10*j13)
+			h04 += w * (j00*j04 + j10*j14)
+			h05 += w * (j00*j05 + j10*j15)
+			h11 += w * (j01*j01 + j11*j11)
+			h12 += w * (j01*j02 + j11*j12)
+			h13 += w * (j01*j03 + j11*j13)
+			h14 += w * (j01*j04 + j11*j14)
+			h15 += w * (j01*j05 + j11*j15)
+			h22 += w * (j02*j02 + j12*j12)
+			h23 += w * (j02*j03 + j12*j13)
+			h24 += w * (j02*j04 + j12*j14)
+			h25 += w * (j02*j05 + j12*j15)
+			h33 += w * (j03*j03 + j13*j13)
+			h34 += w * (j03*j04 + j13*j14)
+			h35 += w * (j03*j05 + j13*j15)
+			h44 += w * (j04*j04 + j14*j14)
+			h45 += w * (j04*j05 + j14*j15)
+			h55 += w * (j05*j05 + j15*j15)
 			used++
 		}
 		if used < 4 {
 			break
 		}
 		// Levenberg damping keeps distant initializations stable.
-		for a := 0; a < 6; a++ {
-			hm[a][a] += 1e-3*hm[a][a] + 1e-9
+		h00 += 1e-3*h00 + 1e-9
+		h11 += 1e-3*h11 + 1e-9
+		h22 += 1e-3*h22 + 1e-9
+		h33 += 1e-3*h33 + 1e-9
+		h44 += 1e-3*h44 + 1e-9
+		h55 += 1e-3*h55 + 1e-9
+		hm := [6][6]float64{
+			{h00, h01, h02, h03, h04, h05},
+			{h01, h11, h12, h13, h14, h15},
+			{h02, h12, h22, h23, h24, h25},
+			{h03, h13, h23, h33, h34, h35},
+			{h04, h14, h24, h34, h44, h45},
+			{h05, h15, h25, h35, h45, h55},
 		}
 		for a := 0; a < 6; a++ {
 			for b := 0; b < 6; b++ {
-				ps.h.Set(a, b, hm[min(a, b)][max(a, b)])
+				ps.h.Set(a, b, hm[a][b])
 			}
-			ps.neg[a] = -g[a]
 		}
+		ps.neg[0], ps.neg[1], ps.neg[2], ps.neg[3], ps.neg[4], ps.neg[5] = -g0, -g1, -g2, -g3, -g4, -g5
 		if !ps.h.CholeskyInto(&ps.l) {
 			break
 		}

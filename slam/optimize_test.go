@@ -9,9 +9,13 @@ import (
 	"dronedse/mathx"
 )
 
-// optimizePoseFull is optimizePose with the normal matrix accumulated in
-// full, all 36 updates per observation, as it was before the upper triangle
-// was mirrored. It is the reference for TestOptimizePoseMirrorBitIdentical.
+// optimizePoseFull is optimizePose as it was before its normal equations
+// moved into scalar locals: the rotation applied through Quat.RotateInv per
+// point, the 2x6 Jacobian built by array-indexed products with every
+// structural zero of jx and [pc]_x, and the normal matrix accumulated in
+// full, all 36 updates per observation. It is the reference for
+// TestOptimizePoseMirrorBitIdentical and
+// TestOptimizePoseDegenerateBitIdentical.
 func optimizePoseFull(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []float64, iters int, stats *Stats, ps *poseScratch) Pose {
 	pose := init
 	n := len(pts)
@@ -39,7 +43,7 @@ func optimizePoseFull(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []
 				{cam.Fx * invZ, 0, -cam.Fx * pc.X * invZ * invZ},
 				{0, cam.Fy * invZ, -cam.Fy * pc.Y * invZ * invZ},
 			}
-			sk := mathx.Skew(pc)
+			sk := skew(pc)
 			var j [2][6]float64
 			for r := 0; r < 2; r++ {
 				for cIdx := 0; cIdx < 3; cIdx++ {
@@ -85,6 +89,15 @@ func optimizePoseFull(cam dataset.Camera, init Pose, pts []mathx.Vec3, us, vs []
 		}
 	}
 	return pose
+}
+
+// skew returns the skew-symmetric matrix [v]_x such that [v]_x w = v x w.
+func skew(v mathx.Vec3) mathx.Mat3 {
+	return mathx.Mat3{
+		{0, -v.Z, v.Y},
+		{v.Z, 0, -v.X},
+		{-v.Y, v.X, 0},
+	}
 }
 
 // poseBits is a pose as the IEEE bits of its seven fields.
@@ -255,5 +268,125 @@ func TestReprojWeightMatchesHypot(t *testing.T) {
 		norm := 4 * (1 + (2*r.Float64()-1)*1e-8)
 		a := 2 * math.Pi * r.Float64()
 		check(norm*math.Cos(a), norm*math.Sin(a))
+	}
+}
+
+// sameFloat reports whether a and b have the same IEEE bits, or are both
+// NaN: Go leaves a NaN's sign and payload unspecified, and on amd64 they
+// follow whichever operand the compiler put first.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// samePose is poseBits equality with sameFloat's NaN rule.
+func samePose(a, b Pose) bool {
+	fa := [7]float64{a.Pos.X, a.Pos.Y, a.Pos.Z, a.Att.W, a.Att.X, a.Att.Y, a.Att.Z}
+	fb := [7]float64{b.Pos.X, b.Pos.Y, b.Pos.Z, b.Att.W, b.Att.X, b.Att.Y, b.Att.Z}
+	for k := range fa {
+		if !sameFloat(fa[k], fb[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// degenerateProblems are pose problems whose points or measurements sit
+// where the structural-zero argument of optimizePose is tight or fails:
+// points on the optical axis (a camera-frame X or Y of ±0), coordinates
+// of 1e200 (finite, but with overflowing Jacobian products) and 1e300 (an
+// overflowing projection Jacobian), points at infinite distance, ±Inf and
+// NaN measurements, and starting attitudes whose rotation matrix
+// overflows or is NaN. Each mixes the degenerate observations into a set
+// of ordinary ones, so the solver runs.
+func degenerateProblems() []poseProblem {
+	cam := dataset.DefaultCamera()
+	negZero := math.Copysign(0, -1)
+	inf, nan := math.Inf(1), math.NaN()
+	r := rand.New(rand.NewSource(23))
+	base := func(name string, truth Pose) poseProblem {
+		p := poseProblem{name: name, iters: 6}
+		for len(p.pts) < 24 {
+			pw := truth.CameraToWorld(mathx.V3(r.Float64()*6-3, r.Float64()*4-2, 2+r.Float64()*6))
+			u, v, ok := cam.Project(truth.WorldToCamera(pw))
+			if !ok {
+				continue
+			}
+			p.pts = append(p.pts, pw)
+			p.us = append(p.us, u+r.NormFloat64()*0.5)
+			p.vs = append(p.vs, v+r.NormFloat64()*0.5)
+		}
+		p.init = Pose{Pos: truth.Pos.Add(mathx.V3(0.04, -0.03, 0.02)), Att: truth.Att}
+		return p
+	}
+	add := func(p *poseProblem, pw mathx.Vec3, u, v float64) {
+		p.pts = append(p.pts, pw)
+		p.us = append(p.us, u)
+		p.vs = append(p.vs, v)
+	}
+	identity := Pose{Att: mathx.QuatIdentity()}
+	var out []poseProblem
+
+	// On the optical axis, from a start at the truth (camera and world
+	// frames coincide, so the points' camera X/Y are exactly ±0 in the
+	// first iteration).
+	axis := base("optical axis", identity)
+	axis.init = identity
+	for _, c := range [][2]float64{{0, 0}, {negZero, 0}, {0, negZero}, {negZero, negZero}, {0, 0.7}, {negZero, -0.4}, {1.1, 0}, {-0.6, negZero}} {
+		add(&axis, mathx.V3(c[0], c[1], 3), cam.Cx+c[0]*cam.Fx/3, cam.Cy+c[1]*cam.Fy/3)
+	}
+	out = append(out, axis)
+
+	huge := base("1e200", identity)
+	add(&huge, mathx.V3(1e200, 1e200, 1), cam.Cx, cam.Cy)
+	add(&huge, mathx.V3(-1e200, 3, 1e200), cam.Cx, cam.Cy)
+	add(&huge, mathx.V3(2, -1e200, 1e200), cam.Cx+5, cam.Cy)
+	out = append(out, huge)
+
+	overflow := base("1e300", identity)
+	add(&overflow, mathx.V3(1e300, 1, 0.5), cam.Cx, cam.Cy)
+	add(&overflow, mathx.V3(0.2, -1e300, 2), cam.Cx, cam.Cy)
+	out = append(out, overflow)
+
+	far := base("infinite point", identity)
+	add(&far, mathx.V3(0, 0, inf), cam.Cx, cam.Cy)
+	add(&far, mathx.V3(inf, 1, 3), cam.Cx, cam.Cy)
+	out = append(out, far)
+
+	infMeas := base("±Inf measurement", identity)
+	add(&infMeas, mathx.V3(0.5, 0.2, 4), inf, cam.Cy)
+	add(&infMeas, mathx.V3(-0.5, 0.1, 3), cam.Cx, math.Inf(-1))
+	out = append(out, infMeas)
+
+	nanMeas := base("NaN measurement", identity)
+	add(&nanMeas, mathx.V3(0.3, -0.2, 5), nan, cam.Cy)
+	out = append(out, nanMeas)
+
+	bigAtt := base("overflowing attitude", identity)
+	bigAtt.init.Att = mathx.Quat{W: 1e160, Z: 1e160}
+	out = append(out, bigAtt)
+
+	nanAtt := base("NaN attitude", identity)
+	nanAtt.init.Att = mathx.Quat{W: nan, X: 0.1}
+	out = append(out, nanAtt)
+	return out
+}
+
+// TestOptimizePoseDegenerateBitIdentical checks optimizePose against the
+// full-product reference on degenerateProblems: every pose component has
+// the reference's bits (or is NaN where the reference's is), and the
+// MatchingOps charge is identical.
+func TestOptimizePoseDegenerateBitIdentical(t *testing.T) {
+	cam := dataset.DefaultCamera()
+	var ps, psFull poseScratch
+	for _, p := range degenerateProblems() {
+		var st, stFull Stats
+		got := optimizePose(cam, p.init, p.pts, p.us, p.vs, p.iters, &st, &ps)
+		want := optimizePoseFull(cam, p.init, p.pts, p.us, p.vs, p.iters, &stFull, &psFull)
+		if !samePose(got, want) {
+			t.Errorf("%s: pose %+v, reference %+v", p.name, got, want)
+		}
+		if st.MatchingOps != stFull.MatchingOps {
+			t.Errorf("%s: MatchingOps %d, reference %d", p.name, st.MatchingOps, stFull.MatchingOps)
+		}
 	}
 }

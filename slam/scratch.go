@@ -92,13 +92,15 @@ type frameScratch struct {
 
 	// Keypoint cell grid in CSR layout (matchByProjection): cellStart has
 	// one entry per cell plus a terminator; cellKp holds keypoint indices
-	// grouped by cell, each group in ascending index order; cellCur is the
+	// grouped by cell, each group in ascending index order, and cellX and
+	// cellY the keypoints' coordinates in the same order; cellCur is the
 	// fill cursor.
-	cellStart []int32
-	cellCur   []int32
-	cellKp    []int32
-	usedKp    []bool
-	matches   [][2]int
+	cellStart    []int32
+	cellCur      []int32
+	cellKp       []int32
+	cellX, cellY []float64
+	usedKp       []bool
+	matches      [][2]int
 
 	// Tracking buffers (ProcessFrame): matched point/pixel arrays and the
 	// two-pass inlier set.

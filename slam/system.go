@@ -254,8 +254,15 @@ func (s *System) ProcessFrameDetected(kps []Keypoint, f dataset.Frame) Pose {
 // map[int][]int; neighbor cells outside the grid are skipped, which matches
 // the map version exactly: projections are in-bounds, so an out-of-range
 // neighbor key either missed the map or wrapped to a cell at least one full
-// 16 px cell away — beyond the 10 px window — and contributed nothing. The
-// returned slice is scratch-backed and valid until the next frame.
+// 16 px cell away — beyond the 10 px window — and contributed nothing.
+// The keypoints' coordinates are copied into cell order beside the index,
+// and the neighbour cells of one grid row are adjacent in it, so each of
+// the three neighbour rows is one contiguous scan that reads a keypoint
+// only once it lies in the window. The scan visits keypoints in the map
+// version's order (cell by cell, ascending index within a cell), and a
+// candidate is counted once it passes both the window and the used-keypoint
+// test, in either order, so matches and the Stats ledger are unchanged.
+// The returned slice is scratch-backed and valid until the next frame.
 func (s *System) matchByProjection(kps []Keypoint, descs []Descriptor, pts []mathx.Vec3) [][2]int {
 	const cell = 16
 	cw := (s.Cam.Width + cell - 1) / cell
@@ -265,7 +272,9 @@ func (s *System) matchByProjection(kps []Keypoint, descs []Descriptor, pts []mat
 	start := grow(sc.cellStart, nc+1)
 	cur := grow(sc.cellCur, nc)
 	cellKp := grow(sc.cellKp, len(kps))
+	cellX, cellY := grow(sc.cellX, len(kps)), grow(sc.cellY, len(kps))
 	sc.cellStart, sc.cellCur, sc.cellKp = start, cur, cellKp
+	sc.cellX, sc.cellY = cellX, cellY
 	for i := range start {
 		start[i] = 0
 	}
@@ -279,7 +288,9 @@ func (s *System) matchByProjection(kps []Keypoint, descs []Descriptor, pts []mat
 	}
 	for i := range kps { // ascending i per cell = map append order
 		c := cellOf(&kps[i])
-		cellKp[cur[c]] = int32(i)
+		k := cur[c]
+		cellKp[k] = int32(i)
+		cellX[k], cellY[k] = kps[i].X, kps[i].Y
 		cur[c]++
 	}
 	usedKp := grow(sc.usedKp, len(kps))
@@ -289,36 +300,33 @@ func (s *System) matchByProjection(kps []Keypoint, descs []Descriptor, pts []mat
 	}
 	out := sc.matches[:0]
 	candidates := 0
+	rot, pos := s.pose.Att.Conj().Rotation(), s.pose.Pos
 	for j, pw := range pts {
-		pc := s.pose.WorldToCamera(pw)
-		u, v, ok := s.Cam.Project(pc)
+		u, v, ok := s.Cam.Project(rot.Apply(pw.Sub(pos)))
 		if !ok {
 			continue
 		}
 		bestD, bestI := 61, -1
+		// Project put (u, v) inside the image, so cell (cu, cv) is in the
+		// grid and the clamped neighbour ranges are not empty.
 		cu, cv := int(u)/cell, int(v)/cell
-		for cy := cv - 1; cy <= cv+1; cy++ {
-			if cy < 0 || cy >= ch {
-				continue
-			}
-			for cx := cu - 1; cx <= cu+1; cx++ {
-				if cx < 0 || cx >= cw {
+		x0, x1 := max(cu-1, 0), min(cu+1, cw-1)
+		for cy := max(cv-1, 0); cy <= min(cv+1, ch-1); cy++ {
+			lo, hi := start[cy*cw+x0], start[cy*cw+x1+1]
+			xs, ys, ks := cellX[lo:hi], cellY[lo:hi], cellKp[lo:hi]
+			ys, ks = ys[:len(xs)], ks[:len(xs)]
+			for k := range xs {
+				du, dv := xs[k]-u, ys[k]-v
+				if du*du+dv*dv > 100 { // 10 px window
 					continue
 				}
-				c := cy*cw + cx
-				for _, i32 := range cellKp[start[c]:start[c+1]] {
-					i := int(i32)
-					if usedKp[i] {
-						continue
-					}
-					du, dv := kps[i].X-u, kps[i].Y-v
-					if du*du+dv*dv > 100 { // 10 px window
-						continue
-					}
-					candidates++
-					if d := HammingDistance(kps[i].Desc, descs[j]); d < bestD {
-						bestD, bestI = d, i
-					}
+				i := int(ks[k])
+				if usedKp[i] {
+					continue
+				}
+				candidates++
+				if d := HammingDistance(kps[i].Desc, descs[j]); d < bestD {
+					bestD, bestI = d, i
 				}
 			}
 		}
@@ -358,12 +366,12 @@ func (s *System) fuseByProjection(kps []Keypoint, ids []int, descs []Descriptor,
 		}
 	}
 	projs := sc.projs[:0]
+	rot, pos := s.pose.Att.Conj().Rotation(), s.pose.Pos
 	for j, pw := range pts {
 		if taken[ids[j]] {
 			continue
 		}
-		pc := s.pose.WorldToCamera(pw)
-		u, v, ok := s.Cam.Project(pc)
+		u, v, ok := s.Cam.Project(rot.Apply(pw.Sub(pos)))
 		if !ok {
 			continue
 		}
@@ -480,14 +488,23 @@ type Result struct {
 // its map pointers cleared, once the sequence is done; concurrent runs
 // borrow distinct arenas.
 func RunSequence(seq *dataset.Sequence) Result {
+	return runSequence(seq).result(seq)
+}
+
+// runSequence tracks seq in a borrowed arena, returns the arena, and
+// returns the finished System for scoring. The System no longer holds the
+// arena, which another run may now be using, so it can be read (result,
+// traj, MapPointPositions) but not run further.
+func runSequence(seq *dataset.Sequence) *System {
 	a, ok := arenas.Get()
 	if !ok {
 		a = new(seqArena)
 	}
 	s := newSystem(seq.Cam, a)
 	s.run(seq)
+	s.ar, s.det.scratch = nil, nil
 	putArena(a)
-	return s.result(seq)
+	return s
 }
 
 // run tracks every frame of seq, pipelined when the pool and runtime allow
