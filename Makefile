@@ -154,13 +154,13 @@ bench-roofline:
 bench-guard:
 	$(BENCH) -base BENCH_core.json -o /tmp/bench_guard_new.json
 
-# End-to-end command smoke: build and briefly run every cmd binary and every
-# example, so a refactor that compiles but breaks a tool's wiring (all of
-# them now build their stacks through the scenario engine) fails CI, not the
-# first user.
+# End-to-end command smoke: build and briefly run every cmd binary, so a
+# refactor that compiles but breaks a tool's wiring (all of them now build
+# their stacks through the scenario engine) fails CI, not the first user.
 smoke-cmds:
-	$(GO) build ./cmd/... ./examples/...
+	$(GO) build ./cmd/...
 	$(GO) run ./cmd/dse >/dev/null
+	$(GO) run ./cmd/dse -wheelbase 200 -best >/dev/null
 	$(GO) run ./cmd/flysim -seed 1 >/dev/null
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 	$(GO) run ./cmd/figures -fig 10 -procs 2 >/dev/null
@@ -168,12 +168,6 @@ smoke-cmds:
 	$(GO) run ./cmd/figures -fig 16 >/dev/null
 	$(GO) run ./cmd/figures -fig 17 -seqs 1 -procs 2 >/dev/null
 	$(GO) run ./cmd/benchjson -o - <cmd/benchjson/testdata/pass.txt >/dev/null
-	$(GO) run ./examples/quickstart >/dev/null
-	$(GO) run ./examples/design_sweep >/dev/null
-	$(GO) run ./examples/mission_flight >/dev/null
-	$(GO) run ./examples/obstacle_avoidance >/dev/null
-	$(GO) run ./examples/fleet_batch >/dev/null
-	$(GO) run ./examples/slam_offload >/dev/null
 	sh scripts/fleet_smoke.sh
 	sh scripts/fleet_chaos.sh
 

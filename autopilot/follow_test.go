@@ -18,7 +18,7 @@ func TestFollowMovingTarget(t *testing.T) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	if err := ap.Follow(FollowConfig{Target: target, StandoffM: 4, AltitudeM: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFollowMovingTarget(t *testing.T) {
 func TestFollowValidation(t *testing.T) {
 	ap := newTestAP(t, 3)
 	ap.Arm()
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	if err := ap.Follow(FollowConfig{}); err == nil {
 		t.Error("nil target provider accepted")
 	}

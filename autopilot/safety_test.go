@@ -20,7 +20,7 @@ func TestEnergyPolicyBringsItHome(t *testing.T) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	if err := ap.LoadMission(MissionPlan{{Pos: mathx.V3(200, 0, 5)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestEnergyPolicyBringsItHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawEnergyRTL := false
-	ap.RunUntil(func(a *Autopilot) bool {
+	ap.runUntil(func(a *Autopilot) bool {
 		if a.LastEvent() == "energy reserve reached: RTL" {
 			sawEnergyRTL = true
 		}
@@ -46,7 +46,7 @@ func TestEnergyPolicyBringsItHome(t *testing.T) {
 func TestEnduranceEstimates(t *testing.T) {
 	ap := newTestAP(t, 5)
 	ap.Arm()
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	runFor(ap, 5)
 	// The remaining flight time at the recent average power. 3000 mAh 3S
 	// at ~110 W: ~14-20 min.

@@ -26,7 +26,7 @@ func TestFlyTrajectory(t *testing.T) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	ap.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	ap.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	if err := ap.FlyTrajectory(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFlyTrajectory(t *testing.T) {
 	// commanded sample throughout.
 	t0 := ap.Time()
 	worst := 0.0
-	done := ap.RunUntil(func(a *Autopilot) bool {
+	done := ap.runUntil(func(a *Autopilot) bool {
 		if a.Mode() == TrajectoryMode {
 			want, _ := tr.Sample(a.Time() - t0)
 			if d := a.Quad().State().Pos.Sub(want).Norm(); d > worst {
@@ -80,14 +80,14 @@ func TestTrajectoryVelocityFeedForwardHelps(t *testing.T) {
 
 	apT := newTestAP(t, 3)
 	apT.Arm()
-	apT.RunUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
+	apT.runUntil(func(a *Autopilot) bool { return a.Mode() == Hover }, 30)
 	if err := apT.FlyTrajectory(tr); err != nil {
 		t.Fatal(err)
 	}
 	t0 := apT.Time()
 	var sum float64
 	var n int
-	apT.RunUntil(func(a *Autopilot) bool {
+	apT.runUntil(func(a *Autopilot) bool {
 		if a.Mode() == TrajectoryMode {
 			want, _ := tr.Sample(a.Time() - t0)
 			sum += a.Quad().State().Pos.Sub(want).Norm()

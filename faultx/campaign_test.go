@@ -14,6 +14,18 @@ import (
 	"dronedse/sim"
 )
 
+// runUntil steps the autopilot until cond holds after a step, for at most
+// int(seconds*hz) steps, and reports whether cond held.
+func runUntil(ap *autopilot.Autopilot, cond func(*autopilot.Autopilot) bool, seconds float64) bool {
+	for range int(seconds * ap.PhysicsHz()) {
+		ap.Step()
+		if cond(ap) {
+			return true
+		}
+	}
+	return cond(ap)
+}
+
 // flysimReference replays cmd/flysim's default mission exactly — same
 // plant, pack, compute power, mission and seed — recording the true
 // position at 10 Hz. The fault-free campaign flight must match it bit for
@@ -49,13 +61,13 @@ func flysimReference(t *testing.T, seed int64) ([]mathx.Vec3, float64) {
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}
-	if !ap.RunUntil(func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Hover }, 30) {
+	if !runUntil(ap, func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Hover }, 30) {
 		t.Fatal("reference takeoff failed")
 	}
 	if err := ap.StartMission(); err != nil {
 		t.Fatal(err)
 	}
-	if !ap.RunUntil(func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Disarmed }, 240) {
+	if !runUntil(ap, func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Disarmed }, 240) {
 		t.Fatal("reference mission did not complete")
 	}
 	return traj, ap.Time()

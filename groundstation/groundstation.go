@@ -1,14 +1,11 @@
 // Package groundstation is the monitoring side of the Figure 3/5
-// communication link: it consumes the drone's one-way MAVLink telemetry
-// downlink over any io stream (TCP in the examples, in-memory pipes in
-// tests) and tracks the latest vehicle state.
+// communication link: Station consumes the drone's one-way MAVLink
+// telemetry downlink and tracks the latest vehicle state, and Hub fans a
+// flight's telemetry out to live subscribers (fleetd's stream).
 package groundstation
 
 import (
-	"bufio"
-	"net"
 	"sync"
-	"time"
 
 	"dronedse/mavlink"
 )
@@ -36,21 +33,7 @@ type Station struct {
 	mu     sync.Mutex
 	state  VehicleState
 	parser mavlink.Parser
-
-	// ReadTimeout is the per-read deadline on served TCP connections: a
-	// link that goes silent longer than this is dropped so the vehicle can
-	// reconnect (lossy links injected by faultx.LossyLink exercise it).
-	// Zero means DefaultReadTimeout. Set before ServeTCP.
-	ReadTimeout time.Duration
-	// Reconnects counts connections served after the first.
-	Reconnects int
-
-	ln     net.Listener
-	closed bool
 }
-
-// DefaultReadTimeout is the served connection's silent-link deadline.
-const DefaultReadTimeout = 10 * time.Second
 
 // New returns a station that has seen no telemetry yet.
 func New() *Station { return &Station{} }
@@ -104,84 +87,5 @@ func (s *Station) Consume(data []byte) {
 			// the parser drops IDs without a CRC_EXTRA seed, so only the
 			// four downlink messages above reach here
 		}
-	}
-}
-
-// ServeTCP accepts telemetry connections on addr and consumes them until
-// Shutdown; it sends the listener address once listening via the ready
-// channel. Connections are served one at a time (one vehicle): a dropped or
-// silent link — enforced with a per-read deadline — closes the connection
-// and the loop accepts the vehicle's reconnect, preserving the accumulated
-// state across link outages.
-func (s *Station) ServeTCP(addr string, ready chan<- net.Addr) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	defer ln.Close()
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	conns := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		if conns > 0 {
-			s.mu.Lock()
-			s.Reconnects++
-			s.mu.Unlock()
-		}
-		conns++
-		s.serveConn(conn)
-	}
-}
-
-// serveConn drains one telemetry connection until EOF, error, or a silent
-// link hitting the read deadline.
-func (s *Station) serveConn(conn net.Conn) {
-	defer conn.Close()
-	timeout := s.ReadTimeout
-	if timeout <= 0 {
-		timeout = DefaultReadTimeout
-	}
-	r := bufio.NewReader(conn)
-	buf := make([]byte, 4096)
-	for {
-		conn.SetReadDeadline(time.Now().Add(timeout))
-		n, err := r.Read(buf)
-		if n > 0 {
-			s.Consume(buf[:n])
-		}
-		if err != nil {
-			return // EOF, deadline, or a broken link: wait for reconnect
-		}
-	}
-}
-
-// Shutdown stops ServeTCP: the listener closes and the serve loop returns
-// nil after the in-flight connection (if any) drains.
-func (s *Station) Shutdown() {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
 	}
 }

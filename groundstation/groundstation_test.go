@@ -2,9 +2,7 @@ package groundstation
 
 import (
 	"math"
-	"net"
 	"testing"
-	"time"
 
 	"dronedse/autopilot"
 	"dronedse/mathx"
@@ -13,10 +11,23 @@ import (
 	"dronedse/sim"
 )
 
-// fly steps the autopilot for the given simulated duration: RunUntil with a
-// condition that never holds.
+// fly steps the autopilot for the given simulated duration.
 func fly(ap *autopilot.Autopilot, seconds float64) {
-	ap.RunUntil(func(*autopilot.Autopilot) bool { return false }, seconds)
+	for range int(seconds * ap.PhysicsHz()) {
+		ap.Step()
+	}
+}
+
+// runUntil steps the autopilot until cond holds after a step, for at most
+// int(seconds*hz) steps, and reports whether cond held.
+func runUntil(ap *autopilot.Autopilot, cond func(*autopilot.Autopilot) bool, seconds float64) bool {
+	for range int(seconds * ap.PhysicsHz()) {
+		ap.Step()
+		if cond(ap) {
+			return true
+		}
+	}
+	return cond(ap)
 }
 
 func TestConsumeTelemetry(t *testing.T) {
@@ -76,174 +87,6 @@ func TestConsumeFragmented(t *testing.T) {
 	}
 }
 
-func TestServeTCP(t *testing.T) {
-	gs := New()
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- gs.ServeTCP("127.0.0.1:0", ready) }()
-	addr := <-ready
-
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap := new(autopilot.Autopilot)
-	ap.Init(autopilot.Config{Quad: q, Seed: 1})
-	var seq uint8
-	for i := 0; i < 5; i++ {
-		raw, _ := ap.AppendTelemetry(nil, &seq)
-		if _, err := conn.Write(raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	conn.Close()
-	waitForHeartbeats(t, gs, 5)
-	gs.Shutdown()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server did not finish")
-	}
-	if got := gs.State().Heartbeats; got != 5 {
-		t.Errorf("heartbeats over TCP = %d, want 5", got)
-	}
-}
-
-// waitForHeartbeats polls until the station has consumed at least n
-// heartbeats (the serve loop runs in its own goroutine).
-func waitForHeartbeats(t *testing.T, gs *Station, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for gs.State().Heartbeats < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("station saw %d heartbeats, want %d", gs.State().Heartbeats, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestServeTCPReconnect drops the telemetry link mid-flight and reconnects:
-// the accept loop must serve the new connection, and the station's state —
-// its frame count and last fix — must carry across the drop (the LossyLink
-// outage scenario's ground-side contract).
-func TestServeTCPReconnect(t *testing.T) {
-	gs := New()
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- gs.ServeTCP("127.0.0.1:0", ready) }()
-	addr := <-ready
-
-	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap := new(autopilot.Autopilot)
-	ap.Init(autopilot.Config{Quad: q, Seed: 1})
-	var seq uint8
-	var last []byte // the newest telemetry burst sent
-	sendBurst := func(conn net.Conn, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			fly(ap, 0.05)
-			raw, err := ap.AppendTelemetry(nil, &seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := conn.Write(raw); err != nil {
-				t.Fatal(err)
-			}
-			last = raw
-		}
-	}
-
-	conn1, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendBurst(conn1, 4)
-	conn1.Close() // link drop
-	waitForHeartbeats(t, gs, 4)
-	before := gs.State()
-
-	conn2, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendBurst(conn2, 3)
-	conn2.Close()
-	waitForHeartbeats(t, gs, 7)
-	gs.Shutdown()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server did not finish")
-	}
-
-	if gs.Reconnects != 1 {
-		t.Errorf("reconnects = %d, want 1", gs.Reconnects)
-	}
-	st := gs.State()
-	if before.Frames == 0 || st.Frames != before.Frames/4*7 {
-		t.Errorf("frames = %d after 7 bursts, %d after the first 4: the count must survive the link drop",
-			st.Frames, before.Frames)
-	}
-	ref := New()
-	ref.Consume(last)
-	want := ref.State()
-	if st.TimeMS <= before.TimeMS || st.TimeMS != want.TimeMS || st.X != want.X || st.Y != want.Y || st.Z != want.Z {
-		t.Errorf("last fix t%d (%v, %v, %v), want the newest burst's t%d (%v, %v, %v)",
-			st.TimeMS, st.X, st.Y, st.Z, want.TimeMS, want.X, want.Y, want.Z)
-	}
-}
-
-// TestServeTCPReadDeadline verifies a silent connection is dropped after the
-// read timeout instead of wedging the accept loop forever.
-func TestServeTCPReadDeadline(t *testing.T) {
-	gs := New()
-	gs.ReadTimeout = 50 * time.Millisecond
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- gs.ServeTCP("127.0.0.1:0", ready) }()
-	addr := <-ready
-
-	// A connection that never sends a byte: the server must time it out.
-	silent, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer silent.Close()
-
-	// After the deadline the loop must accept a fresh connection.
-	time.Sleep(120 * time.Millisecond)
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := sim.NewQuad(sim.DefaultConfig())
-	ap := new(autopilot.Autopilot)
-	ap.Init(autopilot.Config{Quad: q, Seed: 1})
-	var seq uint8
-	raw, _ := ap.AppendTelemetry(nil, &seq)
-	if _, err := conn.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	waitForHeartbeats(t, gs, 1)
-	gs.Shutdown()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server did not finish")
-	}
-}
-
 // TestStateFollowsMission streams 2 Hz telemetry of a 10 m out-and-back
 // mission: the station's state after each burst is the vehicle's newest
 // fix, so its timestamps never go back and the path through them has the
@@ -255,12 +98,12 @@ func TestStateFollowsMission(t *testing.T) {
 	gs := New()
 	var seq uint8
 	ap.Arm()
-	ap.RunUntil(func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Hover }, 30)
+	runUntil(ap, func(a *autopilot.Autopilot) bool { return a.Mode() == autopilot.Hover }, 30)
 	ap.LoadMission(autopilot.MissionPlan{{Pos: mathx.V3(10, 0, 5)}})
 	ap.StartMission()
 	var fixes []VehicleState
 	steps := 0
-	ap.RunUntil(func(a *autopilot.Autopilot) bool {
+	runUntil(ap, func(a *autopilot.Autopilot) bool {
 		steps++
 		if steps%500 == 0 { // 2 Hz telemetry
 			raw, _ := a.AppendTelemetry(nil, &seq)

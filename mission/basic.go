@@ -46,10 +46,13 @@ type Waypoints struct {
 func (Waypoints) Kind() string { return "waypoints" }
 
 // Validate implements Workload, mirroring autopilot.LoadMission's checks
-// plus finiteness (wire input).
+// plus finiteness and the maxPlanPoints cap (wire input).
 func (w Waypoints) Validate() error {
 	if len(w.Plan) == 0 {
 		return errors.New("mission: empty waypoint plan")
+	}
+	if len(w.Plan) > maxPlanPoints {
+		return fmt.Errorf("mission: waypoint plan capped at %d waypoints", maxPlanPoints)
 	}
 	for i, wp := range w.Plan {
 		if !finiteVec(wp.Pos) || !finite(wp.HoldS) || !finite(wp.AcceptRadiusM) {
@@ -200,13 +203,9 @@ func (d *hoverDriver) finish(h Host) {
 func (d *hoverDriver) Outcome() Outcome { return d.out }
 
 // Trajectory flies a time-parametrized planner trajectory after takeoff and
-// ends hovering at its terminus. For the wire form, supply Path/VMaxMS/
-// AMaxMS2 instead of a pre-built Traj and the profile is planned at Build.
+// ends hovering at its terminus. The profile is planned from Path and the
+// velocity/acceleration limits at Validate and again at Build.
 type Trajectory struct {
-	// Traj is the in-process, pre-planned form (examples, planners).
-	Traj *planner.Trajectory `json:"-"`
-	// Path plus the velocity/acceleration limits are the serializable form;
-	// used only when Traj is nil.
 	Path    []mathx.Vec3 `json:"path,omitempty"`
 	VMaxMS  float64      `json:"vmax_ms,omitempty"`  // default 5
 	AMaxMS2 float64      `json:"amax_ms2,omitempty"` // default 3
@@ -215,32 +214,28 @@ type Trajectory struct {
 // Kind implements Workload.
 func (Trajectory) Kind() string { return "trajectory" }
 
-// Validate implements Workload.
+// Validate implements Workload: the path must plan, within maxPlanPoints
+// points and maxFlightS seconds of flight.
 func (t Trajectory) Validate() error {
-	if t.Traj != nil {
-		return nil
-	}
+	_, err := t.plan()
+	return err
+}
+
+// plan checks the parameters and plans the profile.
+func (t Trajectory) plan() (*planner.Trajectory, error) {
 	if len(t.Path) < 2 {
-		return errors.New("mission: trajectory needs a pre-built Traj or a path of at least 2 points")
+		return nil, errors.New("mission: trajectory needs a path of at least 2 points")
+	}
+	if len(t.Path) > maxPlanPoints {
+		return nil, fmt.Errorf("mission: trajectory path capped at %d points", maxPlanPoints)
 	}
 	for i, p := range t.Path {
 		if !finiteVec(p) {
-			return fmt.Errorf("mission: trajectory path point %d not finite", i)
+			return nil, fmt.Errorf("mission: trajectory path point %d not finite", i)
 		}
 	}
 	if !finite(t.VMaxMS) || t.VMaxMS < 0 || !finite(t.AMaxMS2) || t.AMaxMS2 < 0 {
-		return errors.New("mission: trajectory limits must be finite and non-negative")
-	}
-	return nil
-}
-
-// resolve returns the flyable trajectory, planning the wire form on demand.
-func (t Trajectory) resolve() (*planner.Trajectory, error) {
-	if t.Traj != nil {
-		return t.Traj, nil
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
+		return nil, errors.New("mission: trajectory limits must be finite and non-negative")
 	}
 	vmax, amax := t.VMaxMS, t.AMaxMS2
 	if vmax == 0 {
@@ -249,12 +244,19 @@ func (t Trajectory) resolve() (*planner.Trajectory, error) {
 	if amax == 0 {
 		amax = 3
 	}
-	return planner.PlanTrajectory(t.Path, vmax, amax)
+	traj, err := planner.PlanTrajectory(t.Path, vmax, amax)
+	if err != nil {
+		return nil, err
+	}
+	if !(traj.TotalS <= maxFlightS) { // NaN too
+		return nil, fmt.Errorf("mission: trajectory plans %g s of flight, over the %d s cap", traj.TotalS, maxFlightS)
+	}
+	return traj, nil
 }
 
 // New implements Workload.
 func (t Trajectory) New(ctx Context) (Driver, error) {
-	traj, err := t.resolve()
+	traj, err := t.plan()
 	if err != nil {
 		return nil, err
 	}

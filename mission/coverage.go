@@ -27,10 +27,6 @@ type Coverage struct {
 	OriginY float64 `json:"origin_y,omitempty"`
 }
 
-// maxCoverageWaypoints bounds a survey plan so a wire-submitted job cannot
-// demand unbounded engine memory.
-const maxCoverageWaypoints = 512
-
 func (c Coverage) withDefaults() Coverage {
 	if c.WidthM == 0 {
 		c.WidthM = 24
@@ -67,8 +63,8 @@ func (c Coverage) Validate() error {
 	if c.AltM < 0 {
 		return errors.New("mission: coverage altitude must not be below ground")
 	}
-	if rows := c.HeightM/c.SpacingM + 2; 2*rows > maxCoverageWaypoints {
-		return fmt.Errorf("mission: coverage plan exceeds %d waypoints; widen the spacing", maxCoverageWaypoints)
+	if rows := c.HeightM/c.SpacingM + 2; 2*rows > maxPlanPoints {
+		return fmt.Errorf("mission: coverage plan exceeds %d waypoints; widen the spacing", maxPlanPoints)
 	}
 	return nil
 }

@@ -47,7 +47,7 @@ func (Follow) Kind() string { return "follow" }
 
 // Validate implements Workload.
 func (f Follow) Validate() error {
-	if !finite(f.DurationS) || f.DurationS < 0 || f.DurationS > 3600 {
+	if !finite(f.DurationS) || f.DurationS < 0 || f.DurationS > maxFlightS {
 		return errors.New("mission: follow duration must be within [0, 3600] s")
 	}
 	if !finite(f.StandoffM) || f.StandoffM < 0 || f.StandoffM > 50 {

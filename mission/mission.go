@@ -31,7 +31,12 @@ type Context struct {
 	Seed int64
 	// TakeoffAltM is the resolved takeoff altitude.
 	TakeoffAltM float64
-	// MaxSeconds bounds the whole flight.
+	// MaxSeconds is the flight's time budget, read differently by kind:
+	// the waypoint kinds (box, waypoints, coverage, delivery) end the
+	// flight MaxSeconds after t=0, takeoff included; hover loiters
+	// MaxSeconds after takeoff, then watches its landing for up to 60 s;
+	// follow ignores it (DurationS plus a 60 s landing watch), and so does
+	// trajectory (its planned TotalS plus 30 s).
 	MaxSeconds float64
 }
 
@@ -108,9 +113,20 @@ type Outcome struct {
 	MaxTrackErrM  float64 `json:"max_track_err_m,omitempty"`
 }
 
-// stepBudget converts a seconds budget into physics steps with the same
-// truncation Autopilot.RunUntil uses — the arithmetic the golden
-// tests pin.
+// Wire-input bounds: a tenant-submitted workload may not demand unbounded
+// engine memory or hold a fleet lane for unbounded simulated time.
+const (
+	// maxPlanPoints caps a coverage plan's waypoints, a waypoint plan and
+	// a trajectory's path.
+	maxPlanPoints = 512
+	// maxFlightS caps a follow's DurationS and a trajectory's planned
+	// flight time, in seconds.
+	maxFlightS = 3600
+)
+
+// stepBudget converts a budget of seconds into int(seconds*hz) physics
+// steps, truncating; a driver counts one off per step and checks its stop
+// condition after each step — the arithmetic the golden tests pin.
 func stepBudget(seconds, hz float64) int { return int(seconds * hz) }
 
 // finiteVec reports whether every component is a finite number.

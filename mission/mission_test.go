@@ -26,6 +26,18 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 
 	nan := math.NaN()
+	// line returns n distinct points 1 m apart at 5 m altitude.
+	line := func(n int) []mathx.Vec3 {
+		pts := make([]mathx.Vec3, n)
+		for i := range pts {
+			pts[i] = mathx.V3(float64(i), 0, 5)
+		}
+		return pts
+	}
+	longPlan := make(autopilot.MissionPlan, maxPlanPoints+1)
+	for i, p := range line(len(longPlan)) {
+		longPlan[i].Pos = p
+	}
 	invalid := []struct {
 		name string
 		wl   Workload
@@ -47,7 +59,12 @@ func TestWorkloadValidation(t *testing.T) {
 		{"follow nan duration", Follow{DurationS: nan}},
 		{"follow fast target", Follow{Target: FollowTarget{SpeedMS: 21}}},
 		{"follow far standoff", Follow{StandoffM: 51}},
+		{"waypoint cap", Waypoints{Plan: longPlan}},
 		{"trajectory short path", Trajectory{Path: []mathx.Vec3{{Z: 5}}}},
+		{"trajectory zero-length path", Trajectory{Path: []mathx.Vec3{{Z: 5}, {Z: 5}}}},
+		{"trajectory point cap", Trajectory{Path: line(maxPlanPoints + 1)}},
+		{"trajectory over an hour", Trajectory{Path: line(11), VMaxMS: 0.001}},
+		{"trajectory overflowing step budget", Trajectory{Path: line(11), VMaxMS: 1e-300}},
 		{"wire unknown kind", WireSpec{KindName: "teleport"}},
 		{"wire bad payload", WireSpec{KindName: "delivery", Delivery: &Delivery{HoldS: -1,
 			Legs: []DeliveryLeg{{Pickup: mathx.V3(1, 0, 5), Dropoff: mathx.V3(2, 0, 5)}}}}},

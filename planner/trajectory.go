@@ -1,3 +1,9 @@
+// Package planner is the outer-loop navigation substrate of Table 1
+// ("Navigation & trajectory", "Planning"): trapezoidal-velocity trajectory
+// generation producing the position+velocity targets the inner loop
+// consumes (Figure 6), and boustrophedon coverage paths for survey
+// missions. Planning runs with relaxed deadlines — the §6 point that
+// mission planning does not load the real-time loop.
 package planner
 
 import (
@@ -103,15 +109,4 @@ func (tr *Trajectory) Sample(t float64) (pos, vel mathx.Vec3) {
 		return s.a.Add(s.dir.Scale(dist)), s.dir.Scale(speed)
 	}
 	return last.b, mathx.Vec3{}
-}
-
-// MaxSpeed returns the highest speed the profile commands.
-func (tr *Trajectory) MaxSpeed() float64 {
-	m := 0.0
-	for _, s := range tr.segs {
-		if s.peakV > m {
-			m = s.peakV
-		}
-	}
-	return m
 }

@@ -195,16 +195,6 @@ func (p Platform) SeqTime(st slam.Stats) (total, fe, lba, gba float64) {
 	return fe + lba + gba, fe, lba, gba
 }
 
-// FPS returns the modeled processed-frame rate of a sequence on the
-// platform; real time requires >= the sensor's 20 FPS.
-func (p Platform) FPS(st slam.Stats) float64 {
-	total, _, _, _ := p.SeqTime(st)
-	if total <= 0 || st.Frames == 0 {
-		return 0
-	}
-	return float64(st.Frames) / total
-}
-
 // Speedup is the platform's end-to-end speedup over a baseline for the
 // same work ledger.
 func Speedup(base, target Platform, st slam.Stats) float64 {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"sync"
 
 	"dronedse/autopilot"
@@ -122,12 +121,4 @@ func (r *Result) AvgComputeW() float64 {
 // what a zero-power accelerator would have returned to the mission.
 func (r *Result) ComputeFlightCostMin() float64 {
 	return core.ApproxGainedFlightTimeMin(r.AvgPowerW(), r.AvgComputeW(), r.FlightTimeS/60)
-}
-
-// Summary renders a one-line post-flight report.
-func (r *Result) Summary() string {
-	return fmt.Sprintf(
-		"flight %.1f s, mode %v, energy %.2f Wh (avg %.1f W, compute %.1f W ≙ %.2f min of flight time)",
-		r.FlightTimeS, r.FinalMode, r.EnergyWh, r.AvgPowerW(), r.AvgComputeW(),
-		r.ComputeFlightCostMin())
 }

@@ -3,8 +3,8 @@
 // a battery, a compute platform, optional SLAM offload and fault plans, a
 // mission — and one audited Build that performs all the cross-package
 // wiring (quad ↔ sensors ↔ estimator ↔ autopilot ↔ battery ↔ injector)
-// that was previously hand-rolled, divergently, by cmd/flysim, faultx.Run,
-// bench.RunFigure16 and the examples.
+// that was previously hand-rolled, divergently, by cmd/flysim, faultx.Run
+// and bench.RunFigure16.
 //
 // Determinism contract: a Spec is a pure value plus a seed. Build derives
 // every stochastic stream (sensor noise, turbulence, offload jitter) from
@@ -183,7 +183,9 @@ type Spec struct {
 	// Workload is what the vehicle does after takeoff (nil = mission.Box{},
 	// the 12 m reference box).
 	Workload mission.Workload
-	// MaxSeconds bounds the whole flight (default 240).
+	// MaxSeconds is the workload's time budget (default 240). Only the
+	// waypoint kinds bound the whole flight by it; mission.Context
+	// documents what each kind does with it.
 	MaxSeconds float64
 
 	// EnergyPolicy, when non-nil, arms the Table 1 flight-time-management
@@ -389,16 +391,15 @@ type driverState int
 
 const (
 	drvUnstarted driverState = iota
-	drvTakeoff               // RunUntil(mode != Takeoff, 30 s)
+	drvTakeoff               // until mode != Takeoff, at most int(30*hz) steps
 	drvActive                // the workload's Driver is flying
 	drvDone
 )
 
-// driver is the resumable replacement for the blocking Run loop. Budgets are
-// integer step counts computed with the same int(seconds*hz) truncation
-// RunUntil uses, and conditions are evaluated at the same points (after
-// each step; once more when a budget expires), so a flight ticked one step at
-// a time is bit-identical to the historical blocking sequence. This is what
+// driver is the resumable flight sequence. Budgets are integer step counts,
+// int(seconds*hz) truncated, and each phase's stop condition is checked
+// after every step, the budget's last included, so a flight ticked one step
+// at a time is bit-identical to the historical blocking sequence. This is what
 // lets Batch interleave N flights on one engine: each lane advances exactly
 // one physics step per Tick regardless of what phase it is in.
 type driver struct {
@@ -471,7 +472,7 @@ func (st *Stack) Result() *Result { return st.drv.result }
 // branched on.
 func (st *Stack) endTakeoff() {
 	ap := st.Autopilot
-	// RunUntil stopped either because the mode left Takeoff or because the
+	// The phase ended either because the mode left Takeoff or because the
 	// 30 s budget lapsed; in both cases the historical takeoffOK reduces to
 	// "is the vehicle now holding in Hover".
 	st.drv.takeoffOK = ap.Mode() == autopilot.Hover
@@ -526,8 +527,8 @@ func (st *Stack) finish() {
 }
 
 // Run drives the stack through the fixed flight sequence: arm, take off
-// (30 s budget), fly the mission (or hover) within Spec.MaxSeconds of total
-// simulated time, and return the structured Result. It may be called once;
+// (30 s budget), fly the workload under its own time budget (see
+// mission.Context.MaxSeconds), and return the structured Result. It may be called once;
 // it is exactly a batch of one — Start, then Tick to completion.
 func (st *Stack) Run() (*Result, error) {
 	if err := st.Start(); err != nil {

@@ -98,7 +98,7 @@ func TestMapCloudPoolInvariant(t *testing.T) {
 		}
 		s.Finish()
 		var out []struct{ X, Y, Z float64 }
-		for _, p := range s.MapPointPositions() {
+		for _, p := range landmarks(s) {
 			out = append(out, struct{ X, Y, Z float64 }{p.X, p.Y, p.Z})
 		}
 		return out

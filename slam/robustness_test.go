@@ -103,8 +103,8 @@ func TestBlindStartDoesNotPanic(t *testing.T) {
 	if len(s.points) != 0 {
 		t.Errorf("featureless frames created %d map points", len(s.points))
 	}
-	if got := len(s.MapPointPositions()); got != 0 {
-		t.Errorf("MapPointPositions returned %d", got)
+	if got := len(landmarks(s)); got != 0 {
+		t.Errorf("landmark cloud holds %d points", got)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestMapPointPositions(t *testing.T) {
 	for i := 0; i < seq.Len(); i++ {
 		s.ProcessFrame(seq.Frame(i))
 	}
-	pts := s.MapPointPositions()
+	pts := landmarks(s)
 	if len(pts) != len(s.points) {
 		t.Fatalf("positions %d != map points %d", len(pts), len(s.points))
 	}

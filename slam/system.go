@@ -84,17 +84,6 @@ func newSystem(cam dataset.Camera, a *seqArena) *System {
 	return s
 }
 
-// MapPointPositions returns the positions of all map points — the landmark
-// cloud downstream consumers (occupancy mapping, planning) build on. The
-// table is stored in ID order, so the cloud is reproducible by construction.
-func (s *System) MapPointPositions() []mathx.Vec3 {
-	out := make([]mathx.Vec3, 0, len(s.points))
-	for _, mp := range s.points {
-		out = append(out, mp.Pos)
-	}
-	return out
-}
-
 // point looks up a landmark by ID: a bounds check over the dense table.
 func (s *System) point(id int) (*MapPoint, bool) {
 	if id < 0 || id >= len(s.points) {
@@ -494,7 +483,7 @@ func RunSequence(seq *dataset.Sequence) Result {
 // runSequence tracks seq in a borrowed arena, returns the arena, and
 // returns the finished System for scoring. The System no longer holds the
 // arena, which another run may now be using, so it can be read (result,
-// traj, MapPointPositions) but not run further.
+// traj, the landmark cloud) but not run further.
 func runSequence(seq *dataset.Sequence) *System {
 	a, ok := arenas.Get()
 	if !ok {
