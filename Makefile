@@ -117,12 +117,15 @@ bench-e2e:
 # Workload-layer smoke: the pluggable-workload acceptance tests — wire
 # round-trips, per-workload golden digests at several batch/pool shapes, the
 # mixed-co-tenant bit-identity property, and the zero-alloc guard over every
-# workload kind — under the race detector, plus a delivery flight through the
-# CLI so the payload-mass path stays wired end to end.
+# workload kind — under the race detector, plus delivery, hover and follow
+# flights through the CLI, each of which exits non-zero unless it disarms:
+# the payload-mass path, the shared landing watch and flysim's phase lines.
 bench-workloads:
 	$(GO) test -race ./mission/ ./scenario/ -run 'TestWorkload|TestLawnmower|TestTargetModel'
 	$(GO) test -race ./fleet/ -run 'TestWorkloadRoundTrip|TestSubmitValidation'
 	$(GO) run ./cmd/flysim -workload delivery -seconds 120 >/dev/null
+	$(GO) run ./cmd/flysim -workload hover -seconds 5 >/dev/null
+	$(GO) run ./cmd/flysim -workload follow >/dev/null
 
 # The BENCH set: every kernel BENCH_core.json records, each one Benchmark*
 # function in the package that owns it, run in five rounds. Rounds rather

@@ -44,13 +44,6 @@ func (a *Autopilot) Follow(cfg FollowConfig) error {
 	return nil
 }
 
-// StopFollowing returns to Hover.
-func (a *Autopilot) StopFollowing() {
-	if a.mode == FollowMode {
-		a.mode = Hover
-	}
-}
-
 // followTargets computes the filming position: trail the target opposite
 // its motion direction at the standoff, camera (body +X) pointed at it.
 func (a *Autopilot) followTargets() control.Targets {

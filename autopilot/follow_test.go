@@ -59,11 +59,6 @@ func TestFollowMovingTarget(t *testing.T) {
 	if math.Abs(alt-4) > 1 {
 		t.Errorf("filming altitude = %.2f, want ~4", alt)
 	}
-
-	ap.StopFollowing()
-	if ap.Mode() != Hover {
-		t.Errorf("mode after stop = %v", ap.Mode())
-	}
 }
 
 func TestFollowValidation(t *testing.T) {

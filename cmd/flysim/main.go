@@ -35,6 +35,7 @@ func main() {
 	flag.Parse()
 
 	lastLog := -5.0
+	climbing := true // until the first step out of TAKEOFF
 	osc := trace.NewOscilloscope(*seed)
 	spec := scenario.Spec{
 		Seed:        *seed,
@@ -50,15 +51,13 @@ func main() {
 					a.Time(), a.Mode(), s.Pos.X, s.Pos.Y, s.Pos.Z, s.Vel.Norm(),
 					a.TotalPowerW(), 100*a.Battery().StateOfCharge())
 			}
-		}},
-		OnPhase: func(st *scenario.Stack, p scenario.Phase) {
-			switch p {
-			case scenario.PhaseArmed:
-				fmt.Println("armed; taking off...")
-			case scenario.PhaseAirborne:
-				fmt.Printf("hovering at %.1f m\n", st.Quad.State().Pos.Z)
+			if climbing && a.Mode() != autopilot.Takeoff {
+				climbing = false
+				if a.Mode() == autopilot.Hover {
+					fmt.Printf("hovering at %.1f m\n", a.Quad().State().Pos.Z)
+				}
 			}
-		},
+		}},
 	}
 	if *wind > 0 {
 		spec.Wind = scenario.Wind{MeanMS: *wind, GustMS: *wind / 2}
@@ -71,8 +70,13 @@ func main() {
 
 	st, err := scenario.Build(spec)
 	check(err)
-	res, err := st.Run()
-	check(err)
+	check(st.Start())
+	fmt.Println("armed; taking off...")
+	for !st.Done() {
+		_, err := st.Tick()
+		check(err)
+	}
+	res := st.Result()
 	if !res.TakeoffOK {
 		fail("takeoff failed")
 	}

@@ -363,11 +363,7 @@ func classify(res *scenario.Result) Outcome {
 	if res.FinalMode != autopilot.Disarmed {
 		return OutcomeTimeout
 	}
-	// res.Completed is the waypoint-mission notion; the workload's own
-	// Completed covers the kinds without one (hover's full loiter, follow's
-	// full track). For waypoint workloads the two agree, so the historical
-	// box-campaign classification is unchanged.
-	if res.Completed || res.Workload.Completed {
+	if res.Workload.Completed {
 		return OutcomeCompleted
 	}
 	for _, e := range res.Log.Events() {

@@ -70,60 +70,28 @@ func (w Waypoints) New(ctx Context) (Driver, error) {
 	return &waypointDriver{kind: "waypoints", plan: w.Plan, maxS: ctx.MaxSeconds}, nil
 }
 
-// waypointDriver executes a waypoint mission with the engine's historical
-// semantics: StartMission at takeoff resolution, then fly until the vehicle
-// disarms or the MaxSeconds window (counted from t=0, takeoff included)
-// lapses. Box, Waypoints, Coverage and Delivery all run on it.
+// waypointDriver flies a waypoint mission: StartMission once takeoff
+// succeeds (a failed takeoff still flies out the budget), then until the
+// vehicle disarms or the MaxSeconds window, counted from t=0, lapses. Box
+// and Waypoints run on it; Coverage and Delivery embed it.
 type waypointDriver struct {
-	kind   string
-	plan   autopilot.MissionPlan
-	maxS   float64
-	budget int
-	out    Outcome
+	kind string
+	plan autopilot.MissionPlan
+	maxS float64
+}
 
-	// onStep, when non-nil, observes every flown step (delivery's payload
-	// watcher). onDone, when non-nil, decorates the outcome.
-	onStep func(h Host)
-	onDone func(h Host, out *Outcome)
+func (d *waypointDriver) Lifecycle() Lifecycle {
+	return Lifecycle{ActiveS: d.maxS, FromLaunch: true, Terminal: autopilot.Disarmed,
+		EndAtTerminal: true, TakeoffFail: Fly, Lapse: End}
 }
 
 func (d *waypointDriver) Start(h Host) error { return h.AP().LoadMission(d.plan) }
 
-func (d *waypointDriver) Begin(h Host, takeoffOK bool) (bool, error) {
-	ap := h.AP()
-	if takeoffOK {
-		if err := ap.StartMission(); err == nil {
-			h.MissionStarted()
-		}
-	}
-	d.budget = stepBudget(d.maxS-ap.Time(), ap.PhysicsHz())
-	if d.budget <= 0 {
-		d.finish(h)
-		return true, nil
-	}
-	return false, nil
-}
+func (d *waypointDriver) Begin(h Host) error { return h.AP().StartMission() }
 
-func (d *waypointDriver) Step(h Host) bool {
-	d.budget--
-	if d.onStep != nil {
-		d.onStep(h)
-	}
-	if h.AP().Mode() == autopilot.Disarmed || d.budget <= 0 {
-		d.finish(h)
-		return true
-	}
-	return false
+func (d *waypointDriver) Outcome(h Host, _ Ending) Outcome {
+	return Outcome{Kind: d.kind, Completed: h.AP().MissionCompleted()}
 }
-
-func (d *waypointDriver) finish(h Host) {
-	d.out = Outcome{Kind: d.kind, Completed: h.AP().MissionCompleted()}
-	if d.onDone != nil {
-		d.onDone(h, &d.out)
-	}
-}
-
-func (d *waypointDriver) Outcome() Outcome { return d.out }
 
 // Hover loiters at the takeoff altitude for MaxSeconds, then lands
 // (flysim's and fleetctl's -workload hover).
@@ -140,67 +108,22 @@ func (Hover) New(ctx Context) (Driver, error) {
 	return &hoverDriver{loiterS: ctx.MaxSeconds}, nil
 }
 
-// hoverDriver replicates the historical hover branch: loiter for the full
-// MaxSeconds budget (a failed takeoff lands straight away), then command a
-// landing and watch it for 60 s.
-type hoverDriver struct {
-	loiterS  float64
-	landing  bool
-	loitered bool
-	budget   int
-	out      Outcome
+// hoverDriver loiters for the full MaxSeconds budget, then lands; a failed
+// takeoff lands straight away. The hover is complete once it loitered out
+// its budget and disarmed.
+type hoverDriver struct{ loiterS float64 }
+
+func (d *hoverDriver) Lifecycle() Lifecycle {
+	return Lifecycle{ActiveS: d.loiterS, Terminal: autopilot.Disarmed, TakeoffFail: Land, Lapse: Land}
 }
 
-func (d *hoverDriver) Start(h Host) error { return nil }
+func (*hoverDriver) Start(Host) error { return nil }
 
-func (d *hoverDriver) Begin(h Host, takeoffOK bool) (bool, error) {
-	if takeoffOK {
-		d.budget = stepBudget(d.loiterS, h.AP().PhysicsHz())
-		if d.budget > 0 {
-			return false, nil
-		}
-		d.loitered = true
-	}
-	return d.land(h), nil
+func (*hoverDriver) Begin(Host) error { return nil }
+
+func (*hoverDriver) Outcome(_ Host, e Ending) Outcome {
+	return Outcome{Kind: "hover", Completed: e.Lapsed}
 }
-
-// land commands the descent and enters the 60 s landing watch; it reports
-// true when the watch budget is already spent (the flight resolves now).
-func (d *hoverDriver) land(h Host) bool {
-	h.AP().CommandLand()
-	d.landing = true
-	d.budget = stepBudget(60, h.AP().PhysicsHz())
-	if d.budget <= 0 {
-		d.finish(h)
-		return true
-	}
-	return false
-}
-
-func (d *hoverDriver) Step(h Host) bool {
-	d.budget--
-	if !d.landing {
-		if d.budget <= 0 {
-			d.loitered = true
-			return d.land(h)
-		}
-		return false
-	}
-	if h.AP().Mode() == autopilot.Disarmed || d.budget <= 0 {
-		d.finish(h)
-		return true
-	}
-	return false
-}
-
-func (d *hoverDriver) finish(h Host) {
-	d.out = Outcome{
-		Kind:      "hover",
-		Completed: d.loitered && h.AP().Mode() == autopilot.Disarmed,
-	}
-}
-
-func (d *hoverDriver) Outcome() Outcome { return d.out }
 
 // Trajectory flies a time-parametrized planner trajectory after takeoff and
 // ends hovering at its terminus. The profile is planned from Path and the
@@ -263,46 +186,21 @@ func (t Trajectory) New(ctx Context) (Driver, error) {
 	return &trajectoryDriver{traj: traj}, nil
 }
 
-// trajectoryDriver replicates the historical trajectory branch: FlyTrajectory
-// at takeoff resolution, then fly until the autopilot settles back into
-// Hover at the terminus or the TotalS+30 budget lapses. A failed takeoff
-// ends the flight immediately.
-type trajectoryDriver struct {
-	traj   *planner.Trajectory
-	budget int
-	out    Outcome
+// trajectoryDriver flies FlyTrajectory once takeoff succeeds, until the
+// autopilot settles back into Hover at the terminus or the TotalS+30 budget
+// lapses. A failed takeoff ends the flight.
+type trajectoryDriver struct{ traj *planner.Trajectory }
+
+func (d *trajectoryDriver) Lifecycle() Lifecycle {
+	return Lifecycle{ActiveS: d.traj.TotalS + 30, Terminal: autopilot.Hover,
+		EndAtTerminal: true, TakeoffFail: End, Lapse: End}
 }
 
-func (d *trajectoryDriver) Start(h Host) error { return nil }
+func (*trajectoryDriver) Start(Host) error { return nil }
 
-func (d *trajectoryDriver) Begin(h Host, takeoffOK bool) (bool, error) {
-	ap := h.AP()
-	if !takeoffOK {
-		d.finish(h)
-		return true, nil
-	}
-	if err := ap.FlyTrajectory(d.traj); err != nil {
-		return false, err
-	}
-	d.budget = stepBudget(d.traj.TotalS+30, ap.PhysicsHz())
-	if d.budget <= 0 {
-		d.finish(h)
-		return true, nil
-	}
-	return false, nil
+func (d *trajectoryDriver) Begin(h Host) error { return h.AP().FlyTrajectory(d.traj) }
+
+// Outcome's goal is the terminal hover itself, which the engine checks.
+func (*trajectoryDriver) Outcome(Host, Ending) Outcome {
+	return Outcome{Kind: "trajectory", Completed: true}
 }
-
-func (d *trajectoryDriver) Step(h Host) bool {
-	d.budget--
-	if h.AP().Mode() == autopilot.Hover || d.budget <= 0 {
-		d.finish(h)
-		return true
-	}
-	return false
-}
-
-func (d *trajectoryDriver) finish(h Host) {
-	d.out = Outcome{Kind: "trajectory", Completed: h.AP().Mode() == autopilot.Hover}
-}
-
-func (d *trajectoryDriver) Outcome() Outcome { return d.out }

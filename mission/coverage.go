@@ -88,16 +88,20 @@ func (c Coverage) New(ctx Context) (Driver, error) {
 	for i, p := range pts {
 		plan[i] = autopilot.Waypoint{Pos: p}
 	}
-	n := len(plan)
-	d := &waypointDriver{kind: "coverage", plan: plan, maxS: ctx.MaxSeconds}
-	d.onDone = func(h Host, out *Outcome) {
-		if out.Completed {
-			out.CoverageFrac = 1
-			return
-		}
-		// MissionIndex is the next unvisited waypoint; each visited endpoint
-		// is half a survey row flown.
-		out.CoverageFrac = float64(h.AP().MissionIndex()) / float64(n)
+	return &coverageDriver{waypointDriver{kind: "coverage", plan: plan, maxS: ctx.MaxSeconds}}, nil
+}
+
+// coverageDriver is a waypoint mission whose outcome reports the
+// visited-lane fraction.
+type coverageDriver struct{ waypointDriver }
+
+func (d *coverageDriver) Outcome(h Host, e Ending) Outcome {
+	out := d.waypointDriver.Outcome(h, e)
+	out.CoverageFrac = 1
+	if ap := h.AP(); !ap.MissionCompleted() {
+		// MissionIndex is the next unvisited waypoint; each visited
+		// endpoint is half a survey row flown.
+		out.CoverageFrac = float64(ap.MissionIndex()) / float64(len(d.plan))
 	}
-	return d, nil
+	return out
 }

@@ -116,46 +116,61 @@ func (d Delivery) New(ctx Context) (Driver, error) {
 		phaseEndurance = append(phaseEndurance, des.HoverFlightTimeMin())
 	}
 
-	drv := &waypointDriver{kind: "delivery", plan: plan, maxS: ctx.MaxSeconds}
-	// Payload watcher: the mission index advancing past waypoint 2i means
-	// leg i's payload was just attached; past 2i+1, released. The final
-	// release never advances the index (the autopilot pins it and flips
-	// MissionCompleted), so it is detected separately.
-	prev, carried, delivered := 0, 0.0, 0.0
-	legsDone, allDone := 0, false
-	drv.onStep = func(h Host) {
-		if allDone {
-			return
-		}
-		ap := h.AP()
-		if idx := ap.MissionIndex(); idx != prev {
-			for j := prev; j < idx && j < len(plan); j++ {
-				if j%2 == 0 {
-					carried += legs[j/2].PayloadKg
-				} else {
-					carried -= legs[j/2].PayloadKg
-					delivered += legs[j/2].PayloadKg
-					legsDone++
-				}
+	return &deliveryDriver{
+		waypointDriver: waypointDriver{kind: "delivery", plan: plan, maxS: ctx.MaxSeconds},
+		legs:           legs, phaseTotalG: phaseTotalG, phaseEndurance: phaseEndurance,
+	}, nil
+}
+
+// deliveryDriver is a waypoint mission with a payload watcher: the mission
+// index advancing past waypoint 2i means leg i's payload was just attached;
+// past 2i+1, released. The final release never advances the index (the
+// autopilot pins it and flips MissionCompleted), so it is detected
+// separately.
+type deliveryDriver struct {
+	waypointDriver
+	legs                        []DeliveryLeg
+	phaseTotalG, phaseEndurance []float64
+
+	prev, legsDone     int
+	carried, delivered float64
+	allDone            bool
+}
+
+func (d *deliveryDriver) Step(h Host) {
+	if d.allDone {
+		return
+	}
+	ap := h.AP()
+	if idx := ap.MissionIndex(); idx != d.prev {
+		for j := d.prev; j < idx && j < len(d.plan); j++ {
+			if j%2 == 0 {
+				d.carried += d.legs[j/2].PayloadKg
+			} else {
+				d.carried -= d.legs[j/2].PayloadKg
+				d.delivered += d.legs[j/2].PayloadKg
+				d.legsDone++
 			}
-			prev = idx
-			h.SetPayloadKg(carried)
 		}
-		if ap.MissionCompleted() {
-			last := legs[len(legs)-1]
-			carried -= last.PayloadKg
-			delivered += last.PayloadKg
-			legsDone++
-			allDone = true
-			h.SetPayloadKg(carried)
-		}
+		d.prev = idx
+		h.SetPayloadKg(d.carried)
 	}
-	drv.onDone = func(h Host, out *Outcome) {
-		out.Completed = allDone && h.AP().MissionCompleted()
-		out.LegsDone = legsDone
-		out.DeliveredKg = delivered
-		out.PhaseTotalG = phaseTotalG
-		out.PhaseEnduranceMin = phaseEndurance
+	if ap.MissionCompleted() {
+		last := d.legs[len(d.legs)-1]
+		d.carried -= last.PayloadKg
+		d.delivered += last.PayloadKg
+		d.legsDone++
+		d.allDone = true
+		h.SetPayloadKg(d.carried)
 	}
-	return drv, nil
+}
+
+func (d *deliveryDriver) Outcome(h Host, e Ending) Outcome {
+	out := d.waypointDriver.Outcome(h, e)
+	out.Completed = d.allDone && out.Completed
+	out.LegsDone = d.legsDone
+	out.DeliveredKg = d.delivered
+	out.PhaseTotalG = d.phaseTotalG
+	out.PhaseEnduranceMin = d.phaseEndurance
+	return out
 }

@@ -109,98 +109,56 @@ func (f Follow) standoffM() float64 {
 	return 4 // the autopilot's FollowConfig default
 }
 
-// followDriver runs the follow window then a commanded landing, mirroring
-// the hover driver's loiter→land shape.
+// followDriver follows for DurationS, then lands; a failed takeoff lands
+// straight away. The follow is complete once the window lapsed still in
+// follow mode and the vehicle disarmed.
 type followDriver struct {
 	model    *TargetModel
 	durS     float64
 	standoff float64
 	cfg      autopilot.FollowConfig
 
-	landing  bool
-	followed bool // the full window elapsed still in follow mode
-	budget   int
-	steps    int
-
+	steps          int
 	sumErr, maxErr float64
 	samples        int
-	out            Outcome
 }
 
-func (d *followDriver) Start(h Host) error { return nil }
-
-func (d *followDriver) Begin(h Host, takeoffOK bool) (bool, error) {
-	ap := h.AP()
-	if !takeoffOK {
-		return d.land(h), nil
-	}
-	if err := ap.Follow(d.cfg); err != nil {
-		return false, err
-	}
-	d.budget = stepBudget(d.durS, ap.PhysicsHz())
-	if d.budget <= 0 {
-		d.followed = true
-		return d.land(h), nil
-	}
-	return false, nil
+func (d *followDriver) Lifecycle() Lifecycle {
+	return Lifecycle{ActiveS: d.durS, Terminal: autopilot.Disarmed, TakeoffFail: Land, Lapse: Land}
 }
 
-// land breaks off the follow and enters the 60 s landing watch.
-func (d *followDriver) land(h Host) bool {
-	ap := h.AP()
-	ap.StopFollowing()
-	ap.CommandLand()
-	d.landing = true
-	d.budget = stepBudget(60, ap.PhysicsHz())
-	if d.budget <= 0 {
-		d.finish(h)
-		return true
-	}
-	return false
-}
+func (*followDriver) Start(Host) error { return nil }
 
-func (d *followDriver) Step(h Host) bool {
+func (d *followDriver) Begin(h Host) error { return h.AP().Follow(d.cfg) }
+
+// Step is the 10 Hz standoff-error tap while actually following (a
+// failsafe that takes the mode over stops the clock on tracking quality).
+func (d *followDriver) Step(h Host) {
 	ap := h.AP()
-	d.budget--
-	if !d.landing {
-		// 10 Hz standoff-error tap while actually following (a failsafe
-		// that takes the mode over stops the clock on tracking quality).
-		if d.steps%100 == 0 && ap.Mode() == autopilot.FollowMode {
-			pos := ap.Quad().State().Pos
-			tgt := d.model.At(ap.Time())
-			e := math.Abs(math.Hypot(pos.X-tgt.X, pos.Y-tgt.Y) - d.standoff)
-			d.sumErr += e
-			d.samples++
-			if e > d.maxErr {
-				d.maxErr = e
-			}
+	if d.steps%100 == 0 && ap.Mode() == autopilot.FollowMode {
+		pos := ap.Quad().State().Pos
+		tgt := d.model.At(ap.Time())
+		e := math.Abs(math.Hypot(pos.X-tgt.X, pos.Y-tgt.Y) - d.standoff)
+		d.sumErr += e
+		d.samples++
+		if e > d.maxErr {
+			d.maxErr = e
 		}
-		d.steps++
-		if d.budget <= 0 {
-			d.followed = ap.Mode() == autopilot.FollowMode
-			return d.land(h)
-		}
-		return false
 	}
-	if ap.Mode() == autopilot.Disarmed || d.budget <= 0 {
-		d.finish(h)
-		return true
-	}
-	return false
+	d.steps++
 }
 
-func (d *followDriver) finish(h Host) {
-	d.out = Outcome{
+func (d *followDriver) Outcome(_ Host, e Ending) Outcome {
+	out := Outcome{
 		Kind:         "follow",
-		Completed:    d.followed && h.AP().Mode() == autopilot.Disarmed,
+		Completed:    e.Lapsed && e.LapseMode == autopilot.FollowMode,
 		MaxTrackErrM: d.maxErr,
 	}
 	if d.samples > 0 {
-		d.out.MeanTrackErrM = d.sumErr / float64(d.samples)
+		out.MeanTrackErrM = d.sumErr / float64(d.samples)
 	}
+	return out
 }
-
-func (d *followDriver) Outcome() Outcome { return d.out }
 
 // TargetModel is the precomputed route: piecewise-linear segments whose
 // headings random-walk at seeded turn intervals. At is a pure function of t

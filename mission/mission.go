@@ -4,15 +4,17 @@
 // scenario driver executes, instead of a union of special cases inside the
 // engine.
 //
-// The split mirrors the engine's determinism architecture. A Workload is a
-// declarative, immutable value — safe to share across batch lanes, embed in
-// a fleet JobSpec, or reuse between campaign flights — while every per-flight
-// byte of mutable state lives in the Driver a Workload instantiates per
-// stack. Drivers express their phase timeouts as integer step budgets
-// computed with the same int(seconds*hz) truncation the historical blocking
-// Run used, and their done conditions are pure mode/counter checks, so a
-// flight driven through a Workload is bit-identical to the pre-refactor
-// state machine (pinned by the scenario golden tests).
+// Every kind flies one skeleton, which package scenario runs for all of
+// them: takeoff, an active phase, an optional landing watch, done. A
+// Workload is a declarative, immutable value — safe to share across batch
+// lanes, embed in a fleet JobSpec, or reuse between campaign flights. The
+// Driver it instantiates per stack holds every per-flight byte of mutable
+// state and declares its kind's rules as data, a Lifecycle (the active
+// budget, what ends the active phase early, where a failed takeoff and a
+// lapsed budget go, the terminal state), plus hooks: the command flown once
+// takeoff succeeds, an optional per-step hook and the Outcome. The engine
+// counts every budget in physics steps, int(seconds*hz) truncated: the
+// arithmetic the scenario goldens pin.
 package mission
 
 import (
@@ -31,24 +33,21 @@ type Context struct {
 	Seed int64
 	// TakeoffAltM is the resolved takeoff altitude.
 	TakeoffAltM float64
-	// MaxSeconds is the flight's time budget, read differently by kind:
-	// the waypoint kinds (box, waypoints, coverage, delivery) end the
-	// flight MaxSeconds after t=0, takeoff included; hover loiters
-	// MaxSeconds after takeoff, then watches its landing for up to 60 s;
-	// follow ignores it (DurationS plus a 60 s landing watch), and so does
-	// trajectory (its planned TotalS plus 30 s).
+	// MaxSeconds is the spec's time budget, which each kind's Lifecycle
+	// reads its own way: the waypoint kinds (box, waypoints, coverage,
+	// delivery) end the flight MaxSeconds after t=0, takeoff included;
+	// hover loiters MaxSeconds after takeoff, then lands; follow ignores
+	// it (it follows for DurationS, then lands), and so does trajectory
+	// (its planned TotalS plus 30 s).
 	MaxSeconds float64
 }
 
-// Host is the engine-side surface a Driver commands: the autopilot plus the
-// two effects a workload may push back into the engine — progress phases and
+// Host is the engine-side surface a Driver commands: the autopilot plus
 // mid-mission payload mass (which re-enters the plant dynamics and the
 // position controller's feedforward, the Equation 1 closure made physical).
 type Host interface {
 	// AP returns the flight stack's autopilot.
 	AP() *autopilot.Autopilot
-	// MissionStarted fires the engine's mission-started progress phase.
-	MissionStarted()
 	// SetPayloadKg sets the carried payload point mass on the plant and the
 	// controller feedforward. Zero restores the bare design mass.
 	SetPayloadKg(kg float64)
@@ -70,28 +69,80 @@ type Workload interface {
 	New(ctx Context) (Driver, error)
 }
 
-// Driver is one flight's workload state machine. The engine owns the fixed
-// prologue — arm, 30 s takeoff watch — and hands over at Begin:
+// Driver is one flight's workload: its Lifecycle and the hooks the engine
+// calls at the lifecycle's fixed points.
 //
-//	Start(h)            before arming (load missions; errors abort the run)
-//	Begin(h, takeoffOK) when the takeoff phase resolves; done=true ends the
-//	                    flight immediately (a zero step budget), matching
-//	                    the historical enter-with-spent-budget semantics
-//	Step(h)             after every subsequent physics step; true ends the
-//	                    flight
-//	Outcome()           the workload scorecard, read once the flight is done
+//	Lifecycle()    read once, before arming
+//	Start(h)       before arming (load missions; errors abort the run)
+//	Begin(h)       when takeoff succeeds, before the active phase: the
+//	               workload's command (StartMission, FlyTrajectory,
+//	               Follow); errors abort the run
+//	Outcome(h, e)  the workload scorecard, read once the flight is done
 //
-// Step runs on the engine's hot path and must not allocate: the batch
-// zero-steady-state-alloc guard covers every shipped workload.
+// A Driver that also implements Stepper has Step called after every
+// active-phase physics step, before the phase's end checks.
 type Driver interface {
+	Lifecycle() Lifecycle
 	Start(h Host) error
-	Begin(h Host, takeoffOK bool) (done bool, err error)
-	Step(h Host) bool
-	Outcome() Outcome
+	Begin(h Host) error
+	Outcome(h Host, e Ending) Outcome
+}
+
+// Stepper is a Driver's optional per-step hook (delivery's payload watcher,
+// follow's tracking tap). Step runs on the engine's hot path and must not
+// allocate: the batch zero-steady-state-alloc guard covers every shipped
+// workload.
+type Stepper interface {
+	Step(h Host)
+}
+
+// Branch names the phase a flight moves to when its takeoff fails or its
+// active budget lapses.
+type Branch int
+
+// Lifecycle branches.
+const (
+	// Fly enters the active phase without the takeoff command.
+	Fly Branch = iota
+	// Land commands a landing and watches it for up to 60 s, until
+	// DISARMED.
+	Land
+	// End ends the flight.
+	End
+)
+
+// Lifecycle declares one kind's flight after the takeoff watch. The active
+// phase has a budget of int(ActiveS*hz) physics steps. After each of its
+// steps the engine runs the Stepper hook, then ends the flight if
+// EndAtTerminal is set and the mode is Terminal, or else moves to Lapse
+// once the budget is spent. A budget already spent at entry lapses at once.
+type Lifecycle struct {
+	// ActiveS is the active phase's budget in seconds. FromLaunch counts
+	// it from t=0, so the takeoff watch spends its share.
+	ActiveS    float64
+	FromLaunch bool
+	// Terminal is the state a completed flight ends in: DISARMED for the
+	// kinds that land, HOVER for trajectory.
+	Terminal autopilot.Mode
+	// EndAtTerminal ends the active phase at its first step in Terminal.
+	EndAtTerminal bool
+	// TakeoffFail is where a failed takeoff goes; Lapse is where a spent
+	// active budget goes, Land or End.
+	TakeoffFail, Lapse Branch
+}
+
+// Ending is what the engine saw of the active phase, handed to Outcome.
+type Ending struct {
+	// Lapsed reports the active budget ran out; LapseMode is the mode at
+	// that step.
+	Lapsed    bool
+	LapseMode autopilot.Mode
 }
 
 // Outcome is the per-workload scorecard attached to a scenario Result. Kind
-// and Completed are universal; the remaining fields are populated by the
+// and Completed are universal. A Driver reports in Completed whether its
+// goal was met; the engine keeps it only for a flight that ended in the
+// Lifecycle's Terminal state. The remaining fields are populated by the
 // workloads they belong to.
 type Outcome struct {
 	Kind      string `json:"kind"`
@@ -123,11 +174,6 @@ const (
 	// flight time, in seconds.
 	maxFlightS = 3600
 )
-
-// stepBudget converts a budget of seconds into int(seconds*hz) physics
-// steps, truncating; a driver counts one off per step and checks its stop
-// condition after each step — the arithmetic the golden tests pin.
-func stepBudget(seconds, hz float64) int { return int(seconds * hz) }
 
 // finiteVec reports whether every component is a finite number.
 func finiteVec(v mathx.Vec3) bool {

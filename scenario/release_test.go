@@ -327,7 +327,6 @@ func TestReleasedStackPinsNoTenant(t *testing.T) {
 		inj := spec.Faults.(*faultx.Injector)
 		obs := new(observerState)
 		spec.Observers = []autopilot.StepObserver{func(*autopilot.Autopilot, float64) { obs.steps++ }}
-		spec.OnPhase = func(*scenario.Stack, scenario.Phase) { obs.steps++ }
 		st, err := scenario.Build(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -79,9 +79,9 @@ func (r *Result) Release() {
 }
 
 // release pools st, first returning its recordings' chunks and dropping what
-// its Spec supplied (telemetry sink, fault injector, observers, phase hook,
-// workload) and the hooks those installed, so a pooled stack keeps no
-// tenant's objects reachable.
+// its Spec supplied (telemetry sink, fault injector, observers, workload)
+// and the hooks those installed, so a pooled stack keeps no tenant's
+// objects reachable.
 func (st *Stack) release() {
 	st.traj.Release()
 	st.Log.Reset()

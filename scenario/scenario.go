@@ -8,15 +8,16 @@
 //
 // Determinism contract: a Spec is a pure value plus a seed. Build derives
 // every stochastic stream (sensor noise, turbulence, offload jitter) from
-// Spec.Seed, and Run drives the stack through a fixed arm → takeoff →
-// workload → land sequence, so the same Spec always reproduces the same
-// flight bit for bit — the property the campaign pool-invariance and
-// golden-regression tests pin.
+// Spec.Seed, and Run drives the stack through one fixed lifecycle — arm,
+// takeoff watch, active phase, landing watch, done — so the same Spec always
+// reproduces the same flight bit for bit — the property the campaign
+// pool-invariance and golden-regression tests pin.
 //
-// What flies after takeoff is a mission.Workload: the driver arms, takes
-// off, then hands the flight to the workload's per-flight Driver until it
-// reports done (see package mission). Spec.Workload is the only way to say
-// what to fly; a nil Workload flies mission.Box{}.
+// What flies is a mission.Workload: its per-flight Driver declares how the
+// lifecycle runs for its kind (budget, end rule, branches, terminal state;
+// see mission.Lifecycle) and the hooks it runs at the lifecycle's fixed
+// points. Spec.Workload is the only way to say what to fly; a nil Workload
+// flies mission.Box{}.
 //
 // Observer ordering: Build registers step observers on the autopilot's bus
 // in a fixed order — (1) the flight log, (2) the scenario probe (fault
@@ -133,35 +134,6 @@ type FaultInjector interface {
 	offload.LinkProbe
 }
 
-// Phase marks the driver's progress points for Spec.OnPhase.
-type Phase int
-
-// Run phases, in order.
-const (
-	// PhaseArmed: pre-flight checks passed, motors live.
-	PhaseArmed Phase = iota
-	// PhaseAirborne: takeoff completed, holding at the takeoff altitude.
-	PhaseAirborne
-	// PhaseMissionStarted: the waypoint mission is executing.
-	PhaseMissionStarted
-	// PhaseDone: the flight ended (disarmed or timed out).
-	PhaseDone
-)
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case PhaseArmed:
-		return "armed"
-	case PhaseAirborne:
-		return "airborne"
-	case PhaseMissionStarted:
-		return "mission-started"
-	default:
-		return "done"
-	}
-}
-
 // Spec declares one closed-loop flight experiment. The zero value (plus a
 // seed) flies cmd/flysim's reference configuration: the default 450 mm
 // quad, calm air, a 3S/3000 pack, the RPi+Navio2 autopilot draw, and the
@@ -184,8 +156,8 @@ type Spec struct {
 	// the 12 m reference box).
 	Workload mission.Workload
 	// MaxSeconds is the workload's time budget (default 240). Only the
-	// waypoint kinds bound the whole flight by it; mission.Context
-	// documents what each kind does with it.
+	// waypoint kinds bound the whole flight by it; each kind's
+	// mission.Lifecycle declares how it reads it (see mission.Context).
 	MaxSeconds float64
 
 	// EnergyPolicy, when non-nil, arms the Table 1 flight-time-management
@@ -203,8 +175,6 @@ type Spec struct {
 	// Observers are user step observers, registered after the built-in
 	// ones in slice order.
 	Observers []autopilot.StepObserver
-	// OnPhase, when non-nil, is called as the driver crosses each Phase.
-	OnPhase func(*Stack, Phase)
 }
 
 func (s Spec) withDefaults() Spec {
@@ -254,10 +224,6 @@ var _ mission.Host = (*Stack)(nil)
 
 // AP implements mission.Host.
 func (st *Stack) AP() *autopilot.Autopilot { return st.Autopilot }
-
-// MissionStarted implements mission.Host: the workload reports its waypoint
-// mission is executing, which the scenario surfaces as PhaseMissionStarted.
-func (st *Stack) MissionStarted() { st.phase(PhaseMissionStarted) }
 
 // SetPayloadKg implements mission.Host: attach (or release) a carried
 // payload mid-flight. The mass is physical — it enters the plant's dynamics
@@ -384,28 +350,34 @@ func (st *Stack) probe(a *autopilot.Autopilot, dt float64) {
 	st.steps++
 }
 
-// driverState enumerates the tick driver's flight-sequence states. Takeoff
-// is the one phase the scenario still owns; everything after it belongs to
-// the workload's Driver.
+// driverState enumerates the lifecycle's phases, shared by every workload.
 type driverState int
 
 const (
 	drvUnstarted driverState = iota
 	drvTakeoff               // until mode != Takeoff, at most int(30*hz) steps
-	drvActive                // the workload's Driver is flying
+	drvActive                // the workload's budget, early end and step hook
+	drvLanding               // after CommandLand, until DISARMED, at most int(60*hz) steps
 	drvDone
 )
 
-// driver is the resumable flight sequence. Budgets are integer step counts,
-// int(seconds*hz) truncated, and each phase's stop condition is checked
-// after every step, the budget's last included, so a flight ticked one step
-// at a time is bit-identical to the historical blocking sequence. This is what
-// lets Batch interleave N flights on one engine: each lane advances exactly
-// one physics step per Tick regardless of what phase it is in.
+// landingWatchS is the landing watch's budget in seconds.
+const landingWatchS = 60
+
+// driver is the resumable flight lifecycle. Budgets are integer step
+// counts, int(seconds*hz) truncated, and each phase's stop condition is
+// checked after every step, the budget's last included, so a flight ticked
+// one step at a time is bit-identical to the historical blocking sequence.
+// This is what lets Batch interleave N flights on one engine: each lane
+// advances exactly one physics step per Tick regardless of what phase it is
+// in.
 type driver struct {
 	state     driverState
-	budget    int // remaining steps in the takeoff phase
+	budget    int // remaining steps in the current phase
 	takeoffOK bool
+	lc        mission.Lifecycle
+	step      mission.Stepper // the workload's per-step hook, nil without one
+	end       mission.Ending
 	err       error
 	result    *Result
 }
@@ -417,16 +389,15 @@ func (st *Stack) Start() error {
 		return errors.New("scenario: stack already ran")
 	}
 	st.ran = true
-	ap := st.Autopilot
+	st.drv.lc = st.wl.Lifecycle()
+	st.drv.step, _ = st.wl.(mission.Stepper)
 	if err := st.wl.Start(st); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	if err := ap.Arm(); err != nil {
+	if err := st.Autopilot.Arm(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	st.phase(PhaseArmed)
-	st.drv.state = drvTakeoff
-	st.drv.budget = int(30 * ap.PhysicsHz())
+	st.enter(drvTakeoff, 30)
 	return nil
 }
 
@@ -443,14 +414,23 @@ func (st *Stack) Tick() (done bool, err error) {
 	}
 	ap := st.Autopilot
 	ap.Step()
+	st.drv.budget--
 	switch st.drv.state {
 	case drvTakeoff:
-		st.drv.budget--
 		if ap.Mode() != autopilot.Takeoff || st.drv.budget <= 0 {
 			st.endTakeoff()
 		}
 	case drvActive:
-		if st.wl.Step(st) {
+		if st.drv.step != nil {
+			st.drv.step.Step(st)
+		}
+		if st.drv.lc.EndAtTerminal && ap.Mode() == st.drv.lc.Terminal {
+			st.finish()
+		} else if st.drv.budget <= 0 {
+			st.lapse()
+		}
+	case drvLanding:
+		if ap.Mode() == autopilot.Disarmed || st.drv.budget <= 0 {
 			st.finish()
 		}
 	}
@@ -467,47 +447,85 @@ func (st *Stack) SimTimeS() float64 { return st.Autopilot.Time() }
 // Result returns the structured outcome once Done (nil on error or before).
 func (st *Stack) Result() *Result { return st.drv.result }
 
-// endTakeoff evaluates the takeoff outcome and hands the flight to the
-// workload's Driver, exactly at the step boundary the blocking sequence
-// branched on.
+// enter starts a phase with a budget of seconds, int(seconds*hz) physics
+// steps truncated, and reports whether that budget is already spent.
+func (st *Stack) enter(state driverState, seconds float64) (spent bool) {
+	st.drv.state = state
+	st.drv.budget = int(seconds * st.Autopilot.PhysicsHz())
+	return st.drv.budget <= 0
+}
+
+// endTakeoff evaluates the takeoff outcome and branches, exactly at the
+// step boundary the blocking sequence branched on.
 func (st *Stack) endTakeoff() {
-	ap := st.Autopilot
 	// The phase ended either because the mode left Takeoff or because the
 	// 30 s budget lapsed; in both cases the historical takeoffOK reduces to
 	// "is the vehicle now holding in Hover".
-	st.drv.takeoffOK = ap.Mode() == autopilot.Hover
-	if st.drv.takeoffOK {
-		st.phase(PhaseAirborne)
+	st.drv.takeoffOK = st.Autopilot.Mode() == autopilot.Hover
+	if !st.drv.takeoffOK {
+		st.branch(st.drv.lc.TakeoffFail)
+		return
 	}
-	done, err := st.wl.Begin(st, st.drv.takeoffOK)
-	if err != nil {
+	if err := st.wl.Begin(st); err != nil {
 		st.fail(fmt.Errorf("scenario: %w", err))
 		return
 	}
-	if done {
-		st.finish()
-		return
-	}
-	st.drv.state = drvActive
+	st.branch(mission.Fly)
 }
 
-// fail terminates the flight with an error — no PhaseDone, no Result,
-// matching the blocking Run's early-error returns.
+// branch moves the flight to the phase b names. A phase whose budget is
+// spent at entry resolves at once.
+func (st *Stack) branch(b mission.Branch) {
+	ap := st.Autopilot
+	switch b {
+	case mission.Fly:
+		s := st.drv.lc.ActiveS
+		if st.drv.lc.FromLaunch {
+			s -= ap.Time()
+		}
+		if st.enter(drvActive, s) {
+			st.lapse()
+		}
+	case mission.Land:
+		ap.CommandLand()
+		if st.enter(drvLanding, landingWatchS) {
+			st.finish()
+		}
+	default:
+		st.finish()
+	}
+}
+
+// lapse closes an active phase whose budget ran out: it records the mode
+// the workload's outcome reads and lands or ends the flight.
+func (st *Stack) lapse() {
+	st.drv.end = mission.Ending{Lapsed: true, LapseMode: st.Autopilot.Mode()}
+	if st.drv.lc.Lapse == mission.Land {
+		st.branch(mission.Land)
+	} else {
+		st.finish()
+	}
+}
+
+// fail terminates the flight with an error and no Result, matching the
+// blocking Run's early-error returns.
 func (st *Stack) fail(err error) {
 	st.drv.err = err
 	st.drv.state = drvDone
 }
 
-// finish closes out a completed flight: PhaseDone plus the structured Result.
+// finish closes out a completed flight with the structured Result. The
+// workload counts as completed only in its declared terminal state.
 func (st *Stack) finish() {
 	st.drv.state = drvDone
-	st.phase(PhaseDone)
 	ap := st.Autopilot
+	out := st.wl.Outcome(st, st.drv.end)
+	out.Completed = out.Completed && ap.Mode() == st.drv.lc.Terminal
 	res := &Result{
 		FlightTimeS: ap.Time(),
 		TakeoffOK:   st.drv.takeoffOK,
 		Completed:   ap.MissionCompleted(),
-		Workload:    st.wl.Outcome(),
+		Workload:    out,
 		FinalMode:   ap.Mode(),
 		LastEvent:   ap.LastEvent(),
 		Trajectory:  &st.traj.Series,
@@ -526,10 +544,11 @@ func (st *Stack) finish() {
 	st.drv.result = res
 }
 
-// Run drives the stack through the fixed flight sequence: arm, take off
-// (30 s budget), fly the workload under its own time budget (see
-// mission.Context.MaxSeconds), and return the structured Result. It may be called once;
-// it is exactly a batch of one — Start, then Tick to completion.
+// Run drives the stack through the fixed lifecycle: arm, take off (30 s
+// budget), fly the workload's active phase under its own budget (see
+// mission.Lifecycle), watch the landing for kinds that land, and return the
+// structured Result. It may be called once; it is exactly a batch of one —
+// Start, then Tick to completion.
 func (st *Stack) Run() (*Result, error) {
 	if err := st.Start(); err != nil {
 		return nil, err
@@ -543,12 +562,6 @@ func (st *Stack) Run() (*Result, error) {
 		return nil, st.drv.err
 	}
 	return st.drv.result, nil
-}
-
-func (st *Stack) phase(p Phase) {
-	if st.Spec.OnPhase != nil {
-		st.Spec.OnPhase(st, p)
-	}
 }
 
 // Run builds a Spec and flies it — the one-call form every non-interactive

@@ -11,10 +11,13 @@ import (
 	"os"
 	"testing"
 
+	"dronedse/autopilot"
+	"dronedse/faultx"
 	"dronedse/mathx"
 	"dronedse/mission"
 	"dronedse/parallelx"
 	"dronedse/scenario"
+	"dronedse/sensors"
 	"dronedse/trace"
 )
 
@@ -196,5 +199,133 @@ func TestWorkloadOutcomes(t *testing.T) {
 	}
 	if out.MaxTrackErrM > 10 {
 		t.Fatalf("follow lost the target: max track error %.1f m", out.MaxTrackErrM)
+	}
+}
+
+// terminalMode is each kind's declared terminal state: the kinds that land
+// end DISARMED, trajectory ends hovering at its terminus.
+func terminalMode(kind string) autopilot.Mode {
+	if kind == "trajectory" {
+		return autopilot.Hover
+	}
+	return autopilot.Disarmed
+}
+
+// checkTerminal asserts that a completed workload ended in its kind's
+// terminal state.
+func checkTerminal(t *testing.T, name string, res *scenario.Result) {
+	t.Helper()
+	if want := terminalMode(res.Workload.Kind); res.Workload.Completed && res.FinalMode != want {
+		t.Errorf("%s: completed in %v, want the terminal %v", name, res.FinalMode, want)
+	}
+}
+
+// TestWorkloadLifecycle pins the shared lifecycle kind by kind at each of
+// its branch points: takeoff fails, budget spent at entry, budget lapses
+// while active, disarm while active, disarm while landing, budget lapses
+// while landing. Only hover and follow have a landing watch, and
+// trajectory's budget (TotalS+30) cannot be spent at entry, so those cells
+// are absent. Each row pins the takeoff verdict, the final mode, both
+// completion notions (Result.Completed is "every waypoint visited";
+// Workload.Completed also needs the terminal state) and the flight time.
+func TestWorkloadLifecycle(t *testing.T) {
+	faults := func(ev ...faultx.Event) scenario.FaultInjector {
+		in, err := faultx.NewInjector(faultx.Plan{Name: "lifecycle", Events: ev}, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	// crash kills a motor at 4 s: the crash check disarms mid-workload.
+	crash := func() scenario.FaultInjector {
+		return faults(faultx.Event{Kind: faultx.MotorDerate, Start: 4, Motor: 0, Frac: 0})
+	}
+	// float biases GPS and baro 20 m low from 6 s: a landing aimed at the
+	// biased ground never touches down.
+	float := func() scenario.FaultInjector {
+		return faults(
+			faultx.Event{Kind: faultx.SensorBias, Sensor: sensors.SensorGPS, Start: 6, Vec: mathx.V3(0, 0, -20)},
+			faultx.Event{Kind: faultx.SensorBias, Sensor: sensors.SensorBaro, Start: 6, Mag: -20})
+	}
+	waypointKinds := []mission.Workload{
+		mission.Box{},
+		mission.Waypoints{Plan: mission.BoxPlan(5)},
+		mission.Coverage{WidthM: 10, HeightM: 10, SpacingM: 5},
+		mission.Delivery{Legs: []mission.DeliveryLeg{
+			{Pickup: mathx.V3(6, 0, 6), Dropoff: mathx.V3(6, 8, 6), PayloadKg: 0.6}}},
+	}
+	follow := func(s float64) mission.Workload { return mission.Follow{DurationS: s} }
+	traj := mission.Trajectory{Path: []mathx.Vec3{{X: 0, Y: 0, Z: 6}, {X: 8, Y: 4, Z: 6}}, VMaxMS: 4, AMaxMS2: 2}
+
+	type row struct {
+		name      string
+		spec      scenario.Spec
+		takeoffOK bool
+		final     autopilot.Mode
+		visited   bool // Result.Completed
+		completed bool // Workload.Completed
+		flightS   string
+	}
+	const (
+		takeoff, hover = autopilot.Takeoff, autopilot.Hover
+		land, disarmed = autopilot.Land, autopilot.Disarmed
+	)
+	high := func(wl mission.Workload) scenario.Spec {
+		return scenario.Spec{TakeoffAltM: 300, MaxSeconds: 60, Workload: wl}
+	}
+	var rows []row
+	for i, wl := range waypointKinds {
+		done := []string{"22.45", "22.45", "25.48", "17.63"}[i]
+		rows = append(rows,
+			row{"takeoff fails", high(wl), false, takeoff, false, false, "60.00"},
+			row{"budget spent at entry", scenario.Spec{MaxSeconds: 1, Workload: wl}, true, autopilot.Mission, false, false, "2.58"},
+			row{"disarm while active", scenario.Spec{MaxSeconds: 120, Workload: wl}, true, disarmed, true, true, done})
+	}
+	rows = append(rows,
+		row{"budget lapses while active", scenario.Spec{MaxSeconds: 20}, true, land, true, false, "20.00"},
+		row{"budget lapses while active", scenario.Spec{MaxSeconds: 20, Workload: waypointKinds[2]}, true, autopilot.ReturnToLaunch, true, false, "20.00"},
+		row{"crash while active", scenario.Spec{MaxSeconds: 5, Faults: crash()}, true, disarmed, false, false, "4.35"},
+
+		row{"takeoff fails", high(mission.Hover{}), false, disarmed, false, false, "62.38"},
+		row{"budget spent at entry", scenario.Spec{MaxSeconds: 0.0005, Workload: mission.Hover{}}, true, disarmed, false, true, "7.23"},
+		// A disarm while active does not end the loiter: the landing watch
+		// that follows disarms again at once, and the hover completes.
+		row{"disarm while active", scenario.Spec{MaxSeconds: 5, Workload: mission.Hover{}, Faults: crash()}, true, disarmed, false, true, "7.60"},
+		row{"disarm while landing", scenario.Spec{MaxSeconds: 5, Workload: mission.Hover{}}, true, disarmed, false, true, "11.78"},
+		row{"budget lapses while landing", scenario.Spec{MaxSeconds: 5, Workload: mission.Hover{}, Faults: float()}, true, land, false, false, "67.58"},
+
+		row{"takeoff fails", high(follow(5)), false, disarmed, false, false, "62.38"},
+		row{"budget spent at entry", scenario.Spec{Workload: follow(0.0005)}, true, disarmed, false, true, "7.23"},
+		row{"disarm while active", scenario.Spec{Workload: follow(5), Faults: crash()}, true, disarmed, false, false, "7.60"},
+		row{"disarm while landing", scenario.Spec{Workload: follow(5)}, true, disarmed, false, true, "11.50"},
+		row{"budget lapses while landing", scenario.Spec{Workload: follow(5), Faults: float()}, true, land, false, false, "67.58"},
+
+		row{"takeoff fails", high(traj), false, takeoff, false, false, "30.00"},
+		row{"reaches its terminus", scenario.Spec{Workload: traj}, true, hover, false, true, "6.83"},
+		// A disarm does not end a trajectory, which ends only in HOVER.
+		row{"disarm while active", scenario.Spec{Workload: traj, Faults: crash()}, true, disarmed, false, false, "36.81"},
+	)
+	for _, r := range rows {
+		r.spec.Seed = 1
+		res, err := scenario.Run(r.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := res.Workload.Kind + ": " + r.name
+		got := fmt.Sprintf("takeoffOK=%v final=%v visited=%v completed=%v t=%.2f",
+			res.TakeoffOK, res.FinalMode, res.Completed, res.Workload.Completed, res.FlightTimeS)
+		want := fmt.Sprintf("takeoffOK=%v final=%v visited=%v completed=%v t=%s",
+			r.takeoffOK, r.final, r.visited, r.completed, r.flightS)
+		if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
+		checkTerminal(t, name, res)
+	}
+	for _, spec := range workloadSpecs() {
+		res, err := scenario.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTerminal(t, spec.Workload.Kind(), res)
 	}
 }
