@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"dronedse/core"
 	"dronedse/dataset"
 	"dronedse/mathx"
 	"dronedse/microarch"
@@ -185,9 +184,9 @@ type Table5Bench struct {
 }
 
 // RunTable5 computes the table from Figure 17's ledgers.
-func RunTable5(stats []slam.Stats, params core.Params) (Table5Bench, error) {
+func RunTable5(stats []slam.Stats) (Table5Bench, error) {
 	rows := platform.Table5(stats)
-	small, large, err := platform.Table5Exact(params)
+	small, large, err := platform.Table5Exact()
 	if err != nil {
 		return Table5Bench{}, err
 	}

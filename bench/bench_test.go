@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dronedse/components"
-	"dronedse/core"
 )
 
 // figure15Seed1 is RunFigure15(1), simulated once for the Figure 15 and
@@ -62,7 +61,7 @@ func TestRunFigure8(t *testing.T) {
 }
 
 func TestRunFigure9(t *testing.T) {
-	fg := RunFigure9(core.DefaultParams())
+	fg := RunFigure9()
 	if len(fg.Lines) != 5 {
 		t.Fatalf("wheelbases = %d, want 5", len(fg.Lines))
 	}
@@ -79,9 +78,8 @@ func TestRunFigure9(t *testing.T) {
 }
 
 func TestRunFigure10(t *testing.T) {
-	p := core.DefaultParams()
 	for _, wb := range []float64{100, 450, 800} {
-		fg, err := RunFigure10(wb, p)
+		fg, err := RunFigure10(wb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +241,7 @@ func TestFigure17AndTable5(t *testing.T) {
 			t.Errorf("%s: ATE %v — SLAM key metrics not confirmed", r.Name, r.ATE)
 		}
 	}
-	t5, err := RunTable5(fg.Stats(), core.DefaultParams())
+	t5, err := RunTable5(fg.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ type TWRStudy struct {
 }
 
 // RunTWRStudy sweeps TWR on a 450 mm drone with the 20 W compute tier.
-func RunTWRStudy(p core.Params) (TWRStudy, error) {
+func RunTWRStudy() (TWRStudy, error) {
 	spec := core.DefaultSpec()
 	spec.CapacityMah = 4000
 	spec.Compute = components.AdvancedComputeTier
-	pts, err := core.TWRSweep(spec, p)
+	pts, err := core.TWRSweep(spec)
 	return TWRStudy{Points: pts}, err
 }
 
@@ -54,7 +54,7 @@ type SensorStudy struct {
 }
 
 // RunSensorStudy adds each Table 4 LiDAR to an 800 mm drone.
-func RunSensorStudy(p core.Params) (SensorStudy, error) {
+func RunSensorStudy() (SensorStudy, error) {
 	spec := core.Spec{WheelbaseMM: 800, Cells: 6, CapacityMah: 8000, TWR: 2,
 		Compute: components.AdvancedComputeTier, ESCClass: components.LongFlight}
 	var sensors []struct {
@@ -69,7 +69,7 @@ func RunSensorStudy(p core.Params) (SensorStudy, error) {
 			}{b.Name, b.WeightG})
 		}
 	}
-	pts, err := core.SensorPayloadStudy(spec, p, sensors)
+	pts, err := core.SensorPayloadStudy(spec, sensors)
 	return SensorStudy{Points: pts}, err
 }
 
@@ -234,8 +234,8 @@ type ParetoStudy struct {
 }
 
 // RunParetoStudy sweeps payload on the 450 mm class.
-func RunParetoStudy(p core.Params) (ParetoStudy, error) {
-	pts, err := core.ParetoPayloadFrontier(core.DefaultSpec(), p, []float64{0, 100, 200, 300, 500, 750, 1000})
+func RunParetoStudy() (ParetoStudy, error) {
+	pts, err := core.ParetoPayloadFrontier(core.DefaultSpec(), []float64{0, 100, 200, 300, 500, 750, 1000})
 	return ParetoStudy{Points: pts}, err
 }
 

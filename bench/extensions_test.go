@@ -3,12 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"dronedse/core"
 )
 
 func TestRunTWRStudy(t *testing.T) {
-	s, err := RunTWRStudy(core.DefaultParams())
+	s, err := RunTWRStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +22,7 @@ func TestRunTWRStudy(t *testing.T) {
 }
 
 func TestRunSensorStudy(t *testing.T) {
-	s, err := RunSensorStudy(core.DefaultParams())
+	s, err := RunSensorStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestRunESLAMStudy(t *testing.T) {
 }
 
 func TestRunParetoStudy(t *testing.T) {
-	s, err := RunParetoStudy(core.DefaultParams())
+	s, err := RunParetoStudy()
 	if err != nil {
 		t.Fatal(err)
 	}

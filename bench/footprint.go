@@ -37,7 +37,7 @@ var paperBestMinutes = map[float64]float64{100: 23, 450: 19, 800: 22}
 
 // RunFigure10 sweeps one wheelbase class. It returns core's validation
 // error for a wheelbase outside the model's domain.
-func RunFigure10(wheelbaseMM float64, p core.Params) (Figure10, error) {
+func RunFigure10(wheelbaseMM float64) (Figure10, error) {
 	out := Figure10{
 		WheelbaseMM:  wheelbaseMM,
 		Sweeps:       map[int][]core.SweepPoint{},
@@ -60,7 +60,7 @@ func RunFigure10(wheelbaseMM float64, p core.Params) (Figure10, error) {
 	specs = append(specs, mk(3, components.AdvancedComputeTier))
 	errs := make([]error, len(specs))
 	sweeps := parallelx.MapIndex(len(specs), func(i int) []core.SweepPoint {
-		pts, err := core.SweepCapacity(specs[i], p, 1000, 8000, 250)
+		pts, err := core.SweepCapacity(specs[i], 1000, 8000, 250)
 		errs[i] = err
 		return pts
 	})

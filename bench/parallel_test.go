@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"dronedse/core"
 	"dronedse/parallelx"
 )
 
@@ -12,11 +11,10 @@ import (
 // output must be byte-identical to serial output.
 func renderAll(t *testing.T) map[string]string {
 	t.Helper()
-	p := core.DefaultParams()
 	out := map[string]string{}
-	out["fig9"] = RunFigure9(p).Table().Render()
+	out["fig9"] = RunFigure9().Table().Render()
 	for _, wb := range []float64{100, 450, 800} {
-		fg, err := RunFigure10(wb, p)
+		fg, err := RunFigure10(wb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,12 +26,12 @@ func renderAll(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	out["fig17"] = fg17.Table().Render()
-	twr, err := RunTWRStudy(p)
+	twr, err := RunTWRStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["twr"] = twr.Table().Render()
-	pareto, err := RunParetoStudy(p)
+	pareto, err := RunParetoStudy()
 	if err != nil {
 		t.Fatal(err)
 	}

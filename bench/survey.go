@@ -131,7 +131,7 @@ func Figure9Weights() map[float64][]float64 {
 // RunFigure9 sweeps every wheelbase/cell-count line. The (wheelbase, cells)
 // grid fans out across the parallelx pool; the maps are assembled serially
 // from the ordered results.
-func RunFigure9(p core.Params) Figure9 {
+func RunFigure9() Figure9 {
 	out := Figure9{
 		Lines:          map[float64]map[int][]core.MotorCurrentPoint{},
 		MinBasicWeight: map[float64]float64{},
@@ -153,7 +153,7 @@ func RunFigure9(p core.Params) Figure9 {
 		}
 	}
 	lines := parallelx.Map(jobs, func(j job) []core.MotorCurrentPoint {
-		return core.MotorCurrentVsBasicWeight(j.wb, j.cells, 2, p, weightsByWB[j.wb])
+		return core.MotorCurrentVsBasicWeight(j.wb, j.cells, 2, weightsByWB[j.wb])
 	})
 	for i, j := range jobs {
 		if out.Lines[j.wb] == nil {
@@ -162,7 +162,7 @@ func RunFigure9(p core.Params) Figure9 {
 		out.Lines[j.wb][j.cells] = lines[i]
 	}
 	for _, wb := range wbs {
-		out.MinBasicWeight[wb] = core.MinFeasibleBasicWeightG(wb, p)
+		out.MinBasicWeight[wb] = core.MinFeasibleBasicWeightG(wb)
 	}
 	return out
 }

@@ -90,10 +90,9 @@ func BenchmarkFig8b(b *testing.B) {
 }
 
 func BenchmarkFig9(b *testing.B) {
-	p := core.DefaultParams()
 	var fg bench.Figure9
 	for i := 0; i < b.N; i++ {
-		fg = bench.RunFigure9(p)
+		fg = bench.RunFigure9()
 	}
 	pts := fg.Lines[450][3]
 	if len(pts) > 0 {
@@ -104,12 +103,11 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 regenerates Figure 10's three frame classes at each pool
 // size; it is one of BENCH_core.json's rows (make bench-json).
 func BenchmarkFig10(b *testing.B) {
-	p := core.DefaultParams()
 	atEachPool(b, func(b *testing.B) {
 		var best float64
 		for i := 0; i < b.N; i++ {
 			for _, wb := range []float64{100, 450, 800} {
-				fg, err := bench.RunFigure10(wb, p)
+				fg, err := bench.RunFigure10(wb)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -187,7 +185,7 @@ func BenchmarkTable5(b *testing.B) {
 	var t5 bench.Table5Bench
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t5, err = bench.RunTable5(stats, core.DefaultParams())
+		t5, err = bench.RunTable5(stats)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +203,7 @@ func BenchmarkTWRSweep(b *testing.B) {
 	var s bench.TWRStudy
 	var err error
 	for i := 0; i < b.N; i++ {
-		if s, err = bench.RunTWRStudy(core.DefaultParams()); err != nil {
+		if s, err = bench.RunTWRStudy(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,7 +216,7 @@ func BenchmarkSensorPayload(b *testing.B) {
 	var s bench.SensorStudy
 	var err error
 	for i := 0; i < b.N; i++ {
-		if s, err = bench.RunSensorStudy(core.DefaultParams()); err != nil {
+		if s, err = bench.RunSensorStudy(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +269,7 @@ func BenchmarkParetoFrontier(b *testing.B) {
 	var s bench.ParetoStudy
 	for i := 0; i < b.N; i++ {
 		var err error
-		if s, err = bench.RunParetoStudy(core.DefaultParams()); err != nil {
+		if s, err = bench.RunParetoStudy(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +309,7 @@ func BenchmarkFigure12Procedure(b *testing.B) {
 		rec, err = core.RunProcedure(core.Requirements{
 			Compute:      components.AdvancedComputeTier,
 			MinFlightMin: 15,
-		}, core.DefaultParams())
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,6 +21,7 @@ import (
 	"dronedse/components"
 	"dronedse/core"
 	"dronedse/parallelx"
+	"dronedse/propulsion"
 )
 
 func main() {
@@ -54,7 +55,6 @@ func main() {
 		PayloadG: *payload,
 		ESCClass: components.LongFlight,
 	}
-	p := core.DefaultParams()
 
 	switch {
 	case *require > 0:
@@ -64,7 +64,7 @@ func main() {
 			},
 			PayloadG:     *payload,
 			MinFlightMin: *require,
-		}, p)
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dse:", err)
 			fmt.Println(rec.Report())
@@ -74,7 +74,7 @@ func main() {
 		fmt.Println()
 		report(rec.Design)
 	case *pareto:
-		pts, err := core.ParetoPayloadFrontier(spec, p, []float64{0, 100, 200, 300, 500, 750, 1000, 1500})
+		pts, err := core.ParetoPayloadFrontier(spec, []float64{0, 100, 200, 300, 500, 750, 1000, 1500})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dse:", err)
 			os.Exit(1)
@@ -86,7 +86,7 @@ func main() {
 				pt.Design.TotalG, pt.FlightMin)
 		}
 	case *best:
-		d, err := core.BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
+		d, err := core.BestConfig(spec, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
 		if errors.Is(err, core.ErrNoConverge) {
 			fmt.Fprintln(os.Stderr, "dse: no feasible configuration")
 			os.Exit(1)
@@ -98,7 +98,7 @@ func main() {
 		fmt.Printf("best configuration: %dS %.0f mAh\n", d.Spec.Cells, d.Spec.CapacityMah)
 		report(d)
 	case *sweep:
-		pts, err := core.SweepCapacity(spec, p, 1000, 8000, 250)
+		pts, err := core.SweepCapacity(spec, 1000, 8000, 250)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dse:", err)
 			os.Exit(1)
@@ -110,7 +110,7 @@ func main() {
 				pt.HoverFlightMin, pt.ComputeShareHoverPct)
 		}
 	default:
-		d, err := core.Resolve(spec, p)
+		d, err := core.Resolve(spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dse:", err)
 			os.Exit(1)
@@ -132,7 +132,7 @@ func report(d core.Design) {
 	fmt.Printf("  flight time: %.1f min hovering (usable energy %.1f Wh)\n",
 		d.HoverFlightTimeMin(), d.UsableEnergyWh())
 	fmt.Printf("  compute footprint: %.1f%% of total power hovering, %.1f%% maneuvering\n",
-		d.ComputeSharePct(d.Params.HoverLoad), d.ComputeSharePct(d.Params.ManeuverLoad))
+		d.ComputeSharePct(propulsion.HoverLoadFraction), d.ComputeSharePct(propulsion.ManeuverLoadFraction))
 	if issues := d.Feasibility(); len(issues) > 0 {
 		for _, is := range issues {
 			fmt.Printf("  WARNING: %v (needs %.0fC battery)\n", is, d.RequiredCRating())

@@ -23,7 +23,6 @@ import (
 
 	"dronedse/bench"
 	"dronedse/components"
-	"dronedse/core"
 	"dronedse/parallelx"
 )
 
@@ -43,7 +42,6 @@ func main() {
 }
 
 func run(fig string, seed int64, seqs int, csvDir string) error {
-	p := core.DefaultParams()
 	emit := func(t bench.Table) {
 		fmt.Println(t.Render())
 		if csvDir == "" {
@@ -98,11 +96,11 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		emit(fg.Table())
 	}
 	if want("9") {
-		emit(bench.RunFigure9(p).Table())
+		emit(bench.RunFigure9().Table())
 	}
 	if want("10") {
 		for _, wb := range []float64{100, 450, 800} {
-			fg, err := bench.RunFigure10(wb, p)
+			fg, err := bench.RunFigure10(wb)
 			if err != nil {
 				return err
 			}
@@ -129,14 +127,14 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		emit(fg.Table())
 	}
 	if want("twr") {
-		s, err := bench.RunTWRStudy(p)
+		s, err := bench.RunTWRStudy()
 		if err != nil {
 			return err
 		}
 		emit(s.Table())
 	}
 	if want("sensors") {
-		s, err := bench.RunSensorStudy(p)
+		s, err := bench.RunSensorStudy()
 		if err != nil {
 			return err
 		}
@@ -160,7 +158,7 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 		emit(s.Table())
 	}
 	if want("pareto") {
-		s, err := bench.RunParetoStudy(p)
+		s, err := bench.RunParetoStudy()
 		if err != nil {
 			return err
 		}
@@ -181,7 +179,7 @@ func run(fig string, seed int64, seqs int, csvDir string) error {
 			emit(fg.Table())
 		}
 		if want("table5") {
-			t5, err := bench.RunTable5(fg.Stats(), p)
+			t5, err := bench.RunTable5(fg.Stats())
 			if err != nil {
 				return err
 			}

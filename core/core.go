@@ -18,6 +18,9 @@
 // Equation 1 is a fixed point: heavier motors need heavier ESCs and more
 // thrust, which needs heavier motors. Resolve iterates the loop ("if the
 // additional weights necessitate a new motor, we redo the previous steps").
+//
+// The model has one calibration, fixed like the paper's (see the constants
+// below), so a Spec is the only input a design resolves from.
 package core
 
 import (
@@ -30,40 +33,25 @@ import (
 	"dronedse/units"
 )
 
-// Params are the calibration constants of the model. The defaults are tuned
-// so the modeled whole-drone power of the paper's own 1071 g open-source F450
-// reproduces its measured 130 W at a 30% flying load (§5.1 / Figure 16b).
-type Params struct {
-	// Eff is the propulsion efficiency chain.
-	Eff propulsion.Efficiencies
-	// MotorOversize models catalog granularity: products come in discrete
-	// thrust steps, so the chosen motor's spec current exceeds the
-	// physics minimum by this factor on average.
-	MotorOversize float64
-	// HoverLoad and ManeuverLoad are the paper's flying-load fractions of
-	// maximum current draw (§3.2: 20-30% hovering, 60-70% maneuvering).
-	HoverLoad    float64
-	ManeuverLoad float64
-	// PowerEff is the %PowerEff distribution efficiency of Equation 4.
-	PowerEff float64
-	// WiringBaseG and WiringFrac model wires, power module, RC receiver
+// The model's calibration. It is fitted once, so the modeled whole-drone
+// power of the paper's own 1071 g open-source F450 reproduces its measured
+// 130 W at a 30% flying load (§5.1 / Figure 16b), and is not an input: a
+// design resolves against the same constants the paper validated. The
+// efficiency chain is propulsion.DefaultEfficiencies, the one the flight
+// plant flies, and the flying-load bands are propulsion.HoverLoadFraction
+// and ManeuverLoadFraction (§3.2: 20-30% hovering, 60-70% maneuvering).
+const (
+	// motorOversize models catalog granularity: products come in
+	// discrete thrust steps, so the chosen motor's spec current exceeds
+	// the physics minimum by this factor on average.
+	motorOversize = 1.35
+	// powerEff is the %PowerEff distribution efficiency of Equation 4.
+	powerEff = 0.95
+	// wiringBaseG and wiringFrac model wires, power module, RC receiver
 	// and misc mass (Figure 14's long tail) as base + fraction of total.
-	WiringBaseG float64
-	WiringFrac  float64
-}
-
-// DefaultParams returns the calibrated defaults.
-func DefaultParams() Params {
-	return Params{
-		Eff:           propulsion.DefaultEfficiencies(),
-		MotorOversize: 1.35,
-		HoverLoad:     propulsion.HoverLoadFraction,
-		ManeuverLoad:  propulsion.ManeuverLoadFraction,
-		PowerEff:      0.95,
-		WiringBaseG:   15,
-		WiringFrac:    0.03,
-	}
-}
+	wiringBaseG = 15
+	wiringFrac  = 0.03
+)
 
 // Spec is a point in the design space: the choices a designer makes before
 // the model resolves the electromechanical consequences.
@@ -106,8 +94,7 @@ func DefaultSpec() Spec {
 // Design is a resolved configuration: the Equation 1 fixed point plus every
 // derived quantity needed by Equations 2-7.
 type Design struct {
-	Spec   Spec
-	Params Params
+	Spec Spec
 
 	// PropInches is the propeller the wheelbase admits.
 	PropInches float64
@@ -192,19 +179,20 @@ type weightClosure struct {
 // fraction. It is the single implementation behind Resolve and the Figure 9
 // basic-weight closure. On divergence (weight runaway, NaN, or 200
 // iterations without settling) Converged is false.
-func closeWeightLoop(fixedG, initialG, twr, propD, packV float64, p Params,
+func closeWeightLoop(fixedG, initialG, twr, propD, packV float64,
 	esc components.ESCClass, includeWiring bool) weightClosure {
+	eff := propulsion.DefaultEfficiencies()
 	var wc weightClosure
 	total := initialG
 	for iter := 0; iter < 200; iter++ {
 		perMotorThrustG := twr * total / 4
 		motorG := components.MotorWeightModel(perMotorThrustG)
 		reqA := propulsion.MotorCurrent(
-			units.GramsToNewtons(perMotorThrustG), propD, packV, p.Eff)
-		escG := components.ESCWeightModel(esc, reqA*p.MotorOversize)
+			units.GramsToNewtons(perMotorThrustG), propD, packV, eff)
+		escG := components.ESCWeightModel(esc, reqA*motorOversize)
 		wiring := 0.0
 		if includeWiring {
-			wiring = p.WiringBaseG + p.WiringFrac*total
+			wiring = wiringBaseG + wiringFrac*total
 		}
 		next := fixedG + 4*motorG + escG + wiring
 
@@ -230,12 +218,12 @@ func closeWeightLoop(fixedG, initialG, twr, propD, packV float64, p Params,
 }
 
 // Resolve computes the Equation 1 fixed point for a spec.
-func Resolve(spec Spec, p Params) (Design, error) {
+func Resolve(spec Spec) (Design, error) {
 	if err := spec.validate(); err != nil {
 		return Design{}, err
 	}
 
-	d := Design{Spec: spec, Params: p}
+	d := Design{Spec: spec}
 	d.PropInches = components.MaxPropellerInches(spec.WheelbaseMM)
 	d.FrameG = components.FrameWeightModel(spec.WheelbaseMM)
 	d.BatteryG = components.BatteryWeightModel(spec.Cells, spec.CapacityMah)
@@ -247,7 +235,7 @@ func Resolve(spec Spec, p Params) (Design, error) {
 	propD := units.InchToMeter(d.PropInches)
 	v := units.CellsToVoltage(spec.Cells)
 
-	wc := closeWeightLoop(fixed, fixed*1.5, spec.TWR, propD, v, p, spec.ESCClass, true)
+	wc := closeWeightLoop(fixed, fixed*1.5, spec.TWR, propD, v, spec.ESCClass, true)
 	if !wc.Converged {
 		return Design{}, ErrNoConverge
 	}
@@ -257,7 +245,7 @@ func Resolve(spec Spec, p Params) (Design, error) {
 	d.RequiredCurrentA = wc.RequiredA
 	d.Iterations = wc.Iterations
 	d.TotalG = wc.TotalG
-	d.MotorMaxCurrentA = d.RequiredCurrentA * p.MotorOversize
+	d.MotorMaxCurrentA = d.RequiredCurrentA * motorOversize
 	d.MotorKv = propulsion.KvForDesign(
 		units.GramsToNewtons(spec.TWR*wc.TotalG/4), propD, v)
 	return d, nil
@@ -282,16 +270,16 @@ func (d Design) AvgPowerW(load float64) float64 {
 }
 
 // HoverPowerW is Equation 3 at the hovering load band.
-func (d Design) HoverPowerW() float64 { return d.AvgPowerW(d.Params.HoverLoad) }
+func (d Design) HoverPowerW() float64 { return d.AvgPowerW(propulsion.HoverLoadFraction) }
 
 // ManeuverPowerW is Equation 3 at the maneuvering load band.
-func (d Design) ManeuverPowerW() float64 { return d.AvgPowerW(d.Params.ManeuverLoad) }
+func (d Design) ManeuverPowerW() float64 { return d.AvgPowerW(propulsion.ManeuverLoadFraction) }
 
 // UsableEnergyWh is Equation 4: rated energy derated by the LiPo drain limit
 // and the power-distribution efficiency.
 func (d Design) UsableEnergyWh() float64 {
 	return units.MahToWh(d.Spec.CapacityMah, d.Voltage()) *
-		units.LiPoDrainLimit * d.Params.PowerEff
+		units.LiPoDrainLimit * powerEff
 }
 
 // FlightTimeMin is Equation 5 at a flying load: usable energy over average
@@ -305,7 +293,7 @@ func (d Design) FlightTimeMin(load float64) float64 {
 }
 
 // HoverFlightTimeMin is the headline hovering flight time.
-func (d Design) HoverFlightTimeMin() float64 { return d.FlightTimeMin(d.Params.HoverLoad) }
+func (d Design) HoverFlightTimeMin() float64 { return d.FlightTimeMin(propulsion.HoverLoadFraction) }
 
 // ComputeSharePct is Equation 6: the percentage of total power consumed by
 // computation at a flying load.
@@ -328,7 +316,7 @@ func GainedFlightTimeMin(base Design, newComputeW, newComputeG, load float64) (f
 		PowerW:  newComputeW,
 		WeightG: newComputeG,
 	}
-	swapped, err := Resolve(spec, base.Params)
+	swapped, err := Resolve(spec)
 	if err != nil {
 		return 0, err
 	}

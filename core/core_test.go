@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"dronedse/components"
+	"dronedse/propulsion"
 )
 
 func mustResolve(t *testing.T, spec Spec) Design {
 	t.Helper()
-	d, err := Resolve(spec, DefaultParams())
+	d, err := Resolve(spec)
 	if err != nil {
 		t.Fatalf("Resolve(%+v): %v", spec, err)
 	}
@@ -54,7 +55,7 @@ func TestResolveValidation(t *testing.T) {
 	for _, c := range cases {
 		spec := DefaultSpec()
 		c.edit(&spec)
-		if _, err := Resolve(spec, DefaultParams()); !errors.Is(err, c.want) {
+		if _, err := Resolve(spec); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -79,7 +80,7 @@ func TestResolveNeverPanics(t *testing.T) {
 		for _, v := range specials {
 			spec := DefaultSpec()
 			*field(&spec) = v
-			d, err := Resolve(spec, DefaultParams())
+			d, err := Resolve(spec)
 			if err != nil {
 				continue
 			}
@@ -176,7 +177,7 @@ func TestPhantomValidation(t *testing.T) {
 	spec := Spec{WheelbaseMM: 450, Cells: 4, TWR: 2,
 		Compute:     components.ComputeTier{Name: "phantom avionics", PowerW: 3, WeightG: 30},
 		CapacityMah: 1000, ESCClass: components.LongFlight}
-	pts := mustSweep(t, spec, DefaultParams(), 1000, 9000, 100)
+	pts := mustSweep(t, spec, 1000, 9000, 100)
 	bestDiff := math.Inf(1)
 	var at SweepPoint
 	for _, pt := range pts {
@@ -216,8 +217,8 @@ func TestComputeSharePct(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Compute = components.AdvancedComputeTier
 	d := mustResolve(t, spec)
-	h := d.ComputeSharePct(d.Params.HoverLoad)
-	m := d.ComputeSharePct(d.Params.ManeuverLoad)
+	h := d.ComputeSharePct(propulsion.HoverLoadFraction)
+	m := d.ComputeSharePct(propulsion.ManeuverLoadFraction)
 	if h <= m {
 		t.Errorf("hover share %v%% must exceed maneuver share %v%% (Figure 10d-f)", h, m)
 	}
@@ -230,11 +231,10 @@ func TestComputeSharePct(t *testing.T) {
 // 3 W chips contribute <5% of total power, and the 20 W system while moving
 // drops to ~10% or less on medium/large drones.
 func TestFigure10ShareBands(t *testing.T) {
-	p := DefaultParams()
 	for _, wb := range []float64{450, 800} {
 		basic := Spec{WheelbaseMM: wb, Cells: 3, CapacityMah: 1000, TWR: 2,
 			Compute: components.BasicComputeTier, ESCClass: components.LongFlight}
-		for _, pt := range mustSweep(t, basic, p, 1000, 8000, 500) {
+		for _, pt := range mustSweep(t, basic, 1000, 8000, 500) {
 			// Paper: "3 W chips have less than 5% contribution"; allow
 			// a point of slack at the very light end of the sweep.
 			if pt.ComputeShareHoverPct >= 6 {
@@ -244,7 +244,7 @@ func TestFigure10ShareBands(t *testing.T) {
 		}
 		adv := basic
 		adv.Compute = components.AdvancedComputeTier
-		for _, pt := range mustSweep(t, adv, p, 1000, 8000, 500) {
+		for _, pt := range mustSweep(t, adv, 1000, 8000, 500) {
 			if pt.ComputeShareManeuverPct > 12 {
 				t.Errorf("wb=%v w=%.0fg: 20 W maneuvering share %.1f%%, paper says drops to ~10%%",
 					wb, pt.TotalWeightG, pt.ComputeShareManeuverPct)
@@ -260,12 +260,11 @@ func TestFigure10ShareBands(t *testing.T) {
 // TestComputationPowerRange verifies the abstract's 2-30% computation power
 // envelope across the studied design space.
 func TestComputationPowerRange(t *testing.T) {
-	p := DefaultParams()
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, wb := range []float64{100, 450, 800} {
 		for _, tier := range []components.ComputeTier{components.BasicComputeTier, components.AdvancedComputeTier} {
 			s := Spec{WheelbaseMM: wb, Cells: 3, CapacityMah: 1000, TWR: 2, Compute: tier, ESCClass: components.LongFlight}
-			for _, pt := range mustSweep(t, s, p, 1000, 8000, 1000) {
+			for _, pt := range mustSweep(t, s, 1000, 8000, 1000) {
 				if pt.ComputeShareHoverPct < lo {
 					lo = pt.ComputeShareHoverPct
 				}
@@ -287,7 +286,7 @@ func TestGainedFlightTime(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Compute = components.ComputeTier{Name: "TX2-class", PowerW: 10, WeightG: 85}
 	base := mustResolve(t, spec)
-	load := base.Params.HoverLoad
+	load := propulsion.HoverLoadFraction
 
 	// Swapping to an FPGA-class platform (0.417 W, 75 g) must gain time.
 	gain, err := GainedFlightTimeMin(base, 0.417, 75, load)
@@ -320,10 +319,9 @@ func TestApproxGainedFlightTime(t *testing.T) {
 }
 
 func TestBestConfig(t *testing.T) {
-	p := DefaultParams()
 	spec := Spec{WheelbaseMM: 450, TWR: 2, Compute: components.BasicComputeTier,
 		Cells: 3, CapacityMah: 1000, ESCClass: components.LongFlight}
-	best, ok := mustBest(t, spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
+	best, ok := mustBest(t, spec, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
 	if !ok {
 		t.Fatal("no feasible configuration at 450 mm")
 	}
@@ -335,7 +333,7 @@ func TestBestConfig(t *testing.T) {
 	for cells := 1; cells <= 6; cells++ {
 		s := spec
 		s.Cells = cells
-		for _, pt := range mustSweep(t, s, p, 1000, 8000, 500) {
+		for _, pt := range mustSweep(t, s, 1000, 8000, 500) {
 			if pt.HoverFlightMin > ft+1e-9 {
 				t.Fatalf("sweep point beats best config: %v > %v", pt.HoverFlightMin, ft)
 			}
@@ -348,7 +346,7 @@ func TestSweepCapacitySkipsInfeasible(t *testing.T) {
 	// either resolve or are skipped, never panic.
 	spec := Spec{WheelbaseMM: 800, Cells: 1, CapacityMah: 1000, TWR: 2,
 		Compute: components.AdvancedComputeTier, ESCClass: components.LongFlight}
-	pts := mustSweep(t, spec, DefaultParams(), 1000, 8000, 1000)
+	pts := mustSweep(t, spec, 1000, 8000, 1000)
 	for _, pt := range pts {
 		if pt.TotalWeightG <= 0 || math.IsNaN(pt.HoverPowerW) {
 			t.Fatalf("invalid sweep point: %+v", pt)
@@ -377,19 +375,18 @@ func TestEquation7SmallVsLargeSensitivity(t *testing.T) {
 	// §7: for small drones improving power efficiency buys flight time;
 	// for heavy drones (>~2 kg) the effect fades. Compare the relative
 	// gain of saving 5 W of compute on a small vs a large design.
-	p := DefaultParams()
 	small := mustResolve(t, Spec{WheelbaseMM: 200, Cells: 2, CapacityMah: 2000, TWR: 2,
 		Compute: components.ComputeTier{Name: "5W", PowerW: 5, WeightG: 50}, ESCClass: components.LongFlight})
 	large, err := Resolve(Spec{WheelbaseMM: 800, Cells: 6, CapacityMah: 8000, TWR: 2,
-		Compute: components.ComputeTier{Name: "5W", PowerW: 5, WeightG: 50}, ESCClass: components.LongFlight}, p)
+		Compute: components.ComputeTier{Name: "5W", PowerW: 5, WeightG: 50}, ESCClass: components.LongFlight})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gainSmall, err := GainedFlightTimeMin(small, 0.4, 50, p.HoverLoad)
+	gainSmall, err := GainedFlightTimeMin(small, 0.4, 50, propulsion.HoverLoadFraction)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gainLarge, err := GainedFlightTimeMin(large, 0.4, 50, p.HoverLoad)
+	gainLarge, err := GainedFlightTimeMin(large, 0.4, 50, propulsion.HoverLoadFraction)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,17 +24,16 @@ func atPool(t *testing.T, n int, body func()) {
 // serial loop at every pool size.
 func TestSweepCapacityDeterministic(t *testing.T) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	var want []SweepPoint
 	atPool(t, 1, func() {
-		want = mustSweep(t, spec, p, 1000, 8000, 250)
+		want = mustSweep(t, spec, 1000, 8000, 250)
 	})
 	if len(want) == 0 {
 		t.Fatal("serial sweep is empty")
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			if got := mustSweep(t, spec, p, 1000, 8000, 250); !reflect.DeepEqual(got, want) {
+			if got := mustSweep(t, spec, 1000, 8000, 250); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pool=%d sweep differs from serial", pool)
 			}
 		})
@@ -45,7 +44,6 @@ func TestSweepCapacityDeterministic(t *testing.T) {
 // grid point, including steps that are not exactly representable in binary.
 func TestSweepCapacityGridEndpoints(t *testing.T) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	cases := []struct {
 		lo, hi, step float64
 		wantN        int
@@ -58,7 +56,7 @@ func TestSweepCapacityGridEndpoints(t *testing.T) {
 		{3000, 3000, 500, 1},
 	}
 	for _, c := range cases {
-		pts := mustSweep(t, spec, p, c.lo, c.hi, c.step)
+		pts := mustSweep(t, spec, c.lo, c.hi, c.step)
 		if len(pts) != c.wantN {
 			t.Errorf("grid [%g,%g] step %g: %d points, want %d", c.lo, c.hi, c.step, len(pts), c.wantN)
 			continue
@@ -69,10 +67,10 @@ func TestSweepCapacityGridEndpoints(t *testing.T) {
 			t.Errorf("grid [%g,%g] step %g: last point %v, want %v", c.lo, c.hi, c.step, last, wantLast)
 		}
 	}
-	if pts := mustSweep(t, spec, p, 8000, 1000, 250); pts != nil {
+	if pts := mustSweep(t, spec, 8000, 1000, 250); pts != nil {
 		t.Error("inverted grid should be empty")
 	}
-	if pts := mustSweep(t, spec, p, 1000, 8000, 0); pts != nil {
+	if pts := mustSweep(t, spec, 1000, 8000, 0); pts != nil {
 		t.Error("zero step should be empty, not an infinite loop")
 	}
 }
@@ -81,19 +79,18 @@ func TestSweepCapacityGridEndpoints(t *testing.T) {
 // the exact design (tie-breaks included) the serial double loop picked.
 func TestBestConfigDeterministic(t *testing.T) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	cells := []int{1, 2, 3, 4, 5, 6}
 	var want Design
 	var wantOK bool
 	atPool(t, 1, func() {
-		want, wantOK = mustBest(t, spec, p, cells, 1000, 8000, 250)
+		want, wantOK = mustBest(t, spec, cells, 1000, 8000, 250)
 	})
 	if !wantOK {
 		t.Fatal("serial BestConfig found nothing")
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			got, ok := mustBest(t, spec, p, cells, 1000, 8000, 250)
+			got, ok := mustBest(t, spec, cells, 1000, 8000, 250)
 			if !ok || got != want {
 				t.Fatalf("pool=%d BestConfig differs: ok=%v got %dS %.0f mAh, want %dS %.0f mAh",
 					pool, ok, got.Spec.Cells, got.Spec.CapacityMah, want.Spec.Cells, want.Spec.CapacityMah)
@@ -106,7 +103,6 @@ func TestBestConfigDeterministic(t *testing.T) {
 // pareto.go at every pool size.
 func TestFrontiersDeterministic(t *testing.T) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	payloads := []float64{0, 100, 200, 400, 800}
 	sensors := []struct {
 		Name    string
@@ -116,14 +112,14 @@ func TestFrontiersDeterministic(t *testing.T) {
 		Compute: components.AdvancedComputeTier, ESCClass: components.LongFlight}
 
 	twr := func() []TWRPoint {
-		pts, err := TWRSweep(spec, p)
+		pts, err := TWRSweep(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pts
 	}
 	sensorStudy := func() []SensorPayloadPoint {
-		pts, err := SensorPayloadStudy(large, p, sensors)
+		pts, err := SensorPayloadStudy(large, sensors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +129,7 @@ func TestFrontiersDeterministic(t *testing.T) {
 	var wantTWR []TWRPoint
 	var wantSensor []SensorPayloadPoint
 	atPool(t, 1, func() {
-		wantPayload = mustFrontier(t, spec, p, payloads)
+		wantPayload = mustFrontier(t, spec, payloads)
 		wantTWR = twr()
 		wantSensor = sensorStudy()
 	})
@@ -142,7 +138,7 @@ func TestFrontiersDeterministic(t *testing.T) {
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			if got := mustFrontier(t, spec, p, payloads); !reflect.DeepEqual(got, wantPayload) {
+			if got := mustFrontier(t, spec, payloads); !reflect.DeepEqual(got, wantPayload) {
 				t.Errorf("pool=%d payload frontier differs", pool)
 			}
 			if got := twr(); !reflect.DeepEqual(got, wantTWR) {
@@ -160,16 +156,15 @@ func TestFrontiersDeterministic(t *testing.T) {
 // a Resolve with zero wiring overhead and the basic weight as its fixed mass
 // lands on the same current (the dedup satellite's regression anchor).
 func TestMotorCurrentDeterministic(t *testing.T) {
-	p := DefaultParams()
 	weights := []float64{300, 600, 900, 1200, 1500}
 	var want []MotorCurrentPoint
-	atPool(t, 1, func() { want = MotorCurrentVsBasicWeight(450, 3, 2, p, weights) })
+	atPool(t, 1, func() { want = MotorCurrentVsBasicWeight(450, 3, 2, weights) })
 	if len(want) != len(weights) {
 		t.Fatalf("serial line has %d of %d points", len(want), len(weights))
 	}
 	for _, pool := range testPools {
 		atPool(t, pool, func() {
-			if got := MotorCurrentVsBasicWeight(450, 3, 2, p, weights); !reflect.DeepEqual(got, want) {
+			if got := MotorCurrentVsBasicWeight(450, 3, 2, weights); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pool=%d Figure 9 line differs from serial", pool)
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dronedse/parallelx"
+	"dronedse/propulsion"
 	"dronedse/units"
 )
 
@@ -87,7 +88,7 @@ type ParetoPoint struct {
 // Figure 12 procedure turned into a tool. The spec is validated at every
 // payload before the search fans out, and a validation error is returned as
 // is; payloads with no feasible configuration are left off the frontier.
-func ParetoPayloadFrontier(spec Spec, p Params, payloadsG []float64) ([]ParetoPoint, error) {
+func ParetoPayloadFrontier(spec Spec, payloadsG []float64) ([]ParetoPoint, error) {
 	cells := []int{1, 2, 3, 4, 5, 6}
 	for _, payload := range payloadsG {
 		s := spec
@@ -100,7 +101,7 @@ func ParetoPayloadFrontier(spec Spec, p Params, payloadsG []float64) ([]ParetoPo
 		s := spec
 		s.PayloadG = payload
 		// Validated above, so the only error left is ErrNoConverge.
-		best, err := BestConfig(s, p, cells, 1000, 8000, 500)
+		best, err := BestConfig(s, cells, 1000, 8000, 500)
 		if err != nil {
 			return ParetoPoint{}, false
 		}
@@ -151,7 +152,7 @@ type TWRPoint struct {
 // the compute contribution further; TWR 2 is the upper bound on compute's
 // share. The spec is validated once, and a validation error is returned as
 // is; infeasible ratios are skipped.
-func TWRSweep(spec Spec, p Params) ([]TWRPoint, error) {
+func TWRSweep(spec Spec) ([]TWRPoint, error) {
 	twrs := []float64{2, 3, 4, 5, 6, 7}
 	s := spec
 	s.TWR = twrs[0]
@@ -162,7 +163,7 @@ func TWRSweep(spec Spec, p Params) ([]TWRPoint, error) {
 		s := spec
 		s.TWR = twr
 		// Validated above, so the only error left is ErrNoConverge.
-		d, err := Resolve(s, p)
+		d, err := Resolve(s)
 		if err != nil {
 			return TWRPoint{}, false
 		}
@@ -170,7 +171,7 @@ func TWRSweep(spec Spec, p Params) ([]TWRPoint, error) {
 			TWR:                  twr,
 			TotalWeightG:         d.TotalG,
 			HoverPowerW:          d.HoverPowerW(),
-			ComputeShareHoverPct: d.ComputeSharePct(p.HoverLoad),
+			ComputeShareHoverPct: d.ComputeSharePct(propulsion.HoverLoadFraction),
 			FlightMin:            d.HoverFlightTimeMin(),
 		}, true
 	}), nil
@@ -193,7 +194,7 @@ type SensorPayloadPoint struct {
 // spec is validated with every sensor before any design is resolved, and a
 // validation error is returned as is; an infeasible base design gives no
 // points, and infeasible sensors are skipped.
-func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
+func SensorPayloadStudy(spec Spec, sensors []struct {
 	Name    string
 	WeightG float64
 }) ([]SensorPayloadPoint, error) {
@@ -208,14 +209,14 @@ func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
 		}
 	}
 	// Validated above, so the only error left is ErrNoConverge.
-	base, err := Resolve(spec, p)
+	base, err := Resolve(spec)
 	if err != nil {
 		return nil, nil
 	}
 	out := []SensorPayloadPoint{{
 		SensorName:           "(none)",
 		TotalWeightG:         base.TotalG,
-		ComputeShareHoverPct: base.ComputeSharePct(p.HoverLoad),
+		ComputeShareHoverPct: base.ComputeSharePct(propulsion.HoverLoadFraction),
 		FlightMin:            base.HoverFlightTimeMin(),
 	}}
 	pts := parallelx.FilterMap(sensors, func(sn struct {
@@ -224,7 +225,7 @@ func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
 	}) (SensorPayloadPoint, bool) {
 		s := spec
 		s.SensorsG = sn.WeightG // self-powered: weight only
-		d, err := Resolve(s, p)
+		d, err := Resolve(s)
 		if err != nil {
 			return SensorPayloadPoint{}, false
 		}
@@ -232,7 +233,7 @@ func SensorPayloadStudy(spec Spec, p Params, sensors []struct {
 			SensorName:           sn.Name,
 			SensorWeightG:        sn.WeightG,
 			TotalWeightG:         d.TotalG,
-			ComputeShareHoverPct: d.ComputeSharePct(p.HoverLoad),
+			ComputeShareHoverPct: d.ComputeSharePct(propulsion.HoverLoadFraction),
 			FlightMin:            d.HoverFlightTimeMin(),
 		}, true
 	})

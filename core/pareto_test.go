@@ -7,7 +7,6 @@ import (
 )
 
 func TestFeasibilityChecks(t *testing.T) {
-	p := DefaultParams()
 	// A sane design: no issues.
 	sane := mustResolve(t, DefaultSpec())
 	for _, is := range sane.Feasibility() {
@@ -18,7 +17,7 @@ func TestFeasibilityChecks(t *testing.T) {
 	marginal := Spec{WheelbaseMM: 200, Cells: 2, CapacityMah: 1000, TWR: 2,
 		PayloadG: 600,
 		Compute:  components.AdvancedComputeTier, ESCClass: components.LongFlight}
-	d, err := Resolve(marginal, p)
+	d, err := Resolve(marginal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +51,7 @@ func TestFeasibilityStrings(t *testing.T) {
 
 func TestParetoPayloadFrontier(t *testing.T) {
 	spec := DefaultSpec()
-	p := DefaultParams()
-	pts := mustFrontier(t, spec, p, []float64{0, 100, 200, 400, 800})
+	pts := mustFrontier(t, spec, []float64{0, 100, 200, 400, 800})
 	if len(pts) < 3 {
 		t.Fatalf("frontier too small: %d points", len(pts))
 	}
@@ -88,7 +86,7 @@ func TestParetoFilterDominance(t *testing.T) {
 func TestTWRSweep(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Compute = components.AdvancedComputeTier
-	pts, err := TWRSweep(spec, DefaultParams())
+	pts, err := TWRSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestSensorPayloadStudy(t *testing.T) {
 		{"Ultra Puck", 925},
 		{"YellowScan Surveyor", 1600},
 	}
-	pts, err := SensorPayloadStudy(spec, DefaultParams(), sensors)
+	pts, err := SensorPayloadStudy(spec, sensors)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,9 @@ func atEachPool(b *testing.B, body func(b *testing.B)) {
 
 func BenchmarkResolve(b *testing.B) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Resolve(spec, p); err != nil {
+		if _, err := Resolve(spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,10 +37,9 @@ func BenchmarkResolve(b *testing.B) {
 
 func BenchmarkSweepCapacity(b *testing.B) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if pts := mustSweep(b, spec, p, 1000, 8000, 100); len(pts) == 0 {
+			if pts := mustSweep(b, spec, 1000, 8000, 100); len(pts) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}
@@ -50,11 +48,10 @@ func BenchmarkSweepCapacity(b *testing.B) {
 
 func BenchmarkBestConfig(b *testing.B) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	cells := []int{1, 2, 3, 4, 5, 6}
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := mustBest(b, spec, p, cells, 1000, 8000, 250); !ok {
+			if _, ok := mustBest(b, spec, cells, 1000, 8000, 250); !ok {
 				b.Fatal("no feasible config")
 			}
 		}
@@ -63,11 +60,10 @@ func BenchmarkBestConfig(b *testing.B) {
 
 func BenchmarkParetoPayloadFrontier(b *testing.B) {
 	spec := DefaultSpec()
-	p := DefaultParams()
 	payloads := []float64{0, 100, 200, 300, 500, 750, 1000}
 	atEachPool(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if pts := mustFrontier(b, spec, p, payloads); len(pts) == 0 {
+			if pts := mustFrontier(b, spec, payloads); len(pts) == 0 {
 				b.Fatal("empty frontier")
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"dronedse/components"
+	"dronedse/propulsion"
 )
 
 // Requirements describe a target application the way Figure 12's procedure
@@ -50,7 +51,7 @@ var ErrNoFeasibleDesign = fmt.Errorf("core: no feasible design meets the require
 // requirement, ErrNoFeasibleDesign when no frame class meets it, or the
 // spec's validation error, found at the first frame class before its grid
 // fans out.
-func RunProcedure(req Requirements, p Params) (Recommendation, error) {
+func RunProcedure(req Requirements) (Recommendation, error) {
 	var rec Recommendation
 	log := func(format string, args ...interface{}) {
 		rec.Steps = append(rec.Steps, fmt.Sprintf(format, args...))
@@ -75,7 +76,7 @@ func RunProcedure(req Requirements, p Params) (Recommendation, error) {
 			PayloadG: req.PayloadG,
 			ESCClass: components.LongFlight,
 		}
-		best, err := BestConfig(spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
+		best, err := BestConfig(spec, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 500)
 		if errors.Is(err, ErrNoConverge) {
 			log("%.0f mm: infeasible (weight closure diverges)", wb)
 			continue
@@ -100,8 +101,8 @@ func RunProcedure(req Requirements, p Params) (Recommendation, error) {
 			wb, best.Spec.Cells, best.Spec.CapacityMah, best.TotalG, ft)
 		rec.Design = best
 		rec.FlightMin = ft
-		rec.ComputeSharePct = best.ComputeSharePct(p.HoverLoad)
-		if gain, err := GainedFlightTimeMin(best, req.Compute.PowerW/2, req.Compute.WeightG, p.HoverLoad); err == nil {
+		rec.ComputeSharePct = best.ComputeSharePct(propulsion.HoverLoadFraction)
+		if gain, err := GainedFlightTimeMin(best, req.Compute.PowerW/2, req.Compute.WeightG, propulsion.HoverLoadFraction); err == nil {
 			rec.GainedByHalvingComputeMin = gain
 		}
 		log("compute footprint %.1f%% of hover power; halving compute power gains %+.1f min",

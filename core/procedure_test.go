@@ -27,7 +27,7 @@ func TestProcedureBasicApplication(t *testing.T) {
 		ExtraSensors: []components.Board{cam},
 		Compute:      components.AdvancedComputeTier,
 		MinFlightMin: 15,
-	}, DefaultParams())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestProcedureGrowsFrameForLiDAR(t *testing.T) {
 	light, err := RunProcedure(Requirements{
 		Compute:      components.BasicComputeTier,
 		MinFlightMin: 12,
-	}, DefaultParams())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestProcedureGrowsFrameForLiDAR(t *testing.T) {
 		ExtraSensors: []components.Board{lidar},
 		Compute:      components.BasicComputeTier,
 		MinFlightMin: 12,
-	}, DefaultParams())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestProcedureImpossibleRequirements(t *testing.T) {
 		Compute:      components.AdvancedComputeTier,
 		PayloadG:     5000,
 		MinFlightMin: 60,
-	}, DefaultParams())
+	})
 	if !errors.Is(err, ErrNoFeasibleDesign) {
 		t.Errorf("err = %v, want ErrNoFeasibleDesign", err)
 	}
@@ -91,7 +91,7 @@ func TestProcedureWeightCap(t *testing.T) {
 		Compute:      components.BasicComputeTier,
 		MinFlightMin: 10,
 		MaxWeightG:   900,
-	}, DefaultParams())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

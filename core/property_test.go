@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"dronedse/components"
+	"dronedse/propulsion"
 )
 
 // randomSpec draws a plausible design-space point.
@@ -33,9 +34,8 @@ func specValues(vals []reflect.Value, r *rand.Rand) {
 // TestResolveInvariantsProperty checks structural invariants over random
 // feasible designs.
 func TestResolveInvariantsProperty(t *testing.T) {
-	p := DefaultParams()
 	f := func(spec Spec) bool {
-		d, err := Resolve(spec, p)
+		d, err := Resolve(spec)
 		if err != nil {
 			return true // infeasible corners are allowed to fail
 		}
@@ -45,7 +45,7 @@ func TestResolveInvariantsProperty(t *testing.T) {
 			t.Logf("total %v not above fixed parts %v", d.TotalG, fixed)
 			return false
 		}
-		share := d.ComputeSharePct(p.HoverLoad)
+		share := d.ComputeSharePct(propulsion.HoverLoadFraction)
 		if share <= 0 || share >= 100 {
 			t.Logf("share %v out of range", share)
 			return false
@@ -53,7 +53,7 @@ func TestResolveInvariantsProperty(t *testing.T) {
 		if d.HoverPowerW() >= d.ManeuverPowerW() {
 			return false
 		}
-		if d.FlightTimeMin(p.HoverLoad) <= d.FlightTimeMin(p.ManeuverLoad) {
+		if d.FlightTimeMin(propulsion.HoverLoadFraction) <= d.FlightTimeMin(propulsion.ManeuverLoadFraction) {
 			return false
 		}
 		if d.RequiredCurrentA <= 0 || d.MotorMaxCurrentA <= d.RequiredCurrentA {
@@ -69,10 +69,9 @@ func TestResolveInvariantsProperty(t *testing.T) {
 
 // TestResolveDeterministicProperty: same spec, same design.
 func TestResolveDeterministicProperty(t *testing.T) {
-	p := DefaultParams()
 	f := func(spec Spec) bool {
-		a, errA := Resolve(spec, p)
-		b, errB := Resolve(spec, p)
+		a, errA := Resolve(spec)
+		b, errB := Resolve(spec)
 		if (errA == nil) != (errB == nil) {
 			return false
 		}
@@ -89,15 +88,14 @@ func TestResolveDeterministicProperty(t *testing.T) {
 // TestMoreComputeNeverHelpsProperty: Equation 7's direction — adding compute
 // power (same weight) always costs flight time.
 func TestMoreComputeNeverHelpsProperty(t *testing.T) {
-	p := DefaultParams()
 	f := func(spec Spec) bool {
-		base, err := Resolve(spec, p)
+		base, err := Resolve(spec)
 		if err != nil {
 			return true
 		}
 		heavier := spec
 		heavier.Compute.PowerW += 5
-		d, err := Resolve(heavier, p)
+		d, err := Resolve(heavier)
 		if err != nil {
 			return true
 		}
@@ -112,15 +110,14 @@ func TestMoreComputeNeverHelpsProperty(t *testing.T) {
 // larger wheelbase (bigger disk) needs less per-motor power — the physics
 // behind Figure 9's per-wheelbase families.
 func TestBiggerPropsMoreEfficientProperty(t *testing.T) {
-	p := DefaultParams()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		spec := randomSpec(r)
 		spec.WheelbaseMM = 150 + r.Float64()*300
-		small, errA := Resolve(spec, p)
+		small, errA := Resolve(spec)
 		bigger := spec
 		bigger.WheelbaseMM = spec.WheelbaseMM * 2
-		big, errB := Resolve(bigger, p)
+		big, errB := Resolve(bigger)
 		if errA != nil || errB != nil {
 			return true
 		}

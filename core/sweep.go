@@ -36,11 +36,11 @@ func gridSize(lo, hi, step float64) int {
 // validation error is returned as is; only infeasible points (ErrNoConverge)
 // are skipped. Grid points fan out across the parallelx pool; output is
 // identical to the serial (PoolSize=1) loop.
-func SweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) ([]SweepPoint, error) {
+func SweepCapacity(spec Spec, loMah, hiMah, stepMah float64) ([]SweepPoint, error) {
 	if err := validateGrid(spec, []int{spec.Cells}, loMah); err != nil {
 		return nil, err
 	}
-	return sweepCapacity(spec, p, loMah, hiMah, stepMah), nil
+	return sweepCapacity(spec, loMah, hiMah, stepMah), nil
 }
 
 // validateGrid validates spec at every cell count of a cells x capacity
@@ -59,13 +59,13 @@ func validateGrid(spec Spec, cellsOptions []int, loMah float64) error {
 
 // sweepCapacity is SweepCapacity on a spec validateGrid has passed, where
 // Resolve's only error is ErrNoConverge.
-func sweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPoint {
+func sweepCapacity(spec Spec, loMah, hiMah, stepMah float64) []SweepPoint {
 	n := gridSize(loMah, hiMah, stepMah)
 	pts := parallelx.MapIndex(n, func(i int) *SweepPoint {
 		capacityMah := loMah + float64(i)*stepMah
 		s := spec
 		s.CapacityMah = capacityMah
-		d, err := Resolve(s, p)
+		d, err := Resolve(s)
 		if err != nil {
 			return nil
 		}
@@ -75,8 +75,8 @@ func sweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPo
 			HoverPowerW:             d.HoverPowerW(),
 			ManeuverPowerW:          d.ManeuverPowerW(),
 			HoverFlightMin:          d.HoverFlightTimeMin(),
-			ComputeShareHoverPct:    d.ComputeSharePct(p.HoverLoad),
-			ComputeShareManeuverPct: d.ComputeSharePct(p.ManeuverLoad),
+			ComputeShareHoverPct:    d.ComputeSharePct(propulsion.HoverLoadFraction),
+			ComputeShareManeuverPct: d.ComputeSharePct(propulsion.ManeuverLoadFraction),
 			Design:                  d,
 		}
 	})
@@ -95,14 +95,14 @@ func sweepCapacity(spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPo
 // fans out, and a validation error is returned as is; the whole grid then
 // fans out across the pool and BestOf reduces it. It returns ErrNoConverge
 // when no grid point is feasible.
-func BestConfig(spec Spec, p Params, cellsOptions []int, loMah, hiMah, stepMah float64) (Design, error) {
+func BestConfig(spec Spec, cellsOptions []int, loMah, hiMah, stepMah float64) (Design, error) {
 	if err := validateGrid(spec, cellsOptions, loMah); err != nil {
 		return Design{}, err
 	}
 	best, ok := BestOf(parallelx.Map(cellsOptions, func(cells int) []SweepPoint {
 		s := spec
 		s.Cells = cells
-		return sweepCapacity(s, p, loMah, hiMah, stepMah)
+		return sweepCapacity(s, loMah, hiMah, stepMah)
 	}))
 	if !ok {
 		return Design{}, ErrNoConverge
@@ -141,14 +141,14 @@ type MotorCurrentPoint struct {
 // convention), it closes the motor/ESC weight loop at the target TWR and
 // returns the per-motor max current and matching Kv for the wheelbase's
 // propeller and the given supply. Non-converging weights are skipped.
-func MotorCurrentVsBasicWeight(wheelbaseMM float64, cells int, twr float64, p Params, basicWeightsG []float64) []MotorCurrentPoint {
+func MotorCurrentVsBasicWeight(wheelbaseMM float64, cells int, twr float64, basicWeightsG []float64) []MotorCurrentPoint {
 	propIn := components.MaxPropellerInches(wheelbaseMM)
 	propD := units.InchToMeter(propIn)
 	v := units.CellsToVoltage(cells)
 	return parallelx.FilterMap(basicWeightsG, func(basic float64) (MotorCurrentPoint, bool) {
 		// Close the motor+ESC loop on top of the basic weight (no
 		// battery, no wiring — the figure's x-axis convention).
-		wc := closeWeightLoop(basic, basic*1.3, twr, propD, v, p, components.LongFlight, false)
+		wc := closeWeightLoop(basic, basic*1.3, twr, propD, v, components.LongFlight, false)
 		if !wc.Converged {
 			return MotorCurrentPoint{}, false
 		}
@@ -164,10 +164,10 @@ func MotorCurrentVsBasicWeight(wheelbaseMM float64, cells int, twr float64, p Pa
 // MinFeasibleBasicWeightG estimates Figure 9's "Min. Possible Weight Line":
 // the lightest basic weight a wheelbase class supports (bare frame, smallest
 // controller, props and wiring, no payload).
-func MinFeasibleBasicWeightG(wheelbaseMM float64, p Params) float64 {
+func MinFeasibleBasicWeightG(wheelbaseMM float64) float64 {
 	frame := components.FrameWeightModel(wheelbaseMM)
 	props := 4 * components.PropellerWeightG(components.MaxPropellerInches(wheelbaseMM))
 	const minController = 8 // lightest Table 4 basic controller
 	basic := frame + props + minController
-	return basic + p.WiringBaseG + p.WiringFrac*basic
+	return basic + wiringBaseG + wiringFrac*basic
 }

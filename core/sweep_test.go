@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dronedse/components"
+	"dronedse/propulsion"
 )
 
 // TestFigure9Lines checks the Figure 9 reproduction: per-motor max current
@@ -13,7 +14,6 @@ import (
 // follow the paper's extremes (tiny wheelbase + low cells = extreme Kv;
 // large wheelbase + high cells = low Kv).
 func TestFigure9Lines(t *testing.T) {
-	p := DefaultParams()
 	// Weight spans follow the paper's per-wheelbase axes. (Unlike the
 	// paper's extrapolated lines, the closure exposes that tiny props
 	// cannot lift heavy basic weights — ESC/motor weight growth outruns
@@ -29,7 +29,7 @@ func TestFigure9Lines(t *testing.T) {
 	for _, wb := range []float64{50, 100, 200, 450, 800} {
 		weights := weightsFor[wb]
 		for cells := 1; cells <= 6; cells++ {
-			pts := MotorCurrentVsBasicWeight(wb, cells, 2, p, weights)
+			pts := MotorCurrentVsBasicWeight(wb, cells, 2, weights)
 			if len(pts) == 0 {
 				t.Fatalf("wb=%v cells=%d: no feasible points", wb, cells)
 			}
@@ -41,8 +41,8 @@ func TestFigure9Lines(t *testing.T) {
 		}
 		// Voltage ordering at fixed basic weight.
 		mid := weights[1]
-		lo := MotorCurrentVsBasicWeight(wb, 2, 2, p, []float64{mid})
-		hi := MotorCurrentVsBasicWeight(wb, 6, 2, p, []float64{mid})
+		lo := MotorCurrentVsBasicWeight(wb, 2, 2, []float64{mid})
+		hi := MotorCurrentVsBasicWeight(wb, 6, 2, []float64{mid})
 		if len(lo) == 1 && len(hi) == 1 && hi[0].CurrentA >= lo[0].CurrentA {
 			t.Errorf("wb=%v: 6S current %v >= 2S current %v", wb, hi[0].CurrentA, lo[0].CurrentA)
 		}
@@ -51,8 +51,8 @@ func TestFigure9Lines(t *testing.T) {
 	// Kv extremes (Figure 9a vs 9d annotations): a 50 mm 1S micro lands
 	// near the paper's 51000 Kv callout, a 800 mm 6S lifter in the low
 	// hundreds.
-	tiny := MotorCurrentVsBasicWeight(50, 1, 2, p, []float64{50})
-	big := MotorCurrentVsBasicWeight(800, 6, 2, p, []float64{2000})
+	tiny := MotorCurrentVsBasicWeight(50, 1, 2, []float64{50})
+	big := MotorCurrentVsBasicWeight(800, 6, 2, []float64{2000})
 	if len(tiny) != 1 || len(big) != 1 {
 		t.Fatal("anchor points infeasible")
 	}
@@ -68,8 +68,7 @@ func TestFigure9Lines(t *testing.T) {
 }
 
 func TestMotorCurrentVsBasicWeightSkipsInfeasible(t *testing.T) {
-	p := DefaultParams()
-	pts := MotorCurrentVsBasicWeight(100, 1, 2, p, []float64{1e9})
+	pts := MotorCurrentVsBasicWeight(100, 1, 2, []float64{1e9})
 	for _, pt := range pts {
 		if math.IsNaN(pt.CurrentA) || pt.CurrentA < 0 {
 			t.Fatalf("invalid point: %+v", pt)
@@ -78,10 +77,9 @@ func TestMotorCurrentVsBasicWeightSkipsInfeasible(t *testing.T) {
 }
 
 func TestMinFeasibleBasicWeight(t *testing.T) {
-	p := DefaultParams()
 	prev := 0.0
 	for _, wb := range []float64{50, 100, 200, 450, 800} {
-		w := MinFeasibleBasicWeightG(wb, p)
+		w := MinFeasibleBasicWeightG(wb)
 		if w <= prev {
 			t.Fatalf("min feasible weight not increasing at %v mm", wb)
 		}
@@ -89,7 +87,7 @@ func TestMinFeasibleBasicWeight(t *testing.T) {
 	}
 	// A 450 mm class can't be built under ~400 g of basic weight with the
 	// published frame line.
-	if w := MinFeasibleBasicWeightG(450, p); w < 300 || w > 700 {
+	if w := MinFeasibleBasicWeightG(450); w < 300 || w > 700 {
 		t.Errorf("450 mm min basic weight = %v g, implausible", w)
 	}
 }
@@ -98,10 +96,9 @@ func TestMinFeasibleBasicWeight(t *testing.T) {
 // paper's plots: a ~1350 g 450 mm drone sits in the 100-300 W band, and the
 // whole-drone average for the paper's own 1071 g build is ~130 W at 30% load.
 func TestFigure10PowerLevels(t *testing.T) {
-	p := DefaultParams()
 	spec := Spec{WheelbaseMM: 450, Cells: 3, CapacityMah: 1000, TWR: 2,
 		Compute: components.BasicComputeTier, ESCClass: components.LongFlight}
-	pts := mustSweep(t, spec, p, 1000, 8000, 250)
+	pts := mustSweep(t, spec, 1000, 8000, 250)
 	if len(pts) < 20 {
 		t.Fatalf("sweep too sparse: %d points", len(pts))
 	}
@@ -122,7 +119,6 @@ func TestFigure10PowerLevels(t *testing.T) {
 // annotations (23/19/22 min) are not exactly recoverable from its published
 // relationships (documented in EXPERIMENTS.md).
 func TestBestConfigPerWheelbase(t *testing.T) {
-	p := DefaultParams()
 	cases := []struct {
 		wb       float64
 		loM, hiM float64
@@ -134,7 +130,7 @@ func TestBestConfigPerWheelbase(t *testing.T) {
 	for _, c := range cases {
 		spec := Spec{WheelbaseMM: c.wb, TWR: 2, Cells: 3, CapacityMah: 1000,
 			Compute: components.BasicComputeTier, ESCClass: components.LongFlight}
-		best, ok := mustBest(t, spec, p, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
+		best, ok := mustBest(t, spec, []int{1, 2, 3, 4, 5, 6}, 1000, 8000, 250)
 		if !ok {
 			t.Fatalf("wb=%v: no feasible config", c.wb)
 		}
@@ -150,15 +146,14 @@ func TestBestConfigPerWheelbase(t *testing.T) {
 func TestTWRSensitivity(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Compute = components.AdvancedComputeTier
-	p := DefaultParams()
 	at := func(twr float64) float64 {
 		s := spec
 		s.TWR = twr
-		d, err := Resolve(s, p)
+		d, err := Resolve(s)
 		if err != nil {
 			t.Fatalf("TWR %v: %v", twr, err)
 		}
-		return d.ComputeSharePct(p.HoverLoad)
+		return d.ComputeSharePct(propulsion.HoverLoadFraction)
 	}
 	s2, s4 := at(2), at(4)
 	if s4 >= s2 {
@@ -167,9 +162,9 @@ func TestTWRSensitivity(t *testing.T) {
 }
 
 // mustSweep is SweepCapacity on a spec the test expects to validate.
-func mustSweep(tb testing.TB, spec Spec, p Params, loMah, hiMah, stepMah float64) []SweepPoint {
+func mustSweep(tb testing.TB, spec Spec, loMah, hiMah, stepMah float64) []SweepPoint {
 	tb.Helper()
-	pts, err := SweepCapacity(spec, p, loMah, hiMah, stepMah)
+	pts, err := SweepCapacity(spec, loMah, hiMah, stepMah)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -178,9 +173,9 @@ func mustSweep(tb testing.TB, spec Spec, p Params, loMah, hiMah, stepMah float64
 
 // mustBest is BestConfig on a spec the test expects to validate, with
 // ok=false when no configuration is feasible.
-func mustBest(tb testing.TB, spec Spec, p Params, cells []int, loMah, hiMah, stepMah float64) (Design, bool) {
+func mustBest(tb testing.TB, spec Spec, cells []int, loMah, hiMah, stepMah float64) (Design, bool) {
 	tb.Helper()
-	d, err := BestConfig(spec, p, cells, loMah, hiMah, stepMah)
+	d, err := BestConfig(spec, cells, loMah, hiMah, stepMah)
 	if errors.Is(err, ErrNoConverge) {
 		return d, false
 	}
@@ -192,9 +187,9 @@ func mustBest(tb testing.TB, spec Spec, p Params, cells []int, loMah, hiMah, ste
 
 // mustFrontier is ParetoPayloadFrontier on a spec the test expects to
 // validate.
-func mustFrontier(tb testing.TB, spec Spec, p Params, payloadsG []float64) []ParetoPoint {
+func mustFrontier(tb testing.TB, spec Spec, payloadsG []float64) []ParetoPoint {
 	tb.Helper()
-	pts, err := ParetoPayloadFrontier(spec, p, payloadsG)
+	pts, err := ParetoPayloadFrontier(spec, payloadsG)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -206,7 +201,6 @@ func mustFrontier(tb testing.TB, spec Spec, p Params, payloadsG []float64) []Par
 // infeasible result, while a valid but infeasible one is not an error to
 // the sweep and is ErrNoConverge to the best-config search.
 func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
-	p := DefaultParams()
 	cells := []int{1, 2, 3, 4, 5, 6}
 	lidars := []struct {
 		Name    string
@@ -227,38 +221,38 @@ func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
 	for _, c := range bad {
 		spec := DefaultSpec()
 		c.edit(&spec)
-		if pts, err := SweepCapacity(spec, p, 1000, 8000, 500); !errors.Is(err, c.want) || pts != nil {
+		if pts, err := SweepCapacity(spec, 1000, 8000, 500); !errors.Is(err, c.want) || pts != nil {
 			t.Errorf("%s: SweepCapacity = %d points, %v; want %v", c.name, len(pts), err, c.want)
 		}
-		if _, err := BestConfig(spec, p, cells, 1000, 8000, 500); !errors.Is(err, c.want) {
+		if _, err := BestConfig(spec, cells, 1000, 8000, 500); !errors.Is(err, c.want) {
 			t.Errorf("%s: BestConfig error %v, want %v", c.name, err, c.want)
 		}
-		if pts, err := ParetoPayloadFrontier(spec, p, []float64{0, 500}); !errors.Is(err, c.want) || pts != nil {
+		if pts, err := ParetoPayloadFrontier(spec, []float64{0, 500}); !errors.Is(err, c.want) || pts != nil {
 			t.Errorf("%s: ParetoPayloadFrontier = %d points, %v; want %v", c.name, len(pts), err, c.want)
 		}
 		// TWRSweep sets the TWR itself, so only the other fields can fail it.
-		if pts, err := TWRSweep(spec, p); c.want != ErrBadTWR && (!errors.Is(err, c.want) || pts != nil) {
+		if pts, err := TWRSweep(spec); c.want != ErrBadTWR && (!errors.Is(err, c.want) || pts != nil) {
 			t.Errorf("%s: TWRSweep = %d points, %v; want %v", c.name, len(pts), err, c.want)
 		}
-		if pts, err := SensorPayloadStudy(spec, p, lidars); !errors.Is(err, c.want) || pts != nil {
+		if pts, err := SensorPayloadStudy(spec, lidars); !errors.Is(err, c.want) || pts != nil {
 			t.Errorf("%s: SensorPayloadStudy = %d points, %v; want %v", c.name, len(pts), err, c.want)
 		}
 	}
 	// The grid's own range and cell counts are validated too.
-	if _, err := SweepCapacity(DefaultSpec(), p, 0, 8000, 500); !errors.Is(err, ErrBadCapacity) {
+	if _, err := SweepCapacity(DefaultSpec(), 0, 8000, 500); !errors.Is(err, ErrBadCapacity) {
 		t.Errorf("SweepCapacity from 0 mAh: error %v, want ErrBadCapacity", err)
 	}
-	if _, err := BestConfig(DefaultSpec(), p, []int{3, 7}, 1000, 8000, 500); !errors.Is(err, ErrBadCells) {
+	if _, err := BestConfig(DefaultSpec(), []int{3, 7}, 1000, 8000, 500); !errors.Is(err, ErrBadCells) {
 		t.Errorf("BestConfig over 7 cells: error %v, want ErrBadCells", err)
 	}
-	if _, err := ParetoPayloadFrontier(DefaultSpec(), p, []float64{0, math.Inf(1)}); !errors.Is(err, ErrBadWeight) {
+	if _, err := ParetoPayloadFrontier(DefaultSpec(), []float64{0, math.Inf(1)}); !errors.Is(err, ErrBadWeight) {
 		t.Errorf("ParetoPayloadFrontier at +Inf g: error %v, want ErrBadWeight", err)
 	}
 	nanSensor := append(lidars, struct {
 		Name    string
 		WeightG float64
 	}{"NaN", math.NaN()})
-	if _, err := SensorPayloadStudy(DefaultSpec(), p, nanSensor); !errors.Is(err, ErrBadWeight) {
+	if _, err := SensorPayloadStudy(DefaultSpec(), nanSensor); !errors.Is(err, ErrBadWeight) {
 		t.Errorf("SensorPayloadStudy with a NaN g sensor: error %v, want ErrBadWeight", err)
 	}
 	for _, c := range []struct {
@@ -271,7 +265,7 @@ func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
 		{"payload NaN", Requirements{Compute: components.BasicComputeTier, PayloadG: math.NaN()}, ErrBadWeight},
 	} {
 		c.req.MinFlightMin = 10
-		if _, err := RunProcedure(c.req, p); !errors.Is(err, c.want) {
+		if _, err := RunProcedure(c.req); !errors.Is(err, c.want) {
 			t.Errorf("%s: RunProcedure error %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -279,19 +273,19 @@ func TestGridEntryPointsReturnValidationErrors(t *testing.T) {
 	// Valid but infeasible: a 100 mm frame cannot lift 20 kg.
 	heavy := DefaultSpec()
 	heavy.WheelbaseMM, heavy.PayloadG = 100, 20000
-	if pts, err := SweepCapacity(heavy, p, 1000, 8000, 500); err != nil || len(pts) != 0 {
+	if pts, err := SweepCapacity(heavy, 1000, 8000, 500); err != nil || len(pts) != 0 {
 		t.Errorf("infeasible sweep = %d points, %v; want none, nil", len(pts), err)
 	}
-	if _, err := BestConfig(heavy, p, cells, 1000, 8000, 500); !errors.Is(err, ErrNoConverge) {
+	if _, err := BestConfig(heavy, cells, 1000, 8000, 500); !errors.Is(err, ErrNoConverge) {
 		t.Errorf("infeasible BestConfig error %v, want ErrNoConverge", err)
 	}
-	if pts, err := ParetoPayloadFrontier(heavy, p, []float64{20000}); err != nil || len(pts) != 0 {
+	if pts, err := ParetoPayloadFrontier(heavy, []float64{20000}); err != nil || len(pts) != 0 {
 		t.Errorf("infeasible frontier = %d points, %v; want none, nil", len(pts), err)
 	}
-	if pts, err := TWRSweep(heavy, p); err != nil || len(pts) != 0 {
+	if pts, err := TWRSweep(heavy); err != nil || len(pts) != 0 {
 		t.Errorf("infeasible TWR sweep = %d points, %v; want none, nil", len(pts), err)
 	}
-	if pts, err := SensorPayloadStudy(heavy, p, lidars); err != nil || len(pts) != 0 {
+	if pts, err := SensorPayloadStudy(heavy, lidars); err != nil || len(pts) != 0 {
 		t.Errorf("infeasible sensor study = %d points, %v; want none, nil", len(pts), err)
 	}
 }

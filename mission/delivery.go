@@ -102,13 +102,13 @@ func (d Delivery) New(ctx Context) (Driver, error) {
 	// rejected here, before the engine ever flies it.
 	phaseTotalG := make([]float64, 0, len(legs)+1)
 	phaseEndurance := make([]float64, 0, len(legs)+1)
-	spec, params := core.DefaultSpec(), core.DefaultParams()
+	spec := core.DefaultSpec()
 	for i := 0; i <= len(legs); i++ {
 		s := spec
 		if i > 0 {
 			s.PayloadG = legs[i-1].PayloadKg * 1000
 		}
-		des, err := core.Resolve(s, params)
+		des, err := core.Resolve(s)
 		if err != nil {
 			return nil, fmt.Errorf("mission: delivery leg %d payload infeasible: %w", i-1, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dronedse/core"
 	"dronedse/dataset"
 	"dronedse/mathx"
 	"dronedse/slam"
@@ -156,7 +155,7 @@ func TestTable5(t *testing.T) {
 // ripple, the FPGA's weight overhead eats most of its small-drone power win
 // — a caveat the paper's power-only arithmetic hides.
 func TestTable5Exact(t *testing.T) {
-	small, large, err := Table5Exact(core.DefaultParams())
+	small, large, err := Table5Exact()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func Table5(stats []slam.Stats) []Table5Row {
 // platform's weight changes motors, ESCs, and therefore power. This is the
 // repo's ablation of the paper's power-only approximation; it shows the
 // FPGA's +25 g over the RPi eats most of its power win on small drones.
-func Table5Exact(params core.Params) (small, large map[string]float64, err error) {
+func Table5Exact() (small, large map[string]float64, err error) {
 	mkSmall := func(pl Platform) core.Spec {
 		return core.Spec{
 			WheelbaseMM: 200, Cells: 2, CapacityMah: 2700, TWR: 2,
@@ -115,13 +115,13 @@ func Table5Exact(params core.Params) (small, large map[string]float64, err error
 		spec func(Platform) core.Spec
 		out  map[string]float64
 	}{{mkSmall, small}, {mkLarge, large}} {
-		base, err := core.Resolve(mk.spec(RPi()), params)
+		base, err := core.Resolve(mk.spec(RPi()))
 		if err != nil {
 			return nil, nil, err
 		}
 		baseMin := base.HoverFlightTimeMin()
 		for _, pl := range All() {
-			d, err := core.Resolve(mk.spec(pl), params)
+			d, err := core.Resolve(mk.spec(pl))
 			if err != nil {
 				return nil, nil, err
 			}

@@ -26,9 +26,9 @@ type Efficiencies struct {
 	ESC float64
 }
 
-// DefaultEfficiencies is the calibrated chain that the design model
-// (core.DefaultParams) and the flight plant (sim.DefaultConfig) share, so a
-// design is flown with the losses it was sized with.
+// DefaultEfficiencies is the calibrated chain that the design model (core)
+// and the flight plant (sim.DefaultConfig) share, so a design is flown with
+// the losses it was sized with.
 func DefaultEfficiencies() Efficiencies {
 	return Efficiencies{FigureOfMerit: 0.60, Motor: 0.80, ESC: 0.93}
 }
