@@ -164,6 +164,8 @@ smoke-cmds:
 	$(GO) build ./cmd/...
 	$(GO) run ./cmd/dse >/dev/null
 	$(GO) run ./cmd/dse -wheelbase 200 -best >/dev/null
+	$(GO) run ./cmd/dse -require 15 >/dev/null
+	$(GO) run ./cmd/dse -pareto >/dev/null
 	$(GO) run ./cmd/flysim -seed 1 >/dev/null
 	$(GO) run ./cmd/faultcamp -procs 2 -seconds 120 >/dev/null
 	$(GO) run ./cmd/figures -fig 10 -procs 2 >/dev/null

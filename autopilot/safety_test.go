@@ -15,8 +15,7 @@ func TestEnergyPolicyBringsItHome(t *testing.T) {
 	pack := new(power.Pack)
 	pack.Init(3, 260, 80)
 	ap := new(Autopilot)
-	ap.Init(Config{Quad: q, Battery: pack, ComputeW: 5, TakeoffAltM: 5, Seed: 6})
-	ap.SetEnergyPolicy(DefaultEnergyPolicy())
+	ap.Init(Config{Quad: q, Battery: pack, ComputeW: 5, TakeoffAltM: 5, EnergyPolicy: true, Seed: 6})
 	if err := ap.Arm(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,22 +27,24 @@ type SessionConfig struct {
 	// OnboardW is the on-board host's power draw while hosting the task
 	// after a fallback (the §5.1 ~2 W SLAM increment on the RPi class).
 	OnboardW float64
-	// MaxRetries is the consecutive failed attempts tolerated before the
-	// session falls back to onboard compute (default 3).
-	MaxRetries int
-	// BackoffBaseMS and BackoffMaxMS bound the exponential retry backoff
-	// (defaults 50 ms and 2000 ms).
-	BackoffBaseMS float64
-	BackoffMaxMS  float64
-	// JitterFrac randomizes each backoff by ±frac (default 0.25) so
-	// retry storms from many vehicles decorrelate; the jitter source is
-	// seeded, keeping campaigns reproducible.
-	JitterFrac float64
-	// RecoverAfterS is how long the link must stay healthy before the
-	// session returns compute to the remote node (default 5 s).
-	RecoverAfterS float64
-	Seed          int64
 }
+
+// The session's retry policy.
+const (
+	// maxRetries is the consecutive failed attempts tolerated before the
+	// session falls back to onboard compute.
+	maxRetries = 3
+	// backoffBaseMS and backoffMaxMS bound the exponential retry backoff.
+	backoffBaseMS = 50
+	backoffMaxMS  = 2000
+	// jitterFrac randomizes each backoff by ±frac so retry storms from
+	// many vehicles decorrelate; the jitter source is seeded, keeping
+	// campaigns reproducible.
+	jitterFrac = 0.25
+	// recoverAfterS is how long the link must stay healthy before the
+	// session returns compute to the remote node.
+	recoverAfterS = 5
+)
 
 // Session runs the offload loop with failure handling: each attempt either
 // meets the outer-loop deadline or counts as a failure; failures retry with
@@ -70,28 +72,13 @@ type Session struct {
 // Init (re)initialises s in place as a session priced from the measured
 // SLAM ledger st, which must pass ValidateLedger; the session starts
 // offloaded. st supplies the per-frame remote compute time the same way
-// Evaluate derives it. Init reseeds the jitter source and installs no link
-// probe.
-func (s *Session) Init(cfg SessionConfig, st slam.Stats) {
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.BackoffBaseMS <= 0 {
-		cfg.BackoffBaseMS = 50
-	}
-	if cfg.BackoffMaxMS <= 0 {
-		cfg.BackoffMaxMS = 2000
-	}
-	if cfg.JitterFrac <= 0 {
-		cfg.JitterFrac = 0.25
-	}
-	if cfg.RecoverAfterS <= 0 {
-		cfg.RecoverAfterS = 5
-	}
+// Evaluate derives it. Init reseeds the jitter source from seed and installs
+// no link probe.
+func (s *Session) Init(cfg SessionConfig, st slam.Stats, seed int64) {
 	*s = Session{
 		cfg:          cfg,
 		baseRep:      evaluate(cfg.Link, cfg.Node, cfg.W, st, cfg.OnboardW),
-		rng:          mathx.Reseed(s.rng, cfg.Seed),
+		rng:          mathx.Reseed(s.rng, seed),
 		offloaded:    true,
 		healthySince: -1,
 	}
@@ -142,7 +129,7 @@ func (s *Session) Step(t float64) bool {
 			if s.healthySince < 0 {
 				s.healthySince = t
 			}
-			if t-s.healthySince >= s.cfg.RecoverAfterS {
+			if t-s.healthySince >= recoverAfterS {
 				s.offloaded = true
 				s.Recoveries++
 				s.healthySince = -1
@@ -154,13 +141,13 @@ func (s *Session) Step(t float64) bool {
 	s.Failures++
 	s.consecFails++
 	s.healthySince = -1
-	backoff := s.cfg.BackoffBaseMS * math.Pow(2, float64(s.consecFails-1))
-	if backoff > s.cfg.BackoffMaxMS {
-		backoff = s.cfg.BackoffMaxMS
+	backoff := backoffBaseMS * math.Pow(2, float64(s.consecFails-1))
+	if backoff > backoffMaxMS {
+		backoff = backoffMaxMS
 	}
-	backoff *= 1 + s.cfg.JitterFrac*(2*s.rng.Float64()-1)
+	backoff *= 1 + jitterFrac*(2*s.rng.Float64()-1)
 	s.nextAttemptAt = t + backoff/1000
-	if s.offloaded && s.consecFails >= s.cfg.MaxRetries {
+	if s.offloaded && s.consecFails >= maxRetries {
 		s.offloaded = false
 		s.Fallbacks++
 		return true

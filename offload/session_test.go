@@ -27,8 +27,8 @@ func newTestSession(t *testing.T, seed int64) *Session {
 	s := new(Session)
 	s.Init(SessionConfig{
 		Link: WiFi5GHz(), Node: GroundStationGPU(), W: SLAMWorkload(),
-		OnboardW: 2.0, Seed: seed,
-	}, testStats())
+		OnboardW: 2.0,
+	}, testStats(), seed)
 	return s
 }
 

@@ -149,7 +149,6 @@ func withParts(t *testing.T, spec scenario.Spec, on bool, sink func([]byte)) sce
 	}
 	quad := sim.DefaultConfig()
 	quad.MassKg, quad.TWR = 1.2, 2.3
-	policy := autopilot.DefaultEnergyPolicy()
 	spec.Wind = scenario.Wind{MeanMS: 3, GustMS: 1.5}
 	spec.Faults = inj
 	spec.Offload = &scenario.Offload{
@@ -159,7 +158,7 @@ func withParts(t *testing.T, spec scenario.Spec, on bool, sink func([]byte)) sce
 		},
 		Stats: slam.Stats{FeatureExtractionOps: 40e6, MatchingOps: 20e6, LocalBAOps: 30e6, Frames: 100},
 	}
-	spec.EnergyPolicy = &policy
+	spec.EnergyPolicy = true
 	spec.Telemetry = scenario.Telemetry{EverySteps: 100, Send: sink}
 	spec.Battery = scenario.Battery{Cells: 6}
 	spec.Quad = &quad

@@ -100,8 +100,8 @@ func (c Compute) BoardW() float64 {
 // node over a radio, with retry/fallback/recovery priced into the compute
 // power the autopilot carries (Equation 7's subject).
 type Offload struct {
-	// Session configures the link, node, workload and retry policy. A zero
-	// Seed inherits Spec.Seed.
+	// Session configures the link, node and workload; the session's jitter
+	// source is seeded from Spec.Seed.
 	Session offload.SessionConfig
 	// Stats is the per-mission SLAM work ledger the session prices.
 	Stats slam.Stats
@@ -160,9 +160,9 @@ type Spec struct {
 	// mission.Lifecycle declares how it reads it (see mission.Context).
 	MaxSeconds float64
 
-	// EnergyPolicy, when non-nil, arms the Table 1 flight-time-management
-	// failsafe.
-	EnergyPolicy *autopilot.EnergyPolicy
+	// EnergyPolicy arms the Table 1 flight-time-management failsafe
+	// (autopilot.Config.EnergyPolicy).
+	EnergyPolicy bool
 	// Faults, when non-nil, is bound to the plant and installed behind the
 	// sensor, autopilot and offload fault interfaces.
 	Faults FaultInjector
@@ -277,22 +277,15 @@ func Build(spec Spec) (*Stack, error) {
 	pack.Init(b.Cells, b.CapacityMah, b.CRating)
 	baseW := spec.Compute.BoardW()
 	ap.Init(autopilot.Config{
-		Quad: q, Battery: pack, ComputeW: baseW,
-		TakeoffAltM: spec.TakeoffAltM, Seed: spec.Seed,
+		Quad: q, Battery: pack, ComputeW: baseW, TakeoffAltM: spec.TakeoffAltM,
+		EnergyPolicy: spec.EnergyPolicy, Seed: spec.Seed,
 	})
-	if spec.EnergyPolicy != nil {
-		ap.SetEnergyPolicy(*spec.EnergyPolicy)
-	}
 	var sess *offload.Session
 	if spec.Offload != nil {
 		if sess = st.Session; sess == nil {
 			sess = new(offload.Session)
 		}
-		scfg := spec.Offload.Session
-		if scfg.Seed == 0 {
-			scfg.Seed = spec.Seed
-		}
-		sess.Init(scfg, spec.Offload.Stats)
+		sess.Init(spec.Offload.Session, spec.Offload.Stats, spec.Seed)
 	}
 
 	*st = Stack{

@@ -51,7 +51,7 @@ func newBenchHarness(seq *dataset.Sequence, warmFrames int) *benchHarness {
 	_, descs, pts := s.localMap()
 	h.descs = append([]Descriptor(nil), descs...)
 	h.pts = append([]mathx.Vec3(nil), pts...)
-	h.baLo = len(s.keyframes) - s.LocalWindow
+	h.baLo = len(s.keyframes) - localWindow
 	if h.baLo < 0 {
 		h.baLo = 0
 	}
@@ -95,7 +95,7 @@ func (h *benchHarness) LocalBA() uint64 {
 		mp.Pos = h.mpPos[i]
 	}
 	var ops uint64
-	h.sys.bundleAdjust(h.sys.keyframes[h.baLo:], h.sys.LocalBAIters, &ops)
+	h.sys.bundleAdjust(h.sys.keyframes[h.baLo:], localBAIters, &ops)
 	return ops
 }
 

@@ -17,6 +17,22 @@ import (
 // machine.
 var forcePipeline = false
 
+// The pipeline's keyframing and bundle-adjustment schedule.
+const (
+	// keyframeEvery inserts a keyframe at least every N frames.
+	keyframeEvery = 5
+	// minTrackedMatches forces a keyframe when tracking thins out.
+	minTrackedMatches = 40
+	// localWindow is the keyframe count local BA optimizes.
+	localWindow = 5
+	// localBAIters / globalBAIters are the alternation counts.
+	localBAIters  = 6
+	globalBAIters = 4
+	// globalBAEveryKF runs loop-closure detection + global BA every N
+	// keyframes (and at Finish).
+	globalBAEveryKF = 8
+)
+
 // System is the full SLAM pipeline: tracking (feature extraction, matching,
 // pose optimization), local mapping (keyframe creation, local BA), and loop
 // closing with global BA — the ORB-SLAM organization of §5.
@@ -26,19 +42,6 @@ type System struct {
 	Stats Stats
 
 	det *Detector
-
-	// KeyframeEvery inserts a keyframe at least every N frames.
-	KeyframeEvery int
-	// MinTrackedMatches forces a keyframe when tracking thins out.
-	MinTrackedMatches int
-	// LocalWindow is the keyframe count local BA optimizes.
-	LocalWindow int
-	// LocalBAIters / GlobalBAIters are the alternation counts.
-	LocalBAIters  int
-	GlobalBAIters int
-	// GlobalBAEveryKF runs loop-closure detection + global BA every N
-	// keyframes (and at Finish).
-	GlobalBAEveryKF int
 
 	pose        Pose
 	initialized bool
@@ -68,15 +71,9 @@ func NewSystem(cam dataset.Camera) *System { return newSystem(cam, new(seqArena)
 // newSystem builds the pipeline for a camera over the arena a.
 func newSystem(cam dataset.Camera, a *seqArena) *System {
 	s := &System{
-		Cam:               cam,
-		KeyframeEvery:     5,
-		MinTrackedMatches: 40,
-		LocalWindow:       5,
-		LocalBAIters:      6,
-		GlobalBAIters:     4,
-		GlobalBAEveryKF:   8,
-		lastLoopKF:        -1000,
-		ar:                a,
+		Cam:        cam,
+		lastLoopKF: -1000,
+		ar:         a,
 	}
 	s.det = NewDetector(&s.Stats)
 	s.det.scratch = &a.det
@@ -102,7 +99,7 @@ func (s *System) localMap() (ids []int, descs []Descriptor, pts []mathx.Vec3) {
 	}
 	sc.lmSeen = seen
 	ids, descs, pts = sc.lmIDs[:0], sc.lmDescs[:0], sc.lmPts[:0]
-	lo := len(s.keyframes) - s.LocalWindow
+	lo := len(s.keyframes) - localWindow
 	if lo < 0 {
 		lo = 0
 	}
@@ -154,7 +151,7 @@ func (s *System) ProcessFrameDetected(kps []Keypoint, f dataset.Frame) Pose {
 
 	ids, descs, pts := s.localMap()
 	matches := s.matchByProjection(kps, descs, pts)
-	if len(matches) < s.MinTrackedMatches/2 {
+	if len(matches) < minTrackedMatches/2 {
 		// Tracking-lost fallback: global descriptor search (ORB-SLAM's
 		// relocalization path).
 		matches = Match(kps, descs, 50, &s.Stats)
@@ -196,7 +193,7 @@ func (s *System) ProcessFrameDetected(kps []Keypoint, f dataset.Frame) Pose {
 	}
 
 	s.sinceKF++
-	if s.sinceKF >= s.KeyframeEvery || len(matches) < s.MinTrackedMatches {
+	if s.sinceKF >= keyframeEvery || len(matches) < minTrackedMatches {
 		// matchedByKp[i] is the map-point ID keypoint i tracks (-1: none) —
 		// a dense scratch array, not a per-keyframe map.
 		matchedByKp := grow(sc.matchedByKp, len(kps))
@@ -213,20 +210,20 @@ func (s *System) ProcessFrameDetected(kps []Keypoint, f dataset.Frame) Pose {
 		s.createKeyframe(kps, f, matchedByKp)
 
 		// Local BA over the recent window.
-		lo := len(s.keyframes) - s.LocalWindow
+		lo := len(s.keyframes) - localWindow
 		if lo < 0 {
 			lo = 0
 		}
-		s.bundleAdjust(s.keyframes[lo:], s.LocalBAIters, &s.Stats.LocalBAOps)
+		s.bundleAdjust(s.keyframes[lo:], localBAIters, &s.Stats.LocalBAOps)
 
 		// Loop detection is cheap and runs per keyframe; a closure runs
 		// pose-graph optimization, then global BA (which also runs
 		// periodically without one).
 		if oldIdx, found := s.detectLoop(); found {
 			s.closeLoop(oldIdx)
-			s.bundleAdjust(s.keyframes, s.GlobalBAIters, &s.Stats.GlobalBAOps)
-		} else if len(s.keyframes)%s.GlobalBAEveryKF == 0 {
-			s.bundleAdjust(s.keyframes, s.GlobalBAIters, &s.Stats.GlobalBAOps)
+			s.bundleAdjust(s.keyframes, globalBAIters, &s.Stats.GlobalBAOps)
+		} else if len(s.keyframes)%globalBAEveryKF == 0 {
+			s.bundleAdjust(s.keyframes, globalBAIters, &s.Stats.GlobalBAOps)
 		}
 	}
 	s.traj = append(s.traj, s.pose)
@@ -436,11 +433,11 @@ func (s *System) depthAt(kp Keypoint, f dataset.Frame) float64 {
 // firing on every subsequent keyframe.
 func (s *System) detectLoop() (oldIdx int, found bool) {
 	cur := s.keyframes[len(s.keyframes)-1]
-	if cur.ID-s.lastLoopKF < 2*s.GlobalBAEveryKF {
+	if cur.ID-s.lastLoopKF < 2*globalBAEveryKF {
 		return 0, false
 	}
 	for i, old := range s.keyframes {
-		if cur.ID-old.ID < 2*s.GlobalBAEveryKF {
+		if cur.ID-old.ID < 2*globalBAEveryKF {
 			break
 		}
 		if cur.Pose.Pos.Sub(old.Pose.Pos).Norm() < 1.0 {
@@ -454,7 +451,7 @@ func (s *System) detectLoop() (oldIdx int, found bool) {
 
 // Finish runs the final global BA (ORB-SLAM's full-map optimization).
 func (s *System) Finish() {
-	s.bundleAdjust(s.keyframes, s.GlobalBAIters+1, &s.Stats.GlobalBAOps)
+	s.bundleAdjust(s.keyframes, globalBAIters+1, &s.Stats.GlobalBAOps)
 }
 
 // Result summarizes a sequence run.
