@@ -80,7 +80,7 @@ func flysimReference(t *testing.T, seed int64) ([]mathx.Vec3, float64) {
 func TestFaultFreeBitIdentical(t *testing.T) {
 	const seed = 1
 	want, wantT := flysimReference(t, seed)
-	lanes, rows, _ := layout([]Scenario{{Name: "fault-free", Seed: seed}}, Config{}.withDefaults())
+	lanes, rows, _ := layout([]Scenario{{Name: "fault-free", Seed: seed}}, Config{})
 	res, err := scenario.Run(lanes[0].spec)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestSevereScenario(t *testing.T) {
 // TestCampaignLayoutSharesFlights pins the lane grouping: rows share a lane
 // exactly when they share a seed and bit-identical fault events.
 func TestCampaignLayoutSharesFlights(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}
 	scs := append(StandardScenarios(1), StandardScenarios(2)...)
 	lanes, rows, nBase := layout(scs, cfg)
 	// Per seed: the baseline, fault-free and lossy-telemetry rows fly one
